@@ -5,7 +5,7 @@
      muirc graph    model [--fuse] [--dot f]  operator graph of a model
      muirc check    prog.mc [-O pass]  static analysis (deadlock, races)
      muirc chisel   prog.mc [-o f]     emit Chisel for the accelerator
-     muirc simulate prog.mc [-O pass] [--jobs N]  cycle-accurate simulation
+     muirc simulate prog.mc [-O pass]  cycle-accurate simulation
      muirc profile  prog.mc [-O pass]  traced simulation + stall report
      muirc synth    prog.mc [-O pass]  FPGA/ASIC synthesis estimates
      muirc workload name [-O pass]     same, for a bundled benchmark
@@ -123,6 +123,26 @@ let optimized_circuit ?unroll path passes =
   let b = build_file ?unroll path passes in
   (b.Pipeline.p_program, b.Pipeline.p_circuit)
 
+(* A target that is not a file must name a bundled workload; any
+   other name is a usage error (exit 2) that lists the valid ones. *)
+let resolve_workload (name : string) : Muir_workloads.Workloads.t =
+  let module W = Muir_workloads.Workloads in
+  match List.find_opt (fun (w : W.t) -> w.wname = name) W.all with
+  | Some w -> w
+  | None ->
+    Fmt.epr "unknown target %s: not a file, and not one of the workloads \
+             (%s)@."
+      name
+      (String.concat ", " (List.map (fun (w : W.t) -> w.wname) W.all));
+    exit 2
+
+(* EXIT STATUS of every command that resolves a workload name. *)
+let workload_exits =
+  Cmd.Exit.info 2
+    ~doc:"on an unknown workload name (neither a file nor a bundled \
+          workload); the valid names are listed on standard error."
+  :: Cmd.Exit.defaults
+
 (* check/profile accept either a source file or a bundled workload
    name; workload targets are built under their bundled name and do
    not echo pass reports. *)
@@ -130,7 +150,7 @@ let target_built ?unroll target passes : Pipeline.built =
   if Sys.file_exists target then build_file ?unroll target passes
   else
     Pipeline.build ~passes:(List.concat passes)
-      (Pipeline.of_workload_name target)
+      (Pipeline.of_workload (resolve_workload target))
 
 (* --- commands ------------------------------------------------------ *)
 
@@ -244,7 +264,8 @@ let dot_cmd =
         | Some f -> write_file f dot)
   in
   Cmd.v
-    (Cmd.info "dot" ~doc:"Render the μIR circuit as a Graphviz digraph.")
+    (Cmd.info "dot" ~exits:workload_exits
+       ~doc:"Render the μIR circuit as a Graphviz digraph.")
     Term.(const run $ target_arg $ passes_arg $ unroll_arg $ out $ prof_flag)
 
 (* muirc check: static analyses + optional timing oracle, with a
@@ -421,6 +442,11 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check"
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"when the analyses report errors."
+         :: Cmd.Exit.info 3
+              ~doc:"with $(b,--strict), on warnings but no errors."
+         :: workload_exits)
        ~doc:
          "Run the static analyses on a program's circuit: deadlock and \
           starvation on the dataflow graph, buffer-sizing imbalance, \
@@ -473,25 +499,18 @@ let report_simulation (r : Muir_sim.Sim.result) =
     r.stats.invocations
 
 let simulate_cmd =
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the simulation across $(docv) domains (results are \
-             bit-identical for every job count).")
-  in
-  let run target passes unroll jobs =
+  let run target passes unroll =
     handle_frontend (fun () ->
         let b = target_built ~unroll target passes in
-        let r = Pipeline.simulate ~jobs b in
+        let r = Pipeline.simulate b in
         report_simulation r;
         Fmt.pr "return value      %s@."
           (Muir_ir.Types.value_to_string r.value))
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Cycle-accurate simulation of the accelerator.")
-    Term.(const run $ target_arg $ passes_arg $ unroll_arg $ jobs_arg)
+    (Cmd.info "simulate" ~exits:workload_exits
+       ~doc:"Cycle-accurate simulation of the accelerator.")
+    Term.(const run $ target_arg $ passes_arg $ unroll_arg)
 
 let profile_cmd =
   let target_arg =
@@ -620,7 +639,7 @@ let profile_cmd =
         end)
   in
   Cmd.v
-    (Cmd.info "profile"
+    (Cmd.info "profile" ~exits:workload_exits
        ~doc:
          "Simulate with cycle-level tracing and print the bottleneck \
           report: top stalled nodes with their dominant cause, stall \
@@ -712,9 +731,7 @@ let explore_cmd =
             Muir_dse.Explore.source_subject
               ~name:(Filename.remove_extension (Filename.basename target))
               (read_file target)
-          else
-            Muir_dse.Explore.workload_subject
-              (Muir_workloads.Workloads.find target)
+          else Muir_dse.Explore.workload_subject (resolve_workload target)
         in
         let strategy =
           match Muir_dse.Explore.strategy_of_string strat with
@@ -742,7 +759,7 @@ let explore_cmd =
           metrics_file)
   in
   Cmd.v
-    (Cmd.info "explore"
+    (Cmd.info "explore" ~exits:workload_exits
        ~doc:
          "Design-space exploration: enumerate μopt stacks × tiling \
           width × banking (× per-pass on/off), evaluate each with the \
@@ -783,7 +800,7 @@ let workload_cmd =
             w.description)
         Muir_workloads.Workloads.all
     else begin
-      let w = Muir_workloads.Workloads.find name in
+      let w = resolve_workload name in
       let p = Muir_workloads.Workloads.program w in
       let c = Muir_core.Build.circuit ~name:w.wname p in
       let _ = Muir_opt.Pass.run_all (List.concat passes) c in
@@ -796,7 +813,7 @@ let workload_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "workload"
+    (Cmd.info "workload" ~exits:workload_exits
        ~doc:"Run a bundled benchmark (try --list with any name).")
     Term.(const run $ name_arg $ passes_arg $ list_flag)
 
@@ -975,8 +992,9 @@ let client_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Simulator domains per item (results are bit-identical for \
-             every value, so this never changes what is cached).")
+            "Per-item $(b,jobs) field sent to the daemon, which checks \
+             it is at least 1 and otherwise ignores it: the simulator \
+             runs on one lane.")
   in
   let batch_arg =
     Arg.(

@@ -26,9 +26,10 @@
     ({["name":"my-kernel","source":"..."]}), plus an optional μopt
     configuration ([stack] from the registry, [tiles]/[banks]
     overriding that stack's defaults, [off] pass names to drop) and
-    sim parameters ([jobs] — bit-identical for every value, so it is
-    not part of the cache key — and [deadline_ms], a per-request
-    deadline measured from admission).
+    sim parameters ([jobs], accepted for compatibility and ignored —
+    the simulator runs on one lane, so it is not part of the cache
+    key — and [deadline_ms], a per-request deadline measured from
+    admission).
 
     {2 Responses}
 
@@ -138,7 +139,7 @@ type item = {
   it_banks : int option;
   it_off : string list;        (** pass names to drop from the stack *)
   it_deadline_ms : int option; (** budget measured from admission *)
-  it_jobs : int;               (** simulator domains for this item *)
+  it_jobs : int;               (** accepted (>= 1) and ignored *)
 }
 
 type request =

@@ -134,6 +134,11 @@ let make_sc ~(slots : int) : sc =
     sflts = Array.make n 0.0; sobjs = Array.make n F.no_obj;
     rtag = F.tabsent; rnum = 0; rflt = [| 0.0 |]; robj = F.no_obj }
 
+(* The result object is almost always [F.no_obj]: skip a store of the
+   value already there, which would still pay the write barrier. *)
+let[@inline] set_robj (sc : sc) (v : token) : unit =
+  if sc.robj != v then sc.robj <- v
+
 (* Raised (preallocated, no payload) when a fast path cannot guarantee
    bit-identity with the boxed semantics. *)
 exception Slow
@@ -167,19 +172,19 @@ let norm_float (sc : sc) (i : int) : unit =
 
 let set_poison (sc : sc) : unit =
   sc.rtag <- F.tpoison;
-  sc.robj <- F.no_obj
+  set_robj sc F.no_obj
 
 let set_result (sc : sc) (v : token) : unit =
   sc.rtag <- F.tag_of v;
   sc.rnum <- F.num_of v;
   sc.rflt.(0) <- F.flt_of v;
-  sc.robj <- F.obj_of v
+  set_robj sc (F.obj_of v)
 
 let copy_to_result (sc : sc) (j : int) : unit =
   sc.rtag <- sc.stags.(j);
   sc.rnum <- sc.snums.(j);
   sc.rflt.(0) <- sc.sflts.(j);
-  sc.robj <- sc.sobjs.(j)
+  set_robj sc sc.sobjs.(j)
 
 (** Materialize row [i] back to a boxed token (slow paths only). *)
 let slot_value (sc : sc) (i : int) : token =
@@ -223,7 +228,7 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
         in
         sc.rtag <- F.tint;
         sc.rnum <- r;
-        sc.robj <- F.no_obj
+        set_robj sc F.no_obj
       | G.Ficmp o ->
         if not (int_like sc.stags.(off) && int_like sc.stags.(off + 1)) then
           raise Slow;
@@ -238,7 +243,7 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
           | I.Sge -> a >= b
         in
         sc.rtag <- (if r then F.ttrue else F.tfalse);
-        sc.robj <- F.no_obj
+        set_robj sc F.no_obj
       | G.Ffbin o ->
         norm_float sc off;
         norm_float sc (off + 1);
@@ -250,7 +255,7 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
           | I.Fmul -> a *. b
           | I.Fdiv -> a /. b);
         sc.rtag <- F.tfloat;
-        sc.robj <- F.no_obj
+        set_robj sc F.no_obj
       | G.Ffcmp o ->
         norm_float sc off;
         norm_float sc (off + 1);
@@ -265,7 +270,7 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
           | I.Foge -> a >= b
         in
         sc.rtag <- (if r then F.ttrue else F.tfalse);
-        sc.robj <- F.no_obj
+        set_robj sc F.no_obj
       | G.Ffunary o ->
         norm_float sc off;
         let a = sc.sflts.(off) in
@@ -276,7 +281,7 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
           | I.Fsqrt -> Float.sqrt a
           | I.Fabs -> Float.abs a);
         sc.rtag <- F.tfloat;
-        sc.robj <- F.no_obj
+        set_robj sc F.no_obj
       | G.Fcast c -> (
         let t = sc.stags.(off) in
         match c with
@@ -284,7 +289,7 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
           if not (int_like t) then raise Slow;
           sc.rflt.(0) <- float_of_int (ival sc off);
           sc.rtag <- F.tfloat;
-          sc.robj <- F.no_obj
+          set_robj sc F.no_obj
         | I.Fptosi ->
           if t <> F.tfloat then raise Slow;
           let f = sc.sflts.(off) in
@@ -293,18 +298,18 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
           if not (f > -4.0e18 && f < 4.0e18) then raise Slow;
           sc.rnum <- int_of_float f;
           sc.rtag <- F.tint;
-          sc.robj <- F.no_obj
+          set_robj sc F.no_obj
         | I.Zext _ ->
           if not (int_like t) then raise Slow;
           sc.rnum <- ival sc off;
           sc.rtag <- F.tint;
-          sc.robj <- F.no_obj
+          set_robj sc F.no_obj
         | I.Trunc w ->
           if t = F.ttrue || t = F.tfalse then copy_to_result sc off
           else if t = F.tint && w >= 1 && w <= 62 then begin
             sc.rnum <- sc.snums.(off) land ((1 lsl w) - 1);
             sc.rtag <- F.tint;
-            sc.robj <- F.no_obj
+            set_robj sc F.no_obj
           end
           else raise Slow)
       | G.Fselect ->
@@ -321,7 +326,7 @@ let compute_sc (sc : sc) (op : G.fu_op) (off : int) (argc : int) : unit =
         if not (small base && small idx && small s) then raise Slow;
         sc.rnum <- base + (idx * s);
         sc.rtag <- F.tint;
-        sc.robj <- F.no_obj
+        set_robj sc F.no_obj
       | G.Fident -> copy_to_result sc off
     with Slow -> slow_compute sc op off k
 
@@ -332,18 +337,19 @@ let rec fused_go (sc : sc) (ops : G.fu_op list) (argc : int) (cur : int) :
   | [] -> ()
   | op :: rest ->
     let extra = fu_arity op - 1 in
-    let avail = max 0 (min extra (argc - cur)) in
+    let avail = Int.max 0 (Int.min extra (argc - cur)) in
     let ch = argc in
     sc.stags.(ch) <- sc.rtag;
     sc.snums.(ch) <- sc.rnum;
     sc.sflts.(ch) <- sc.rflt.(0);
-    sc.sobjs.(ch) <- sc.robj;
+    if sc.sobjs.(ch) != sc.robj then sc.sobjs.(ch) <- sc.robj;
     for j = 0 to avail - 1 do
       let s = cur + j in
       sc.stags.(ch + 1 + j) <- sc.stags.(s);
       sc.snums.(ch + 1 + j) <- sc.snums.(s);
       sc.sflts.(ch + 1 + j) <- sc.sflts.(s);
-      sc.sobjs.(ch + 1 + j) <- sc.sobjs.(s)
+      if sc.sobjs.(ch + 1 + j) != sc.sobjs.(s) then
+        sc.sobjs.(ch + 1 + j) <- sc.sobjs.(s)
     done;
     compute_sc sc op ch (1 + avail);
     fused_go sc rest argc (cur + extra)

@@ -16,6 +16,7 @@
 module G = Muir_core.Graph
 module T = Muir_ir.Types
 module F = Muir_ir.Flat
+module Ctr = Muir_trace.Counters
 
 (** One word-group processed by a single bank access.  The buffers are
     owned (and reused) by the parent access; [sr_n] addresses are
@@ -82,7 +83,7 @@ let reset_access (a : access) ~(is_store : bool) ~(now : int) : unit =
   a.a_nsrs <- 0
 
 type bank = {
-  mutable bq : subreq array;    (** FIFO ring *)
+  mutable bq : subreq array;    (** FIFO ring, power-of-two sized *)
   mutable bq_head : int;
   mutable bq_n : int;
   mutable busy_until : int;
@@ -91,20 +92,20 @@ type bank = {
 let bank_push (b : bank) (sr : subreq) : unit =
   let cap = Array.length b.bq in
   if b.bq_n = cap then begin
-    let ncap = max 4 (cap * 2) in
-    let nq = Array.make ncap sr in
+    let nq = Array.make (Int.max 4 (cap * 2)) sr in
     for i = 0 to b.bq_n - 1 do
-      nq.(i) <- b.bq.((b.bq_head + i) mod max cap 1)
+      nq.(i) <- b.bq.((b.bq_head + i) land (cap - 1))
     done;
     b.bq <- nq;
     b.bq_head <- 0
   end;
-  b.bq.((b.bq_head + b.bq_n) mod Array.length b.bq) <- sr;
+  let i = (b.bq_head + b.bq_n) land (Array.length b.bq - 1) in
+  if b.bq.(i) != sr then b.bq.(i) <- sr;
   b.bq_n <- b.bq_n + 1
 
 let bank_pop (b : bank) : subreq =
   let sr = b.bq.(b.bq_head) in
-  b.bq_head <- (b.bq_head + 1) mod Array.length b.bq;
+  b.bq_head <- (b.bq_head + 1) land (Array.length b.bq - 1);
   b.bq_n <- b.bq_n - 1;
   sr
 
@@ -129,10 +130,12 @@ type struct_rt = {
   mutable misses : int;
   mutable prefetches : int;
   mutable accesses : int;
-  mutable busy_cycles : int;
   mutable conflicts : int;
       (** sub-requests that arrived at a bank already holding queued
           work — the paper's bank-conflict counter *)
+  occ : Ctr.occ_ctr;
+      (** sub-requests queued across the banks: the depth {!step}
+          checks before touching any bank, and its occupancy integral *)
 }
 
 (* Completions timing wheel: slot = ready-cycle mod size; entries keep
@@ -148,13 +151,16 @@ type cslot = {
 type t = {
   mem : Muir_ir.Memory.t;
   structs : struct_rt array;    (** circuit declaration order *)
-  sids : int array;             (** struct id per [structs] row *)
   space_of : G.space_id -> struct_rt;
   completions : cslot array;    (** [cw_size] slots *)
   mutable total_requests : int;
 }
 
-let create (c : G.circuit) (mem : Muir_ir.Memory.t) : t =
+(** Runtime state for [c]'s structures over [mem].  Queue occupancy is
+    integrated into [ctrs] under [Kstruct sid] (a private bank by
+    default). *)
+let create ?(ctrs = Ctr.create ()) (c : G.circuit) (mem : Muir_ir.Memory.t)
+    : t =
   let mk_rt (s : G.struct_inst) =
     let nbanks =
       match s.shape with
@@ -173,7 +179,7 @@ let create (c : G.circuit) (mem : Muir_ir.Memory.t) : t =
         Array.init nbanks (fun _ ->
             { bq = [||]; bq_head = 0; bq_n = 0; busy_until = 0 });
       tags; hits = 0; misses = 0; prefetches = 0; accesses = 0;
-      busy_cycles = 0; conflicts = 0 }
+      conflicts = 0; occ = Ctr.occ_ref ctrs (Ctr.Kstruct s.sid) }
   in
   let structs = Array.of_list (List.map mk_rt c.structures) in
   let sids = Array.map (fun rt -> rt.inst.G.sid) structs in
@@ -203,7 +209,7 @@ let create (c : G.circuit) (mem : Muir_ir.Memory.t) : t =
       | None -> find_sid (G.structure_of_space c sp).sid
     else find_sid (G.structure_of_space c sp).sid
   in
-  { mem; structs; sids; space_of;
+  { mem; structs; space_of;
     completions =
       Array.init cw_size (fun _ -> { ca = [||]; cc = [||]; cn = 0 });
     total_requests = 0 }
@@ -244,7 +250,7 @@ let split (rt : struct_rt) (a : access) : unit =
   a.a_nsrs <- 0;
   (match rt.inst.shape with
   | Scratchpad { width_words; _ } ->
-    let width = max width_words 1 in
+    let width = Int.max width_words 1 in
     for i = 0 to a.a_n - 1 do
       if i mod width = 0 then begin
         ignore (new_subreq a a.a_nsrs);
@@ -255,7 +261,7 @@ let split (rt : struct_rt) (a : access) : unit =
       sr.sr_n <- sr.sr_n + 1
     done
   | Cache { line_words; _ } ->
-    let lw = max line_words 1 in
+    let lw = Int.max line_words 1 in
     for i = 0 to a.a_n - 1 do
       let w = a.a_addrs.(i) in
       let line = w / lw in
@@ -290,16 +296,18 @@ let bank_of (rt : struct_rt) (sr : subreq) : int =
   let nbanks = Array.length rt.banks in
   match rt.inst.shape with
   | Scratchpad { width_words; _ } ->
-    (sr.sr_addrs.(0) / max width_words 1) mod nbanks
+    (sr.sr_addrs.(0) / Int.max width_words 1) mod nbanks
   | Cache { line_words; _ } -> sr.sr_addrs.(0) / line_words mod nbanks
 
-(** Enqueue a sub-request at its bank; a non-empty bank queue means
-    this request collided with in-flight work on the same bank. *)
-let enqueue (ms : t) (rt : struct_rt) (sr : subreq) : unit =
+(** Enqueue a sub-request at its bank during cycle [now]; a non-empty
+    bank queue means this request collided with in-flight work on the
+    same bank. *)
+let enqueue (ms : t) (rt : struct_rt) (sr : subreq) ~(now : int) : unit =
   ms.total_requests <- ms.total_requests + 1;
   let b = rt.banks.(bank_of rt sr) in
   if b.bq_n > 0 then rt.conflicts <- rt.conflicts + 1;
-  bank_push b sr
+  bank_push b sr;
+  Ctr.occ_move rt.occ 1 ~at:(now + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Cache tag handling                                                  *)
@@ -323,7 +331,7 @@ let insert_line (ts : tagstore) ~(nbanks : int) (line : int) : unit =
   let base = idx * ts.ways in
   let n = ts.t_n.(idx) in
   if not (line_mem ts base line 0 n) then begin
-    let keep = min n (ts.ways - 1) in
+    let keep = Int.min n (ts.ways - 1) in
     for i = keep downto 1 do
       ts.t_lines.(base + i) <- ts.t_lines.(base + i - 1)
     done;
@@ -398,7 +406,7 @@ let complete_at (ms : t) (ready : int) (a : access) : unit =
     s.ca <- nca;
     s.cc <- ncc
   end;
-  s.ca.(s.cn) <- a;
+  if s.ca.(s.cn) != a then s.ca.(s.cn) <- a;
   s.cc.(s.cn) <- ready;
   s.cn <- s.cn + 1
 
@@ -424,66 +432,70 @@ let rec drain_completions (s : cslot) (now : int) (i : int) (n : int)
     drain_completions s now (i + 1) n (kept + 1)
   end
 
-(** Advance every structure by one cycle: each bank processes up to
-    [ports_per_bank] queued sub-requests (1 for caches), misses keep
-    the bank busy for the DRAM round trip. *)
+(* One bank access: pop the head sub-request, look it up, perform its
+   words and schedule its completion. *)
+let serve (ms : t) (rt : struct_rt) (b : bank) ~(now : int) : unit =
+  let sr = bank_pop b in
+  Ctr.occ_move rt.occ (-1) ~at:(now + 1);
+  let a = sr.sr_access in
+  rt.accesses <- rt.accesses + 1;
+  let lat =
+    match rt.inst.shape with
+    | Scratchpad { latency; _ } -> latency
+    | Cache { hit_latency; miss_latency; line_words; _ } ->
+      let hit =
+        match rt.tags with
+        | Some ts ->
+          cache_lookup ts ~nbanks:(Array.length rt.banks) ~line_words
+            sr.sr_addrs.(0)
+        | None -> true
+      in
+      if hit then begin
+        rt.hits <- rt.hits + 1;
+        (* single-ported SRAM macro: one access per two cycles per
+           bank *)
+        b.busy_until <- now + 2;
+        hit_latency
+      end
+      else begin
+        rt.misses <- rt.misses + 1;
+        (* the miss occupies the bank for the DRAM command slot, not
+           the full round trip — misses to a bank overlap (MSHR-style);
+           a next-line prefetch rides the open DRAM row, so unit-stride
+           streams are bandwidth-bound *)
+        (match rt.tags with
+        | Some ts ->
+          rt.prefetches <- rt.prefetches + 1;
+          insert_line ts ~nbanks:(Array.length rt.banks)
+            ((sr.sr_addrs.(0) / line_words) + 1)
+        | None -> ());
+        b.busy_until <- now + (miss_latency / 5);
+        miss_latency
+      end
+  in
+  perform_words ms a sr;
+  complete_at ms (now + lat) a
+
+(** Advance every structure with queued work by one cycle: each bank
+    processes up to [ports_per_bank] queued sub-requests (1 for
+    caches), misses keep the bank busy for the DRAM round trip.  An
+    idle structure costs one depth check. *)
 let step (ms : t) ~(now : int) : unit =
   for si = 0 to Array.length ms.structs - 1 do
     let rt = ms.structs.(si) in
-    let ports =
-      match rt.inst.shape with
-      | Scratchpad { ports_per_bank; _ } -> ports_per_bank
-      | Cache _ -> 1
-    in
-    for bi = 0 to Array.length rt.banks - 1 do
-      let b = rt.banks.(bi) in
-      if b.busy_until > now then rt.busy_cycles <- rt.busy_cycles + 1
-      else
+    if rt.occ.Ctr.o_depth > 0 then begin
+      let ports =
+        match rt.inst.shape with
+        | Scratchpad { ports_per_bank; _ } -> ports_per_bank
+        | Cache _ -> 1
+      in
+      for bi = 0 to Array.length rt.banks - 1 do
+        let b = rt.banks.(bi) in
         for _ = 1 to ports do
-          if b.busy_until <= now && b.bq_n > 0 then begin
-            let sr = bank_pop b in
-            let a = sr.sr_access in
-            rt.accesses <- rt.accesses + 1;
-            let lat =
-              match rt.inst.shape with
-              | Scratchpad { latency; _ } -> latency
-              | Cache { hit_latency; miss_latency; line_words; _ } ->
-                let hit =
-                  match rt.tags with
-                  | Some ts ->
-                    cache_lookup ts ~nbanks:(Array.length rt.banks)
-                      ~line_words sr.sr_addrs.(0)
-                  | None -> true
-                in
-                if hit then begin
-                  rt.hits <- rt.hits + 1;
-                  (* single-ported SRAM macro: one access per two
-                     cycles per bank *)
-                  b.busy_until <- now + 2;
-                  hit_latency
-                end
-                else begin
-                  rt.misses <- rt.misses + 1;
-                  (* the miss occupies the bank for the DRAM command
-                     slot, not the full round trip — misses to a bank
-                     overlap (MSHR-style); a next-line prefetch rides
-                     the open DRAM row, so unit-stride streams are
-                     bandwidth-bound *)
-                  (match rt.tags with
-                  | Some ts ->
-                    rt.prefetches <- rt.prefetches + 1;
-                    insert_line ts ~nbanks:(Array.length rt.banks)
-                      ((sr.sr_addrs.(0) / line_words) + 1)
-                  | None -> ());
-                  b.busy_until <- now + (miss_latency / 5);
-                  miss_latency
-                end
-            in
-            perform_words ms a sr;
-            complete_at ms (now + lat) a
-          end
+          if b.busy_until <= now && b.bq_n > 0 then serve ms rt b ~now
         done
-    done
+      done
+    end
   done;
   (* Deliver completions that are due: scan this cycle's wheel slot,
      keeping rows whose absolute cycle lies a full wheel turn ahead. *)
@@ -495,20 +507,6 @@ let store_buffered (rt : struct_rt) : bool =
   match rt.inst.shape with
   | G.Scratchpad { wb_buffer; _ } -> wb_buffer
   | G.Cache _ -> false
-
-(** Issue a whole access: split into sub-requests and enqueue. *)
-let issue (ms : t) (space : G.space_id) (a : access) : unit =
-  let rt = ms.space_of space in
-  split rt a;
-  for j = 0 to a.a_nsrs - 1 do
-    enqueue ms rt a.a_srs.(j)
-  done
-
-(** Assembled load value for a scalar access. *)
-let scalar_value (a : access) : T.value =
-  if a.a_n = 1 && a.a_tags.(0) <> F.tabsent then
-    F.materialize a.a_tags.(0) a.a_nums.(0) a.a_flts.(0) a.a_objs.(0)
-  else invalid_arg "Memsys.scalar_value: not a completed scalar load"
 
 (** Assemble a tile from a completed tensor load, in the word order the
     access was built with. *)
@@ -533,21 +531,16 @@ type struct_stats = {
   ss_conflicts : int;
 }
 
-(* Direct occupancy access (no closures, no lists) for the kernel's
-   always-on per-cycle sampling. *)
-let nstructs (ms : t) : int = Array.length ms.structs
-let struct_sid (ms : t) (i : int) : int = ms.sids.(i)
-
 let rec bank_depth_from (rt : struct_rt) (b : int) (d : int) : int =
   if b >= Array.length rt.banks then d
   else bank_depth_from rt (b + 1) (d + rt.banks.(b).bq_n)
 
-let struct_depth (ms : t) (i : int) : int = bank_depth_from ms.structs.(i) 0 0
-
-(** Queued sub-requests per structure right now, summed over its
-    banks — the occupancy signal the tracer samples each cycle. *)
+(** Queued sub-requests per structure right now, summed over the bank
+    queues themselves — the signal the tracer samples each cycle, kept
+    independent of the lazily integrated [occ] counters it checks. *)
 let occupancy (ms : t) : (G.struct_id * int) list =
-  List.init (nstructs ms) (fun i -> (struct_sid ms i, struct_depth ms i))
+  Array.to_list
+    (Array.map (fun rt -> (rt.inst.G.sid, bank_depth_from rt 0 0)) ms.structs)
 
 let stats (ms : t) : struct_stats list =
   Array.to_list

@@ -21,9 +21,9 @@
 
     {2 The event-driven kernel}
 
-    [step] does not sweep every node of every instance.  Each node
-    carries [queued] flags and sits on a per-instance wake worklist;
-    it is attempted only when something that could enable it changed:
+    [step] does not sweep every node of every instance.  Each instance
+    keeps a fire and an emit wake set, a bitset over its nodes; a node
+    is attempted only when something that could enable it changed:
     a token committed into an input channel, space freed in a
     downstream channel, a pipeline/memory/reorder-buffer entry
     matured, a child task's queue drained, a spawned child joined, or
@@ -39,34 +39,27 @@
     struct-of-arrays indexed by dense ids: channels are flat
     ring-buffer columns in the {!Muir_ir.Flat} token encoding, node
     pipeline/memory/reorder/sync state are fixed rings, invocations
-    and task-queue entries are pooled flat rows, wake worklists are
-    preallocated cursor arrays, and retired dynamic instances return
-    to a per-task pool and are reborn in place.  The steady-state fire
-    path allocates {e zero} words on the OCaml minor heap (asserted by
-    the bench gate); wall-clock throughput is the headline metric of
-    the bench suite.
+    and task-queue entries are pooled flat rows, wake sets are
+    double-buffered bitsets, the timing wheel holds plain ints, and
+    retired dynamic instances return to a per-task pool and are reborn
+    in place.  The steady-state fire path allocates {e zero} words on
+    the OCaml minor heap (asserted by the bench gate) and skips every
+    pointer store that would not change the stored value, since each
+    one costs a write-barrier call.  Per-cycle work scales with
+    activity: each phase visits only tasks with queued work, idle
+    memory structures cost one depth check, and queue occupancy is
+    integrated when a depth moves rather than sampled.
 
     The wake discipline is {e conservative}: over-waking a node is
     always safe (a failed attempt has no side effects), under-waking
     never happens (every condition a blocked node waits on has a wake
     source).  Within a cycle the woken nodes are drained in the same
     deterministic order the dense sweep used — tasks in id order,
-    instances in queue order, nodes in graph order — so the kernel is
-    bit-for-bit cycle-accurate against the dense reference:
-    [total_cycles], [fires] and all utilization stats are unchanged on
-    every workload (enforced by the golden constants in
-    [test/test_sim.ml]).
-
-    {2 Sharded simulation}
-
-    [run ~jobs:n] with [n > 1] partitions tasks across an OCaml-5
-    domain pool ([t_lane = tid mod jobs]) and fans the fire and emit
-    phases out each cycle.  Lanes only touch state owned by their
-    tasks; every cross-task effect (child-queue pushes, sync-context
-    mutation, parked callers) is deferred to the coordinator, which
-    replays it in task-id order — so the sharded schedule commutes
-    with the sequential one and the results (cycles, fires, the whole
-    counter bank) are bit-identical for every job count.
+    instances in queue order, nodes in graph order (the order a wake
+    set yields by construction) — so the kernel is bit-for-bit
+    cycle-accurate against the dense reference: [total_cycles],
+    [fires] and all utilization stats are unchanged on every workload
+    (enforced by the golden constants in [test/test_sim.ml]).
 
     Functional results are written to the same flat memory the golden
     interpreter uses, so every simulation is checkable end to end. *)
@@ -187,8 +180,6 @@ and node_rt = {
   mutable ns_gen : int array;   (** [iv_gen] at push time *)
   mutable ns_head : int;
   mutable ns_tail : int;
-  mutable nr_qfire : bool;        (** on the instance's fire worklist *)
-  mutable nr_qemit : bool;        (** on the instance's emit worklist *)
   mutable nr_wait_child : bool;   (** parked on a full child task queue *)
 }
 
@@ -227,14 +218,14 @@ and instance = {
   mutable ij_head : int;
   mutable ij_tail : int;
   isyncs : node_rt array;         (** SyncWait nodes, for join wakes *)
-  (* wake worklists: double-buffered, [nnodes]-sized (dedup flags
-     bound the population) *)
-  mutable if_v : node_rt array;
-  mutable if_v2 : node_rt array;
-  mutable if_n : int;
-  mutable ie_v : node_rt array;
-  mutable ie_v2 : node_rt array;
-  mutable ie_n : int;
+  (* wake sets: bitsets over [nr_idx], 32 nodes per word, each double
+     buffered in one array — words [i_*par, i_*par + i_nw) collect
+     wakes, the other half is the set being drained *)
+  i_nw : int;
+  i_fset : int array;
+  mutable i_fpar : int;
+  i_eset : int array;
+  mutable i_epar : int;
   mutable i_qfire : bool;         (** on the task's fire worklist *)
   mutable i_qemit : bool;
   mutable i_qcomplete : bool;
@@ -247,6 +238,18 @@ and instance = {
   i_nctr : Ctr.node_ctr array;
   (** whole-run counter rows, parallel to [inodes] — resolved once at
       construction so retirement folds without hashing a key *)
+}
+
+(* A task's instance worklist: instances queued in [l_v.(l_h .. l_n-1)],
+   deduplicated by a per-list flag on the instance.  While it is
+   non-empty, task [l_tid]'s bit is set in [l_act], the task set its
+   phase sweeps. *)
+type ilist = {
+  mutable l_v : instance array;
+  mutable l_h : int;
+  mutable l_n : int;
+  l_tid : int;
+  l_act : int array;
 }
 
 type task_rt = {
@@ -271,30 +274,18 @@ type task_rt = {
   mutable tinst_n : int;
   mutable tinvocations : int;     (** total, for stats *)
   mutable tbusy : int;            (** cycles with at least one firing *)
-  mutable t_fired_now : bool;
   mutable trr : int;              (** round-robin dispatch cursor *)
   mutable t_next_ord : int;       (** next [i_ord] for dynamic instances
                                       (decreasing: newest first) *)
   (* instance worklists (dedup via i_q* flags) *)
-  mutable tf_v : instance array;  (** woken for fire *)
-  mutable tf_v2 : instance array;
-  mutable tf_n : int;
-  mutable te_v : instance array;  (** woken for emit *)
-  mutable te_v2 : instance array;
-  mutable te_n : int;
-  mutable tc_v : instance array;  (** re-check invocation completion *)
-  mutable tc_n : int;
+  tf : ilist;                     (** woken for fire *)
+  te : ilist;                     (** woken for emit *)
+  tc : ilist;                     (** re-check invocation completion *)
   mutable tc2 : instance array;   (** completion-drain scratch *)
-  mutable tj_v : instance array;  (** queued junction sub-requests *)
-  mutable tj_v2 : instance array;
-  mutable tj_n : int;
+  tj : ilist;                     (** queued junction sub-requests *)
   mutable tw_inst : instance array;  (** callers parked on full queue *)
   mutable tw_node : node_rt array;
   mutable tw_n : int;
-  (* call/spawn/sync fires deferred to the coordinator (sharded) *)
-  mutable td_inst : instance array;
-  mutable td_node : node_rt array;
-  mutable td_n : int;
   (* retired dynamic instances, FIFO (head reused only on a later
      cycle than its retirement, so staged state flushes first) *)
   mutable tp_v : instance array;
@@ -333,33 +324,20 @@ exception Deadlock of string
 exception Cycle_limit of int
 
 (* ------------------------------------------------------------------ *)
-(* Timing wheel and per-lane state                                     *)
+(* Timing wheel                                                         *)
 
-(* 512-slot wheel of (instance, node, absolute cycle, kind); kind 0 =
-   fire, 1 = emit.  Entries keep their absolute cycle, so a slot can
-   safely hold wakes a full wheel turn ahead. *)
+(* 512-slot wheel of (instance id, node index, absolute cycle, kind);
+   kind 0 = fire, 1 = emit.  Entries keep their absolute cycle, so a
+   slot can safely hold wakes a full wheel turn ahead.  All columns
+   are ints: filling a slot takes no write barrier. *)
 let wheel_size = 512
 
 type wslot = {
-  mutable wi : instance array;
-  mutable wn : node_rt array;
+  mutable wi : int array;
+  mutable wn : int array;
   mutable wc : int array;
   mutable wk : int array;
   mutable w_n : int;
-}
-
-(* Each simulation lane owns a wheel, a dirty-channel list and local
-   counters; lane 0 is the coordinator (and the only lane in
-   sequential mode).  Lane-local state is merged deterministically by
-   the coordinator each cycle. *)
-type lane = {
-  wheel : wslot array;
-  mutable ld_v : fifo array;      (** channels with staged writes *)
-  mutable ld_n : int;
-  mutable l_fires : int;
-  mutable l_woken : int;
-  mutable l_syncs : int;
-  mutable l_active : bool;
 }
 
 type t = {
@@ -374,62 +352,103 @@ type t = {
   mutable root_val : token;
   junction_width : int array;     (** per task *)
   max_outstanding : int;
-  lanes : lane array;             (** [njobs] entries; lane 0 first *)
-  njobs : int;
-  mutable dpool : Dpool.t option;
+  wheel : wslot array;            (** [wheel_size] slots *)
+  mutable insts : instance array; (** every instance, by [iid] *)
+  mutable ld_v : fifo array;      (** channels with staged writes *)
+  mutable ld_n : int;
   mutable woken : int;            (** total fire-phase attempts, stats *)
   mutable live_nodes : int;       (** nodes across live instances *)
   mutable node_cycles : int;      (** Σ live_nodes per cycle, stats *)
   tr : Tr.t option;               (** event sink; [None] = tracing off *)
   ctrs : Ctr.t;                   (** always-on counter bank *)
-  otasks : Ctr.occ_ctr array;     (** queue-occupancy integrals *)
-  ostructs : Ctr.occ_ctr array;   (** per [ms.structs] row *)
+  otasks : Ctr.occ_ctr array;     (** queue-occupancy integrals, by tid *)
+  (* per-phase task sets (bits by tid): tasks with queued junction,
+     fire, emit or completion work, and tasks with a non-empty
+     invocation queue *)
+  act_j : int array;
+  act_f : int array;
+  act_e : int array;
+  act_c : int array;
+  act_q : int array;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Small flat-vector helpers                                           *)
 
-(* Amortized push into a growable array; the caller stores the
-   returned array and bumps its own count. *)
+(* A pointer store goes through the write barrier even when it changes
+   nothing — and most token moves write [F.no_obj] over [F.no_obj] — so
+   hot-path stores skip the value already there. *)
+let[@inline] set_obj (a : token array) (i : int) (x : token) : unit =
+  if a.(i) != x then a.(i) <- x
+
+let[@inline] set_inst (a : instance array) (i : int) (x : instance) : unit =
+  if a.(i) != x then a.(i) <- x
+
+(* Double a full growable array, new slots filled with [x].  Callers
+   store the result only when the array was full, so a push that fits
+   leaves the field (and its write barrier) alone. *)
+let grow (arr : 'a array) (x : 'a) : 'a array =
+  let cap = Array.length arr in
+  let na = Array.make (Int.max 8 (cap * 2)) x in
+  Array.blit arr 0 na 0 cap;
+  na
+
+(* Amortized push for cold paths; the caller stores the returned
+   array and bumps its own count. *)
 let vpush : 'a. 'a array -> int -> 'a -> 'a array =
  fun arr n x ->
-  let cap = Array.length arr in
-  if n < cap then begin
-    arr.(n) <- x;
-    arr
-  end
-  else begin
-    let na = Array.make (max 8 (cap * 2)) x in
-    Array.blit arr 0 na 0 n;
-    na.(n) <- x;
-    na
-  end
+  let arr = if n < Array.length arr then arr else grow arr x in
+  arr.(n) <- x;
+  arr
 
-(* In-place insertion sorts over the worklist prefixes (keys are
-   unique and lists are short, so this beats allocating a sort). *)
-let sort_nodes (a : node_rt array) (n : int) : unit =
-  for i = 1 to n - 1 do
-    let x = a.(i) in
-    let k = x.nr_idx in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j).nr_idx > k do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
+(* Bitsets over dense ids, 32 per word. *)
+let[@inline] bit_set (a : int array) (i : int) : unit =
+  a.(i lsr 5) <- a.(i lsr 5) lor (1 lsl (i land 31))
 
-let sort_insts (a : instance array) (n : int) : unit =
-  for i = 1 to n - 1 do
+let[@inline] bit_clear (a : int array) (i : int) : unit =
+  a.(i lsr 5) <- a.(i lsr 5) land lnot (1 lsl (i land 31))
+
+let ipush (l : ilist) (inst : instance) : unit =
+  let n = l.l_n in
+  if n = l.l_h then bit_set l.l_act l.l_tid;
+  if n = Array.length l.l_v then l.l_v <- grow l.l_v inst;
+  set_inst l.l_v n inst;
+  l.l_n <- n + 1
+
+(* In-place insertion sort of [a.(lo .. hi-1)] (keys are unique and
+   lists are short and mostly sorted, so this beats allocating a
+   sort). *)
+let sort_insts (a : instance array) (lo : int) (hi : int) : unit =
+  for i = lo + 1 to hi - 1 do
     let x = a.(i) in
     let k = x.i_ord in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j).i_ord > k do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
+    if a.(i - 1).i_ord > k then begin
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j).i_ord > k do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    end
   done
+
+(* Bit index of [b], a power of two below 2^32 (de Bruijn
+   multiplication: the top five bits of the product name the bit). *)
+let ctz_tab =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+     23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] bit_index (b : int) : int =
+  ctz_tab.(((b * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Lowest set bit of [a] at or above [from], or -1. *)
+let rec next_bit (a : int array) (from : int) : int =
+  let k = from lsr 5 in
+  if k >= Array.length a then -1
+  else
+    let w = a.(k) land (-1 lsl (from land 31)) in
+    if w = 0 then next_bit a ((k + 1) lsl 5)
+    else (k lsl 5) + bit_index (w land -w)
 
 (* ------------------------------------------------------------------ *)
 (* Dummy rows (array initializers; never read through)                 *)
@@ -457,7 +476,7 @@ let dummy_node : node_rt =
     na_n = 0; rs_w = 0; rs_wave = [||]; rs_tags = [||]; rs_nums = [||];
     rs_flts = [||]; rs_objs = [||]; nr_next_resp = 0; ns_inv = [||];
     ns_wave = [||]; ns_gen = [||]; ns_head = 0; ns_tail = 0;
-    nr_qfire = false; nr_qemit = false; nr_wait_child = false }
+    nr_wait_child = false }
 
 let dummy_inst : instance =
   { it = dummy_task; iid = -1; i_ord = 0; i_slot = 0; inodes = [||];
@@ -466,10 +485,10 @@ let dummy_inst : instance =
     idynamic = false; ipipe_loop = false; iprime = [||]; i_init_eid = [||];
     i_init_tags = [||]; i_init_nums = [||]; i_init_flts = [||];
     i_init_objs = [||]; ij_space = [||];
-    ij_sr = [||]; ij_head = 0; ij_tail = 0; isyncs = [||]; if_v = [||];
-    if_v2 = [||]; if_n = 0; ie_v = [||]; ie_v2 = [||]; ie_n = 0;
-    i_qfire = false; i_qemit = false; i_qcomplete = false;
-    i_qjunction = false; ivp = [||]; ivp_n = 0; i_nres = 0;
+    ij_sr = [||]; ij_head = 0; ij_tail = 0; isyncs = [||]; i_nw = 0;
+    i_fset = [||]; i_fpar = 0; i_eset = [||]; i_epar = 0; i_qfire = false;
+    i_qemit = false; i_qcomplete = false; i_qjunction = false; ivp = [||];
+    ivp_n = 0; i_nres = 0;
     i_sc = Exec.make_sc ~slots:1;
     i_prof = Tr.Prof.make ~born:0 ~nnodes:0; i_nctr = [||] }
 
@@ -485,69 +504,72 @@ let dummy_access : Memsys.access = Memsys.make_access ~words:1 ~notify:ignore
 (* ------------------------------------------------------------------ *)
 (* Wake plumbing                                                        *)
 
+(* Add node [n] to the pending half of a wake set; true if it was not
+   there yet. *)
+let[@inline] wake_bit (set : int array) (par : int) (n : node_rt) : bool =
+  let k = par + (n.nr_idx lsr 5) in
+  let w = set.(k) in
+  let b = 1 lsl (n.nr_idx land 31) in
+  if w land b <> 0 then false
+  else begin
+    set.(k) <- w lor b;
+    true
+  end
+
 let wake_fire (sim : t) (inst : instance) (n : node_rt) : unit =
-  if inst.live && not n.nr_qfire then begin
-    n.nr_qfire <- true;
-    inst.if_v.(inst.if_n) <- n;
-    inst.if_n <- inst.if_n + 1;
-    if not inst.i_qfire then begin
-      inst.i_qfire <- true;
-      let trt = sim.tasks.(inst.it.tid) in
-      trt.tf_v <- vpush trt.tf_v trt.tf_n inst;
-      trt.tf_n <- trt.tf_n + 1
-    end
+  if inst.live && wake_bit inst.i_fset inst.i_fpar n && not inst.i_qfire
+  then begin
+    inst.i_qfire <- true;
+    ipush sim.tasks.(inst.it.tid).tf inst
   end
 
 let wake_emit (sim : t) (inst : instance) (n : node_rt) : unit =
-  if inst.live && not n.nr_qemit then begin
-    n.nr_qemit <- true;
-    inst.ie_v.(inst.ie_n) <- n;
-    inst.ie_n <- inst.ie_n + 1;
-    if not inst.i_qemit then begin
-      inst.i_qemit <- true;
-      let trt = sim.tasks.(inst.it.tid) in
-      trt.te_v <- vpush trt.te_v trt.te_n inst;
-      trt.te_n <- trt.te_n + 1
-    end
+  if inst.live && wake_bit inst.i_eset inst.i_epar n && not inst.i_qemit
+  then begin
+    inst.i_qemit <- true;
+    ipush sim.tasks.(inst.it.tid).te inst
   end
 
 let wake_complete (sim : t) (inst : instance) : unit =
   if inst.live && not inst.i_qcomplete then begin
     inst.i_qcomplete <- true;
-    let trt = sim.tasks.(inst.it.tid) in
-    trt.tc_v <- vpush trt.tc_v trt.tc_n inst;
-    trt.tc_n <- trt.tc_n + 1
+    ipush sim.tasks.(inst.it.tid).tc inst
   end
 
 let wake_junction (sim : t) (inst : instance) : unit =
   if inst.live && not inst.i_qjunction then begin
     inst.i_qjunction <- true;
-    let trt = sim.tasks.(inst.it.tid) in
-    trt.tj_v <- vpush trt.tj_v trt.tj_n inst;
-    trt.tj_n <- trt.tj_n + 1
+    ipush sim.tasks.(inst.it.tid).tj inst
   end
 
-(** Schedule a wake on [ln]'s wheel at absolute cycle [c] (clamped to
-    the future); [kind] 0 = fire, 1 = emit. *)
-let at (sim : t) (ln : lane) (c : int) (inst : instance) (n : node_rt)
-    (kind : int) : unit =
-  let c = max c (sim.now + 1) in
-  let s = ln.wheel.(c land (wheel_size - 1)) in
+(** Schedule a wake at absolute cycle [c] (clamped to the future);
+    [kind] 0 = fire, 1 = emit. *)
+let at (sim : t) (c : int) (inst : instance) (n : node_rt) (kind : int) :
+    unit =
+  let c = Int.max c (sim.now + 1) in
+  let s = sim.wheel.(c land (wheel_size - 1)) in
   let m = s.w_n in
-  s.wi <- vpush s.wi m inst;
-  s.wn <- vpush s.wn m n;
-  s.wc <- vpush s.wc m c;
-  s.wk <- vpush s.wk m kind;
+  if m = Array.length s.wc then begin
+    s.wi <- grow s.wi 0;
+    s.wn <- grow s.wn 0;
+    s.wc <- grow s.wc 0;
+    s.wk <- grow s.wk 0
+  end;
+  s.wi.(m) <- inst.iid;
+  s.wn.(m) <- n.nr_idx;
+  s.wc.(m) <- c;
+  s.wk.(m) <- kind;
   s.w_n <- m + 1
 
-(* Drain this cycle's wheel slot on every lane, keeping entries whose
-   absolute cycle lies a full wheel turn ahead. *)
+(* Drain this cycle's wheel slot, keeping entries whose absolute cycle
+   lies a full wheel turn ahead. *)
 let rec drain_slot (sim : t) (s : wslot) (i : int) (n : int) (kept : int)
     : int =
   if i >= n then kept
   else if s.wc.(i) = sim.now then begin
-    if s.wk.(i) = 0 then wake_fire sim s.wi.(i) s.wn.(i)
-    else wake_emit sim s.wi.(i) s.wn.(i);
+    let inst = sim.insts.(s.wi.(i)) in
+    let nd = inst.inodes.(s.wn.(i)) in
+    if s.wk.(i) = 0 then wake_fire sim inst nd else wake_emit sim inst nd;
     drain_slot sim s (i + 1) n kept
   end
   else begin
@@ -559,11 +581,8 @@ let rec drain_slot (sim : t) (s : wslot) (i : int) (n : int) (kept : int)
   end
 
 let drain_timed (sim : t) : unit =
-  let idx = sim.now land (wheel_size - 1) in
-  for l = 0 to sim.njobs - 1 do
-    let s = sim.lanes.(l).wheel.(idx) in
-    if s.w_n > 0 then s.w_n <- drain_slot sim s 0 s.w_n 0
-  done
+  let s = sim.wheel.(sim.now land (wheel_size - 1)) in
+  if s.w_n > 0 then s.w_n <- drain_slot sim s 0 s.w_n 0
 
 (** A spawned child joined or a context count moved: re-check the
     owner's completion and retry every parked sync. *)
@@ -583,19 +602,21 @@ let f0 = [| 0.0 |]
 
 let fifo_space (f : fifo) = f.ftail - f.fhead < f.fcap
 
-let fifo_push (ln : lane) (f : fifo) (tag : int) (num : int)
+let fifo_push (sim : t) (f : fifo) (tag : int) (num : int)
     (flts : float array) (fi : int)
     (obj : token) : unit =
   let i = f.ftail land f.fmask in
   f.ftags.(i) <- tag;
   f.fnums.(i) <- num;
   f.fflts.(i) <- flts.(fi);
-  f.fobjs.(i) <- obj;
+  set_obj f.fobjs i obj;
   f.ftail <- f.ftail + 1;
   if not f.f_dirty then begin
     f.f_dirty <- true;
-    ln.ld_v <- vpush ln.ld_v ln.ld_n f;
-    ln.ld_n <- ln.ld_n + 1
+    let n = sim.ld_n in
+    if n = Array.length sim.ld_v then sim.ld_v <- grow sim.ld_v f;
+    if sim.ld_v.(n) != f then sim.ld_v.(n) <- f;
+    sim.ld_n <- n + 1
   end
 
 (** Stage every input of [n] into rows [0 ..] of [sc]; false if some
@@ -611,7 +632,7 @@ let rec stage_inputs_from (n : node_rt) (sc : Exec.sc) (i : int)
       sc.Exec.stags.(i) <- n.im_tags.(i);
       sc.Exec.snums.(i) <- n.im_nums.(i);
       sc.Exec.sflts.(i) <- n.im_flts.(i);
-      sc.Exec.sobjs.(i) <- n.im_objs.(i);
+      set_obj sc.Exec.sobjs i n.im_objs.(i);
       stage_inputs_from n sc (i + 1) ok
     | Some f ->
       if f.fmid - f.fhead = 0 then stage_inputs_from n sc (i + 1) false
@@ -620,7 +641,7 @@ let rec stage_inputs_from (n : node_rt) (sc : Exec.sc) (i : int)
         sc.Exec.stags.(i) <- f.ftags.(j);
         sc.Exec.snums.(i) <- f.fnums.(j);
         sc.Exec.sflts.(i) <- f.fflts.(j);
-        sc.Exec.sobjs.(i) <- f.fobjs.(j);
+        set_obj sc.Exec.sobjs i f.fobjs.(j);
         stage_inputs_from n sc (i + 1) ok
       end
 
@@ -634,7 +655,7 @@ let stage_one (n : node_rt) (sc : Exec.sc) (i : int) : bool =
     sc.Exec.stags.(i) <- n.im_tags.(i);
     sc.Exec.snums.(i) <- n.im_nums.(i);
     sc.Exec.sflts.(i) <- n.im_flts.(i);
-    sc.Exec.sobjs.(i) <- n.im_objs.(i);
+    set_obj sc.Exec.sobjs i n.im_objs.(i);
     true
   | Some f ->
     if f.fmid - f.fhead = 0 then false
@@ -643,7 +664,7 @@ let stage_one (n : node_rt) (sc : Exec.sc) (i : int) : bool =
       sc.Exec.stags.(i) <- f.ftags.(j);
       sc.Exec.snums.(i) <- f.fnums.(j);
       sc.Exec.sflts.(i) <- f.fflts.(j);
-      sc.Exec.sobjs.(i) <- f.fobjs.(j);
+      set_obj sc.Exec.sobjs i f.fobjs.(j);
       true
     end
 
@@ -807,9 +828,7 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
              nm_head = 0; nm_tail = 0; na_pool = [||]; na_n = 0; rs_w;
              rs_wave = [||]; rs_tags = [||]; rs_nums = [||]; rs_flts = [||];
              rs_objs = [||]; nr_next_resp = 0; ns_inv = [||]; ns_wave = [||];
-             ns_gen = [||];
-             ns_head = 0; ns_tail = 0; nr_qfire = false; nr_qemit = false;
-             nr_wait_child = false })
+             ns_gen = [||]; ns_head = 0; ns_tail = 0; nr_wait_child = false })
          task.nodes)
   in
   Array.iteri (fun i n -> n.nr_idx <- i) nodes;
@@ -867,19 +886,18 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
       (fun acc (n : node_rt) -> max acc (Array.length n.nr_in))
       1 nodes
   in
+  let nw = (nnodes + 31) lsr 5 in
   let inst =
     { it = task; iid; i_ord = 0; i_slot = 0; inodes = nodes; inode_by_id;
       ififos = fifos; iw_wave = [||]; iw_iv = [||]; i_lo = 0; i_count = 0;
       next_wave = 0; live = true; i_retired = -1; idynamic = dynamic;
       ipipe_loop; iprime; i_init_eid; i_init_tags; i_init_nums;
       i_init_flts; i_init_objs; ij_space = [||]; ij_sr = [||]; ij_head = 0;
-      ij_tail = 0; isyncs;
-      if_v = Array.make nnodes dummy_node;
-      if_v2 = Array.make nnodes dummy_node; if_n = 0;
-      ie_v = Array.make nnodes dummy_node;
-      ie_v2 = Array.make nnodes dummy_node; ie_n = 0; i_qfire = false;
-      i_qemit = false; i_qcomplete = false; i_qjunction = false;
-      ivp = [||]; ivp_n = 0; i_nres = List.length task.res_tys;
+      ij_tail = 0; isyncs; i_nw = nw; i_fset = Array.make (2 * nw) 0;
+      i_fpar = 0; i_eset = Array.make (2 * nw) 0; i_epar = 0;
+      i_qfire = false; i_qemit = false; i_qcomplete = false;
+      i_qjunction = false; ivp = [||]; ivp_n = 0;
+      i_nres = List.length task.res_tys;
       i_sc = Exec.make_sc ~slots:((max_arity * 2) + 4);
       i_prof = Tr.Prof.make ~born:sim.now ~nnodes;
       i_nctr =
@@ -899,6 +917,7 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
       | Some n -> f.f_src <- Some (inst, n)
       | None -> ())
     task.edges;
+  sim.insts <- vpush sim.insts iid inst;
   sim.live_nodes <- sim.live_nodes + nnodes;
   (* First cycle behaves like a dense sweep over the fresh instance:
      initial loop-control tokens can enable nodes with no other wake
@@ -939,8 +958,6 @@ let reset_instance (sim : t) (inst : instance) : unit =
     n.nr_next_resp <- 0;
     n.ns_head <- 0;
     n.ns_tail <- 0;
-    n.nr_qfire <- false;
-    n.nr_qemit <- false;
     n.nr_wait_child <- false
   done;
   if Array.length inst.iw_wave > 0 then
@@ -950,8 +967,8 @@ let reset_instance (sim : t) (inst : instance) : unit =
   inst.next_wave <- 0;
   inst.ij_head <- 0;
   inst.ij_tail <- 0;
-  inst.if_n <- 0;
-  inst.ie_n <- 0;
+  Array.fill inst.i_fset 0 (2 * inst.i_nw) 0;
+  Array.fill inst.i_eset 0 (2 * inst.i_nw) 0;
   inst.i_qfire <- false;
   inst.i_qemit <- false;
   inst.i_qcomplete <- false;
@@ -1003,12 +1020,17 @@ let acquire_instance (sim : t) (trt : task_rt) : instance =
     inst
   end
 
-let create ?tracer ?(jobs = 1) (c : G.circuit) : t =
+let create ?tracer (c : G.circuit) : t =
   Muir_core.Validate.check_exn c;
+  let ctrs = Ctr.create () in
   let mem = Muir_ir.Memory.create c.prog in
-  let ms = Memsys.create c mem in
+  let ms = Memsys.create ~ctrs c mem in
   let n = List.length c.tasks in
   let dyn = dynamic_tasks c in
+  let act () = Array.make ((n + 31) lsr 5) 0 in
+  let act_j = act () and act_f = act () and act_e = act () in
+  let act_c = act () and act_q = act () in
+  let ilist tid l_act = { l_v = [||]; l_h = 0; l_n = 0; l_tid = tid; l_act } in
   let tasks =
     Array.of_list
       (List.map
@@ -1019,35 +1041,25 @@ let create ?tracer ?(jobs = 1) (c : G.circuit) : t =
              tq_objs = [||]; tq_ctx = [||]; tq_rkind = [||];
              tq_rinst = [||]; tq_rnode = [||]; tq_rwave = [||];
              tq_rctx = [||]; tq_head = 0; tq_tail = 0; tinst = [||];
-             tinst_n = 0; tinvocations = 0; tbusy = 0;
-             t_fired_now = false; trr = 0; t_next_ord = -1; tf_v = [||];
-             tf_v2 = [||]; tf_n = 0; te_v = [||]; te_v2 = [||]; te_n = 0;
-             tc_v = [||]; tc_n = 0; tc2 = [||]; tj_v = [||]; tj_v2 = [||];
-             tj_n = 0; tw_inst = [||]; tw_node = [||]; tw_n = 0;
-             td_inst = [||]; td_node = [||]; td_n = 0; tp_v = [||];
+             tinst_n = 0; tinvocations = 0; tbusy = 0; trr = 0;
+             t_next_ord = -1; tf = ilist t.tid act_f; te = ilist t.tid act_e;
+             tc = ilist t.tid act_c; tc2 = [||]; tj = ilist t.tid act_j;
+             tw_inst = [||]; tw_node = [||]; tw_n = 0; tp_v = [||];
              tp_head = 0; tp_tail = 0 })
          c.tasks)
   in
-  let njobs = max 1 jobs in
-  let ctrs = Ctr.create () in
   let sim =
     { circ = c; ms; tasks; now = 0; fires = 0; last_activity = 0;
       next_iid = 0; root_done = false; root_val = T.VBool true;
       junction_width = Array.init n (fun tid -> G.junction_width c tid);
       max_outstanding = 8;
-      lanes =
-        Array.init njobs (fun _ ->
-            { wheel =
-                Array.init wheel_size (fun _ ->
-                    { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
-              ld_v = [||]; ld_n = 0; l_fires = 0; l_woken = 0;
-              l_syncs = 0; l_active = false });
-      njobs; dpool = None; woken = 0; live_nodes = 0; node_cycles = 0;
-      tr = tracer; ctrs;
+      wheel =
+        Array.init wheel_size (fun _ ->
+            { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
+      insts = [||]; ld_v = [||]; ld_n = 0; woken = 0; live_nodes = 0;
+      node_cycles = 0; tr = tracer; ctrs;
       otasks = Array.init n (fun tid -> Ctr.occ_ref ctrs (Ctr.Ktask tid));
-      ostructs =
-        Array.init (Memsys.nstructs ms) (fun i ->
-            Ctr.occ_ref ctrs (Ctr.Kstruct (Memsys.struct_sid ms i))) }
+      act_j; act_f; act_e; act_c; act_q }
   in
   (* Static instances for non-dynamic tasks: one per tile. *)
   Array.iter
@@ -1207,8 +1219,10 @@ let acquire_inv (inst : instance) : invocation =
   else new_invocation inst
 
 let release_inv (inst : instance) (iv : invocation) : unit =
-  inst.ivp <- vpush inst.ivp inst.ivp_n iv;
-  inst.ivp_n <- inst.ivp_n + 1
+  let n = inst.ivp_n in
+  if n = Array.length inst.ivp then inst.ivp <- grow inst.ivp iv;
+  if inst.ivp.(n) != iv then inst.ivp.(n) <- iv;
+  inst.ivp_n <- n + 1
 
 (* Response reorder table: same open-addressing discipline as the wave
    table, with [rs_w] token columns per row. *)
@@ -1294,7 +1308,7 @@ let sync_push (n : node_rt) (iv : invocation) (wave : int) : unit =
     n.ns_tail <- m
   end;
   let s = n.ns_tail land (Array.length n.ns_wave - 1) in
-  n.ns_inv.(s) <- iv;
+  if n.ns_inv.(s) != iv then n.ns_inv.(s) <- iv;
   n.ns_wave.(s) <- wave;
   n.ns_gen.(s) <- iv.iv_gen;
   n.ns_tail <- n.ns_tail + 1
@@ -1322,7 +1336,7 @@ let junction_push (inst : instance) (space : int) (sr : Memsys.subreq) : unit
   end;
   let s = inst.ij_tail land (Array.length inst.ij_space - 1) in
   inst.ij_space.(s) <- space;
-  inst.ij_sr.(s) <- sr;
+  if inst.ij_sr.(s) != sr then inst.ij_sr.(s) <- sr;
   inst.ij_tail <- inst.ij_tail + 1
 
 (* Park a sync node on its join context (dedup by node identity). *)
@@ -1381,20 +1395,30 @@ let tq_grow (trt : task_rt) : unit =
   trt.tq_head <- 0;
   trt.tq_tail <- n
 
-(** Reserve the tail row; the caller fills the argument columns at
+(** Reserve the tail row, which the queue-occupancy integral first
+    sees at cycle [at]; the caller fills the argument columns at
     [slot * max t_arity 1]. *)
-let tq_push (trt : task_rt) ~(ctx : sync_ctx) ~(rkind : int)
-    ~(rinst : instance) ~(rnode : node_rt) ~(rwave : int) ~(rctx : sync_ctx)
-    : int =
+let tq_push (sim : t) (trt : task_rt) ~(at : int) ~(ctx : sync_ctx)
+    ~(rkind : int) ~(rinst : instance) ~(rnode : node_rt) ~(rwave : int)
+    ~(rctx : sync_ctx) : int =
   if trt.tq_tail - trt.tq_head = Array.length trt.tq_rkind then tq_grow trt;
   let s = trt.tq_tail land (Array.length trt.tq_rkind - 1) in
-  trt.tq_ctx.(s) <- ctx;
+  if trt.tq_ctx.(s) != ctx then trt.tq_ctx.(s) <- ctx;
   trt.tq_rkind.(s) <- rkind;
-  trt.tq_rinst.(s) <- rinst;
-  trt.tq_rnode.(s) <- rnode;
+  set_inst trt.tq_rinst s rinst;
+  if trt.tq_rnode.(s) != rnode then trt.tq_rnode.(s) <- rnode;
   trt.tq_rwave.(s) <- rwave;
-  trt.tq_rctx.(s) <- rctx;
+  if trt.tq_rctx.(s) != rctx then trt.tq_rctx.(s) <- rctx;
   trt.tq_tail <- trt.tq_tail + 1;
+  Ctr.occ_move sim.otasks.(trt.tk.tid) 1 ~at;
+  bit_set sim.act_q trt.tk.tid;
+  s
+
+(** Pop the head row during the current cycle. *)
+let tq_pop (sim : t) (trt : task_rt) : int =
+  let s = trt.tq_head land (Array.length trt.tq_rkind - 1) in
+  trt.tq_head <- trt.tq_head + 1;
+  Ctr.occ_move sim.otasks.(trt.tk.tid) (-1) ~at:(sim.now + 1);
   s
 
 let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
@@ -1404,22 +1428,24 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
   let iv = acquire_inv inst in
   iv.iv_wave <- wave;
   iv.iv_rkind <- trt.tq_rkind.(s);
-  iv.iv_rinst <- trt.tq_rinst.(s);
-  iv.iv_rnode <- trt.tq_rnode.(s);
+  if iv.iv_rinst != trt.tq_rinst.(s) then iv.iv_rinst <- trt.tq_rinst.(s);
+  if iv.iv_rnode != trt.tq_rnode.(s) then iv.iv_rnode <- trt.tq_rnode.(s);
   iv.iv_rwave <- trt.tq_rwave.(s);
-  iv.iv_rctx <- trt.tq_rctx.(s);
-  (match iv.iv_own with
-  | Some c ->
-    c.live_children <- 0;
-    c.cx_nw <- 0;
-    iv.iv_eff_ctx <- c
-  | None -> iv.iv_eff_ctx <- trt.tq_ctx.(s));
+  if iv.iv_rctx != trt.tq_rctx.(s) then iv.iv_rctx <- trt.tq_rctx.(s);
+  let eff =
+    match iv.iv_own with
+    | Some c ->
+      c.live_children <- 0;
+      c.cx_nw <- 0;
+      c
+    | None -> trt.tq_ctx.(s)
+  in
+  if iv.iv_eff_ctx != eff then iv.iv_eff_ctx <- eff;
   if inst.i_nres > 0 then Array.fill iv.iv_lo_tags 0 inst.i_nres F.tabsent;
   iv.iv_stores <- 0;
   wv_insert inst wave iv;
   inst.i_count <- inst.i_count + 1;
-  let base = s * max trt.t_arity 1 in
-  let ln0 = sim.lanes.(0) in
+  let base = s * Int.max trt.t_arity 1 in
   for j = 0 to Array.length inst.inodes - 1 do
     let n = inst.inodes.(j) in
     match n.nr.kind with
@@ -1427,14 +1453,14 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
       let fs = n.nr_out.(0) in
       if i < trt.t_arity then
         for k = 0 to Array.length fs - 1 do
-          fifo_push ln0 fs.(k) trt.tq_tags.(base + i)
+          fifo_push sim fs.(k) trt.tq_tags.(base + i)
             trt.tq_nums.(base + i) trt.tq_flts
             (base + i)
             trt.tq_objs.(base + i)
         done
       else
         for k = 0 to Array.length fs - 1 do
-          fifo_push ln0 fs.(k) F.tpoison 0 f0 0 F.no_obj
+          fifo_push sim fs.(k) F.tpoison 0 f0 0 F.no_obj
         done
     | _ -> ()
   done;
@@ -1453,9 +1479,9 @@ let deliver (sim : t) (inst : instance) (iv : invocation) : unit =
        else T.VBool true)
   | 1 ->
     let n = iv.iv_rnode in
-    let w = max n.rs_w 1 in
+    let w = Int.max n.rs_w 1 in
     let s = resp_insert n iv.iv_rwave in
-    let k = min n.rs_w inst.i_nres in
+    let k = Int.min n.rs_w inst.i_nres in
     Array.blit iv.iv_lo_tags 0 n.rs_tags (s * w) k;
     Array.blit iv.iv_lo_nums 0 n.rs_nums (s * w) k;
     Array.blit iv.iv_lo_flts 0 n.rs_flts (s * w) k;
@@ -1469,13 +1495,13 @@ let deliver (sim : t) (inst : instance) (iv : invocation) : unit =
       n.rs_tags.(s) <- iv.iv_lo_tags.(1);
       n.rs_nums.(s) <- iv.iv_lo_nums.(1);
       n.rs_flts.(s) <- iv.iv_lo_flts.(1);
-      n.rs_objs.(s) <- iv.iv_lo_objs.(1)
+      set_obj n.rs_objs s iv.iv_lo_objs.(1)
     end
     else begin
       n.rs_tags.(s) <- F.ttrue;
       n.rs_nums.(s) <- 0;
       n.rs_flts.(s) <- 0.0;
-      n.rs_objs.(s) <- F.no_obj
+      set_obj n.rs_objs s F.no_obj
     end;
     wake_emit sim iv.iv_rinst n
 
@@ -1603,6 +1629,13 @@ let try_complete (sim : t) (trt : task_rt) (inst : instance) : unit =
 (* ------------------------------------------------------------------ *)
 (* Node firing (phase A)                                                *)
 
+(* Return an access to its node's pool once nothing references it. *)
+let pool_access (n : node_rt) (a : Memsys.access) : unit =
+  let k = n.na_n in
+  if k = Array.length n.na_pool then n.na_pool <- grow n.na_pool a;
+  if n.na_pool.(k) != a then n.na_pool.(k) <- a;
+  n.na_n <- k + 1
+
 (* Push a result into the 4-slot pipeline ring.  Callers check
    occupancy first. *)
 (* The float rides as [flts.(fi)] rather than a bare [float]: a float
@@ -1616,7 +1649,7 @@ let pipe_push (n : node_rt) (ready : int) (port : int) (tag : int)
   n.np_tags.(s) <- tag;
   n.np_nums.(s) <- num;
   n.np_flts.(s) <- flts.(fi);
-  n.np_objs.(s) <- obj;
+  set_obj n.np_objs s obj;
   n.np_tail <- n.np_tail + 1
 
 (** Could the node fire again with the tokens already committed?  Used
@@ -1647,11 +1680,11 @@ let zeros4 = Array.make 4 0.0
     attempt has no side effects beyond (re)subscribing the node to the
     event that can unblock it.  All operand staging goes through the
     instance's flat scratch [i_sc]; nothing here allocates. *)
-let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
+let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
   let now = sim.now in
   if n.nr_busy_until > now then begin
     (* Sleeping on the initiation interval: retry when it expires. *)
-    at sim ln n.nr_busy_until inst n 0;
+    at sim n.nr_busy_until inst n 0;
     false
   end
   else
@@ -1742,7 +1775,7 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
             sc.Exec.stags.(i) <- sc.Exec.stags.(i + 1);
             sc.Exec.snums.(i) <- sc.Exec.snums.(i + 1);
             sc.Exec.sflts.(i) <- sc.Exec.sflts.(i + 1);
-            sc.Exec.sobjs.(i) <- sc.Exec.sobjs.(i + 1)
+            set_obj sc.Exec.sobjs i sc.Exec.sobjs.(i + 1)
           done;
           Exec.fused_sc sc ops (ar - 1);
           let port = if p then 0 else 1 in
@@ -1805,10 +1838,7 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
                      of waking the node. *)
                   a.Memsys.a_notify <-
                     (fun () ->
-                      if a.Memsys.a_orphan then begin
-                        n.na_pool <- vpush n.na_pool n.na_n a;
-                        n.na_n <- n.na_n + 1
-                      end
+                      if a.Memsys.a_orphan then pool_access n a
                       else wake_emit sim inst n);
                   a
                 end
@@ -1824,7 +1854,7 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
                 a.Memsys.a_tags.(0) <- sc.Exec.stags.(2);
                 a.Memsys.a_nums.(0) <- sc.Exec.snums.(2);
                 a.Memsys.a_flts.(0) <- sc.Exec.sflts.(2);
-                a.Memsys.a_objs.(0) <- sc.Exec.sobjs.(2)
+                set_obj a.Memsys.a_objs 0 sc.Exec.sobjs.(2)
               | G.Tload { shape; _ } ->
                 let stride =
                   Exec.to_int_flat sc.Exec.stags.(2) sc.Exec.snums.(2)
@@ -1854,7 +1884,7 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
                   a.Memsys.a_tags.(i) <- F.tfloat;
                   a.Memsys.a_nums.(i) <- 0;
                   a.Memsys.a_flts.(i) <- tile.(i);
-                  a.Memsys.a_objs.(i) <- F.no_obj
+                  set_obj a.Memsys.a_objs i F.no_obj
                 done
               | _ -> assert false);
               let rt = sim.ms.Memsys.space_of n.nr_space in
@@ -1870,20 +1900,18 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
                  bank in FIFO order behind this point *)
               if buffered then a.Memsys.a_done <- true;
               n.nm_live.(s) <- true;
-              n.nm_store.(s) <- is_store;
-              n.nm_hasiv.(s) <- is_store;
-              n.nm_acc.(s) <- a;
-              n.nm_inv.(s) <- iv
+              if n.nm_acc.(s) != a then n.nm_acc.(s) <- a
             end
             else begin
               (* Predicated off (or poison address): a gated entry
                  flows through the window without touching memory. *)
               n.nm_live.(s) <- false;
-              n.nm_store.(s) <- is_store;
-              n.nm_hasiv.(s) <- is_store;
-              n.nm_acc.(s) <- dummy_access;
-              n.nm_inv.(s) <- iv
+              if n.nm_acc.(s) != dummy_access then
+                n.nm_acc.(s) <- dummy_access
             end;
+            n.nm_store.(s) <- is_store;
+            n.nm_hasiv.(s) <- is_store;
+            if n.nm_inv.(s) != iv then n.nm_inv.(s) <- iv;
             n.nm_tail <- n.nm_tail + 1;
             n.nr_busy_until <- now + n.nr_cost.ii;
             n.nr_fired <- n.nr_fired + 1;
@@ -1900,7 +1928,7 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
           let is_spawn =
             match n.nr.kind with G.SpawnChild _ -> true | _ -> false
           in
-          let queue_cap = child.tk.queue_depth * max child.tk.tiles 1 in
+          let queue_cap = child.tk.queue_depth * Int.max child.tk.tiles 1 in
           if pred_ok && tq_len child >= queue_cap && not child.tdynamic
           then begin
             (* Park on the child's full queue; its dispatch pops us
@@ -1928,40 +1956,40 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
                 else 1
               in
               let s =
-                tq_push child ~ctx:eff ~rkind ~rinst:inst ~rnode:n
-                  ~rwave:wave ~rctx:eff
+                tq_push sim child ~at:(now + 1) ~ctx:eff ~rkind ~rinst:inst
+                  ~rnode:n ~rwave:wave ~rctx:eff
               in
-              let base = s * max child.t_arity 1 in
+              let base = s * Int.max child.t_arity 1 in
               for i = 0 to child.t_arity - 1 do
                 if i = 0 then begin
                   child.tq_tags.(base) <- F.ttrue;
                   child.tq_nums.(base) <- 0;
                   child.tq_flts.(base) <- 0.0;
-                  child.tq_objs.(base) <- F.no_obj
+                  set_obj child.tq_objs base F.no_obj
                 end
                 else if i < nin then begin
                   child.tq_tags.(base + i) <- sc.Exec.stags.(i);
                   child.tq_nums.(base + i) <- sc.Exec.snums.(i);
                   child.tq_flts.(base + i) <- sc.Exec.sflts.(i);
-                  child.tq_objs.(base + i) <- sc.Exec.sobjs.(i)
+                  set_obj child.tq_objs (base + i) sc.Exec.sobjs.(i)
                 end
                 else begin
                   child.tq_tags.(base + i) <- F.tpoison;
                   child.tq_nums.(base + i) <- 0;
                   child.tq_flts.(base + i) <- 0.0;
-                  child.tq_objs.(base + i) <- F.no_obj
+                  set_obj child.tq_objs (base + i) F.no_obj
                 end
               done
             end
             else begin
               (* Predicated off: synthesize an immediate response. *)
               let s = resp_insert n wave in
-              let w = max n.rs_w 1 in
+              let w = Int.max n.rs_w 1 in
               if is_spawn then begin
                 n.rs_tags.(s * w) <- F.tpoison;
                 n.rs_nums.(s * w) <- 0;
                 n.rs_flts.(s * w) <- 0.0;
-                n.rs_objs.(s * w) <- F.no_obj
+                set_obj n.rs_objs (s * w) F.no_obj
               end
               else
                 for k = 0 to n.rs_w - 1 do
@@ -1969,7 +1997,7 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
                     (if k = 0 then F.tfalse else F.tpoison);
                   n.rs_nums.((s * w) + k) <- 0;
                   n.rs_flts.((s * w) + k) <- 0.0;
-                  n.rs_objs.((s * w) + k) <- F.no_obj
+                  set_obj n.rs_objs ((s * w) + k) F.no_obj
                 done
             end;
             n.nr_busy_until <- now + n.nr_cost.ii;
@@ -1997,7 +2025,7 @@ let try_fire (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
           iv.iv_lo_tags.(idx) <- sc.Exec.stags.(0);
           iv.iv_lo_nums.(idx) <- sc.Exec.snums.(0);
           iv.iv_lo_flts.(idx) <- sc.Exec.sflts.(0);
-          iv.iv_lo_objs.(idx) <- sc.Exec.sobjs.(0);
+          set_obj iv.iv_lo_objs idx sc.Exec.sobjs.(0);
           n.nr_fired <- n.nr_fired + 1;
           true
         | G.LiveIn _ | G.MergeLoop -> assert false
@@ -2055,14 +2083,9 @@ let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Tr.cause =
       | _ ->
         if n.np_tail - n.np_head >= 4 then Tr.Backpressure else Tr.Busy)
 
-(** Fire attempt plus the event subscriptions a success implies.
-    Activity counters go to the lane; cross-lane state (the spawn
-    counter, parked-caller lists, child queues) is only ever touched
-    by the coordinator, because call/spawn/sync fires are deferred to
-    it in sharded mode. *)
-let fire_node (sim : t) (ln : lane) (trt : task_rt) (inst : instance)
-    (n : node_rt) : bool =
-  let fired = try_fire sim ln inst n in
+(** Fire attempt plus the event subscriptions a success implies. *)
+let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
+  let fired = try_fire sim inst n in
   (* Interval accounting is always-on (it feeds the counter bank); the
      ring only sees events when a tracer is attached. *)
   let np = inst.i_prof.Tr.Prof.nprofs.(n.nr_idx) in
@@ -2093,9 +2116,8 @@ let fire_node (sim : t) (ln : lane) (trt : task_rt) (inst : instance)
     | _ -> ()
   end;
   if fired then begin
-    ln.l_fires <- ln.l_fires + 1;
-    ln.l_active <- true;
-    trt.t_fired_now <- true;
+    sim.fires <- sim.fires + 1;
+    sim.last_activity <- sim.now;
     (* The firing may have produced something to emit this very cycle
        and may have changed the instance's completion conditions. *)
     wake_emit sim inst n;
@@ -2112,7 +2134,7 @@ let fire_node (sim : t) (ln : lane) (trt : task_rt) (inst : instance)
     | _ -> ());
     (* Tokens already committed can enable the next firing without any
        further event: self-schedule past the initiation interval. *)
-    if ra then at sim ln (max n.nr_busy_until (sim.now + 1)) inst n 0;
+    if ra then at sim (Int.max n.nr_busy_until (sim.now + 1)) inst n 0;
     true
   end
   else false
@@ -2126,11 +2148,11 @@ let rec port_space_from (fs : fifo array) (k : int) : bool =
 let port_space (n : node_rt) (p : int) : bool =
   port_space_from n.nr_out.(p) 0
 
-let emit_port (ln : lane) (n : node_rt) (p : int) (tag : int) (num : int)
+let emit_port (sim : t) (n : node_rt) (p : int) (tag : int) (num : int)
     (flts : float array) (fi : int) (obj : token) : unit =
   let fs = n.nr_out.(p) in
   for k = 0 to Array.length fs - 1 do
-    fifo_push ln fs.(k) tag num flts fi obj
+    fifo_push sim fs.(k) tag num flts fi obj
   done
 
 (* The emission drains below are top-level and tail-recursive, each
@@ -2138,15 +2160,14 @@ let emit_port (ln : lane) (n : node_rt) (p : int) (tag : int) (num : int)
    [try_emit] they would allocate a closure per node per cycle. *)
 
 (* Pipeline outputs (in order). *)
-let rec drain_pipe (sim : t) (ln : lane) (n : node_rt) (progressed : bool)
-    : bool =
+let rec drain_pipe (sim : t) (n : node_rt) (progressed : bool) : bool =
   if n.np_tail - n.np_head > 0 then begin
     let s = n.np_head land 3 in
     if n.np_ready.(s) <= sim.now && port_space n n.np_port.(s) then begin
       n.np_head <- n.np_head + 1;
-      emit_port ln n n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
+      emit_port sim n n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
         s n.np_objs.(s);
-      drain_pipe sim ln n true
+      drain_pipe sim n true
     end
     else progressed
   end
@@ -2155,7 +2176,7 @@ let rec drain_pipe (sim : t) (ln : lane) (n : node_rt) (progressed : bool)
 (* Memory responses (FIFO per node).  [sc] is the owning instance's
    flat scratch — tile assembly parks its float there so nothing is
    boxed on the way to the ports. *)
-let rec drain_mem (ln : lane) (sc : Exec.sc) (n : node_rt)
+let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
     (progressed : bool) : bool =
   if n.nm_tail - n.nm_head > 0 then begin
     let mm = Array.length n.nm_live - 1 in
@@ -2181,33 +2202,30 @@ let rec drain_mem (ln : lane) (sc : Exec.sc) (n : node_rt)
         (match n.nr.kind, live with
         | (G.Load _ | G.Tload _), false ->
           (* gated: poison data, ack false *)
-          emit_port ln n 0 F.tpoison 0 f0 0 F.no_obj;
-          emit_port ln n 1 F.tfalse 0 f0 0 F.no_obj
+          emit_port sim n 0 F.tpoison 0 f0 0 F.no_obj;
+          emit_port sim n 1 F.tfalse 0 f0 0 F.no_obj
         | G.Load _, true ->
-          emit_port ln n 0 a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
+          emit_port sim n 0 a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
             a.Memsys.a_flts 0 a.Memsys.a_objs.(0);
-          emit_port ln n 1 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n 1 F.ttrue 0 f0 0 F.no_obj
         | G.Tload _, true ->
           let v = Memsys.tile_value a in
           sc.Exec.rflt.(0) <- F.flt_of v;
-          emit_port ln n 0 (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
+          emit_port sim n 0 (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
             (F.obj_of v);
-          emit_port ln n 1 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n 1 F.ttrue 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), false ->
-          emit_port ln n 0 F.tfalse 0 f0 0 F.no_obj
+          emit_port sim n 0 F.tfalse 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), true ->
-          emit_port ln n 0 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n 0 F.ttrue 0 f0 0 F.no_obj
         | _ -> assert false);
         (* Recycle the access: banks still draining a write-buffered
            store keep it as an orphan and return it on completion. *)
         if live then begin
-          if a.Memsys.a_pending <= 0 then begin
-            n.na_pool <- vpush n.na_pool n.na_n a;
-            n.na_n <- n.na_n + 1
-          end
+          if a.Memsys.a_pending <= 0 then pool_access n a
           else a.Memsys.a_orphan <- true
         end;
-        drain_mem ln sc n true
+        drain_mem sim sc n true
       end
       else progressed
     end
@@ -2219,24 +2237,24 @@ let rec ports_free (n : node_rt) (p : int) (k : int) : bool =
   p >= k || (port_space n p && ports_free n (p + 1) k)
 
 (* Call/spawn responses in wave order. *)
-let rec drain_resp (ln : lane) (n : node_rt) (progressed : bool) : bool =
+let rec drain_resp (sim : t) (n : node_rt) (progressed : bool) : bool =
   if resp_ready n n.nr_next_resp then begin
     let cap = Array.length n.rs_wave in
     let s = n.nr_next_resp land (cap - 1) in
-    let w = max n.rs_w 1 in
-    let k = min n.rs_w (Array.length n.nr_out) in
+    let w = Int.max n.rs_w 1 in
+    let k = Int.min n.rs_w (Array.length n.nr_out) in
     if ports_free n 0 k then begin
       n.rs_wave.(s) <- -1;
       n.nr_next_resp <- n.nr_next_resp + 1;
       for p = 0 to k - 1 do
-        emit_port ln n p
+        emit_port sim n p
           n.rs_tags.((s * w) + p)
           n.rs_nums.((s * w) + p)
           n.rs_flts
           ((s * w) + p)
           n.rs_objs.((s * w) + p)
       done;
-      drain_resp ln n true
+      drain_resp sim n true
     end
     else progressed
   end
@@ -2255,7 +2273,7 @@ let rec spawns_issued_from (inst : instance) (wave : int) (i : int) : bool
      && spawns_issued_from inst wave (i + 1))
 
 (* Sync completions, in order. *)
-let rec drain_sync (ln : lane) (inst : instance) (n : node_rt)
+let rec drain_sync (sim : t) (inst : instance) (n : node_rt)
     (progressed : bool) : bool =
   if n.ns_tail - n.ns_head > 0 then begin
     let s = n.ns_head land (Array.length n.ns_wave - 1) in
@@ -2270,207 +2288,234 @@ let rec drain_sync (ln : lane) (inst : instance) (n : node_rt)
     if spawns_issued_from inst wave 0 && children_ok && port_space n 0
     then begin
       n.ns_head <- n.ns_head + 1;
-      ln.l_syncs <- ln.l_syncs + 1;
-      emit_port ln n 0 F.ttrue 0 f0 0 F.no_obj;
-      drain_sync ln inst n true
+      sim.ctrs.Ctr.syncs <- sim.ctrs.Ctr.syncs + 1;
+      emit_port sim n 0 F.ttrue 0 f0 0 F.no_obj;
+      drain_sync sim inst n true
     end
     else progressed
   end
   else progressed
 
-let try_emit (sim : t) (ln : lane) (inst : instance) (n : node_rt) : bool =
-  let progressed = drain_pipe sim ln n false in
-  let progressed = drain_mem ln inst.i_sc n progressed in
-  let progressed = drain_resp ln n progressed in
-  let progressed = drain_sync ln inst n progressed in
+let try_emit (sim : t) (inst : instance) (n : node_rt) : bool =
+  let progressed = drain_pipe sim n false in
+  let progressed = drain_mem sim inst.i_sc n progressed in
+  let progressed = drain_resp sim n progressed in
+  let progressed = drain_sync sim inst n progressed in
   (* Whatever is still pipelined wakes the node on its due cycle. *)
   (if n.np_tail - n.np_head > 0 then
      let ready = n.np_ready.(n.np_head land 3) in
-     if ready > sim.now then at sim ln ready inst n 1);
+     if ready > sim.now then at sim ready inst n 1);
   progressed
 
 (* ------------------------------------------------------------------ *)
 (* The main loop                                                        *)
 
-(* Pull a worklist by swapping its double buffer: the taken prefix
-   lives in [*_v2], new wakes land in the other buffer for the next
-   cycle.  Sorting restores the dense sweep's deterministic order. *)
-let take_fire_nodes (inst : instance) : int =
-  let n = inst.if_n in
-  let v = inst.if_v in
-  inst.if_v <- inst.if_v2;
-  inst.if_v2 <- v;
-  inst.if_n <- 0;
-  for i = 0 to n - 1 do
-    v.(i).nr_qfire <- false
-  done;
-  sort_nodes v n;
-  n
+(* Instance worklists drain in place.  [itake] sorts the queued range
+   into sweep order and returns its end; instances queued while it
+   drains append behind it, and [idone] moves the head past what was
+   drained.  The drained prefix is reclaimed once it fills half the
+   array, so draining itself moves no entry. *)
+let itake (l : ilist) : int =
+  let h = l.l_h in
+  if h > 0 && 2 * h >= Array.length l.l_v then begin
+    for i = 0 to l.l_n - h - 1 do
+      set_inst l.l_v i l.l_v.(h + i)
+    done;
+    l.l_n <- l.l_n - h;
+    l.l_h <- 0
+  end;
+  sort_insts l.l_v l.l_h l.l_n;
+  l.l_n
 
-let take_emit_nodes (inst : instance) : int =
-  let n = inst.ie_n in
-  let v = inst.ie_v in
-  inst.ie_v <- inst.ie_v2;
-  inst.ie_v2 <- v;
-  inst.ie_n <- 0;
-  for i = 0 to n - 1 do
-    v.(i).nr_qemit <- false
-  done;
-  sort_nodes v n;
-  n
+let idone (l : ilist) (h : int) : unit =
+  if h = l.l_n then begin
+    l.l_h <- 0;
+    l.l_n <- 0
+  end
+  else l.l_h <- h
 
-let take_tf (trt : task_rt) : int =
-  let n = trt.tf_n in
-  let v = trt.tf_v in
-  trt.tf_v <- trt.tf_v2;
-  trt.tf_v2 <- v;
-  trt.tf_n <- 0;
-  sort_insts v n;
-  n
+let ipending (l : ilist) : bool = l.l_n > l.l_h
 
-let take_te (trt : task_rt) : int =
-  let n = trt.te_n in
-  let v = trt.te_v in
-  trt.te_v <- trt.te_v2;
-  trt.te_v2 <- v;
-  trt.te_n <- 0;
-  sort_insts v n;
-  n
+(* Flip a double-buffered wake set: returns the offset of the half to
+   drain; wakes from here on land in the other half. *)
+let take_half (inst : instance) (par : int) : int = inst.i_nw - par
 
-let take_tj (trt : task_rt) : int =
-  let n = trt.tj_n in
-  let v = trt.tj_v in
-  trt.tj_v <- trt.tj_v2;
-  trt.tj_v2 <- v;
-  trt.tj_n <- 0;
-  sort_insts v n;
-  n
+(* Fire the nodes of a taken half in graph order (its bits, lowest
+   first), clearing it as it goes; [any] accumulates whether something
+   fired.  Top-level and tail-recursive: nothing here allocates. *)
+let rec fire_bits (sim : t) (inst : instance) (base : int) (w : int)
+    (any : bool) : bool =
+  if w = 0 then any
+  else begin
+    let b = w land -w in
+    sim.woken <- sim.woken + 1;
+    let f = fire_node sim inst inst.inodes.(base + bit_index b) in
+    fire_bits sim inst base (w lxor b) (any || f)
+  end
 
-(* Phase-3 body, sequential flavor: everything fires inline, in the
-   dense sweep's order.  Also used by the sharded coordinator for
-   dynamic tasks (their slot arbitration is inherently serial). *)
-let rec fire_nodes_any (sim : t) (ln : lane) (trt : task_rt)
-    (inst : instance) (j : int) (nn : int) (any : bool) : bool =
-  if j >= nn then any
-  else
-    let f = fire_node sim ln trt inst inst.if_v2.(j) in
-    fire_nodes_any sim ln trt inst (j + 1) nn (any || f)
-
-(* Dynamic-task flavor: at most [tiles] contexts issue datapath work
-   per cycle, with the remaining slot count threaded through the
-   recursion (a [ref] here would allocate every cycle). *)
-let rec fire_dyn (sim : t) (ln : lane) (trt : task_rt) (k : int)
-    (ni : int) (slots : int) : unit =
-  if k < ni then begin
-    let inst = trt.tf_v2.(k) in
-    inst.i_qfire <- false;
-    if not inst.live then begin
-      ignore (take_fire_nodes inst);
-      fire_dyn sim ln trt (k + 1) ni slots
-    end
-    else if slots = 0 then begin
-      (* No tile this cycle: stay woken for the next one. *)
-      inst.i_qfire <- true;
-      trt.tf_v <- vpush trt.tf_v trt.tf_n inst;
-      trt.tf_n <- trt.tf_n + 1;
-      fire_dyn sim ln trt (k + 1) ni 0
-    end
+let rec fire_words (sim : t) (inst : instance) (off : int) (k : int)
+    (any : bool) : bool =
+  if k >= inst.i_nw then any
+  else begin
+    let w = inst.i_fset.(off + k) in
+    if w = 0 then fire_words sim inst off (k + 1) any
     else begin
-      let nn = take_fire_nodes inst in
-      ln.l_woken <- ln.l_woken + nn;
-      let any = fire_nodes_any sim ln trt inst 0 nn false in
-      fire_dyn sim ln trt (k + 1) ni (if any then slots - 1 else slots)
+      inst.i_fset.(off + k) <- 0;
+      fire_words sim inst off (k + 1) (fire_bits sim inst (k lsl 5) w any)
     end
   end
 
-let fire_task_seq (sim : t) (ln : lane) (trt : task_rt) : unit =
-  let ni = take_tf trt in
-  if trt.tdynamic then fire_dyn sim ln trt 0 ni trt.tk.tiles
-  else
-    for k = 0 to ni - 1 do
-      let inst = trt.tf_v2.(k) in
+(* Drain [inst]'s fire set: fire every woken node of a live instance,
+   drop the set of a retired one. *)
+let fire_inst (sim : t) (inst : instance) : bool =
+  let off = inst.i_fpar in
+  inst.i_fpar <- take_half inst off;
+  if inst.live then fire_words sim inst off 0 false
+  else begin
+    Array.fill inst.i_fset off inst.i_nw 0;
+    false
+  end
+
+(* Dynamic-task flavor: at most [tiles] contexts issue datapath work
+   per cycle, with the remaining slot count threaded through the
+   recursion (a [ref] here would allocate every cycle).  Returns where
+   the tiles ran out: the contexts from there on stay woken for the
+   next cycle. *)
+let rec fire_dyn (sim : t) (l : ilist) (k : int) (ni : int) (slots : int) :
+    int =
+  if k >= ni then ni
+  else begin
+    let inst = l.l_v.(k) in
+    if inst.live && slots = 0 then k
+    else begin
       inst.i_qfire <- false;
-      if inst.live then begin
-        let nn = take_fire_nodes inst in
-        ln.l_woken <- ln.l_woken + nn;
-        for j = 0 to nn - 1 do
-          ignore (fire_node sim ln trt inst inst.if_v2.(j))
-        done
-      end
-      else ignore (take_fire_nodes inst)
-    done
-
-(* Phase-3 body, lane flavor (static tasks only): datapath nodes fire
-   in place; call/spawn/sync attempts — the only fires that touch
-   other tasks' queues and contexts — are deferred verbatim for the
-   coordinator to replay in task-id order. *)
-let fire_task_lane (sim : t) (ln : lane) (trt : task_rt) : unit =
-  let ni = take_tf trt in
-  for k = 0 to ni - 1 do
-    let inst = trt.tf_v2.(k) in
-    inst.i_qfire <- false;
-    if inst.live then begin
-      let nn = take_fire_nodes inst in
-      ln.l_woken <- ln.l_woken + nn;
-      for j = 0 to nn - 1 do
-        let n = inst.if_v2.(j) in
-        match n.nr.kind with
-        | G.CallChild _ | G.SpawnChild _ | G.SyncWait ->
-          trt.td_inst <- vpush trt.td_inst trt.td_n inst;
-          trt.td_node <- vpush trt.td_node trt.td_n n;
-          trt.td_n <- trt.td_n + 1
-        | _ -> ignore (fire_node sim ln trt inst n)
-      done
+      let f = fire_inst sim inst in
+      fire_dyn sim l (k + 1) ni (if f then slots - 1 else slots)
     end
-    else ignore (take_fire_nodes inst)
-  done
+  end
 
-let replay_deferred (sim : t) (trt : task_rt) : unit =
-  let ln0 = sim.lanes.(0) in
-  for i = 0 to trt.td_n - 1 do
-    ignore (fire_node sim ln0 trt trt.td_inst.(i) trt.td_node.(i))
-  done;
-  trt.td_n <- 0
+(* Keep the live contexts of [l_v.(k .. i)] queued, packed against
+   index [w] (in place, so no store, unless one retired).  A retired
+   context leaves the list now, wake set and all: this cycle's dispatch
+   may rebirth it and queue it afresh.  Returns the new head. *)
+let rec keep_live (sim : t) (l : ilist) (k : int) (i : int) (w : int) : int =
+  if i < k then w
+  else begin
+    let inst = l.l_v.(i) in
+    if inst.live then begin
+      set_inst l.l_v (w - 1) inst;
+      keep_live sim l k (i - 1) (w - 1)
+    end
+    else begin
+      inst.i_qfire <- false;
+      ignore (fire_inst sim inst);
+      keep_live sim l k (i - 1) w
+    end
+  end
 
-(* Phase-4 body: emission is instance-local, so lanes run it for all
-   their tasks (including dynamic ones). *)
-let emit_task (sim : t) (ln : lane) (trt : task_rt) : unit =
-  let ni = take_te trt in
-  for k = 0 to ni - 1 do
-    let inst = trt.te_v2.(k) in
+(* Phase 3 for one task, instances in sweep order.  A task is busy in
+   a cycle if any of its nodes fired (the utilization count).  Like
+   every phase body below, returns whether work is still queued. *)
+let fire_task (sim : t) (trt : task_rt) : bool =
+  let l = trt.tf in
+  let ni = itake l in
+  let fires = sim.fires in
+  let h =
+    if trt.tdynamic then
+      keep_live sim l (fire_dyn sim l l.l_h ni trt.tk.tiles) (ni - 1) ni
+    else begin
+      for k = l.l_h to ni - 1 do
+        let inst = l.l_v.(k) in
+        inst.i_qfire <- false;
+        ignore (fire_inst sim inst)
+      done;
+      ni
+    end
+  in
+  if sim.fires > fires then trt.tbusy <- trt.tbusy + 1;
+  idone l h;
+  ipending l
+
+let rec emit_bits (sim : t) (inst : instance) (base : int) (w : int) : unit =
+  if w <> 0 then begin
+    let b = w land -w in
+    let n = inst.inodes.(base + bit_index b) in
+    if try_emit sim inst n then begin
+      sim.last_activity <- sim.now;
+      (* Freed pipeline/memory slots may unblock the node's next
+         firing; drained state feeds the completion check below. *)
+      wake_fire sim inst n;
+      wake_complete sim inst
+    end;
+    emit_bits sim inst base (w lxor b)
+  end
+
+(* Phase 4 for one task: emission is instance-local. *)
+let emit_task (sim : t) (trt : task_rt) : bool =
+  let l = trt.te in
+  let ni = itake l in
+  for k = l.l_h to ni - 1 do
+    let inst = l.l_v.(k) in
     inst.i_qemit <- false;
-    let nn = take_emit_nodes inst in
-    if inst.live then
-      for j = 0 to nn - 1 do
-        let n = inst.ie_v2.(j) in
-        if try_emit sim ln inst n then begin
-          ln.l_active <- true;
-          (* Freed pipeline/memory slots may unblock the node's next
-             firing; drained state feeds the completion check below. *)
-          wake_fire sim inst n;
+    let off = inst.i_epar in
+    inst.i_epar <- take_half inst off;
+    for j = 0 to inst.i_nw - 1 do
+      let w = inst.i_eset.(off + j) in
+      if w <> 0 then begin
+        inst.i_eset.(off + j) <- 0;
+        if inst.live then emit_bits sim inst (j lsl 5) w
+      end
+    done
+  done;
+  idone l ni;
+  ipending l
+
+(* Phase 2 for one task: each woken instance forwards up to the
+   junction width of queued sub-requests to the memory structures. *)
+let junction_task (sim : t) (trt : task_rt) : bool =
+  let l = trt.tj in
+  let ni = itake l in
+  let w = sim.junction_width.(trt.tk.tid) in
+  for k = l.l_h to ni - 1 do
+    let inst = l.l_v.(k) in
+    inst.i_qjunction <- false;
+    if inst.live then begin
+      for _ = 1 to w do
+        if inst.ij_tail - inst.ij_head > 0 then begin
+          let s = inst.ij_head land (Array.length inst.ij_space - 1) in
+          let space = inst.ij_space.(s) in
+          let sr = inst.ij_sr.(s) in
+          inst.ij_head <- inst.ij_head + 1;
+          let rt = sim.ms.Memsys.space_of space in
+          Memsys.enqueue sim.ms rt sr ~now:sim.now;
+          sim.last_activity <- sim.now;
           wake_complete sim inst
         end
-      done
-  done
+      done;
+      if inst.ij_tail - inst.ij_head > 0 then wake_junction sim inst
+    end
+  done;
+  idone l ni;
+  ipending l
 
 (* Phase 5: a child completing here can enable its parent's completion
    in the same cycle when the parent sits later in the sweep order —
    chase those wakes exactly as far as the dense sweep would have. *)
-(* Partition tc_v[0, n) by i_ord > cursor: ready entries land in
-   tc2[0..], later entries compact in place at tc_v[i - ready] (always
+(* Partition tc[0, n) by i_ord > cursor: ready entries land in
+   tc2[0..], later entries compact in place at tc[i - ready] (always
    at or before their origin, so in-place is safe).  Returns the ready
    count; the later count is n - ready. *)
 let rec dc_partition (trt : task_rt) (cursor : int) (i : int) (n : int)
     (ready : int) : int =
   if i >= n then ready
   else begin
-    let inst = trt.tc_v.(i) in
+    let inst = trt.tc.l_v.(i) in
     if inst.i_ord > cursor then begin
-      trt.tc2.(ready) <- inst;
+      set_inst trt.tc2 ready inst;
       dc_partition trt cursor (i + 1) n (ready + 1)
     end
     else begin
-      trt.tc_v.(i - ready) <- inst;
+      set_inst trt.tc.l_v (i - ready) inst;
       dc_partition trt cursor (i + 1) n ready
     end
   end
@@ -2488,33 +2533,22 @@ let rec dc_run (sim : t) (trt : task_rt) (i : int) (nready : int)
   end
 
 let rec drain_complete (sim : t) (trt : task_rt) (cursor : int) : unit =
-  let n = trt.tc_n in
+  let n = trt.tc.l_n in
   if n > 0 then begin
     if Array.length trt.tc2 < n then
       trt.tc2 <- Array.make (max 8 (n * 2)) dummy_inst;
     let nready = dc_partition trt cursor 0 n 0 in
     if nready > 0 then begin
-      trt.tc_n <- n - nready;
-      sort_insts trt.tc2 nready;
+      trt.tc.l_n <- n - nready;
+      sort_insts trt.tc2 0 nready;
       let c = dc_run sim trt 0 nready cursor in
       drain_complete sim trt c
     end
   end
 
-let merge_lanes (sim : t) : unit =
-  for l = 0 to sim.njobs - 1 do
-    let ln = sim.lanes.(l) in
-    sim.fires <- sim.fires + ln.l_fires;
-    ln.l_fires <- 0;
-    sim.woken <- sim.woken + ln.l_woken;
-    ln.l_woken <- 0;
-    sim.ctrs.Ctr.syncs <- sim.ctrs.Ctr.syncs + ln.l_syncs;
-    ln.l_syncs <- 0;
-    if ln.l_active then begin
-      sim.last_activity <- sim.now;
-      ln.l_active <- false
-    end
-  done
+let complete_task (sim : t) (trt : task_rt) : bool =
+  drain_complete sim trt min_int;
+  ipending trt.tc
 
 (* Round-robin dispatch across a static task's tiles: a pipelined
    instance would otherwise accept every invocation and starve its
@@ -2525,27 +2559,73 @@ let rec rr_dispatch (sim : t) (trt : task_rt) (k : int) (n : int)
   else begin
     let inst = trt.tinst.((trt.trr + k) mod n) in
     if tq_len trt > 0 && can_accept inst then begin
-      let s = trt.tq_head land (Array.length trt.tq_rkind - 1) in
-      trt.tq_head <- trt.tq_head + 1;
-      inject sim trt inst s;
+      inject sim trt inst (tq_pop sim trt);
       trt.trr <- (trt.trr + k + 1) mod n;
       rr_dispatch sim trt (k + 1) n true
     end
     else rr_dispatch sim trt (k + 1) n popped
   end
 
+(* Phase 6 for one task with queued invocations. *)
+let dispatch_task (sim : t) (trt : task_rt) : bool =
+  if trt.tdynamic then
+    (* every queued message becomes a fresh context *)
+    while tq_len trt > 0 do
+      let s = tq_pop sim trt in
+      let inst = acquire_instance sim trt in
+      inst.i_ord <- trt.t_next_ord;
+      (* newest contexts first, so recursion runs depth-first *)
+      trt.t_next_ord <- trt.t_next_ord - 1;
+      inject sim trt inst s
+    done
+  else begin
+    let popped = rr_dispatch sim trt 0 trt.tinst_n false in
+    (* Queue space freed: parked callers can try again. *)
+    if popped && trt.tw_n > 0 then begin
+      let nw = trt.tw_n in
+      trt.tw_n <- 0;
+      for i = 0 to nw - 1 do
+        let wn = trt.tw_node.(i) in
+        wn.nr_wait_child <- false;
+        wake_fire sim trt.tw_inst.(i) wn
+      done
+    end
+  end;
+  tq_len trt > 0
+
+(* Phase 7: commit staged channel writes, dirty channels only (each
+   transfer is independent, so their order does not matter). *)
+let commit (sim : t) : unit =
+  for i = 0 to sim.ld_n - 1 do
+    let f = sim.ld_v.(i) in
+    f.f_dirty <- false;
+    if f.ftail - f.fmid > 0 then begin
+      f.fmid <- f.ftail;
+      (* Fresh tokens: the consumer may be able to fire. *)
+      match f.f_dst with
+      | Some (di, dn) -> wake_fire sim di dn
+      | None -> ()
+    end
+  done;
+  sim.ld_n <- 0
+
+(* Run [phase] on every task whose bit is set in [act], in id order,
+   clearing the bits of tasks left with nothing queued.  The set is
+   read live: a task woken ahead of the cursor runs in this sweep, one
+   woken behind it waits for the next cycle — exactly what a loop over
+   every task, testing each as it reaches it, would do. *)
+let rec sweep (sim : t) (act : int array) (phase : t -> task_rt -> bool)
+    (from : int) : unit =
+  let tid = next_bit act from in
+  if tid >= 0 then begin
+    if not (phase sim sim.tasks.(tid)) then bit_clear act tid;
+    sweep sim act phase (tid + 1)
+  end
+
 let step (sim : t) : unit =
   let now = sim.now in
-  let ntasks = Array.length sim.tasks in
-  (* 0. always-on occupancy integrals (exact time-average and
-     high-water depths, O(tasks + structures) per cycle, no
-     allocation); ring samples additionally when tracing *)
-  for i = 0 to ntasks - 1 do
-    Ctr.occ_tick sim.otasks.(i) (tq_len sim.tasks.(i))
-  done;
-  for i = 0 to Array.length sim.ostructs - 1 do
-    Ctr.occ_tick sim.ostructs.(i) (Memsys.struct_depth sim.ms i)
-  done;
+  (* 0. occupancy samples for the tracer's histograms (the counter
+     bank integrates occupancy as depths move) *)
   (match sim.tr with
   | Some tr when now mod tr.Tr.sample_every = 0 ->
     Array.iter
@@ -2560,135 +2640,17 @@ let step (sim : t) : unit =
   (* 1. memory structures (completions notify waiting nodes) *)
   Memsys.step sim.ms ~now;
   (* 2. junction arbitration, only where sub-requests are queued *)
-  for ti = 0 to ntasks - 1 do
-    let trt = sim.tasks.(ti) in
-    if trt.tj_n > 0 then begin
-      let ni = take_tj trt in
-      let w = sim.junction_width.(trt.tk.tid) in
-      for k = 0 to ni - 1 do
-        let inst = trt.tj_v2.(k) in
-        inst.i_qjunction <- false;
-        if inst.live then begin
-          for _ = 1 to w do
-            if inst.ij_tail - inst.ij_head > 0 then begin
-              let s = inst.ij_head land (Array.length inst.ij_space - 1) in
-              let space = inst.ij_space.(s) in
-              let sr = inst.ij_sr.(s) in
-              inst.ij_head <- inst.ij_head + 1;
-              let rt = sim.ms.Memsys.space_of space in
-              Memsys.enqueue sim.ms rt sr;
-              sim.last_activity <- now;
-              wake_complete sim inst
-            end
-          done;
-          if inst.ij_tail - inst.ij_head > 0 then wake_junction sim inst
-        end
-      done
-    end
-  done;
+  sweep sim sim.act_j junction_task 0;
   (* 3. fire phase over woken nodes *)
-  (match sim.dpool with
-  | Some p when sim.njobs > 1 ->
-    (* 3a. lanes fire their static tasks' datapath, deferring
-       call/spawn/sync; 3b. the coordinator replays the deferred
-       fires and runs dynamic tasks, in task-id order. *)
-    Dpool.run p (fun l ->
-        let ln = sim.lanes.(l) in
-        let tid = ref l in
-        while !tid < ntasks do
-          let trt = sim.tasks.(!tid) in
-          if (not trt.tdynamic) && trt.tf_n > 0 then fire_task_lane sim ln trt;
-          tid := !tid + sim.njobs
-        done);
-    for tid = 0 to ntasks - 1 do
-      let trt = sim.tasks.(tid) in
-      if trt.tdynamic then begin
-        if trt.tf_n > 0 then fire_task_seq sim sim.lanes.(0) trt
-      end
-      else if trt.td_n > 0 then replay_deferred sim trt
-    done
-  | _ ->
-    for ti = 0 to ntasks - 1 do
-      let trt = sim.tasks.(ti) in
-      if trt.tf_n > 0 then fire_task_seq sim sim.lanes.(0) trt
-    done);
-  (* utilization sweep: a task was busy if anything of it fired *)
-  for ti = 0 to ntasks - 1 do
-    let trt = sim.tasks.(ti) in
-    if trt.t_fired_now then begin
-      trt.tbusy <- trt.tbusy + 1;
-      trt.t_fired_now <- false
-    end
-  done;
+  sweep sim sim.act_f fire_task 0;
   (* 4. emission phase over woken nodes *)
-  (match sim.dpool with
-  | Some p when sim.njobs > 1 ->
-    Dpool.run p (fun l ->
-        let ln = sim.lanes.(l) in
-        let tid = ref l in
-        while !tid < ntasks do
-          let trt = sim.tasks.(!tid) in
-          if trt.te_n > 0 then emit_task sim ln trt;
-          tid := !tid + sim.njobs
-        done)
-  | _ ->
-    for ti = 0 to ntasks - 1 do
-      let trt = sim.tasks.(ti) in
-      if trt.te_n > 0 then emit_task sim sim.lanes.(0) trt
-    done);
-  merge_lanes sim;
+  sweep sim sim.act_e emit_task 0;
   (* 5. completions, only on instances whose state moved *)
-  for ti = 0 to ntasks - 1 do
-    let trt = sim.tasks.(ti) in
-    if trt.tc_n > 0 then drain_complete sim trt min_int
-  done;
+  sweep sim sim.act_c complete_task 0;
   (* 6. dispatch *)
-  for ti = 0 to ntasks - 1 do
-    let trt = sim.tasks.(ti) in
-    if tq_len trt > 0 then
-      if trt.tdynamic then
-        (* every queued message becomes a fresh context *)
-        while tq_len trt > 0 do
-          let s = trt.tq_head land (Array.length trt.tq_rkind - 1) in
-          trt.tq_head <- trt.tq_head + 1;
-          let inst = acquire_instance sim trt in
-          inst.i_ord <- trt.t_next_ord;
-          (* newest contexts first, so recursion runs depth-first *)
-          trt.t_next_ord <- trt.t_next_ord - 1;
-          inject sim trt inst s
-        done
-      else begin
-        let popped = rr_dispatch sim trt 0 trt.tinst_n false in
-        (* Queue space freed: parked callers can try again. *)
-        if popped && trt.tw_n > 0 then begin
-          let nw = trt.tw_n in
-          trt.tw_n <- 0;
-          for i = 0 to nw - 1 do
-            let wn = trt.tw_node.(i) in
-            wn.nr_wait_child <- false;
-            wake_fire sim trt.tw_inst.(i) wn
-          done
-        end
-      end
-  done;
-  (* 7. commit staged channel writes (dirty channels only), in lane
-     order — the per-channel transfer is independent, so any fixed
-     order is deterministic *)
-  for l = 0 to sim.njobs - 1 do
-    let ln = sim.lanes.(l) in
-    for i = 0 to ln.ld_n - 1 do
-      let f = ln.ld_v.(i) in
-      f.f_dirty <- false;
-      if f.ftail - f.fmid > 0 then begin
-        f.fmid <- f.ftail;
-        (* Fresh tokens: the consumer may be able to fire. *)
-        match f.f_dst with
-        | Some (di, dn) -> wake_fire sim di dn
-        | None -> ()
-      end
-    done;
-    ln.ld_n <- 0
-  done;
+  sweep sim sim.act_q dispatch_task 0;
+  (* 7. commit staged channel writes *)
+  commit sim;
   sim.node_cycles <- sim.node_cycles + sim.live_nodes;
   sim.now <- now + 1
 
@@ -2766,14 +2728,12 @@ let diagnose (sim : t) : string =
     tracer is attached).  [?tracer] additionally streams timeline
     events into a [Muir_trace.Trace.t]; tracing is strictly passive,
     so cycle counts, stats and counters are identical with it on or
-    off.  [?jobs] > 1 shards the fire and emit phases across an
-    OCaml-5 domain pool; results are bit-identical for every job
-    count (a tracer forces [jobs = 1], since the event ring is not
-    sharded). *)
+    off.  [?jobs] is accepted for compatibility and ignored: the
+    kernel runs on one lane. *)
 let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
-    ?(deadlock_window = 50_000) ?(jobs = 1) (c : G.circuit) : result =
+    ?(deadlock_window = 50_000) ?jobs:(_ : int option) (c : G.circuit) :
+    result =
   let t_start = Unix.gettimeofday () in
-  let jobs = match tracer with Some _ -> 1 | None -> max 1 jobs in
   (* The steady-state kernel is allocation-free, but instance-pool
      warm-up (deep spawn recursion) allocates in bursts.  A default
      256k-word minor heap promotes those bursts straight to the major
@@ -2782,25 +2742,20 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
   let gc_ctrl = Gc.get () in
   if gc_ctrl.Gc.minor_heap_size < 2_097_152 then
     Gc.set { gc_ctrl with Gc.minor_heap_size = 2_097_152 };
-  let sim = create ?tracer ~jobs c in
-  if sim.njobs > 1 then sim.dpool <- Some (Dpool.create sim.njobs);
+  let sim = create ?tracer c in
   Fun.protect
     ~finally:(fun () ->
-      if gc_ctrl.Gc.minor_heap_size < 2_097_152 then Gc.set gc_ctrl;
-      match sim.dpool with
-      | Some p ->
-        sim.dpool <- None;
-        Dpool.shutdown p
-      | None -> ())
+      if gc_ctrl.Gc.minor_heap_size < 2_097_152 then Gc.set gc_ctrl)
   @@ fun () ->
   let root = sim.tasks.(c.root) in
   let root_ctx =
     { live_children = 0; cx_owner = None; cx_w_inst = [||]; cx_w_node = [||];
       cx_nw = 0 }
   in
+  (* Queued before cycle 0, so occupancy counts it from cycle 0. *)
   let s =
-    tq_push root ~ctx:root_ctx ~rkind:0 ~rinst:dummy_inst ~rnode:dummy_node
-      ~rwave:0 ~rctx:root_ctx
+    tq_push sim root ~at:0 ~ctx:root_ctx ~rkind:0 ~rinst:dummy_inst
+      ~rnode:dummy_node ~rwave:0 ~rctx:root_ctx
   in
   let base = s * max root.t_arity 1 in
   for i = 0 to root.t_arity - 1 do
@@ -2844,9 +2799,11 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
     if sim.now land 4095 = 0 then push_sample ()
   done;
   if not sim.root_done then raise (Cycle_limit max_cycles);
-  (* Close the books: fold every still-live instance's accounting into
-     the whole-run counter bank. *)
+  (* Close the books: integrate occupancy up to the last cycle and fold
+     every still-live instance's accounting into the whole-run counter
+     bank. *)
   sim.ctrs.Ctr.final_cycle <- sim.now;
+  Ctr.occ_flush_all sim.ctrs sim.now;
   (match sim.tr with
   | Some tr -> tr.Tr.final_cycle <- sim.now
   | None -> ());

@@ -137,14 +137,18 @@ type node_ctr = {
   n_acc : int array;      (** cycles per cause; Σ = [n_span] *)
 }
 
-(** Occupancy integral for one queue or memory structure: sampled
-    every cycle, so [o_sum / o_cycles] is the exact time-average depth
-    and [o_max] the high-water mark — no histogram, no ring, O(1)
-    state per structure. *)
+(** Occupancy integral for one queue or memory structure, equal to
+    sampling the depth at every cycle boundary: [o_sum / o_cycles] is
+    the exact time-average depth and [o_max] the high-water mark — no
+    histogram, no ring, O(1) state per structure.  The kernel only
+    touches it when the depth moves ({!occ_move}); the held depth is
+    integrated lazily, and {!occ_flush} closes the books at run end. *)
 type occ_ctr = {
-  mutable o_cycles : int;  (** cycles sampled *)
-  mutable o_sum : int;     (** Σ depth over those cycles *)
+  mutable o_cycles : int;  (** cycle boundaries integrated *)
+  mutable o_sum : int;     (** Σ depth over those boundaries *)
   mutable o_max : int;     (** high-water mark *)
+  mutable o_depth : int;   (** current depth *)
+  mutable o_since : int;   (** first boundary not yet integrated *)
 }
 
 type t = {
@@ -190,32 +194,38 @@ let fold_into (g : node_ctr) ~(fires : int) ~(born : int) ~(upto : int)
     g.n_acc.(i) <- g.n_acc.(i) + np.acc.(i)
   done
 
-(** Accumulate one cycle's occupancy sample into [key]'s integral. *)
-let occ_add (c : t) (key : key) (depth : int) : unit =
-  match Hashtbl.find_opt c.occ key with
-  | Some o ->
-    o.o_cycles <- o.o_cycles + 1;
-    o.o_sum <- o.o_sum + depth;
-    if depth > o.o_max then o.o_max <- depth
-  | None ->
-    Hashtbl.add c.occ key
-      { o_cycles = 1; o_sum = depth; o_max = depth }
-
-(** The occupancy integral for [key], created empty on first use.  The
-    kernel resolves each queue's counter once and then ticks it with
-    {!occ_tick} — no variant-key allocation per cycle. *)
+(** The occupancy integral for [key], created empty (depth 0 from cycle
+    0) on first use.  The kernel resolves each queue's counter once and
+    then moves it with {!occ_move} — no variant-key allocation on the
+    hot path. *)
 let occ_ref (c : t) (key : key) : occ_ctr =
   match Hashtbl.find_opt c.occ key with
   | Some o -> o
   | None ->
-    let o = { o_cycles = 0; o_sum = 0; o_max = 0 } in
+    let o = { o_cycles = 0; o_sum = 0; o_max = 0; o_depth = 0; o_since = 0 } in
     Hashtbl.add c.occ key o;
     o
 
-let occ_tick (o : occ_ctr) (depth : int) : unit =
-  o.o_cycles <- o.o_cycles + 1;
-  o.o_sum <- o.o_sum + depth;
-  if depth > o.o_max then o.o_max <- depth
+(** Integrate the held depth over the boundaries [o_since, upto).  Only
+    a depth held at some boundary can become the high-water mark. *)
+let occ_flush (o : occ_ctr) (upto : int) : unit =
+  let k = upto - o.o_since in
+  if k > 0 then begin
+    o.o_cycles <- o.o_cycles + k;
+    o.o_sum <- o.o_sum + (k * o.o_depth);
+    if o.o_depth > o.o_max then o.o_max <- o.o_depth;
+    o.o_since <- upto
+  end
+
+(** The depth moves by [d], first sampled at boundary [at]: a change
+    made while cycle [c] runs is seen at [c + 1]. *)
+let occ_move (o : occ_ctr) (d : int) ~(at : int) : unit =
+  occ_flush o at;
+  o.o_depth <- o.o_depth + d
+
+(** Close every occupancy integral at [upto], one past the last cycle. *)
+let occ_flush_all (c : t) (upto : int) : unit =
+  Hashtbl.iter (fun _ o -> occ_flush o upto) c.occ
 
 (* ------------------------------------------------------------------ *)
 (* Reading the bank                                                     *)

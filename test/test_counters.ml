@@ -154,25 +154,52 @@ let test_long_run () =
     "a long run actually accumulated" true
     (Ctr.total_fires r.counters > 1000)
 
-(* Occupancy integrals: every key is sampled once per cycle, so all
-   integrals cover the same number of cycles and the mean cannot
-   exceed the high-water mark. *)
-let test_occupancy_integrals () =
-  let w = W.find "gemm" in
-  let _, r = run w [] in
-  let keys = Ctr.occ_keys r.counters in
-  Alcotest.(check bool) "has occupancy keys" true (keys <> []);
-  let cycles =
-    (Option.get (Ctr.find_occ r.counters (List.hd keys))).Ctr.o_cycles
+(* Occupancy oracle: the kernel integrates queue occupancy lazily, when
+   a depth moves; that must equal sampling every queue at every cycle
+   boundary.  The reference is a tracer with [~sample_every:1], whose
+   histograms count one sample per key per cycle: Σ count = o_cycles,
+   Σ depth·count = o_sum, and the deepest sampled depth = o_max.  This
+   pins the boundary rules: a depth change during cycle c is first
+   seen at c + 1, the root's queue entry counts from cycle 0, and a
+   depth that comes and goes within one cycle never becomes the
+   high-water mark. *)
+let test_occupancy_oracle (w : W.t) () =
+  let best =
+    match Muir_opt.Stacks.find_spec "best" with
+    | Some sp -> sp.sp_build sp.sp_defaults
+    | None -> Alcotest.fail "registry lost stack best"
   in
   List.iter
-    (fun k ->
-      let o = Option.get (Ctr.find_occ r.counters k) in
-      Alcotest.(check int) "all keys sampled alike" cycles o.Ctr.o_cycles;
+    (fun (sname, passes) ->
+      let ctx = w.wname ^ "/" ^ sname in
+      let tracer = Muir_trace.Trace.create ~capacity:0 ~sample_every:1 () in
+      let _, r = run ~tracer w passes in
+      let keys = Ctr.occ_keys r.counters in
+      Alcotest.(check bool) (ctx ^ ": has occupancy keys") true (keys <> []);
       Alcotest.(check bool)
-        "mean <= max" true
-        (Ctr.occ_mean o <= float_of_int o.Ctr.o_max))
-    keys
+        (ctx ^ ": same keys as the sampled reference")
+        true
+        (keys = Muir_trace.Trace.occupancy_keys tracer);
+      List.iter
+        (fun k ->
+          let kctx =
+            match k with
+            | Ctr.Ktask i -> Fmt.str "%s task %d" ctx i
+            | Ctr.Kstruct i -> Fmt.str "%s struct %d" ctx i
+          in
+          let o = Option.get (Ctr.find_occ r.counters k) in
+          let hist = Muir_trace.Trace.occupancy_hist tracer k in
+          let cycles = List.fold_left (fun acc (_, n) -> acc + n) 0 hist in
+          let sum = List.fold_left (fun acc (d, n) -> acc + (d * n)) 0 hist in
+          let mx = List.fold_left (fun acc (d, _) -> Int.max acc d) 0 hist in
+          Alcotest.(check int) (kctx ^ ": every cycle integrated")
+            r.stats.cycles o.Ctr.o_cycles;
+          Alcotest.(check (list int))
+            (kctx ^ ": cycles, Σ depth, max depth")
+            [ cycles; sum; mx ]
+            [ o.Ctr.o_cycles; o.Ctr.o_sum; o.Ctr.o_max ])
+        keys)
+    [ ("baseline", []); ("best", best) ]
 
 (* Task-parallel workloads must show up in the spawn/sync counters. *)
 let test_spawn_sync () =
@@ -284,6 +311,12 @@ let conservation_cases =
       Alcotest.test_case w.wname `Quick (test_conservation w))
     W.all
 
+let occupancy_cases =
+  List.map
+    (fun (w : W.t) ->
+      Alcotest.test_case w.wname `Quick (test_occupancy_oracle w))
+    W.all
+
 let ring_cases =
   List.map
     (fun name ->
@@ -295,10 +328,9 @@ let () =
   Alcotest.run "counters"
     [ ("conservation", conservation_cases);
       ("ring independence", ring_cases);
+      ("occupancy oracle", occupancy_cases);
       ( "bank",
         [ Alcotest.test_case "long unrolled run" `Quick test_long_run;
-          Alcotest.test_case "occupancy integrals" `Quick
-            test_occupancy_integrals;
           Alcotest.test_case "spawn/sync counters" `Quick test_spawn_sync;
           Alcotest.test_case "finite derived stats" `Quick test_finite_stats ]
       );

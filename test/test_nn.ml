@@ -2,7 +2,7 @@
    ill-shaped graphs, graph-level fusion legality, and the end-to-end
    contract — lowered models simulate to outputs that match the exact
    golden models BIT FOR BIT (not within a tolerance) under every
-   registry pass stack and every job count, fused and unfused. *)
+   registry pass stack, fused and unfused. *)
 
 open Muir_ir
 module Nn = Muir_nn
@@ -215,20 +215,17 @@ let test_model_exact name ~fused () =
   let gold = golden_outputs name ~fused in
   List.iter
     (fun (spec : Stacks.spec) ->
+      let c, _ =
+        Stacks.optimized ~name:w.wname (spec.sp_build spec.sp_defaults) p
+      in
+      let r = Muir_sim.Sim.run c in
       List.iter
-        (fun jobs ->
-          let c, _ =
-            Stacks.optimized ~name:w.wname (spec.sp_build spec.sp_defaults) p
-          in
-          let r = Muir_sim.Sim.run ~jobs c in
-          List.iter
-            (fun (oname, expected) ->
-              check_bits
-                (Fmt.str "%s/%s/jobs=%d %s" w.wname spec.sp_name jobs oname)
-                expected
-                (sim_floats r p oname))
-            gold)
-        [ 1; 4 ])
+        (fun (oname, expected) ->
+          check_bits
+            (Fmt.str "%s/%s %s" w.wname spec.sp_name oname)
+            expected
+            (sim_floats r p oname))
+        gold)
     Stacks.registry
 
 (* fused and unfused lowerings must produce identical bits, and fusion
