@@ -43,17 +43,41 @@
     double-buffered bitsets, the timing wheel holds plain ints, and
     retired dynamic instances return to a per-task pool and are reborn
     in place.  The steady-state fire path allocates {e zero} words on
-    the OCaml minor heap (asserted by the bench gate) and skips every
+    the OCaml minor heap (asserted by the bench gate and by
+    [test/test_sim.ml]) and skips every
     pointer store that would not change the stored value, since each
     one costs a write-barrier call.  Per-cycle work scales with
     activity: each phase visits only tasks with queued work, idle
     memory structures cost one depth check, and queue occupancy is
     integrated when a depth moves rather than sampled.
 
-    The wake discipline is {e conservative}: over-waking a node is
-    always safe (a failed attempt has no side effects), under-waking
-    never happens (every condition a blocked node waits on has a wake
-    source).  Within a cycle the woken nodes are drained in the same
+    The wake discipline is {e precise}: a node is attempted only when
+    the attempt can fire it, move a token, or change its stall label.
+    - Operand readiness is a per-node count of wired inputs with no
+      committed token ([nr_miss]), moved only by commits and pops.
+    - A commit into an empty channel wakes the consumer unless, at
+      the next fire phase, it still misses an operand, is past its
+      initiation interval and already holds the operand-wait label
+      ({!futile}).  Every other fire wake gets the same check when its
+      wake set drains, and is skipped if it holds.
+    - A pop wakes the producer's emission only if the channel was
+      full.  A node that emits through its pipeline ring alone is
+      woken for emission only for a new ring head: now if it is due,
+      else by one timing-wheel entry at its due cycle.  Live-outs emit
+      nothing; memory, call/spawn and sync nodes wake on every firing.
+
+    Why this is exact.  An emission attempt carries no stall label, so
+    one that cannot move a token may be dropped.  A fire attempt that
+    fails on a missing operand while the node already holds the
+    operand-wait label relabels it with that same label: every
+    accounting sum stays the same and the tracer sees no event.
+    Between the commit of cycle c and the fire phase of c+1 no label,
+    operand or busy time changes, so a commit can decide for the next
+    fire phase; other wakes are checked at drain time because the
+    completion phase can relabel a node idle after its emission woke
+    it, and the attempt then relabels it operand-wait.  Under-waking
+    never happens: every condition a blocked node waits on has a wake
+    source.  Within a cycle the woken nodes are drained in the same
     deterministic order the dense sweep used — tasks in id order,
     instances in queue order, nodes in graph order (the order a wake
     set yields by construction) — so the kernel is bit-for-bit
@@ -83,9 +107,12 @@ let to_int = Exec.to_int
    cursors: [fhead] (next pop), [fmid] (end of committed tokens),
    [ftail] (end of staged writes).  Writes land between [fmid] and
    [ftail] and become visible at the end-of-cycle commit
-   ([fmid <- ftail]).  The back-pointers drive the wake lists: a
-   commit wakes the consumer ([f_dst]) for fire, a pop wakes the
-   producer ([f_src]) for emission. *)
+   ([fmid <- ftail]).  The endpoints drive the wake sets and the
+   consumer's readiness count: a commit into an empty channel wakes
+   the consumer ([f_di], [f_dn]) for fire, a pop from a full one wakes
+   the producer ([f_si], [f_sn]) for emission.  Every edge channel has
+   both; [dummy_inst] and [dummy_node] fill unused edge-id slots,
+   which are never pushed, committed or popped. *)
 type fifo = {
   fcap : int;                          (** architectural capacity *)
   fmask : int;                         (** physical ring size - 1 *)
@@ -97,8 +124,10 @@ type fifo = {
   mutable fmid : int;
   mutable ftail : int;
   mutable f_dirty : bool;              (** queued on the commit list *)
-  mutable f_src : (instance * node_rt) option;
-  mutable f_dst : (instance * node_rt) option;
+  mutable f_si : instance;             (** producer *)
+  mutable f_sn : node_rt;
+  mutable f_di : instance;             (** consumer *)
+  mutable f_dn : node_rt;
 }
 
 and sync_ctx = {
@@ -145,6 +174,10 @@ and node_rt = {
   nr_out : fifo array array;      (** per out port: fan-out channels *)
   nr_words : int;                 (** words per access (memory nodes) *)
   nr_space : int;                 (** address space (memory nodes) *)
+  nr_mem : bool;                  (** load/store: emits through [nm_*] *)
+  nr_pipe : bool;                 (** emits only through the [np_*] ring *)
+  mutable nr_miss : int;          (** wired inputs holding no committed
+                                      token: 0 = every operand present *)
   mutable nr_fired : int;         (** firings so far (the wave counter) *)
   mutable nr_busy_until : int;
   (* pipeline ring: 4 slots of (ready cycle, out port, token) *)
@@ -305,7 +338,10 @@ type stats = {
   mem_requests : int;
   wall_seconds : float;           (** kernel wall-clock time of [run] *)
   cycles_per_sec : float;         (** simulated cycles per wall second *)
-  woken_per_cycle : float;        (** fire-phase node attempts per cycle *)
+  woken_per_cycle : float;
+      (** fire attempts per cycle: woken nodes that reach [fire_node]
+          (a woken node whose attempt would change nothing is skipped
+          and not counted) *)
   live_nodes_per_cycle : float;   (** instantiated nodes per cycle (the
                                       dense sweep would attempt these) *)
   gc_minor_words_per_cycle : float;
@@ -356,7 +392,7 @@ type t = {
   mutable insts : instance array; (** every instance, by [iid] *)
   mutable ld_v : fifo array;      (** channels with staged writes *)
   mutable ld_n : int;
-  mutable woken : int;            (** total fire-phase attempts, stats *)
+  mutable woken : int;            (** total fire attempts, stats *)
   mutable live_nodes : int;       (** nodes across live instances *)
   mutable node_cycles : int;      (** Σ live_nodes per cycle, stats *)
   tr : Tr.t option;               (** event sink; [None] = tracing off *)
@@ -468,7 +504,8 @@ let dummy_ctx : sync_ctx =
 let dummy_node : node_rt =
   { nr = dummy_gnode; nr_cost = Cost.node_cost G.SyncWait; nr_idx = 0;
     nr_in = [||]; im_tags = [||]; im_nums = [||]; im_flts = [||];
-    im_objs = [||]; nr_out = [||]; nr_words = 1; nr_space = 0; nr_fired = 0;
+    im_objs = [||]; nr_out = [||]; nr_words = 1; nr_space = 0;
+    nr_mem = false; nr_pipe = false; nr_miss = 0; nr_fired = 0;
     nr_busy_until = 0; np_ready = [||]; np_port = [||]; np_tags = [||];
     np_nums = [||]; np_flts = [||]; np_objs = [||]; np_head = 0;
     np_tail = 0; nm_live = [||]; nm_store = [||]; nm_hasiv = [||];
@@ -619,35 +656,6 @@ let fifo_push (sim : t) (f : fifo) (tag : int) (num : int)
     sim.ld_n <- n + 1
   end
 
-(** Stage every input of [n] into rows [0 ..] of [sc]; false if some
-    wired input is empty (rows may be partially staged then).
-    Tail-recursive with the verdict threaded as an argument: the hot
-    path must not allocate a [ref]. *)
-let rec stage_inputs_from (n : node_rt) (sc : Exec.sc) (i : int)
-    (ok : bool) : bool =
-  if i >= Array.length n.nr_in then ok
-  else
-    match n.nr_in.(i) with
-    | None ->
-      sc.Exec.stags.(i) <- n.im_tags.(i);
-      sc.Exec.snums.(i) <- n.im_nums.(i);
-      sc.Exec.sflts.(i) <- n.im_flts.(i);
-      set_obj sc.Exec.sobjs i n.im_objs.(i);
-      stage_inputs_from n sc (i + 1) ok
-    | Some f ->
-      if f.fmid - f.fhead = 0 then stage_inputs_from n sc (i + 1) false
-      else begin
-        let j = f.fhead land f.fmask in
-        sc.Exec.stags.(i) <- f.ftags.(j);
-        sc.Exec.snums.(i) <- f.fnums.(j);
-        sc.Exec.sflts.(i) <- f.fflts.(j);
-        set_obj sc.Exec.sobjs i f.fobjs.(j);
-        stage_inputs_from n sc (i + 1) ok
-      end
-
-let stage_inputs (n : node_rt) (sc : Exec.sc) : bool =
-  stage_inputs_from n sc 0 true
-
 (** Stage input [i] only; false if empty. *)
 let stage_one (n : node_rt) (sc : Exec.sc) (i : int) : bool =
   match n.nr_in.(i) with
@@ -668,26 +676,63 @@ let stage_one (n : node_rt) (sc : Exec.sc) (i : int) : bool =
       true
     end
 
-let rec all_inputs_ready_from (n : node_rt) (i : int) : bool =
-  i >= Array.length n.nr_in
-  || (match n.nr_in.(i) with
-     | None -> all_inputs_ready_from n (i + 1)
-     | Some f -> f.fmid - f.fhead > 0 && all_inputs_ready_from n (i + 1))
-
-let all_inputs_ready (n : node_rt) : bool = all_inputs_ready_from n 0
+(** Stage every input of [n] into rows [0 ..] of [sc]; a node fires
+    only with every operand present ([nr_miss = 0]). *)
+let stage_inputs (n : node_rt) (sc : Exec.sc) : unit =
+  for i = 0 to Array.length n.nr_in - 1 do
+    ignore (stage_one n sc i)
+  done
 
 let input_ready (n : node_rt) (i : int) : bool =
   match n.nr_in.(i) with None -> true | Some f -> f.fmid - f.fhead > 0
+
+(* A mu's data input picked by its control token (which must be
+   present): 2 on true, 1 on false. *)
+let mu_sel (n : node_rt) : int =
+  match n.nr_in.(0) with
+  | None ->
+    if Exec.truthy_flat n.im_tags.(0) n.im_nums.(0) n.im_objs.(0) then 2
+    else 1
+  | Some f ->
+    let j = f.fhead land f.fmask in
+    if Exec.truthy_flat f.ftags.(j) f.fnums.(j) f.fobjs.(j) then 2 else 1
+
+(** Does [n] hold every operand its next firing consumes?  A mu needs
+    its control token and the data input that token selects; every
+    other node needs all wired inputs. *)
+let can_start (n : node_rt) : bool =
+  match n.nr.kind with
+  | G.MergeLoop -> input_ready n 0 && input_ready n (mu_sel n)
+  | _ -> n.nr_miss = 0
+
+let operand_wait = Tr.cause_index Tr.Operand
+
+(** Would a fire attempt of [n] at cycle [c] change nothing?  True
+    when [n] is past its initiation interval, still misses an operand
+    and is already labelled operand-wait: the attempt would fail on
+    the operand and relabel the node with the label it holds, which
+    leaves every accounting sum the same and emits no tracer event. *)
+let futile (inst : instance) (n : node_rt) (c : int) : bool =
+  n.nr_busy_until <= c
+  && inst.i_prof.Tr.Prof.nprofs.(n.nr_idx).Tr.Prof.st = operand_wait
+  && not (can_start n)
+
+(* Wired inputs whose channel holds no committed token. *)
+let count_miss (ins : fifo option array) : int =
+  Array.fold_left
+    (fun k -> function Some f when f.fmid = f.fhead -> k + 1 | _ -> k)
+    0 ins
 
 let pop_in (sim : t) (n : node_rt) (i : int) : unit =
   match n.nr_in.(i) with
   | None -> ()
   | Some f ->
+    let full = not (fifo_space f) in
     f.fhead <- f.fhead + 1;
-    (* Space freed: the producer's blocked emission may proceed. *)
-    (match f.f_src with
-    | Some (si, sn) -> wake_emit sim si sn
-    | None -> ())
+    if f.fhead = f.fmid then n.nr_miss <- n.nr_miss + 1;
+    (* Space freed in a full channel: the producer's blocked emission
+       may proceed.  A channel that had space blocked no port. *)
+    if full then wake_emit sim f.f_si f.f_sn
 
 let pop_all (sim : t) (n : node_rt) : unit =
   for i = 0 to Array.length n.nr_in - 1 do
@@ -733,7 +778,8 @@ let new_fifo (cap : int) (ninit : int) : fifo =
   { fcap = cap; fmask = phys - 1; ftags = Array.make phys F.tabsent;
     fnums = Array.make phys 0; fflts = Array.make phys 0.0;
     fobjs = Array.make phys F.no_obj; fhead = 0; fmid = 0; ftail = 0;
-    f_dirty = false; f_src = None; f_dst = None }
+    f_dirty = false; f_si = dummy_inst; f_sn = dummy_node;
+    f_di = dummy_inst; f_dn = dummy_node }
 
 let shape_of_kind = function
   | G.Tload { shape; _ } | G.Tstore { shape; _ } -> Some shape
@@ -811,11 +857,18 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
              | G.SpawnChild _ -> 1
              | _ -> 0
            in
+           let nr_pipe =
+             match n.kind with
+             | G.Compute _ | G.Fused _ | G.Merge _ | G.Steer
+             | G.FusedSteer _ | G.MergeLoop | G.Tcompute _ -> true
+             | _ -> false
+           in
            { nr = n; nr_cost = Cost.node_cost n.kind; nr_idx = 0; nr_in;
              im_tags = Array.map F.tag_of imms;
              im_nums = Array.map F.num_of imms;
              im_flts = Array.map F.flt_of imms;
              im_objs = Array.map F.obj_of imms; nr_out; nr_words; nr_space;
+             nr_mem = is_mem; nr_pipe; nr_miss = count_miss nr_in;
              nr_fired = 0; nr_busy_until = 0; np_ready = Array.make 4 0;
              np_port = Array.make 4 0; np_tags = Array.make 4 F.tabsent;
              np_nums = Array.make 4 0; np_flts = Array.make 4 0.0;
@@ -906,16 +959,15 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
             Ctr.node_ctr sim.ctrs ~task:task.tid ~node:n.nr.G.nid)
           nodes }
   in
-  (* Back-pointers so channel events can wake producer/consumer. *)
+  (* Endpoints so channel events can wake producer/consumer (validated:
+     both exist). *)
   List.iter
     (fun (e : G.edge) ->
       let f = fifos.(e.eid) in
-      (match inode_by_id.(fst e.dst) with
-      | Some n -> f.f_dst <- Some (inst, n)
-      | None -> ());
-      match inode_by_id.(fst e.src) with
-      | Some n -> f.f_src <- Some (inst, n)
-      | None -> ())
+      f.f_di <- inst;
+      f.f_dn <- Option.get inode_by_id.(fst e.dst);
+      f.f_si <- inst;
+      f.f_sn <- Option.get inode_by_id.(fst e.src))
     task.edges;
   sim.insts <- vpush sim.insts iid inst;
   sim.live_nodes <- sim.live_nodes + nnodes;
@@ -947,6 +999,7 @@ let reset_instance (sim : t) (inst : instance) : unit =
   done;
   for i = 0 to Array.length inst.inodes - 1 do
     let n = inst.inodes.(i) in
+    n.nr_miss <- count_miss n.nr_in;
     n.nr_fired <- 0;
     n.nr_busy_until <- 0;
     n.np_head <- 0;
@@ -1652,28 +1705,6 @@ let pipe_push (n : node_rt) (ready : int) (port : int) (tag : int)
   set_obj n.np_objs s obj;
   n.np_tail <- n.np_tail + 1
 
-(** Could the node fire again with the tokens already committed?  Used
-    to self-schedule a re-attempt after a successful firing — no other
-    event will arrive for tokens that are already there. *)
-let ready_again (n : node_rt) : bool =
-  match n.nr.kind with
-  | G.LiveIn _ -> false
-  | G.MergeLoop ->
-    input_ready n 0
-    && (let sel =
-          match n.nr_in.(0) with
-          | None ->
-            if Exec.truthy_flat n.im_tags.(0) n.im_nums.(0) n.im_objs.(0)
-            then 2
-            else 1
-          | Some f ->
-            let j = f.fhead land f.fmask in
-            if Exec.truthy_flat f.ftags.(j) f.fnums.(j) f.fobjs.(j) then 2
-            else 1
-        in
-        input_ready n sel)
-  | _ -> all_inputs_ready n
-
 let zeros4 = Array.make 4 0.0
 
 (** Attempt to fire node [n] of [inst]; true if it fired.  A failed
@@ -1713,14 +1744,13 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
         end
       end
     | _ ->
-      if not (all_inputs_ready n) then false
-      else if n.np_tail - n.np_head >= 4 && not (G.is_memory_node n.nr) then
-        false
+      if n.nr_miss > 0 then false
+      else if n.np_tail - n.np_head >= 4 && not n.nr_mem then false
       else begin
         match n.nr.kind with
         | G.Compute op ->
           let sc = inst.i_sc in
-          ignore (stage_inputs n sc);
+          stage_inputs n sc;
           pop_all sim n;
           Exec.compute_sc sc op 0 (Array.length n.nr_in);
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
@@ -1730,7 +1760,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.Fused ops ->
           let sc = inst.i_sc in
-          ignore (stage_inputs n sc);
+          stage_inputs n sc;
           pop_all sim n;
           Exec.fused_sc sc ops (Array.length n.nr_in);
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
@@ -1740,7 +1770,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.Merge k ->
           let sc = inst.i_sc in
-          ignore (stage_inputs n sc);
+          stage_inputs n sc;
           pop_all sim n;
           Exec.merge_sc sc k (Array.length n.nr_in);
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
@@ -1749,7 +1779,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.Steer ->
           let sc = inst.i_sc in
-          ignore (stage_inputs n sc);
+          stage_inputs n sc;
           pop_all sim n;
           let port =
             if Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
@@ -1763,7 +1793,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.FusedSteer ops ->
           let sc = inst.i_sc in
-          ignore (stage_inputs n sc);
+          stage_inputs n sc;
           pop_all sim n;
           let p =
             Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
@@ -1788,7 +1818,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           (* Tensor ops produce boxed tiles anyway; the slow path is
              fine here. *)
           let sc = inst.i_sc in
-          ignore (stage_inputs n sc);
+          stage_inputs n sc;
           pop_all sim n;
           let v = Exec.tensor top (Exec.slot_values sc 0 (Array.length n.nr_in)) in
           sc.Exec.rflt.(0) <- F.flt_of v;
@@ -1811,7 +1841,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
             let iv = if is_store then attr_inv inst n else dummy_inv in
             if not is_store then ignore (oldest_wave inst);
             let sc = inst.i_sc in
-            ignore (stage_inputs n sc);
+            stage_inputs n sc;
             let pred_ok =
               Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
                 sc.Exec.sobjs.(0)
@@ -1919,7 +1949,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           end
         | G.CallChild tid | G.SpawnChild tid ->
           let sc = inst.i_sc in
-          ignore (stage_inputs n sc);
+          stage_inputs n sc;
           let pred_ok =
             Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
               sc.Exec.sobjs.(0)
@@ -2042,29 +2072,13 @@ let stall_cause (sim : t) (n : node_rt) : Tr.cause =
   else
     match n.nr.kind with
     | G.LiveIn _ -> Tr.Idle (* driven by injection, never stalled *)
-    | G.MergeLoop ->
-      if not (input_ready n 0) then Tr.Operand
-      else begin
-        let t, m, o =
-          match n.nr_in.(0) with
-          | None -> (n.im_tags.(0), n.im_nums.(0), n.im_objs.(0))
-          | Some f ->
-            let j = f.fhead land f.fmask in
-            (f.ftags.(j), f.fnums.(j), f.fobjs.(j))
-        in
-        if not (input_ready n (if Exec.truthy_flat t m o then 2 else 1))
-        then Tr.Operand
-        else Tr.Backpressure
-      end
+    | _ when not (can_start n) -> Tr.Operand
+    | G.MergeLoop -> Tr.Backpressure
+    | G.CallChild _ | G.SpawnChild _ -> Tr.Structural
     | _ ->
-      if not (all_inputs_ready n) then Tr.Operand
-      else if n.np_tail - n.np_head >= 4 && not (G.is_memory_node n.nr)
-      then Tr.Backpressure
-      else (
-        match n.nr.kind with
-        | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ -> Tr.Memory
-        | G.CallChild _ | G.SpawnChild _ -> Tr.Structural
-        | _ -> Tr.Operand)
+      if n.nr_mem then Tr.Memory
+      else if n.np_tail - n.np_head >= 4 then Tr.Backpressure
+      else Tr.Operand
 
 (* The label a node enters after firing at [sim.now], effective from
    [sim.now + 1].  Any event that changes the node's state relabels it,
@@ -2075,13 +2089,11 @@ let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Tr.cause =
   | _ ->
     if not ra then Tr.Operand
     else if n.nr_busy_until > sim.now + 1 then Tr.Structural
-    else (
-      match n.nr.kind with
-      | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ ->
-        if n.nm_tail - n.nm_head >= sim.max_outstanding then Tr.Memory
-        else Tr.Busy
-      | _ ->
-        if n.np_tail - n.np_head >= 4 then Tr.Backpressure else Tr.Busy)
+    else if n.nr_mem then
+      if n.nm_tail - n.nm_head >= sim.max_outstanding then Tr.Memory
+      else Tr.Busy
+    else if n.np_tail - n.np_head >= 4 then Tr.Backpressure
+    else Tr.Busy
 
 (** Fire attempt plus the event subscriptions a success implies. *)
 let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
@@ -2089,7 +2101,10 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
   (* Interval accounting is always-on (it feeds the counter bank); the
      ring only sees events when a tracer is attached. *)
   let np = inst.i_prof.Tr.Prof.nprofs.(n.nr_idx) in
-  let ra = fired && ready_again n in
+  (* Could the node fire again with the tokens already committed?  No
+     other event will arrive for them, so a firing self-schedules its
+     next attempt (live-ins never fire here). *)
+  let ra = fired && can_start n in
   if fired then begin
     ignore (Tr.Prof.transition np (Tr.cause_index Tr.Busy) sim.now);
     ignore
@@ -2118,9 +2133,20 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
   if fired then begin
     sim.fires <- sim.fires + 1;
     sim.last_activity <- sim.now;
-    (* The firing may have produced something to emit this very cycle
-       and may have changed the instance's completion conditions. *)
-    wake_emit sim inst n;
+    (* The firing may have produced something to emit and may have
+       changed the instance's completion conditions.  A pipelined
+       result is emitted in ring order: only a new head needs a wake,
+       now if it is due and on its due cycle otherwise; an entry behind
+       it is reached when the head drains ([try_emit]).  A live-out
+       emits nothing. *)
+    if n.nr_pipe then begin
+      if n.np_tail - n.np_head = 1 then begin
+        let ready = n.np_ready.(n.np_head land 3) in
+        if ready <= sim.now then wake_emit sim inst n
+        else at sim ready inst n 1
+      end
+    end
+    else (match n.nr.kind with G.LiveOut _ -> () | _ -> wake_emit sim inst n);
     wake_complete sim inst;
     (match n.nr.kind with
     | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ ->
@@ -2297,15 +2323,19 @@ let rec drain_sync (sim : t) (inst : instance) (n : node_rt)
   else progressed
 
 let try_emit (sim : t) (inst : instance) (n : node_rt) : bool =
-  let progressed = drain_pipe sim n false in
-  let progressed = drain_mem sim inst.i_sc n progressed in
-  let progressed = drain_resp sim n progressed in
-  let progressed = drain_sync sim inst n progressed in
-  (* Whatever is still pipelined wakes the node on its due cycle. *)
-  (if n.np_tail - n.np_head > 0 then
-     let ready = n.np_ready.(n.np_head land 3) in
-     if ready > sim.now then at sim ready inst n 1);
-  progressed
+  if n.nr_pipe then begin
+    let progressed = drain_pipe sim n false in
+    (* A new ring head wakes the node on its due cycle; an unchanged
+       head already has its wake. *)
+    (if progressed && n.np_tail - n.np_head > 0 then
+       let ready = n.np_ready.(n.np_head land 3) in
+       if ready > sim.now then at sim ready inst n 1);
+    progressed
+  end
+  else
+    let progressed = drain_mem sim inst.i_sc n false in
+    let progressed = drain_resp sim n progressed in
+    drain_sync sim inst n progressed
 
 (* ------------------------------------------------------------------ *)
 (* The main loop                                                        *)
@@ -2342,15 +2372,22 @@ let take_half (inst : instance) (par : int) : int = inst.i_nw - par
 
 (* Fire the nodes of a taken half in graph order (its bits, lowest
    first), clearing it as it goes; [any] accumulates whether something
-   fired.  Top-level and tail-recursive: nothing here allocates. *)
+   fired.  A woken node whose attempt would change nothing is skipped
+   here rather than when woken: between the wake and this drain the
+   completion phase may relabel it idle, and then the attempt matters.
+   Top-level and tail-recursive: nothing here allocates. *)
 let rec fire_bits (sim : t) (inst : instance) (base : int) (w : int)
     (any : bool) : bool =
   if w = 0 then any
   else begin
     let b = w land -w in
-    sim.woken <- sim.woken + 1;
-    let f = fire_node sim inst inst.inodes.(base + bit_index b) in
-    fire_bits sim inst base (w lxor b) (any || f)
+    let n = inst.inodes.(base + bit_index b) in
+    if futile inst n sim.now then fire_bits sim inst base (w lxor b) any
+    else begin
+      sim.woken <- sim.woken + 1;
+      let f = fire_node sim inst n in
+      fire_bits sim inst base (w lxor b) (any || f)
+    end
   end
 
 let rec fire_words (sim : t) (inst : instance) (off : int) (k : int)
@@ -2600,11 +2637,14 @@ let commit (sim : t) : unit =
     let f = sim.ld_v.(i) in
     f.f_dirty <- false;
     if f.ftail - f.fmid > 0 then begin
+      let dn = f.f_dn in
+      if f.fmid = f.fhead then dn.nr_miss <- dn.nr_miss - 1;
       f.fmid <- f.ftail;
-      (* Fresh tokens: the consumer may be able to fire. *)
-      match f.f_dst with
-      | Some (di, dn) -> wake_fire sim di dn
-      | None -> ()
+      (* Fresh tokens: the consumer may be able to fire.  Nothing
+         changes a label, an operand or a busy time between here and
+         the next fire phase, so the futility check is already final;
+         of several commits into one consumer, the last sees them all. *)
+      if not (futile f.f_di dn (sim.now + 1)) then wake_fire sim f.f_di dn
     end
   done;
   sim.ld_n <- 0
@@ -2721,38 +2761,16 @@ let diagnose (sim : t) : string =
     sim.tasks;
   Buffer.contents buf
 
-(** Run the circuit's root task with [args] to completion.  Returns
-    the root's return value, the final memory, statistics, and the
-    always-on performance-counter bank (exact fires, per-cause stall
-    cycles and occupancy integrals — maintained whether or not a
-    tracer is attached).  [?tracer] additionally streams timeline
-    events into a [Muir_trace.Trace.t]; tracing is strictly passive,
-    so cycle counts, stats and counters are identical with it on or
-    off.  [?jobs] is accepted for compatibility and ignored: the
-    kernel runs on one lane. *)
-let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
-    ?(deadlock_window = 50_000) ?jobs:(_ : int option) (c : G.circuit) :
-    result =
-  let t_start = Unix.gettimeofday () in
-  (* The steady-state kernel is allocation-free, but instance-pool
-     warm-up (deep spawn recursion) allocates in bursts.  A default
-     256k-word minor heap promotes those bursts straight to the major
-     heap and triggers full collections mid-run; run under a roomier
-     nursery and restore the caller's sizing afterwards. *)
-  let gc_ctrl = Gc.get () in
-  if gc_ctrl.Gc.minor_heap_size < 2_097_152 then
-    Gc.set { gc_ctrl with Gc.minor_heap_size = 2_097_152 };
-  let sim = create ?tracer c in
-  Fun.protect
-    ~finally:(fun () ->
-      if gc_ctrl.Gc.minor_heap_size < 2_097_152 then Gc.set gc_ctrl)
-  @@ fun () ->
-  let root = sim.tasks.(c.root) in
+(** Queue the root task's invocation, with [args] after the implicit
+    true predicate, before cycle 0 (so occupancy counts it from cycle
+    0).  [run] calls it on a fresh simulator; stepping [sim] afterwards
+    runs the program. *)
+let start (sim : t) (args : token list) : unit =
+  let root = sim.tasks.(sim.circ.root) in
   let root_ctx =
     { live_children = 0; cx_owner = None; cx_w_inst = [||]; cx_w_node = [||];
       cx_nw = 0 }
   in
-  (* Queued before cycle 0, so occupancy counts it from cycle 0. *)
   let s =
     tq_push sim root ~at:0 ~ctx:root_ctx ~rkind:0 ~rinst:dummy_inst
       ~rnode:dummy_node ~rwave:0 ~rctx:root_ctx
@@ -2772,7 +2790,23 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
         root.tq_flts.(base + i) <- F.flt_of v;
         root.tq_objs.(base + i) <- F.obj_of v
       end)
-    (T.VBool true :: args);
+    (T.VBool true :: args)
+
+(** Run the circuit's root task with [args] to completion.  Returns
+    the root's return value, the final memory, statistics, and the
+    always-on performance-counter bank (exact fires, per-cause stall
+    cycles and occupancy integrals — maintained whether or not a
+    tracer is attached).  [?tracer] additionally streams timeline
+    events into a [Muir_trace.Trace.t]; tracing is strictly passive,
+    so cycle counts, stats and counters are identical with it on or
+    off.  [?jobs] is accepted for compatibility and ignored: the
+    kernel runs on one lane. *)
+let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
+    ?(deadlock_window = 50_000) ?jobs:(_ : int option) (c : G.circuit) :
+    result =
+  let t_start = Unix.gettimeofday () in
+  let sim = create ?tracer c in
+  start sim args;
   (* GC evidence: sample the minor-heap allocation counter every 4096
      cycles; the steady-state rate is measured over the second half of
      the run, past the construction warm-up. *)

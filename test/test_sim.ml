@@ -304,6 +304,76 @@ let equivalence_cases =
       Alcotest.test_case w.wname `Quick (test_kernel_equivalence w))
     W.all
 
+(* Zero-allocation guard: the steady-state fire path must not touch the
+   minor heap.  [Sim.run] samples the minor-word counter every 4096
+   cycles and reports the rate over the second half of the run, past
+   construction warm-up; 0.05 words/cycle of slack covers the sampling
+   itself.  Minor-heap allocation is deterministic, so this does not
+   flake. *)
+let test_zero_alloc name () =
+  let w = W.find name in
+  let c = Muir_core.Build.circuit ~name:w.wname (W.program w) in
+  let rate = (Muir_sim.Sim.run c).stats.gc_minor_words_per_cycle in
+  if rate >= 0.05 then
+    Alcotest.failf
+      "%s steady state allocates %.4f minor words/cycle (limit 0.05)" name
+      rate
+
+(* Readiness oracle: a node's [nr_miss] counts its wired inputs whose
+   channel holds no committed token, and is kept up to date by the
+   commits and pops that move those channels.  After every cycle of
+   every registry workload under baseline and best, it must equal a
+   recount of the channels. *)
+let rec recount_miss (n : Muir_sim.Sim.node_rt) (i : int) (k : int) : int =
+  if i = Array.length n.nr_in then k
+  else
+    match n.nr_in.(i) with
+    | Some f when f.fmid - f.fhead = 0 -> recount_miss n (i + 1) (k + 1)
+    | _ -> recount_miss n (i + 1) k
+
+let test_readiness_oracle (w : W.t) () =
+  let best =
+    match Muir_opt.Stacks.find_spec "best" with
+    | Some sp -> sp.sp_build sp.sp_defaults
+    | None -> Alcotest.fail "registry lost stack best"
+  in
+  List.iter
+    (fun (sname, passes) ->
+      let c = Muir_core.Build.circuit ~name:w.wname (W.program w) in
+      ignore (Muir_opt.Pass.run_all passes c);
+      let sim = Muir_sim.Sim.create c in
+      Muir_sim.Sim.start sim [];
+      let check () =
+        for k = 0 to sim.next_iid - 1 do
+          let inst = sim.insts.(k) in
+          if inst.live then
+            for j = 0 to Array.length inst.inodes - 1 do
+              let n = inst.inodes.(j) in
+              let want = recount_miss n 0 0 in
+              if n.nr_miss <> want then
+                Alcotest.failf
+                  "%s/%s cycle %d: task %s instance %d node n%d has \
+                   nr_miss %d, channels say %d"
+                  w.wname sname sim.now inst.it.tname inst.iid n.nr.nid
+                  n.nr_miss want
+            done
+        done
+      in
+      check ();
+      while (not sim.root_done) && sim.now < 20_000_000 do
+        Muir_sim.Sim.step sim;
+        check ()
+      done;
+      Alcotest.(check bool) (w.wname ^ "/" ^ sname ^ ": finished") true
+        sim.root_done)
+    [ ("baseline", []); ("best", best) ]
+
+let readiness_cases =
+  List.map
+    (fun (w : W.t) ->
+      Alcotest.test_case w.wname `Quick (test_readiness_oracle w))
+    W.all
+
 (* Properties *)
 
 let prop_sim_matches_interp_random_saxpy =
@@ -369,6 +439,11 @@ let () =
           Alcotest.test_case "cycle limit" `Quick test_deadlock_detection;
           Alcotest.test_case "dma accounting" `Quick test_dma_accounting ] );
       ("kernel-equivalence", equivalence_cases);
+      ( "zero-allocation",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_zero_alloc name))
+          [ "gemm"; "fib" ] );
+      ("readiness-oracle", readiness_cases);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sim_matches_interp_random_saxpy; prop_fib_matches ] ) ]
