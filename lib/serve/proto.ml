@@ -74,13 +74,13 @@ let rec really_write (fd : Unix.file_descr) (b : Bytes.t) (off : int)
     really_write fd b (off + n) (len - n)
   end
 
+(* Header and payload go out in one write: a peer that closes after
+   reading an oversize header must not turn the payload's write into an
+   [EPIPE]. *)
 let write_frame (fd : Unix.file_descr) (payload : string) : unit =
   let n = String.length payload in
   let b = Bytes.create (4 + n) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
+  Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.blit_string payload 0 b 4 n;
   really_write fd b 0 (4 + n)
 
@@ -444,3 +444,41 @@ let response_of_string (s : string) : response =
   | exception J.Parse_error e -> badr "invalid JSON: %s" e
 
 let response_to_string (r : response) : string = J.to_string (response_to_json r)
+
+(* ------------------------------------------------------------------ *)
+(* Reusable reply frames                                               *)
+
+(** The daemon's outgoing frame, reused across replies: the payload is
+    printed into [rf_json] and copied behind its header into [rf_frame],
+    so once both have grown to the reply size a reply allocates nothing
+    that outlives the minor heap. *)
+type reply_frame = { rf_json : Buffer.t; mutable rf_frame : Bytes.t }
+
+let reply_frame () : reply_frame =
+  { rf_json = Buffer.create 4096; rf_frame = Bytes.create 4096 }
+
+(** Payload size past which a reply frame gives its storage back after
+    writing, so one huge batch reply does not pin its size for good. *)
+let reply_frame_keep = 1 lsl 20
+
+(** Write [r] as one frame through [f]: the same bytes as
+    [write_frame fd (response_to_string r)], header and payload in one
+    write. *)
+let write_response (f : reply_frame) (fd : Unix.file_descr) (r : response) :
+    unit =
+  let json = f.rf_json in
+  Buffer.clear json;
+  J.print json (response_to_json r);
+  let n = Buffer.length json in
+  if Bytes.length f.rf_frame < 4 + n then
+    f.rf_frame <-
+      Bytes.create (Int.max (4 + n) (2 * Bytes.length f.rf_frame));
+  Bytes.set_int32_be f.rf_frame 0 (Int32.of_int n);
+  Buffer.blit json 0 f.rf_frame 4 n;
+  Fun.protect
+    ~finally:(fun () ->
+      if n > reply_frame_keep then begin
+        Buffer.reset json;
+        f.rf_frame <- Bytes.create 4096
+      end)
+    (fun () -> really_write fd f.rf_frame 0 (4 + n))

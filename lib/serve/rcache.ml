@@ -56,10 +56,11 @@ let entry_path (dir : string) (key : string) : string =
 (* ------------------------------------------------------------------ *)
 (* On-disk entry codec                                                 *)
 
-let encode_entry (key : string) (payload : string) : string =
-  Fmt.str "%s %s %d %d\n%s%s" magic
+(** The header line of an entry; the key and the payload follow it. *)
+let entry_header (key : string) (payload : string) : string =
+  Fmt.str "%s %s %d %d\n" magic
     (Digest.to_hex (Digest.string payload))
-    (String.length key) (String.length payload) key payload
+    (String.length key) (String.length payload)
 
 (** Decode and validate one entry file's contents against its
     filename; [Error reason] for anything mangled. *)
@@ -98,10 +99,10 @@ let read_file (path : string) : string =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_atomic (dir : string) (path : string) (contents : string) : unit =
+let write_atomic (dir : string) (path : string) (parts : string list) : unit =
   let tmp = Filename.temp_file ~temp_dir:dir "rcache" ".tmp" in
   let oc = open_out_bin tmp in
-  output_string oc contents;
+  List.iter (output_string oc) parts;
   close_out oc;
   Unix.rename tmp path
 
@@ -149,9 +150,11 @@ let add (t : t) (key : string) (payload : string) : unit =
   match t.rc_dir with
   | None -> ()
   | Some dir ->
-    let contents = encode_entry key payload in
-    write_atomic dir (entry_path dir key) contents;
-    t.rc_bytes <- t.rc_bytes + String.length contents
+    let header = entry_header key payload in
+    write_atomic dir (entry_path dir key) [ header; key; payload ];
+    t.rc_bytes <-
+      t.rc_bytes + String.length header + String.length key
+      + String.length payload
 
 let stats (t : t) : stats =
   let s = Muir_dse.Cache.stats t.rc_mem in

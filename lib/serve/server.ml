@@ -24,6 +24,16 @@
     deterministic, a cached answer is byte-identical to the fresh one
     it replays.
 
+    {2 Replies}
+
+    A report payload is text that {!Muir_trace.Json.to_string} printed
+    — {!Muir_trace.Report.to_json} for fresh results, and disk entries
+    are checked to parse at load ({!Rcache}).  An ok result carries it
+    as [Json.Raw], so the reply splices the stored text instead of
+    parsing and re-printing it; the bytes are the same, since printing
+    a parsed report reproduces it.  Every reply is printed into the
+    daemon's one reusable frame ({!Proto.write_response}).
+
     {2 Telemetry}
 
     Every counter, gauge and histogram lives in the handle's registry
@@ -97,6 +107,7 @@ type t = {
   mutable sv_cached : int;
   sv_stage_seconds : float array;
   sv_stage_counts : int array;
+  sv_reply : Proto.reply_frame;  (** every reply is written through it *)
 }
 
 and pending = {
@@ -183,7 +194,8 @@ let create ?cache_dir ?(jobs = 1) ?(queue_cap = 256) ?obs () : t =
     sv_requests = 0; sv_items = 0; sv_ok = 0; sv_errors = 0;
     sv_fresh = 0; sv_cached = 0;
     sv_stage_seconds = Array.make Pipeline.nstages 0.0;
-    sv_stage_counts = Array.make Pipeline.nstages 0 }
+    sv_stage_counts = Array.make Pipeline.nstages 0;
+    sv_reply = Proto.reply_frame () }
 
 (** Ask the serve loop to stop accepting work and drain what it has.
     Safe to call from a signal handler. *)
@@ -442,14 +454,15 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
       | Failed _ -> ());
       Hashtbl.replace by_key key (w.w_out, dur))
     fresh results;
-  (* Second pass: per-item results in request order. *)
+  (* Second pass: per-item results in request order; ok results splice
+     the report payload verbatim (see the module header). *)
   let fresh_n = ref 0 and cached_n = ref 0 and err_n = ref 0 in
   let ok ~cached payload =
     t.sv_ok <- t.sv_ok + 1;
     M.inc t.sv_mx.x_ok;
     M.inc (if cached then t.sv_mx.x_cached else t.sv_mx.x_fresh);
     incr (if cached then cached_n else fresh_n);
-    Proto.Ok_ { cached; report = Muir_trace.Json.parse payload }
+    Proto.Ok_ { cached; report = J.Raw payload }
   in
   let err code stage msg =
     t.sv_errors <- t.sv_errors + 1;
@@ -591,8 +604,8 @@ let handle_payload ?now (t : t) (payload : string) : Proto.response =
 (* ------------------------------------------------------------------ *)
 (* The socket loop                                                     *)
 
-let send (fd : Unix.file_descr) (resp : Proto.response) : bool =
-  match Proto.write_frame fd (Proto.response_to_string resp) with
+let send (t : t) (fd : Unix.file_descr) (resp : Proto.response) : bool =
+  match Proto.write_response t.sv_reply fd resp with
   | () -> true
   | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
 
@@ -667,16 +680,16 @@ let serve ?(max_frame = Proto.default_max_frame) ?metrics_file
     Olog.event log ~level:Olog.Warn "reject"
       [ ("client", J.Int (client_id fd)); ("code", J.Str code);
         ("msg", J.Str msg) ];
-    ignore (send fd (Proto.Error_r { code; msg }))
+    ignore (send t fd (Proto.Error_r { code; msg }))
   in
   let on_frame fd payload =
     match Proto.request_of_string payload with
     | exception Proto.Bad_request m -> reject fd "bad_request" m
-    | Proto.Stats -> ignore (send fd (stats_response t))
-    | Proto.Metrics -> ignore (send fd (Proto.Metrics_r (render_metrics t)))
+    | Proto.Stats -> ignore (send t fd (stats_response t))
+    | Proto.Metrics -> ignore (send t fd (Proto.Metrics_r (render_metrics t)))
     | Proto.Shutdown ->
       request_drain t;
-      ignore (send fd Proto.Bye)
+      ignore (send t fd Proto.Bye)
     | Proto.Run items ->
       if Atomic.get t.sv_stop then reject fd "draining" "daemon is draining"
       else if queue_depth t + List.length items > t.sv_queue_cap then
@@ -719,7 +732,7 @@ let serve ?(max_frame = Proto.default_max_frame) ?metrics_file
     | None -> ()
     | Some p ->
       let resp = run_items ~now:p.pd_admitted t p.pd_items in
-      if not (send p.pd_fd resp) then close_client p.pd_fd
+      if not (send t p.pd_fd resp) then close_client p.pd_fd
   in
   let snapshot () =
     match metrics_file with

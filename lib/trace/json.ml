@@ -1,13 +1,39 @@
 (** A minimal JSON layer shared by every machine-readable emitter in
-    the toolchain: the Chrome trace exporter, the run-report writer and
-    the design-space explorer.  No external dependency — the container
-    bakes in none — so this is a tiny value type, an RFC 8259 escaper,
-    a compact printer and a strict recursive-descent parser.
+    the toolchain: the Chrome trace exporter, the run-report writer,
+    the design-space explorer and the serve wire protocol.  No external
+    dependency — the container bakes in none — so this is a tiny value
+    type, an RFC 8259 escaper, a compact printer and a strict
+    recursive-descent parser.
 
     Numbers keep their source representation split between [Int] and
     [Float] so integer counters round-trip byte-exactly (a cycle count
     never grows a [.0] suffix), which the byte-reproducible run reports
-    rely on. *)
+    rely on.  The literal [-0] parses as [Float (-0.)], the value that
+    prints it, so [to_string (parse (to_string v)) = to_string v] holds
+    for every tree.
+
+    {2 Scanner}
+
+    The parser reads the input by index: no value is allocated per
+    character.  A string without escapes is sliced out of the input
+    once, and only a string with escapes is assembled in a buffer; an
+    integer of at most 18 digits is accumulated as it is scanned, and
+    any other number is sliced once.
+
+    Input is checked as RFC 8259 asks: an escaped surrogate pair
+    ([\ud83d\ude00]) decodes to its 4-byte UTF-8 sequence, a lone
+    surrogate and a leading zero ([01]) are errors, and nesting deeper
+    than {!max_depth} arrays and objects is an error — so a hostile
+    frame of nested brackets costs a bounded stack, not the heap.
+
+    {2 Verbatim text}
+
+    [Raw text] prints [text] unchanged.  It holds text that {!to_string}
+    printed — the daemon splices a stored run report into its reply
+    this way instead of parsing and re-printing it — so the output
+    stays valid JSON and byte-identical to printing the parsed tree.
+    {!parse} never produces [Raw], and the accessors treat it as an
+    opaque value. *)
 
 type t =
   | Null
@@ -17,55 +43,77 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string  (** text printed by {!to_string}, printed verbatim *)
 
 (* ------------------------------------------------------------------ *)
 (* Escaping (RFC 8259 §7)                                              *)
 
-(** Escape [s] for inclusion inside a JSON string literal: quote and
+(** Append [s] to [buf] as the body of a JSON string literal: quote and
     backslash get their two-character escapes, the named control
     characters their short forms, every other control character a
     [\u00XX] escape.  Anything ≥ 0x20 passes through (JSON strings are
-    raw UTF-8). *)
+    raw UTF-8).  Runs that need no escaping are copied in one piece. *)
+let add_escaped (buf : Buffer.t) (s : string) : unit =
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      let c = String.unsafe_get s i in
+      if c <> '"' && c <> '\\' && Char.code c >= 0x20 then go start (i + 1)
+      else begin
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0
+
+(** [s] escaped for inclusion inside a JSON string literal (see
+    {!add_escaped}). *)
 let escape (s : string) : string =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
 (** A float rendered so the parser reads back the same value; never
-    [nan]/[inf] (clamped to 0), never bare [.] forms JSON rejects. *)
+    [nan]/[inf] (clamped to 0), never bare [.] forms JSON rejects.  The
+    12-digit form is used when it round-trips, else the 17-digit one. *)
 let float_repr (f : float) : string =
   if not (Float.is_finite f) then "0"
   else
-    let s = Printf.sprintf "%.17g" f in
-    (* shortest representation that round-trips *)
-    let shorter = Printf.sprintf "%.12g" f in
-    if float_of_string shorter = f then shorter else s
+    let short = Printf.sprintf "%.12g" f in
+    if float_of_string short = f then short else Printf.sprintf "%.17g" f
+
+(* The digits of [n >= 0], as [string_of_int] spells them, without
+   going through its format interpreter. *)
+let rec add_nat (buf : Buffer.t) (n : int) : unit =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_quoted (buf : Buffer.t) (s : string) : unit =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 let rec print (buf : Buffer.t) : t -> unit = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i when i >= 0 -> add_nat buf i
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_repr f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Str s -> add_quoted buf s
+  | Raw s -> Buffer.add_string buf s
   | Arr xs ->
     Buffer.add_char buf '[';
     List.iteri
@@ -79,9 +127,8 @@ let rec print (buf : Buffer.t) : t -> unit = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
+        add_quoted buf k;
+        Buffer.add_char buf ':';
         print buf v)
       kvs;
     Buffer.add_char buf '}'
@@ -96,134 +143,181 @@ let to_string (v : t) : string =
 
 exception Parse_error of string
 
+(** The deepest nesting of arrays and objects {!parse} accepts.  A serve
+    reply nests 9 levels, [bench/baseline.json] 7. *)
+let max_depth = 512
+
 let parse (s : string) : t =
   let n = String.length s in
   let pos = ref 0 in
-  let fail msg = raise (Parse_error (Fmt.str "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  let fail msg =
+    raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
+  in
+  (* The character at the cursor; NUL past the end, which every caller
+     either rejects or checks against [n]. *)
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let rec skip_ws () =
     match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
+    | ' ' | '\t' | '\n' | '\r' ->
+      incr pos;
       skip_ws ()
     | _ -> ()
   in
   let expect ch =
-    match peek () with
-    | Some c when c = ch -> advance ()
-    | _ -> fail (Fmt.str "expected %C" ch)
+    if !pos < n && String.unsafe_get s !pos = ch then incr pos
+    else fail (Printf.sprintf "expected %C" ch)
   in
   let literal word v =
-    String.iter (fun c -> expect c) word;
+    String.iter expect word;
     v
+  in
+  let hex4 () =
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      let d =
+        match peek () with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v * 16) + d;
+      incr pos
+    done;
+    !v
+  in
+  (* The code point of a [\u] escape whose [u] is under the cursor; a
+     high surrogate must be followed by an escaped low one. *)
+  let code_point () =
+    incr pos;
+    let hi = hex4 () in
+    if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate"
+    else if hi < 0xD800 || hi > 0xDBFF then hi
+    else if peek () = '\\' && !pos + 1 < n && s.[!pos + 1] = 'u' then begin
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate"
+      else 0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+    end
+    else fail "lone high surrogate"
+  in
+  (* The rest of a string whose first escape is under the cursor. *)
+  let escaped_string start =
+    let buf = Buffer.create (!pos - start + 16) in
+    Buffer.add_substring buf s start (!pos - start);
+    let rec go run =
+      if !pos >= n then fail "unterminated string"
+      else
+        match String.unsafe_get s !pos with
+        | '"' ->
+          Buffer.add_substring buf s run (!pos - run);
+          incr pos
+        | '\\' ->
+          Buffer.add_substring buf s run (!pos - run);
+          incr pos;
+          (match peek () with
+          | '"' -> Buffer.add_char buf '"'; incr pos
+          | '\\' -> Buffer.add_char buf '\\'; incr pos
+          | '/' -> Buffer.add_char buf '/'; incr pos
+          | 'b' -> Buffer.add_char buf '\b'; incr pos
+          | 'f' -> Buffer.add_char buf '\012'; incr pos
+          | 'n' -> Buffer.add_char buf '\n'; incr pos
+          | 'r' -> Buffer.add_char buf '\r'; incr pos
+          | 't' -> Buffer.add_char buf '\t'; incr pos
+          | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point ()))
+          | _ -> fail "bad escape");
+          go !pos
+        | c when Char.code c < 0x20 -> fail "raw control char in string"
+        | _ ->
+          incr pos;
+          go run
+    in
+    go !pos;
+    Buffer.contents buf
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let hex c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> fail "bad \\u escape"
+    let start = !pos in
+    let rec scan () =
+      if !pos >= n then fail "unterminated string"
+      else
+        match String.unsafe_get s !pos with
+        | '"' ->
+          incr pos;
+          String.sub s start (!pos - 1 - start)
+        | '\\' -> escaped_string start
+        | c when Char.code c < 0x20 -> fail "raw control char in string"
+        | _ ->
+          incr pos;
+          scan ()
     in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-        | Some '/' -> Buffer.add_char buf '/'; advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'u' ->
-          advance ();
-          let v = ref 0 in
-          for _ = 1 to 4 do
-            match peek () with
-            | Some c ->
-              v := (!v * 16) + hex c;
-              advance ()
-            | None -> fail "bad \\u escape"
-          done;
-          (* decode the BMP code point as UTF-8; surrogate pairs of
-             exotic names degrade to their raw halves, which is fine
-             for counters and labels *)
-          let cp = !v in
-          if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-          else if cp < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-          end
-        | _ -> fail "bad escape");
-        go ()
-      | Some c when Char.code c < 0x20 -> fail "raw control char in string"
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
+    scan ()
   in
+  (* The integer part is accumulated while it is scanned, so an
+     integer of at most 18 digits (below [max_int]) is never sliced;
+     any other number is sliced once. *)
   let parse_number () =
     let start = !pos in
-    (match peek () with Some '-' -> advance () | _ -> ());
-    let digits () =
-      let saw = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-          saw := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if not !saw then fail "expected digit"
+    let neg = peek () = '-' in
+    if neg then incr pos;
+    let rec more_digits () =
+      match peek () with
+      | '0' .. '9' ->
+        incr pos;
+        more_digits ()
+      | _ -> ()
     in
-    digits ();
-    let fractional = ref false in
-    (match peek () with
-    | Some '.' ->
-      fractional := true;
-      advance ();
-      digits ()
-    | _ -> ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-      fractional := true;
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ());
-    let lit = String.sub s start (!pos - start) in
-    if !fractional then Float (float_of_string lit)
-    else
+    let digits () =
+      match peek () with
+      | '0' .. '9' -> more_digits ()
+      | _ -> fail "expected digit"
+    in
+    let int_start = !pos in
+    let rec int_digits acc =
+      match peek () with
+      | '0' .. '9' as c ->
+        incr pos;
+        int_digits ((acc * 10) + Char.code c - Char.code '0')
+      | _ -> acc
+    in
+    let mag =
+      match peek () with
+      | '0' -> (
+        incr pos;
+        match peek () with '0' .. '9' -> fail "leading zero" | _ -> 0)
+      | '1' .. '9' -> int_digits 0
+      | _ -> fail "expected digit"
+    in
+    match peek () with
+    | '.' | 'e' | 'E' ->
+      if peek () = '.' then begin
+        incr pos;
+        digits ()
+      end;
+      (match peek () with
+      | 'e' | 'E' ->
+        incr pos;
+        (match peek () with '+' | '-' -> incr pos | _ -> ());
+        digits ()
+      | _ -> ());
+      Float (float_of_string (String.sub s start (!pos - start)))
+    | _ when !pos - int_start <= 18 ->
+      if not neg then Int mag else if mag = 0 then Float (-0.) else Int (-mag)
+    | _ -> (
+      let lit = String.sub s start (!pos - start) in
       match int_of_string_opt lit with
       | Some i -> Int i
-      | None -> Float (float_of_string lit)
+      | None -> Float (float_of_string lit))
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
-    | Some '{' ->
-      advance ();
+    | '{' ->
+      if depth >= max_depth then fail "nesting too deep";
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if peek () = '}' then begin
+        incr pos;
         Obj []
       end
       else begin
@@ -232,49 +326,50 @@ let parse (s : string) : t =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
-          | Some ',' ->
-            advance ();
+          | ',' ->
+            incr pos;
             members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
+          | '}' ->
+            incr pos;
             List.rev ((k, v) :: acc)
           | _ -> fail "expected , or }"
         in
         Obj (members [])
       end
-    | Some '[' ->
-      advance ();
+    | '[' ->
+      if depth >= max_depth then fail "nesting too deep";
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if peek () = ']' then begin
+        incr pos;
         Arr []
       end
       else begin
         let rec elements acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
-          | Some ',' ->
-            advance ();
+          | ',' ->
+            incr pos;
             elements (v :: acc)
-          | Some ']' ->
-            advance ();
+          | ']' ->
+            incr pos;
             List.rev (v :: acc)
           | _ -> fail "expected , or ]"
         in
         Arr (elements [])
       end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
     | _ -> fail "expected a value"
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

@@ -153,14 +153,44 @@ let test_oversize_frame () =
       | _ -> Alcotest.fail "oversize frame accepted"
       | exception Proto.Oversize n -> Alcotest.(check int) "length" 100 n)
 
+(* One reusable reply frame writes the bytes [write_frame] writes for
+   the printed response, also after a reply large enough to make it give
+   its storage back. *)
+let test_reply_frame () =
+  let path = Filename.temp_file "muir-reply" ".frames" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let replies =
+    [ Proto.Bye;
+      Proto.Metrics_r (String.make (Proto.reply_frame_keep + 10) 'm');
+      Proto.Error_r { code = "bad_request"; msg = "we\"ird\n\x01" };
+      Proto.Bye ]
+  in
+  let f = Proto.reply_frame () in
+  let out = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  List.iter (Proto.write_response f out) replies;
+  Unix.close out;
+  let inp = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close inp) @@ fun () ->
+  List.iteri
+    (fun i r ->
+      Alcotest.(check (option string))
+        (Fmt.str "reply %d" i)
+        (Some (Proto.response_to_string r))
+        (Proto.read_frame ~max_frame:max_int inp))
+    replies;
+  Alcotest.(check (option string)) "nothing else" None (Proto.read_frame inp)
+
 (* --- malformed payloads against a live server state ----------------- *)
 
 let test_handle_malformed () =
   let t = Server.create () in
-  (match Server.handle_payload t "}{ nope" with
-  | Proto.Error_r { code; _ } ->
-    Alcotest.(check string) "code" "bad_request" code
-  | _ -> Alcotest.fail "garbage payload not rejected");
+  List.iter
+    (fun (label, payload) ->
+      match Server.handle_payload t payload with
+      | Proto.Error_r { code; _ } ->
+        Alcotest.(check string) (label ^ " code") "bad_request" code
+      | _ -> Alcotest.fail (label ^ " payload not rejected"))
+    [ ("garbage", "}{ nope"); ("nested", String.make 100_000 '[') ];
   (* ... and the server still works afterwards. *)
   let rs, fresh, _, errors =
     results_of (Server.handle t (Proto.Run [ item (Proto.Workload "saxpy") ]))
@@ -256,6 +286,49 @@ let test_batch_dedup () =
   Alcotest.(check int) "both expired" 2 errors;
   Alcotest.(check string) "rep deadline" "deadline" (err_code (outcome rs 0));
   Alcotest.(check string) "dup deadline" "deadline" (err_code (outcome rs 1))
+
+(* --- spliced replies ---------------------------------------------------- *)
+
+(* Ok results splice the stored report text; the reply must be the bytes
+   the daemon printed when it parsed and re-printed each report, for
+   every registry workload at baseline and under the best stack, fresh
+   and from the cache. *)
+let test_spliced_replies () =
+  let t = Server.create () in
+  let items =
+    List.concat
+      (List.mapi
+         (fun i (w : W.t) ->
+           [ item ~id:(2 * i) (Proto.Workload w.wname);
+             item ~id:((2 * i) + 1) ~stack:"best" (Proto.Workload w.wname) ])
+         W.all)
+  in
+  let reparse = function
+    | Proto.Results r ->
+      Proto.Results
+        { r with
+          results =
+            List.map
+              (fun (x : Proto.result_) ->
+                match x.rs_outcome with
+                | Proto.Ok_ { cached; report = J.Raw p } ->
+                  { x with
+                    rs_outcome = Proto.Ok_ { cached; report = J.parse p } }
+                | Proto.Ok_ _ ->
+                  Alcotest.failf "item %d: report not spliced" x.rs_id
+                | Proto.Err { code; msg; _ } ->
+                  Alcotest.failf "item %d: %s: %s" x.rs_id code msg)
+              r.results }
+    | _ -> Alcotest.fail "expected a run response"
+  in
+  List.iter
+    (fun round ->
+      let resp = Server.handle t (Proto.Run items) in
+      Alcotest.(check string)
+        (round ^ " reply bytes")
+        (Proto.response_to_string (reparse resp))
+        (Proto.response_to_string resp))
+    [ "fresh"; "cached" ]
 
 (* --- persistence and byte-identity across restarts ------------------- *)
 
@@ -632,13 +705,15 @@ let () =
           Alcotest.test_case "truncated frames rejected" `Quick
             test_truncated_frames;
           Alcotest.test_case "oversize frame rejected" `Quick
-            test_oversize_frame ] );
+            test_oversize_frame;
+          Alcotest.test_case "reusable reply frame" `Quick test_reply_frame ] );
       ( "server",
         [ Alcotest.test_case "malformed payload contained" `Quick
             test_handle_malformed;
           Alcotest.test_case "item errors contained" `Quick
             test_item_errors_contained;
           Alcotest.test_case "in-batch dedup" `Quick test_batch_dedup;
+          Alcotest.test_case "spliced replies" `Quick test_spliced_replies;
           Alcotest.test_case "metrics op reconciles" `Quick
             test_metrics_op ] );
       ( "cache",

@@ -265,6 +265,134 @@ let test_hostile_names () =
   | J.Str s -> Alcotest.(check string) "escape round-trips" hostile s
   | _ -> Alcotest.fail "string did not parse back as a string"
 
+(* --- the JSON layer's input surface ---------------------------------- *)
+
+module J = Muir_trace.Json
+
+let rejects (label : string) (s : string) =
+  match J.parse s with
+  | _ -> Alcotest.failf "%s: accepted %S" label s
+  | exception J.Parse_error _ -> ()
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let test_json_nesting_cap () =
+  (match J.parse (nested J.max_depth) with
+  | J.Arr [ _ ] -> ()
+  | _ -> Alcotest.fail "the cap depth did not parse as an array");
+  rejects "one level past the cap" (nested (J.max_depth + 1));
+  let objects d =
+    String.concat "" (List.init d (fun _ -> {|{"k":|}))
+    ^ "0" ^ String.make d '}'
+  in
+  ignore (J.parse (objects J.max_depth));
+  rejects "objects past the cap" (objects (J.max_depth + 1));
+  rejects "unclosed brackets" (String.make 100_000 '[')
+
+let test_json_rfc8259 () =
+  let str s =
+    match J.parse s with
+    | J.Str v -> v
+    | _ -> Alcotest.failf "%S did not parse as a string" s
+  in
+  Alcotest.(check string) "surrogate pair is 4-byte UTF-8" "\xF0\x9F\x98\x80"
+    (str {|"\ud83d\ude00"|});
+  Alcotest.(check string) "BMP escape" "a\xC3\xA9\xE2\x9C\x93"
+    (str {|"a\u00e9\u2713"|});
+  rejects "lone high surrogate" {|"\ud83d"|};
+  rejects "high surrogate then text" {|"\ud83dx"|};
+  rejects "high surrogate then a non-low escape" {|"\ud83d\u0041"|};
+  rejects "lone low surrogate" {|"\ude00"|};
+  rejects "leading zero" "01";
+  rejects "negative leading zero" "-01";
+  rejects "double zero" "[00]";
+  List.iter
+    (fun (s, v) ->
+      Alcotest.(check bool) (s ^ " accepted") true (J.parse s = v))
+    [ ("0", J.Int 0); ("10", J.Int 10); ("0.5", J.Float 0.5);
+      ("-0.5e1", J.Float (-5.0)); ("0e0", J.Float 0.0) ];
+  (* Today's errors stay errors. *)
+  List.iter
+    (fun s -> rejects "malformed" s)
+    [ ""; " "; "[1,]"; "[1 2]"; {|{"a" 1}|}; {|{"a":1,}|}; {|{1:2}|};
+      {|"abc|}; "\"a\x01\""; {|"\x"|}; {|"\u12G4"|}; {|"\u12|}; "tru";
+      "nul"; "1."; "-"; "1e"; "1e+"; ".5"; "+1"; "[1] x"; "{}}" ]
+
+(* [-0] prints as "-0"; it must read back as the float that prints it,
+   or the re-print drops the sign. *)
+let test_json_negative_zero () =
+  Alcotest.(check string) "prints -0" "-0" (J.to_string (J.Float (-0.)));
+  match J.parse "-0" with
+  | J.Float f ->
+    Alcotest.(check bool) "negative zero" true (1.0 /. f = Float.neg_infinity)
+  | _ -> Alcotest.fail "-0 did not parse as a float"
+
+(* Trees with every string and number class the printer must escape or
+   spell: control characters, quote and backslash, raw non-ASCII bytes
+   (valid UTF-8 or not), integer extremes, subnormal and huge floats,
+   signed zeros and non-finite values. *)
+let gen_json : J.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let char =
+    frequency
+      [ (4, char_range 'a' 'z');
+        (2, map Char.chr (int_range 0 0x1f));
+        (2, oneofl [ '"'; '\\'; '/'; ' '; '\x7f' ]);
+        (2, map Char.chr (int_range 0x80 0xff)) ]
+  in
+  let str =
+    oneof
+      [ string_size ~gen:char (int_range 0 12);
+        oneofl [ "\xF0\x9F\x98\x80"; "\xED\xA0\xBD"; "\xC3\xA9"; "" ] ]
+  in
+  let subnormal =
+    map2
+      (fun neg bits ->
+        let f = Int64.float_of_bits (Int64.of_int bits) in
+        if neg then -.f else f)
+      bool
+      (int_range 1 ((1 lsl 52) - 1))
+  in
+  let float =
+    oneof
+      [ float; subnormal;
+        oneofl
+          [ 0.0; -0.0; 5e-324; 2.2250738585072014e-308; Float.max_float;
+            1e21; 0.1; 1e15; 123456789012.0; 12345678901234567.0;
+            Float.nan; Float.infinity; Float.neg_infinity ] ]
+  in
+  let int = oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] in
+  let leaf =
+    frequency
+      [ (1, return J.Null); (1, map (fun b -> J.Bool b) bool);
+        (3, map (fun i -> J.Int i) int); (3, map (fun f -> J.Float f) float);
+        (3, map (fun s -> J.Str s) str) ]
+  in
+  sized
+    (fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               ( 1,
+                 map
+                   (fun xs -> J.Arr xs)
+                   (list_size (int_range 0 4) (self (n / 3))) );
+               ( 1,
+                 map
+                   (fun kvs -> J.Obj kvs)
+                   (list_size (int_range 0 4) (pair str (self (n / 3)))) ) ]))
+
+(* The invariant the serve daemon's splicing rests on: printing a
+   parsed printout reproduces it byte for byte. *)
+let prop_json_reprint =
+  QCheck.Test.make ~count:1000
+    ~name:"to_string (parse (to_string v)) = to_string v"
+    (QCheck.make ~print:J.to_string gen_json)
+    (fun v ->
+      let p = J.to_string v in
+      J.to_string (J.parse p) = p)
+
 let count_substring (hay : string) (needle : string) : int =
   let nl = String.length needle in
   let rec go from acc =
@@ -350,4 +478,10 @@ let () =
           Alcotest.test_case "vcd export" `Quick test_vcd_export;
           Alcotest.test_case "critical path" `Quick test_critical_path;
           Alcotest.test_case "bottleneck reduction" `Quick
-            test_bottleneck_reduction ] ) ]
+            test_bottleneck_reduction ] );
+      ( "json",
+        [ Alcotest.test_case "nesting cap" `Quick test_json_nesting_cap;
+          Alcotest.test_case "RFC 8259 strings and numbers" `Quick
+            test_json_rfc8259;
+          Alcotest.test_case "negative zero" `Quick test_json_negative_zero;
+          QCheck_alcotest.to_alcotest prop_json_reprint ] ) ]
