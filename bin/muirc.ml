@@ -149,7 +149,7 @@ let workload_exits =
 let target_built ?unroll target passes : Pipeline.built =
   if Sys.file_exists target then build_file ?unroll target passes
   else
-    Pipeline.build ~passes:(List.concat passes)
+    Pipeline.build ?unroll ~passes:(List.concat passes)
       (Pipeline.of_workload (resolve_workload target))
 
 (* --- commands ------------------------------------------------------ *)
@@ -162,11 +162,26 @@ let ir_cmd =
   Cmd.v (Cmd.info "ir" ~doc:"Print the compiler IR of a program.")
     Term.(const run $ file_arg)
 
+(* A report file that cannot be read or parsed, or an output path that
+   cannot be written, is a usage error: one line naming the file and the
+   reason, then exit 2 (as `bench compare` does). *)
+let file_error path reason =
+  Fmt.epr "%s@."
+    (if String.starts_with ~prefix:path reason then reason
+     else path ^ ": " ^ reason);
+  exit 2
+
 let write_file f s =
-  let oc = open_out f in
-  output_string oc s;
-  close_out oc;
+  (try
+     let oc = open_out f in
+     output_string oc s;
+     close_out oc
+   with Sys_error e -> file_error f e);
   Fmt.pr "wrote %s@." f
+
+let load_report path =
+  try Muir_trace.Report.load path
+  with Muir_trace.Report.Bad_report e | Sys_error e -> file_error path e
 
 (* muirc graph: for a source file, the μIR circuit (historical
    behavior); for a tensor-graph model (lib/nn), the operator graph
@@ -252,7 +267,7 @@ let dot_cmd =
           if not profile then None
           else begin
             (* the heat overlay only needs the counter bank — no ring *)
-            let r = Muir_sim.Sim.run c in
+            let r = Pipeline.simulate b in
             Some
               (Muir_trace.Profile.heat
                  (Muir_trace.Profile.of_run c r.Muir_sim.Sim.counters))
@@ -468,11 +483,7 @@ let chisel_cmd =
         let src = Muir_rtl.Chisel.emit c in
         match out with
         | None -> print_string src
-        | Some f ->
-          let oc = open_out f in
-          output_string oc src;
-          close_out oc;
-          Fmt.pr "wrote %s@." f)
+        | Some f -> write_file f src)
   in
   Cmd.v (Cmd.info "chisel" ~doc:"Emit Chisel for the accelerator.")
     Term.(const run $ file_arg $ passes_arg $ out)
@@ -577,8 +588,8 @@ let profile_cmd =
               Fmt.epr "profile --diff needs two report files: A B@.";
               exit 2
           in
-          let sa = Muir_trace.Report.load target in
-          let sb = Muir_trace.Report.load b in
+          let sa = load_report target in
+          let sb = load_report b in
           match (sa.su_runs, sb.su_runs) with
           | ra :: _, rb :: _ -> Muir_trace.Report.pp_diff Fmt.stdout ra rb
           | _ ->
@@ -602,9 +613,6 @@ let profile_cmd =
             vcd;
           Option.iter
             (fun f ->
-              let m = Pipeline.model b in
-              let fp = m.Pipeline.m_fpga in
-              let ac = m.Pipeline.m_asic in
               let stack =
                 match
                   List.map
@@ -614,32 +622,23 @@ let profile_cmd =
                 | [] -> "baseline"
                 | ps -> String.concat "," ps
               in
-              let mem =
-                List.map
-                  (fun (s : Muir_sim.Memsys.struct_stats) ->
-                    { Muir_trace.Report.m_name = s.ss_name;
-                      m_accesses = s.ss_accesses; m_hits = s.ss_hits;
-                      m_misses = s.ss_misses; m_conflicts = s.ss_conflicts })
-                  r.stats.mem
-              in
               let rep =
-                Muir_trace.Report.make ~workload:c.cname ~stack
-                  ~wall:r.stats.wall_seconds ~mem
-                  ~fpga:
-                    { Muir_trace.Report.f_mhz = fp.fr_mhz;
-                      f_alms = fp.fr_alms; f_regs = fp.fr_regs;
-                      f_dsps = fp.fr_dsps; f_brams = fp.fr_brams }
-                  ~asic:
-                    { Muir_trace.Report.a_ghz = ac.ar_ghz;
-                      a_area = ac.ar_area }
-                  ~total_cycles:r.stats.total_cycles c r.counters
+                Pipeline.report ~stack ~wall:r.stats.wall_seconds b
+                  (Pipeline.model b) r
               in
               write_file f (Muir_trace.Report.to_json rep))
             json
         end)
   in
   Cmd.v
-    (Cmd.info "profile" ~exits:workload_exits
+    (Cmd.info "profile"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:
+              "on a report file (with $(b,--diff)) that cannot be read or \
+               parsed, or an output path that cannot be written; one line \
+               on standard error names the file and the reason."
+         :: workload_exits)
        ~doc:
          "Simulate with cycle-level tracing and print the bottleneck \
           report: top stalled nodes with their dominant cause, stall \
@@ -800,14 +799,13 @@ let workload_cmd =
             w.description)
         Muir_workloads.Workloads.all
     else begin
-      let w = resolve_workload name in
-      let p = Muir_workloads.Workloads.program w in
-      let c = Muir_core.Build.circuit ~name:w.wname p in
-      let _ = Muir_opt.Pass.run_all (List.concat passes) c in
-      let r = Muir_sim.Sim.run c in
-      report_simulation r;
-      let cpu = Muir_cpu.Arm.run p in
-      let hls = Muir_hls.Hls.run p in
+      let b =
+        Pipeline.build ~passes:(List.concat passes)
+          (Pipeline.of_workload (resolve_workload name))
+      in
+      report_simulation (Pipeline.simulate b);
+      let cpu = Muir_cpu.Arm.run b.p_program in
+      let hls = Muir_hls.Hls.run b.p_program in
       Fmt.pr "ARM A9 model      %.0f cycles @ 1 GHz@." cpu.cpu_cycles;
       Fmt.pr "HLS model         %.0f cycles@." hls.hls_cycles
     end
@@ -987,15 +985,6 @@ let client_cmd =
             "Per-item deadline, measured from admission and enforced at \
              pipeline stage boundaries.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Per-item $(b,jobs) field sent to the daemon, which checks \
-             it is at least 1 and otherwise ignores it: the simulator \
-             runs on one lane.")
-  in
   let batch_arg =
     Arg.(
       value & opt (some string) None
@@ -1036,8 +1025,8 @@ let client_cmd =
   in
   let module J = Muir_trace.Json in
   let module P = Muir_serve.Proto in
-  let run socket targets stack tiles banks deadline jobs batch stats
-      metrics shutdown json =
+  let run socket targets stack tiles banks deadline batch stats metrics
+      shutdown json =
     let write_json resp =
       Option.iter
         (fun f -> write_file f (J.to_string (P.response_to_json resp)))
@@ -1121,7 +1110,7 @@ let client_cmd =
                 in
                 { P.it_id = i; it_src = src; it_stack = stack;
                   it_tiles = tiles; it_banks = banks; it_off = [];
-                  it_deadline_ms = deadline; it_jobs = jobs })
+                  it_deadline_ms = deadline; it_jobs = 1 })
               targets
         in
         if items = [] then begin
@@ -1179,7 +1168,7 @@ let client_cmd =
           $(b,--shutdown).")
     Term.(
       const run $ socket_arg $ targets_arg $ stack_arg $ tiles_arg
-      $ banks_arg $ deadline_arg $ jobs_arg $ batch_arg $ stats_flag
+      $ banks_arg $ deadline_arg $ batch_arg $ stats_flag
       $ metrics_flag $ shutdown_flag $ json_arg)
 
 (* --- muirc top: a live terminal view of a running daemon ----------- *)

@@ -13,7 +13,9 @@
     {!simulate} returns the simulator's result record unchanged), and
     every call site composes exactly the stages it needs: a static
     check stops after {!build}, the explorer adds {!model} before
-    deciding whether to simulate, the daemon runs all six.
+    deciding whether to simulate, the daemon runs all six.  {!report}
+    turns the three products into a run report, and {!per_category}
+    names the stack that [bench/baseline.json] calls [best].
 
     {2 Stage control: timing and deadlines}
 
@@ -37,6 +39,7 @@
 
 module G = Muir_core.Graph
 module W = Muir_workloads.Workloads
+module Report = Muir_trace.Report
 
 (* ------------------------------------------------------------------ *)
 (* Stages                                                              *)
@@ -175,3 +178,45 @@ let simulate ?ctl ?tracer ?args ?max_cycles ?deadlock_window (b : built) :
     Muir_sim.Sim.result =
   staged ctl Simulate (fun () ->
       Muir_sim.Sim.run ?tracer ?args ?max_cycles ?deadlock_window b.p_circuit)
+
+(* ------------------------------------------------------------------ *)
+(* Products to report                                                  *)
+
+(** The run report of one pipeline run: the only place a
+    {!Report.run} is assembled.  A plain function, not a
+    stage — it converts records and adds no timed work.  The caller
+    picks the label: [muirc] the pass names, the daemon the config
+    label, [bench] [baseline] or [best]. *)
+let report ~(stack : string) ?knobs ?wall (b : built) (m : modeled)
+    (r : Muir_sim.Sim.result) : Report.run =
+  let mem =
+    List.map
+      (fun (s : Muir_sim.Memsys.struct_stats) ->
+        { Report.m_name = s.ss_name; m_accesses = s.ss_accesses;
+          m_hits = s.ss_hits; m_misses = s.ss_misses;
+          m_conflicts = s.ss_conflicts })
+      r.stats.mem
+  in
+  let fp = m.m_fpga and ac = m.m_asic in
+  Report.make ~workload:b.p_circuit.cname ~stack ?knobs ?wall ~mem
+    ~fpga:
+      { Report.f_mhz = fp.fr_mhz; f_alms = fp.fr_alms; f_regs = fp.fr_regs;
+        f_dsps = fp.fr_dsps; f_brams = fp.fr_brams }
+    ~asic:{ Report.a_ghz = ac.ar_ghz; a_area = ac.ar_area }
+    ~total_cycles:r.stats.total_cycles b.p_circuit r.counters
+
+(** The per-category "all optimizations" stack (§6.5–6.6), which
+    [bench/baseline.json] records as [best].  Not a registry stack:
+    Cilk workloads get [cilk-stack], loop workloads [-O best], and
+    tensor workloads the tensor stack plus all-loops tiling and
+    scratchpad banking, which no [-O] spelling reaches. *)
+let per_category (w : W.t) : Muir_opt.Pass.t list =
+  let open Muir_opt in
+  if w.tensor then
+    Stacks.tensor_stack ()
+    @ [ Structural.tiling_pass ~scope:`All_loops ~tiles:4 ();
+        Structural.scratchpad_banking_pass ~banks:4 () ]
+  else
+    match w.category with
+    | W.Cilk -> Stacks.cilk_stack ~tiles:4 ~banks:2 ()
+    | _ -> Stacks.best_loop_stack ()

@@ -1,8 +1,6 @@
 (** Predefined pass stacks, mirroring the orderings the paper
     evaluates (§6.5, Fig. 8 and Fig. 17). *)
 
-module G = Muir_core.Graph
-
 (** The full five-pass stack of Fig. 8 for Cilk-style accelerators:
     task queuing → execution tiling → local scratchpads → scratchpad
     banking → op fusion and pipelining. *)
@@ -105,11 +103,3 @@ let find_spec (name : string) : spec option =
   List.find_opt (fun s -> s.sp_name = name) registry
 
 let names () : string list = List.map (fun s -> s.sp_name) registry
-
-(** Apply a stack to a fresh circuit built from [prog]. *)
-let optimized ?(entry = "main") ?(name = "accelerator")
-    (passes : Pass.t list) (prog : Muir_ir.Program.t) :
-    G.circuit * Pass.report list =
-  let c = Muir_core.Build.circuit ~entry ~name prog in
-  let reports = Pass.run_all passes c in
-  (c, reports)

@@ -278,26 +278,9 @@ let eval_item ?(now = Unix.gettimeofday) ~(deadline : float option)
         (if spec.sp_uses_tiles then [ ("tiles", cfg.tiles) ] else [])
         @ if spec.sp_uses_banks then [ ("banks", cfg.banks) ] else []
       in
-      let mem =
-        List.map
-          (fun (s : Muir_sim.Memsys.struct_stats) ->
-            { Muir_trace.Report.m_name = s.ss_name;
-              m_accesses = s.ss_accesses; m_hits = s.ss_hits;
-              m_misses = s.ss_misses; m_conflicts = s.ss_conflicts })
-          r.stats.mem
-      in
-      let fp = m.m_fpga and ac = m.m_asic in
-      let rep =
-        Muir_trace.Report.make ~workload:b.p_circuit.cname
-          ~stack:(Config.label cfg) ~knobs ~mem
-          ~fpga:
-            { Muir_trace.Report.f_mhz = fp.fr_mhz; f_alms = fp.fr_alms;
-              f_regs = fp.fr_regs; f_dsps = fp.fr_dsps;
-              f_brams = fp.fr_brams }
-          ~asic:{ Muir_trace.Report.a_ghz = ac.ar_ghz; a_area = ac.ar_area }
-          ~total_cycles:r.stats.total_cycles b.p_circuit r.counters
-      in
-      Payload (Muir_trace.Report.to_json rep)
+      Payload
+        (Muir_trace.Report.to_json
+           (Pipeline.report ~stack:(Config.label cfg) ~knobs b m r))
     with
     | Pipeline.Deadline st ->
       Failed

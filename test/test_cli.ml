@@ -1,7 +1,10 @@
 (* The command-line surface fails with a structured error, never an
    uncaught exception: every subcommand that resolves a workload name
    rejects an unknown one with exit code 2, lists the valid names on
-   standard error, and documents that code in its EXIT STATUS. *)
+   standard error, and documents that code in its EXIT STATUS.  Report
+   files that cannot be read and output paths that cannot be written
+   also exit 2, with one line naming the file.  Flags reach bundled
+   workloads as they reach source files. *)
 
 let muirc = Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "muirc.exe"
@@ -48,6 +51,44 @@ let test_exit_status_documented cmd () =
     Alcotest.failf "%s --help: EXIT STATUS does not document code 2:@.%s" cmd
       text
 
+(* Run [args] and require exit 2 with a one-line reason naming [file]. *)
+let expect_file_error (args : string list) (file : string) =
+  let code, text = muirc_run args in
+  let what = String.concat " " args in
+  Alcotest.(check int) (what ^ ": exit code") 2 code;
+  if not (contains text file) then
+    Alcotest.failf "%s: output does not name %s:@.%s" what file text;
+  if contains text "exception" then
+    Alcotest.failf "%s: uncaught exception:@.%s" what text
+
+(* profile --diff on a report file holding [contents] (None: no file) *)
+let test_diff_input contents () =
+  let f = Filename.temp_file "muirc" ".json" in
+  (match contents with
+  | None -> Sys.remove f
+  | Some s -> Out_channel.with_open_bin f (fun oc -> output_string oc s));
+  expect_file_error [ "profile"; "--diff"; f; f ] f;
+  if Sys.file_exists f then Sys.remove f
+
+let test_json_unwritable () =
+  (* a regular file used as a directory: never writable *)
+  let d = Filename.temp_file "muirc" ".json" in
+  let f = Filename.concat d "x.json" in
+  expect_file_error [ "profile"; "saxpy"; "--json"; f ] f;
+  Sys.remove d
+
+let test_profile_exit_documented () =
+  let _, text = muirc_run [ "profile"; "--help=plain" ] in
+  if not (contains text "cannot be written") then
+    Alcotest.failf "profile --help: EXIT STATUS lacks the file errors:@.%s"
+      text
+
+let test_unroll_workload () =
+  let code, text = muirc_run [ "simulate"; "gemm"; "-U" ] in
+  Alcotest.(check int) "simulate gemm -U: exit code" 0 code;
+  if not (contains text "= 19817") then
+    Alcotest.failf "simulate gemm -U: expected 19817 cycles:@.%s" text
+
 let () =
   Alcotest.run "cli"
     [ ( "unknown workload",
@@ -58,4 +99,18 @@ let () =
         List.map
           (fun cmd ->
             Alcotest.test_case cmd `Quick (test_exit_status_documented cmd))
-          commands ) ]
+          commands );
+      ( "report files",
+        [ Alcotest.test_case "diff: missing file" `Quick
+            (test_diff_input None);
+          Alcotest.test_case "diff: malformed JSON" `Quick
+            (test_diff_input (Some "{"));
+          Alcotest.test_case "diff: no runs" `Quick
+            (test_diff_input (Some {|{"x":1}|}));
+          Alcotest.test_case "json: unwritable path" `Quick
+            test_json_unwritable;
+          Alcotest.test_case "exit status documented" `Quick
+            test_profile_exit_documented ] );
+      ( "workload flags",
+        [ Alcotest.test_case "simulate gemm -U" `Quick test_unroll_workload ]
+      ) ]

@@ -8,6 +8,7 @@ open Muir_ir
 module Nn = Muir_nn
 module W = Muir_workloads.Workloads
 module Stacks = Muir_opt.Stacks
+module Pipeline = Muir_pipeline.Pipeline
 
 (* --- shape inference ----------------------------------------------- *)
 
@@ -211,20 +212,20 @@ let check_bits tag expected actual =
 
 let test_model_exact name ~fused () =
   let w = W.nn_workload ~fused name in
-  let p = W.program w in
   let gold = golden_outputs name ~fused in
   List.iter
     (fun (spec : Stacks.spec) ->
-      let c, _ =
-        Stacks.optimized ~name:w.wname (spec.sp_build spec.sp_defaults) p
+      let b =
+        Pipeline.build ~passes:(spec.sp_build spec.sp_defaults)
+          (Pipeline.of_workload w)
       in
-      let r = Muir_sim.Sim.run c in
+      let r = Pipeline.simulate b in
       List.iter
         (fun (oname, expected) ->
           check_bits
             (Fmt.str "%s/%s %s" w.wname spec.sp_name oname)
             expected
-            (sim_floats r p oname))
+            (sim_floats r b.p_program oname))
         gold)
     Stacks.registry
 

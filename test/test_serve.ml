@@ -287,12 +287,28 @@ let test_batch_dedup () =
   Alcotest.(check string) "rep deadline" "deadline" (err_code (outcome rs 0));
   Alcotest.(check string) "dup deadline" "deadline" (err_code (outcome rs 1))
 
+(* --- the run-report contract -------------------------------------------- *)
+
+(* bench/baseline.json's runs, each as the text Report.to_json emits. *)
+let baseline_rows =
+  lazy
+    (List.map
+       (fun (r : Muir_trace.Report.run) ->
+         ((r.r_workload, r.r_stack), Muir_trace.Report.to_json r))
+       (Muir_trace.Report.load "../bench/baseline.json").su_runs)
+
+let baseline_row (workload : string) (stack : string) : string =
+  match List.assoc_opt (workload, stack) (Lazy.force baseline_rows) with
+  | Some j -> j
+  | None -> Alcotest.failf "bench/baseline.json has no %s/%s run" workload stack
+
 (* --- spliced replies ---------------------------------------------------- *)
 
 (* Ok results splice the stored report text; the reply must be the bytes
    the daemon printed when it parsed and re-printed each report, for
    every registry workload at baseline and under the best stack, fresh
-   and from the cache. *)
+   and from the cache.  Each baseline report is bench/baseline.json's
+   run for that workload, byte for byte. *)
 let test_spliced_replies () =
   let t = Server.create () in
   let items =
@@ -327,7 +343,15 @@ let test_spliced_replies () =
       Alcotest.(check string)
         (round ^ " reply bytes")
         (Proto.response_to_string (reparse resp))
-        (Proto.response_to_string resp))
+        (Proto.response_to_string resp);
+      let rs, _, _, _ = results_of resp in
+      List.iteri
+        (fun i (w : W.t) ->
+          Alcotest.(check string)
+            (Fmt.str "%s %s/baseline is the baseline.json run" round w.wname)
+            (baseline_row w.wname "baseline")
+            (report_string (outcome rs (2 * i))))
+        W.all)
     [ "fresh"; "cached" ]
 
 (* --- persistence and byte-identity across restarts ------------------- *)
@@ -557,6 +581,22 @@ let test_pipeline_matches_direct () =
   Alcotest.(check string) "circuit named after the workload" w.wname
     b.p_circuit.cname
 
+(* Every workload at baseline and under the per-category stack, through
+   build → simulate → model → report: bench/baseline.json's 48 runs. *)
+let test_report_contract () =
+  List.iter
+    (fun (w : W.t) ->
+      List.iter
+        (fun (stack, passes) ->
+          let b = Pipeline.build ~passes (Pipeline.of_workload w) in
+          let r = Pipeline.simulate b in
+          Alcotest.(check string) (w.wname ^ "/" ^ stack)
+            (baseline_row w.wname stack)
+            (Muir_trace.Report.to_json
+               (Pipeline.report ~stack b (Pipeline.model b) r)))
+        [ ("baseline", []); ("best", Pipeline.per_category w) ])
+    W.all
+
 let test_pipeline_ctl () =
   let ctl = Pipeline.ctl () in
   let b =
@@ -726,7 +766,9 @@ let () =
       ( "pipeline",
         [ Alcotest.test_case "matches direct toolchain" `Quick
             test_pipeline_matches_direct;
-          Alcotest.test_case "stage control" `Quick test_pipeline_ctl ] );
+          Alcotest.test_case "stage control" `Quick test_pipeline_ctl;
+          Alcotest.test_case "reports equal bench/baseline.json" `Quick
+            test_report_contract ] );
       ( "socket",
         [ Alcotest.test_case "end to end" `Quick test_socket_end_to_end ] )
     ]

@@ -1,11 +1,13 @@
 (* Workload integration suite: every bundled benchmark must compile,
    validate, and simulate to the golden interpreter's results — both
-   baseline and under its optimization stack.  A handful of workloads
-   are additionally checked against independent OCaml reference
-   implementations, so the interpreter itself is cross-validated. *)
+   baseline and under the per-category stack that bench/baseline.json
+   records as best.  A handful of workloads are additionally checked
+   against independent OCaml reference implementations, so the
+   interpreter itself is cross-validated. *)
 
 open Muir_ir
 module W = Muir_workloads.Workloads
+module Pipeline = Muir_pipeline.Pipeline
 
 let floats_of mem p name =
   Array.map
@@ -59,18 +61,11 @@ let baseline_cases =
       Alcotest.test_case w.wname `Quick (fun () -> sim_matches_golden w))
     W.all
 
-let stack_for (w : W.t) =
-  if w.tensor then Muir_opt.Stacks.tensor_stack ()
-  else
-    match w.category with
-    | W.Cilk -> Muir_opt.Stacks.cilk_stack ~tiles:4 ~banks:2 ()
-    | _ -> Muir_opt.Stacks.best_loop_stack ~tiles:4 ()
-
 let stacked_cases =
   List.map
     (fun (w : W.t) ->
       Alcotest.test_case w.wname `Slow (fun () ->
-          sim_matches_golden ~passes:(stack_for w) w))
+          sim_matches_golden ~passes:(Pipeline.per_category w) w))
     W.all
 
 (* --- independent references ---------------------------------------- *)
