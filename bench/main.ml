@@ -436,7 +436,7 @@ let ablation () =
 (* Simulation-kernel observability: how fast the event-driven kernel    *)
 (* runs and how sparse its wake lists are                               *)
 
-let kernel ?json () =
+let kernel () =
   header
     "Simulation kernel: wall-clock throughput, wake-list sparsity and GC \
      pressure per workload";
@@ -481,36 +481,6 @@ let kernel ?json () =
            (< 0.05)@."
           name s.Muir_sim.Sim.gc_minor_words_per_cycle)
     [ "gemm"; "fib" ];
-  (match json with
-  | None -> ()
-  | Some path ->
-    let module J = Muir_trace.Json in
-    let j =
-      J.Obj
-        [ ( "workloads",
-            J.Arr
-              (List.map
-                 (fun (name, (s : Muir_sim.Sim.stats)) ->
-                   J.Obj
-                     [ ("name", J.Str name);
-                       ("cycles", J.Int s.cycles);
-                       ("wall_seconds", J.Float s.wall_seconds);
-                       ("cycles_per_sec", J.Float s.cycles_per_sec);
-                       ("woken_per_cycle", J.Float s.woken_per_cycle);
-                       ( "live_nodes_per_cycle",
-                         J.Float s.live_nodes_per_cycle );
-                       ( "gc_minor_words_per_cycle",
-                         J.Float s.gc_minor_words_per_cycle );
-                       ( "gc_major_collections",
-                         J.Int s.gc_major_collections ) ])
-                 rows) ) ]
-    in
-    let oc = open_out path in
-    output_string oc (J.to_string j);
-    output_char oc '\n';
-    close_out oc;
-    Fmt.pr "wrote kernel metrics for %d workloads to %s@."
-      (List.length rows) path);
   (* Tracing-disabled overhead guard: with no tracer attached the
      instrumented kernel must be indistinguishable from noise.  Two
      interleaved batches of untraced GEMM runs must land within 3% of
@@ -679,11 +649,12 @@ let timing () =
 (* Design-space exploration: the explorer vs the hand-picked stacks     *)
 
 let frontier_fingerprint (t : Muir_dse.Explore.t) : string =
-  String.concat "\n" (List.map Muir_dse.Explore.eval_to_json t.x_frontier)
-  ^ "\nbest:"
-  ^ (match t.x_best with
-    | Some b -> Muir_dse.Explore.eval_to_json b
-    | None -> "none")
+  let module J = Muir_trace.Json in
+  let ev = Muir_dse.Explore.eval_to_json in
+  J.to_string
+    (J.Obj
+       [ ("frontier", J.Arr (List.map ev t.x_frontier));
+         ("best", Option.fold ~none:J.Null ~some:ev t.x_best) ])
 
 (* Resolve bundled examples whether we run from the repo root or from
    inside the build tree. *)
@@ -878,12 +849,11 @@ let nn () =
 (* ------------------------------------------------------------------ *)
 (* The serve daemon: cold vs warm batch latency over the suite          *)
 
-let serve_experiment ?json () =
+let serve_experiment () =
   let module S = Muir_serve.Server in
   let module C = Muir_serve.Client in
   let module P = Muir_serve.Proto in
   let module J = Muir_trace.Json in
-  let module R = Muir_trace.Report in
   header
     "Serve daemon: cold vs warm batch latency and requests/sec over the \
      workload suite (persistent content-addressed cache)";
@@ -894,17 +864,8 @@ let serve_experiment ?json () =
   let jobs = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
   let start () =
     let t = S.create ~cache_dir ~jobs () in
-    let d = Domain.spawn (fun () -> S.serve ~socket t) in
-    let rec wait n =
-      if Sys.file_exists socket then ()
-      else if n = 0 then failwith "serve: daemon socket never appeared"
-      else begin
-        Unix.sleepf 0.05;
-        wait (n - 1)
-      end
-    in
-    wait 100;
-    d
+    let ln = S.listen socket in
+    Domain.spawn (fun () -> S.serve ln t)
   in
   (* Every workload at baseline and under the registry's "best" stack
      (tiles=8, banks=4).  Its best rows are not the regression
@@ -1018,26 +979,6 @@ let serve_experiment ?json () =
     (cold_wall /. warm_wall)
     (cold_wall /. restart_wall)
     (List.length items);
-  (match json with
-  | None -> ()
-  | Some path ->
-    (* The suite file format, built from the daemon's own responses.
-       The baseline runs equal `bench --json`'s; the best runs are the
-       registry stack's, not the per-category ones it records. *)
-    let runs =
-      List.map
-        (fun (x : P.result_) ->
-          match x.rs_outcome with
-          | P.Ok_ { report; _ } -> R.run_of_json (J.get "run" report)
-          | P.Err _ -> assert false)
-        cold_results
-    in
-    let suite = { R.su_provenance = R.provenance (); su_runs = runs } in
-    let oc = open_out path in
-    output_string oc (R.suite_to_json suite);
-    output_char oc '\n';
-    close_out oc;
-    Fmt.pr "wrote %d runs to %s@." (List.length runs) path);
   (try Sys.remove socket with Sys_error _ -> ());
   Array.iter
     (fun f -> try Sys.remove (Filename.concat cache_dir f) with Sys_error _ -> ())
@@ -1115,12 +1056,12 @@ let experiments : (string * (unit -> unit)) list =
     ("table4", table4);
     ("fig1", fig1);
     ("ablation", ablation);
-    ("kernel", fun () -> kernel ());
+    ("kernel", kernel);
     ("nn", nn);
     ("profile", profile);
     ("timing", timing);
     ("explore", explore);
-    ("serve", fun () -> serve_experiment ()) ]
+    ("serve", serve_experiment) ]
 
 let run_experiments args =
   let selected =
@@ -1129,7 +1070,7 @@ let run_experiments args =
         ("fig17", fun () -> ignore (fig17 ()));
         ("fig18", fun () -> ignore (fig18 ()));
         ("table4", table4); ("nn", nn); ("ablation", ablation);
-        ("explore", explore); ("kernel", fun () -> kernel ()) ]
+        ("explore", explore); ("kernel", kernel) ]
     else
       List.map
         (fun a ->
@@ -1150,22 +1091,6 @@ let () =
     | [] -> []
   in
   match args with
-  | "kernel" :: rest ->
-    (* kernel [--json PATH] *)
-    (match rest with
-    | [] -> kernel ()
-    | [ "--json"; path ] -> kernel ~json:path ()
-    | a :: _ ->
-      Fmt.epr "usage: bench kernel [--json PATH] (got %S)@." a;
-      exit 2)
-  | "serve" :: rest -> (
-    (* serve [--json PATH] *)
-    match rest with
-    | [] -> serve_experiment ()
-    | [ "--json"; path ] -> serve_experiment ~json:path ()
-    | a :: _ ->
-      Fmt.epr "usage: bench serve [--json PATH] (got %S)@." a;
-      exit 2)
   | [ "--json"; path ] -> suite_json path
   | "--json" :: _ ->
     Fmt.epr "usage: bench --json REPORT.json@.";

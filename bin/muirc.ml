@@ -179,6 +179,13 @@ let write_file f s =
    with Sys_error e -> file_error f e);
   Fmt.pr "wrote %s@." f
 
+(* Run [f], which opens [path]: a path it cannot use is a usage error
+   too. *)
+let on_path path f =
+  try f () with
+  | Sys_error e -> file_error path e
+  | Unix.Unix_error (e, _, _) -> file_error path (Unix.error_message e)
+
 let load_report path =
   try Muir_trace.Report.load path
   with Muir_trace.Report.Bad_report e | Sys_error e -> file_error path e
@@ -908,17 +915,21 @@ let serve_cmd =
              per-stage segments) as Chrome trace JSON to $(docv).")
   in
   let run socket cache_dir jobs queue log_json metrics_file trace_file =
+    (* Every path is opened before the daemon listens. *)
     let log =
       match log_json with
       | None -> None
       | Some "-" -> Some (Muir_obs.Log.create (Muir_obs.Log.to_channel stderr))
       | Some f ->
-        Some (Muir_obs.Log.create (Muir_obs.Log.to_channel (open_out f)))
+        let oc = on_path f (fun () -> open_out f) in
+        Some (Muir_obs.Log.create (Muir_obs.Log.to_channel oc))
     in
     let obs = Muir_obs.Obs.create ?log () in
     let t =
-      Muir_serve.Server.create ?cache_dir ~jobs ~queue_cap:queue ~obs ()
+      on_path (Option.value cache_dir ~default:"") (fun () ->
+          Muir_serve.Server.create ?cache_dir ~jobs ~queue_cap:queue ~obs ())
     in
+    let ln = on_path socket (fun () -> Muir_serve.Server.listen socket) in
     let drain _ = Muir_serve.Server.request_drain t in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
     Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
@@ -927,9 +938,7 @@ let serve_cmd =
       (match cache_dir with
       | Some d -> ", cache " ^ d
       | None -> ", memory-only cache");
-    let s =
-      Muir_serve.Server.serve ?metrics_file ?trace_file ~socket t
-    in
+    let s = Muir_serve.Server.serve ?metrics_file ?trace_file ln t in
     Fmt.pr
       "muirc serve: drained — %d request(s), %d ok, %d error(s), %d \
        fresh, %d cached@."
@@ -937,6 +946,14 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:
+              "on a $(b,--log-json) file, $(b,--cache-dir) directory or \
+               $(b,--socket) path that cannot be used; one line on \
+               standard error names the path, and the daemon never \
+               listens."
+         :: Cmd.Exit.defaults)
        ~doc:
          "Run the persistent compile-and-simulate daemon: batched \
           requests (bundled workloads or inline source × μopt stack × \
@@ -1082,8 +1099,9 @@ let client_cmd =
           match batch with
           | Some f -> (
             let j =
-              try J.parse (read_file f)
-              with J.Parse_error e ->
+              try J.parse (read_file f) with
+              | Sys_error e -> file_error f e
+              | J.Parse_error e ->
                 Fmt.epr "%s: invalid JSON: %s@." f e;
                 exit 2
             in
@@ -1162,6 +1180,14 @@ let client_cmd =
   in
   Cmd.v
     (Cmd.info "client"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:
+              "on a $(b,--batch) file that cannot be read or parsed, an \
+               output path that cannot be written, a daemon that cannot \
+               be reached or a malformed metrics exposition; one line on \
+               standard error names the file or the reason."
+         :: Cmd.Exit.defaults)
        ~doc:
          "Send a batch to a running $(b,muirc serve) daemon and print \
           the per-item results; also $(b,--stats), $(b,--metrics) and \

@@ -177,7 +177,3 @@ let max_cycle_ratio (n : int) (edges : 'a edge list) : 'a result =
       let w, m = cycle_sums cyc in
       let g = max 1 (gcd w m) in
       Ratio { num = w / g; den = m / g; cyc })
-
-(** [ceil (num * mult / den)] — the II bound scaled to a wave count. *)
-let scale_ratio ~(num : int) ~(den : int) (mult : int) : int =
-  if den = 0 then 0 else ((num * mult) + den - 1) / den

@@ -493,47 +493,42 @@ let pp_result ppf (t : t) =
 
 (* --- JSON ----------------------------------------------------------- *)
 
-let json_escape = Muir_trace.Json.escape
+module J = Muir_trace.Json
 
-let eval_to_json (e : eval) : string =
+let eval_to_json (e : eval) : J.t =
   let cfg = e.e_cfg in
-  Fmt.str
-    "{\"config\":\"%s\",\"key\":\"%s\",\"stack\":\"%s\",\"tiles\":%d,\
-     \"banks\":%d,\"off\":[%s],\"pruned\":%b,\"timing_pruned\":%b,\
-     \"bound\":%d,\"cycles\":%s,\"alms\":%d,\
-     \"brams\":%d,\"mhz\":%.2f,\"asic_kum2\":%.3f,\"us\":%s}"
-    (json_escape (Config.label cfg))
-    (json_escape e.e_key)
-    (json_escape cfg.stack)
-    cfg.tiles cfg.banks
-    (String.concat ","
-       (List.map (fun o -> "\"" ^ json_escape o ^ "\"") cfg.off))
-    (pruned e) e.e_tpruned e.e_bound
-    (match e.e_cycles with Some c -> string_of_int c | None -> "null")
-    e.e_alms e.e_brams e.e_mhz e.e_asic_area
-    (match e.e_us with Some u -> Fmt.str "%.4f" u | None -> "null")
+  J.Obj
+    [ ("config", J.Str (Config.label cfg)); ("key", J.Str e.e_key);
+      ("stack", J.Str cfg.stack); ("tiles", J.Int cfg.tiles);
+      ("banks", J.Int cfg.banks);
+      ("off", J.Arr (List.map (fun o -> J.Str o) cfg.off));
+      ("pruned", J.Bool (pruned e)); ("timing_pruned", J.Bool e.e_tpruned);
+      ("bound", J.Int e.e_bound);
+      ("cycles", Option.fold ~none:J.Null ~some:(fun c -> J.Int c) e.e_cycles);
+      ("alms", J.Int e.e_alms); ("brams", J.Int e.e_brams);
+      ("mhz", J.Float e.e_mhz); ("asic_kum2", J.Float e.e_asic_area);
+      ("us", Option.fold ~none:J.Null ~some:(fun u -> J.Float u) e.e_us) ]
 
 let to_json (t : t) : string =
-  let list evs =
-    "[" ^ String.concat "," (List.map eval_to_json evs) ^ "]"
-  in
+  let list evs = J.Arr (List.map eval_to_json evs) in
   (* The same deterministic provenance block run reports carry: no
      wall-clock content, so identical explorations serialize
      byte-identically (and remain cache-key-friendly). *)
-  let prov =
-    Muir_trace.Json.to_string
-      (Muir_trace.Report.provenance_json (Muir_trace.Report.provenance ()))
-  in
-  Fmt.str
-    "{\"provenance\":%s,\"subject\":\"%s\",\"strategy\":\"%s\",\"evals\":%s,\
-     \"frontier\":%s,\"best\":%s,\"fresh_evals\":%d,\"fresh_sims\":%d,\
-     \"pruned\":%d,\"timing_pruned\":%d,\"cache_hits\":%d,\
-     \"cache\":{\"hits\":%d,\"misses\":%d,\"entries\":%d}}"
-    prov
-    (json_escape t.x_subject)
-    (strategy_to_string t.x_strategy)
-    (list t.x_evals) (list t.x_frontier)
-    (match t.x_best with Some b -> eval_to_json b | None -> "null")
-    t.x_fresh_evals t.x_fresh_sims t.x_pruned t.x_timing_pruned
-    t.x_cache_hits
-    t.x_cache.c_hits t.x_cache.c_misses t.x_cache.c_entries
+  J.to_string
+    (J.Obj
+       [ ( "provenance",
+           Muir_trace.Report.provenance_json (Muir_trace.Report.provenance ())
+         );
+         ("subject", J.Str t.x_subject);
+         ("strategy", J.Str (strategy_to_string t.x_strategy));
+         ("evals", list t.x_evals); ("frontier", list t.x_frontier);
+         ("best", Option.fold ~none:J.Null ~some:eval_to_json t.x_best);
+         ("fresh_evals", J.Int t.x_fresh_evals);
+         ("fresh_sims", J.Int t.x_fresh_sims); ("pruned", J.Int t.x_pruned);
+         ("timing_pruned", J.Int t.x_timing_pruned);
+         ("cache_hits", J.Int t.x_cache_hits);
+         ( "cache",
+           J.Obj
+             [ ("hits", J.Int t.x_cache.c_hits);
+               ("misses", J.Int t.x_cache.c_misses);
+               ("entries", J.Int t.x_cache.c_entries) ] ) ])

@@ -84,17 +84,6 @@ let fold_instrs fn acc (f : t) =
     (fun acc b -> List.fold_left fn acc b.instrs)
     acc f.blocks
 
-(** The loop (innermost) containing block [l], if any. *)
-let innermost_loop (f : t) (l : Instr.label) =
-  List.fold_left
-    (fun best (lp : loop_info) ->
-      if List.mem l lp.body then
-        match best with
-        | Some (b : loop_info) when b.depth >= lp.depth -> best
-        | _ -> Some lp
-      else best)
-    None f.loops
-
 let find_instr (f : t) (r : Instr.reg) =
   let found = ref None in
   iter_instrs (fun i -> if i.Instr.id = r then found := Some i) f;

@@ -56,12 +56,6 @@ let layout ?(line_words = 8) ?(pad_lines = 1)
   in
   List.rev gs
 
-(** The global that contains word address [addr], if any. *)
-let global_of_addr (p : t) (addr : int) =
-  List.find_opt
-    (fun g -> addr >= g.gbase && addr < g.gbase + g.gsize)
-    p.globals
-
 (** Attach initial contents to named globals (used by workload drivers
     to load datasets before execution). *)
 let with_init (p : t) (inits : (string * value array) list) : t =

@@ -43,8 +43,6 @@ let pp_ty ppf = function
   | TPtr -> Fmt.string ppf "ptr"
   | TTensor s -> Fmt.pf ppf "tile<%a>" pp_shape s
 
-let ty_to_string t = Fmt.str "%a" pp_ty t
-
 (** Runtime values flowing through the interpreter and the cycle
     simulator.  [VPoison] marks the output of a predicated-off
     side-effecting node; it must never be consumed by a committed

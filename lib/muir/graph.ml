@@ -233,9 +233,6 @@ let connect ?(ekind = Registered) ?(capacity = 2) ?(initial = []) (t : task)
 
 let set_imm (n : node) (port : int) (v : T.value) = n.ins.(port) <- Simm v
 
-let in_edges (t : task) (nid : node_id) =
-  List.filter (fun e -> fst e.dst = nid) t.edges
-
 let out_edges (t : task) (nid : node_id) =
   List.filter (fun e -> fst e.src = nid) t.edges
 

@@ -64,7 +64,6 @@ type params = { tiles : int; banks : int }
     so a stack added here shows up everywhere at once. *)
 type spec = {
   sp_name : string;
-  sp_desc : string;
   sp_uses_tiles : bool;   (** the builder reads [params.tiles] *)
   sp_uses_banks : bool;   (** the builder reads [params.banks] *)
   sp_defaults : params;   (** what a bare [-O name] means *)
@@ -72,29 +71,28 @@ type spec = {
 }
 
 let registry : spec list =
-  [ { sp_name = "baseline";
-      sp_desc = "no μopt passes (the constructed circuit as-is)";
+  [ (* no μopt passes: the constructed circuit as-is *)
+    { sp_name = "baseline";
       sp_uses_tiles = false; sp_uses_banks = false;
       sp_defaults = { tiles = 1; banks = 1 };
       sp_build = (fun _ -> []) };
+    (* queuing + cache banking + localization + fusion (Fig. 17) *)
     { sp_name = "loop-stack";
-      sp_desc = "queuing + cache banking + localization + fusion (Fig. 17)";
       sp_uses_tiles = false; sp_uses_banks = true;
       sp_defaults = { tiles = 1; banks = 2 };
       sp_build = (fun p -> loop_stack ~banks:p.banks ()) };
+    (* queuing + tiling + localization + banking + fusion (Fig. 8) *)
     { sp_name = "cilk-stack";
-      sp_desc =
-        "queuing + tiling + localization + banking + fusion (Fig. 8)";
       sp_uses_tiles = true; sp_uses_banks = true;
       sp_defaults = { tiles = 4; banks = 2 };
       sp_build = (fun p -> cilk_stack ~tiles:p.tiles ~banks:p.banks ()) };
+    (* localization + dedicated tensor units + fusion (§6.3) *)
     { sp_name = "tensor-stack";
-      sp_desc = "localization + dedicated tensor units + fusion (§6.3)";
       sp_uses_tiles = false; sp_uses_banks = false;
       sp_defaults = { tiles = 1; banks = 1 };
       sp_build = (fun _ -> tensor_stack ()) };
+    (* every loop optimization incl. all-loops tiling (§6.6) *)
     { sp_name = "best";
-      sp_desc = "every loop optimization incl. all-loops tiling (§6.6)";
       sp_uses_tiles = true; sp_uses_banks = true;
       sp_defaults = { tiles = 8; banks = 4 };
       sp_build = (fun p -> best_loop_stack ~banks:p.banks ~tiles:p.tiles ()) } ]

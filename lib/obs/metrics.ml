@@ -13,9 +13,9 @@
       scan (bucket counts are fixed at registration) and two adds; no
       allocation, no hashing;
     - {e coordinator-only} — nothing here is synchronized.  The rule,
-      inherited from the explorer's memo cache and the daemon's stats
-      block, is that only the coordinating domain touches a registry;
-      workers return measurements and the coordinator folds them in.
+      inherited from the explorer's memo cache, is that only the
+      coordinating domain touches a registry; workers return
+      measurements and the coordinator folds them in.
 
     A {e family} is a metric name with a kind, help text and (for
     histograms) bucket bounds; a {e series} is one labelled instance of

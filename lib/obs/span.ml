@@ -1,10 +1,10 @@
-(** Request spans: a completed unit of work (one serve item, one DSE
-    evaluation) with its start time, total duration, and an ordered
-    list of per-stage segments.  Spans are recorded into a fixed-size
-    ring by the coordinator and exported as Chrome trace events — the
-    same about://tracing format PR 3 uses for simulator event rings, so
-    a serve-layer trace and a simulator trace load into the same
-    viewer. *)
+(** Request spans: a completed unit of work (one serve item, one
+    perfbench operation) with its start time, total duration, and an
+    ordered list of per-stage segments.  Spans are recorded into a
+    fixed-size ring by the coordinator and exported as Chrome trace
+    events through {!Muir_trace.Export.document}, the writer the
+    simulator's event ring uses too, so a serve-layer trace and a
+    simulator trace load into the same viewer. *)
 
 module J = Muir_trace.Json
 
@@ -73,23 +73,20 @@ let us (s : float) : J.t = J.Float (s *. 1e6)
     Each span maps to one whole-span event plus one event per segment,
     all on [tid = sp_id] so concurrent items stack as separate rows. *)
 let chrome (spans : t list) : string =
-  let events =
-    List.concat_map
-      (fun sp ->
-        let ev name cat ts dur =
-          J.Obj
-            [ ("name", J.Str name); ("cat", J.Str cat); ("ph", J.Str "X");
-              ("ts", us ts); ("dur", us dur); ("pid", J.Int 1);
-              ("tid", J.Int sp.sp_id) ]
-        in
-        ev sp.sp_name sp.sp_cat sp.sp_start sp.sp_dur
-        :: List.map
-             (fun sg ->
-               ev sg.sg_name (sp.sp_cat ^ ".stage")
-                 (sp.sp_start +. sg.sg_off) sg.sg_dur)
-             sp.sp_segs)
-      spans
-  in
-  J.to_string
-    (J.Obj
-       [ ("traceEvents", J.Arr events); ("displayTimeUnit", J.Str "ms") ])
+  Muir_trace.Export.document
+    (Seq.concat_map
+       (fun sp ->
+         let ev name cat ts dur =
+           J.Obj
+             [ ("name", J.Str name); ("cat", J.Str cat); ("ph", J.Str "X");
+               ("ts", us ts); ("dur", us dur); ("pid", J.Int 1);
+               ("tid", J.Int sp.sp_id) ]
+         in
+         List.to_seq
+           (ev sp.sp_name sp.sp_cat sp.sp_start sp.sp_dur
+           :: List.map
+                (fun sg ->
+                  ev sg.sg_name (sp.sp_cat ^ ".stage")
+                    (sp.sp_start +. sg.sg_off) sg.sg_dur)
+                sp.sp_segs))
+       (List.to_seq spans))

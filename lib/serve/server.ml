@@ -1,15 +1,16 @@
 (** The compile-and-simulate daemon.
 
     A {!t} owns the persistent result cache ({!Rcache}), an admission
-    queue, the counters behind the [stats] request, and a
-    {!Muir_obs.Obs.t} telemetry handle.  {!handle} is the whole request
-    semantics as a pure-ish function — the socket loop ({!serve}), the
-    drain path and the tests all go through it — and {!serve} is a
-    select-based single-threaded loop that owns the Unix-domain socket:
-    it accepts connections, reads length-prefixed frames ({!Proto}),
-    answers [stats]/[metrics]/[shutdown] inline, admits [run] requests
-    against the queue bound, and processes one queued request per
-    iteration.
+    queue and a {!Muir_obs.Obs.t} telemetry handle, whose metrics
+    registry is the one store of the daemon's counters: the [stats]
+    request, the [metrics] request and the drain summary all read it.
+    {!handle} is the whole request semantics as a pure-ish function —
+    the socket loop ({!serve}), the drain path and the tests all go
+    through it — and {!serve} is a select-based single-threaded loop
+    that owns the Unix-domain socket ({!listen}): it accepts
+    connections, reads length-prefixed frames ({!Proto}), answers
+    [stats]/[metrics]/[shutdown] inline, admits [run] requests against
+    the queue bound, and processes one queued request per iteration.
 
     {2 Evaluation}
 
@@ -77,6 +78,7 @@ type mx = {
   x_ok : M.counter;
   x_fresh : M.counter;
   x_cached : M.counter;
+  x_errors : M.family;  (** [muir_serve_errors_total], a series per code *)
   x_queue_depth : M.gauge;
   x_uptime : M.gauge;
   x_draining : M.gauge;
@@ -99,14 +101,6 @@ type t = {
   sv_stop : bool Atomic.t;  (** drain requested (signal or shutdown op) *)
   sv_obs : Ob.t;
   sv_mx : mx;
-  mutable sv_requests : int;
-  mutable sv_items : int;
-  mutable sv_ok : int;
-  mutable sv_errors : int;
-  mutable sv_fresh : int;
-  mutable sv_cached : int;
-  sv_stage_seconds : float array;
-  sv_stage_counts : int array;
   sv_reply : Proto.reply_frame;  (** every reply is written through it *)
 }
 
@@ -121,10 +115,8 @@ let rejects_help = "Request-level rejections by reason."
 
 let make_mx (obs : Ob.t) : mx =
   let r = obs.Ob.o_metrics in
-  (* Pre-register the labelled families too, so a scrape before the
-     first error still exposes their TYPE lines. *)
-  ignore (M.family r ~kind:M.Counter ~help:errors_help ~bounds:[||]
-            "muir_serve_errors_total");
+  (* Pre-register the rejects family too, so a scrape before the first
+     rejection still exposes its TYPE line. *)
   ignore (M.family r ~kind:M.Counter ~help:rejects_help ~bounds:[||]
             "muir_serve_rejects_total");
   { x_requests =
@@ -137,6 +129,9 @@ let make_mx (obs : Ob.t) : mx =
     x_cached =
       M.counter r ~help:"Items answered from the result cache."
         "muir_serve_cached_total";
+    x_errors =
+      M.family r ~kind:M.Counter ~help:errors_help ~bounds:[||]
+        "muir_serve_errors_total";
     x_queue_depth =
       M.gauge r ~help:"Items in the admission queue."
         "muir_serve_queue_depth";
@@ -191,10 +186,6 @@ let create ?cache_dir ?(jobs = 1) ?(queue_cap = 256) ?obs () : t =
     sv_stop = Atomic.make false;
     sv_obs = obs;
     sv_mx = make_mx obs;
-    sv_requests = 0; sv_items = 0; sv_ok = 0; sv_errors = 0;
-    sv_fresh = 0; sv_cached = 0;
-    sv_stage_seconds = Array.make Pipeline.nstages 0.0;
-    sv_stage_counts = Array.make Pipeline.nstages 0;
     sv_reply = Proto.reply_frame () }
 
 (** Ask the serve loop to stop accepting work and drain what it has.
@@ -329,8 +320,6 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
     Proto.response =
   let clock () = Ob.now t.sv_obs in
   let req_id = Ob.span_id t.sv_obs in
-  t.sv_requests <- t.sv_requests + 1;
-  t.sv_items <- t.sv_items + List.length items;
   M.inc t.sv_mx.x_requests;
   M.add t.sv_mx.x_items (List.length items);
   Olog.event t.sv_obs.Ob.o_log "request"
@@ -404,18 +393,12 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
       (fun (_, it, cfg, deadline) -> eval_item ~now:clock ~deadline it cfg)
       fresh
   in
-  (* Fold fresh results into the cache, the per-stage counters, the
-     stage histograms and the span ring — coordinator only, same
-     discipline as the explorer's memo table. *)
+  (* Fold fresh results into the cache, the stage histograms and the
+     span ring — coordinator only, same discipline as the explorer's
+     memo table. *)
   let by_key = Hashtbl.create 16 in
   List.iter2
     (fun (key, it, _, _) (w : wres) ->
-      Array.iteri
-        (fun i s -> t.sv_stage_seconds.(i) <- t.sv_stage_seconds.(i) +. s)
-        w.w_secs;
-      Array.iteri
-        (fun i n -> t.sv_stage_counts.(i) <- t.sv_stage_counts.(i) + n)
-        w.w_counts;
       let stages =
         List.filter_map
           (fun st ->
@@ -441,14 +424,12 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
      the report payload verbatim (see the module header). *)
   let fresh_n = ref 0 and cached_n = ref 0 and err_n = ref 0 in
   let ok ~cached payload =
-    t.sv_ok <- t.sv_ok + 1;
     M.inc t.sv_mx.x_ok;
     M.inc (if cached then t.sv_mx.x_cached else t.sv_mx.x_fresh);
     incr (if cached then cached_n else fresh_n);
     Proto.Ok_ { cached; report = J.Raw payload }
   in
   let err code stage msg =
-    t.sv_errors <- t.sv_errors + 1;
     M.inc (err_counter t code);
     incr err_n;
     Proto.Err { code; stage; msg }
@@ -512,8 +493,6 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
         { Proto.rs_id = it.it_id; rs_outcome = outcome })
       plan
   in
-  t.sv_fresh <- t.sv_fresh + !fresh_n;
-  t.sv_cached <- t.sv_cached + !cached_n;
   Olog.event t.sv_obs.Ob.o_log "respond"
     [ ("req", J.Int req_id); ("ok", J.Int (!fresh_n + !cached_n));
       ("fresh", J.Int !fresh_n); ("cached", J.Int !cached_n);
@@ -521,19 +500,27 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
   Proto.Results
     { results = rs; fresh = !fresh_n; cached = !cached_n; errors = !err_n }
 
+(** Failed items: the sum of [muir_serve_errors_total] over its codes. *)
+let errors (t : t) : int =
+  List.fold_left
+    (fun n (s : M.series) ->
+      match s.sr_value with M.VCounter c -> n + M.counter_value c | _ -> n)
+    0 t.sv_mx.x_errors.f_series
+
 let stats_response ?now (t : t) : Proto.response =
   let now = match now with Some n -> n | None -> Ob.now t.sv_obs in
   let cs = Rcache.stats t.sv_rcache in
+  let mx = t.sv_mx in
   Proto.Stats_r
     { st_uptime_s = now -. t.sv_started;
       st_queue_depth = queue_depth t;
       st_draining = Atomic.get t.sv_stop;
-      st_requests = t.sv_requests;
-      st_items = t.sv_items;
-      st_ok = t.sv_ok;
-      st_errors = t.sv_errors;
-      st_fresh = t.sv_fresh;
-      st_cached = t.sv_cached;
+      st_requests = M.counter_value mx.x_requests;
+      st_items = M.counter_value mx.x_items;
+      st_ok = M.counter_value mx.x_ok;
+      st_errors = errors t;
+      st_fresh = M.counter_value mx.x_fresh;
+      st_cached = M.counter_value mx.x_cached;
       st_cache_hits = cs.hits;
       st_cache_misses = cs.misses;
       st_cache_entries = cs.entries;
@@ -542,10 +529,10 @@ let stats_response ?now (t : t) : Proto.response =
       st_stages =
         List.map
           (fun st ->
-            let i = Pipeline.stage_index st in
+            let h = mx.x_stage.(Pipeline.stage_index st) in
             { Proto.tg_stage = Pipeline.stage_name st;
-              tg_count = t.sv_stage_counts.(i);
-              tg_seconds = t.sv_stage_seconds.(i) })
+              tg_count = M.hist_count h;
+              tg_seconds = M.hist_sum h })
           Pipeline.stages }
 
 (** Refresh the scrape-time gauges (uptime, queue depth, cache state)
@@ -613,11 +600,28 @@ let write_snapshot (path : string) (contents : string) : unit =
      with Unix.Unix_error _ -> (try Sys.remove tmp with Sys_error _ -> ()))
   | exception Sys_error _ -> ()
 
-(** Listen on [socket] (an existing file there is replaced) and serve
-    until a drain is requested — by {!request_drain} (the signal path)
-    or a [shutdown] request.  Draining stops accepting connections and
-    admissions, answers every already-admitted request, then closes
-    everything and removes the socket file.
+(** A Unix-domain socket that is bound and listening. *)
+type listener = { ln_fd : Unix.file_descr; ln_path : string }
+
+(** Bind [path] (an existing file there is replaced) and listen on it.
+    A daemon binds before it announces itself, so a path it cannot
+    bind fails before anything listens.
+    @raise Unix.Unix_error when [path] cannot be bound *)
+let listen (path : string) : listener =
+  if Sys.file_exists path then Unix.unlink path;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try
+     Unix.bind fd (Unix.ADDR_UNIX path);
+     Unix.listen fd 16
+   with e ->
+     Unix.close fd;
+     raise e);
+  { ln_fd = fd; ln_path = path }
+
+(** Serve on [ln] until a drain is requested — by {!request_drain} (the
+    signal path) or a [shutdown] request.  Draining stops accepting
+    connections and admissions, answers every already-admitted request,
+    then closes everything and removes the socket file.
 
     [?metrics_file] keeps an atomically replaced Prometheus snapshot
     current (every [metrics_interval] seconds and once at drain) for
@@ -625,15 +629,12 @@ let write_snapshot (path : string) (contents : string) : unit =
     [?trace_file] writes the retained request spans as Chrome trace
     events at drain. *)
 let serve ?(max_frame = Proto.default_max_frame) ?metrics_file
-    ?(metrics_interval = 2.0) ?trace_file ~(socket : string) (t : t) :
+    ?(metrics_interval = 2.0) ?trace_file (ln : listener) (t : t) :
     drain_summary =
   (* A peer that disconnects mid-response must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  if Sys.file_exists socket then Unix.unlink socket;
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX socket);
-  Unix.listen lfd 16;
+  let lfd = ln.ln_fd and socket = ln.ln_path in
   let log = t.sv_obs.Ob.o_log in
   Olog.event log "listen"
     [ ("socket", J.Str socket); ("jobs", J.Int t.sv_jobs);
@@ -766,8 +767,13 @@ let serve ?(max_frame = Proto.default_max_frame) ?metrics_file
   | None -> ()
   | Some path ->
     write_snapshot path (Span.chrome (Span.items t.sv_obs.Ob.o_spans)));
+  let count = M.counter_value in
+  let s =
+    { dr_requests = count t.sv_mx.x_requests; dr_ok = count t.sv_mx.x_ok;
+      dr_errors = errors t; dr_fresh = count t.sv_mx.x_fresh;
+      dr_cached = count t.sv_mx.x_cached }
+  in
   Olog.event log "stopped"
-    [ ("requests", J.Int t.sv_requests); ("ok", J.Int t.sv_ok);
-      ("errors", J.Int t.sv_errors) ];
-  { dr_requests = t.sv_requests; dr_ok = t.sv_ok; dr_errors = t.sv_errors;
-    dr_fresh = t.sv_fresh; dr_cached = t.sv_cached }
+    [ ("requests", J.Int s.dr_requests); ("ok", J.Int s.dr_ok);
+      ("errors", J.Int s.dr_errors) ];
+  s

@@ -267,7 +267,7 @@ and instance = {
   mutable ivp_n : int;
   i_nres : int;
   i_sc : Exec.sc;                 (** flat ALU scratch *)
-  i_prof : Tr.Prof.iprof;         (** always-on stall accounting *)
+  i_prof : Ctr.Prof.iprof;         (** always-on stall accounting *)
   i_nctr : Ctr.node_ctr array;
   (** whole-run counter rows, parallel to [inodes] — resolved once at
       construction so retirement folds without hashing a key *)
@@ -358,6 +358,9 @@ type result = {
 
 exception Deadlock of string
 exception Cycle_limit of int
+
+(** Cycles without any activity after which {!run} raises {!Deadlock}. *)
+let deadlock_window = 50_000
 
 (* ------------------------------------------------------------------ *)
 (* Timing wheel                                                         *)
@@ -527,7 +530,7 @@ let dummy_inst : instance =
     i_qemit = false; i_qcomplete = false; i_qjunction = false; ivp = [||];
     ivp_n = 0; i_nres = 0;
     i_sc = Exec.make_sc ~slots:1;
-    i_prof = Tr.Prof.make ~born:0 ~nnodes:0; i_nctr = [||] }
+    i_prof = Ctr.Prof.make ~born:0 ~nnodes:0; i_nctr = [||] }
 
 let dummy_inv : invocation =
   { iv_gen = 0; iv_wave = -1; iv_rkind = 0; iv_rinst = dummy_inst;
@@ -705,7 +708,7 @@ let can_start (n : node_rt) : bool =
   | G.MergeLoop -> input_ready n 0 && input_ready n (mu_sel n)
   | _ -> n.nr_miss = 0
 
-let operand_wait = Tr.cause_index Tr.Operand
+let operand_wait = Ctr.cause_index Ctr.Operand
 
 (** Would a fire attempt of [n] at cycle [c] change nothing?  True
     when [n] is past its initiation interval, still misses an operand
@@ -714,7 +717,7 @@ let operand_wait = Tr.cause_index Tr.Operand
     leaves every accounting sum the same and emits no tracer event. *)
 let futile (inst : instance) (n : node_rt) (c : int) : bool =
   n.nr_busy_until <= c
-  && inst.i_prof.Tr.Prof.nprofs.(n.nr_idx).Tr.Prof.st = operand_wait
+  && inst.i_prof.Ctr.Prof.nprofs.(n.nr_idx).Ctr.Prof.st = operand_wait
   && not (can_start n)
 
 (* Wired inputs whose channel holds no committed token. *)
@@ -952,7 +955,7 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
       i_qjunction = false; ivp = [||]; ivp_n = 0;
       i_nres = List.length task.res_tys;
       i_sc = Exec.make_sc ~slots:((max_arity * 2) + 4);
-      i_prof = Tr.Prof.make ~born:sim.now ~nnodes;
+      i_prof = Ctr.Prof.make ~born:sim.now ~nnodes;
       i_nctr =
         Array.map
           (fun (n : node_rt) ->
@@ -1026,7 +1029,7 @@ let reset_instance (sim : t) (inst : instance) : unit =
   inst.i_qemit <- false;
   inst.i_qcomplete <- false;
   inst.i_qjunction <- false;
-  Tr.Prof.reset inst.i_prof ~born:sim.now;
+  Ctr.Prof.reset inst.i_prof ~born:sim.now;
   inst.live <- true;
   sim.live_nodes <- sim.live_nodes + Array.length inst.inodes;
   for i = 0 to Array.length inst.inodes - 1 do
@@ -1661,7 +1664,7 @@ let try_complete (sim : t) (trt : task_rt) (inst : instance) : unit =
       let ip = inst.i_prof in
       for i = 0 to Array.length ip.nprofs - 1 do
         ignore
-          (Tr.Prof.transition ip.nprofs.(i) (Tr.cause_index Tr.Idle)
+          (Ctr.Prof.transition ip.nprofs.(i) (Ctr.cause_index Ctr.Idle)
              (sim.now + 1))
       done;
       if inst.idynamic then begin
@@ -2067,49 +2070,49 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
 (* Why did this woken node fail to fire?  Mirrors [try_fire]'s failure
    paths; a failed attempt has no side effects, so re-inspecting the
    state after the attempt is exact. *)
-let stall_cause (sim : t) (n : node_rt) : Tr.cause =
-  if n.nr_busy_until > sim.now then Tr.Structural
+let stall_cause (sim : t) (n : node_rt) : Ctr.cause =
+  if n.nr_busy_until > sim.now then Ctr.Structural
   else
     match n.nr.kind with
-    | G.LiveIn _ -> Tr.Idle (* driven by injection, never stalled *)
-    | _ when not (can_start n) -> Tr.Operand
-    | G.MergeLoop -> Tr.Backpressure
-    | G.CallChild _ | G.SpawnChild _ -> Tr.Structural
+    | G.LiveIn _ -> Ctr.Idle (* driven by injection, never stalled *)
+    | _ when not (can_start n) -> Ctr.Operand
+    | G.MergeLoop -> Ctr.Backpressure
+    | G.CallChild _ | G.SpawnChild _ -> Ctr.Structural
     | _ ->
-      if n.nr_mem then Tr.Memory
-      else if n.np_tail - n.np_head >= 4 then Tr.Backpressure
-      else Tr.Operand
+      if n.nr_mem then Ctr.Memory
+      else if n.np_tail - n.np_head >= 4 then Ctr.Backpressure
+      else Ctr.Operand
 
 (* The label a node enters after firing at [sim.now], effective from
    [sim.now + 1].  Any event that changes the node's state relabels it,
    so this only has to be right for the state as left by the firing. *)
-let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Tr.cause =
+let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Ctr.cause =
   match n.nr.kind with
-  | G.SyncWait -> Tr.Sync
+  | G.SyncWait -> Ctr.Sync
   | _ ->
-    if not ra then Tr.Operand
-    else if n.nr_busy_until > sim.now + 1 then Tr.Structural
+    if not ra then Ctr.Operand
+    else if n.nr_busy_until > sim.now + 1 then Ctr.Structural
     else if n.nr_mem then
-      if n.nm_tail - n.nm_head >= sim.max_outstanding then Tr.Memory
-      else Tr.Busy
-    else if n.np_tail - n.np_head >= 4 then Tr.Backpressure
-    else Tr.Busy
+      if n.nm_tail - n.nm_head >= sim.max_outstanding then Ctr.Memory
+      else Ctr.Busy
+    else if n.np_tail - n.np_head >= 4 then Ctr.Backpressure
+    else Ctr.Busy
 
 (** Fire attempt plus the event subscriptions a success implies. *)
 let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
   let fired = try_fire sim inst n in
   (* Interval accounting is always-on (it feeds the counter bank); the
      ring only sees events when a tracer is attached. *)
-  let np = inst.i_prof.Tr.Prof.nprofs.(n.nr_idx) in
+  let np = inst.i_prof.Ctr.Prof.nprofs.(n.nr_idx) in
   (* Could the node fire again with the tokens already committed?  No
      other event will arrive for them, so a firing self-schedules its
      next attempt (live-ins never fire here). *)
   let ra = fired && can_start n in
   if fired then begin
-    ignore (Tr.Prof.transition np (Tr.cause_index Tr.Busy) sim.now);
+    ignore (Ctr.Prof.transition np (Ctr.cause_index Ctr.Busy) sim.now);
     ignore
-      (Tr.Prof.transition np
-         (Tr.cause_index (post_fire_cause sim n ra))
+      (Ctr.Prof.transition np
+         (Ctr.cause_index (post_fire_cause sim n ra))
          (sim.now + 1));
     match sim.tr with
     | Some tr ->
@@ -2121,9 +2124,9 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
   end
   else begin
     let cause = stall_cause sim n in
-    let changed = Tr.Prof.transition np (Tr.cause_index cause) sim.now in
+    let changed = Ctr.Prof.transition np (Ctr.cause_index cause) sim.now in
     match sim.tr with
-    | Some tr when changed && cause <> Tr.Idle ->
+    | Some tr when changed && cause <> Ctr.Idle ->
       Tr.emit tr
         (Tr.Estall
            { c = sim.now; task = inst.it.tid; inst = inst.iid;
@@ -2667,15 +2670,15 @@ let step (sim : t) : unit =
   (* 0. occupancy samples for the tracer's histograms (the counter
      bank integrates occupancy as depths move) *)
   (match sim.tr with
-  | Some tr when now mod tr.Tr.sample_every = 0 ->
+  | Some tr ->
     Array.iter
       (fun trt ->
-        Tr.occ_sample tr ~c:now (Tr.Ktask trt.tk.tid) (tq_len trt))
+        Tr.occ_sample tr ~c:now (Ctr.Ktask trt.tk.tid) (tq_len trt))
       sim.tasks;
     List.iter
-      (fun (sid, depth) -> Tr.occ_sample tr ~c:now (Tr.Kstruct sid) depth)
+      (fun (sid, depth) -> Tr.occ_sample tr ~c:now (Ctr.Kstruct sid) depth)
       (Memsys.occupancy sim.ms)
-  | _ -> ());
+  | None -> ());
   drain_timed sim;
   (* 1. memory structures (completions notify waiting nodes) *)
   Memsys.step sim.ms ~now;
@@ -2802,8 +2805,7 @@ let start (sim : t) (args : token list) : unit =
     off.  [?jobs] is accepted for compatibility and ignored: the
     kernel runs on one lane. *)
 let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
-    ?(deadlock_window = 50_000) ?jobs:(_ : int option) (c : G.circuit) :
-    result =
+    ?jobs:(_ : int option) (c : G.circuit) : result =
   let t_start = Unix.gettimeofday () in
   let sim = create ?tracer c in
   start sim args;
@@ -2852,7 +2854,7 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
               let n = inst.inodes.(i) in
               Ctr.fold sim.ctrs ~task:inst.it.tid ~node:n.nr.G.nid
                 ~fires:n.nr_fired ~born:ip.born ~upto:sim.now np)
-            ip.Tr.Prof.nprofs
+            ip.Ctr.Prof.nprofs
         end
       done)
     sim.tasks;

@@ -74,6 +74,12 @@ let cause_name = function
     the total queued sub-requests across a memory structure's banks. *)
 type key = Ktask of int | Kstruct of int
 
+(** How every report, profile and trace names a key: ["queue:<task>"]
+    or the structure's own name. *)
+let key_name (c : Muir_core.Graph.circuit) : key -> string = function
+  | Ktask tid -> "queue:" ^ (Muir_core.Graph.task c tid).tname
+  | Kstruct sid -> (Muir_core.Graph.structure c sid).sname
+
 (* ------------------------------------------------------------------ *)
 (* Per-instance interval accounting                                     *)
 
@@ -239,18 +245,9 @@ let find_node (c : t) ~(task : int) ~(node : int) : node_ctr option =
 let total_fires (c : t) : int =
   Hashtbl.fold (fun _ g acc -> acc + g.n_fires) c.nodes 0
 
-(** Σ stall cycles for [cause] across the whole bank. *)
-let total_cause (c : t) (cause : cause) : int =
-  let i = cause_index cause in
-  Hashtbl.fold (fun _ g acc -> acc + g.n_acc.(i)) c.nodes 0
-
 let occ_keys (c : t) : key list =
   Hashtbl.fold (fun k _ acc -> k :: acc) c.occ []
   |> List.sort compare
 
 let find_occ (c : t) (key : key) : occ_ctr option =
   Hashtbl.find_opt c.occ key
-
-let occ_mean (o : occ_ctr) : float =
-  if o.o_cycles = 0 then 0.0
-  else float_of_int o.o_sum /. float_of_int o.o_cycles

@@ -3,12 +3,30 @@
     the ring's retained window; 1 cycle = 1 µs in Chrome, 1 ns in VCD. *)
 
 module G = Muir_core.Graph
-module Tr = Trace
+module J = Json
 
-(* RFC 8259 string escaping lives in {!Json}; hostile node/structure
-   names (quotes, backslashes, control characters) are covered by the
-   strict-parser round-trip test in [test/test_trace.ml]. *)
-let json_escape = Json.escape
+(** The Chrome trace-event document: [events] under ["traceEvents"],
+    milliseconds as the display unit, and [other] as ["otherData"].
+    The one writer of the format — the simulator timeline ({!chrome})
+    and the request spans ([Muir_obs.Span.chrome]) both print through
+    it, so both load into the same viewer.  Each event is printed as
+    the sequence yields it, so a full ring never exists as one tree. *)
+let document ?other (events : J.t Seq.t) : string =
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf {|{"traceEvents":[|};
+  Seq.iteri
+    (fun i ev ->
+      if i > 0 then Buffer.add_char buf ',';
+      J.print buf ev)
+    events;
+  Buffer.add_string buf {|],"displayTimeUnit":"ms"|};
+  Option.iter
+    (fun o ->
+      Buffer.add_string buf {|,"otherData":|};
+      J.print buf o)
+    other;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let node_name (c : G.circuit) (tid : int) (nid : int) : string =
   match
@@ -26,73 +44,48 @@ let node_name (c : G.circuit) (tid : int) (nid : int) : string =
     complete events spanning the node latency, stall transitions are
     "i" instants, occupancy samples are "C" counter series under a
     dedicated counters process. *)
-let chrome (c : G.circuit) (tr : Tr.t) : string =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let obj fields =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Fmt.str "\"%s\":%s" k v))
-      fields;
-    Buffer.add_char buf '}'
-  in
-  let str s = Fmt.str "\"%s\"" (json_escape s) in
+let chrome (c : G.circuit) (tr : Trace.t) : string =
   let counters_pid = 1_000_000 in
-  (* metadata: name the processes and threads *)
-  List.iter
-    (fun (t : G.task) ->
-      obj
-        [ ("ph", str "M"); ("name", str "process_name");
-          ("pid", string_of_int t.tid); ("tid", "0");
-          ("args", Fmt.str "{\"name\":%s}" (str ("task " ^ t.tname))) ];
-      List.iter
-        (fun (n : G.node) ->
-          obj
-            [ ("ph", str "M"); ("name", str "thread_name");
-              ("pid", string_of_int t.tid); ("tid", string_of_int n.nid);
-              ("args",
-               Fmt.str "{\"name\":%s}" (str (node_name c t.tid n.nid))) ])
-        t.nodes)
-    c.tasks;
-  obj
-    [ ("ph", str "M"); ("name", str "process_name");
-      ("pid", string_of_int counters_pid); ("tid", "0");
-      ("args", Fmt.str "{\"name\":%s}" (str "occupancy")) ];
-  let key_name = function
-    | Tr.Ktask tid -> "queue:" ^ (G.task c tid).tname
-    | Tr.Kstruct sid -> (G.structure c sid).sname
+  let meta name pid tid label =
+    J.Obj
+      [ ("ph", J.Str "M"); ("name", J.Str name); ("pid", J.Int pid);
+        ("tid", J.Int tid); ("args", J.Obj [ ("name", J.Str label) ]) ]
   in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Tr.Efire { c = cyc; task; inst; node; lat } ->
-        obj
-          [ ("ph", str "X"); ("name", str (node_name c task node));
-            ("cat", str "fire"); ("pid", string_of_int task);
-            ("tid", string_of_int node); ("ts", string_of_int cyc);
-            ("dur", string_of_int (max lat 1));
-            ("args", Fmt.str "{\"inst\":%d}" inst) ]
-      | Tr.Estall { c = cyc; task; inst; node; cause } ->
-        obj
-          [ ("ph", str "i"); ("name", str (Tr.cause_name cause));
-            ("cat", str "stall"); ("s", str "t");
-            ("pid", string_of_int task); ("tid", string_of_int node);
-            ("ts", string_of_int cyc);
-            ("args", Fmt.str "{\"inst\":%d}" inst) ]
-      | Tr.Eocc { c = cyc; key; depth } ->
-        obj
-          [ ("ph", str "C"); ("name", str (key_name key));
-            ("pid", string_of_int counters_pid); ("ts", string_of_int cyc);
-            ("args", Fmt.str "{\"depth\":%d}" depth) ])
-    (Tr.events tr);
-  Buffer.add_string buf
-    (Fmt.str "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"circuit\":%s,\"cycles\":%d}}"
-       (str c.cname) tr.final_cycle);
-  Buffer.contents buf
+  let metadata =
+    List.concat_map
+      (fun (t : G.task) ->
+        meta "process_name" t.tid 0 ("task " ^ t.tname)
+        :: List.map
+             (fun (n : G.node) ->
+               meta "thread_name" t.tid n.nid (node_name c t.tid n.nid))
+             t.nodes)
+      c.tasks
+    @ [ meta "process_name" counters_pid 0 "occupancy" ]
+  in
+  let event = function
+    | Trace.Efire { c = cyc; task; inst; node; lat } ->
+      J.Obj
+        [ ("ph", J.Str "X"); ("name", J.Str (node_name c task node));
+          ("cat", J.Str "fire"); ("pid", J.Int task); ("tid", J.Int node);
+          ("ts", J.Int cyc); ("dur", J.Int (max lat 1));
+          ("args", J.Obj [ ("inst", J.Int inst) ]) ]
+    | Trace.Estall { c = cyc; task; inst; node; cause } ->
+      J.Obj
+        [ ("ph", J.Str "i"); ("name", J.Str (Counters.cause_name cause));
+          ("cat", J.Str "stall"); ("s", J.Str "t"); ("pid", J.Int task);
+          ("tid", J.Int node); ("ts", J.Int cyc);
+          ("args", J.Obj [ ("inst", J.Int inst) ]) ]
+    | Trace.Eocc { c = cyc; key; depth } ->
+      J.Obj
+        [ ("ph", J.Str "C"); ("name", J.Str (Counters.key_name c key));
+          ("pid", J.Int counters_pid); ("ts", J.Int cyc);
+          ("args", J.Obj [ ("depth", J.Int depth) ]) ]
+  in
+  document
+    ~other:
+      (J.Obj [ ("circuit", J.Str c.cname); ("cycles", J.Int tr.final_cycle) ])
+    (Seq.append (List.to_seq metadata)
+       (Seq.map event (List.to_seq (Trace.events tr))))
 
 (* ------------------------------------------------------------------ *)
 (* VCD                                                                  *)
@@ -124,7 +117,7 @@ let binary_of_int (v : int) : string =
     (grouped in one scope per task) and a 16-bit occupancy bus per
     task queue / memory structure.  Fire wires auto-clear the cycle
     after they pulse. *)
-let vcd (c : G.circuit) (tr : Tr.t) : string =
+let vcd (c : G.circuit) (tr : Trace.t) : string =
   let buf = Buffer.create 65536 in
   let p fmt = Fmt.kstr (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   p "$date 0 $end";
@@ -152,19 +145,14 @@ let vcd (c : G.circuit) (tr : Tr.t) : string =
       p "$upscope $end")
     c.tasks;
   let occ_ids = Hashtbl.create 8 in
-  let occ_keys = Tr.occupancy_keys tr in
+  let occ_keys = Trace.occupancy_keys tr in
   if occ_keys <> [] then begin
     p "$scope module occupancy $end";
     List.iter
       (fun key ->
         let id = fresh () in
         Hashtbl.replace occ_ids key id;
-        let name =
-          match key with
-          | Tr.Ktask tid -> "queue_" ^ sanitize (G.task c tid).tname
-          | Tr.Kstruct sid -> sanitize (G.structure c sid).sname
-        in
-        p "$var wire 16 %s %s $end" id name)
+        p "$var wire 16 %s %s $end" id (sanitize (Counters.key_name c key)))
       occ_keys;
     p "$upscope $end"
   end;
@@ -192,20 +180,20 @@ let vcd (c : G.circuit) (tr : Tr.t) : string =
   List.iter
     (fun ev ->
       match ev with
-      | Tr.Efire { c = cyc; task; node; _ } -> (
+      | Trace.Efire { c = cyc; task; node; _ } -> (
         open_cycle cyc;
         match Hashtbl.find_opt fire_ids (task, node) with
         | Some id ->
           p "1%s" id;
           if not (List.mem id !hot) then hot := id :: !hot
         | None -> ())
-      | Tr.Eocc { c = cyc; key; depth } -> (
+      | Trace.Eocc { c = cyc; key; depth } -> (
         open_cycle cyc;
         match Hashtbl.find_opt occ_ids key with
         | Some id -> p "b%s %s" (binary_of_int depth) id
         | None -> ())
-      | Tr.Estall _ -> ())
-    (Tr.events tr);
+      | Trace.Estall _ -> ())
+    (Trace.events tr);
   if !hot <> [] then begin
     p "#%d" (!cur + 1);
     List.iter (fun id -> p "0%s" id) !hot

@@ -1,9 +1,11 @@
 (** A minimal JSON layer shared by every machine-readable emitter in
     the toolchain: the Chrome trace exporter, the run-report writer,
-    the design-space explorer and the serve wire protocol.  No external
-    dependency — the container bakes in none — so this is a tiny value
-    type, an RFC 8259 escaper, a compact printer and a strict
-    recursive-descent parser.
+    the design-space explorer, telemetry and the serve wire protocol.
+    Every emitter builds a {!t} and prints it here (the Chrome trace
+    writer prints one event at a time through {!print}), so escaping
+    lives only inside the printer.  No external dependency: this is a
+    tiny value type, a compact printer and a strict recursive-descent
+    parser.
 
     Numbers keep their source representation split between [Int] and
     [Float] so integer counters round-trip byte-exactly (a cycle count
@@ -75,13 +77,6 @@ let add_escaped (buf : Buffer.t) (s : string) : unit =
       end
   in
   go 0 0
-
-(** [s] escaped for inclusion inside a JSON string literal (see
-    {!add_escaped}). *)
-let escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  add_escaped buf s;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

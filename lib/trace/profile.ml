@@ -65,8 +65,8 @@ type t = {
   p_events_kept : int;
 }
 
-let busy_i = Tr.cause_index Tr.Busy
-let idle_i = Tr.cause_index Tr.Idle
+let busy_i = Counters.cause_index Counters.Busy
+let idle_i = Counters.cause_index Counters.Idle
 
 (** Stall cycles of a row: everything that is neither busy nor idle. *)
 let row_stalls (r : row) : int =
@@ -76,7 +76,7 @@ let row_stalls (r : row) : int =
     r.r_acc;
   !s
 
-let operand_i = Tr.cause_index Tr.Operand
+let operand_i = Counters.cause_index Counters.Operand
 
 (** Resource stalls: hazards other than waiting for a producer.  Every
     node downstream of a bottleneck shows operand-wait, so ranking by
@@ -84,7 +84,7 @@ let operand_i = Tr.cause_index Tr.Operand
 let row_resource_stalls (r : row) : int = row_stalls r - r.r_acc.(operand_i)
 
 (** The dominant stall cause (idle excluded); [None] if never stalled. *)
-let dominant (r : row) : Tr.cause option =
+let dominant (r : row) : Counters.cause option =
   let best = ref (-1) and bestv = ref 0 in
   Array.iteri
     (fun i v ->
@@ -93,7 +93,7 @@ let dominant (r : row) : Tr.cause option =
         bestv := v
       end)
     r.r_acc;
-  if !best < 0 then None else Some Tr.cause_of_index.(!best)
+  if !best < 0 then None else Some Counters.cause_of_index.(!best)
 
 (** The conservation invariant every row must satisfy. *)
 let conserved (r : row) : bool =
@@ -119,8 +119,8 @@ let structs_of_rows (c : G.circuit) (rows : row list) : struct_row list =
       | Some sref ->
         let charged =
           match sref with
-          | G.Rstruct _ -> r.r_acc.(Tr.cause_index Tr.Memory)
-          | G.Rqueue _ -> r.r_acc.(Tr.cause_index Tr.Structural)
+          | G.Rstruct _ -> r.r_acc.(Counters.cause_index Counters.Memory)
+          | G.Rqueue _ -> r.r_acc.(Counters.cause_index Counters.Structural)
         in
         let stalls, nodes =
           Option.value ~default:(0, 0) (Hashtbl.find_opt tbl sref)
@@ -311,10 +311,6 @@ let critical (c : G.circuit) (evs : Tr.ev list) : crit option =
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                             *)
 
-let key_name (c : G.circuit) : Tr.key -> string = function
-  | Tr.Ktask tid -> "queue:" ^ (G.task c tid).tname
-  | Tr.Kstruct sid -> (G.structure c sid).sname
-
 (** Build a profile from a finished run's counter bank.  [?tracer]
     adds the ring-derived views — critical path, occupancy histograms,
     event totals; without one those fields are empty and everything
@@ -347,7 +343,7 @@ let of_run (c : G.circuit) ?tracer (ctrs : Counters.t) : t =
     | None -> []
     | Some tr ->
       List.map
-        (fun k -> (key_name c k, Tr.occupancy_hist tr k))
+        (fun k -> (Counters.key_name c k, Tr.occupancy_hist tr k))
         (Tr.occupancy_keys tr)
   in
   { p_name = c.cname; p_cycles = ctrs.Counters.final_cycle;
@@ -378,7 +374,7 @@ let pp_row ppf (r : row) =
     |> List.sort (fun (_, a) (_, b) -> compare b a)
     |> List.map (fun (i, v) ->
            Fmt.str "%s %.0f%%"
-             (Tr.cause_name Tr.cause_of_index.(i))
+             (Counters.cause_name Counters.cause_of_index.(i))
              (pct v stalls))
   in
   Fmt.pf ppf "%-10s n%-3d %-18s fires=%-6d busy=%4.1f%% stall=%-7d %s%s"
@@ -456,7 +452,7 @@ let heat (p : t) : Dot.heat =
       let note =
         match dominant r with
         | Some cause ->
-          Fmt.str "%d fires; %s %.0f%%" r.r_fires (Tr.cause_name cause)
+          Fmt.str "%d fires; %s %.0f%%" r.r_fires (Counters.cause_name cause)
             (pct (row_stalls r) r.r_span)
         | None -> Fmt.str "%d fires" r.r_fires
       in

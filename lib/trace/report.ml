@@ -107,10 +107,6 @@ type suite = { su_provenance : provenance; su_runs : run list }
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-let key_name (c : G.circuit) : Counters.key -> string = function
-  | Counters.Ktask tid -> "queue:" ^ (G.task c tid).tname
-  | Counters.Kstruct sid -> (G.structure c sid).sname
-
 (** Build a run record from a finished simulation's counter bank.
     [mem] comes from [Sim.stats.mem] (converted by the caller — this
     library does not depend on the simulator). *)
@@ -136,7 +132,7 @@ let make ~(workload : string) ~(stack : string) ?(knobs = []) ?wall
     List.map
       (fun k ->
         let o = Option.get (Counters.find_occ ctrs k) in
-        { oc_key = key_name c k; oc_cycles = o.Counters.o_cycles;
+        { oc_key = Counters.key_name c k; oc_cycles = o.Counters.o_cycles;
           oc_sum = o.Counters.o_sum; oc_max = o.Counters.o_max })
       (Counters.occ_keys ctrs)
   in

@@ -18,35 +18,11 @@
     critical-path extractor — so losing old events to overwrite (or
     running with [~capacity:0]) costs timeline depth, never a number. *)
 
-(* Re-export the taxonomy so existing users of [Trace.Busy],
-   [Trace.Prof] and [Trace.Ktask] keep compiling; the definitions live
-   in {!Counters}, which the kernel maintains unconditionally. *)
-
-type cause = Counters.cause =
-  | Busy
-  | Operand
-  | Backpressure
-  | Memory
-  | Structural
-  | Sync
-  | Idle
-
-let ncauses = Counters.ncauses
-let cause_index = Counters.cause_index
-let cause_of_index = Counters.cause_of_index
-let cause_name = Counters.cause_name
-
-type key = Counters.key = Ktask of int | Kstruct of int
-
-module Prof = Counters.Prof
-
 type ev =
   | Efire of { c : int; task : int; inst : int; node : int; lat : int }
-  | Estall of { c : int; task : int; inst : int; node : int; cause : cause }
-  | Eocc of { c : int; key : key; depth : int }
-
-let ev_cycle = function
-  | Efire { c; _ } | Estall { c; _ } | Eocc { c; _ } -> c
+  | Estall of {
+      c : int; task : int; inst : int; node : int; cause : Counters.cause }
+  | Eocc of { c : int; key : Counters.key; depth : int }
 
 (* ------------------------------------------------------------------ *)
 (* The trace sink                                                       *)
@@ -54,23 +30,22 @@ let ev_cycle = function
 type t = {
   ring : ev array;
   mutable head : int;     (** total events ever emitted *)
-  occ : (key, (int, int) Hashtbl.t) Hashtbl.t;
-      (** occupancy histograms: key -> depth -> samples *)
-  occ_last : (key, int) Hashtbl.t;
+  occ : (Counters.key, (int, int) Hashtbl.t) Hashtbl.t;
+      (** occupancy histograms: key -> depth -> samples, one sample
+          per key per cycle *)
+  occ_last : (Counters.key, int) Hashtbl.t;
       (** last ring-emitted depth: samples only hit the ring on change *)
-  sample_every : int;     (** occupancy sampling period, cycles *)
   mutable final_cycle : int;
 }
 
-let dummy_ev = Eocc { c = 0; key = Ktask 0; depth = 0 }
+let dummy_ev = Eocc { c = 0; key = Counters.Ktask 0; depth = 0 }
 
 (** [~capacity:0] is legal: the tracer still collects occupancy
     histograms and event totals but retains no timeline — useful to
     prove the counter bank is ring-independent. *)
-let create ?(capacity = 1 lsl 18) ?(sample_every = 1) () : t =
+let create ?(capacity = 1 lsl 18) () : t =
   { ring = Array.make (max capacity 0) dummy_ev; head = 0;
-    occ = Hashtbl.create 16;
-    occ_last = Hashtbl.create 16; sample_every = max sample_every 1;
+    occ = Hashtbl.create 16; occ_last = Hashtbl.create 16;
     final_cycle = 0 }
 
 let emit (tr : t) (e : ev) : unit =
@@ -80,7 +55,8 @@ let emit (tr : t) (e : ev) : unit =
 
 (** Record one occupancy sample.  The histogram counts every sample;
     the ring only gets depth {e changes} (all the exporters need). *)
-let occ_sample (tr : t) ~(c : int) (key : key) (depth : int) : unit =
+let occ_sample (tr : t) ~(c : int) (key : Counters.key) (depth : int) :
+    unit =
   if Hashtbl.find_opt tr.occ_last key <> Some depth then begin
     Hashtbl.replace tr.occ_last key depth;
     emit tr (Eocc { c; key; depth })
@@ -112,12 +88,12 @@ let events (tr : t) : ev list =
     List.init (tr.head - start) (fun i -> tr.ring.((start + i) mod cap))
 
 (** Occupancy histogram for [key]: (depth, samples) sorted by depth. *)
-let occupancy_hist (tr : t) (key : key) : (int * int) list =
+let occupancy_hist (tr : t) (key : Counters.key) : (int * int) list =
   match Hashtbl.find_opt tr.occ key with
   | None -> []
   | Some h ->
     Hashtbl.fold (fun d n acc -> (d, n) :: acc) h []
     |> List.sort compare
 
-let occupancy_keys (tr : t) : key list =
+let occupancy_keys (tr : t) : Counters.key list =
   Hashtbl.fold (fun k _ acc -> k :: acc) tr.occ [] |> List.sort compare

@@ -26,12 +26,6 @@ let floats ?(seed = 1) ?(lo = -1.0) ?(hi = 1.0) n : value array =
   let g = create seed in
   Array.init n (fun _ -> VFloat (float_in g lo hi))
 
-let ints_arr (l : int list) : value array =
-  Array.of_list (List.map vint l)
-
-let floats_arr (l : float list) : value array =
-  Array.of_list (List.map (fun f -> VFloat f) l)
-
 (** Bit reversal permutation table for an [n]-point FFT. *)
 let bitrev_table n : value array =
   let bits =

@@ -2,9 +2,10 @@
    uncaught exception: every subcommand that resolves a workload name
    rejects an unknown one with exit code 2, lists the valid names on
    standard error, and documents that code in its EXIT STATUS.  Report
-   files that cannot be read and output paths that cannot be written
-   also exit 2, with one line naming the file.  Flags reach bundled
-   workloads as they reach source files. *)
+   files that cannot be read, output paths that cannot be written and
+   daemon paths that cannot be opened also exit 2, with one line naming
+   the file.  Flags reach bundled workloads as they reach source
+   files. *)
 
 let muirc = Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "muirc.exe"
@@ -77,11 +78,45 @@ let test_json_unwritable () =
   expect_file_error [ "profile"; "saxpy"; "--json"; f ] f;
   Sys.remove d
 
-let test_profile_exit_documented () =
-  let _, text = muirc_run [ "profile"; "--help=plain" ] in
-  if not (contains text "cannot be written") then
-    Alcotest.failf "profile --help: EXIT STATUS lacks the file errors:@.%s"
+(* [cmd]'s EXIT STATUS documents its file errors ([needle]). *)
+let test_file_exit_documented (cmd, needle) () =
+  let _, text = muirc_run [ cmd; "--help=plain" ] in
+  if not (contains text needle) then
+    Alcotest.failf "%s --help: EXIT STATUS lacks the file errors:@.%s" cmd
       text
+
+(* A path whose directory does not exist. *)
+let missing_dir_path (name : string) : string =
+  let d = Filename.temp_file "muirc" ".d" in
+  Sys.remove d;
+  Filename.concat d name
+
+(* [serve] with [flags] must fail on [path] before the daemon listens.
+   The socket is unbindable too, so a daemon that got past a bad path
+   would fail on the socket instead of listening. *)
+let expect_serve_error ?(socket = missing_dir_path "s.sock") flags path =
+  expect_file_error ([ "serve"; "--socket"; socket ] @ flags) path
+
+let test_serve_log () =
+  let f = missing_dir_path "log" in
+  expect_serve_error [ "--log-json"; f ] f
+
+let test_serve_cache_file () =
+  let f = Filename.temp_file "muirc" ".cache" in
+  expect_serve_error [ "--cache-dir"; f ] f;
+  Sys.remove f
+
+let test_serve_cache_parent () =
+  let d = missing_dir_path "cache" in
+  expect_serve_error [ "--cache-dir"; d ] d
+
+let test_serve_socket () =
+  let s = missing_dir_path "s.sock" in
+  expect_serve_error ~socket:s [] s
+
+let test_client_batch () =
+  let f = missing_dir_path "batch.json" in
+  expect_file_error [ "client"; "--batch"; f ] f
 
 let test_unroll_workload () =
   let code, text = muirc_run [ "simulate"; "gemm"; "-U" ] in
@@ -110,7 +145,19 @@ let () =
           Alcotest.test_case "json: unwritable path" `Quick
             test_json_unwritable;
           Alcotest.test_case "exit status documented" `Quick
-            test_profile_exit_documented ] );
+            (test_file_exit_documented ("profile", "cannot be written")) ] );
+      ( "daemon paths",
+        [ Alcotest.test_case "serve: log file" `Quick test_serve_log;
+          Alcotest.test_case "serve: cache dir is a file" `Quick
+            test_serve_cache_file;
+          Alcotest.test_case "serve: cache dir parent missing" `Quick
+            test_serve_cache_parent;
+          Alcotest.test_case "serve: socket" `Quick test_serve_socket;
+          Alcotest.test_case "client: batch file" `Quick test_client_batch;
+          Alcotest.test_case "serve: exit status documented" `Quick
+            (test_file_exit_documented ("serve", "cannot be used"));
+          Alcotest.test_case "client: exit status documented" `Quick
+            (test_file_exit_documented ("client", "cannot be read")) ] );
       ( "workload flags",
         [ Alcotest.test_case "simulate gemm -U" `Quick test_unroll_workload ]
       ) ]

@@ -156,8 +156,8 @@ let test_long_run () =
 
 (* Occupancy oracle: the kernel integrates queue occupancy lazily, when
    a depth moves; that must equal sampling every queue at every cycle
-   boundary.  The reference is a tracer with [~sample_every:1], whose
-   histograms count one sample per key per cycle: Σ count = o_cycles,
+   boundary.  The reference is a tracer, whose histograms count one
+   sample per key per cycle: Σ count = o_cycles,
    Σ depth·count = o_sum, and the deepest sampled depth = o_max.  This
    pins the boundary rules: a depth change during cycle c is first
    seen at c + 1, the root's queue entry counts from cycle 0, and a
@@ -172,7 +172,7 @@ let test_occupancy_oracle (w : W.t) () =
   List.iter
     (fun (sname, passes) ->
       let ctx = w.wname ^ "/" ^ sname in
-      let tracer = Muir_trace.Trace.create ~capacity:0 ~sample_every:1 () in
+      let tracer = Muir_trace.Trace.create ~capacity:0 () in
       let _, r = run ~tracer w passes in
       let keys = Ctr.occ_keys r.counters in
       Alcotest.(check bool) (ctx ^ ": has occupancy keys") true (keys <> []);

@@ -190,6 +190,22 @@ let test_frontier_pareto () =
   Alcotest.(check bool) "best on frontier" true
     (List.exists (fun e -> e.Dse.e_key = best.e_key) t.x_frontier)
 
+(* The JSON document parses, and its frontier lists the same points,
+   configs and cycles, in the same order. *)
+let test_json_frontier () =
+  let module J = Muir_trace.Json in
+  let t = Dse.run ~grid:(small_grid ()) (subject ()) in
+  let cycles j =
+    match J.get "cycles" j with J.Null -> None | c -> Some (J.to_int_exn c)
+  in
+  Alcotest.(check (list (pair string (option int))))
+    "JSON frontier"
+    (List.map (fun e -> (Config.label e.Dse.e_cfg, e.Dse.e_cycles))
+       t.x_frontier)
+    (List.map
+       (fun j -> (J.to_str_exn (J.get "config" j), cycles j))
+       (J.to_list (J.get "frontier" (J.parse (Dse.to_json t)))))
+
 (* --- budget --------------------------------------------------------- *)
 
 let test_eval_budget_respected () =
@@ -236,7 +252,8 @@ let () =
       ( "pruning",
         [ Alcotest.test_case "area budget" `Quick test_area_pruning_sound ] );
       ( "frontier",
-        [ Alcotest.test_case "pareto-minimal" `Quick test_frontier_pareto ] );
+        [ Alcotest.test_case "pareto-minimal" `Quick test_frontier_pareto;
+          Alcotest.test_case "JSON frontier" `Quick test_json_frontier ] );
       ( "budget",
         [ Alcotest.test_case "eval budget" `Quick
             test_eval_budget_respected ] );

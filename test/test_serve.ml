@@ -524,7 +524,46 @@ let test_metrics_op () =
   (* The fixed clock pins the time-derived series. *)
   Alcotest.(check (option (float 1e-9))) "uptime from injected clock"
     (Some 0.0)
-    (sample p2 "muir_serve_uptime_seconds")
+    (sample p2 "muir_serve_uptime_seconds");
+  (* The stats op reads the same store: its totals are the counters,
+     its errors the sum over codes, and each stage's count and seconds
+     that stage's histogram count and sum. *)
+  let st =
+    match Server.handle t Proto.Stats with
+    | Proto.Stats_r st -> st
+    | _ -> Alcotest.fail "expected stats"
+  in
+  let counter name = int_of_float (Option.get (sample p2 name)) in
+  List.iter
+    (fun (what, v, name) ->
+      Alcotest.(check int) ("stats " ^ what) (counter name) v)
+    [ ("requests", st.st_requests, "muir_serve_requests_total");
+      ("items", st.st_items, "muir_serve_items_total");
+      ("ok", st.st_ok, "muir_serve_ok_total");
+      ("fresh", st.st_fresh, "muir_serve_fresh_total");
+      ("cached", st.st_cached, "muir_serve_cached_total") ];
+  Alcotest.(check int) "stats errors" 2 st.st_errors;
+  Alcotest.(check int) "stats errors = Σ errors_total"
+    (List.fold_left
+       (fun n (s : Prom.sample_line) ->
+         if s.s_name = "muir_serve_errors_total" then
+           n + int_of_float s.s_value
+         else n)
+       0 p2.Prom.p_samples)
+    st.st_errors;
+  List.iter
+    (fun (g : Proto.stage_stat) ->
+      match
+        Prom.find_histogram p2 ~name:"muir_serve_stage_seconds"
+          ~labels:[ ("stage", g.tg_stage) ] ()
+      with
+      | Some hd ->
+        Alcotest.(check int) (g.tg_stage ^ " count") hd.Prom.hd_count
+          g.tg_count;
+        Alcotest.(check (float 1e-9)) (g.tg_stage ^ " seconds")
+          hd.Prom.hd_sum g.tg_seconds
+      | None -> Alcotest.failf "no %s stage histogram" g.tg_stage)
+    st.st_stages
 
 let test_rcache_disk_bytes () =
   let dir = fresh_dir () in
@@ -638,18 +677,8 @@ let test_socket_end_to_end () =
   let t = Server.create ~jobs:2 ~queue_cap:3 () in
   (* A small frame cap keeps the oversize probe below the socket-buffer
      size, so the whole frame is written before the server answers. *)
-  let d =
-    Domain.spawn (fun () -> Server.serve ~max_frame:4096 ~socket t)
-  in
-  let rec wait n =
-    if Sys.file_exists socket then ()
-    else if n = 0 then Alcotest.fail "daemon socket never appeared"
-    else begin
-      Unix.sleepf 0.05;
-      wait (n - 1)
-    end
-  in
-  wait 100;
+  let ln = Server.listen socket in
+  let d = Domain.spawn (fun () -> Server.serve ~max_frame:4096 ln t) in
   (* Round 1: mixed batch. *)
   let batch =
     Proto.Run

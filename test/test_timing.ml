@@ -134,12 +134,12 @@ let test_golden_divring () =
 (* --- 4. pruned exploration is transparent ------------------------- *)
 
 let frontier_fingerprint (t : Muir_dse.Explore.t) : string =
-  String.concat "\n"
-    (List.map Muir_dse.Explore.eval_to_json t.x_frontier)
-  ^ "\nbest:"
-  ^ (match t.x_best with
-    | Some b -> Muir_dse.Explore.eval_to_json b
-    | None -> "none")
+  let module J = Muir_trace.Json in
+  let ev = Muir_dse.Explore.eval_to_json in
+  J.to_string
+    (J.Obj
+       [ ("frontier", J.Arr (List.map ev t.x_frontier));
+         ("best", Option.fold ~none:J.Null ~some:ev t.x_best) ])
 
 let test_prune_transparent () =
   let subject =
