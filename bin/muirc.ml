@@ -179,6 +179,28 @@ let write_file f s =
    with Sys_error e -> file_error f e);
   Fmt.pr "wrote %s@." f
 
+(* Output paths are checked before the work that fills them: the
+   directory must exist and the path must not be one.  A failure prints
+   the line a failed write would, and exits 2. *)
+let check_outputs (paths : string option list) =
+  List.iter
+    (Option.iter (fun f ->
+         match (Unix.stat (Filename.dirname f)).st_kind with
+         | Unix.S_DIR ->
+           if Sys.file_exists f && Sys.is_directory f then
+             file_error f (Unix.error_message Unix.EISDIR)
+         | _ -> file_error f (Unix.error_message Unix.ENOTDIR)
+         | exception Unix.Unix_error (e, _, _) ->
+           file_error f (Unix.error_message e)))
+    paths
+
+(* EXIT STATUS row of every command that writes an output file. *)
+let output_exit =
+  Cmd.Exit.info 2
+    ~doc:
+      "on an output path that cannot be written, checked before the work \
+       starts; one line on standard error names the file and the reason."
+
 (* Run [f], which opens [path]: a path it cannot use is a usage error
    too. *)
 let on_path path f =
@@ -225,6 +247,7 @@ let graph_cmd =
              per-node output shapes.  Models only.")
   in
   let run target passes unroll fuse dot =
+    check_outputs [ dot ];
     handle_frontend (fun () ->
         if Sys.file_exists target then begin
           let _, c = optimized_circuit ~unroll target passes in
@@ -248,6 +271,12 @@ let graph_cmd =
   in
   Cmd.v
     (Cmd.info "graph"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:
+              "on an unknown target (neither a file nor a tensor-graph \
+               model); the valid models are listed on standard error."
+         :: output_exit :: Cmd.Exit.defaults)
        ~doc:
          "Print the μIR circuit of a source file, or the operator \
           graph of a tensor-graph model.")
@@ -267,6 +296,7 @@ let dot_cmd =
              fire count and annotated with their dominant stall cause.")
   in
   let run target passes unroll out profile =
+    check_outputs [ out ];
     handle_frontend (fun () ->
         let b = target_built ~unroll target passes in
         let c = b.Pipeline.p_circuit in
@@ -286,7 +316,7 @@ let dot_cmd =
         | Some f -> write_file f dot)
   in
   Cmd.v
-    (Cmd.info "dot" ~exits:workload_exits
+    (Cmd.info "dot" ~exits:(output_exit :: workload_exits)
        ~doc:"Render the μIR circuit as a Graphviz digraph.")
     Term.(const run $ target_arg $ passes_arg $ unroll_arg $ out $ prof_flag)
 
@@ -391,6 +421,7 @@ let check_cmd =
           ~doc:"Exit with code 3 when there are warnings but no errors.")
   in
   let run target passes unroll timing json strict =
+    check_outputs [ json ];
     handle_frontend (fun () ->
         let b = target_built ~unroll target passes in
         let c = b.Pipeline.p_circuit in
@@ -468,7 +499,7 @@ let check_cmd =
          (Cmd.Exit.info 1 ~doc:"when the analyses report errors."
          :: Cmd.Exit.info 3
               ~doc:"with $(b,--strict), on warnings but no errors."
-         :: workload_exits)
+         :: output_exit :: workload_exits)
        ~doc:
          "Run the static analyses on a program's circuit: deadlock and \
           starvation on the dataflow graph, buffer-sizing imbalance, \
@@ -485,6 +516,7 @@ let chisel_cmd =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT")
   in
   let run path passes out =
+    check_outputs [ out ];
     handle_frontend (fun () ->
         let _, c = optimized_circuit path passes in
         let src = Muir_rtl.Chisel.emit c in
@@ -492,7 +524,10 @@ let chisel_cmd =
         | None -> print_string src
         | Some f -> write_file f src)
   in
-  Cmd.v (Cmd.info "chisel" ~doc:"Emit Chisel for the accelerator.")
+  Cmd.v
+    (Cmd.info "chisel"
+       ~exits:(output_exit :: Cmd.Exit.defaults)
+       ~doc:"Emit Chisel for the accelerator.")
     Term.(const run $ file_arg $ passes_arg $ out)
 
 let report_simulation (r : Muir_sim.Sim.result) =
@@ -586,6 +621,7 @@ let profile_cmd =
           ~doc:"Second report file (with $(b,--diff)).")
   in
   let run target passes unroll top chrome vcd json diff second =
+    check_outputs [ chrome; vcd; json ];
     handle_frontend (fun () ->
         if diff then begin
           let b =
@@ -704,8 +740,11 @@ let explore_cmd =
           ~doc:"Seed of the greedy search's diversification step.")
   in
   let strategy_arg =
+    let module E = Muir_dse.Explore in
+    let named s = (E.strategy_to_string s, s) in
     Arg.(
-      value & opt string "grid"
+      value
+      & opt (enum [ named E.Grid; named E.Greedy ]) E.Grid
       & info [ "strategy" ] ~docv:"NAME"
           ~doc:
             "Search strategy: $(b,grid) (exhaustive sweep) or \
@@ -730,7 +769,8 @@ let explore_cmd =
              traffic, per-stage latency histograms — the \
              $(b,muir_dse_*) families) as Prometheus text.")
   in
-  let run target budget area jobs json seed strat tprune metrics_file =
+  let run target budget area jobs json seed strategy tprune metrics_file =
+    check_outputs [ json; metrics_file ];
     handle_frontend (fun () ->
         let subject =
           if Sys.file_exists target then
@@ -738,13 +778,6 @@ let explore_cmd =
               ~name:(Filename.remove_extension (Filename.basename target))
               (read_file target)
           else Muir_dse.Explore.workload_subject (resolve_workload target)
-        in
-        let strategy =
-          match Muir_dse.Explore.strategy_of_string strat with
-          | Some s -> s
-          | None ->
-            Fmt.epr "unknown strategy %S (have: grid, greedy)@." strat;
-            exit 1
         in
         let obs =
           Option.map (fun _ -> Muir_obs.Obs.create ()) metrics_file
@@ -765,7 +798,7 @@ let explore_cmd =
           metrics_file)
   in
   Cmd.v
-    (Cmd.info "explore" ~exits:workload_exits
+    (Cmd.info "explore" ~exits:(output_exit :: workload_exits)
        ~doc:
          "Design-space exploration: enumerate μopt stacks × tiling \
           width × banking (× per-pass on/off), evaluate each with the \
@@ -1044,6 +1077,7 @@ let client_cmd =
   let module P = Muir_serve.Proto in
   let run socket targets stack tiles banks deadline batch stats metrics
       shutdown json =
+    check_outputs [ json ];
     let write_json resp =
       Option.iter
         (fun f -> write_file f (J.to_string (P.response_to_json resp)))

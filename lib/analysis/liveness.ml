@@ -25,15 +25,12 @@
     The analysis mirrors the simulator's firing rules: a [MergeLoop]
     consumes its control token first and selects init (port 1) on the
     initial [false], so its back edge (port 2) is not required for the
-    first firing; every other kind requires all wired inputs. *)
+    first firing; every other kind requires all wired inputs.  An
+    immediate steer predicate routes by the kernel's control-token
+    rule, {!Muir_ir.Types.truthy}. *)
 
 module G = Muir_core.Graph
 module T = Muir_ir.Types
-
-let truthy : T.value -> bool = function
-  | T.VBool b -> b
-  | T.VInt i -> not (Int64.equal i 0L)
-  | _ -> true
 
 (** [blocking] edges must receive a freshly produced token before
     their target's first firing: no initial tokens, and the target
@@ -138,7 +135,7 @@ let can_fire_set (c : ctx) : (int, unit) Hashtbl.t =
     match n.kind with
     | G.Steer | G.FusedSteer _ -> (
       match n.ins.(0) with
-      | G.Simm v -> port = if truthy v then 0 else 1
+      | G.Simm v -> port = if T.truthy v then 0 else 1
       | G.Swire -> true)
     | _ -> true
   in

@@ -22,7 +22,16 @@
       (queue slots + instances) and weighted with the child's
       per-invocation latency [R_min] — the caller parks on the full
       queue, so at most [window] invocations separate a firing from
-      the completion that frees its slot.
+      the completion that frees its slot.  A child instanced on
+      demand has no window: the kernel never parks on its queue.
+
+    The execution rules modeled here are the kernel's own, read from
+    {!Muir_core.Cost}: the output-ring depth, the wave-pipelining
+    predicate and the two task sets of {!Muir_core.Cost.instancing}.
+    A {e recursive} task lies on a call/spawn cycle; its invocation
+    count and [R_min] are unknown, and the report flags it
+    [dynamic].  The kernel instances a wider set on demand: the
+    recursive tasks and every task reachable from one.
 
     The maximum cycle ratio of that graph bounds the task's
     initiation interval from below; the attaining cycle is the
@@ -43,14 +52,13 @@
       those), so a cycle through an [if]-shadowed node never counts;
     - a loop invocation charges [floor((trips-1)/M) * W] — one fewer
       traversal than the ring really makes;
-    - wave-pipelined leaf loops (no stores/calls/sync — the
+    - wave-pipelined leaf loops ({!Muir_core.Cost.pipelined}: the
       simulator's in-order concurrent invocations) overlap
       invocations, so they charge only the mu node's firing count at
       II 1 and their [R_min] ring term uses pure-dependence cycles
       (capacity and FU constraints are physical and shared across
       overlapped invocations, so they cannot be charged per wave);
-    - dynamically-instanced tasks (on a call/spawn cycle) and
-      unknown trip counts charge nothing;
+    - recursive tasks and unknown trip counts charge nothing;
     - gated calls receive immediate synthesized responses, so call
       latency is upgraded to the child's [R_min] only when the
       predicate is provably the wave token or the loop condition. *)
@@ -99,7 +107,8 @@ type task_timing = {
   tt_rmin : int;             (** per-invocation latency lower bound *)
   tt_bound : int;            (** whole-run cycles this task alone forces *)
   tt_pipelined : bool;       (** leaf loop: invocations wave-pipeline *)
-  tt_dynamic : bool;         (** on a call/spawn cycle *)
+  tt_dynamic : bool;         (** recursive: on a call/spawn cycle, so
+                                 [ninv] and [R_min] are unknown *)
 }
 
 type t = {
@@ -111,11 +120,6 @@ type t = {
 (* Small helpers                                                       *)
 
 let ceil_div a b = if b <= 0 then 0 else (a + b - 1) / b
-
-(** Depth of the simulator's per-node pipeline output ring: a node
-    keeps firing until [pipe_slots] results await drain, so finite
-    channel capacity backpressures this many firings late. *)
-let pipe_slots = 4
 
 (** [floor((waves - 1) / m) * w]: full traversals a ring with marking
     [m] and weight [w] must make to pass [waves] firings through every
@@ -186,7 +190,7 @@ let make_tctx (t : G.task) : tctx =
     t.edges;
   let pred_of (nd : G.node) : pred_class =
     match nd.ins.(0) with
-    | G.Simm v -> if Liveness.truthy v then AlwaysTrue else Other
+    | G.Simm v -> if T.truthy v then AlwaysTrue else Other
     | G.Swire -> (
       match
         List.find_opt
@@ -252,36 +256,6 @@ let chain_port (nd : G.node) (port : int) : bool =
   | G.Tstore _ -> port >= 4
   | _ -> false
 
-(** The simulator wave-pipelines invocations of leaf loops only. *)
-let pipelined (t : G.task) : bool =
-  (match t.tkind with G.Tloop _ -> true | G.Tfunc -> false)
-  && List.for_all
-       (fun (nd : G.node) ->
-         match nd.kind with
-         | G.Store _ | G.Tstore _ | G.CallChild _ | G.SpawnChild _
-         | G.SyncWait -> false
-         | _ -> true)
-       t.nodes
-
-(** Tasks on a call/spawn cycle use dynamic instances: their
-    invocation counts and windows are unbounded statically. *)
-let dynamic_tasks (c : G.circuit) : bool array =
-  let n = List.length c.tasks in
-  let reach = Array.make_matrix n n false in
-  List.iter
-    (fun (t : G.task) ->
-      List.iter (fun ch -> reach.(t.tid).(ch) <- true) t.children)
-    c.tasks;
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      if reach.(i).(k) then
-        for j = 0 to n - 1 do
-          if reach.(k).(j) then reach.(i).(j) <- true
-        done
-    done
-  done;
-  Array.init n (fun i -> reach.(i).(i))
-
 (* ------------------------------------------------------------------ *)
 (* Graph abstraction                                                   *)
 
@@ -323,9 +297,9 @@ let build_sdf (tc : tctx) ~(flavor : flavor) ~(restrict : bool)
           :: !acc;
         (* Backpressure is looser than the FIFO capacity alone: a full
            output channel blocks the *drain*, not the fire — each node
-           holds up to [pipe_slots] undrained results in its pipeline
-           ring, so the producer runs [capacity + pipe_slots] firings
-           ahead.  Sources that never block on a full output are
+           holds up to [Cost.pipe_slots] undrained results in its
+           pipeline ring, so the producer runs [capacity + pipe_slots]
+           firings ahead.  Sources that never block on a full output are
            exempt entirely: memory nodes (the simulator skips the
            ring-occupancy check for them) and call/spawn sites, whose
            responses land in an unbounded completion store before
@@ -340,7 +314,7 @@ let build_sdf (tc : tctx) ~(flavor : flavor) ~(restrict : bool)
           let free = e.capacity - List.length e.initial in
           acc :=
             { Sdf.esrc = idx (fst e.dst); edst = idx (fst e.src);
-              ew = 0; em = max 0 free + pipe_slots; etag = Pcap e }
+              ew = 0; em = max 0 free + Cost.pipe_slots; etag = Pcap e }
             :: !acc
         end
       end)
@@ -426,7 +400,7 @@ let classify (c : G.circuit) (tc : tctx) (cyc : prov Sdf.edge list) :
 
 let analyze (c : G.circuit) : t =
   let ntasks = List.length c.tasks in
-  let dyn = dynamic_tasks c in
+  let { Cost.recursive; on_demand } = Cost.instancing c in
   let task_arr = Array.make ntasks None in
   List.iter (fun (t : G.task) -> task_arr.(t.tid) <- Some t) c.tasks;
   let task tid = Option.get task_arr.(tid) in
@@ -445,10 +419,10 @@ let analyze (c : G.circuit) : t =
         f.loops)
     c.prog.Muir_ir.Program.funcs;
   let trips tid = Hashtbl.find_opt trips_by_name (task tid).tname in
-  let pipe = Array.init ntasks (fun tid -> pipelined (task tid)) in
+  let pipe = Array.init ntasks (fun tid -> Cost.pipelined (task tid)) in
 
   (* Per-invocation latency floor, children first.  The recursion
-     guard breaks call cycles (those tasks are dynamic anyway). *)
+     guard breaks call cycles (those tasks are recursive anyway). *)
   let rmin_memo = Array.make ntasks None in
   let rmin_stack = Array.make ntasks false in
   let rec rmin (tid : G.task_id) : int =
@@ -538,12 +512,12 @@ let analyze (c : G.circuit) : t =
         v
       end
   (* Weight of a producer's output tokens: its latency, with call
-     sites into non-dynamic children upgraded to the child's R_min
+     sites into non-recursive children upgraded to the child's R_min
      when the predicate provably holds on every counted wave. *)
   and out_lat (tc : tctx) (nd : G.node) : int =
     match nd.kind with
     | G.CallChild child
-      when (not dyn.(child))
+      when (not recursive.(child))
            && (match tc.pred_of nd with
               | AlwaysTrue | LoopCond -> true
               | Other -> false) ->
@@ -552,14 +526,15 @@ let analyze (c : G.circuit) : t =
   in
   (* A serialized loop child admits at most queue + instances
      in-flight invocations; past that, a call firing waits for a
-     completion a full R_min ago. *)
+     completion a full R_min ago.  A caller never waits on an
+     on-demand child's queue: each invocation gets its own instance. *)
   let window (tc : tctx) (nd : G.node) : (int * int * G.task_id) option =
     match nd.kind with
     | G.CallChild child -> (
       let ct = task child in
       match ct.tkind with
       | G.Tloop _
-        when (not dyn.(child))
+        when (not on_demand.(child))
              && (not pipe.(child))
              && (match tc.pred_of nd with
                 | AlwaysTrue | LoopCond -> true
@@ -596,7 +571,7 @@ let analyze (c : G.circuit) : t =
           else
             List.fold_left
               (fun acc (ptid, nd) ->
-                if dyn.(ptid) then acc
+                if recursive.(ptid) then acc
                 else
                   let pn = ninv ptid in
                   if pn = 0 then acc
@@ -644,7 +619,7 @@ let analyze (c : G.circuit) : t =
                 binding = classify c tc cyc }
         in
         let tr = trips tid in
-        let nv = if dyn.(tid) then 0 else ninv tid in
+        let nv = if recursive.(tid) then 0 else ninv tid in
         let tiles = max t.tiles 1 in
         let ninst = ceil_div nv tiles in
         (* Whole-run charge: counted firings of every-wave nodes
@@ -657,7 +632,7 @@ let analyze (c : G.circuit) : t =
           | Sdf.Acyclic | Sdf.Unbounded _ -> 0
         in
         let tt_bound =
-          if dyn.(tid) || nv = 0 then 0
+          if recursive.(tid) || nv = 0 then 0
           else
             match t.tkind with
             | G.Tfunc -> counted_bound ~waves:ninst
@@ -673,7 +648,7 @@ let analyze (c : G.circuit) : t =
         in
         { tt_tid = tid; tt_name = t.tname; tt_ii; tt_trips = tr;
           tt_ninv = nv; tt_rmin = rmin tid; tt_bound;
-          tt_pipelined = pipe.(tid); tt_dynamic = dyn.(tid) })
+          tt_pipelined = pipe.(tid); tt_dynamic = recursive.(tid) })
       (List.sort (fun (a : G.task) b -> compare a.tid b.tid) c.tasks)
   in
   let bound =

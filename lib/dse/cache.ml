@@ -44,10 +44,6 @@ let stats (c : 'a t) : stats =
   { c_hits = c.hits; c_misses = c.misses;
     c_entries = Hashtbl.length c.tbl }
 
-let reset_counters (c : 'a t) : unit =
-  c.hits <- 0;
-  c.misses <- 0
-
 let pp_stats ppf (s : stats) =
   Fmt.pf ppf "%d hit%s, %d miss%s, %d entr%s" s.c_hits
     (if s.c_hits = 1 then "" else "s")

@@ -211,11 +211,6 @@ type strategy = Grid | Greedy
 
 let strategy_to_string = function Grid -> "grid" | Greedy -> "greedy"
 
-let strategy_of_string = function
-  | "grid" -> Some Grid
-  | "greedy" -> Some Greedy
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* The explorer                                                         *)
 

@@ -41,8 +41,10 @@ type ctx = {
   tracer : (trace_event -> unit) option;
   on_block : (string -> Instr.label -> unit) option;
   mutable steps : int;
-  max_steps : int;
 }
+
+(** Blocks a run may enter before it is cut off as non-terminating. *)
+let max_steps = 50_000_000
 
 let resolve (env : value array) (op : operand) : value =
   match op with
@@ -81,7 +83,7 @@ let rec run_func (ctx : ctx) (f : Func.t) (args : value list) : value =
   in
   let rec run_block (blk : Func.block) (prev : label option) : value =
     ctx.steps <- ctx.steps + 1;
-    if ctx.steps > ctx.max_steps then raise Step_limit_exceeded;
+    if ctx.steps > max_steps then raise Step_limit_exceeded;
     (match ctx.on_block with
     | Some f -> f ctx_fname blk.label
     | None -> ());
@@ -160,12 +162,11 @@ let rec run_func (ctx : ctx) (f : Func.t) (args : value list) : value =
 
 (** Run [entry] (default ["main"]) to completion.  Returns the entry
     function's return value, the final memory and dynamic stats. *)
-let run ?(entry = "main") ?(args = []) ?tracer ?on_block
-    ?(max_steps = 50_000_000) (prog : Program.t) :
+let run ?(entry = "main") ?(args = []) ?tracer ?on_block (prog : Program.t) :
     value * Memory.t * stats =
   let ctx =
     { prog; mem = Memory.create prog; stats = new_stats (); tracer;
-      on_block; steps = 0; max_steps }
+      on_block; steps = 0 }
   in
   let f = Program.find_func prog entry in
   let v = run_func ctx f args in

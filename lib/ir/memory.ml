@@ -127,7 +127,3 @@ let dump_global (m : t) (p : Program.t) (name : string) : value array =
   Array.init g.gsize (fun i ->
       let a = g.gbase + i in
       F.materialize m.tags.(a) m.nums.(a) m.flts.(a) m.objs.(a))
-
-let reset_counters (m : t) =
-  m.loads <- 0;
-  m.stores <- 0

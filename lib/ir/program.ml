@@ -41,8 +41,9 @@ let memory_words (p : t) =
     aligned to a cache line (8 words) and separated from its neighbour
     by one line of padding, which skews equally-sized arrays across
     cache banks instead of landing them all on bank 0. *)
-let layout ?(line_words = 8) ?(pad_lines = 1)
-    (globals : (string * int * ty * value array option) list) : global list =
+let layout (globals : (string * int * ty * value array option) list) :
+    global list =
+  let line_words = 8 and pad_lines = 1 in
   let align n = (n + line_words - 1) / line_words * line_words in
   let _, gs =
     List.fold_left

@@ -68,9 +68,10 @@ let pp_value ppf = function
 
 let value_to_string v = Fmt.str "%a" pp_value v
 
-(** Structural equality with a tolerance for floats, used by tests and
-    the golden-model comparison. *)
-let value_close ?(eps = 1e-5) a b =
+(** Structural equality with a relative tolerance of 1e-5 for floats,
+    used by tests and the golden-model comparison. *)
+let value_close a b =
+  let eps = 1e-5 in
   let feq x y =
     let d = Float.abs (x -. y) in
     d <= eps *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
@@ -95,6 +96,14 @@ let truth = function
   | VBool b -> b
   | VInt i -> not (Int64.equal i 0L)
   | _ -> invalid_arg "Types.truth: not a condition value"
+
+(** Truth of a control token: a predicate, a steer selector or a mu
+    control input.  Lenient where {!truth} raises: a value that is
+    neither a bool nor an int (a poisoned predicate, say) is false. *)
+let truthy = function
+  | VBool b -> b
+  | VInt i -> not (Int64.equal i 0L)
+  | _ -> false
 
 (* The conversions below are lenient about the scalar kind: a
    speculatively executed (predicated-off) operation may read a word

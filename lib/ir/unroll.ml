@@ -7,10 +7,12 @@
     independent slice of dataflow in the μIR graph (more function
     units in flight per iteration).
 
-    This implements full unrolling of innermost counted loops with
-    straight-line bodies and a known constant trip count:
-
-      for (i = C0; i < C1; i = i + C2) BODY      trip = ceil((C1-C0)/C2)
+    This implements full unrolling of innermost loops with
+    straight-line bodies and a static trip count of at most
+    [max_trip].  The trip count is {!Loops.trip_count}'s, the one the
+    timing analysis uses: a constant-init induction variable stepped
+    up or down by a constant and compared against a constant with any
+    comparison ([<], [<=], [>], [>=], [==], [!=]).
 
     The loop's blocks are replaced by [trip] renamed copies of the
     body/latch instructions chained in the preheader's stead; header
@@ -36,32 +38,6 @@ let carried_phis (f : Func.t) (lp : Func.loop_info) :
       | _ -> None)
     (Func.block f lp.header).instrs
 
-(** Constant trip count of [lp] if its induction phi (the one feeding
-    the exit comparison) has constant bounds and a positive constant
-    step; other carried phis (accumulators) are fine. *)
-let trip_count (f : Func.t) (lp : Func.loop_info) : int option =
-  let header = Func.block f lp.header in
-  match header.term with
-  | CondBr (Reg c, _, _) -> (
-    let cond = Func.find_instr f c in
-    match cond with
-    | Some { kind = Icmp (Slt, Reg ind, CInt c1); _ } -> (
-      match
-        List.find_opt (fun (r, _, _) -> r = ind) (carried_phis f lp)
-      with
-      | Some (_, CInt c0, Reg nxt) -> (
-        match Func.find_instr f nxt with
-        | Some { kind = Bin (Add, Reg i', CInt s); _ }
-          when i' = ind && Int64.to_int s > 0 ->
-          let c0 = Int64.to_int c0
-          and c1 = Int64.to_int c1
-          and s = Int64.to_int s in
-          if c1 <= c0 then Some 0 else Some ((c1 - c0 + s - 1) / s)
-        | _ -> None)
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
-
 (** The loop is unrollable when its body is pure straight-line code:
     header + one body block + latch, no calls/spawns/syncs, and no
     inner loops. *)
@@ -86,10 +62,11 @@ let unrollable (f : Func.t) (lp : Func.loop_info) : bool =
            b.instrs)
        lp.body
 
-(** Fully unroll one loop; returns true on success. *)
+(** Fully unroll one loop; returns true on success.  The shape test
+    comes first: counting a loop iterates its recurrence. *)
 let unroll_loop (f : Func.t) (lp : Func.loop_info) ~(max_trip : int) : bool =
-  match trip_count f lp with
-  | Some trip when trip >= 0 && trip <= max_trip && unrollable f lp ->
+  match if unrollable f lp then Loops.trip_count f lp else None with
+  | Some trip when trip <= max_trip ->
     let header = Func.block f lp.header in
     let body_labels =
       List.filter (fun l -> l <> lp.header) lp.body

@@ -1,13 +1,11 @@
 (** Behaviour-level loop unrolling (the software transformation the
     paper's front-end leans on to expose hardware parallelism).
 
-    Fully unrolls innermost counted loops with straight-line bodies
-    and constant trip counts; loops with conditional control flow,
-    calls, spawns, or dynamic bounds are left untouched. *)
-
-val trip_count : Func.t -> Func.loop_info -> int option
-(** Constant trip count, when the loop has the canonical
-    [for (i = C0; i < C1; i = i + C2)] shape. *)
+    Fully unrolls innermost loops with straight-line bodies whose
+    {!Loops.trip_count} is known: a constant-init induction variable
+    stepped up or down by a constant, under any comparison against a
+    constant.  Loops with conditional control flow, calls, spawns, or
+    dynamic bounds are left untouched. *)
 
 val unroll_func : ?max_trip:int -> Func.t -> int
 (** Unroll every eligible loop of one function; returns how many. *)

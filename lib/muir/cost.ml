@@ -11,7 +11,12 @@
     collapsing a chain into one stage group.
 
     The synthesis model in [Muir_model] independently derives clock
-    frequency from the same primitives' combinational delays. *)
+    frequency from the same primitives' combinational delays.
+
+    The last section states how the simulation kernel runs a circuit
+    — output-ring depth, wave-pipelined loops, dynamically-instanced
+    tasks — once, for the kernel and for every analysis that models
+    it. *)
 
 module G = Graph
 module I = Muir_ir.Instr
@@ -91,3 +96,60 @@ let node_cost (k : G.node_kind) : t =
   | LiveIn _ | LiveOut _ -> one
   | CallChild _ | SpawnChild _ -> one
   | SyncWait -> one
+
+(* ------------------------------------------------------------------ *)
+(* Execution rules                                                     *)
+
+(** Depth of every node's pipeline output ring: a node keeps firing
+    until [pipe_slots] results await drain, so finite channel capacity
+    backpressures this many firings late.  A power of two: the kernel
+    indexes the ring with [land (pipe_slots - 1)]. *)
+let pipe_slots = 4
+
+(** Invocations of a leaf loop (no stores, calls, spawns or syncs)
+    wave-pipeline: they enter the loop ring back to back and complete
+    in order, the paper's in-order concurrent invocations.  Any other
+    loop runs one invocation at a time. *)
+let pipelined (t : G.task) : bool =
+  (match t.tkind with G.Tloop _ -> true | G.Tfunc -> false)
+  && List.for_all
+       (fun (nd : G.node) ->
+         match nd.kind with
+         | G.Store _ | G.Tstore _ | G.CallChild _ | G.SpawnChild _
+         | G.SyncWait -> false
+         | _ -> true)
+       t.nodes
+
+(** Task sets of the call/spawn graph, indexed by task id.
+    - [recursive]: on a call/spawn cycle.  Its invocation count and
+      in-flight window are unbounded statically.
+    - [on_demand]: recursive, or reachable from a recursive task, whose
+      callers may hold unbounded concurrent invocations.  The kernel
+      gives each invocation of such a task its own instance, and a
+      caller never parks on its queue.  Every other task runs one
+      static instance per tile. *)
+type instancing = { recursive : bool array; on_demand : bool array }
+
+let instancing (c : G.circuit) : instancing =
+  let n = List.length c.tasks in
+  let reach = Array.make_matrix n n false in
+  List.iter
+    (fun (t : G.task) ->
+      List.iter (fun ch -> reach.(t.tid).(ch) <- true) t.children)
+    c.tasks;
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      if reach.(i).(k) then
+        for j = 0 to n - 1 do
+          if reach.(k).(j) then reach.(i).(j) <- true
+        done
+    done
+  done;
+  let recursive = Array.init n (fun i -> reach.(i).(i)) in
+  let on_demand = Array.copy recursive in
+  Array.iteri
+    (fun j r ->
+      if r then
+        Array.iteri (fun i x -> if x then on_demand.(i) <- true) reach.(j))
+    recursive;
+  { recursive; on_demand }

@@ -173,11 +173,9 @@ let model ?ctl (b : built) : modeled =
   { m_design = design; m_fpga = fpga; m_asic = asic }
 
 (** Cycle-accurate simulation of the built circuit (the Simulate
-    stage); all simulator options pass through unchanged. *)
-let simulate ?ctl ?tracer ?args ?max_cycles (b : built) :
-    Muir_sim.Sim.result =
-  staged ctl Simulate (fun () ->
-      Muir_sim.Sim.run ?tracer ?args ?max_cycles b.p_circuit)
+    stage). *)
+let simulate ?ctl ?tracer (b : built) : Muir_sim.Sim.result =
+  staged ctl Simulate (fun () -> Muir_sim.Sim.run ?tracer b.p_circuit)
 
 (* ------------------------------------------------------------------ *)
 (* Products to report                                                  *)

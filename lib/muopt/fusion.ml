@@ -9,9 +9,9 @@
     absorbs it ([FusedSteer]), which is what re-times the serial loop
     ring (the paper's Buffer→φ→i++→i==0→branch, five stages → two).
 
-    Fusion is delay-bounded ([max_chain]) so the resulting stage does
-    not rob frequency — the synthesis model charges the summed
-    combinational delay of the fused group. *)
+    Fusion is bounded ([max_chain] operations, [budget] of delay) so
+    the resulting stage does not rob frequency — the synthesis model
+    charges the summed combinational delay of the fused group. *)
 
 module G = Muir_core.Graph
 module I = Muir_ir.Instr
@@ -57,11 +57,13 @@ let chain_delay (ops : G.fu_op list) : float =
 (** Delay budget for one fused stage (≈ two chained adders): fusing
     beyond this would rob frequency, which the paper's pass explicitly
     avoids. *)
-let default_budget = 2.1
+let budget = 2.1
+
+(** Longest chain of operations fused into one stage. *)
+let max_chain = 4
 
 (** Fuse chains in one task; returns (nodes removed, edges removed). *)
-let fuse_task ?(max_chain = 4) ?(budget = default_budget) (t : G.task) :
-    int * int =
+let fuse_task (t : G.task) : int * int =
   let removed_nodes = ref 0 and removed_edges = ref 0 in
   let out_edges nid =
     List.filter (fun (e : G.edge) -> fst e.src = nid) t.edges
@@ -143,7 +145,7 @@ let fuse_task ?(max_chain = 4) ?(budget = default_budget) (t : G.task) :
             Some (List.nth chain (List.length chain - 1)).ce_node
           else None
         in
-        (* Gather external inputs in Exec.fused order: head's operands,
+        (* Gather external inputs in Exec.fused_sc order: head's operands,
            then each later member's non-chained operands. *)
         let ext_inputs : (G.slot * (G.node_id * int) option) list ref =
           ref []
@@ -232,6 +234,9 @@ let fuse_task ?(max_chain = 4) ?(budget = default_budget) (t : G.task) :
 (* ------------------------------------------------------------------ *)
 (* Pipeline balancing                                                   *)
 
+(** Slots a balanced channel may grow to. *)
+let max_slots = 16
+
 (** Auto-balance a task's dataflow: size each channel so reconvergent
     paths of different depths do not throttle the producer (§6.1:
     "We auto balance the dataflow pipeline ...").  The slack of an
@@ -239,8 +244,9 @@ let fuse_task ?(max_chain = 4) ?(budget = default_budget) (t : G.task) :
     time and the producer's; a channel needs roughly [slack] extra
     token slots to decouple.  Back edges (the loop ring and ordering
     chains) are left alone — their depth is the loop's II, which
-    buffering cannot and must not change. *)
-let balance_task ?(max_slots = 16) (t : G.task) : int =
+    buffering cannot and must not change.  No channel grows past
+    [max_slots]. *)
+let balance_task (t : G.task) : int =
   let lat (n : G.node) = (Muir_core.Cost.node_cost n.kind).latency in
   (* Forward edges only: drop edges carrying initial tokens (primed
      back edges) and MergeLoop data-back/ctl inputs. *)
@@ -287,11 +293,11 @@ let balance_task ?(max_slots = 16) (t : G.task) : int =
   !touched
 
 (** Run auto-pipelining (balancing) and op fusion over the circuit. *)
-let run ?(max_chain = 4) (c : G.circuit) : Pass.report =
+let run (c : G.circuit) : Pass.report =
   let nodes = ref 0 and edges = ref 0 in
   G.iter_tasks
     (fun t ->
-      let n, e = fuse_task ~max_chain t in
+      let n, e = fuse_task t in
       let buffered = balance_task t in
       nodes := !nodes + n;
       edges := !edges + e + buffered)

@@ -15,23 +15,26 @@ module P = Muir_ir.Program
 (* ------------------------------------------------------------------ *)
 (* Pass 1: task-block queuing                                           *)
 
-(** Deepen the asynchronous task queues so producers and consumers of
-    task invocations can proceed at different rates. *)
-let task_queuing ?(depth = 16) (c : G.circuit) : Pass.report =
+(** Entries per task queue after the queuing pass. *)
+let queue_depth = 16
+
+(** Deepen the asynchronous task queues to [queue_depth] entries so
+    producers and consumers of task invocations can proceed at
+    different rates. *)
+let task_queuing (c : G.circuit) : Pass.report =
   let touched = ref 0 in
   G.iter_tasks
     (fun t ->
-      if t.queue_depth <> depth then begin
-        t.queue_depth <- depth;
+      if t.queue_depth <> queue_depth then begin
+        t.queue_depth <- queue_depth;
         incr touched
       end)
     c;
   (* per task: the queue block and its two (enqueue/dequeue) links *)
   Pass.report "task-queuing" ~nodes:!touched ~edges:(2 * !touched)
-    ~detail:(Fmt.str "depth=%d on %d tasks" depth !touched)
+    ~detail:(Fmt.str "depth=%d on %d tasks" queue_depth !touched)
 
-let queuing_pass ?depth () : Pass.t =
-  { pname = "task-queuing"; prun = (fun c -> task_queuing ?depth c) }
+let queuing_pass () : Pass.t = { pname = "task-queuing"; prun = task_queuing }
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: execution tiling                                             *)
@@ -116,9 +119,9 @@ let memory_groups (c : G.circuit) : (G.space_id * G.node list) list =
 (** Give each (small enough) array its own local scratchpad instead of
     going through the shared cache, and route its memory operations
     there.  Arrays larger than [max_words] stay behind the cache.
-    The simulator charges the DMA prefill for scratchpad contents. *)
-let memory_localization ?(max_words = 8192) ?(latency = 2) (c : G.circuit) :
-    Pass.report =
+    Each scratchpad answers in two cycles.  The simulator charges the
+    DMA prefill for scratchpad contents. *)
+let memory_localization ?(max_words = 8192) (c : G.circuit) : Pass.report =
   let groups = memory_groups c in
   let moved = ref 0 and routed = ref 0 in
   List.iter
@@ -138,7 +141,7 @@ let memory_localization ?(max_words = 8192) ?(latency = 2) (c : G.circuit) :
             let s =
               G.add_structure c ~sname:(Fmt.str "spad_%s" g.gname)
                 (G.Scratchpad
-                   { banks = 1; ports_per_bank = 1; latency;
+                   { banks = 1; ports_per_bank = 1; latency = 2;
                      width_words = 1; wb_buffer = false })
             in
             G.bind_space c sp s.sid;
@@ -153,26 +156,24 @@ let memory_localization ?(max_words = 8192) ?(latency = 2) (c : G.circuit) :
   Pass.report "memory-localization" ~nodes:!moved ~edges:!routed
     ~detail:(Fmt.str "%d scratchpads, %d ops re-routed" !moved !routed)
 
-let localization_pass ?max_words ?latency () : Pass.t =
-  { pname = "memory-localization";
-    prun = (fun c -> memory_localization ?max_words ?latency c) }
+let localization_pass () : Pass.t =
+  { pname = "memory-localization"; prun = (fun c -> memory_localization c) }
 
 (* ------------------------------------------------------------------ *)
 (* Pass 4: scratchpad banking                                           *)
 
-(** Raise scratchpad bank counts (word-interleaved) and widen the
-    junctions of tasks that use them, so more requests are granted per
-    cycle. *)
-let scratchpad_banking ?(banks = 2) ?(ports_per_bank = 1) (c : G.circuit) :
-    Pass.report =
+(** Raise scratchpad bank counts (word-interleaved, one port per bank)
+    and widen the junctions of tasks that use them, so more requests
+    are granted per cycle. *)
+let scratchpad_banking ?(banks = 2) (c : G.circuit) : Pass.report =
   let touched = ref 0 in
   List.iter
     (fun (s : G.struct_inst) ->
       match s.shape with
       | G.Scratchpad p ->
-        if p.banks <> banks || p.ports_per_bank <> ports_per_bank then begin
+        if p.banks <> banks || p.ports_per_bank <> 1 then begin
           p.banks <- banks;
-          p.ports_per_bank <- ports_per_bank;
+          p.ports_per_bank <- 1;
           incr touched
         end
       | G.Cache _ -> ())
@@ -187,9 +188,9 @@ let scratchpad_banking ?(banks = 2) ?(ports_per_bank = 1) (c : G.circuit) :
   Pass.report "scratchpad-banking" ~nodes:!touched ~edges:(2 * !touched)
     ~detail:(Fmt.str "%d banks on %d scratchpads" banks !touched)
 
-let scratchpad_banking_pass ?banks ?ports_per_bank () : Pass.t =
+let scratchpad_banking_pass ?banks () : Pass.t =
   { pname = "scratchpad-banking";
-    prun = (fun c -> scratchpad_banking ?banks ?ports_per_bank c) }
+    prun = (fun c -> scratchpad_banking ?banks c) }
 
 (** Attach write-back buffers to the scratchpads: stores acknowledge
     in one cycle and drain in the background ("another option would be

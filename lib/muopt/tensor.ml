@@ -16,7 +16,10 @@
 module G = Muir_core.Graph
 module P = Muir_ir.Program
 
-let run ?(tile_words = 4) (c : G.circuit) : Pass.report =
+(** Words in a tile row: the width of every tensor scratchpad. *)
+let tile_words = 4
+
+let run (c : G.circuit) : Pass.report =
   let nodes = ref 0 and edges = ref 0 in
   (* 1. dedicated tensor function units *)
   G.iter_tasks

@@ -16,7 +16,10 @@ type t = {
   mutable o_seq : int;  (** next span/request id *)
 }
 
-let create ?(clock = Unix.gettimeofday) ?log ?(span_capacity = 512) () : t =
+(** Request spans the ring retains. *)
+let span_capacity = 512
+
+let create ?(clock = Unix.gettimeofday) ?log () : t =
   let log = match log with Some l -> l | None -> Log.null () in
   { o_clock = clock; o_metrics = Metrics.create (); o_log = log;
     o_spans = Span.ring span_capacity; o_seq = 0 }

@@ -618,6 +618,9 @@ let listen (path : string) : listener =
      raise e);
   { ln_fd = fd; ln_path = path }
 
+(** Seconds between two [?metrics_file] snapshots. *)
+let metrics_interval = 2.0
+
 (** Serve on [ln] until a drain is requested — by {!request_drain} (the
     signal path) or a [shutdown] request.  Draining stops accepting
     connections and admissions, answers every already-admitted request,
@@ -628,9 +631,8 @@ let listen (path : string) : listener =
     sidecar scrapers that cannot speak the socket protocol;
     [?trace_file] writes the retained request spans as Chrome trace
     events at drain. *)
-let serve ?(max_frame = Proto.default_max_frame) ?metrics_file
-    ?(metrics_interval = 2.0) ?trace_file (ln : listener) (t : t) :
-    drain_summary =
+let serve ?(max_frame = Proto.default_max_frame) ?metrics_file ?trace_file
+    (ln : listener) (t : t) : drain_summary =
   (* A peer that disconnects mid-response must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());

@@ -2,14 +2,14 @@
     arithmetic core with the golden interpreter via
     {!Muir_ir.Eval}, so the simulator cannot drift semantically.
 
-    Two surfaces: the boxed [compute]/[fused]/[merge]/[tensor]
-    functions (reference semantics, used by tests and as the slow
-    path), and the flat scratch-column ALU ({!sc}, {!compute_sc}, …)
-    the kernel's zero-allocation fire path runs on.  The flat paths
-    execute on native ints and unboxed floats behind range guards and
-    fall back to materializing + the boxed functions whenever a result
-    could diverge from the [int64] semantics — so both surfaces are
-    bit-identical by construction. *)
+    One ALU surface: the flat scratch-column ALU ({!sc},
+    {!compute_sc}, {!fused_sc}, {!merge_sc}) the kernel's
+    zero-allocation fire path runs on.  It executes on native ints and
+    unboxed floats behind range guards, and falls back to its slow
+    path — materialize the operands, then the boxed {!compute} —
+    whenever a native result could diverge from the [int64] semantics,
+    so the fast and slow paths are bit-identical by construction.
+    Tensor nodes run on the boxed {!tensor}. *)
 
 module G = Muir_core.Graph
 module T = Muir_ir.Types
@@ -20,22 +20,6 @@ module F = Muir_ir.Flat
 type token = T.value
 
 let poisoned args = List.exists T.is_poison args
-
-(** Control-token truth: predicates and steer selectors. *)
-let truthy (v : token) =
-  match v with
-  | T.VBool b -> b
-  | T.VInt i -> not (Int64.equal i 0L)
-  | _ -> false
-
-(** Address/stride tokens as machine integers (poison maps to 0; the
-    predicate gates such accesses off before they reach memory). *)
-let to_int (v : token) : int =
-  match v with
-  | T.VInt i -> Int64.to_int i
-  | T.VBool true -> 1
-  | T.VBool false -> 0
-  | _ -> 0
 
 (** Arity of a scalar opcode (operands actually consumed; any further
     inputs are ordering/trigger tokens whose values are ignored). *)
@@ -66,38 +50,6 @@ let compute (op : G.fu_op) (args : token list) : token =
                 (Int64.of_int s)))
     | G.Fident, [ a ] -> a
     | _ -> invalid_arg "Exec.compute: arity mismatch"
-
-(** A fused chain: the first opcode consumes its operands from the
-    head of [args]; each later opcode consumes the running result as
-    its first operand plus further tokens from [args]. *)
-let fused (ops : G.fu_op list) (args : token list) : token =
-  match ops with
-  | [] -> invalid_arg "Exec.fused: empty chain"
-  | first :: rest ->
-    let k0 = fu_arity first in
-    let acc = compute first (take k0 args) in
-    let rec go acc args = function
-      | [] -> acc
-      | op :: more ->
-        let extra = fu_arity op - 1 in
-        let acc' = compute op (acc :: take extra args) in
-        go acc'
-          (List.filteri (fun i _ -> i >= extra) args)
-          more
-    in
-    go acc (List.filteri (fun i _ -> i >= k0) args) rest
-
-(** Merge: pick the value whose predicate fired. *)
-let merge (k : int) (args : token array) : token =
-  let rec find i =
-    if i >= k then T.VPoison
-    else
-      match args.(i) with
-      | T.VBool true -> args.(k + i)
-      | T.VInt v when not (Int64.equal v 0L) -> args.(k + i)
-      | _ -> find (i + 1)
-  in
-  find 0
 
 let tensor (top : G.tensor_op) (args : token list) : token =
   if poisoned args then T.VPoison
@@ -354,11 +306,13 @@ let rec fused_go (sc : sc) (ops : G.fu_op list) (argc : int) (cur : int) :
     compute_sc sc op ch (1 + avail);
     fused_go sc rest argc (cur + extra)
 
-(** Fused chain over rows [0 .. argc-1]; mirrors [fused], using rows
-    [argc ..] as the chain scratch (the scratchpad is sized for it). *)
+(** Fused chain over rows [0 .. argc-1]: the first opcode consumes its
+    operands from row 0 on; each later opcode consumes the running
+    result as its first operand plus the next rows.  Rows [argc ..]
+    are the chain scratch (the scratchpad is sized for it). *)
 let fused_sc (sc : sc) (ops : G.fu_op list) (argc : int) : unit =
   match ops with
-  | [] -> invalid_arg "Exec.fused: empty chain"
+  | [] -> invalid_arg "Exec.fused_sc: empty chain"
   | first :: rest ->
     compute_sc sc first 0 argc;
     fused_go sc rest argc (fu_arity first)
@@ -381,14 +335,15 @@ let rec merge_find (sc : sc) (k : int) (argc : int) (i : int) : unit =
       else invalid_arg "index out of bounds"
     else merge_find sc k argc (i + 1)
 
-(** Merge over rows [0 .. argc-1] ([k] predicates then [k] values);
-    mirrors [merge]. *)
+(** Merge over rows [0 .. argc-1] ([k] predicates then [k] values):
+    the value whose predicate is true, else poison. *)
 let merge_sc (sc : sc) (k : int) (argc : int) : unit =
   merge_find sc k argc 0
 
 (* ------------------------------------------------------------------ *)
-(* Flat control-token helpers (same semantics as truthy / to_int)      *)
+(* Flat control-token helpers                                          *)
 
+(** {!Muir_ir.Types.truthy} on a flat-encoded token. *)
 let truthy_flat (tag : int) (num : int) (obj : token) : bool =
   if tag = F.ttrue then true
   else if tag = F.tint then num <> 0
@@ -396,6 +351,8 @@ let truthy_flat (tag : int) (num : int) (obj : token) : bool =
     match obj with T.VInt i -> not (Int64.equal i 0L) | _ -> false
   else false
 
+(** Address/stride tokens as machine integers (poison maps to 0; the
+    predicate gates such accesses off before they reach memory). *)
 let to_int_flat (tag : int) (num : int) (obj : token) : int =
   if tag = F.tint then num
   else if tag = F.ttrue then 1

@@ -8,14 +8,16 @@
     when all wired inputs hold tokens and downstream has space, and
     concurrent invocations complete in order of invocation.
 
-    Two task-instance disciplines exist:
+    Two task-instance disciplines exist, both stated in {!Cost}:
     - ordinary tasks run one {e instance per tile}; function tasks
       pipeline multiple invocations through an instance (wave
       pipelining), loop tasks process one invocation at a time (the
-      loop ring already pipelines its iterations);
+      loop ring already pipelines its iterations) unless
+      {!Cost.pipelined} lets them wave-pipeline too;
     - tasks on a call/spawn cycle (recursive Cilk tasks such as FIB
-      and M-SORT) are {e dynamic}: each invocation gets its own
-      context, contexts park while blocked, and at most [tiles]
+      and M-SORT), and tasks reachable from one, are {e dynamic}
+      ({!Cost.instancing}'s on-demand set): each invocation gets its
+      own context, contexts park while blocked, and at most [tiles]
       contexts may fire datapath operations in a cycle — the
       issue-queue + execution-tile structure of §3.6.
 
@@ -97,9 +99,6 @@ module Ctr = Muir_trace.Counters
 
 type token = T.value
 
-let truthy = Exec.truthy
-let to_int = Exec.to_int
-
 (* ------------------------------------------------------------------ *)
 (* Runtime structures                                                   *)
 
@@ -180,7 +179,8 @@ and node_rt = {
                                       token: 0 = every operand present *)
   mutable nr_fired : int;         (** firings so far (the wave counter) *)
   mutable nr_busy_until : int;
-  (* pipeline ring: 4 slots of (ready cycle, out port, token) *)
+  (* pipeline ring: [Cost.pipe_slots] slots of (ready cycle, out port,
+     token) *)
   np_ready : int array;
   np_port : int array;
   np_tags : int array;
@@ -235,9 +235,8 @@ and instance = {
   mutable i_retired : int;        (** cycle of retirement (pool guard) *)
   idynamic : bool;
   ipipe_loop : bool;
-      (** leaf loop (no stores/calls/spawns/syncs): safe to pipeline
-          invocations through the ring, like the paper's in-order
-          concurrent invocations *)
+      (** {!Cost.pipelined}: invocations wave-pipeline through the
+          ring *)
   iprime : int array;             (** resting token count per edge *)
   (* initial tokens, one row per token, for allocation-free rebirth *)
   i_init_eid : int array;
@@ -745,30 +744,6 @@ let pop_all (sim : t) (n : node_rt) : unit =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
 
-(* Tasks on a call/spawn cycle need dynamic instances. *)
-let dynamic_tasks (c : G.circuit) : bool array =
-  let n = List.length c.tasks in
-  let reach = Array.make_matrix n n false in
-  List.iter
-    (fun (t : G.task) ->
-      List.iter (fun ch -> reach.(t.tid).(ch) <- true) t.children)
-    c.tasks;
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
-      done
-    done
-  done;
-  (* A task is dynamic if it lies on a cycle, or is reachable from one
-     (its parents may hold unbounded concurrent invocations). *)
-  let on_cycle = Array.init n (fun i -> reach.(i).(i)) in
-  Array.init n (fun i ->
-      on_cycle.(i)
-      || List.exists
-           (fun j -> on_cycle.(j) && reach.(j).(i))
-           (List.init n Fun.id))
-
 let imm_token = function
   | G.Simm v -> v
   | G.Swire -> T.VPoison
@@ -872,10 +847,14 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
              im_flts = Array.map F.flt_of imms;
              im_objs = Array.map F.obj_of imms; nr_out; nr_words; nr_space;
              nr_mem = is_mem; nr_pipe; nr_miss = count_miss nr_in;
-             nr_fired = 0; nr_busy_until = 0; np_ready = Array.make 4 0;
-             np_port = Array.make 4 0; np_tags = Array.make 4 F.tabsent;
-             np_nums = Array.make 4 0; np_flts = Array.make 4 0.0;
-             np_objs = Array.make 4 F.no_obj; np_head = 0; np_tail = 0;
+             nr_fired = 0; nr_busy_until = 0;
+             np_ready = Array.make Cost.pipe_slots 0;
+             np_port = Array.make Cost.pipe_slots 0;
+             np_tags = Array.make Cost.pipe_slots F.tabsent;
+             np_nums = Array.make Cost.pipe_slots 0;
+             np_flts = Array.make Cost.pipe_slots 0.0;
+             np_objs = Array.make Cost.pipe_slots F.no_obj; np_head = 0;
+             np_tail = 0;
              nm_live = (if is_mem then Array.make mo false else [||]);
              nm_store = (if is_mem then Array.make mo false else [||]);
              nm_hasiv = (if is_mem then Array.make mo false else [||]);
@@ -918,16 +897,7 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
           incr k)
         e.initial)
     task.edges;
-  let ipipe_loop =
-    (match task.tkind with G.Tloop _ -> true | G.Tfunc -> false)
-    && List.for_all
-         (fun (n : G.node) ->
-           match n.kind with
-           | G.Store _ | G.Tstore _ | G.CallChild _ | G.SpawnChild _
-           | G.SyncWait -> false
-           | _ -> true)
-         task.nodes
-  in
+  let ipipe_loop = Cost.pipelined task in
   let inode_by_id = Array.make (max max_nid 1) None in
   Array.iter (fun nr -> inode_by_id.(nr.nr.G.nid) <- Some nr) nodes;
   let isyncs =
@@ -1082,7 +1052,7 @@ let create ?tracer (c : G.circuit) : t =
   let mem = Muir_ir.Memory.create c.prog in
   let ms = Memsys.create ~ctrs c mem in
   let n = List.length c.tasks in
-  let dyn = dynamic_tasks c in
+  let dyn = (Cost.instancing c).on_demand in
   let act () = Array.make ((n + 31) lsr 5) 0 in
   let act_j = act () and act_f = act () and act_e = act () in
   let act_c = act () and act_q = act () in
@@ -1692,14 +1662,14 @@ let pool_access (n : node_rt) (a : Memsys.access) : unit =
   if n.na_pool.(k) != a then n.na_pool.(k) <- a;
   n.na_n <- k + 1
 
-(* Push a result into the 4-slot pipeline ring.  Callers check
-   occupancy first. *)
+(* Push a result into the pipeline ring.  Callers check occupancy
+   first. *)
 (* The float rides as [flts.(fi)] rather than a bare [float]: a float
    argument to a non-inlined call is boxed at the boundary (2-3 minor
    words per token), while an array-to-array move stays unboxed. *)
 let pipe_push (n : node_rt) (ready : int) (port : int) (tag : int)
     (num : int) (flts : float array) (fi : int) (obj : token) : unit =
-  let s = n.np_tail land 3 in
+  let s = n.np_tail land (Cost.pipe_slots - 1) in
   n.np_ready.(s) <- ready;
   n.np_port.(s) <- port;
   n.np_tags.(s) <- tag;
@@ -1736,7 +1706,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           else 1
         in
         if not (stage_one n sc sel) then false
-        else if n.np_tail - n.np_head >= 4 then false
+        else if n.np_tail - n.np_head >= Cost.pipe_slots then false
         else begin
           pop_in sim n 0;
           pop_in sim n sel;
@@ -1748,7 +1718,8 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
       end
     | _ ->
       if n.nr_miss > 0 then false
-      else if n.np_tail - n.np_head >= 4 && not n.nr_mem then false
+      else if n.np_tail - n.np_head >= Cost.pipe_slots && not n.nr_mem then
+        false
       else begin
         match n.nr.kind with
         | G.Compute op ->
@@ -2080,7 +2051,7 @@ let stall_cause (sim : t) (n : node_rt) : Ctr.cause =
     | G.CallChild _ | G.SpawnChild _ -> Ctr.Structural
     | _ ->
       if n.nr_mem then Ctr.Memory
-      else if n.np_tail - n.np_head >= 4 then Ctr.Backpressure
+      else if n.np_tail - n.np_head >= Cost.pipe_slots then Ctr.Backpressure
       else Ctr.Operand
 
 (* The label a node enters after firing at [sim.now], effective from
@@ -2095,7 +2066,7 @@ let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Ctr.cause =
     else if n.nr_mem then
       if n.nm_tail - n.nm_head >= sim.max_outstanding then Ctr.Memory
       else Ctr.Busy
-    else if n.np_tail - n.np_head >= 4 then Ctr.Backpressure
+    else if n.np_tail - n.np_head >= Cost.pipe_slots then Ctr.Backpressure
     else Ctr.Busy
 
 (** Fire attempt plus the event subscriptions a success implies. *)
@@ -2144,7 +2115,7 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
        emits nothing. *)
     if n.nr_pipe then begin
       if n.np_tail - n.np_head = 1 then begin
-        let ready = n.np_ready.(n.np_head land 3) in
+        let ready = n.np_ready.(n.np_head land (Cost.pipe_slots - 1)) in
         if ready <= sim.now then wake_emit sim inst n
         else at sim ready inst n 1
       end
@@ -2191,7 +2162,7 @@ let emit_port (sim : t) (n : node_rt) (p : int) (tag : int) (num : int)
 (* Pipeline outputs (in order). *)
 let rec drain_pipe (sim : t) (n : node_rt) (progressed : bool) : bool =
   if n.np_tail - n.np_head > 0 then begin
-    let s = n.np_head land 3 in
+    let s = n.np_head land (Cost.pipe_slots - 1) in
     if n.np_ready.(s) <= sim.now && port_space n n.np_port.(s) then begin
       n.np_head <- n.np_head + 1;
       emit_port sim n n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
@@ -2331,7 +2302,7 @@ let try_emit (sim : t) (inst : instance) (n : node_rt) : bool =
     (* A new ring head wakes the node on its due cycle; an unchanged
        head already has its wake. *)
     (if progressed && n.np_tail - n.np_head > 0 then
-       let ready = n.np_ready.(n.np_head land 3) in
+       let ready = n.np_ready.(n.np_head land (Cost.pipe_slots - 1)) in
        if ready > sim.now then at sim ready inst n 1);
     progressed
   end

@@ -4,8 +4,9 @@
    standard error, and documents that code in its EXIT STATUS.  Report
    files that cannot be read, output paths that cannot be written and
    daemon paths that cannot be opened also exit 2, with one line naming
-   the file.  Flags reach bundled workloads as they reach source
-   files. *)
+   the file; an output path fails before the work that would fill it.
+   A malformed option value is cmdliner's usage error, 124.  Flags reach
+   bundled workloads as they reach source files. *)
 
 let muirc = Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "muirc.exe"
@@ -52,15 +53,19 @@ let test_exit_status_documented cmd () =
     Alcotest.failf "%s --help: EXIT STATUS does not document code 2:@.%s" cmd
       text
 
-(* Run [args] and require exit 2 with a one-line reason naming [file]. *)
-let expect_file_error (args : string list) (file : string) =
+(* Run [args] and require exit 2 with a one-line reason naming [file],
+   and none of the [absent] output. *)
+let expect_file_error ?(absent = []) (args : string list) (file : string) =
   let code, text = muirc_run args in
   let what = String.concat " " args in
   Alcotest.(check int) (what ^ ": exit code") 2 code;
   if not (contains text file) then
     Alcotest.failf "%s: output does not name %s:@.%s" what file text;
-  if contains text "exception" then
-    Alcotest.failf "%s: uncaught exception:@.%s" what text
+  List.iter
+    (fun needle ->
+      if contains text needle then
+        Alcotest.failf "%s: printed %S before failing:@.%s" what needle text)
+    ("exception" :: absent)
 
 (* profile --diff on a report file holding [contents] (None: no file) *)
 let test_diff_input contents () =
@@ -77,6 +82,24 @@ let test_json_unwritable () =
   let f = Filename.concat d "x.json" in
   expect_file_error [ "profile"; "saxpy"; "--json"; f ] f;
   Sys.remove d
+
+(* [args] with an unwritable [--json] path fail before printing any of
+   [work]. *)
+let test_json_before_work (args, work) () =
+  let d = Filename.temp_file "muirc" ".json" in
+  let f = Filename.concat d "x.json" in
+  expect_file_error ~absent:work (args @ [ "--json"; f ]) f;
+  Sys.remove d
+
+let test_unknown_strategy () =
+  let code, text = muirc_run [ "explore"; "saxpy"; "--strategy"; "bogus" ] in
+  Alcotest.(check int) "explore --strategy bogus: exit code" 124 code;
+  List.iter
+    (fun needle ->
+      if not (contains text needle) then
+        Alcotest.failf "explore --strategy bogus: output lacks %S:@.%s" needle
+          text)
+    [ "bogus"; "grid"; "greedy" ]
 
 (* [cmd]'s EXIT STATUS documents its file errors ([needle]). *)
 let test_file_exit_documented (cmd, needle) () =
@@ -145,7 +168,21 @@ let () =
           Alcotest.test_case "json: unwritable path" `Quick
             test_json_unwritable;
           Alcotest.test_case "exit status documented" `Quick
-            (test_file_exit_documented ("profile", "cannot be written")) ] );
+            (test_file_exit_documented ("profile", "cannot be written"));
+          Alcotest.test_case "explore: fails before the work" `Quick
+            (test_json_before_work
+               ([ "explore"; "saxpy" ], [ "design space"; "best:" ]));
+          Alcotest.test_case "check: fails before the work" `Quick
+            (test_json_before_work
+               ([ "check"; "saxpy" ], [ "warning"; "error(s)" ])) ]
+        @ List.map
+            (fun cmd ->
+              Alcotest.test_case (cmd ^ ": exit status documented") `Quick
+                (test_file_exit_documented (cmd, "cannot be written")))
+            [ "explore"; "check"; "dot"; "chisel"; "graph" ] );
+      ( "options",
+        [ Alcotest.test_case "explore: unknown strategy" `Quick
+            test_unknown_strategy ] );
       ( "daemon paths",
         [ Alcotest.test_case "serve: log file" `Quick test_serve_log;
           Alcotest.test_case "serve: cache dir is a file" `Quick

@@ -224,7 +224,7 @@ let test_tensor_pass () =
 let test_queuing_report () =
   let p = program (par_src 16) in
   let c = Muir_core.Build.circuit p in
-  let r = Opt.Structural.task_queuing ~depth:16 c in
+  let r = Opt.Structural.task_queuing c in
   Alcotest.(check bool) "touched all tasks" true (r.delta_nodes > 0);
   List.iter
     (fun (t : G.task) -> Alcotest.(check int) "depth set" 16 t.queue_depth)

@@ -421,6 +421,21 @@ func int main() { int r = fib(%d); return r; }|}
       let r = simulate (program src) in
       Muir_ir.Types.value_close r.value (Muir_ir.Types.vint (fib n)))
 
+(* The kernel's flat control-token test is the Types rule the
+   analyses read, on every kind of value a token can hold. *)
+let test_truthy_flat () =
+  let module T = Muir_ir.Types in
+  let module F = Muir_ir.Flat in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (T.value_to_string v) (T.truthy v)
+        (Muir_sim.Exec.truthy_flat (F.tag_of v) (F.num_of v) (F.obj_of v)))
+    [ T.VBool true; T.VBool false; T.vint 0; T.vint 1; T.vint (-5);
+      T.VInt 0x40000000L; T.VInt (-0x40000001L); T.VInt Int64.max_int;
+      T.VInt Int64.min_int; T.VFloat 0.0; T.VFloat 1.5;
+      T.VTensor [| 1.0 |]; T.VPoison; T.VUnit ]
+
 let () =
   Alcotest.run "sim"
     [ ( "conformance",
@@ -437,7 +452,9 @@ let () =
       ( "machinery",
         [ Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "cycle limit" `Quick test_deadlock_detection;
-          Alcotest.test_case "dma accounting" `Quick test_dma_accounting ] );
+          Alcotest.test_case "dma accounting" `Quick test_dma_accounting;
+          Alcotest.test_case "control-token truth" `Quick test_truthy_flat ]
+      );
       ("kernel-equivalence", equivalence_cases);
       ( "zero-allocation",
         List.map

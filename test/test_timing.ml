@@ -11,7 +11,9 @@
       text) order;
    4. admission-filter transparency — a timing-pruned exploration
       reproduces the unpruned run's frontier and best byte-for-byte
-      while simulating strictly less. *)
+      while simulating strictly less;
+   5. one instancing rule — a task below a recursion is instanced on
+      demand by the kernel, and the analysis models it that way. *)
 
 module G = Muir_core.Graph
 module A = Muir_analysis
@@ -192,6 +194,69 @@ let test_prune_transparent () =
     && pruned.x_fresh_sims + pruned.x_timing_pruned + pruned.x_pruned
        = pruned.x_fresh_evals)
 
+(* --- 5. tasks below a recursion ------------------------------------ *)
+
+(* [walk] is called by [main] and by the recursive [rec2], so the
+   kernel gives each invocation of it (and of its loops) an instance
+   of its own: no call to [walk.loop1] ever waits on that loop's
+   queue, and [walk]'s II must not bind it. *)
+let walk_src =
+  {|
+global int R[2];
+func int walk(int n) {
+  int s = 0;
+  for (int i = 0; i < 16; i = i + 1) {
+    int x = i + n + 1000000;
+    for (int j = 0; j < 8; j = j + 1) { x = x / 3 + 7; }
+    s = s + x;
+  }
+  return s;
+}
+func int rec2(int n) {
+  if (n < 1) { return walk(n); }
+  int a = spawn rec2(n - 1);
+  sync;
+  return a;
+}
+func void main() { R[0] = walk(3); R[1] = rec2(1); }|}
+
+let test_below_recursion () =
+  let c = Muir_core.Build.circuit (Muir_frontend.Frontend.compile walk_src) in
+  let a = A.Timing.analyze c in
+  let walk =
+    List.find (fun (tt : A.Timing.task_timing) -> tt.tt_name = "walk") a.tasks
+  in
+  (match walk.tt_ii with
+  | A.Timing.Bounded { binding; _ } ->
+    let name = A.Timing.binding_name c binding in
+    if name = "queue:walk.loop1" then
+      Alcotest.failf "walk binds %s, a queue no caller waits on" name
+  | _ -> Alcotest.fail "walk's II is not bounded");
+  let measured = (Muir_sim.Sim.run c).Muir_sim.Sim.stats.total_cycles in
+  Alcotest.(check bool)
+    (Fmt.str "bound %d <= measured %d" a.bound measured)
+    true (a.bound <= measured)
+
+(* msort's [merge] tasks hang below the recursive [msort]: on demand,
+   but not recursive, at baseline and under its per-category stack. *)
+let test_msort_sets () =
+  let w = List.find (fun (w : W.t) -> w.wname = "msort") W.all in
+  List.iter
+    (fun (label, passes) ->
+      let c = Muir_core.Build.circuit ~name:w.wname (W.program w) in
+      ignore (Muir_opt.Pass.run_all passes c);
+      let s = Muir_core.Cost.instancing c in
+      List.iter
+        (fun name ->
+          let t = List.find (fun (t : G.task) -> t.tname = name) c.tasks in
+          Alcotest.(check (pair bool bool))
+            (Fmt.str "%s under %s: (on demand, recursive)" name label)
+            (true, false)
+            (s.on_demand.(t.tid), s.recursive.(t.tid)))
+        [ "merge"; "merge.loop1"; "merge.loop8" ])
+    [ ("baseline", []);
+      ("per-category", Muir_pipeline.Pipeline.per_category w) ]
+
 let () =
   Alcotest.run "timing"
     [ ( "soundness",
@@ -207,4 +272,9 @@ let () =
           Alcotest.test_case "divring.mc" `Quick test_golden_divring ] );
       ( "dse",
         [ Alcotest.test_case "timing prune is transparent" `Slow
-            test_prune_transparent ] ) ]
+            test_prune_transparent ] );
+      ( "instancing",
+        [ Alcotest.test_case "a task below a recursion" `Quick
+            test_below_recursion;
+          Alcotest.test_case "msort's on-demand tasks" `Quick
+            test_msort_sets ] ) ]

@@ -24,6 +24,40 @@ func void main() {
   Alcotest.check value_testable "sum preserved" (Types.VFloat 28.0)
     (Memory.dump_global mem p "O").(0)
 
+(* The trip count is Loops.trip_count's: any comparison, either step
+   direction.  Each loop unrolls and the program keeps its results. *)
+let test_other_comparisons () =
+  List.iter
+    (fun (what, header) ->
+      let src =
+        Fmt.str
+          {|
+global float X[16]; global float O[2];
+func void main() {
+  float acc = 0.0;
+  int last = 0;
+  for (%s) { acc = acc + X[i]; last = i; }
+  O[0] = acc;
+  O[1] = float(last);
+}|}
+          header
+      in
+      let inits = [ ("X", farr (List.init 16 float_of_int)) ] in
+      let p0 = program ~inits src in
+      let _, m0, _ = golden p0 in
+      let p1 = program ~inits src in
+      Alcotest.(check int) (what ^ ": one loop unrolled") 1 (Unroll.unroll p1);
+      Verify.check_exn p1;
+      let _, m1, _ = golden p1 in
+      Array.iteri
+        (fun i x ->
+          Alcotest.check value_testable (Fmt.str "%s: O[%d]" what i) x
+            (Memory.dump_global m1 p1 "O").(i))
+        (Memory.dump_global m0 p0 "O"))
+    [ ("<=", "int i = 0; i <= 7; i = i + 1");
+      ("downward >", "int i = 9; i > 1; i = i - 2");
+      ("!=", "int i = 0; i != 12; i = i + 3") ]
+
 let test_respects_max_trip () =
   let src =
     {|
@@ -110,11 +144,25 @@ func void main() {
     (Fmt.str "unrolled is faster (%d -> %d)" rolled unrolled)
     true (unrolled < rolled)
 
-(* Property: unrolling never changes results. *)
+(* Property: a loop of [trips] iterations stepping [stride] up or down,
+   under a strict, inclusive or [!=] exit test, unrolls and keeps its
+   results. *)
 let prop_unroll_preserves_semantics =
   QCheck.Test.make ~count:25 ~name:"unroll preserves program results"
-    QCheck.(pair (int_range 1 12) (int_range 1 4))
-    (fun (trip, stride) ->
+    QCheck.(
+      quad (int_range 1 12) (int_range 1 4) (oneofl [ "<"; "<="; "!=" ]) bool)
+    (fun (trips, stride, test, down) ->
+      let step = if down then -stride else stride in
+      let first = if down then 2 - ((trips - 1) * step) else 0 in
+      let last = first + ((trips - 1) * step) in
+      let cmp, bound =
+        match (test, down) with
+        | "<", false -> ("<", last + 1)
+        | "<", true -> (">", last - 1)
+        | "<=", false -> ("<=", last)
+        | "<=", true -> (">=", last)
+        | _ -> ("!=", last + step)
+      in
       let src =
         Fmt.str
           {|
@@ -122,29 +170,33 @@ global float X[64]; global float O[2];
 func void main() {
   float acc = 0.0;
   int last = 0;
-  for (int i = 0; i < %d; i = i + %d) {
+  for (int i = %d; i %s %d; i = i %s %d) {
     acc = acc + X[i] * 2.0;
     last = i;
   }
   O[0] = acc;
   O[1] = float(last);
 }|}
-          trip stride
+          first cmp bound
+          (if down then "-" else "+")
+          stride
       in
       let inits = [ ("X", farr (List.init 64 (fun i -> float_of_int i *. 0.25))) ] in
       let p0 = program ~inits src in
       let _, m0, _ = golden p0 in
       let p1 = program ~inits src in
-      ignore (Unroll.unroll p1);
+      let n = Unroll.unroll p1 in
       let _, m1, _ = golden p1 in
       let a = Memory.dump_global m0 p0 "O" in
       let b = Memory.dump_global m1 p1 "O" in
-      Array.for_all2 Types.value_close a b)
+      n = 1 && Array.for_all2 Types.value_close a b)
 
 let () =
   Alcotest.run "unroll"
     [ ( "transform",
         [ Alcotest.test_case "counted loop" `Quick test_unrolls_counted_loop;
+          Alcotest.test_case "other comparisons" `Quick
+            test_other_comparisons;
           Alcotest.test_case "max trip" `Quick test_respects_max_trip;
           Alcotest.test_case "dynamic bounds" `Quick test_skips_dynamic_bounds;
           Alcotest.test_case "calls in body" `Quick
