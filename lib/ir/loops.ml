@@ -64,7 +64,7 @@ let analyze (f : Func.t) : natural_loop list =
     the constant initial value rather than solved in closed form, so
     every icmp/step-sign combination — including overflow-free
     non-termination — is decided uniformly; loops that would run past
-    the budget (1,000,000 iterations) are reported unknown.
+    [budget] iterations (default 1,000,000) are reported unknown.
 
     Requirements checked before trusting the recurrence: the loop has
     a single exit edge (header → [lp.exit]; every non-header body
@@ -73,7 +73,8 @@ let analyze (f : Func.t) : natural_loop list =
     evaluated one step ahead), and init/step/limit are integer
     constants.  Anything else returns [None] — the analysis's callers
     treat unknown as "no static bound", never as zero. *)
-let trip_count (f : Func.t) (lp : Func.loop_info) : int option =
+let trip_count ?(budget = 1_000_000) (f : Func.t) (lp : Func.loop_info) :
+    int option =
   let open Instr in
   let ( let* ) = Option.bind in
   let* header =
@@ -164,7 +165,6 @@ let trip_count (f : Func.t) (lp : Func.loop_info) : int option =
     | Eq -> c = 0 | Ne -> c <> 0 | Slt -> c < 0
     | Sle -> c <= 0 | Sgt -> c > 0 | Sge -> c >= 0
   in
-  let budget = 1_000_000 in
   let rec iterate (x : int64) (trips : int) : int option =
     if trips > budget then None
     else begin

@@ -13,9 +13,10 @@ val analyze : Func.t -> natural_loop list
 val check_metadata : Func.t -> (unit, string) result
 (** Does the recorded {!Func.loop_info} agree with the CFG? *)
 
-val trip_count : Func.t -> Func.loop_info -> int option
+val trip_count : ?budget:int -> Func.t -> Func.loop_info -> int option
 (** Statically-known number of body executions of a counted loop
     (constant-init, constant-step induction phi compared against a
     constant bound, single exit through the header).  [None] when the
-    shape is anything else — callers must treat unknown as "no static
-    bound". *)
+    shape is anything else, or when the loop runs more than [budget]
+    (default 1,000,000) times — callers must treat unknown as "no
+    static bound". *)

@@ -62,11 +62,15 @@ let unrollable (f : Func.t) (lp : Func.loop_info) : bool =
            b.instrs)
        lp.body
 
-(** Fully unroll one loop; returns true on success.  The shape test
-    comes first: counting a loop iterates its recurrence. *)
+(** Fully unroll one loop; returns true on success.  Counting a loop
+    iterates its recurrence, so the shape test comes first and the
+    count stops past [max_trip]: {!unroll_func} re-tries every loop
+    that stays rolled after each success. *)
 let unroll_loop (f : Func.t) (lp : Func.loop_info) ~(max_trip : int) : bool =
-  match if unrollable f lp then Loops.trip_count f lp else None with
-  | Some trip when trip <= max_trip ->
+  match
+    if unrollable f lp then Loops.trip_count ~budget:max_trip f lp else None
+  with
+  | Some trip ->
     let header = Func.block f lp.header in
     let body_labels =
       List.filter (fun l -> l <> lp.header) lp.body

@@ -2,7 +2,8 @@
 
    1. soundness — the whole-run cycle lower bound never exceeds the
       simulator's measured cycles, for every bundled workload under
-      every registry stack;
+      every registry stack; and on gemm at baseline the structure the
+      profiler blames for the dominant stall is a static binding;
    2. exactness on a closed-form example — examples/divring.mc's
       loop-carried divide ring mu(1) -> steer(2) -> sdiv(13) -> add(2)
       must bound the loop's II at exactly 18;
@@ -62,6 +63,32 @@ let test_soundness_sweep () =
             true (bound <= measured))
         Stacks.registry)
     W.all
+
+(* The critical-cycle attribution agrees with the profiler: on gemm
+   under the queue-bound baseline stack, the structure blamed for the
+   dominant stall binds some task's static critical cycle. *)
+let test_gemm_blame () =
+  let module P = Muir_pipeline.Pipeline in
+  let b = P.build (P.of_workload_name "gemm") in
+  let c = b.p_circuit in
+  let tracer = Muir_trace.Trace.create () in
+  let r = P.simulate ~tracer b in
+  let prof = Muir_trace.Profile.of_run c ~tracer r.counters in
+  match Muir_trace.Profile.dominant_struct prof with
+  | None -> Alcotest.fail "gemm baseline: the profiler reports no stalls"
+  | Some s ->
+    let bound =
+      List.filter_map
+        (fun (tt : A.Timing.task_timing) ->
+          match tt.tt_ii with
+          | A.Timing.Bounded { binding; _ } -> A.Timing.binding_sref binding
+          | _ -> None)
+        (A.Timing.analyze c).tasks
+    in
+    Alcotest.(check bool)
+      (Fmt.str "the profiler's dominant stall (%s) is a static binding"
+         s.s_name)
+      true (List.mem s.s_ref bound)
 
 (* --- 2. closed-form critical cycle -------------------------------- *)
 
@@ -261,7 +288,9 @@ let () =
   Alcotest.run "timing"
     [ ( "soundness",
         [ Alcotest.test_case "bound <= measured on all workloads x \
-                              stacks" `Slow test_soundness_sweep ] );
+                              stacks" `Slow test_soundness_sweep;
+          Alcotest.test_case "gemm's dominant stall is a static binding"
+            `Quick test_gemm_blame ] );
       ( "closed-form",
         [ Alcotest.test_case "divring II = 18/1" `Quick
             test_divring_closed_form ] );

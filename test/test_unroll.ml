@@ -55,7 +55,9 @@ func void main() {
             (Memory.dump_global m1 p1 "O").(i))
         (Memory.dump_global m0 p0 "O"))
     [ ("<=", "int i = 0; i <= 7; i = i + 1");
+      ("< short of the bound", "int i = 0; i < 8; i = i + 3");
       ("downward >", "int i = 9; i > 1; i = i - 2");
+      ("downward >= short of the bound", "int i = 15; i >= 2; i = i - 4");
       ("!=", "int i = 0; i != 12; i = i + 3") ]
 
 let test_respects_max_trip () =
@@ -69,7 +71,28 @@ func void main() {
 }|}
   in
   let p = program src in
-  Alcotest.(check int) "trip 100 > max 16: untouched" 0 (Unroll.unroll p)
+  Alcotest.(check int) "trip 100 > max 16: untouched" 0 (Unroll.unroll p);
+  (* The count stops one trip past [max_trip]: 16 trips still unroll,
+     17 do not, and neither does a [!=] loop that never meets its
+     bound. *)
+  List.iter
+    (fun (what, header, expect) ->
+      let p =
+        program
+          (Fmt.str
+             {|
+global int O[1];
+func void main() {
+  int a = 0;
+  for (%s) { a = a + i; }
+  O[0] = a;
+}|}
+             header)
+      in
+      Alcotest.(check int) what expect (Unroll.unroll p))
+    [ ("16 trips: unrolled", "int i = 0; i < 16; i = i + 1", 1);
+      ("17 trips: untouched", "int i = 0; i < 17; i = i + 1", 0);
+      ("never meets its bound: untouched", "int i = 0; i != 7; i = i + 2", 0) ]
 
 let test_skips_dynamic_bounds () =
   let src =
@@ -146,21 +169,27 @@ func void main() {
 
 (* Property: a loop of [trips] iterations stepping [stride] up or down,
    under a strict, inclusive or [!=] exit test, unrolls and keeps its
-   results. *)
+   results.  The strict and inclusive bounds lie up to [stride - 1]
+   past the last value the induction variable takes, so the loop need
+   not hit its bound exactly; a [!=] bound is hit exactly. *)
 let prop_unroll_preserves_semantics =
-  QCheck.Test.make ~count:25 ~name:"unroll preserves program results"
+  QCheck.Test.make ~count:50 ~name:"unroll preserves program results"
     QCheck.(
-      quad (int_range 1 12) (int_range 1 4) (oneofl [ "<"; "<="; "!=" ]) bool)
-    (fun (trips, stride, test, down) ->
+      pair
+        (quad (int_range 1 12) (int_range 1 4) (oneofl [ "<"; "<="; "!=" ])
+           bool)
+        (int_range 0 3))
+    (fun ((trips, stride, test, down), slack) ->
+      let slack = slack mod stride in
       let step = if down then -stride else stride in
       let first = if down then 2 - ((trips - 1) * step) else 0 in
       let last = first + ((trips - 1) * step) in
       let cmp, bound =
         match (test, down) with
-        | "<", false -> ("<", last + 1)
-        | "<", true -> (">", last - 1)
-        | "<=", false -> ("<=", last)
-        | "<=", true -> (">=", last)
+        | "<", false -> ("<", last + 1 + slack)
+        | "<", true -> (">", last - 1 - slack)
+        | "<=", false -> ("<=", last + slack)
+        | "<=", true -> (">=", last - slack)
         | _ -> ("!=", last + step)
       in
       let src =
