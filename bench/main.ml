@@ -623,15 +623,11 @@ let timing () =
     Fmt.epr "gemm baseline: profiler reports no stalls@.";
     exit 1
   | Some s ->
-    let a = Muir_analysis.Timing.analyze c in
     let blamed =
       List.exists
-        (fun (tt : Muir_analysis.Timing.task_timing) ->
-          match tt.tt_ii with
-          | Muir_analysis.Timing.Bounded { binding; _ } ->
-            Muir_analysis.Timing.binding_sref binding = Some s.s_ref
-          | _ -> false)
-        a.tasks
+        (fun (hit, _, _) -> hit)
+        (Muir_analysis.Timing.rank_bindings (Muir_analysis.Timing.analyze c)
+           (Some s.s_ref))
     in
     if not blamed then begin
       Fmt.epr
@@ -683,15 +679,14 @@ let explore () =
   let jobs = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
   List.iter
     (fun name ->
-      let w = W.find name in
-      let subject = Muir_dse.Explore.workload_subject w in
+      let src = Pipeline.of_workload_name name in
       let cache = Muir_dse.Cache.create () in
       (* Pass 1: just the predefined stacks, each at its own default
          parameters — the configurations a user could have hand-picked. *)
       let predef =
         Muir_dse.Explore.run ~jobs ~cache
           ~grid:(List.map Muir_dse.Config.predefined (Opt.Stacks.names ()))
-          subject
+          src
       in
       let pbest =
         match predef.x_best with
@@ -701,7 +696,7 @@ let explore () =
       (* Pass 2: the full grid over the same cache — the predefined
          points come back as cache hits, never re-simulated. *)
       let full =
-        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~cache subject
+        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~cache src
       in
       Fmt.pr "@.== %s@." name;
       Muir_dse.Explore.pp_result Fmt.stdout full;
@@ -731,7 +726,7 @@ let explore () =
       (* Pass 3: re-exploration must be answered entirely from the
          memo cache — zero fresh simulations. *)
       let again =
-        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~cache subject
+        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~cache src
       in
       if again.x_fresh_sims <> 0 || again.x_pruned <> 0 then begin
         Fmt.epr "%s: re-exploration re-simulated %d configurations@." name
@@ -750,7 +745,7 @@ let explore () =
          byte for byte, never simulating more. *)
       let pruned =
         Muir_dse.Explore.run ~timing_prune:true ~jobs ~budget_evals:128
-          ~cache:(Muir_dse.Cache.create ()) subject
+          ~cache:(Muir_dse.Cache.create ()) src
       in
       if frontier_fingerprint pruned <> frontier_fingerprint full then begin
         Fmt.epr "%s: timing-pruned frontier diverged@." name;
@@ -767,10 +762,7 @@ let explore () =
      is the subject with honest pruning geometry: an un-fused config's
      static bound exceeds a fused config's measured cycles, so the
      banked un-fused configs are rejected without simulating. *)
-  let subject =
-    Muir_dse.Explore.source_subject ~name:"divring"
-      (read_example "divring.mc")
-  in
+  let src = Pipeline.of_text ~name:"divring" (read_example "divring.mc") in
   let grid =
     [ Muir_dse.Config.v "baseline";
       Muir_dse.Config.v "cilk-stack";
@@ -787,12 +779,11 @@ let explore () =
   in
   let jobs = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
   let plain =
-    Muir_dse.Explore.run ~jobs ~cache:(Muir_dse.Cache.create ()) ~grid
-      subject
+    Muir_dse.Explore.run ~jobs ~cache:(Muir_dse.Cache.create ()) ~grid src
   in
   let pruned =
     Muir_dse.Explore.run ~timing_prune:true ~jobs
-      ~cache:(Muir_dse.Cache.create ()) ~grid subject
+      ~cache:(Muir_dse.Cache.create ()) ~grid src
   in
   Fmt.pr "@.== divring (timing-pruned grid)@.";
   Muir_dse.Explore.pp_result Fmt.stdout pruned;

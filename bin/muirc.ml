@@ -28,14 +28,24 @@ let read_file path =
 
 let compile path = Muir_frontend.Frontend.compile (read_file path)
 
-let handle_frontend f =
+(* Run [f], which compiles the source at [path]: a source the frontend
+   rejects prints one line naming the file, the position and the
+   reason, then exits 1. *)
+let handle_frontend path f =
   try f () with
   | e -> (
     match Muir_frontend.Frontend.describe_error e with
     | Some msg ->
-      Fmt.epr "%s@." msg;
+      Fmt.epr "%s: %s@." path msg;
       exit 1
     | None -> raise e)
+
+(* EXIT STATUS row of every command that compiles a source file. *)
+let frontend_exit =
+  Cmd.Exit.info 1
+    ~doc:
+      "on a source the frontend rejects; one line on standard error names \
+       the file, the position and the reason."
 
 (* -O pass parsing *)
 let parse_pass (s : string) : Muir_opt.Pass.t list option =
@@ -156,10 +166,12 @@ let target_built ?unroll target passes : Pipeline.built =
 
 let ir_cmd =
   let run path =
-    handle_frontend (fun () ->
+    handle_frontend path (fun () ->
         Fmt.pr "%a@." Muir_ir.Program.pp (compile path))
   in
-  Cmd.v (Cmd.info "ir" ~doc:"Print the compiler IR of a program.")
+  Cmd.v
+    (Cmd.info "ir" ~exits:(frontend_exit :: Cmd.Exit.defaults)
+       ~doc:"Print the compiler IR of a program.")
     Term.(const run $ file_arg)
 
 (* A report file that cannot be read or parsed, or an output path that
@@ -248,7 +260,7 @@ let graph_cmd =
   in
   let run target passes unroll fuse dot =
     check_outputs [ dot ];
-    handle_frontend (fun () ->
+    handle_frontend target (fun () ->
         if Sys.file_exists target then begin
           let _, c = optimized_circuit ~unroll target passes in
           Fmt.pr "%a@." Muir_core.Graph.pp_circuit c
@@ -276,7 +288,7 @@ let graph_cmd =
             ~doc:
               "on an unknown target (neither a file nor a tensor-graph \
                model); the valid models are listed on standard error."
-         :: output_exit :: Cmd.Exit.defaults)
+         :: frontend_exit :: output_exit :: Cmd.Exit.defaults)
        ~doc:
          "Print the μIR circuit of a source file, or the operator \
           graph of a tensor-graph model.")
@@ -297,7 +309,7 @@ let dot_cmd =
   in
   let run target passes unroll out profile =
     check_outputs [ out ];
-    handle_frontend (fun () ->
+    handle_frontend target (fun () ->
         let b = target_built ~unroll target passes in
         let c = b.Pipeline.p_circuit in
         let heat =
@@ -316,7 +328,7 @@ let dot_cmd =
         | Some f -> write_file f dot)
   in
   Cmd.v
-    (Cmd.info "dot" ~exits:(output_exit :: workload_exits)
+    (Cmd.info "dot" ~exits:(frontend_exit :: output_exit :: workload_exits)
        ~doc:"Render the μIR circuit as a Graphviz digraph.")
     Term.(const run $ target_arg $ passes_arg $ unroll_arg $ out $ prof_flag)
 
@@ -422,7 +434,7 @@ let check_cmd =
   in
   let run target passes unroll timing json strict =
     check_outputs [ json ];
-    handle_frontend (fun () ->
+    handle_frontend target (fun () ->
         let b = target_built ~unroll target passes in
         let c = b.Pipeline.p_circuit in
         let diags = Muir_analysis.Check.circuit c in
@@ -452,26 +464,10 @@ let check_cmd =
                   s.s_name s.s_stalls
               | None -> Fmt.pr "@.measured bottleneck: none (no stalls)@.");
               let suggestions =
-                List.filter_map
-                  (fun (tt : Muir_analysis.Timing.task_timing) ->
-                    match tt.tt_ii with
-                    | Muir_analysis.Timing.Bounded { binding; _ } ->
-                      let hit =
-                        match
-                          ( measured,
-                            Muir_analysis.Timing.binding_sref binding )
-                        with
-                        | Some s, Some sref -> s.s_ref = sref
-                        | _ -> false
-                      in
-                      Some (hit, tt, binding)
-                    | _ -> None)
-                  a.tasks
-              in
-              let suggestions =
-                List.stable_sort
-                  (fun (h1, _, _) (h2, _, _) -> compare h2 h1)
-                  suggestions
+                Muir_analysis.Timing.rank_bindings a
+                  (Option.map
+                     (fun (s : Muir_trace.Profile.struct_row) -> s.s_ref)
+                     measured)
               in
               List.iter
                 (fun (hit, (tt : Muir_analysis.Timing.task_timing), b) ->
@@ -496,7 +492,11 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~exits:
-         (Cmd.Exit.info 1 ~doc:"when the analyses report errors."
+         (Cmd.Exit.info 1
+            ~doc:
+              "when the analyses report errors, or on a source the \
+               frontend rejects (one line on standard error names the \
+               file, the position and the reason)."
          :: Cmd.Exit.info 3
               ~doc:"with $(b,--strict), on warnings but no errors."
          :: output_exit :: workload_exits)
@@ -517,7 +517,7 @@ let chisel_cmd =
   in
   let run path passes out =
     check_outputs [ out ];
-    handle_frontend (fun () ->
+    handle_frontend path (fun () ->
         let _, c = optimized_circuit path passes in
         let src = Muir_rtl.Chisel.emit c in
         match out with
@@ -526,7 +526,7 @@ let chisel_cmd =
   in
   Cmd.v
     (Cmd.info "chisel"
-       ~exits:(output_exit :: Cmd.Exit.defaults)
+       ~exits:(frontend_exit :: output_exit :: Cmd.Exit.defaults)
        ~doc:"Emit Chisel for the accelerator.")
     Term.(const run $ file_arg $ passes_arg $ out)
 
@@ -553,7 +553,7 @@ let report_simulation (r : Muir_sim.Sim.result) =
 
 let simulate_cmd =
   let run target passes unroll =
-    handle_frontend (fun () ->
+    handle_frontend target (fun () ->
         let b = target_built ~unroll target passes in
         let r = Pipeline.simulate b in
         report_simulation r;
@@ -561,7 +561,7 @@ let simulate_cmd =
           (Muir_ir.Types.value_to_string r.value))
   in
   Cmd.v
-    (Cmd.info "simulate" ~exits:workload_exits
+    (Cmd.info "simulate" ~exits:(frontend_exit :: workload_exits)
        ~doc:"Cycle-accurate simulation of the accelerator.")
     Term.(const run $ target_arg $ passes_arg $ unroll_arg)
 
@@ -622,7 +622,7 @@ let profile_cmd =
   in
   let run target passes unroll top chrome vcd json diff second =
     check_outputs [ chrome; vcd; json ];
-    handle_frontend (fun () ->
+    handle_frontend target (fun () ->
         if diff then begin
           let b =
             match second with
@@ -681,7 +681,7 @@ let profile_cmd =
               "on a report file (with $(b,--diff)) that cannot be read or \
                parsed, or an output path that cannot be written; one line \
                on standard error names the file and the reason."
-         :: workload_exits)
+         :: frontend_exit :: workload_exits)
        ~doc:
          "Simulate with cycle-level tracing and print the bottleneck \
           report: top stalled nodes with their dominant cause, stall \
@@ -771,20 +771,20 @@ let explore_cmd =
   in
   let run target budget area jobs json seed strategy tprune metrics_file =
     check_outputs [ json; metrics_file ];
-    handle_frontend (fun () ->
-        let subject =
+    handle_frontend target (fun () ->
+        let src =
           if Sys.file_exists target then
-            Muir_dse.Explore.source_subject
+            Pipeline.of_text
               ~name:(Filename.remove_extension (Filename.basename target))
               (read_file target)
-          else Muir_dse.Explore.workload_subject (resolve_workload target)
+          else Pipeline.of_workload (resolve_workload target)
         in
         let obs =
           Option.map (fun _ -> Muir_obs.Obs.create ()) metrics_file
         in
         let t =
           Muir_dse.Explore.run ~strategy ~jobs ~budget_evals:budget
-            ?area_budget:area ~timing_prune:tprune ~seed ?obs subject
+            ?area_budget:area ~timing_prune:tprune ~seed ?obs src
         in
         Muir_dse.Explore.pp_result Fmt.stdout t;
         Option.iter
@@ -798,7 +798,8 @@ let explore_cmd =
           metrics_file)
   in
   Cmd.v
-    (Cmd.info "explore" ~exits:(output_exit :: workload_exits)
+    (Cmd.info "explore"
+       ~exits:(frontend_exit :: output_exit :: workload_exits)
        ~doc:
          "Design-space exploration: enumerate μopt stacks × tiling \
           width × banking (× per-pass on/off), evaluate each with the \
@@ -811,7 +812,7 @@ let explore_cmd =
 
 let synth_cmd =
   let run path passes =
-    handle_frontend (fun () ->
+    handle_frontend path (fun () ->
         let _, c = optimized_circuit path passes in
         let d = Muir_rtl.Lower.design c in
         let comps, nets = Muir_rtl.Rtl.size d in
@@ -822,7 +823,9 @@ let synth_cmd =
         Fmt.pr "ASIC (28 nm):          %a@." Muir_model.Model.pp_asic
           (Muir_model.Model.asic d))
   in
-  Cmd.v (Cmd.info "synth" ~doc:"FPGA/ASIC synthesis estimates.")
+  Cmd.v
+    (Cmd.info "synth" ~exits:(frontend_exit :: Cmd.Exit.defaults)
+       ~doc:"FPGA/ASIC synthesis estimates.")
     Term.(const run $ file_arg $ passes_arg)
 
 let workload_cmd =

@@ -23,26 +23,27 @@
       Reported as a warning.
 
     The analysis mirrors the simulator's firing rules: a [MergeLoop]
-    consumes its control token first and selects init (port 1) on the
-    initial [false], so its back edge (port 2) is not required for the
-    first firing; every other kind requires all wired inputs.  An
-    immediate steer predicate routes by the kernel's control-token
-    rule, {!Muir_ir.Types.truthy}. *)
+    consumes its control token first and selects init on the initial
+    [false] ({!Muir_core.Graph.mu_select}), so its back input is not
+    required for the first firing; every other kind requires all wired
+    inputs.  An immediate steer predicate routes by the kernel's
+    control-token rule, {!Muir_ir.Types.truthy}, onto the output
+    {!Muir_core.Graph.steer_select} names. *)
 
 module G = Muir_core.Graph
 module T = Muir_ir.Types
 
+(** Does the first firing of [n] consume input [port]?  Every input
+    except a μ's back input, which the primed [false] control token
+    leaves for the second iteration on. *)
+let first_fire_reads (n : G.node) (port : int) : bool =
+  match n.kind with G.MergeLoop -> port <> G.mu_back | _ -> true
+
 (** [blocking] edges must receive a freshly produced token before
     their target's first firing: no initial tokens, and the target
-    port is required for the first firing (everything except a
-    mu/MergeLoop back edge, which is only consumed from the second
-    iteration on). *)
+    port is read by that firing. *)
 let blocking_edge (node_of : int -> G.node) (e : G.edge) : bool =
-  e.initial = []
-  &&
-  match (node_of (fst e.dst)).kind with
-  | G.MergeLoop -> snd e.dst <> 2
-  | _ -> true
+  e.initial = [] && first_fire_reads (node_of (fst e.dst)) (snd e.dst)
 
 (* ------------------------------------------------------------------ *)
 (* Per-task analysis                                                   *)
@@ -134,19 +135,18 @@ let can_fire_set (c : ctx) : (int, unit) Hashtbl.t =
   let live_out (n : G.node) (port : int) : bool =
     match n.kind with
     | G.Steer | G.FusedSteer _ -> (
-      match n.ins.(0) with
-      | G.Simm v -> port = if T.truthy v then 0 else 1
+      match n.ins.(G.pred_port) with
+      | G.Simm v -> port = G.steer_select (T.truthy v)
       | G.Swire -> true)
     | _ -> true
   in
   let required_ports (n : G.node) : int list =
-    let skip_back = match n.kind with G.MergeLoop -> 2 | _ -> -1 in
     Array.to_list n.ins
     |> List.mapi (fun i s -> (i, s))
     |> List.filter_map (fun (i, s) ->
            match s with
            | G.Simm _ -> None
-           | G.Swire -> if i = skip_back then None else Some i)
+           | G.Swire -> if first_fire_reads n i then Some i else None)
   in
   let port_ok (n : G.node) (p : int) : bool =
     List.exists
@@ -227,6 +227,21 @@ let merge_path (a : path) (b : path) : path =
   in
   { dmin; dmax = max a.dmax b.dmax; slack }
 
+(** Fold into [m] the paths through edge [e] from its source's
+    ancestor map [src]: one registered stage deeper, [e.capacity]
+    slots roomier. *)
+let add_paths (m : (int, path) Hashtbl.t) (e : G.edge)
+    (src : (int, path) Hashtbl.t) : unit =
+  Hashtbl.iter
+    (fun a (p : path) ->
+      let p' =
+        { dmin = p.dmin + 1; dmax = p.dmax + 1; slack = p.slack + e.capacity }
+      in
+      match Hashtbl.find_opt m a with
+      | None -> Hashtbl.replace m a p'
+      | Some q -> Hashtbl.replace m a (merge_path q p'))
+    src
+
 (** Ancestor map of a node: for every transitive source reachable
     backwards over blocking edges, the registered-depth interval of
     the paths and the buffering available along a shallowest path.
@@ -247,19 +262,7 @@ let ancestor_maps (c : ctx) : int -> (int, path) Hashtbl.t =
         Hashtbl.replace m nid { dmin = 0; dmax = 0; slack = 0 };
         List.iter
           (fun (e : G.edge) ->
-            if blocking_edge c.node_of e then begin
-              let w = match e.ekind with G.Registered -> 1 | G.Comb -> 0 in
-              Hashtbl.iter
-                (fun a (p : path) ->
-                  let p' =
-                    { dmin = p.dmin + w; dmax = p.dmax + w;
-                      slack = p.slack + e.capacity }
-                  in
-                  match Hashtbl.find_opt m a with
-                  | None -> Hashtbl.replace m a p'
-                  | Some q -> Hashtbl.replace m a (merge_path q p'))
-                (anc (fst e.src))
-            end)
+            if blocking_edge c.node_of e then add_paths m e (anc (fst e.src)))
           (c.ins_of nid);
         Hashtbl.remove on_stack nid;
         Hashtbl.replace memo nid m;
@@ -275,19 +278,8 @@ let buffer_warnings (c : ctx) : Diag.t list =
     let m = Hashtbl.create 8 in
     List.iter
       (fun (e : G.edge) ->
-        if snd e.dst = p && blocking_edge c.node_of e then begin
-          let w = match e.ekind with G.Registered -> 1 | G.Comb -> 0 in
-          Hashtbl.iter
-            (fun a (q : path) ->
-              let q' =
-                { dmin = q.dmin + w; dmax = q.dmax + w;
-                  slack = q.slack + e.capacity }
-              in
-              match Hashtbl.find_opt m a with
-              | None -> Hashtbl.replace m a q'
-              | Some r -> Hashtbl.replace m a (merge_path r q'))
-            (anc (fst e.src))
-        end)
+        if snd e.dst = p && blocking_edge c.node_of e then
+          add_paths m e (anc (fst e.src)))
       (c.ins_of nid);
     m
   in

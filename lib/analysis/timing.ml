@@ -7,8 +7,8 @@
     - every channel becomes a forward edge weighted with its
       producer's latency ({!Muir_core.Cost}) and marked with its
       initial tokens — plus one virtual token on a mu-node back edge
-      (port 2), which the first firing skips, exactly as
-      {!Liveness.blocking_edge} models it;
+      ({!Muir_core.Graph.mu_back}), which the first firing skips,
+      exactly as {!Liveness.first_fire_reads} models it;
     - finite capacity becomes a zero-weight reverse edge marked with
       the free slots, the classical marked-graph encoding of
       backpressure;
@@ -130,10 +130,10 @@ let counted_traversals ~(waves : int) ~(w : int) ~(m : int) : int =
 (* ------------------------------------------------------------------ *)
 (* Per-task structural facts                                           *)
 
-(** How a node's predicate input (port 0 of memory/call nodes) is
-    driven.  Only the provably-every-wave classes justify charging
-    the child's full latency: a gated call or load is answered
-    immediately by the simulator. *)
+(** How a node's predicate input ({!Muir_core.Graph.pred_port} of
+    memory/call nodes) is driven.  Only the provably-every-wave
+    classes justify charging the child's full latency: a gated call or
+    load is answered immediately by the simulator. *)
 type pred_class = AlwaysTrue | LoopCond | Other
 
 type tctx = {
@@ -166,7 +166,7 @@ let make_tctx (t : G.task) : tctx =
   let mu_tok =
     List.fold_left
       (fun acc (e : G.edge) ->
-        if fst e.src = li0 && snd e.dst = 1
+        if fst e.src = li0 && snd e.dst = G.mu_init
            && (match (ctx.Liveness.node_of (fst e.dst)).kind with
               | G.MergeLoop -> true
               | _ -> false)
@@ -181,7 +181,7 @@ let make_tctx (t : G.task) : tctx =
     (fun (e : G.edge) ->
       match e.initial with
       | [ T.VBool false ]
-        when snd e.dst = 0
+        when snd e.dst = G.mu_ctl
              && (match (ctx.Liveness.node_of (fst e.dst)).kind with
                 | G.MergeLoop -> true
                 | _ -> false) ->
@@ -189,12 +189,12 @@ let make_tctx (t : G.task) : tctx =
       | _ -> ())
     t.edges;
   let pred_of (nd : G.node) : pred_class =
-    match nd.ins.(0) with
+    match nd.ins.(G.pred_port) with
     | G.Simm v -> if T.truthy v then AlwaysTrue else Other
     | G.Swire -> (
       match
         List.find_opt
-          (fun (e : G.edge) -> snd e.dst = 0)
+          (fun (e : G.edge) -> snd e.dst = G.pred_port)
           (ctx.Liveness.ins_of nd.nid)
       with
       | None -> Other
@@ -246,16 +246,6 @@ let make_tctx (t : G.task) : tctx =
   done;
   { ctx; every_wave; pred_of; idx_of; nid_of }
 
-(** Chain ports: inputs appended beyond a memory node's base arity
-    carry the ordering token, not data. *)
-let chain_port (nd : G.node) (port : int) : bool =
-  match nd.kind with
-  | G.Load _ -> port >= 2
-  | G.Store _ -> port >= 3
-  | G.Tload _ -> port >= 3
-  | G.Tstore _ -> port >= 4
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Graph abstraction                                                   *)
 
@@ -281,15 +271,13 @@ let build_sdf (tc : tctx) ~(flavor : flavor) ~(restrict : bool)
     (fun (e : G.edge) ->
       let dn = tc.ctx.Liveness.node_of (fst e.dst) in
       let init_port =
-        match dn.kind with G.MergeLoop -> snd e.dst = 1 | _ -> false
+        match dn.kind with G.MergeLoop -> snd e.dst = G.mu_init | _ -> false
       in
       (* A mu init edge is consumed only by the first firing: it
          constrains no steady-state wave, in either direction. *)
       if (not init_port) && keep (fst e.src) && keep (fst e.dst) then begin
         let sn = tc.ctx.Liveness.node_of (fst e.src) in
-        let back =
-          match dn.kind with G.MergeLoop -> snd e.dst = 2 | _ -> false
-        in
+        let back = not (Liveness.first_fire_reads dn (snd e.dst)) in
         let m = List.length e.initial + if back then 1 else 0 in
         acc :=
           { Sdf.esrc = idx (fst e.src); edst = idx (fst e.dst);
@@ -372,7 +360,7 @@ let classify (c : G.circuit) (tc : tctx) (cyc : prov Sdf.edge list) :
           match e.Sdf.etag with
           | Pedge ge ->
             let dn = tc.ctx.Liveness.node_of (fst ge.dst) in
-            if chain_port dn (snd ge.dst) then
+            if G.is_order_port dn (snd ge.dst) then
               match G.node_space dn with
               | Some sp -> Some (G.structure_of_space c sp).G.sid
               | None -> None
@@ -668,6 +656,22 @@ let binding_sref : binding -> G.struct_ref option = function
   | Bqueue tid -> Some (G.Rqueue tid)
   | Bmem sid -> Some (G.Rstruct sid)
   | Bbuffer _ | Bfu _ | Bring -> None
+
+(** The bounded tasks' bindings ranked against the structure a
+    profile measured as the dominant stall: each is paired with
+    whether it names [measured], matches first, task order otherwise.
+    The measurement comes in as a {!Muir_core.Graph.struct_ref}
+    because the profiler sits above this library. *)
+let rank_bindings (a : t) (measured : G.struct_ref option) :
+    (bool * task_timing * binding) list =
+  a.tasks
+  |> List.filter_map (fun tt ->
+         match tt.tt_ii with
+         | Bounded { binding; _ } ->
+           let hit = measured <> None && binding_sref binding = measured in
+           Some (hit, tt, binding)
+         | Unconstrained | Deadlocked _ -> None)
+  |> List.stable_sort (fun (h1, _, _) (h2, _, _) -> compare h2 h1)
 
 let binding_name (c : G.circuit) : binding -> string = function
   | Bqueue tid -> "queue:" ^ (G.task c tid).tname

@@ -15,52 +15,43 @@
       simple predictor misses in loopy code;
     - call/spawn linkage overhead per invocation.  Cilk constructs are
       executed serially (the paper's A9 numbers also note "ARM does
-      not support Cilk"). *)
+      not support Cilk").
+
+    The calibration below is one fixed A9 configuration; every
+    comparison in the paper runs against it. *)
 
 open Muir_ir
 module I = Instr
 
-type params = {
-  issue_width : float;
-  ooo_hiding : float;       (** fraction of producer latency hidden *)
-  l1_kb : int;
-  l1_ways : int;
-  line_words : int;
-  miss_cycles : float;
-  branch_miss_rate : float;
-  branch_penalty : float;
-  call_overhead : float;
-}
+let issue_width = 2.0
+let ooo_hiding = 0.5  (* fraction of producer latency hidden *)
+let l1_kb = 32
+let l1_ways = 4
+let line_words = 8
+let miss_cycles = 70.0
+let branch_miss_rate = 0.06
+let branch_penalty = 9.0
+let call_overhead = 6.0
 
-let default : params =
-  { issue_width = 2.0; ooo_hiding = 0.5; l1_kb = 32; l1_ways = 4;
-    line_words = 8; miss_cycles = 70.0; branch_miss_rate = 0.06;
-    branch_penalty = 9.0; call_overhead = 6.0 }
+(* Simple set-associative LRU cache for the trace: one list of line
+   numbers per set, most recent first. *)
+let sets = max 1 (l1_kb * 1024 / 4 / (line_words * l1_ways))
 
-(* Simple set-associative LRU cache for the trace. *)
-type cache = { sets : int; ways : int; line_words : int; lines : int list array }
-
-let new_cache (p : params) : cache =
-  let words = p.l1_kb * 1024 / 4 in
-  let sets = max 1 (words / (p.line_words * p.l1_ways)) in
-  { sets; ways = p.l1_ways; line_words = p.line_words;
-    lines = Array.make sets [] }
-
-let cache_access (c : cache) (addr : int) : bool =
-  let line = addr / c.line_words in
-  let set = line mod c.sets in
-  let cur = c.lines.(set) in
+let cache_access (lines : int list array) (addr : int) : bool =
+  let line = addr / line_words in
+  let set = line mod sets in
+  let cur = lines.(set) in
   if List.mem line cur then begin
-    c.lines.(set) <- line :: List.filter (fun l -> l <> line) cur;
+    lines.(set) <- line :: List.filter (fun l -> l <> line) cur;
     true
   end
   else begin
     let kept =
-      if List.length cur >= c.ways then
-        List.filteri (fun i _ -> i < c.ways - 1) cur
+      if List.length cur >= l1_ways then
+        List.filteri (fun i _ -> i < l1_ways - 1) cur
       else cur
     in
-    c.lines.(set) <- line :: kept;
+    lines.(set) <- line :: kept;
     false
   end
 
@@ -86,41 +77,40 @@ type result = {
 }
 
 (** Run [prog] on the CPU model. *)
-let run ?(entry = "main") ?(args = []) ?(params = default) (prog : Program.t)
-    : result =
-  let cache = new_cache params in
+let run (prog : Program.t) : result =
+  let cache = Array.make sets [] in
   let cycles = ref 0.0 in
   let instrs = ref 0 in
   let misses = ref 0 in
   let tracer (ev : Interp.trace_event) =
     incr instrs;
-    cycles := !cycles +. (1.0 /. params.issue_width);
-    cycles := !cycles +. ((1.0 -. params.ooo_hiding) *. op_latency ev.ev_kind);
+    cycles := !cycles +. (1.0 /. issue_width);
+    cycles := !cycles +. ((1.0 -. ooo_hiding) *. op_latency ev.ev_kind);
     (match ev.ev_kind, ev.ev_addr with
     | (I.Load _ | I.Store _), Some a ->
       if not (cache_access cache a) then begin
         incr misses;
-        cycles := !cycles +. params.miss_cycles
+        cycles := !cycles +. miss_cycles
       end
     | (I.Tload _ | I.Tstore _), Some a ->
       (* four word accesses per tile *)
       for w = 0 to 3 do
         if not (cache_access cache (a + w)) then begin
           incr misses;
-          cycles := !cycles +. params.miss_cycles
+          cycles := !cycles +. miss_cycles
         end
       done
     | _ -> ());
     match ev.ev_kind with
-    | I.Call _ | I.Spawn _ -> cycles := !cycles +. params.call_overhead
+    | I.Call _ | I.Spawn _ -> cycles := !cycles +. call_overhead
     | _ -> ()
   in
-  let _, _, stats = Interp.run ~entry ~args ~tracer prog in
+  let _, _, stats = Interp.run ~tracer prog in
   (* branch redirects *)
   cycles :=
     !cycles
-    +. (float_of_int stats.dyn_branches *. params.branch_miss_rate
-        *. params.branch_penalty);
+    +. (float_of_int stats.dyn_branches *. branch_miss_rate
+        *. branch_penalty);
   { cpu_cycles = !cycles; cpu_instrs = !instrs; cpu_l1_misses = !misses }
 
 (** Wall-clock nanoseconds at the A9's 1 GHz. *)

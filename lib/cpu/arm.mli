@@ -4,32 +4,14 @@
     interpreter's dynamic trace, so it executes exactly the program
     the accelerator implements. *)
 
-type params = {
-  issue_width : float;
-  ooo_hiding : float;   (** fraction of producer latency hidden *)
-  l1_kb : int;
-  l1_ways : int;
-  line_words : int;
-  miss_cycles : float;
-  branch_miss_rate : float;
-  branch_penalty : float;
-  call_overhead : float;
-}
-
-val default : params
-
 type result = {
   cpu_cycles : float;  (** at 1 GHz, cycles = nanoseconds *)
   cpu_instrs : int;
   cpu_l1_misses : int;
 }
 
-val run :
-  ?entry:string ->
-  ?args:Muir_ir.Types.value list ->
-  ?params:params ->
-  Muir_ir.Program.t ->
-  result
+val run : Muir_ir.Program.t -> result
+(** Run a program's [main] on the CPU model. *)
 
 val nanoseconds : result -> float
 (** Wall-clock nanoseconds at the modelled 1 GHz clock. *)

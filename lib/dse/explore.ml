@@ -23,30 +23,21 @@
 
     Either way, a configuration whose modeled FPGA area already
     exceeds [--area-budget] is pruned analytically — the model runs,
-    the simulator does not. *)
+    the simulator does not.
+
+    What to explore is a {!Muir_pipeline.Pipeline.source}, and results
+    carry its name.  Its thunk runs once per evaluation inside the
+    worker domain, so nothing mutable (program memory included) is
+    ever shared across domains. *)
 
 module G = Muir_core.Graph
+module P = Muir_pipeline.Pipeline
 module Stacks = Muir_opt.Stacks
-module W = Muir_workloads.Workloads
 
-(* ------------------------------------------------------------------ *)
-(* Subjects                                                             *)
-
-(** What to explore: a name and a thunk producing a fresh program.
-    The thunk runs once per evaluation {e inside the worker domain},
-    so nothing mutable (program memory included) is ever shared across
-    domains. *)
-type subject = {
-  s_name : string;
-  s_program : unit -> Muir_ir.Program.t;
-}
-
-let workload_subject (w : W.t) : subject =
-  { s_name = w.wname; s_program = (fun () -> W.program w) }
-
-let source_subject ~(name : string) (src : string) : subject =
-  { s_name = name;
-    s_program = (fun () -> Muir_frontend.Frontend.compile src) }
+(** The name results are labelled with: the source's circuit name, or
+    the builder's default for an unnamed one. *)
+let source_name (src : P.source) : string =
+  Option.value src.P.src_name ~default:"accelerator"
 
 (* ------------------------------------------------------------------ *)
 (* Evaluations                                                          *)
@@ -91,15 +82,11 @@ let timing_dominates ~(bound : int) ~(alms : int) ((c0, a0) : int * int) :
     the current frontier).  Every simulated evaluation checks the
     static bound against the measured cycles — the analysis's
     soundness contract is enforced on every run, not only in tests. *)
-let evaluate ?now ~(subject : subject) ~(area_budget : int option)
+let evaluate ?now ~(src : P.source) ~(area_budget : int option)
     ~(dominators : (int * int) list) (cfg : Config.t) : eval =
-  let module P = Muir_pipeline.Pipeline in
   let ctl = P.ctl ?now () in
   let key = Config.key cfg in
-  let b =
-    P.build ~ctl ~passes:(Config.passes cfg)
-      { P.src_name = Some subject.s_name; src_load = subject.s_program }
-  in
+  let b = P.build ~ctl ~passes:(Config.passes cfg) src in
   let c = b.P.p_circuit in
   let m = P.model ~ctl b in
   let f = m.P.m_fpga in
@@ -126,7 +113,7 @@ let evaluate ?now ~(subject : subject) ~(area_budget : int option)
         (Fmt.str
            "timing unsound on %s (%s): static bound %d > measured %d \
             cycles"
-           subject.s_name (Config.label cfg) bound cycles);
+           (source_name src) (Config.label cfg) bound cycles);
     (* The hint comes from the always-on counter bank — every
        simulated evaluation gets one, no event ring attached. *)
     let prof = Muir_trace.Profile.of_run c r.Muir_sim.Sim.counters in
@@ -288,7 +275,7 @@ let lcg (s : int) : int =
 
 let run ?(strategy = Grid) ?(jobs = 1) ?(budget_evals = 96) ?area_budget
     ?(timing_prune = false) ?(seed = 0) ?(cache : eval Cache.t option)
-    ?grid ?obs (subject : subject) : t =
+    ?grid ?obs (src : P.source) : t =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let mx = Option.map make_dse_mx obs in
   let tick f = match mx with Some m -> f m | None -> () in
@@ -357,7 +344,7 @@ let run ?(strategy = Grid) ?(jobs = 1) ?(budget_evals = 96) ?area_budget
               (frontier (List.rev !order))
         in
         let results =
-          Pool.map ~jobs (evaluate ?now ~subject ~area_budget ~dominators)
+          Pool.map ~jobs (evaluate ?now ~src ~area_budget ~dominators)
             chunk
         in
         List.iter
@@ -443,7 +430,7 @@ let run ?(strategy = Grid) ?(jobs = 1) ?(budget_evals = 96) ?area_budget
       else eval_batch proposals
     done);
   let evs = List.rev !order in
-  { x_subject = subject.s_name;
+  { x_subject = source_name src;
     x_strategy = strategy;
     x_evals = evs;
     x_frontier = frontier evs;

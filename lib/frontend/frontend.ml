@@ -1,18 +1,18 @@
 (** Top-level front-end entry point: source text to verified IR. *)
 
-(** Compile mini-language source to a verified (and, by default,
-    cleanup-optimized) IR program.
+(** Compile mini-language source to a verified, cleanup-optimized IR
+    program.
 
     @raise Lexer.Error on malformed tokens
     @raise Parser.Error on syntax errors
     @raise Typecheck.Error on type errors
     @raise Invalid_argument if lowering produced ill-formed IR (a bug) *)
-let compile ?(optimize = true) (src : string) : Muir_ir.Program.t =
+let compile (src : string) : Muir_ir.Program.t =
   let ast = Parser.parse src in
   let ast = Typecheck.check ast in
   let p = Lower.lower ast in
   Muir_ir.Verify.check_exn p;
-  if optimize then Muir_ir.Transform.optimize p else p
+  Muir_ir.Transform.optimize p
 
 (** Render front-end exceptions as a human-readable message. *)
 let describe_error = function

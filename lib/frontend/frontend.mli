@@ -1,8 +1,7 @@
 (** Front-end entry point: mini-language source text to verified IR. *)
 
-val compile : ?optimize:bool -> string -> Muir_ir.Program.t
-(** Compile source to a verified (and, by default, cleanup-optimized)
-    IR program.
+val compile : string -> Muir_ir.Program.t
+(** Compile source to a verified, cleanup-optimized IR program.
     @raise Lexer.Error on malformed tokens
     @raise Parser.Error on syntax errors
     @raise Typecheck.Error on type errors *)

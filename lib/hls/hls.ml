@@ -20,30 +20,28 @@
       pipelines — §5.2 Observation 1).
 
     Dynamic totals come from driving the golden interpreter and
-    charging each basic-block visit its static cost. *)
+    charging each basic-block visit its static cost.  The calibration
+    below is one fixed tool configuration; every comparison in the
+    paper runs against it. *)
 
 open Muir_ir
 module I = Instr
 module F = Func
 
-type params = {
-  mem_ports : int;
-  fadd_latency : float;
-  carried_fp_ii : float;
-      (** II of a pipelined loop with a floating-point reduction: the
-          synthesized adder's full latency (statically scheduled tools
-          cannot retime around it) *)
-  nonstream_mem_latency : float;  (** per access, II contribution *)
-  carried_mem_ii : float;
-  burst_cycles_per_line : float;
-      (** compulsory off-chip traffic cost per 8-word line *)
-  clock_ratio : float;  (** μIR MHz / HLS MHz *)
-}
+let mem_ports = 1
 
-let default : params =
-  { mem_ports = 1; fadd_latency = 4.0; carried_fp_ii = 7.0;
-    nonstream_mem_latency = 3.0; carried_mem_ii = 9.0;
-    burst_cycles_per_line = 16.0; clock_ratio = 1.2 }
+(* II of a pipelined loop with a floating-point reduction: the
+   synthesized adder's full latency (statically scheduled tools cannot
+   retime around it). *)
+let carried_fp_ii = 7.0
+
+let nonstream_mem_latency = 3.0  (* per access, II contribution *)
+let carried_mem_ii = 9.0
+
+(* Compulsory off-chip traffic cost per 8-word line. *)
+let burst_cycles_per_line = 16.0
+
+let clock_ratio = 1.2  (* μIR MHz / HLS MHz *)
 
 let op_latency (k : I.kind) : float =
   match k with
@@ -171,7 +169,7 @@ type sched = {
 }
 
 (** Build the static schedule of every function. *)
-let analyze ?(params = default) (prog : Program.t) : sched =
+let analyze (prog : Program.t) : sched =
   let cost = Hashtbl.create 64 and loop_ii = Hashtbl.create 16 in
   List.iter
     (fun (f : F.t) ->
@@ -205,25 +203,25 @@ let analyze ?(params = default) (prog : Program.t) : sched =
             ops <> [] && List.for_all (streaming_access f phis) ops
           in
           let ports =
-            if streaming then float_of_int (2 * params.mem_ports)
-            else float_of_int params.mem_ports
+            if streaming then float_of_int (2 * mem_ports)
+            else float_of_int mem_ports
           in
           let mem_ii = float_of_int (List.length ops) /. ports in
           let mem_ii =
             if streaming then mem_ii
             else
               mem_ii
-              +. (params.nonstream_mem_latency
+              +. (nonstream_mem_latency
                   *. float_of_int (List.length ops) /. 4.0)
           in
           let ii = Float.max 1.0 mem_ii in
           let ii =
-            if carried_fp header then Float.max ii params.carried_fp_ii
+            if carried_fp header then Float.max ii carried_fp_ii
             else ii
           in
           let ii =
             if carried_memory f body_blocks then
-              Float.max ii params.carried_mem_ii
+              Float.max ii carried_mem_ii
             else ii
           in
           Hashtbl.replace loop_ii (f.name, l.header) ii;
@@ -252,16 +250,15 @@ type result = {
 }
 
 (** Execute [prog] under the HLS timing model. *)
-let run ?(entry = "main") ?(args = []) ?(params = default) (prog : Program.t)
-    : result =
-  let sched = analyze ~params prog in
+let run (prog : Program.t) : result =
+  let sched = analyze prog in
   let total = ref 0.0 in
   let on_block fname lbl =
     total :=
       !total
       +. (try Hashtbl.find sched.cost (fname, lbl) with Not_found -> 1.0)
   in
-  let _ = Interp.run ~entry ~args ~on_block prog in
+  let _ = Interp.run ~on_block prog in
   (* Compulsory off-chip traffic: every array crosses the AXI bus at
      least once, in line-sized bursts — the same cold traffic the μIR
      cache pays. *)
@@ -270,5 +267,5 @@ let run ?(entry = "main") ?(args = []) ?(params = default) (prog : Program.t)
       (fun acc (g : Program.global) -> acc + ((g.gsize + 7) / 8))
       0 prog.globals
   in
-  total := !total +. (float_of_int lines *. params.burst_cycles_per_line);
-  { hls_cycles = !total; clock_ratio = params.clock_ratio }
+  total := !total +. (float_of_int lines *. burst_cycles_per_line);
+  { hls_cycles = !total; clock_ratio }

@@ -4,18 +4,6 @@
     inference for affine access patterns, and a ~20% clock deficit
     against the μIR dataflow.  Driven by the golden interpreter. *)
 
-type params = {
-  mem_ports : int;
-  fadd_latency : float;
-  carried_fp_ii : float;
-  nonstream_mem_latency : float;
-  carried_mem_ii : float;
-  burst_cycles_per_line : float;
-  clock_ratio : float;  (** μIR MHz / HLS MHz *)
-}
-
-val default : params
-
 type sched = {
   cost : (string * Muir_ir.Instr.label, float) Hashtbl.t;
       (** cycles charged per dynamic visit of each block *)
@@ -23,7 +11,7 @@ type sched = {
       (** initiation interval of each pipelined innermost loop *)
 }
 
-val analyze : ?params:params -> Muir_ir.Program.t -> sched
+val analyze : Muir_ir.Program.t -> sched
 (** The static schedule (exposed for tests). *)
 
 type result = {
@@ -31,9 +19,5 @@ type result = {
   clock_ratio : float;  (** divide the μIR clock by this for HLS MHz *)
 }
 
-val run :
-  ?entry:string ->
-  ?args:Muir_ir.Types.value list ->
-  ?params:params ->
-  Muir_ir.Program.t ->
-  result
+val run : Muir_ir.Program.t -> result
+(** Run a program's [main] under the HLS timing model. *)

@@ -517,12 +517,6 @@ let fu_of_kind (k : I.kind) : G.fu_op =
   | Gep { scale; _ } -> Fgep scale
   | _ -> invalid_arg "fu_of_kind: not a pure op"
 
-let memory_done_port (n : G.node) : port =
-  match n.kind with
-  | Load _ | Tload _ -> (n.nid, 1)
-  | Store _ | Tstore _ -> (n.nid, 0)
-  | _ -> invalid_arg "memory_done_port"
-
 (** Record a collapsed call in the ordering chains when its child
     subtree touches memory. *)
 let note_call (ctx : rctx) (n : G.node) (touches : (int * bool) list) =
@@ -544,12 +538,27 @@ let note_memory (ctx : rctx) (space : int) (n : G.node) ~is_store
   | None -> ());
   let aff = affine_of ctx.st ctx.f addr in
   ctx.mem_order <-
-    ([ (space, is_store) ], memory_done_port n, aff) :: ctx.mem_order;
+    ([ (space, is_store) ], (n.nid, G.mem_done n), aff)
+    :: ctx.mem_order;
   if is_store && not (List.mem space ctx.has_store) then
     ctx.has_store <- space :: ctx.has_store
 
 let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
   let bind p = Hashtbl.replace ctx.def ins.id p in
+  (* A memory node takes [pred; addr; rest..], in the order of
+     {!G.mem_addr} and the roles after it. *)
+  let memory ?label addr rest kind_of =
+    let space = space_of_operand ctx.st ctx.f addr in
+    let kind = kind_of space in
+    let is_store = match kind with G.Store _ | Tstore _ -> true | _ -> false in
+    let n =
+      mk ctx ?label ~ty:(if is_store then T.TUnit else ins.ty) kind
+        (`Port pred :: List.map (slot_of ctx) (addr :: rest))
+        ~trigger:pred
+    in
+    note_memory ctx space n ~is_store ~addr;
+    if not is_store then bind (n.nid, G.load_data)
+  in
   match ins.kind with
   | Bin _ | Fbin _ | Icmp _ | Fcmp _ | Funary _ | Cast _ | Select _ | Gep _
     ->
@@ -563,40 +572,14 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
     bind (n.nid, 0)
   | Phi _ -> invalid_arg "lower_instr: phi handled at block level"
   | Load { addr } ->
-    let space = space_of_operand ctx.st ctx.f addr in
-    let n =
-      mk ctx ~ty:ins.ty (Load { space })
-        [ `Port pred; slot_of ctx addr ]
-        ~trigger:pred ~label:(Fmt.str "%%%d" ins.id)
-    in
-    note_memory ctx space n ~is_store:false ~addr;
-    bind (n.nid, 0)
+    memory ~label:(Fmt.str "%%%d" ins.id) addr [] (fun space ->
+        Load { space })
   | Store { addr; value } ->
-    let space = space_of_operand ctx.st ctx.f addr in
-    let n =
-      mk ctx ~ty:T.TUnit (Store { space })
-        [ `Port pred; slot_of ctx addr; slot_of ctx value ]
-        ~trigger:pred
-    in
-    note_memory ctx space n ~is_store:true ~addr
+    memory addr [ value ] (fun space -> Store { space })
   | Tload { addr; row_stride; shape } ->
-    let space = space_of_operand ctx.st ctx.f addr in
-    let n =
-      mk ctx ~ty:ins.ty (Tload { space; shape })
-        [ `Port pred; slot_of ctx addr; slot_of ctx row_stride ]
-        ~trigger:pred
-    in
-    note_memory ctx space n ~is_store:false ~addr;
-    bind (n.nid, 0)
+    memory addr [ row_stride ] (fun space -> Tload { space; shape })
   | Tstore { addr; row_stride; value; shape } ->
-    let space = space_of_operand ctx.st ctx.f addr in
-    let n =
-      mk ctx ~ty:T.TUnit (Tstore { space; shape })
-        [ `Port pred; slot_of ctx addr; slot_of ctx row_stride;
-          slot_of ctx value ]
-        ~trigger:pred
-    in
-    note_memory ctx space n ~is_store:true ~addr
+    memory addr [ row_stride; value ] (fun space -> Tstore { space; shape })
   | Tbin (op, a, b) ->
     let top = match op with I.Tmul -> G.Tmul2 | I.Tadd -> G.Tadd2 in
     let n =
@@ -1001,7 +984,7 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
   let mu_tok =
     G.add_node gt ~ty:T.TBool MergeLoop ~nins:3 ~label:"mu.token"
   in
-  ignore (G.connect gt ~src:(token.nid, 0) ~dst:(mu_tok.nid, 1));
+  ignore (G.connect gt ~src:(token.nid, 0) ~dst:(mu_tok.nid, G.mu_init));
   (* μ node per header phi.  A constant initial value must still be
      delivered exactly once per invocation, so it is materialized by a
      pass-through node triggered by the invocation token. *)
@@ -1011,7 +994,7 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
     in
     G.set_imm cn 0 v;
     ignore (G.connect gt ~src:(token.nid, 0) ~dst:(cn.nid, 1));
-    ignore (G.connect gt ~src:(cn.nid, 0) ~dst:(mu.nid, 1))
+    ignore (G.connect gt ~src:(cn.nid, 0) ~dst:(mu.nid, G.mu_init))
   in
   let mus =
     List.map
@@ -1022,7 +1005,7 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
         (match init with
         | I.Reg ri ->
           let _, li = List.find (fun (x, _) -> x = ri) livein_node in
-          ignore (G.connect gt ~src:(li.nid, 0) ~dst:(mu.nid, 1))
+          ignore (G.connect gt ~src:(li.nid, 0) ~dst:(mu.nid, G.mu_init))
         | I.CInt i -> const_init mu (VInt i)
         | I.CBool b -> const_init mu (VBool b)
         | I.CFloat x -> const_init mu (VFloat x)
@@ -1062,7 +1045,7 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
           G.add_node gt ~ty:(ty_of_reg ctx r) MergeLoop ~nins:3
             ~label:(Fmt.str "mu.inv %%%d" r)
         in
-        ignore (G.connect gt ~src:(li.nid, 0) ~dst:(mu.nid, 1));
+        ignore (G.connect gt ~src:(li.nid, 0) ~dst:(mu.nid, G.mu_init));
         Hashtbl.replace ctx.def r (mu.nid, 0);
         mu)
       invariants
@@ -1105,16 +1088,19 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
           ~entry:lp.header l)
     order;
   add_memory_chains ctx ~own_vars:(List.map (fun (r, _, _, _) -> r) phis);
-  (* Steers: route carried values around the back edge or out. *)
+  (* Steers: route carried values around the back edge (the loop
+     predicate holds) or out (it does not). *)
   let steer ?(label = "") data : G.node =
     mk ctx ~ty:T.TBool Steer [ `Port p_port; data ] ~trigger:entry_pred ~label
   in
+  let around = G.steer_select true and out = G.steer_select false in
   (* Token ring + done live-out. *)
   let st_tok = steer ~label:"steer.token" (`Port (mu_tok.nid, 0)) in
   st_tok.nty <- T.TBool;
-  ignore (G.connect gt ~src:(st_tok.nid, 0) ~dst:(mu_tok.nid, 2));
+  ignore
+    (G.connect gt ~src:(st_tok.nid, around) ~dst:(mu_tok.nid, G.mu_back));
   let lo0 = G.add_node gt ~ty:T.TBool (LiveOut 0) ~nins:1 ~label:"done" in
-  ignore (G.connect gt ~src:(st_tok.nid, 1) ~dst:(lo0.nid, 0));
+  ignore (G.connect gt ~src:(st_tok.nid, out) ~dst:(lo0.nid, 0));
   (* Carried values: next-value steers feeding the μ back inputs. *)
   List.iter
     (fun (r, mu, back) ->
@@ -1122,13 +1108,14 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
         steer ~label:(Fmt.str "steer.next %%%d" r) (slot_of ctx back)
       in
       s.nty <- (G.node gt mu.G.nid).nty;
-      ignore (G.connect gt ~src:(s.nid, 0) ~dst:(mu.G.nid, 2)))
+      ignore
+        (G.connect gt ~src:(s.nid, around) ~dst:(mu.G.nid, G.mu_back)))
     mus;
   List.iter
     (fun (mu : G.node) ->
       let s = steer ~label:"steer.inv" (`Port (mu.nid, 0)) in
       s.nty <- mu.nty;
-      ignore (G.connect gt ~src:(s.nid, 0) ~dst:(mu.nid, 2)))
+      ignore (G.connect gt ~src:(s.nid, around) ~dst:(mu.nid, G.mu_back)))
     inv_mus;
   (* Live-outs: current values of carried variables at loop exit. *)
   List.iteri
@@ -1144,7 +1131,7 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
           (LiveOut (i + 1)) ~nins:1
           ~label:(Fmt.str "%%%d" r)
       in
-      ignore (G.connect gt ~src:(s.nid, 1) ~dst:(lo.nid, 0)))
+      ignore (G.connect gt ~src:(s.nid, out) ~dst:(lo.nid, 0)))
     liveouts;
   (* Control ring: the loop predicate drives every μ's ctl port, primed
      with an initial false so the first selection takes the inits. *)
@@ -1154,7 +1141,7 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
   List.iter
     (fun (mu : G.node) ->
       ignore
-        (G.connect gt ~src:p_port ~dst:(mu.nid, 0) ~capacity:2
+        (G.connect gt ~src:p_port ~dst:(mu.nid, G.mu_ctl) ~capacity:2
            ~initial:[ T.VBool false ]))
     all_mus
 

@@ -97,10 +97,7 @@ let render ?heat (c : G.circuit) : string =
                       Option.bind heat (fun h -> h.h_edge t.tid (fst e.src))
                     with
                    | Some color -> Fmt.str "color=\"%s\"" color
-                   | None -> (
-                     match e.ekind with
-                     | G.Comb -> "color=red"
-                     | G.Registered -> "")) ])
+                   | None -> "") ])
           in
           p "    t%d_n%d -> t%d_n%d [%s];" t.tid (fst e.src) t.tid
             (fst e.dst) attrs)

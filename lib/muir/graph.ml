@@ -10,7 +10,11 @@
     when every wired input port holds a token and emits on its output
     ports.  Timing of individual components has no impact on
     functional correctness ("patience"), which is what lets μopt
-    passes rewrite the graph freely. *)
+    passes rewrite the graph freely.
+
+    Each node kind's ports have fixed roles, named once under "Port
+    roles" below; the builder, the kernel, the analyses and the passes
+    read them from there. *)
 
 module T = Muir_ir.Types
 module I = Muir_ir.Instr
@@ -100,18 +104,14 @@ type node = {
   mutable label : string;  (** provenance, for printing and Table 4 *)
 }
 
-(** A latency-insensitive channel between two ports.  [Registered]
-    edges cost one cycle and one register stage (the baseline for
-    every connection); [Comb] edges are intra-stage wires created by
-    op fusion. *)
-type edge_kind = Registered | Comb
-
+(** A latency-insensitive channel between two ports: one cycle and one
+    register stage.  Op fusion shortens a chain by collapsing it into
+    one [Fused] node, not by making its edges combinational. *)
 type edge = {
   eid : int;
   mutable src : node_id * int;
   mutable dst : node_id * int;
-  mutable ekind : edge_kind;
-  mutable capacity : int;      (** token slots; >= 1 for [Registered] *)
+  mutable capacity : int;      (** token slots; >= 1 *)
   mutable initial : T.value list;  (** initial tokens (loop ctl primes) *)
 }
 
@@ -222,11 +222,9 @@ let node (t : task) (nid : node_id) : node =
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Graph.node: %d not in task %s" nid t.tname)
 
-let connect ?(ekind = Registered) ?(capacity = 2) ?(initial = []) (t : task)
+let connect ?(capacity = 2) ?(initial = []) (t : task)
     ~(src : node_id * int) ~(dst : node_id * int) : edge =
-  let e =
-    { eid = t.next_eid; src; dst; ekind; capacity = max capacity 1; initial }
-  in
+  let e = { eid = t.next_eid; src; dst; capacity = max capacity 1; initial } in
   t.next_eid <- t.next_eid + 1;
   t.edges <- t.edges @ [ e ];
   e
@@ -240,11 +238,6 @@ let task (c : circuit) (tid : task_id) : task =
   match List.find_opt (fun t -> t.tid = tid) c.tasks with
   | Some t -> t
   | None -> invalid_arg (Fmt.str "Graph.task: no task %d" tid)
-
-let find_task (c : circuit) (name : string) : task =
-  match List.find_opt (fun t -> t.tname = name) c.tasks with
-  | Some t -> t
-  | None -> invalid_arg (Fmt.str "Graph.find_task: no task %s" name)
 
 let structure (c : circuit) (sid : struct_id) : struct_inst =
   match List.find_opt (fun s -> s.sid = sid) c.structures with
@@ -288,28 +281,65 @@ let graph_size (c : circuit) : int * int =
 (* ------------------------------------------------------------------ *)
 (* Queries used by μopt passes                                         *)
 
-let is_memory_node (n : node) =
-  match n.kind with
-  | Load _ | Store _ | Tload _ | Tstore _ -> true
-  | _ -> false
-
 let node_space (n : node) : space_id option =
   match n.kind with
   | Load { space } | Store { space } | Tload { space; _ } | Tstore { space; _ }
     -> Some space
   | _ -> None
 
-let set_node_space (n : node) (space : space_id) =
-  match n.kind with
-  | Load _ -> n.kind <- Load { space }
-  | Store _ -> n.kind <- Store { space }
-  | Tload { shape; _ } -> n.kind <- Tload { space; shape }
-  | Tstore { shape; _ } -> n.kind <- Tstore { space; shape }
-  | _ -> invalid_arg "Graph.set_node_space: not a memory node"
+let is_memory_node (n : node) = node_space n <> None
 
 let memory_nodes (t : task) = List.filter is_memory_node t.nodes
 
 let iter_tasks f (c : circuit) = List.iter f c.tasks
+
+(* ------------------------------------------------------------------ *)
+(* Port roles                                                          *)
+
+(** The predicate input of a steer, a memory node and a call or spawn
+    site: it routes a steer's data and gates the others. *)
+let pred_port = 0
+
+(** [MergeLoop] inputs: the control token, the value the first
+    iteration takes, and the value carried around the back edge. *)
+let mu_ctl = 0
+let mu_init = 1
+let mu_back = 2
+
+(** The data input a μ consumes under control token [ctl]. *)
+let mu_select (ctl : bool) : int = if ctl then mu_back else mu_init
+
+(** The data input of a [Steer]; a [FusedSteer]'s chain inputs start
+    there. *)
+let steer_data = 1
+
+(** The output a steer emits on under predicate [pred]. *)
+let steer_select (pred : bool) : int = if pred then 0 else 1
+
+(** Memory-node inputs after the predicate: the address, then a
+    store's value or a tile access's row stride, then a tile store's
+    value.  Inputs from {!in_arity} on carry ordering tokens
+    ({!is_order_port}). *)
+let mem_addr = 1
+let store_value = 2
+let tile_stride = 2
+let tstore_value = 3
+
+(** A load's data output; its done token follows ({!mem_done}). *)
+let load_data = 0
+
+(** The output on which a memory node signals completion: its last. *)
+let mem_done (n : node) : int = out_arity n.kind ~call_res:0 - 1
+
+(** Does input [port] of [n] carry an ordering token, not data? *)
+let is_order_port (n : node) (port : int) : bool =
+  is_memory_node n && port >= in_arity n.kind ~call_args:0
+
+(** The tile a tensor memory node moves. *)
+let tile_shape (k : node_kind) : T.shape option =
+  match k with
+  | Tload { shape; _ } | Tstore { shape; _ } -> Some shape
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Node -> structure attribution                                       *)
@@ -323,13 +353,10 @@ let iter_tasks f (c : circuit) = List.iter f c.tasks
 type struct_ref = Rstruct of struct_id | Rqueue of task_id
 
 let node_structure (c : circuit) (n : node) : struct_ref option =
-  match n.kind with
-  | Load _ | Store _ | Tload _ | Tstore _ -> (
-    match node_space n with
-    | Some sp -> Some (Rstruct (structure_of_space c sp).sid)
-    | None -> None)
-  | CallChild t | SpawnChild t -> Some (Rqueue t)
-  | _ -> None
+  match node_space n, n.kind with
+  | Some sp, _ -> Some (Rstruct (structure_of_space c sp).sid)
+  | None, (CallChild t | SpawnChild t) -> Some (Rqueue t)
+  | None, _ -> None
 
 let struct_ref_name (c : circuit) : struct_ref -> string = function
   | Rstruct sid -> (structure c sid).sname
@@ -389,9 +416,8 @@ let pp_task ppf (t : task) =
   List.iter (fun n -> Fmt.pf ppf "%a@," pp_node n) t.nodes;
   List.iter
     (fun e ->
-      Fmt.pf ppf "e%d n%d.%d -> n%d.%d%s%s@," e.eid (fst e.src) (snd e.src)
+      Fmt.pf ppf "e%d n%d.%d -> n%d.%d%s@," e.eid (fst e.src) (snd e.src)
         (fst e.dst) (snd e.dst)
-        (match e.ekind with Registered -> "" | Comb -> " comb")
         (if e.initial = [] then ""
          else Fmt.str " init[%a]" Fmt.(list ~sep:comma T.pp_value) e.initial))
     t.edges;

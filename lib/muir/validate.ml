@@ -1,6 +1,8 @@
 (** Structural validation of μIR circuits.  μopt passes are expected
-    to leave circuits valid; the test-suite runs this after every
-    transformation. *)
+    to leave circuits valid: the pass manager checks after every pass
+    and the simulator before it builds its instances.  Each check is
+    one pass over the task's nodes or edges, so validation is linear
+    in the circuit's size. *)
 
 module G = Graph
 
@@ -31,8 +33,9 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
       else Hashtbl.replace eids e.eid ())
     t.edges;
   let find nid = Hashtbl.find_opt by_id nid in
-  (* Edges reference live endpoints and in-range wired ports. *)
-  let in_use = Hashtbl.create 64 in
+  (* Edges reference live endpoints and in-range wired ports; [drv]
+     maps each driven input port to its (first) driving edge. *)
+  let drv : (G.node_id * int, G.edge) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (e : G.edge) ->
       (match find (fst e.src) with
@@ -54,9 +57,9 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
           | G.Simm _ ->
             err "edge e%d: target port n%d.%d is an immediate" e.eid
               (fst e.dst) (snd e.dst));
-          if Hashtbl.mem in_use e.dst then
+          if Hashtbl.mem drv e.dst then
             err "input port n%d.%d driven twice" (fst e.dst) (snd e.dst)
-          else Hashtbl.add in_use e.dst ()
+          else Hashtbl.add drv e.dst e
         end);
       if e.capacity < 1 then err "edge e%d: capacity < 1" e.eid;
       if List.length e.initial > e.capacity then
@@ -70,19 +73,18 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
           match slot with
           | G.Simm _ -> ()
           | G.Swire ->
-            if not (Hashtbl.mem in_use (n.nid, i)) then
+            if not (Hashtbl.mem drv (n.nid, i)) then
               err "input port n%d.%d (%s) is undriven" n.nid i
                 (G.kind_to_string n.kind))
         n.ins)
     t.nodes;
-  (* Node-kind specific rules. *)
+  (* Node-kind specific rules; live-outs are counted per index. *)
+  let produced = Array.make (List.length t.res_tys) 0 in
   List.iter
     (fun (n : G.node) ->
       match n.kind with
       | G.MergeLoop -> (
-        match
-          List.find_opt (fun (e : G.edge) -> e.dst = (n.nid, 0)) t.edges
-        with
+        match Hashtbl.find_opt drv (n.nid, G.mu_ctl) with
         | Some e ->
           if e.initial <> [ Muir_ir.Types.VBool false ] then
             err "mu n%d: ctl edge must carry one initial false token" n.nid
@@ -91,8 +93,9 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
         if i < 0 || i >= List.length t.arg_tys then
           err "livein index %d out of range" i
       | G.LiveOut i ->
-        if i < 0 || i >= List.length t.res_tys then
+        if i < 0 || i >= Array.length produced then
           err "liveout index %d out of range" i
+        else produced.(i) <- produced.(i) + 1
       | G.CallChild tid | G.SpawnChild tid -> (
         match List.find_opt (fun (x : G.task) -> x.tid = tid) c.tasks with
         | None -> err "call/spawn n%d: no task %d" n.nid tid
@@ -111,36 +114,12 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
       | _ -> ())
     t.nodes;
   (* Every live-out index is produced exactly once. *)
-  List.iteri
-    (fun i _ ->
-      let count =
-        List.length
-          (List.filter
-             (fun (n : G.node) -> n.kind = G.LiveOut i)
-             t.nodes)
-      in
+  Array.iteri
+    (fun i count ->
       if count <> 1 then err "liveout %d produced %d times" i count)
-    t.res_tys;
+    produced;
   if t.tiles < 1 then err "tiles < 1";
   if t.queue_depth < 1 then err "queue depth < 1";
-  (* Combinational (fused) edges must not form cycles. *)
-  let comb_succ nid =
-    List.filter_map
-      (fun (e : G.edge) ->
-        if fst e.src = nid && e.ekind = G.Comb then Some (fst e.dst) else None)
-      t.edges
-  in
-  let color = Hashtbl.create 64 in
-  let rec dfs nid =
-    match Hashtbl.find_opt color nid with
-    | Some `Done -> ()
-    | Some `Active -> err "combinational cycle through n%d" nid
-    | None ->
-      Hashtbl.replace color nid `Active;
-      List.iter dfs (comb_succ nid);
-      Hashtbl.replace color nid `Done
-  in
-  List.iter (fun (n : G.node) -> dfs n.nid) t.nodes;
   List.rev !errs
 
 let validate (c : G.circuit) : error list =

@@ -65,9 +65,6 @@ let max_chain = 4
 (** Fuse chains in one task; returns (nodes removed, edges removed). *)
 let fuse_task (t : G.task) : int * int =
   let removed_nodes = ref 0 and removed_edges = ref 0 in
-  let out_edges nid =
-    List.filter (fun (e : G.edge) -> fst e.src = nid) t.edges
-  in
   let consumed = Hashtbl.create 16 in
   (* Grow a chain starting at [head_node] (which must be plain &
      fusable); [n] is the current tail. *)
@@ -75,7 +72,7 @@ let fuse_task (t : G.task) : int * int =
       chain_elt list =
     if List.length chain >= max_chain then chain
     else
-      match out_edges n.nid with
+      match G.out_edges t n.nid with
       | [ e ] when snd e.src = 0 -> (
         let succ = G.node t (fst e.dst) in
         if Hashtbl.mem consumed succ.nid then chain
@@ -95,9 +92,9 @@ let fuse_task (t : G.task) : int * int =
                 (chain @ [ { ce_node = succ; ce_entry_port = port } ])
                 succ
             else chain)
-          | G.Steer when snd e.dst = 1 ->
+          | G.Steer when snd e.dst = G.steer_data ->
             (* absorb the steer as the chain terminator *)
-            chain @ [ { ce_node = succ; ce_entry_port = 1 } ]
+            chain @ [ { ce_node = succ; ce_entry_port = G.steer_data } ]
           | _ -> chain)
       | _ -> chain
   in
@@ -115,7 +112,8 @@ let fuse_task (t : G.task) : int * int =
           let pred_internal =
             List.exists
               (fun (e : G.edge) ->
-                e.dst = (s.nid, 0) && List.mem (fst e.src) member_ids)
+                e.dst = (s.nid, G.pred_port)
+                && List.mem (fst e.src) member_ids)
               t.edges
           in
           if pred_internal then List.rev rest_rev else List.rev (last :: rest_rev)
@@ -165,7 +163,7 @@ let fuse_task (t : G.task) : int * int =
         in
         (* Steer's predicate goes first if present. *)
         (match steer_node with
-        | Some s -> add_port s 0
+        | Some s -> add_port s G.pred_port
         | None -> ());
         Array.iteri (fun i _ -> add_port head i) head.ins;
         List.iter
@@ -254,7 +252,7 @@ let balance_task (t : G.task) : int =
     e.initial = []
     &&
     match (G.node t (fst e.dst)).kind with
-    | G.MergeLoop -> snd e.dst = 1 (* init input is forward *)
+    | G.MergeLoop -> snd e.dst = G.mu_init (* init input is forward *)
     | _ -> true
   in
   let depth = Hashtbl.create 64 in

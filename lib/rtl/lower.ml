@@ -136,15 +136,12 @@ let lower_task (ctx : ctx) (c : G.circuit) (t : G.task) ~(origin : string) :
       let src = Hashtbl.find node_comp (fst e.src) in
       let dst = Hashtbl.find node_comp (fst e.dst) in
       let bits = bits_of_ty (G.node t (fst e.src)).nty in
-      match e.ekind with
-      | G.Comb -> wire ctx ~bits src dst
-      | G.Registered ->
-        let stage =
-          if e.capacity <= 2 then add ctx ~origin (Preg { bits })
-          else add ctx ~origin (Pfifo { bits; depth = e.capacity })
-        in
-        wire ctx ~bits src stage;
-        wire ctx ~bits stage dst)
+      let stage =
+        if e.capacity <= 2 then add ctx ~origin (Preg { bits })
+        else add ctx ~origin (Pfifo { bits; depth = e.capacity })
+      in
+      wire ctx ~bits src stage;
+      wire ctx ~bits stage dst)
     t.edges;
   (* Per-space junction arbiters. *)
   let spaces =

@@ -9,8 +9,10 @@
     through it — and {!serve} is a select-based single-threaded loop
     that owns the Unix-domain socket ({!listen}): it accepts
     connections, reads length-prefixed frames ({!Proto}), answers
-    [stats]/[metrics]/[shutdown] inline, admits [run] requests against
-    the queue bound, and processes one queued request per iteration.
+    [stats]/[metrics]/[shutdown] through {!handle} at once, admits
+    [run] requests against the queue bound, and hands one queued
+    request per iteration to {!handle} at its admission time.
+    Admission control and rejections stay in the loop.
 
     {2 Evaluation}
 
@@ -563,14 +565,6 @@ let handle ?now (t : t) (req : Proto.request) : Proto.response =
     request_drain t;
     Proto.Bye
 
-(** Parse-and-handle one raw payload: malformed requests become the
-    structured [bad_request] error instead of an exception. *)
-let handle_payload ?now (t : t) (payload : string) : Proto.response =
-  match Proto.request_of_string payload with
-  | req -> handle ?now t req
-  | exception Proto.Bad_request m ->
-    Proto.Error_r { code = "bad_request"; msg = m }
-
 (* ------------------------------------------------------------------ *)
 (* The socket loop                                                     *)
 
@@ -671,11 +665,8 @@ let serve ?(max_frame = Proto.default_max_frame) ?metrics_file ?trace_file
   let on_frame fd payload =
     match Proto.request_of_string payload with
     | exception Proto.Bad_request m -> reject fd "bad_request" m
-    | Proto.Stats -> ignore (send t fd (stats_response t))
-    | Proto.Metrics -> ignore (send t fd (Proto.Metrics_r (render_metrics t)))
-    | Proto.Shutdown ->
-      request_drain t;
-      ignore (send t fd Proto.Bye)
+    | (Proto.Stats | Proto.Metrics | Proto.Shutdown) as req ->
+      ignore (send t fd (handle t req))
     | Proto.Run items ->
       if Atomic.get t.sv_stop then reject fd "draining" "daemon is draining"
       else if queue_depth t + List.length items > t.sv_queue_cap then
@@ -717,7 +708,7 @@ let serve ?(max_frame = Proto.default_max_frame) ?metrics_file ?trace_file
     match Queue.take_opt t.sv_queue with
     | None -> ()
     | Some p ->
-      let resp = run_items ~now:p.pd_admitted t p.pd_items in
+      let resp = handle ~now:p.pd_admitted t (Proto.Run p.pd_items) in
       if not (send t p.pd_fd resp) then close_client p.pd_fd
   in
   let snapshot () =

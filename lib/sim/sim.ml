@@ -689,22 +689,22 @@ let input_ready (n : node_rt) (i : int) : bool =
   match n.nr_in.(i) with None -> true | Some f -> f.fmid - f.fhead > 0
 
 (* A mu's data input picked by its control token (which must be
-   present): 2 on true, 1 on false. *)
+   present). *)
 let mu_sel (n : node_rt) : int =
-  match n.nr_in.(0) with
+  let c = G.mu_ctl in
+  match n.nr_in.(c) with
   | None ->
-    if Exec.truthy_flat n.im_tags.(0) n.im_nums.(0) n.im_objs.(0) then 2
-    else 1
+    G.mu_select (Exec.truthy_flat n.im_tags.(c) n.im_nums.(c) n.im_objs.(c))
   | Some f ->
     let j = f.fhead land f.fmask in
-    if Exec.truthy_flat f.ftags.(j) f.fnums.(j) f.fobjs.(j) then 2 else 1
+    G.mu_select (Exec.truthy_flat f.ftags.(j) f.fnums.(j) f.fobjs.(j))
 
 (** Does [n] hold every operand its next firing consumes?  A mu needs
     its control token and the data input that token selects; every
     other node needs all wired inputs. *)
 let can_start (n : node_rt) : bool =
   match n.nr.kind with
-  | G.MergeLoop -> input_ready n 0 && input_ready n (mu_sel n)
+  | G.MergeLoop -> input_ready n G.mu_ctl && input_ready n (mu_sel n)
   | _ -> n.nr_miss = 0
 
 let operand_wait = Ctr.cause_index Ctr.Operand
@@ -758,10 +758,6 @@ let new_fifo (cap : int) (ninit : int) : fifo =
     fobjs = Array.make phys F.no_obj; fhead = 0; fmid = 0; ftail = 0;
     f_dirty = false; f_si = dummy_inst; f_sn = dummy_node;
     f_di = dummy_inst; f_dn = dummy_node }
-
-let shape_of_kind = function
-  | G.Tload { shape; _ } | G.Tstore { shape; _ } -> Some shape
-  | _ -> None
 
 let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
   let nedges = task.next_eid in
@@ -818,16 +814,11 @@ let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
            in
            let is_mem = G.is_memory_node n in
            let nr_words =
-             match shape_of_kind n.kind with
+             match G.tile_shape n.kind with
              | Some s -> T.shape_words s
              | None -> 1
            in
-           let nr_space =
-             match n.kind with
-             | G.Load { space } | G.Store { space }
-             | G.Tload { space; _ } | G.Tstore { space; _ } -> space
-             | _ -> 0
-           in
+           let nr_space = Option.value (G.node_space n) ~default:0 in
            let rs_w =
              match n.kind with
              | G.CallChild tid ->
@@ -1697,18 +1688,18 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
     | G.MergeLoop ->
       (* Consume ctl, then the selected data input only. *)
       let sc = inst.i_sc in
-      if not (stage_one n sc 0) then false
+      let c = G.mu_ctl in
+      if not (stage_one n sc c) then false
       else begin
         let sel =
-          if Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
-               sc.Exec.sobjs.(0)
-          then 2
-          else 1
+          G.mu_select
+            (Exec.truthy_flat sc.Exec.stags.(c) sc.Exec.snums.(c)
+               sc.Exec.sobjs.(c))
         in
         if not (stage_one n sc sel) then false
         else if n.np_tail - n.np_head >= Cost.pipe_slots then false
         else begin
-          pop_in sim n 0;
+          pop_in sim n c;
           pop_in sim n sel;
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.stags.(sel)
             sc.Exec.snums.(sel) sc.Exec.sflts sel sc.Exec.sobjs.(sel);
@@ -1755,34 +1746,36 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           let sc = inst.i_sc in
           stage_inputs n sc;
           pop_all sim n;
+          let p = G.pred_port and d = G.steer_data in
           let port =
-            if Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
-                 sc.Exec.sobjs.(0)
-            then 0
-            else 1
+            G.steer_select
+              (Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
+                 sc.Exec.sobjs.(p))
           in
-          pipe_push n (now + n.nr_cost.latency - 1) port sc.Exec.stags.(1)
-            sc.Exec.snums.(1) sc.Exec.sflts 1 sc.Exec.sobjs.(1);
+          pipe_push n (now + n.nr_cost.latency - 1) port sc.Exec.stags.(d)
+            sc.Exec.snums.(d) sc.Exec.sflts d sc.Exec.sobjs.(d);
           n.nr_fired <- n.nr_fired + 1;
           true
         | G.FusedSteer ops ->
           let sc = inst.i_sc in
           stage_inputs n sc;
           pop_all sim n;
-          let p =
-            Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
-              sc.Exec.sobjs.(0)
+          let p = G.pred_port and d = G.steer_data in
+          let port =
+            G.steer_select
+              (Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
+                 sc.Exec.sobjs.(p))
           in
-          (* The chain's operands are inputs 1..: shift them down. *)
-          let ar = Array.length n.nr_in in
-          for i = 0 to ar - 2 do
-            sc.Exec.stags.(i) <- sc.Exec.stags.(i + 1);
-            sc.Exec.snums.(i) <- sc.Exec.snums.(i + 1);
-            sc.Exec.sflts.(i) <- sc.Exec.sflts.(i + 1);
-            set_obj sc.Exec.sobjs i sc.Exec.sobjs.(i + 1)
+          (* The chain's operands start at the data input: shift them
+             down. *)
+          let nops = Array.length n.nr_in - d in
+          for i = 0 to nops - 1 do
+            sc.Exec.stags.(i) <- sc.Exec.stags.(i + d);
+            sc.Exec.snums.(i) <- sc.Exec.snums.(i + d);
+            sc.Exec.sflts.(i) <- sc.Exec.sflts.(i + d);
+            set_obj sc.Exec.sobjs i sc.Exec.sobjs.(i + d)
           done;
-          Exec.fused_sc sc ops (ar - 1);
-          let port = if p then 0 else 1 in
+          Exec.fused_sc sc ops nops;
           pipe_push n (now + n.nr_cost.latency - 1) port sc.Exec.rtag
             sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
           n.nr_busy_until <- now + n.nr_cost.ii;
@@ -1816,14 +1809,15 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
             if not is_store then ignore (oldest_wave inst);
             let sc = inst.i_sc in
             stage_inputs n sc;
+            let p = G.pred_port and ad = G.mem_addr in
             let pred_ok =
-              Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
-                sc.Exec.sobjs.(0)
+              Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
+                sc.Exec.sobjs.(p)
             in
-            let addr_tag = sc.Exec.stags.(1) in
+            let addr_tag = sc.Exec.stags.(ad) in
             let addr =
-              Exec.to_int_flat sc.Exec.stags.(1) sc.Exec.snums.(1)
-                sc.Exec.sobjs.(1)
+              Exec.to_int_flat sc.Exec.stags.(ad) sc.Exec.snums.(ad)
+                sc.Exec.sobjs.(ad)
             in
             pop_all sim n;
             let s = n.nm_tail land (Array.length n.nm_live - 1) in
@@ -1853,16 +1847,18 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
                 a.Memsys.a_n <- 1;
                 a.Memsys.a_addrs.(0) <- addr
               | G.Store _ ->
+                let v = G.store_value in
                 a.Memsys.a_n <- 1;
                 a.Memsys.a_addrs.(0) <- addr;
-                a.Memsys.a_tags.(0) <- sc.Exec.stags.(2);
-                a.Memsys.a_nums.(0) <- sc.Exec.snums.(2);
-                a.Memsys.a_flts.(0) <- sc.Exec.sflts.(2);
-                set_obj a.Memsys.a_objs 0 sc.Exec.sobjs.(2)
+                a.Memsys.a_tags.(0) <- sc.Exec.stags.(v);
+                a.Memsys.a_nums.(0) <- sc.Exec.snums.(v);
+                a.Memsys.a_flts.(0) <- sc.Exec.sflts.(v);
+                set_obj a.Memsys.a_objs 0 sc.Exec.sobjs.(v)
               | G.Tload { shape; _ } ->
+                let r = G.tile_stride in
                 let stride =
-                  Exec.to_int_flat sc.Exec.stags.(2) sc.Exec.snums.(2)
-                    sc.Exec.sobjs.(2)
+                  Exec.to_int_flat sc.Exec.stags.(r) sc.Exec.snums.(r)
+                    sc.Exec.sobjs.(r)
                 in
                 let w = T.shape_words shape in
                 a.Memsys.a_n <- w;
@@ -1871,12 +1867,13 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
                   a.Memsys.a_addrs.(i) <- addr + (r * stride) + c
                 done
               | G.Tstore { shape; _ } ->
+                let r = G.tile_stride in
                 let stride =
-                  Exec.to_int_flat sc.Exec.stags.(2) sc.Exec.snums.(2)
-                    sc.Exec.sobjs.(2)
+                  Exec.to_int_flat sc.Exec.stags.(r) sc.Exec.snums.(r)
+                    sc.Exec.sobjs.(r)
                 in
                 let tile =
-                  match sc.Exec.sobjs.(3) with
+                  match sc.Exec.sobjs.(G.tstore_value) with
                   | T.VTensor t -> t
                   | _ -> zeros4
                 in
@@ -1924,9 +1921,10 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
         | G.CallChild tid | G.SpawnChild tid ->
           let sc = inst.i_sc in
           stage_inputs n sc;
+          let p = G.pred_port in
           let pred_ok =
-            Exec.truthy_flat sc.Exec.stags.(0) sc.Exec.snums.(0)
-              sc.Exec.sobjs.(0)
+            Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
+              sc.Exec.sobjs.(p)
           in
           let child = sim.tasks.(tid) in
           let is_spawn =
@@ -2188,9 +2186,10 @@ let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
         | G.Load _ | G.Tload _ -> true
         | _ -> false
       in
+      let data = G.load_data and ack = G.mem_done n.nr in
       let space =
-        if is_load then port_space n 0 && port_space n 1
-        else port_space n 0
+        if is_load then port_space n data && port_space n ack
+        else port_space n ack
       in
       if space then begin
         let a = n.nm_acc.(s) in
@@ -2202,22 +2201,22 @@ let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
         (match n.nr.kind, live with
         | (G.Load _ | G.Tload _), false ->
           (* gated: poison data, ack false *)
-          emit_port sim n 0 F.tpoison 0 f0 0 F.no_obj;
-          emit_port sim n 1 F.tfalse 0 f0 0 F.no_obj
+          emit_port sim n data F.tpoison 0 f0 0 F.no_obj;
+          emit_port sim n ack F.tfalse 0 f0 0 F.no_obj
         | G.Load _, true ->
-          emit_port sim n 0 a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
+          emit_port sim n data a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
             a.Memsys.a_flts 0 a.Memsys.a_objs.(0);
-          emit_port sim n 1 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n ack F.ttrue 0 f0 0 F.no_obj
         | G.Tload _, true ->
           let v = Memsys.tile_value a in
           sc.Exec.rflt.(0) <- F.flt_of v;
-          emit_port sim n 0 (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
+          emit_port sim n data (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
             (F.obj_of v);
-          emit_port sim n 1 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n ack F.ttrue 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), false ->
-          emit_port sim n 0 F.tfalse 0 f0 0 F.no_obj
+          emit_port sim n ack F.tfalse 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), true ->
-          emit_port sim n 0 F.ttrue 0 f0 0 F.no_obj
+          emit_port sim n ack F.ttrue 0 f0 0 F.no_obj
         | _ -> assert false);
         (* Recycle the access: banks still draining a write-buffered
            store keep it as an orphan and return it on completion. *)

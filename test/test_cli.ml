@@ -5,8 +5,10 @@
    files that cannot be read, output paths that cannot be written and
    daemon paths that cannot be opened also exit 2, with one line naming
    the file; an output path fails before the work that would fill it.
-   A malformed option value is cmdliner's usage error, 124.  Flags reach
-   bundled workloads as they reach source files. *)
+   A source the frontend rejects exits 1 with one line naming the file
+   and the position.  A malformed option value is cmdliner's usage
+   error, 124.  Flags reach bundled workloads as they reach source
+   files. *)
 
 let muirc = Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "muirc.exe"
@@ -141,6 +143,35 @@ let test_client_batch () =
   let f = missing_dir_path "batch.json" in
   expect_file_error [ "client"; "--batch"; f ] f
 
+(* Every command that compiles a source file: a source the frontend
+   rejects exits 1 with one line naming the file and the position, and
+   the command's EXIT STATUS documents that code. *)
+let frontend_commands =
+  [ "ir"; "graph"; "dot"; "check"; "chisel"; "simulate"; "profile";
+    "explore"; "synth" ]
+
+let test_rejected_source cmd () =
+  let f = Filename.temp_file "muirc" ".mc" in
+  Out_channel.with_open_bin f (fun oc ->
+      output_string oc "func int main() { return 1 + ; }\n");
+  let code, text = muirc_run [ cmd; f ] in
+  Sys.remove f;
+  Alcotest.(check int) (cmd ^ " on a rejected source: exit code") 1 code;
+  if not (contains text (f ^ ": parse error at 1:")) then
+    Alcotest.failf "%s: error line does not name %s and the position:@.%s"
+      cmd f text;
+  if contains text "exception" then
+    Alcotest.failf "%s: uncaught exception:@.%s" cmd text;
+  let _, help = muirc_run [ cmd; "--help=plain" ] in
+  let words = String.concat " " (String.split_on_char '\n' help) in
+  let squashed =
+    String.concat " "
+      (List.filter (( <> ) "") (String.split_on_char ' ' words))
+  in
+  if not (contains squashed "on a source the frontend rejects") then
+    Alcotest.failf "%s --help: EXIT STATUS does not document code 1:@.%s" cmd
+      help
+
 let test_unroll_workload () =
   let code, text = muirc_run [ "simulate"; "gemm"; "-U" ] in
   Alcotest.(check int) "simulate gemm -U: exit code" 0 code;
@@ -195,6 +226,10 @@ let () =
             (test_file_exit_documented ("serve", "cannot be used"));
           Alcotest.test_case "client: exit status documented" `Quick
             (test_file_exit_documented ("client", "cannot be read")) ] );
+      ( "rejected source",
+        List.map
+          (fun cmd -> Alcotest.test_case cmd `Quick (test_rejected_source cmd))
+          frontend_commands );
       ( "workload flags",
         [ Alcotest.test_case "simulate gemm -U" `Quick test_unroll_workload ]
       ) ]

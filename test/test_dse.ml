@@ -16,7 +16,7 @@ func void main() {
   sync;
 }|}
 
-let subject () = Dse.source_subject ~name:"saxpy16" saxpy_src
+let subject () = Muir_pipeline.Pipeline.of_text ~name:"saxpy16" saxpy_src
 
 (* A small grid that still exercises stacks, both knobs and a pass
    toggle — cheap enough to sweep several times per test binary. *)

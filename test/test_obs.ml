@@ -346,7 +346,7 @@ let test_explore_exposition_jobs () =
     let obs = Obs.create ~clock:(fun () -> 100.0) () in
     let t =
       Dse.run ~jobs ~grid ~cache:(Cache.create ()) ~obs
-        (Dse.source_subject ~name:"saxpy8" saxpy_src)
+        (Muir_pipeline.Pipeline.of_text ~name:"saxpy8" saxpy_src)
     in
     (t, Prom.render obs.Obs.o_metrics)
   in

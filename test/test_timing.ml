@@ -77,18 +77,12 @@ let test_gemm_blame () =
   match Muir_trace.Profile.dominant_struct prof with
   | None -> Alcotest.fail "gemm baseline: the profiler reports no stalls"
   | Some s ->
-    let bound =
-      List.filter_map
-        (fun (tt : A.Timing.task_timing) ->
-          match tt.tt_ii with
-          | A.Timing.Bounded { binding; _ } -> A.Timing.binding_sref binding
-          | _ -> None)
-        (A.Timing.analyze c).tasks
-    in
+    let ranked = A.Timing.rank_bindings (A.Timing.analyze c) (Some s.s_ref) in
     Alcotest.(check bool)
       (Fmt.str "the profiler's dominant stall (%s) is a static binding"
          s.s_name)
-      true (List.mem s.s_ref bound)
+      true
+      (List.exists (fun (hit, _, _) -> hit) ranked)
 
 (* --- 2. closed-form critical cycle -------------------------------- *)
 
@@ -172,7 +166,7 @@ let frontier_fingerprint (t : Muir_dse.Explore.t) : string =
 
 let test_prune_transparent () =
   let subject =
-    Muir_dse.Explore.source_subject ~name:"divring"
+    Muir_pipeline.Pipeline.of_text ~name:"divring"
       (read_file (example_path "divring.mc"))
   in
   (* divring is the one subject with honest pruning geometry: op-fusion
