@@ -44,48 +44,61 @@
     and task-queue entries are pooled flat rows, wake sets are
     double-buffered bitsets, the timing wheel holds plain ints, and
     retired dynamic instances return to a per-task pool and are reborn
-    in place.  The steady-state fire path allocates {e zero} words on
-    the OCaml minor heap (asserted by the bench gate and by
-    [test/test_sim.ml]) and skips every
-    pointer store that would not change the stored value, since each
-    one costs a write-barrier call.  Per-cycle work scales with
-    activity: each phase visits only tasks with queued work, idle
+    in place.  A task's static structure is its {e layout}, built with
+    its first instance and shared by all of them: a prototype of each
+    node with its read-only rows, channel wiring by node index, the
+    initial tokens that prime a (re)born instance, and the counter
+    rows.  An instance allocates only its mutable state.  The
+    steady-state fire path allocates {e zero} words on the OCaml minor
+    heap (asserted by the bench gate and by [test/test_sim.ml]) and
+    skips every pointer store that would not change the stored value,
+    since each one costs a write-barrier call.  Per-cycle work scales
+    with activity: each phase visits only tasks with queued work, idle
     memory structures cost one depth check, and queue occupancy is
     integrated when a depth moves rather than sampled.
 
-    The wake discipline is {e precise}: a node is attempted only when
-    the attempt can fire it, move a token, or change its stall label.
+    The wake discipline is {e precise}: a wake is made only when the
+    attempt it causes can fire the node, move a token, change its stall
+    label, or complete an invocation.
     - Operand readiness is a per-node count of wired inputs with no
       committed token ([nr_miss]), moved only by commits and pops.
-    - A commit into an empty channel wakes the consumer unless, at
-      the next fire phase, it still misses an operand, is past its
-      initiation interval and already holds the operand-wait label
-      ({!futile}).  Every other fire wake gets the same check when its
-      wake set drains, and is skipped if it holds.
+    - A commit into an empty channel wakes the consumer, and an
+      emission its own node, unless at the next fire phase the node
+      still misses an operand, is past its initiation interval and
+      already holds the operand-wait label ({!futile}).  Every other
+      fire wake reaches a node that cannot be futile: a busy retry or
+      a self-schedule on committed tokens from the timing wheel, a
+      caller released from a full child queue, instance birth and
+      rebirth, and the idle re-wake below.
     - A pop wakes the producer's emission only if the channel was
       full.  A node that emits through its pipeline ring alone is
       woken for emission only for a new ring head: now if it is due,
       else by one timing-wheel entry at its due cycle.  Live-outs emit
       nothing; memory, call/spawn and sync nodes wake on every firing.
+    - The completion check is woken only while [i_full], the count of
+      inflight invocations whose live-out tuple is complete, is
+      positive.
 
     Why this is exact.  An emission attempt carries no stall label, so
     one that cannot move a token may be dropped.  A fire attempt that
     fails on a missing operand while the node already holds the
     operand-wait label relabels it with that same label: every
     accounting sum stays the same and the tracer sees no event.
-    Between the commit of cycle c and the fire phase of c+1 no label,
-    operand or busy time changes, so a commit can decide for the next
-    fire phase; other wakes are checked at drain time because the
-    completion phase can relabel a node idle after its emission woke
-    it, and the attempt then relabels it operand-wait.  Under-waking
-    never happens: every condition a blocked node waits on has a wake
-    source.  Within a cycle the woken nodes are drained in the same
-    deterministic order the dense sweep used — tasks in id order,
-    instances in queue order, nodes in graph order (the order a wake
-    set yields by construction) — so the kernel is bit-for-bit
-    cycle-accurate against the dense reference: [total_cycles],
-    [fires] and all utilization stats are unchanged on every workload
-    (enforced by the golden constants in [test/test_sim.ml]).
+    Between a commit or emission of cycle c and the fire phase of c+1,
+    only the completion phase's idle relabel changes a label, operand
+    or busy time, and it re-wakes the nodes an emission left unwoken
+    that cycle ([nr_skip]).  No invocation completes without a
+    complete tuple, and a child's join never completes its owner in
+    the same phase (the child's response is emitted next cycle), so
+    the skipped checks move no completion.  Under-waking never happens:
+    every condition a blocked node waits on has a wake source.  Within
+    a cycle the woken nodes are drained in the same deterministic order
+    the dense sweep used — tasks in id order, instances in queue order,
+    nodes in graph order (the order a wake set yields by construction)
+    — so the kernel is bit-for-bit cycle-accurate against the dense
+    reference: [total_cycles], [fires] and all utilization stats are
+    unchanged on every workload (enforced by the golden constants in
+    [test/test_sim.ml]).
 
     Functional results are written to the same flat memory the golden
     interpreter uses, so every simulation is checkable end to end. *)
@@ -109,9 +122,7 @@ type token = T.value
    ([fmid <- ftail]).  The endpoints drive the wake sets and the
    consumer's readiness count: a commit into an empty channel wakes
    the consumer ([f_di], [f_dn]) for fire, a pop from a full one wakes
-   the producer ([f_si], [f_sn]) for emission.  Every edge channel has
-   both; [dummy_inst] and [dummy_node] fill unused edge-id slots,
-   which are never pushed, committed or popped. *)
+   the producer ([f_si], [f_sn]) for emission. *)
 type fifo = {
   fcap : int;                          (** architectural capacity *)
   fmask : int;                         (** physical ring size - 1 *)
@@ -164,9 +175,11 @@ and invocation = {
 and node_rt = {
   nr : G.node;
   nr_cost : Cost.t;
-  mutable nr_idx : int;           (** position in [inodes] (drain order) *)
+  nr_idx : int;                   (** position in [inodes] (drain order) *)
+  nr_prof : Ctr.Prof.nprof;       (** this node's row of [i_prof] *)
   nr_in : fifo option array;      (** [None] = immediate slot *)
-  im_tags : int array;            (** immediates, flat columns *)
+  im_tags : int array;            (** immediates, flat columns (the
+                                      layout's rows) *)
   im_nums : int array;
   im_flts : float array;
   im_objs : token array;
@@ -179,8 +192,10 @@ and node_rt = {
                                       token: 0 = every operand present *)
   mutable nr_fired : int;         (** firings so far (the wave counter) *)
   mutable nr_busy_until : int;
+  mutable nr_skip : int;          (** last cycle an emission left the
+                                      node unwoken as {!futile} *)
   (* pipeline ring: [Cost.pipe_slots] slots of (ready cycle, out port,
-     token) *)
+     token); empty unless [nr_pipe] *)
   np_ready : int array;
   np_port : int array;
   np_tags : int array;
@@ -219,17 +234,19 @@ and node_rt = {
 and instance = {
   it : G.task;
   iid : int;
+  i_lay : layout;                 (** the task's shared static rows *)
   mutable i_ord : int;            (** drain order within the task *)
   mutable i_slot : int;           (** position in the task's [tinst] *)
   inodes : node_rt array;
-  inode_by_id : node_rt option array;  (** node id -> runtime (ids are
-                                           sparse after fusion) *)
-  ififos : fifo array;            (** indexed by edge id *)
+  ififos : fifo array;            (** one channel per layout channel *)
   (* inflight window: wave-indexed table, pow2, -1 = empty slot *)
   mutable iw_wave : int array;
   mutable iw_iv : invocation array;
   mutable i_lo : int;             (** lowest possibly-inflight wave *)
   mutable i_count : int;          (** inflight invocations *)
+  mutable i_full : int;
+      (** inflight invocations whose live-out tuple is complete: none
+          can complete while this is 0 *)
   mutable next_wave : int;
   mutable live : bool;            (** dynamic instances are retired *)
   mutable i_retired : int;        (** cycle of retirement (pool guard) *)
@@ -237,19 +254,11 @@ and instance = {
   ipipe_loop : bool;
       (** {!Cost.pipelined}: invocations wave-pipeline through the
           ring *)
-  iprime : int array;             (** resting token count per edge *)
-  (* initial tokens, one row per token, for allocation-free rebirth *)
-  i_init_eid : int array;
-  i_init_tags : int array;
-  i_init_nums : int array;
-  i_init_flts : float array;
-  i_init_objs : token array;
   (* junction queue: ring of (space, sub-request) *)
   mutable ij_space : int array;
   mutable ij_sr : Memsys.subreq array;
   mutable ij_head : int;
   mutable ij_tail : int;
-  isyncs : node_rt array;         (** SyncWait nodes, for join wakes *)
   (* wake sets: bitsets over [nr_idx], 32 nodes per word, each double
      buffered in one array — words [i_*par, i_*par + i_nw) collect
      wakes, the other half is the set being drained *)
@@ -267,9 +276,31 @@ and instance = {
   i_nres : int;
   i_sc : Exec.sc;                 (** flat ALU scratch *)
   i_prof : Ctr.Prof.iprof;         (** always-on stall accounting *)
-  i_nctr : Ctr.node_ctr array;
-  (** whole-run counter rows, parallel to [inodes] — resolved once at
-      construction so retirement folds without hashing a key *)
+}
+
+(* A task's static structure, resolved once when its first instance is
+   built and shared by every instance of the task: a prototype of each
+   node holding its read-only rows, node inputs and outputs as channel
+   indices (channel k carries the task's k-th edge), the tokens that
+   prime each channel and the whole-run counter rows.  Building it on
+   demand keeps a task that never runs out of the counter bank. *)
+and layout = {
+  y_proto : node_rt array;        (** graph order = drain order *)
+  y_in : int array array;         (** node, input -> channel; -1 = none *)
+  y_out : int array array array;  (** node, out port -> fan-out channels *)
+  y_cap : int array;              (** channel -> capacity *)
+  y_src : int array;              (** channel -> producer node index *)
+  y_dst : int array;              (** channel -> consumer node index *)
+  y_prime : int array;            (** channel -> resting token count *)
+  (* initial tokens, one row per token, for allocation-free priming *)
+  y_init_ch : int array;
+  y_init_tags : int array;
+  y_init_nums : int array;
+  y_init_flts : float array;
+  y_init_objs : token array;
+  y_syncs : int array;            (** SyncWait node indices *)
+  y_nctr : Ctr.node_ctr array;    (** whole-run counter rows, by node *)
+  y_arity : int;                  (** widest node input, at least 1 *)
 }
 
 (* A task's instance worklist: instances queued in [l_v.(l_h .. l_n-1)],
@@ -289,6 +320,7 @@ type task_rt = {
   t_arity : int;
   t_nres : int;
   tdynamic : bool;
+  mutable t_lay : layout option;  (** built with the first instance *)
   (* pending invocations: flat ring, row-major args + reply routing *)
   mutable tq_tags : int array;
   mutable tq_nums : int array;
@@ -338,9 +370,9 @@ type stats = {
   wall_seconds : float;           (** kernel wall-clock time of [run] *)
   cycles_per_sec : float;         (** simulated cycles per wall second *)
   woken_per_cycle : float;
-      (** fire attempts per cycle: woken nodes that reach [fire_node]
-          (a woken node whose attempt would change nothing is skipped
-          and not counted) *)
+      (** fire attempts per cycle: every node drained from a fire wake
+          set is attempted (a wake whose attempt would change nothing
+          is not made) *)
   live_nodes_per_cycle : float;   (** instantiated nodes per cycle (the
                                       dense sweep would attempt these) *)
   gc_minor_words_per_cycle : float;
@@ -505,31 +537,35 @@ let dummy_ctx : sync_ctx =
 
 let dummy_node : node_rt =
   { nr = dummy_gnode; nr_cost = Cost.node_cost G.SyncWait; nr_idx = 0;
+    nr_prof = (Ctr.Prof.make ~born:0 ~nnodes:1).nprofs.(0);
     nr_in = [||]; im_tags = [||]; im_nums = [||]; im_flts = [||];
     im_objs = [||]; nr_out = [||]; nr_words = 1; nr_space = 0;
     nr_mem = false; nr_pipe = false; nr_miss = 0; nr_fired = 0;
-    nr_busy_until = 0; np_ready = [||]; np_port = [||]; np_tags = [||];
-    np_nums = [||]; np_flts = [||]; np_objs = [||]; np_head = 0;
-    np_tail = 0; nm_live = [||]; nm_store = [||]; nm_hasiv = [||];
+    nr_busy_until = 0; nr_skip = -1; np_ready = [||]; np_port = [||];
+    np_tags = [||]; np_nums = [||]; np_flts = [||]; np_objs = [||];
+    np_head = 0; np_tail = 0; nm_live = [||]; nm_store = [||]; nm_hasiv = [||];
     nm_acc = [||]; nm_inv = [||]; nm_head = 0; nm_tail = 0; na_pool = [||];
     na_n = 0; rs_w = 0; rs_wave = [||]; rs_tags = [||]; rs_nums = [||];
     rs_flts = [||]; rs_objs = [||]; nr_next_resp = 0; ns_inv = [||];
     ns_wave = [||]; ns_gen = [||]; ns_head = 0; ns_tail = 0;
     nr_wait_child = false }
 
+let dummy_layout : layout =
+  { y_proto = [||]; y_in = [||]; y_out = [||]; y_cap = [||]; y_src = [||];
+    y_dst = [||]; y_prime = [||]; y_init_ch = [||]; y_init_tags = [||];
+    y_init_nums = [||]; y_init_flts = [||]; y_init_objs = [||];
+    y_syncs = [||]; y_nctr = [||]; y_arity = 1 }
+
 let dummy_inst : instance =
-  { it = dummy_task; iid = -1; i_ord = 0; i_slot = 0; inodes = [||];
-    inode_by_id = [||]; ififos = [||]; iw_wave = [||]; iw_iv = [||];
-    i_lo = 0; i_count = 0; next_wave = 0; live = false; i_retired = -1;
-    idynamic = false; ipipe_loop = false; iprime = [||]; i_init_eid = [||];
-    i_init_tags = [||]; i_init_nums = [||]; i_init_flts = [||];
-    i_init_objs = [||]; ij_space = [||];
-    ij_sr = [||]; ij_head = 0; ij_tail = 0; isyncs = [||]; i_nw = 0;
-    i_fset = [||]; i_fpar = 0; i_eset = [||]; i_epar = 0; i_qfire = false;
-    i_qemit = false; i_qcomplete = false; i_qjunction = false; ivp = [||];
-    ivp_n = 0; i_nres = 0;
-    i_sc = Exec.make_sc ~slots:1;
-    i_prof = Ctr.Prof.make ~born:0 ~nnodes:0; i_nctr = [||] }
+  { it = dummy_task; iid = -1; i_lay = dummy_layout; i_ord = 0; i_slot = 0;
+    inodes = [||]; ififos = [||]; iw_wave = [||]; iw_iv = [||]; i_lo = 0;
+    i_count = 0; i_full = 0; next_wave = 0; live = false; i_retired = -1;
+    idynamic = false; ipipe_loop = false; ij_space = [||]; ij_sr = [||];
+    ij_head = 0; ij_tail = 0; i_nw = 0; i_fset = [||]; i_fpar = 0;
+    i_eset = [||]; i_epar = 0; i_qfire = false; i_qemit = false;
+    i_qcomplete = false; i_qjunction = false; ivp = [||]; ivp_n = 0;
+    i_nres = 0; i_sc = Exec.make_sc ~slots:1;
+    i_prof = Ctr.Prof.make ~born:0 ~nnodes:0 }
 
 let dummy_inv : invocation =
   { iv_gen = 0; iv_wave = -1; iv_rkind = 0; iv_rinst = dummy_inst;
@@ -569,8 +605,10 @@ let wake_emit (sim : t) (inst : instance) (n : node_rt) : unit =
     ipush sim.tasks.(inst.it.tid).te inst
   end
 
+(* No invocation completes without a complete live-out tuple, so an
+   instance holding none has nothing to check. *)
 let wake_complete (sim : t) (inst : instance) : unit =
-  if inst.live && not inst.i_qcomplete then begin
+  if inst.live && inst.i_full > 0 && not inst.i_qcomplete then begin
     inst.i_qcomplete <- true;
     ipush sim.tasks.(inst.it.tid).tc inst
   end
@@ -714,9 +752,9 @@ let operand_wait = Ctr.cause_index Ctr.Operand
     and is already labelled operand-wait: the attempt would fail on
     the operand and relabel the node with the label it holds, which
     leaves every accounting sum the same and emits no tracer event. *)
-let futile (inst : instance) (n : node_rt) (c : int) : bool =
+let futile (n : node_rt) (c : int) : bool =
   n.nr_busy_until <= c
-  && inst.i_prof.Ctr.Prof.nprofs.(n.nr_idx).Ctr.Prof.st = operand_wait
+  && n.nr_prof.Ctr.Prof.st = operand_wait
   && not (can_start n)
 
 (* Wired inputs whose channel holds no committed token. *)
@@ -759,211 +797,172 @@ let new_fifo (cap : int) (ninit : int) : fifo =
     f_dirty = false; f_si = dummy_inst; f_sn = dummy_node;
     f_di = dummy_inst; f_dn = dummy_node }
 
-let new_instance (sim : t) (task : G.task) ~(dynamic : bool) : instance =
-  let nedges = task.next_eid in
-  let fifos = Array.init nedges (fun _ -> new_fifo 1 0) in
-  List.iter
-    (fun (e : G.edge) ->
-      let f = new_fifo e.capacity (List.length e.initial) in
-      List.iter
-        (fun v ->
-          let i = f.ftail land f.fmask in
-          f.ftags.(i) <- F.tag_of v;
-          f.fnums.(i) <- F.num_of v;
-          f.fflts.(i) <- F.flt_of v;
-          f.fobjs.(i) <- F.obj_of v;
-          f.ftail <- f.ftail + 1;
-          f.fmid <- f.ftail)
-        e.initial;
-      fifos.(e.eid) <- f)
-    task.edges;
-  let max_nid = task.next_nid in
-  let in_map = Hashtbl.create 64 and out_map = Hashtbl.create 64 in
-  List.iter
-    (fun (e : G.edge) ->
-      Hashtbl.replace in_map e.dst e.eid;
-      Hashtbl.replace out_map e.src
-        (e.eid
-        :: (match Hashtbl.find_opt out_map e.src with
-           | Some l -> l
-           | None -> [])))
-    task.edges;
-  let mo = sim.max_outstanding in
-  let nodes =
+(* Resolve a task's layout: edges to channel indices by node index,
+   and each node's read-only rows in its prototype. *)
+let build_layout (sim : t) (task : G.task) : layout =
+  let nodes = Array.of_list task.nodes in
+  let edges = Array.of_list task.edges in
+  let idx = Array.make (max task.next_nid 1) (-1) in
+  Array.iteri (fun i (n : G.node) -> idx.(n.nid) <- i) nodes;
+  let ins =
+    Array.map (fun (n : G.node) -> Array.map (fun _ -> -1) n.ins) nodes
+  in
+  let outs =
+    Array.map
+      (fun (n : G.node) ->
+        Array.make (max (G.out_arity n.kind ~call_res:16) 1) [])
+      nodes
+  in
+  (* Wired inputs only: a port fed twice keeps its last edge.  Fan-out
+     lists run newest edge first. *)
+  Array.iteri
+    (fun k (e : G.edge) ->
+      let i = idx.(fst e.dst) and p = snd e.dst in
+      if p < Array.length ins.(i) && nodes.(i).ins.(p) = G.Swire then
+        ins.(i).(p) <- k;
+      let o = outs.(idx.(fst e.src)) and q = snd e.src in
+      if q < Array.length o then o.(q) <- k :: o.(q))
+    edges;
+  let inits =
     Array.of_list
-      (List.map
-         (fun (n : G.node) ->
-           let arity = Array.length n.ins in
-           let nr_in =
-             Array.init arity (fun i ->
-                 match n.ins.(i) with
-                 | G.Simm _ -> None
-                 | G.Swire -> (
-                   match Hashtbl.find_opt in_map (n.nid, i) with
-                   | Some eid -> Some fifos.(eid)
-                   | None -> None (* validated: shouldn't happen *)))
-           in
-           let imms = Array.map imm_token n.ins in
-           let outs = G.out_arity n.kind ~call_res:16 in
-           let nr_out =
-             Array.init (max outs 1) (fun p ->
-                 match Hashtbl.find_opt out_map (n.nid, p) with
-                 | Some eids ->
-                   Array.of_list (List.map (fun e -> fifos.(e)) eids)
-                 | None -> [||])
-           in
-           let is_mem = G.is_memory_node n in
-           let nr_words =
-             match G.tile_shape n.kind with
-             | Some s -> T.shape_words s
-             | None -> 1
-           in
-           let nr_space = Option.value (G.node_space n) ~default:0 in
-           let rs_w =
-             match n.kind with
-             | G.CallChild tid ->
-               List.length sim.tasks.(tid).tk.res_tys
-             | G.SpawnChild _ -> 1
-             | _ -> 0
-           in
-           let nr_pipe =
-             match n.kind with
-             | G.Compute _ | G.Fused _ | G.Merge _ | G.Steer
-             | G.FusedSteer _ | G.MergeLoop | G.Tcompute _ -> true
-             | _ -> false
-           in
-           { nr = n; nr_cost = Cost.node_cost n.kind; nr_idx = 0; nr_in;
-             im_tags = Array.map F.tag_of imms;
-             im_nums = Array.map F.num_of imms;
-             im_flts = Array.map F.flt_of imms;
-             im_objs = Array.map F.obj_of imms; nr_out; nr_words; nr_space;
-             nr_mem = is_mem; nr_pipe; nr_miss = count_miss nr_in;
-             nr_fired = 0; nr_busy_until = 0;
-             np_ready = Array.make Cost.pipe_slots 0;
-             np_port = Array.make Cost.pipe_slots 0;
-             np_tags = Array.make Cost.pipe_slots F.tabsent;
-             np_nums = Array.make Cost.pipe_slots 0;
-             np_flts = Array.make Cost.pipe_slots 0.0;
-             np_objs = Array.make Cost.pipe_slots F.no_obj; np_head = 0;
-             np_tail = 0;
-             nm_live = (if is_mem then Array.make mo false else [||]);
-             nm_store = (if is_mem then Array.make mo false else [||]);
-             nm_hasiv = (if is_mem then Array.make mo false else [||]);
-             nm_acc = (if is_mem then Array.make mo dummy_access else [||]);
-             nm_inv = (if is_mem then Array.make mo dummy_inv else [||]);
-             nm_head = 0; nm_tail = 0; na_pool = [||]; na_n = 0; rs_w;
-             rs_wave = [||]; rs_tags = [||]; rs_nums = [||]; rs_flts = [||];
-             rs_objs = [||]; nr_next_resp = 0; ns_inv = [||]; ns_wave = [||];
-             ns_gen = [||]; ns_head = 0; ns_tail = 0; nr_wait_child = false })
-         task.nodes)
+      (List.concat
+         (List.mapi (fun k (e : G.edge) -> List.map (fun v -> (k, v)) e.initial)
+            task.edges))
   in
-  Array.iteri (fun i n -> n.nr_idx <- i) nodes;
-  let nnodes = Array.length nodes in
-  let iid = sim.next_iid in
-  sim.next_iid <- iid + 1;
-  let iprime = Array.make nedges 0 in
-  List.iter
-    (fun (e : G.edge) -> iprime.(e.eid) <- List.length e.initial)
-    task.edges;
-  let ninit =
-    List.fold_left
-      (fun acc (e : G.edge) -> acc + List.length e.initial)
-      0 task.edges
+  let init f = Array.map (fun (_, v) -> f v) inits in
+  let proto i (n : G.node) : node_rt =
+    let imms = Array.map imm_token n.ins in
+    { dummy_node with
+      nr = n; nr_cost = Cost.node_cost n.kind; nr_idx = i;
+      im_tags = Array.map F.tag_of imms; im_nums = Array.map F.num_of imms;
+      im_flts = Array.map F.flt_of imms; im_objs = Array.map F.obj_of imms;
+      nr_words =
+        (match G.tile_shape n.kind with Some s -> T.shape_words s | None -> 1);
+      nr_space = Option.value (G.node_space n) ~default:0;
+      nr_mem = G.is_memory_node n;
+      nr_pipe =
+        (match n.kind with
+        | G.Compute _ | G.Fused _ | G.Merge _ | G.Steer | G.FusedSteer _
+        | G.MergeLoop | G.Tcompute _ -> true
+        | _ -> false);
+      rs_w =
+        (match n.kind with
+        | G.CallChild tid -> List.length sim.tasks.(tid).tk.res_tys
+        | G.SpawnChild _ -> 1
+        | _ -> 0) }
   in
-  let i_init_eid = Array.make ninit 0 in
-  let i_init_tags = Array.make ninit F.tabsent in
-  let i_init_nums = Array.make ninit 0 in
-  let i_init_flts = Array.make ninit 0.0 in
-  let i_init_objs = Array.make ninit F.no_obj in
-  let k = ref 0 in
-  List.iter
-    (fun (e : G.edge) ->
-      List.iter
-        (fun v ->
-          i_init_eid.(!k) <- e.eid;
-          i_init_tags.(!k) <- F.tag_of v;
-          i_init_nums.(!k) <- F.num_of v;
-          i_init_flts.(!k) <- F.flt_of v;
-          i_init_objs.(!k) <- F.obj_of v;
-          incr k)
-        e.initial)
-    task.edges;
-  let ipipe_loop = Cost.pipelined task in
-  let inode_by_id = Array.make (max max_nid 1) None in
-  Array.iter (fun nr -> inode_by_id.(nr.nr.G.nid) <- Some nr) nodes;
-  let isyncs =
-    Array.of_list
-      (List.filter
-         (fun (n : node_rt) ->
-           match n.nr.kind with G.SyncWait -> true | _ -> false)
-         (Array.to_list nodes))
-  in
-  let max_arity =
-    Array.fold_left
-      (fun acc (n : node_rt) -> max acc (Array.length n.nr_in))
-      1 nodes
-  in
-  let nw = (nnodes + 31) lsr 5 in
-  let inst =
-    { it = task; iid; i_ord = 0; i_slot = 0; inodes = nodes; inode_by_id;
-      ififos = fifos; iw_wave = [||]; iw_iv = [||]; i_lo = 0; i_count = 0;
-      next_wave = 0; live = true; i_retired = -1; idynamic = dynamic;
-      ipipe_loop; iprime; i_init_eid; i_init_tags; i_init_nums;
-      i_init_flts; i_init_objs; ij_space = [||]; ij_sr = [||]; ij_head = 0;
-      ij_tail = 0; isyncs; i_nw = nw; i_fset = Array.make (2 * nw) 0;
-      i_fpar = 0; i_eset = Array.make (2 * nw) 0; i_epar = 0;
-      i_qfire = false; i_qemit = false; i_qcomplete = false;
-      i_qjunction = false; ivp = [||]; ivp_n = 0;
-      i_nres = List.length task.res_tys;
-      i_sc = Exec.make_sc ~slots:((max_arity * 2) + 4);
-      i_prof = Ctr.Prof.make ~born:sim.now ~nnodes;
-      i_nctr =
-        Array.map
-          (fun (n : node_rt) ->
-            Ctr.node_ctr sim.ctrs ~task:task.tid ~node:n.nr.G.nid)
-          nodes }
-  in
-  (* Endpoints so channel events can wake producer/consumer (validated:
-     both exist). *)
-  List.iter
-    (fun (e : G.edge) ->
-      let f = fifos.(e.eid) in
-      f.f_di <- inst;
-      f.f_dn <- Option.get inode_by_id.(fst e.dst);
-      f.f_si <- inst;
-      f.f_sn <- Option.get inode_by_id.(fst e.src))
-    task.edges;
-  sim.insts <- vpush sim.insts iid inst;
-  sim.live_nodes <- sim.live_nodes + nnodes;
-  (* First cycle behaves like a dense sweep over the fresh instance:
-     initial loop-control tokens can enable nodes with no other wake
-     source. *)
-  Array.iter (fun n -> wake_fire sim inst n) nodes;
-  inst
+  { y_proto = Array.mapi proto nodes; y_in = ins;
+    y_out = Array.map (Array.map Array.of_list) outs;
+    y_cap = Array.map (fun (e : G.edge) -> e.capacity) edges;
+    y_src = Array.map (fun (e : G.edge) -> idx.(fst e.src)) edges;
+    y_dst = Array.map (fun (e : G.edge) -> idx.(fst e.dst)) edges;
+    y_prime = Array.map (fun (e : G.edge) -> List.length e.initial) edges;
+    y_init_ch = Array.map fst inits; y_init_tags = init F.tag_of;
+    y_init_nums = init F.num_of; y_init_flts = init F.flt_of;
+    y_init_objs = init F.obj_of;
+    y_syncs =
+      Array.of_list
+        (List.filter
+           (fun i ->
+             match nodes.(i).kind with G.SyncWait -> true | _ -> false)
+           (List.init (Array.length nodes) Fun.id));
+    y_nctr =
+      Array.map
+        (fun (n : G.node) -> Ctr.node_ctr sim.ctrs ~task:task.tid ~node:n.nid)
+        nodes;
+    y_arity = Array.fold_left (fun a i -> max a (Array.length i)) 1 ins }
 
-(* Rebirth a pooled dynamic instance in place: channels back to their
-   primed state, node state cleared, profile reset — no allocation on
-   this path beyond worklist growth. *)
-let reset_instance (sim : t) (inst : instance) : unit =
-  for e = 0 to Array.length inst.ififos - 1 do
-    let f = inst.ififos.(e) in
+let layout (sim : t) (trt : task_rt) : layout =
+  match trt.t_lay with
+  | Some y -> y
+  | None ->
+    let y = build_layout sim trt.tk in
+    trt.t_lay <- Some y;
+    y
+
+(* Bring a fresh or retired instance to its first cycle: channels hold
+   their initial tokens, readiness counts match them, and every node is
+   woken — the first cycle behaves like a dense sweep, since initial
+   loop-control tokens can enable nodes with no other wake source. *)
+let prime (sim : t) (inst : instance) : unit =
+  let y = inst.i_lay in
+  for k = 0 to Array.length inst.ififos - 1 do
+    let f = inst.ififos.(k) in
     f.fhead <- 0;
     f.fmid <- 0;
     f.ftail <- 0
   done;
-  for k = 0 to Array.length inst.i_init_eid - 1 do
-    let f = inst.ififos.(inst.i_init_eid.(k)) in
+  for k = 0 to Array.length y.y_init_ch - 1 do
+    let f = inst.ififos.(y.y_init_ch.(k)) in
     let i = f.ftail land f.fmask in
-    f.ftags.(i) <- inst.i_init_tags.(k);
-    f.fnums.(i) <- inst.i_init_nums.(k);
-    f.fflts.(i) <- inst.i_init_flts.(k);
-    f.fobjs.(i) <- inst.i_init_objs.(k);
+    f.ftags.(i) <- y.y_init_tags.(k);
+    f.fnums.(i) <- y.y_init_nums.(k);
+    f.fflts.(i) <- y.y_init_flts.(k);
+    f.fobjs.(i) <- y.y_init_objs.(k);
     f.ftail <- f.ftail + 1;
     f.fmid <- f.ftail
   done;
+  sim.live_nodes <- sim.live_nodes + Array.length inst.inodes;
   for i = 0 to Array.length inst.inodes - 1 do
     let n = inst.inodes.(i) in
     n.nr_miss <- count_miss n.nr_in;
+    wake_fire sim inst n
+  done
+
+let new_instance (sim : t) (trt : task_rt) : instance =
+  let y = layout sim trt in
+  let fifos = Array.mapi (fun k cap -> new_fifo cap y.y_prime.(k)) y.y_cap in
+  let nnodes = Array.length y.y_proto in
+  let prof = Ctr.Prof.make ~born:sim.now ~nnodes in
+  let mo = sim.max_outstanding in
+  (* Every mutable array of the prototype is empty; the rings a node
+     uses are its own. *)
+  let node i (p : node_rt) : node_rt =
+    let ring x = if p.nr_pipe then Array.make Cost.pipe_slots x else [||] in
+    let win x = if p.nr_mem then Array.make mo x else [||] in
+    { p with
+      nr_prof = prof.nprofs.(i);
+      nr_in =
+        Array.map (fun k -> if k < 0 then None else Some fifos.(k)) y.y_in.(i);
+      nr_out = Array.map (Array.map (fun k -> fifos.(k))) y.y_out.(i);
+      np_ready = ring 0; np_port = ring 0; np_tags = ring F.tabsent;
+      np_nums = ring 0; np_flts = ring 0.0; np_objs = ring F.no_obj;
+      nm_live = win false; nm_store = win false; nm_hasiv = win false;
+      nm_acc = win dummy_access; nm_inv = win dummy_inv }
+  in
+  let nodes = Array.mapi node y.y_proto in
+  let iid = sim.next_iid in
+  sim.next_iid <- iid + 1;
+  let nw = (nnodes + 31) lsr 5 in
+  let inst =
+    { it = trt.tk; iid; i_lay = y; i_ord = 0; i_slot = 0; inodes = nodes;
+      ififos = fifos; iw_wave = [||]; iw_iv = [||]; i_lo = 0; i_count = 0;
+      i_full = 0; next_wave = 0; live = true; i_retired = -1;
+      idynamic = trt.tdynamic; ipipe_loop = Cost.pipelined trt.tk;
+      ij_space = [||]; ij_sr = [||]; ij_head = 0; ij_tail = 0; i_nw = nw;
+      i_fset = Array.make (2 * nw) 0; i_fpar = 0;
+      i_eset = Array.make (2 * nw) 0; i_epar = 0; i_qfire = false;
+      i_qemit = false; i_qcomplete = false; i_qjunction = false; ivp = [||];
+      ivp_n = 0; i_nres = trt.t_nres;
+      i_sc = Exec.make_sc ~slots:((y.y_arity * 2) + 4); i_prof = prof }
+  in
+  Array.iteri
+    (fun k f ->
+      f.f_di <- inst;
+      f.f_dn <- nodes.(y.y_dst.(k));
+      f.f_si <- inst;
+      f.f_sn <- nodes.(y.y_src.(k)))
+    fifos;
+  sim.insts <- vpush sim.insts iid inst;
+  prime sim inst;
+  inst
+
+(* Rebirth a pooled dynamic instance in place: node state cleared,
+   profile reset, channels primed — no allocation on this path beyond
+   worklist growth. *)
+let reset_instance (sim : t) (inst : instance) : unit =
+  for i = 0 to Array.length inst.inodes - 1 do
+    let n = inst.inodes.(i) in
     n.nr_fired <- 0;
     n.nr_busy_until <- 0;
     n.np_head <- 0;
@@ -981,6 +980,7 @@ let reset_instance (sim : t) (inst : instance) : unit =
     Array.fill inst.iw_wave 0 (Array.length inst.iw_wave) (-1);
   inst.i_lo <- 0;
   inst.i_count <- 0;
+  inst.i_full <- 0;
   inst.next_wave <- 0;
   inst.ij_head <- 0;
   inst.ij_tail <- 0;
@@ -992,10 +992,7 @@ let reset_instance (sim : t) (inst : instance) : unit =
   inst.i_qjunction <- false;
   Ctr.Prof.reset inst.i_prof ~born:sim.now;
   inst.live <- true;
-  sim.live_nodes <- sim.live_nodes + Array.length inst.inodes;
-  for i = 0 to Array.length inst.inodes - 1 do
-    wake_fire sim inst inst.inodes.(i)
-  done
+  prime sim inst
 
 (* Retired-instance pool ring (FIFO; the head is only reusable once
    its retirement cycle has passed, so staged channel writes from the
@@ -1030,7 +1027,7 @@ let acquire_instance (sim : t) (trt : task_rt) : instance =
     (* Fresh instances register on the task's roster (reborn pooled
        ones already sit there); the roster feeds the final counter
        fold and the deadlock dump. *)
-    let inst = new_instance sim trt.tk ~dynamic:true in
+    let inst = new_instance sim trt in
     inst.i_slot <- trt.tinst_n;
     trt.tinst <- vpush trt.tinst trt.tinst_n inst;
     trt.tinst_n <- trt.tinst_n + 1;
@@ -1054,6 +1051,7 @@ let create ?tracer (c : G.circuit) : t =
          (fun (t : G.task) ->
            { tk = t; t_arity = List.length t.arg_tys;
              t_nres = List.length t.res_tys; tdynamic = dyn.(t.tid);
+             t_lay = None;
              tq_tags = [||]; tq_nums = [||]; tq_flts = [||];
              tq_objs = [||]; tq_ctx = [||]; tq_rkind = [||];
              tq_rinst = [||]; tq_rnode = [||]; tq_rwave = [||];
@@ -1083,7 +1081,7 @@ let create ?tracer (c : G.circuit) : t =
     (fun trt ->
       if not trt.tdynamic then
         for k = 0 to trt.tk.tiles - 1 do
-          let inst = new_instance sim trt.tk ~dynamic:false in
+          let inst = new_instance sim trt in
           inst.i_ord <- k;
           inst.i_slot <- k;
           trt.tinst <- vpush trt.tinst trt.tinst_n inst;
@@ -1462,6 +1460,7 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
   iv.iv_stores <- 0;
   wv_insert inst wave iv;
   inst.i_count <- inst.i_count + 1;
+  if inst.i_nres = 0 then inst.i_full <- inst.i_full + 1;
   let base = s * Int.max trt.t_arity 1 in
   for j = 0 to Array.length inst.inodes - 1 do
     let n = inst.inodes.(j) in
@@ -1566,7 +1565,7 @@ let rec lq_nodes_from (inst : instance) (i : int) : bool =
 let rec lq_fifos_from (inst : instance) (e : int) : bool =
   e >= Array.length inst.ififos
   || (let f = inst.ififos.(e) in
-      f.ftail - f.fhead = inst.iprime.(e) && lq_fifos_from inst (e + 1))
+      f.ftail - f.fhead = inst.i_lay.y_prime.(e) && lq_fifos_from inst (e + 1))
 
 let loop_quiescent (inst : instance) : bool =
   lq_nodes_from inst 0
@@ -1602,6 +1601,7 @@ let rec complete_scan (sim : t) (inst : instance) (w : int)
       then begin
         let iv = wv_get inst w in
         wv_remove inst w;
+        inst.i_full <- inst.i_full - 1;
         sim.last_activity <- sim.now;
         deliver sim inst iv;
         release_inv inst iv;
@@ -1622,22 +1622,23 @@ let try_complete (sim : t) (trt : task_rt) (inst : instance) : unit =
          A retiring dynamic instance also folds its accounting into
          the whole-run counter bank here, before it returns to the
          instance pool. *)
-      let ip = inst.i_prof in
-      for i = 0 to Array.length ip.nprofs - 1 do
+      let nodes = inst.inodes in
+      for i = 0 to Array.length nodes - 1 do
+        let n = nodes.(i) in
         ignore
-          (Ctr.Prof.transition ip.nprofs.(i) (Ctr.cause_index Ctr.Idle)
-             (sim.now + 1))
+          (Ctr.Prof.transition n.nr_prof (Ctr.cause_index Ctr.Idle)
+             (sim.now + 1));
+        (* The idle label makes the attempt an emission skipped as
+           futile this cycle matter again. *)
+        if n.nr_skip = sim.now then wake_fire sim inst n;
+        if inst.idynamic then
+          Ctr.fold_into inst.i_lay.y_nctr.(i) ~fires:n.nr_fired
+            ~born:inst.i_prof.born ~upto:(sim.now + 1) n.nr_prof
       done;
       if inst.idynamic then begin
-        for i = 0 to Array.length ip.nprofs - 1 do
-          Ctr.fold_into inst.i_nctr.(i)
-            ~fires:inst.inodes.(i).nr_fired ~born:ip.born
-            ~upto:(sim.now + 1)
-            ip.nprofs.(i)
-        done;
         inst.live <- false;
         inst.i_retired <- sim.now;
-        sim.live_nodes <- sim.live_nodes - Array.length inst.inodes;
+        sim.live_nodes <- sim.live_nodes - Array.length nodes;
         pool_put trt inst
       end
     end
@@ -2024,10 +2025,13 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
             | G.Tloop _ -> attr_inv inst n
           in
           pop_all sim n;
+          let fresh = iv.iv_lo_tags.(idx) = F.tabsent in
           iv.iv_lo_tags.(idx) <- sc.Exec.stags.(0);
           iv.iv_lo_nums.(idx) <- sc.Exec.snums.(0);
           iv.iv_lo_flts.(idx) <- sc.Exec.sflts.(0);
           set_obj iv.iv_lo_objs idx sc.Exec.sobjs.(0);
+          if fresh && lo_ready_from iv inst.i_nres 0 then
+            inst.i_full <- inst.i_full + 1;
           n.nr_fired <- n.nr_fired + 1;
           true
         | G.LiveIn _ | G.MergeLoop -> assert false
@@ -2072,7 +2076,7 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
   let fired = try_fire sim inst n in
   (* Interval accounting is always-on (it feeds the counter bank); the
      ring only sees events when a tracer is attached. *)
-  let np = inst.i_prof.Ctr.Prof.nprofs.(n.nr_idx) in
+  let np = n.nr_prof in
   (* Could the node fire again with the tokens already committed?  No
      other event will arrive for them, so a firing self-schedules its
      next attempt (live-ins never fire here). *)
@@ -2126,8 +2130,9 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
     | G.SpawnChild _ ->
       sim.ctrs.Ctr.spawns <- sim.ctrs.Ctr.spawns + 1;
       (* spawns_issued moved: parked syncs may now be able to pass *)
-      for k = 0 to Array.length inst.isyncs - 1 do
-        wake_emit sim inst inst.isyncs.(k)
+      let syncs = inst.i_lay.y_syncs in
+      for k = 0 to Array.length syncs - 1 do
+        wake_emit sim inst inst.inodes.(syncs.(k))
       done
     | _ -> ());
     (* Tokens already committed can enable the next firing without any
@@ -2345,22 +2350,18 @@ let take_half (inst : instance) (par : int) : int = inst.i_nw - par
 
 (* Fire the nodes of a taken half in graph order (its bits, lowest
    first), clearing it as it goes; [any] accumulates whether something
-   fired.  A woken node whose attempt would change nothing is skipped
-   here rather than when woken: between the wake and this drain the
-   completion phase may relabel it idle, and then the attempt matters.
-   Top-level and tail-recursive: nothing here allocates. *)
+   fired.  Wakes that could not matter were never made, so every bit
+   is attempted.  Top-level and tail-recursive: nothing here
+   allocates. *)
 let rec fire_bits (sim : t) (inst : instance) (base : int) (w : int)
     (any : bool) : bool =
   if w = 0 then any
   else begin
     let b = w land -w in
     let n = inst.inodes.(base + bit_index b) in
-    if futile inst n sim.now then fire_bits sim inst base (w lxor b) any
-    else begin
-      sim.woken <- sim.woken + 1;
-      let f = fire_node sim inst n in
-      fire_bits sim inst base (w lxor b) (any || f)
-    end
+    sim.woken <- sim.woken + 1;
+    let f = fire_node sim inst n in
+    fire_bits sim inst base (w lxor b) (any || f)
   end
 
 let rec fire_words (sim : t) (inst : instance) (off : int) (k : int)
@@ -2453,8 +2454,10 @@ let rec emit_bits (sim : t) (inst : instance) (base : int) (w : int) : unit =
     if try_emit sim inst n then begin
       sim.last_activity <- sim.now;
       (* Freed pipeline/memory slots may unblock the node's next
-         firing; drained state feeds the completion check below. *)
-      wake_fire sim inst n;
+         firing, unless that attempt would change nothing; drained
+         state feeds the completion check. *)
+      if futile n (sim.now + 1) then n.nr_skip <- sim.now
+      else wake_fire sim inst n;
       wake_complete sim inst
     end;
     emit_bits sim inst base (w lxor b)
@@ -2617,7 +2620,7 @@ let commit (sim : t) : unit =
          changes a label, an operand or a busy time between here and
          the next fire phase, so the futility check is already final;
          of several commits into one consumer, the last sees them all. *)
-      if not (futile f.f_di dn (sim.now + 1)) then wake_fire sim f.f_di dn
+      if not (futile dn (sim.now + 1)) then wake_fire sim f.f_di dn
     end
   done;
   sim.ld_n <- 0
@@ -2817,15 +2820,12 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
     (fun trt ->
       for k = 0 to trt.tinst_n - 1 do
         let inst = trt.tinst.(k) in
-        if inst.live then begin
-          let ip = inst.i_prof in
+        if inst.live then
           Array.iteri
-            (fun i np ->
-              let n = inst.inodes.(i) in
-              Ctr.fold sim.ctrs ~task:inst.it.tid ~node:n.nr.G.nid
-                ~fires:n.nr_fired ~born:ip.born ~upto:sim.now np)
-            ip.Ctr.Prof.nprofs
-        end
+            (fun i n ->
+              Ctr.fold_into inst.i_lay.y_nctr.(i) ~fires:n.nr_fired
+                ~born:inst.i_prof.born ~upto:sim.now n.nr_prof)
+            inst.inodes
       done)
     sim.tasks;
   let gc1 = Gc.quick_stat () in

@@ -177,20 +177,10 @@ let node_ctr (c : t) ~(task : int) ~(node : int) : node_ctr =
     Hashtbl.add c.nodes (task, node) g;
     g
 
-(** Fold a finished instance's accounting into the whole-run counters.
-    [upto] is one past the last cycle the instance existed; closing
-    each node's open interval there is what makes the conservation
-    invariant exact. *)
-let fold (c : t) ~(task : int) ~(node : int) ~(fires : int) ~(born : int)
-    ~(upto : int) (np : Prof.nprof) : unit =
-  ignore (Prof.transition np np.st upto);
-  let g = node_ctr c ~task ~node in
-  g.n_fires <- g.n_fires + fires;
-  g.n_span <- g.n_span + (upto - born);
-  Array.iteri (fun i v -> g.n_acc.(i) <- g.n_acc.(i) + v) np.acc
-
-(** {!fold} against a counter the caller already resolved with
-    {!node_ctr} — no hashed (task, node) key on the retirement path. *)
+(** Fold a finished instance's node accounting into its whole-run
+    counter row, resolved once with {!node_ctr}.  [upto] is one past
+    the last cycle the instance existed; closing the node's open
+    interval there is what makes the conservation invariant exact. *)
 let fold_into (g : node_ctr) ~(fires : int) ~(born : int) ~(upto : int)
     (np : Prof.nprof) : unit =
   ignore (Prof.transition np np.st upto);

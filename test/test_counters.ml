@@ -212,6 +212,40 @@ let test_spawn_sync () =
     "fib spawns >= syncs" true
     (r.counters.Ctr.spawns >= r.counters.Ctr.syncs)
 
+(* A task that never runs adds no counter rows: the kernel builds a
+   task's counter rows with its first instance.  The recursive [fib]
+   below sits under a branch [main] never takes, so the report lists
+   [main]'s three nodes and nothing of [fib]'s sixteen. *)
+let test_never_invoked () =
+  let p =
+    Sim_harness.program
+      {|
+func int fib(int n) {
+  if (n < 2) { return n; }
+  int a = spawn fib(n - 1);
+  int b = spawn fib(n - 2);
+  sync;
+  return a + b;
+}
+func int main() {
+  int r = 0;
+  if (r > 1) { r = fib(5); }
+  return r;
+}|}
+  in
+  let c = Muir_core.Build.circuit ~name:"nofib" p in
+  let r = Sim.run c in
+  let rep =
+    Report.make ~workload:"nofib" ~stack:"baseline"
+      ~total_cycles:r.stats.total_cycles c r.counters
+  in
+  Alcotest.(check (list (pair string int)))
+    "report rows"
+    [ ("main", 2); ("main", 1); ("main", 0) ]
+    (List.map
+       (fun (n : Report.node_row) -> (n.nd_task, n.nd_node))
+       rep.r_nodes)
+
 (* Derived stats are guarded against degenerate runs: never nan/inf. *)
 let test_finite_stats () =
   List.iter
@@ -332,6 +366,7 @@ let () =
       ( "bank",
         [ Alcotest.test_case "long unrolled run" `Quick test_long_run;
           Alcotest.test_case "spawn/sync counters" `Quick test_spawn_sync;
+          Alcotest.test_case "never-invoked task" `Quick test_never_invoked;
           Alcotest.test_case "finite derived stats" `Quick test_finite_stats ]
       );
       ( "reports",

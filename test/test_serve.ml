@@ -53,6 +53,11 @@ let fresh_dir =
         (Sys.readdir d);
     d
 
+let write_file (path : string) (s : string) : unit =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
 (* --- protocol codecs ------------------------------------------------ *)
 
 let test_request_roundtrip () =
@@ -406,25 +411,14 @@ let test_cache_corruption_recovery () =
   Alcotest.(check int) "four entries on disk" 4 (Array.length entries);
   (* Corrupt one entry (flip a payload byte) and truncate another. *)
   let path i = Filename.concat dir entries.(i) in
-  let read p =
-    let ic = open_in_bin p in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let write p s =
-    let oc = open_out_bin p in
-    output_string oc s;
-    close_out oc
-  in
-  let s0 = read (path 0) in
+  let s0 = Rcache.read_file (path 0) in
   let flipped = Bytes.of_string s0 in
   let last = Bytes.length flipped - 1 in
   Bytes.set flipped last
     (Char.chr (Char.code (Bytes.get flipped last) lxor 0xff));
-  write (path 0) (Bytes.to_string flipped);
-  let s1 = read (path 1) in
-  write (path 1) (String.sub s1 0 (String.length s1 / 2));
+  write_file (path 0) (Bytes.to_string flipped);
+  let s1 = Rcache.read_file (path 1) in
+  write_file (path 1) (String.sub s1 0 (String.length s1 / 2));
   (* A fresh daemon detects both, discards them, and keeps serving. *)
   let t2 = Server.create ~cache_dir:dir () in
   (match Server.handle t2 Proto.Stats with
@@ -566,6 +560,48 @@ let test_metrics_op () =
           hd.Prom.hd_sum g.tg_seconds
       | None -> Alcotest.failf "no %s stage histogram" g.tg_stage)
     st.st_stages
+
+(* Random damage to a stored entry: 1–8 bytes overwritten at random, or
+   the file cut at a random length.  Reopening the cache never raises;
+   it either drops the entry (counted corrupt, file removed) or, when
+   the damage left it intact, serves the original payload byte-equal. *)
+let prop_cache_mutation () =
+  let dir = fresh_dir () in
+  let key = "saxpy|baseline" and payload = {|{"cycles":1234,"ok":true}|} in
+  Rcache.add (Rcache.create ~dir ()) key payload;
+  let path = Rcache.entry_path dir key in
+  let entry = Rcache.read_file path in
+  let n = String.length entry in
+  let damage =
+    QCheck.Gen.(
+      oneof
+        [ map
+            (fun l -> `Overwrite l)
+            (list_size (int_range 1 8)
+               (pair (int_bound (n - 1)) (int_bound 255)));
+          map (fun k -> `Cut k) (int_bound (n - 1)) ])
+  in
+  let print = function
+    | `Cut k -> Fmt.str "cut at %d" k
+    | `Overwrite l ->
+      String.concat "; " (List.map (fun (i, c) -> Fmt.str "[%d] <- %d" i c) l)
+  in
+  QCheck.Test.make ~count:300 ~name:"mutated entry dropped or intact"
+    (QCheck.make ~print damage)
+    (fun d ->
+      write_file path
+        (match d with
+        | `Cut k -> String.sub entry 0 k
+        | `Overwrite l ->
+          let b = Bytes.of_string entry in
+          List.iter (fun (i, c) -> Bytes.set b i (Char.chr c)) l;
+          Bytes.to_string b);
+      let t = Rcache.create ~dir () in
+      let st = Rcache.stats t in
+      match Rcache.find t key with
+      | Some p -> p = payload && st.corrupt = 0
+      | None ->
+        st.corrupt = 1 && st.entries = 0 && not (Sys.file_exists path))
 
 let test_rcache_disk_bytes () =
   let dir = fresh_dir () in
@@ -792,6 +828,8 @@ let () =
             test_restart_byte_identity;
           Alcotest.test_case "corruption detected and rebuilt" `Quick
             test_cache_corruption_recovery;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |])
+            (prop_cache_mutation ());
           Alcotest.test_case "disk bytes accounted" `Quick
             test_rcache_disk_bytes ] );
       ( "pipeline",

@@ -319,19 +319,12 @@ let test_zero_alloc name () =
       "%s steady state allocates %.4f minor words/cycle (limit 0.05)" name
       rate
 
-(* Readiness oracle: a node's [nr_miss] counts its wired inputs whose
-   channel holds no committed token, and is kept up to date by the
-   commits and pops that move those channels.  After every cycle of
-   every registry workload under baseline and best, it must equal a
-   recount of the channels. *)
-let rec recount_miss (n : Muir_sim.Sim.node_rt) (i : int) (k : int) : int =
-  if i = Array.length n.nr_in then k
-  else
-    match n.nr_in.(i) with
-    | Some f when f.fmid - f.fhead = 0 -> recount_miss n (i + 1) (k + 1)
-    | _ -> recount_miss n (i + 1) k
-
-let test_readiness_oracle (w : W.t) () =
+(* Oracles over the kernel's incremental counts: after every cycle of
+   every registry workload under baseline and best, [check] compares
+   each live instance's count with a recount from the state it
+   summarizes. *)
+let oracle (check : Muir_sim.Sim.instance -> (string * int * int) option)
+    (w : W.t) () =
   let best =
     match Muir_opt.Stacks.find_spec "best" with
     | Some sp -> sp.sp_build sp.sp_defaults
@@ -343,35 +336,64 @@ let test_readiness_oracle (w : W.t) () =
       ignore (Muir_opt.Pass.run_all passes c);
       let sim = Muir_sim.Sim.create c in
       Muir_sim.Sim.start sim [];
-      let check () =
+      let check_all () =
         for k = 0 to sim.next_iid - 1 do
           let inst = sim.insts.(k) in
           if inst.live then
-            for j = 0 to Array.length inst.inodes - 1 do
-              let n = inst.inodes.(j) in
-              let want = recount_miss n 0 0 in
-              if n.nr_miss <> want then
-                Alcotest.failf
-                  "%s/%s cycle %d: task %s instance %d node n%d has \
-                   nr_miss %d, channels say %d"
-                  w.wname sname sim.now inst.it.tname inst.iid n.nr.nid
-                  n.nr_miss want
-            done
+            match check inst with
+            | Some (what, got, want) ->
+              Alcotest.failf
+                "%s/%s cycle %d: task %s instance %d: %s is %d, recount \
+                 says %d"
+                w.wname sname sim.now inst.it.tname inst.iid what got want
+            | None -> ()
         done
       in
-      check ();
+      check_all ();
       while (not sim.root_done) && sim.now < 20_000_000 do
         Muir_sim.Sim.step sim;
-        check ()
+        check_all ()
       done;
       Alcotest.(check bool) (w.wname ^ "/" ^ sname ^ ": finished") true
         sim.root_done)
     [ ("baseline", []); ("best", best) ]
 
-let readiness_cases =
+(* Readiness: a node's [nr_miss] counts its wired inputs whose channel
+   holds no committed token, kept up to date by the commits and pops
+   that move those channels. *)
+let rec recount_miss (n : Muir_sim.Sim.node_rt) (i : int) (k : int) : int =
+  if i = Array.length n.nr_in then k
+  else
+    match n.nr_in.(i) with
+    | Some f when f.fmid - f.fhead = 0 -> recount_miss n (i + 1) (k + 1)
+    | _ -> recount_miss n (i + 1) k
+
+let readiness (inst : Muir_sim.Sim.instance) =
+  Array.fold_left
+    (fun bad (n : Muir_sim.Sim.node_rt) ->
+      let want = recount_miss n 0 0 in
+      match bad with
+      | None when n.nr_miss <> want ->
+        Some (Fmt.str "node n%d nr_miss" n.nr.nid, n.nr_miss, want)
+      | _ -> bad)
+    None inst.inodes
+
+(* Completion gate: [i_full] counts the inflight invocations whose
+   live-out tuple is complete; completion is only attempted while it is
+   positive. *)
+let completion_gate (inst : Muir_sim.Sim.instance) =
+  let want = ref 0 in
+  for w = inst.i_lo to inst.next_wave - 1 do
+    if
+      Muir_sim.Sim.wv_mem inst w
+      && Muir_sim.Sim.lo_ready_from (Muir_sim.Sim.wv_get inst w) inst.i_nres 0
+    then incr want
+  done;
+  if inst.i_full <> !want then Some ("i_full", inst.i_full, !want) else None
+
+let oracle_cases check =
   List.map
-    (fun (w : W.t) ->
-      Alcotest.test_case w.wname `Quick (test_readiness_oracle w))
+    (fun (w : W.t) -> Alcotest.test_case w.wname `Quick (oracle check w))
     W.all
 
 (* Properties *)
@@ -460,7 +482,8 @@ let () =
         List.map
           (fun name -> Alcotest.test_case name `Quick (test_zero_alloc name))
           [ "gemm"; "fib" ] );
-      ("readiness-oracle", readiness_cases);
+      ("readiness-oracle", oracle_cases readiness);
+      ("completion-gate-oracle", oracle_cases completion_gate);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_sim_matches_interp_random_saxpy; prop_fib_matches ] ) ]

@@ -18,6 +18,7 @@ module W = Muir_workloads.Workloads
 module Tr = Muir_trace.Trace
 module P = Muir_trace.Profile
 module Ex = Muir_trace.Export
+module Pl = Muir_pipeline.Pipeline
 
 let stacks : (string * (unit -> Muir_opt.Pass.t list)) list =
   [ ("baseline", fun () -> []);
@@ -467,6 +468,50 @@ let conservation_cases =
       Alcotest.test_case w.wname `Quick (test_conservation w))
     W.all
 
+(* The tracer's event stream, pinned.  bench/baseline.json pins the
+   counter banks but not the events the timelines and waveforms are
+   built from: these are digests of the Chrome and VCD exports that
+   [muirc profile] writes (default ring), under baseline and the
+   per-category stack. *)
+let export_golden =
+  [
+    ("fib", "baseline", "3051581a4e5cac5777b8f9110af32f29",
+      "69965ba0138f37adf3f5743a09b676d0");
+    ("fib", "per-category", "05e8c2844236d7cd74f4406d1030831b",
+      "83d81c7e2b4ff2516ca5d253c1ffa61d");
+    ("msort", "baseline", "9d6c99b4b3f041cd686f383ba176f18d",
+      "eaf6e9101bca385c013dd490dfc54754");
+    ("msort", "per-category", "38eba0e9180ff42b0b9070d6f68fff45",
+      "569ad76ada22e7ff9ef02ad9086b32a6");
+    ("saxpy", "baseline", "3d0a3e10011fc0ce1196bb040bd567b4",
+      "de1971c8af16d900e183efbf5db9e335");
+    ("saxpy", "per-category", "de490112c111c16b7bdd876c21664358",
+      "08ee3c9290d679e998beb945ce5a0140");
+    ("conv[T]", "baseline", "9939e1082246e2f5a2d53b63fb48e6a2",
+      "9a9157b562d9e40a57b729e35e5b5339");
+    ("conv[T]", "per-category", "324016b115e4147a4800bf3383add67c",
+      "f796e9b73d846c04760f1e7f7b81e3c3");
+    ("mlp", "baseline", "363566d2b6c45ae3b544364da23b68b0",
+      "17053bb3d5d8f9ca04ff6f2e1677b098");
+    ("mlp", "per-category", "6c2bbae16f544d24565658e3b3eb4ad9",
+      "56f233cf550f55bfe9655a48680ce0f7") ]
+
+let test_export_golden () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (name, stack, chrome, vcd) ->
+      let w = W.find name in
+      let passes = if stack = "baseline" then [] else Pl.per_category w in
+      let b = Pl.build ~passes (Pl.of_workload w) in
+      let tracer = Tr.create () in
+      ignore (Pl.simulate ~tracer b);
+      let c = b.Pl.p_circuit and ctx = name ^ "/" ^ stack in
+      Alcotest.(check string)
+        (ctx ^ " chrome") chrome
+        (md5 (Ex.chrome c tracer));
+      Alcotest.(check string) (ctx ^ " vcd") vcd (md5 (Ex.vcd c tracer)))
+    export_golden
+
 let () =
   Alcotest.run "trace"
     [ ("conservation", conservation_cases);
@@ -476,6 +521,7 @@ let () =
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
           Alcotest.test_case "hostile names" `Quick test_hostile_names;
           Alcotest.test_case "vcd export" `Quick test_vcd_export;
+          Alcotest.test_case "export digests" `Quick test_export_golden;
           Alcotest.test_case "critical path" `Quick test_critical_path;
           Alcotest.test_case "bottleneck reduction" `Quick
             test_bottleneck_reduction ] );
