@@ -998,7 +998,17 @@ let serve_cmd =
           pool, with a content-addressed result cache ($(b,--cache-dir) \
           makes it survive restarts), a bounded admission queue, \
           per-request deadlines, and graceful SIGINT/SIGTERM drain.  \
-          Telemetry: $(b,--log-json) structured event logs, \
+          Each distinct optimized circuit is simulated once: a \
+          configuration whose μopt passes build a circuit the daemon \
+          has already simulated is answered with that report under its \
+          own stack label and knobs (a fresh reply, counted as \
+          $(b,reused)), so only compile, build and optimize run for it \
+          and its deadline is checked only before those stages.  The \
+          table of simulated circuits is in memory only and keeps \
+          successful reports only.  \
+          A cache entry that cannot be written is logged and counted, \
+          and the item is still answered.  Telemetry: $(b,--log-json) \
+          structured event logs, \
           $(b,--metrics-file) Prometheus snapshots, $(b,--trace-file) \
           Chrome request spans, plus the $(b,metrics) socket op.")
     Term.(
@@ -1098,12 +1108,12 @@ let client_cmd =
               write_json resp;
               Fmt.pr
                 "uptime %.1fs  queue %d%s@.%d request(s): %d items, %d \
-                 ok, %d error(s), %d fresh, %d cached@.cache: %d hits, \
-                 %d misses, %d entries, %d corrupt discarded@."
+                 ok, %d error(s), %d fresh (%d reused), %d cached@.cache: \
+                 %d hits, %d misses, %d entries, %d corrupt discarded@."
                 s.st_uptime_s s.st_queue_depth
                 (if s.st_draining then " (draining)" else "")
                 s.st_requests s.st_items s.st_ok s.st_errors s.st_fresh
-                s.st_cached s.st_cache_hits s.st_cache_misses
+                s.st_reused s.st_cached s.st_cache_hits s.st_cache_misses
                 s.st_cache_entries s.st_cache_corrupt;
               List.iter
                 (fun (t : P.stage_stat) ->
@@ -1269,8 +1279,9 @@ let top_cmd =
       s.st_uptime_s s.st_queue_depth
       (if s.st_draining then "   DRAINING" else "");
     Fmt.pr "requests %d   items %d   ok %d   errors %d   fresh %d   \
-            cached %d@."
-      s.st_requests s.st_items s.st_ok s.st_errors s.st_fresh s.st_cached;
+            reused %d   cached %d@."
+      s.st_requests s.st_items s.st_ok s.st_errors s.st_fresh s.st_reused
+      s.st_cached;
     let probes = s.st_cache_hits + s.st_cache_misses in
     Fmt.pr "cache    hits %d   misses %d   entries %d   disk %dB   \
             corrupt %d   hit rate %s@."

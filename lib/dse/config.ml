@@ -50,12 +50,16 @@ let key (cfg : t) : string =
   | [] -> "baseline"
   | ps -> String.concat "+" (List.map describe ps)
 
+(** The knobs the stack reads, by name: what a run report records. *)
+let knobs (cfg : t) : (string * int) list =
+  let s = spec cfg in
+  (if s.sp_uses_tiles then [ ("tiles", cfg.tiles) ] else [])
+  @ if s.sp_uses_banks then [ ("banks", cfg.banks) ] else []
+
 (** Short human label: stack name plus only the knobs it reads. *)
 let label (cfg : t) : string =
-  let s = spec cfg in
   let knobs =
-    (if s.sp_uses_tiles then [ Fmt.str "tiles=%d" cfg.tiles ] else [])
-    @ (if s.sp_uses_banks then [ Fmt.str "banks=%d" cfg.banks ] else [])
+    List.map (fun (k, v) -> Fmt.str "%s=%d" k v) (knobs cfg)
     @ List.map (fun p -> "-" ^ p) cfg.off
   in
   match knobs with

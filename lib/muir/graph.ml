@@ -278,6 +278,14 @@ let graph_size (c : circuit) : int * int =
     (fun (n, e) t -> (n + List.length t.nodes, e + List.length t.edges))
     (0, 0) c.tasks
 
+(** MD5 (hex) of the whole circuit, program included.  The circuit is a
+    tree of records that refer to each other by integer id, so its
+    unshared serialization terminates and is canonical: two circuits
+    have the same digest exactly when every field the simulator, the
+    lowering and the run report read is equal. *)
+let digest (c : circuit) : string =
+  Digest.to_hex (Digest.string (Marshal.to_string c [ Marshal.No_sharing ]))
+
 (* ------------------------------------------------------------------ *)
 (* Queries used by μopt passes                                         *)
 

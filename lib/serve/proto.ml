@@ -269,6 +269,9 @@ type stats_payload = {
   st_errors : int;
   st_fresh : int;
   st_cached : int;
+  st_reused : int;
+      (** fresh items answered from another key's evaluation of the
+          same optimized circuit *)
   st_cache_hits : int;
   st_cache_misses : int;
   st_cache_entries : int;
@@ -317,6 +320,7 @@ let response_to_json (r : response) : J.t =
         ("errors", J.Int s.st_errors);
         ("fresh", J.Int s.st_fresh);
         ("cached", J.Int s.st_cached);
+        ("reused", J.Int s.st_reused);
         ( "cache",
           J.Obj
             [ ("hits", J.Int s.st_cache_hits);
@@ -422,6 +426,7 @@ let response_of_json (j : J.t) : response =
         st_errors = num "errors" 0;
         st_fresh = num "fresh" 0;
         st_cached = num "cached" 0;
+        st_reused = num "reused" 0;
         st_cache_hits = cache "hits";
         st_cache_misses = cache "misses";
         st_cache_entries = cache "entries";

@@ -26,7 +26,14 @@
 
     Writes are atomic (temp file + [Unix.rename] in the same
     directory), so a daemon killed mid-write leaves at worst a stale
-    [.tmp] file, never a torn entry.
+    [.tmp] file, never a torn entry.  A write that fails (the directory
+    was removed, the disk is full) removes its temp file and raises
+    {!Write_error}; the entry stays in memory, so the caller can still
+    answer from it and the process keeps serving.
+
+    The daemon's second table, from a circuit digest to the report it
+    produced ({!Server}), holds the same payload strings as this cache
+    and lives in memory only: this format does not record digests.
 
     Hit/miss accounting is inherited from {!Muir_dse.Cache}: disk
     entries are installed with [seed] (neither hit nor miss — they
@@ -99,12 +106,35 @@ let read_file (path : string) : string =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_atomic (dir : string) (path : string) (parts : string list) : unit =
-  let tmp = Filename.temp_file ~temp_dir:dir "rcache" ".tmp" in
-  let oc = open_out_bin tmp in
-  List.iter (output_string oc) parts;
-  close_out oc;
-  Unix.rename tmp path
+exception Write_error of string * string  (** path, reason *)
+
+(** Replace [path] with the concatenation of [parts] through a temp
+    file beside it and a rename; on failure the temp file is removed.
+    @raise Write_error naming [path] and the reason *)
+let write_atomic (path : string) (parts : string list) : unit =
+  let fail reason = raise (Write_error (path, reason)) in
+  match
+    Filename.open_temp_file ~mode:[ Open_binary ]
+      ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  with
+  | exception Sys_error m -> fail m
+  | tmp, oc -> (
+    let discard () =
+      close_out_noerr oc;
+      try Sys.remove tmp with Sys_error _ -> ()
+    in
+    match
+      List.iter (output_string oc) parts;
+      close_out oc;
+      Unix.rename tmp path
+    with
+    | () -> ()
+    | exception Sys_error m ->
+      discard ();
+      fail m
+    | exception Unix.Unix_error (e, _, _) ->
+      discard ();
+      fail (Unix.error_message e))
 
 (* ------------------------------------------------------------------ *)
 
@@ -144,14 +174,16 @@ let find (t : t) (key : string) : string option =
   Muir_dse.Cache.find_opt t.rc_mem key
 
 (** Record a freshly paid-for payload: counts a miss, persists the
-    entry atomically when the cache is disk-backed. *)
+    entry atomically when the cache is disk-backed.  The entry is in
+    memory even when the write fails.
+    @raise Write_error when the entry file cannot be written *)
 let add (t : t) (key : string) (payload : string) : unit =
   Muir_dse.Cache.add t.rc_mem key payload;
   match t.rc_dir with
   | None -> ()
   | Some dir ->
     let header = entry_header key payload in
-    write_atomic dir (entry_path dir key) [ header; key; payload ];
+    write_atomic (entry_path dir key) [ header; key; payload ];
     t.rc_bytes <-
       t.rc_bytes + String.length header + String.length key
       + String.length payload

@@ -18,14 +18,31 @@
 
     A batch's items are resolved to content keys
     ([muir-serve-v1|<source-digest>|<Config.key>] — see {!item_key}),
-    deduplicated, answered from the cache where possible, and the
-    remaining unique keys fanned out over the OCaml-5 domain pool
-    ({!Muir_dse.Pool}) through the staged {!Muir_pipeline.Pipeline}.
-    Fresh results are folded into the cache by the coordinating domain
-    only, so cache traffic is race-free by construction (the same
-    discipline as the explorer).  Because run reports are
-    deterministic, a cached answer is byte-identical to the fresh one
-    it replays.
+    deduplicated, and answered from the cache where possible.  The
+    remaining unique keys are evaluated in two passes over the OCaml-5
+    domain pool ({!Muir_dse.Pool}) through the staged
+    {!Muir_pipeline.Pipeline}:
+
+    - every fresh key is compiled, built and optimized, and the
+      optimized circuit is digested ({!Muir_core.Graph.digest});
+    - only one key of each digest that neither the daemon's digest
+      table nor an earlier key of the batch has seen is lowered,
+      modeled and simulated: the least deadline-constrained, first on
+      ties, as for duplicate keys.
+
+    Configurations often build the same circuit (a pass with nothing
+    to transform leaves it as it was), and every report field except
+    the stack label and the knobs is a function of the circuit, so
+    every other key is answered by {!Muir_trace.Report.relabel} of
+    that circuit's report: a fresh reply, byte-identical to the one
+    its own simulation would give, counted in
+    [muir_serve_reused_total].  Only successful reports enter the
+    digest table, which lives in memory and shares the result cache's
+    payload strings.  Results are folded into the cache and the table
+    by the coordinating domain only, so cache traffic is race-free by
+    construction (the same discipline as the explorer).  Because run
+    reports are deterministic, a cached answer is byte-identical to
+    the fresh one it replays.
 
     {2 Replies}
 
@@ -50,17 +67,20 @@
     batch-local duplicates, [{cached="false"}] for fresh evaluations
     and failed items — so the two histograms' total count always
     equals [ok + errors] from the [stats] op.  Each fresh evaluation
-    additionally records its per-stage seconds into
-    [muir_serve_stage_seconds{stage=...}] and pushes a span into the
-    handle's ring for Chrome-trace export.
+    additionally records the seconds of each stage it ran into
+    [muir_serve_stage_seconds{stage=...}] and pushes a span of those
+    stages into the handle's ring for Chrome-trace export; a reused
+    key ran compile, build and optimize only.
 
     {2 Failure containment}
 
     Everything that can go wrong inside an item — unknown workload or
     stack, a front-end error in inline source, a deadline expiring at
     a stage boundary, a simulator deadlock — becomes a structured
-    per-item error in the response.  Nothing an item does terminates
-    the daemon. *)
+    per-item error in the response.  A cache entry that cannot be
+    written to disk is counted in [muir_serve_cache_write_errors_total]
+    and logged, and the item is answered from its result.  Nothing an
+    item does terminates the daemon. *)
 
 module Config = Muir_dse.Config
 module Pipeline = Muir_pipeline.Pipeline
@@ -80,6 +100,7 @@ type mx = {
   x_ok : M.counter;
   x_fresh : M.counter;
   x_cached : M.counter;
+  x_reused : M.counter;
   x_errors : M.family;  (** [muir_serve_errors_total], a series per code *)
   x_queue_depth : M.gauge;
   x_uptime : M.gauge;
@@ -87,6 +108,7 @@ type mx = {
   x_cache_hits : M.counter;
   x_cache_misses : M.counter;
   x_cache_corrupt : M.counter;
+  x_cache_write_errors : M.counter;
   x_cache_entries : M.gauge;
   x_disk_bytes : M.gauge;
   x_item_fresh : M.hist;
@@ -96,6 +118,9 @@ type mx = {
 
 type t = {
   sv_rcache : Rcache.t;
+  sv_digests : (string, string) Hashtbl.t;
+      (** circuit digest -> the report payload that circuit produced,
+          shared with [sv_rcache]; memory only *)
   sv_jobs : int;            (** evaluation domains per batch *)
   sv_queue_cap : int;       (** max queued items across requests *)
   sv_started : float;
@@ -131,6 +156,12 @@ let make_mx (obs : Ob.t) : mx =
     x_cached =
       M.counter r ~help:"Items answered from the result cache."
         "muir_serve_cached_total";
+    x_reused =
+      M.counter r
+        ~help:
+          "Fresh items answered from the evaluation of another key with \
+           the same optimized circuit."
+        "muir_serve_reused_total";
     x_errors =
       M.family r ~kind:M.Counter ~help:errors_help ~bounds:[||]
         "muir_serve_errors_total";
@@ -150,6 +181,9 @@ let make_mx (obs : Ob.t) : mx =
     x_cache_corrupt =
       M.counter r ~help:"Cache entries discarded as corrupt at load."
         "muir_serve_cache_corrupt_total";
+    x_cache_write_errors =
+      M.counter r ~help:"Result-cache entries that could not be written."
+        "muir_serve_cache_write_errors_total";
     x_cache_entries =
       M.gauge r ~help:"Live result-cache entries." "muir_serve_cache_entries";
     x_disk_bytes =
@@ -181,6 +215,7 @@ let reject_counter (t : t) (code : string) : M.counter =
 let create ?cache_dir ?(jobs = 1) ?(queue_cap = 256) ?obs () : t =
   let obs = match obs with Some o -> o | None -> Ob.create () in
   { sv_rcache = Rcache.create ?dir:cache_dir ();
+    sv_digests = Hashtbl.create 64;
     sv_jobs = max 1 jobs;
     sv_queue_cap = queue_cap;
     sv_started = Ob.now obs;
@@ -244,53 +279,67 @@ type outcome =
   | Payload of string                          (** report JSON *)
   | Failed of string * string option * string  (** code, stage, msg *)
 
-(** One worker-side evaluation: the full six-stage pipeline, every
-    failure mode folded into a structured {!outcome}.  The stage
-    timing arrays ride back for the coordinator to merge. *)
-type wres = {
-  w_out : outcome;
-  w_secs : float array;
-  w_counts : int array;
+(** Every failure mode of an evaluation, as a structured {!outcome}. *)
+let failed (e : exn) : outcome =
+  match e with
+  | Pipeline.Deadline st ->
+    Failed
+      ( "deadline", Some (Pipeline.stage_name st),
+        Fmt.str "deadline expired before the %s stage" (Pipeline.stage_name st)
+      )
+  | Muir_sim.Sim.Deadlock m -> Failed ("deadlock", Some "simulate", m)
+  | Muir_sim.Sim.Cycle_limit n ->
+    Failed ("cycle_limit", Some "simulate", Fmt.str "no progress by cycle %d" n)
+  | Invalid_argument m -> Failed ("bad_request", None, m)
+  | e -> (
+    match Muir_frontend.Frontend.describe_error e with
+    | Some m -> Failed ("compile_error", Some "compile", m)
+    | None -> Failed ("internal", None, Printexc.to_string e))
+
+(** A fresh key after the first pool pass: its stage clocks, which the
+    second pass continues and the coordinator merges, and either its
+    optimized circuit with that circuit's digest or its failure. *)
+type front = {
+  f_ctl : Pipeline.ctl;
+  f_built : (Pipeline.built * string, outcome) result;
 }
 
-let eval_item ?(now = Unix.gettimeofday) ~(deadline : float option)
-    (it : Proto.item) (cfg : Config.t) : wres =
+(** The first pool pass: compile, build and optimize, then digest. *)
+let optimize_item ~now ~(deadline : float option) (it : Proto.item)
+    (cfg : Config.t) : front =
   let ctl = Pipeline.ctl ?deadline ~now () in
-  let out =
-    try
-      let src =
-        match it.it_src with
-        | Proto.Workload name -> Pipeline.of_workload_name name
-        | Proto.Inline { name; text } -> Pipeline.of_text ~name text
-      in
-      let b = Pipeline.build ~ctl ~passes:(Config.passes cfg) src in
-      let m = Pipeline.model ~ctl b in
-      let r = Pipeline.simulate ~ctl b in
-      let spec = Config.spec cfg in
-      let knobs =
-        (if spec.sp_uses_tiles then [ ("tiles", cfg.tiles) ] else [])
-        @ if spec.sp_uses_banks then [ ("banks", cfg.banks) ] else []
-      in
-      Payload
-        (Muir_trace.Report.to_json
-           (Pipeline.report ~stack:(Config.label cfg) ~knobs b m r))
-    with
-    | Pipeline.Deadline st ->
-      Failed
-        ( "deadline", Some (Pipeline.stage_name st),
-          Fmt.str "deadline expired before the %s stage"
-            (Pipeline.stage_name st) )
-    | Muir_sim.Sim.Deadlock m -> Failed ("deadlock", Some "simulate", m)
-    | Muir_sim.Sim.Cycle_limit n ->
-      Failed
-        ("cycle_limit", Some "simulate", Fmt.str "no progress by cycle %d" n)
-    | Invalid_argument m -> Failed ("bad_request", None, m)
-    | e -> (
-      match Muir_frontend.Frontend.describe_error e with
-      | Some m -> Failed ("compile_error", Some "compile", m)
-      | None -> Failed ("internal", None, Printexc.to_string e))
+  let src () =
+    match it.it_src with
+    | Proto.Workload name -> Pipeline.of_workload_name name
+    | Proto.Inline { name; text } -> Pipeline.of_text ~name text
   in
-  { w_out = out; w_secs = ctl.stage_seconds; w_counts = ctl.stage_counts }
+  { f_ctl = ctl;
+    f_built =
+      (match Pipeline.build ~ctl ~passes:(Config.passes cfg) (src ()) with
+      | b -> Ok (b, Muir_core.Graph.digest b.p_circuit)
+      | exception e -> Error (failed e)) }
+
+(** The second pool pass, for one key of each new digest: lower, model,
+    simulate, and report under that key's label and knobs. *)
+let simulate_item ~(ctl : Pipeline.ctl) (cfg : Config.t)
+    (b : Pipeline.built) : outcome =
+  match
+    let m = Pipeline.model ~ctl b in
+    let r = Pipeline.simulate ~ctl b in
+    Pipeline.report ~stack:(Config.label cfg) ~knobs:(Config.knobs cfg) b m r
+  with
+  | run -> Payload (Muir_trace.Report.to_json run)
+  | exception e -> failed e
+
+(** Another key's report of the same circuit, under [cfg]'s label and
+    knobs. *)
+let relabel (cfg : Config.t) (payload : string) : outcome =
+  match
+    Muir_trace.Report.relabel ~stack:(Config.label cfg)
+      ~knobs:(Config.knobs cfg) payload
+  with
+  | p -> Payload p
+  | exception e -> failed e
 
 (* ------------------------------------------------------------------ *)
 (* Batch processing (coordinator side)                                 *)
@@ -314,10 +363,44 @@ let observe_item (t : t) ~(cached : bool) (secs : float) : unit =
     (if cached then t.sv_mx.x_item_cached else t.sv_mx.x_item_fresh)
     secs
 
+(** Add a fresh payload to the result cache.  A disk write that fails
+    is counted and logged, not raised: the entry is in memory, so the
+    item and later requests for its key are still answered. *)
+let remember (t : t) (key : string) (payload : string) : unit =
+  try Rcache.add t.sv_rcache key payload
+  with Rcache.Write_error (path, reason) ->
+    M.inc t.sv_mx.x_cache_write_errors;
+    Olog.event t.sv_obs.Ob.o_log ~level:Olog.Warn "cache_write_error"
+      [ ("path", J.Str path); ("reason", J.Str reason) ]
+
+(** The representative of each group: its least deadline-constrained
+    item, the first on ties.  The group's other items share the
+    representative's outcome, so an aggressive deadline on one of them
+    must not fail the unconstrained ones. *)
+let representatives (members : (string * Proto.item) list) :
+    (string, Proto.item) Hashtbl.t =
+  let looser a b =
+    match (a, b) with
+    | None, _ -> true
+    | _, None -> false
+    | Some x, Some y -> x > y
+  in
+  let reps = Hashtbl.create 16 in
+  List.iter
+    (fun (group, (it : Proto.item)) ->
+      match Hashtbl.find_opt reps group with
+      | Some (prev : Proto.item)
+        when not (looser it.it_deadline_ms prev.it_deadline_ms) ->
+        ()
+      | _ -> Hashtbl.replace reps group it)
+    members;
+  reps
+
 (** Process one admitted [run] request: dedupe by key, answer from the
-    cache, evaluate the remaining unique keys on the pool, fold fresh
-    results (and stage timings) back, and assemble per-item results in
-    request order. *)
+    cache, optimize the remaining unique keys on the pool, simulate one
+    key per new circuit digest and relabel its report for the others,
+    fold fresh results (and stage timings) back, and assemble per-item
+    results in request order. *)
 let run_items ~(now : float) (t : t) (items : Proto.item list) :
     Proto.response =
   let clock () = Ob.now t.sv_obs in
@@ -344,28 +427,13 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
       resolved
   in
   (* Each uncached key gets exactly one evaluation; the other items with
-     that key answer from its result. The representative must be the
-     least deadline-constrained item of the group — a dup replays the
-     representative's outcome, so an aggressive deadline on one copy
-     must not fail the unconstrained copies. *)
-  let reps : (string, Proto.item) Hashtbl.t = Hashtbl.create 16 in
-  let looser a b =
-    match (a, b) with
-    | None, _ -> true
-    | _, None -> false
-    | Some x, Some y -> x > y
+     that key answer from its result. *)
+  let reps =
+    representatives
+      (List.filter_map
+         (function it, `Miss (key, _), _ -> Some (key, it) | _ -> None)
+         probed)
   in
-  List.iter
-    (fun ((it : Proto.item), what, _) ->
-      match what with
-      | `Miss (key, _) -> (
-        match Hashtbl.find_opt reps key with
-        | Some (prev : Proto.item)
-          when not (looser it.it_deadline_ms prev.it_deadline_ms) ->
-          ()
-        | _ -> Hashtbl.replace reps key it)
-      | _ -> ())
-    probed;
   let plan =
     List.map
       (fun ((it : Proto.item), what, dt) ->
@@ -390,24 +458,84 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
       plan
   in
   let eval_started = clock () in
-  let results =
+  let fronts =
     Muir_dse.Pool.map ~jobs:t.sv_jobs
-      (fun (_, it, cfg, deadline) -> eval_item ~now:clock ~deadline it cfg)
+      (fun (_, it, cfg, deadline) -> optimize_item ~now:clock ~deadline it cfg)
       fresh
   in
+  (* Each digest the table does not know is simulated once, for one of
+     its keys; the other keys share that outcome. *)
+  let sim_reps =
+    representatives
+      (List.concat
+         (List.map2
+            (fun (_, it, _, _) f ->
+              match f.f_built with
+              | Ok (_, d) when not (Hashtbl.mem t.sv_digests d) -> [ (d, it) ]
+              | _ -> [])
+            fresh fronts))
+  in
+  let staged =
+    List.map2
+      (fun (key, it, cfg, _) f ->
+        let step =
+          match f.f_built with
+          | Error o -> `Failed o
+          | Ok (b, d) -> (
+            match Hashtbl.find_opt t.sv_digests d with
+            | Some p -> `Known p
+            | None ->
+              if Hashtbl.find sim_reps d == it then `Simulate (d, b)
+              else `Share d)
+        in
+        (key, it, cfg, f.f_ctl, step))
+      fresh fronts
+  in
+  let sims =
+    List.filter_map
+      (function
+        | _, _, cfg, ctl, `Simulate (d, b) -> Some (d, cfg, ctl, b)
+        | _ -> None)
+      staged
+  in
+  let sim_outs =
+    Muir_dse.Pool.map ~jobs:t.sv_jobs
+      (fun (_, cfg, ctl, b) -> simulate_item ~ctl cfg b)
+      sims
+  in
+  let by_digest = Hashtbl.create 16 in
+  List.iter2
+    (fun (d, _, _, _) out ->
+      Hashtbl.replace by_digest d out;
+      match out with
+      | Payload p -> Hashtbl.replace t.sv_digests d p
+      | Failed _ -> ())
+    sims sim_outs;
   (* Fold fresh results into the cache, the stage histograms and the
      span ring — coordinator only, same discipline as the explorer's
      memo table. *)
   let by_key = Hashtbl.create 16 in
-  List.iter2
-    (fun (key, it, _, _) (w : wres) ->
+  List.iter
+    (fun (key, it, cfg, (ctl : Pipeline.ctl), step) ->
+      let t0 = clock () in
+      let out, reused =
+        match step with
+        | `Failed o -> (o, false)
+        | `Simulate (d, _) -> (Hashtbl.find by_digest d, false)
+        | `Known p -> (relabel cfg p, true)
+        | `Share d -> (
+          match Hashtbl.find by_digest d with
+          | Payload p -> (relabel cfg p, true)
+          | Failed _ as o -> (o, true))
+      in
+      let relabel_secs = clock () -. t0 in
       let stages =
         List.filter_map
           (fun st ->
             let i = Pipeline.stage_index st in
-            if w.w_counts.(i) > 0 then begin
-              M.observe t.sv_mx.x_stage.(i) w.w_secs.(i);
-              Some (Pipeline.stage_name st, w.w_secs.(i))
+            if ctl.stage_counts.(i) > 0 then begin
+              M.observe t.sv_mx.x_stage.(i) ctl.stage_seconds.(i);
+              Some (Pipeline.stage_name st, ctl.stage_seconds.(i))
             end
             else None)
           Pipeline.stages
@@ -417,11 +545,9 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
         { Span.sp_id = Ob.span_id t.sv_obs; sp_name = item_label it;
           sp_cat = "serve.item"; sp_start = eval_started; sp_dur = dur;
           sp_segs = segs };
-      (match w.w_out with
-      | Payload p -> Rcache.add t.sv_rcache key p
-      | Failed _ -> ());
-      Hashtbl.replace by_key key (w.w_out, dur))
-    fresh results;
+      (match out with Payload p -> remember t key p | Failed _ -> ());
+      Hashtbl.replace by_key key (out, dur +. relabel_secs, reused))
+    staged;
   (* Second pass: per-item results in request order; ok results splice
      the report payload verbatim (see the module header). *)
   let fresh_n = ref 0 and cached_n = ref 0 and err_n = ref 0 in
@@ -436,11 +562,13 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
     incr err_n;
     Proto.Err { code; stage; msg }
   in
-  let log_item (it : Proto.item) ~status ~cached ~secs extra =
+  let log_item (it : Proto.item) ~status ~cached ?(reused = false) ~secs
+      extra =
     Olog.event t.sv_obs.Ob.o_log "evaluate"
       ([ ("req", J.Int req_id); ("id", J.Int it.Proto.it_id);
          ("item", J.Str (item_label it)); ("status", J.Str status);
-         ("cached", J.Bool cached); ("secs", J.Float secs) ]
+         ("cached", J.Bool cached); ("reused", J.Bool reused);
+         ("secs", J.Float secs) ]
       @ extra)
   in
   let rs =
@@ -458,15 +586,16 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
             log_item it ~status:"ok" ~cached:true ~secs:probe_dt [];
             ok ~cached:true payload
           | `Fresh (key, _) -> (
-            let out, dur = Hashtbl.find by_key key in
+            let out, dur, reused = Hashtbl.find by_key key in
             let secs = probe_dt +. dur in
             observe_item t ~cached:false secs;
+            if reused then M.inc t.sv_mx.x_reused;
             match out with
             | Payload p ->
-              log_item it ~status:"ok" ~cached:false ~secs [];
+              log_item it ~status:"ok" ~cached:false ~reused ~secs [];
               ok ~cached:false p
             | Failed (code, stage, msg) ->
-              log_item it ~status:"error" ~cached:false ~secs
+              log_item it ~status:"error" ~cached:false ~reused ~secs
                 [ ("code", J.Str code) ];
               err code stage msg)
           | `Dup key -> (
@@ -482,12 +611,12 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
               ok ~cached:true payload
             | None -> (
               match Hashtbl.find by_key key with
-              | Failed (code, stage, msg), _ ->
+              | Failed (code, stage, msg), _, _ ->
                 observe_item t ~cached:true secs;
                 log_item it ~status:"error" ~cached:true ~secs
                   [ ("code", J.Str code) ];
                 err code stage msg
-              | Payload p, _ ->
+              | Payload p, _, _ ->
                 observe_item t ~cached:true secs;
                 log_item it ~status:"ok" ~cached:true ~secs [];
                 ok ~cached:true p))
@@ -523,6 +652,7 @@ let stats_response ?now (t : t) : Proto.response =
       st_errors = errors t;
       st_fresh = M.counter_value mx.x_fresh;
       st_cached = M.counter_value mx.x_cached;
+      st_reused = M.counter_value mx.x_reused;
       st_cache_hits = cs.hits;
       st_cache_misses = cs.misses;
       st_cache_entries = cs.entries;
@@ -581,18 +711,13 @@ type drain_summary = {
   dr_cached : int;
 }
 
-(** Atomic snapshot write: temp file + rename in the target's
-    directory, the same discipline as {!Rcache.write_atomic}. *)
-let write_snapshot (path : string) (contents : string) : unit =
-  let dir = Filename.dirname path in
-  match Filename.temp_file ~temp_dir:dir "metrics" ".tmp" with
-  | tmp ->
-    let oc = open_out_bin tmp in
-    output_string oc contents;
-    close_out oc;
-    (try Unix.rename tmp path
-     with Unix.Unix_error _ -> (try Sys.remove tmp with Sys_error _ -> ()))
-  | exception Sys_error _ -> ()
+(** Atomic snapshot write ({!Rcache.write_atomic}).  A metrics or trace
+    file is a side channel, so a failed write is logged, not raised. *)
+let write_snapshot (t : t) (path : string) (contents : string) : unit =
+  try Rcache.write_atomic path [ contents ]
+  with Rcache.Write_error (path, reason) ->
+    Olog.event t.sv_obs.Ob.o_log ~level:Olog.Warn "snapshot_error"
+      [ ("path", J.Str path); ("reason", J.Str reason) ]
 
 (** A Unix-domain socket that is bound and listening. *)
 type listener = { ln_fd : Unix.file_descr; ln_path : string }
@@ -714,7 +839,7 @@ let serve ?(max_frame = Proto.default_max_frame) ?metrics_file ?trace_file
   let snapshot () =
     match metrics_file with
     | None -> ()
-    | Some path -> write_snapshot path (render_metrics t)
+    | Some path -> write_snapshot t path (render_metrics t)
   in
   let last_snap = ref (Ob.now t.sv_obs) in
   let maybe_snapshot () =
@@ -759,7 +884,7 @@ let serve ?(max_frame = Proto.default_max_frame) ?metrics_file ?trace_file
   (match trace_file with
   | None -> ()
   | Some path ->
-    write_snapshot path (Span.chrome (Span.items t.sv_obs.Ob.o_spans)));
+    write_snapshot t path (Span.chrome (Span.items t.sv_obs.Ob.o_spans)));
   let count = M.counter_value in
   let s =
     { dr_requests = count t.sv_mx.x_requests; dr_ok = count t.sv_mx.x_ok;

@@ -224,12 +224,12 @@ let run_json (r : run) : Json.t =
           Json.Obj
             [ ("ghz", Json.Float a.a_ghz); ("kum2", Json.Float a.a_area) ] ) ]
 
-(** A single run report, wrapped with its provenance. *)
-let to_json (r : run) : string =
+let wrapped_json (pv : provenance) (r : run) : string =
   Json.to_string
-    (Json.Obj
-       [ ("provenance", provenance_json (provenance ()));
-         ("run", run_json r) ])
+    (Json.Obj [ ("provenance", provenance_json pv); ("run", run_json r) ])
+
+(** A single run report, wrapped with its provenance. *)
+let to_json (r : run) : string = wrapped_json (provenance ()) r
 
 let suite_to_json (s : suite) : string =
   Json.to_string
@@ -358,6 +358,19 @@ let load (path : string) : suite =
   let s = really_input_string ic n in
   close_in ic;
   parse s
+
+(** The single-run report [payload] under another stack label and
+    knobs, everything else (provenance included) kept: what {!to_json}
+    prints for the same simulation run under [stack] and [knobs].  The
+    serve daemon answers a configuration whose optimized circuit it has
+    already simulated this way.
+    @raise Bad_report unless [payload] holds exactly one run *)
+let relabel ~(stack : string) ~(knobs : (string * int) list)
+    (payload : string) : string =
+  match parse payload with
+  | { su_provenance; su_runs = [ r ] } ->
+    wrapped_json su_provenance { r with r_stack = stack; r_knobs = knobs }
+  | _ -> raise (Bad_report "relabel: expected a single-run report")
 
 (* ------------------------------------------------------------------ *)
 (* Diff                                                                 *)

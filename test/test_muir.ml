@@ -336,6 +336,118 @@ let test_circuit_golden () =
       | None -> Alcotest.failf "%s has no recorded circuit digest" name)
     (Lazy.force registry_circuits)
 
+(* [Graph.digest] is what the serve daemon keys simulated circuits by:
+   two builds of one source under one pass list agree, and changing any
+   field the simulator or the report reads gives another digest. *)
+let gemm_circuit ?(passes = []) () : G.circuit =
+  (P.build ~passes (P.of_workload_name "gemm")).p_circuit
+
+let test_digest_stable () =
+  List.iter
+    (fun (label, passes) ->
+      Alcotest.(check string) label
+        (G.digest (gemm_circuit ~passes:(passes ()) ()))
+        (G.digest (gemm_circuit ~passes:(passes ()) ())))
+    [ ("baseline", fun () -> []);
+      ("loop-stack", fun () -> Muir_opt.Stacks.loop_stack ());
+      ("cilk-stack", fun () -> Muir_opt.Stacks.cilk_stack ()) ]
+
+let test_digest_fields () =
+  let module T = Muir_ir.Types in
+  let first_task (c : G.circuit) p = List.find p c.tasks in
+  let first_edge (c : G.circuit) p =
+    List.find p (List.concat_map (fun (t : G.task) -> t.edges) c.tasks)
+  in
+  let first_node (c : G.circuit) p =
+    List.find p (List.concat_map (fun (t : G.task) -> t.nodes) c.tasks)
+  in
+  let bump = function
+    | T.VInt i -> T.VInt (Int64.add i 1L)
+    | T.VFloat f -> T.VFloat (f +. 1.0)
+    | T.VBool b -> T.VBool (not b)
+    | _ -> T.VInt 7L
+  in
+  let has_imm (n : G.node) =
+    Array.exists (function G.Simm _ -> true | G.Swire -> false) n.ins
+  in
+  let mutations : (string * (G.circuit -> G.circuit)) list =
+    [ ( "edge capacity",
+        fun c ->
+          let e = first_edge c (fun _ -> true) in
+          e.capacity <- e.capacity + 1;
+          c );
+      ( "edge initial tokens",
+        fun c ->
+          let e = first_edge c (fun e -> e.initial <> []) in
+          e.initial <- List.map bump e.initial;
+          c );
+      ( "node immediate",
+        fun c ->
+          let n = first_node c has_imm in
+          n.ins <-
+            Array.map (function G.Simm v -> G.Simm (bump v) | s -> s) n.ins;
+          c );
+      ( "node kind",
+        fun c ->
+          let n = first_node c (fun n -> n.kind = G.Compute (G.Fibin Add)) in
+          n.kind <- G.Compute (G.Fibin Sub);
+          c );
+      ( "task tiles",
+        fun c ->
+          let t = first_task c (fun _ -> true) in
+          t.tiles <- t.tiles + 1;
+          c );
+      ( "task queue depth",
+        fun c ->
+          let t = first_task c (fun _ -> true) in
+          t.queue_depth <- t.queue_depth + 1;
+          c );
+      ( "structure parameter",
+        fun c ->
+          (match (List.hd c.structures).shape with
+          | G.Scratchpad r -> r.latency <- r.latency + 1
+          | G.Cache r -> r.hit_latency <- r.hit_latency + 1);
+          c );
+      ( "junction width",
+        fun c ->
+          G.set_junction_width c c.root (G.junction_width c c.root + 1);
+          c );
+      ( "global initial word",
+        fun c ->
+          let g =
+            List.find
+              (fun (g : Muir_ir.Program.global) -> g.ginit <> None)
+              c.prog.globals
+          in
+          let a = Option.get g.ginit in
+          a.(0) <- bump a.(0);
+          c );
+      ("circuit name", fun c -> { c with cname = c.cname ^ "'" }) ]
+  in
+  let base = G.digest (gemm_circuit ()) in
+  List.iter
+    (fun (label, mutate) ->
+      Alcotest.(check bool) (label ^ " changes the digest") true
+        (G.digest (mutate (gemm_circuit ())) <> base))
+    mutations
+
+(* The daemon answers the second configuration of a colliding pair from
+   the first one's report: conv1d has no parallel loop to tile, so the
+   Cilk stack without scratchpad banking builds the loop stack's
+   circuit (the pair the CI serve smoke sends). *)
+let test_digest_collision () =
+  let module C = Muir_dse.Config in
+  let circuit cfg =
+    (P.build ~passes:(C.passes cfg) (P.of_workload_name "conv1d")).p_circuit
+  in
+  let loop = C.predefined "loop-stack" in
+  let cilk = C.v ~tiles:4 ~banks:2 ~off:[ "scratchpad-banking" ] "cilk-stack" in
+  Alcotest.(check bool) "different keys" true (C.key loop <> C.key cilk);
+  Alcotest.(check string) "same circuit"
+    (G.digest (circuit loop)) (G.digest (circuit cilk));
+  Alcotest.(check bool) "baseline differs" true
+    (G.digest (circuit (C.predefined "baseline")) <> G.digest (circuit loop))
+
 (* Property: circuits built from random small loop nests validate. *)
 let prop_random_programs_validate =
   QCheck.Test.make ~count:30 ~name:"random loop nests build valid circuits"
@@ -377,5 +489,10 @@ let () =
       ( "registry circuits",
         [ Alcotest.test_case "port roles" `Quick test_port_roles;
           Alcotest.test_case "circuit digests" `Quick test_circuit_golden ] );
+      ( "digest",
+        [ Alcotest.test_case "stable across builds" `Quick test_digest_stable;
+          Alcotest.test_case "every field counts" `Quick test_digest_fields;
+          Alcotest.test_case "colliding configurations" `Quick
+            test_digest_collision ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_random_programs_validate ] ) ]

@@ -1,9 +1,10 @@
 (* Tests for the serve subsystem: wire-protocol codecs and framing,
    malformed/oversize/truncated request rejection, on-disk result-cache
-   persistence and corruption recovery, per-item deadlines, batch
-   deduplication, cold/warm byte-identity across daemon restarts,
-   admission-queue overload, the staged pipeline's equivalence with the
-   direct toolchain calls, and an end-to-end socket round trip. *)
+   persistence, corruption recovery and failed writes, per-item
+   deadlines, batch deduplication, one simulation per distinct circuit,
+   cold/warm byte-identity across daemon restarts, admission-queue
+   overload, the staged pipeline's equivalence with the direct
+   toolchain calls, and an end-to-end socket round trip. *)
 
 module Proto = Muir_serve.Proto
 module Rcache = Muir_serve.Rcache
@@ -28,6 +29,15 @@ let outcome (rs : Proto.result_ list) (id : int) : Proto.outcome =
   match List.find_opt (fun (r : Proto.result_) -> r.rs_id = id) rs with
   | Some r -> r.rs_outcome
   | None -> Alcotest.fail (Fmt.str "no result for item %d" id)
+
+let item_label (it : Proto.item) =
+  Fmt.str "%s/%s(tiles=%a,banks=%a)"
+    (match it.it_src with
+    | Proto.Workload w -> w
+    | Proto.Inline { name; _ } -> name)
+    it.it_stack
+    Fmt.(option ~none:(any "-") int) it.it_tiles
+    Fmt.(option ~none:(any "-") int) it.it_banks
 
 let report_string = function
   | Proto.Ok_ { report; _ } -> J.to_string report
@@ -634,6 +644,165 @@ let test_rcache_disk_bytes () =
     (Some (float_of_int (on_disk ())))
     (Prom.find_sample p ~name:"muir_serve_rcache_disk_bytes" ())
 
+(* A removed cache directory makes every entry write fail: the item is
+   still answered from its result, the failure is counted and logged
+   once with the entry's path, and the daemon keeps serving. *)
+let test_cache_write_failure () =
+  let lines = ref [] in
+  let obs =
+    Obs.create ~log:(Muir_obs.Log.create (fun l -> lines := l :: !lines)) ()
+  in
+  let dir = fresh_dir () in
+  let t = Server.create ~cache_dir:dir ~obs () in
+  Sys.rmdir dir;
+  let saxpy = item (Proto.Workload "saxpy") in
+  let rs, fresh, _, errors =
+    results_of (Server.handle t (Proto.Run [ saxpy ]))
+  in
+  Alcotest.(check int) "answered fresh" 1 fresh;
+  Alcotest.(check int) "no item error" 0 errors;
+  ignore (report_string (outcome rs 0));
+  Alcotest.(check (option (float 1e-9))) "write error counted" (Some 1.0)
+    (sample (scrape t) "muir_serve_cache_write_errors_total");
+  let warns =
+    List.filter_map
+      (fun l ->
+        let j = J.parse l in
+        match (J.member "event" j, J.member "level" j) with
+        | Some (J.Str "cache_write_error"), Some (J.Str "warn") -> Some j
+        | _ -> None)
+      !lines
+  in
+  (match warns with
+  | [ w ] ->
+    let key = Server.item_key saxpy.it_src (Server.item_config saxpy) in
+    Alcotest.(check (option string)) "names the entry"
+      (Some (Rcache.entry_path dir key))
+      (Option.map J.to_str_exn (J.member "path" w));
+    Alcotest.(check bool) "gives the reason" true
+      (match J.member "reason" w with Some (J.Str r) -> r <> "" | _ -> false)
+  | ws -> Alcotest.failf "expected one warn record, got %d" (List.length ws));
+  let _, fresh2, cached2, errors2 =
+    results_of
+      (Server.handle t
+         (Proto.Run
+            [ saxpy; item ~id:1 ~stack:"loop-stack" (Proto.Workload "fib") ]))
+  in
+  Alcotest.(check int) "the entry is in memory" 1 cached2;
+  Alcotest.(check int) "a new key is served" 1 fresh2;
+  Alcotest.(check int) "still no error" 0 errors2
+
+(* A rename that fails (the target is a non-empty directory) removes the
+   temp file it wrote. *)
+let test_write_atomic_cleans_up () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let target = Filename.concat dir "entry" in
+  Unix.mkdir target 0o755;
+  write_file (Filename.concat target "x") "x";
+  (match Rcache.write_atomic target [ "payload" ] with
+  | () -> Alcotest.fail "rename over a directory succeeded"
+  | exception Rcache.Write_error (path, _) ->
+    Alcotest.(check string) "names the target" target path);
+  Alcotest.(check (list string)) "no temp file left" [ "entry" ]
+    (Array.to_list (Sys.readdir dir));
+  Sys.remove (Filename.concat target "x");
+  Sys.rmdir target;
+  Sys.rmdir dir
+
+(* --- one simulation per distinct circuit ------------------------------- *)
+
+module Config = Muir_dse.Config
+
+(* fib, gemm and conv[T] × every registry stack × tiles {1,2,4} × banks
+   {1,2}: 90 items over 48 keys, many of which build the same circuit. *)
+let reuse_items : Proto.item list =
+  List.concat_map
+    (fun w ->
+      List.concat_map
+        (fun (s : Muir_opt.Stacks.spec) ->
+          List.concat_map
+            (fun tiles ->
+              List.map (fun banks -> (w, s.sp_name, tiles, banks)) [ 1; 2 ])
+            [ 1; 2; 4 ])
+        Muir_opt.Stacks.registry)
+    [ "fib"; "gemm"; "conv[T]" ]
+  |> List.mapi (fun id (w, stack, tiles, banks) ->
+         item ~id ~stack ~tiles ~banks (Proto.Workload w))
+
+let reuse_key (it : Proto.item) =
+  Server.item_key it.it_src (Server.item_config it)
+
+(* Each key's circuit digest and the report of its own simulation. *)
+let own_reports : (string, string * string) Hashtbl.t Lazy.t =
+  lazy
+    (let tbl = Hashtbl.create 64 in
+     List.iter
+       (fun (it : Proto.item) ->
+         let key = reuse_key it in
+         if not (Hashtbl.mem tbl key) then begin
+           let cfg = Server.item_config it in
+           let name = match it.it_src with Proto.Workload w -> w | _ -> "" in
+           let b =
+             Pipeline.build ~passes:(Config.passes cfg)
+               (Pipeline.of_workload_name name)
+           in
+           let digest = Muir_core.Graph.digest b.p_circuit in
+           let r = Pipeline.simulate b in
+           Hashtbl.add tbl key
+             ( digest,
+               Muir_trace.Report.to_json
+                 (Pipeline.report ~stack:(Config.label cfg)
+                    ~knobs:(Config.knobs cfg) b (Pipeline.model b) r) )
+         end)
+       reuse_items;
+     tbl)
+
+(* Every reply, whether simulated or relabelled from another key's
+   report, is the report of that key's own simulation, byte for byte;
+   the daemon simulates once per distinct circuit and reuses for every
+   other key, whether the keys arrive one per request or in one batch. *)
+let test_reuse_exact () =
+  let own = Lazy.force own_reports in
+  let keys = Hashtbl.length own in
+  let digests =
+    Hashtbl.fold (fun _ (d, _) ds -> d :: ds) own []
+    |> List.sort_uniq compare |> List.length
+  in
+  Alcotest.(check bool) "some keys share a circuit" true (digests < keys);
+  let check mode t (replies : (Proto.item * Proto.outcome) list) =
+    List.iter
+      (fun ((it : Proto.item), o) ->
+        Alcotest.(check string)
+          (Fmt.str "%s: item %d (%s)" mode it.it_id (item_label it))
+          (snd (Hashtbl.find own (reuse_key it)))
+          (report_string o))
+      replies;
+    match Server.handle t Proto.Stats with
+    | Proto.Stats_r s ->
+      Alcotest.(check int) (mode ^ ": reused = keys - digests") (keys - digests)
+        s.st_reused;
+      Alcotest.(check int) (mode ^ ": fresh = keys") keys s.st_fresh;
+      Alcotest.(check (list int)) (mode ^ ": one simulation per circuit")
+        [ digests ]
+        (List.filter_map
+           (fun (g : Proto.stage_stat) ->
+             if g.tg_stage = "simulate" then Some g.tg_count else None)
+           s.st_stages)
+    | _ -> Alcotest.fail "expected stats"
+  in
+  let t = Server.create () in
+  check "single-item requests" t
+    (List.map
+       (fun (it : Proto.item) ->
+         let rs, _, _, _ = results_of (Server.handle t (Proto.Run [ it ])) in
+         (it, outcome rs it.it_id))
+       reuse_items);
+  let t = Server.create () in
+  let rs, _, _, _ = results_of (Server.handle t (Proto.Run reuse_items)) in
+  check "one batch" t
+    (List.map (fun (it : Proto.item) -> (it, outcome rs it.it_id)) reuse_items)
+
 (* --- pipeline equivalence -------------------------------------------- *)
 
 let test_pipeline_matches_direct () =
@@ -831,7 +1000,14 @@ let () =
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |])
             (prop_cache_mutation ());
           Alcotest.test_case "disk bytes accounted" `Quick
-            test_rcache_disk_bytes ] );
+            test_rcache_disk_bytes;
+          Alcotest.test_case "failed write keeps serving" `Quick
+            test_cache_write_failure;
+          Alcotest.test_case "failed write removes its temp file" `Quick
+            test_write_atomic_cleans_up ] );
+      ( "reuse",
+        [ Alcotest.test_case "replies equal own simulations" `Quick
+            test_reuse_exact ] );
       ( "pipeline",
         [ Alcotest.test_case "matches direct toolchain" `Quick
             test_pipeline_matches_direct;
