@@ -18,28 +18,24 @@
 
     A batch's items are resolved to content keys
     ([muir-serve-v1|<source-digest>|<Config.key>] — see {!item_key}),
-    deduplicated, and answered from the cache where possible.  The
-    remaining unique keys are evaluated in two passes over the OCaml-5
-    domain pool ({!Muir_dse.Pool}) through the staged
-    {!Muir_pipeline.Pipeline}:
-
-    - every fresh key is compiled, built and optimized, and the
-      optimized circuit is digested ({!Muir_core.Graph.digest});
-    - only one key of each digest that neither the daemon's digest
-      table nor an earlier key of the batch has seen is lowered,
-      modeled and simulated: the least deadline-constrained, first on
-      ties, as for duplicate keys.
-
-    Configurations often build the same circuit (a pass with nothing
-    to transform leaves it as it was), and every report field except
-    the stack label and the knobs is a function of the circuit, so
-    every other key is answered by {!Muir_trace.Report.relabel} of
-    that circuit's report: a fresh reply, byte-identical to the one
-    its own simulation would give, counted in
-    [muir_serve_reused_total].  Only successful reports enter the
-    digest table, which lives in memory and shares the result cache's
-    payload strings.  Results are folded into the cache and the table
-    by the coordinating domain only, so cache traffic is race-free by
+    deduplicated, answered from the cache where possible, and the
+    remaining unique keys fanned out over the OCaml-5 domain pool
+    ({!Muir_dse.Pool}) through the staged {!Muir_pipeline.Pipeline}.
+    Each is compiled, built and optimized, and its optimized circuit
+    digested ({!Muir_core.Graph.digest}).  Configurations often build
+    the same circuit (a pass with nothing to transform leaves it as it
+    was), and every report field except the stack label and the knobs
+    is a function of the circuit, so a key whose digest the daemon's
+    digest table already holds is answered by
+    {!Muir_trace.Report.relabel} of that circuit's report instead of
+    being lowered, modeled and simulated: a fresh reply,
+    byte-identical to the one its own simulation would give, counted
+    in [muir_serve_reused_total].  Only successful reports enter the
+    table, which lives in memory and shares the result cache's payload
+    strings.  Keys of one batch that build the same new circuit are
+    each simulated.  Workers only read the table; results are folded
+    into the cache and the table by the coordinating domain only, once
+    the pool has finished, so cache traffic is race-free by
     construction (the same discipline as the explorer).  Because run
     reports are deterministic, a cached answer is byte-identical to
     the fresh one it replays.
@@ -279,67 +275,66 @@ type outcome =
   | Payload of string                          (** report JSON *)
   | Failed of string * string option * string  (** code, stage, msg *)
 
-(** Every failure mode of an evaluation, as a structured {!outcome}. *)
-let failed (e : exn) : outcome =
-  match e with
-  | Pipeline.Deadline st ->
-    Failed
-      ( "deadline", Some (Pipeline.stage_name st),
-        Fmt.str "deadline expired before the %s stage" (Pipeline.stage_name st)
-      )
-  | Muir_sim.Sim.Deadlock m -> Failed ("deadlock", Some "simulate", m)
-  | Muir_sim.Sim.Cycle_limit n ->
-    Failed ("cycle_limit", Some "simulate", Fmt.str "no progress by cycle %d" n)
-  | Invalid_argument m -> Failed ("bad_request", None, m)
-  | e -> (
-    match Muir_frontend.Frontend.describe_error e with
-    | Some m -> Failed ("compile_error", Some "compile", m)
-    | None -> Failed ("internal", None, Printexc.to_string e))
-
-(** A fresh key after the first pool pass: its stage clocks, which the
-    second pass continues and the coordinator merges, and either its
-    optimized circuit with that circuit's digest or its failure. *)
-type front = {
-  f_ctl : Pipeline.ctl;
-  f_built : (Pipeline.built * string, outcome) result;
+(** One worker-side evaluation, every failure mode folded into a
+    structured {!outcome}.  Compile, build and optimize, then digest
+    the optimized circuit: a digest in [known] is answered by
+    relabelling that circuit's report, any other runs lower, model,
+    simulate and report.  [known] is the daemon's digest table, which
+    only the coordinator writes, and only after the pool has finished.
+    The stage timing arrays ride back for the coordinator to merge. *)
+type wres = {
+  w_out : outcome;
+  w_digest : string option;  (** of the optimized circuit, once built *)
+  w_relabel : float option;
+      (** seconds spent relabelling another key's report, when reused *)
+  w_secs : float array;
+  w_counts : int array;
 }
 
-(** The first pool pass: compile, build and optimize, then digest. *)
-let optimize_item ~now ~(deadline : float option) (it : Proto.item)
-    (cfg : Config.t) : front =
+let eval_item ?(now = Unix.gettimeofday) ~(known : (string, string) Hashtbl.t)
+    ~(deadline : float option) (it : Proto.item) (cfg : Config.t) : wres =
   let ctl = Pipeline.ctl ?deadline ~now () in
-  let src () =
-    match it.it_src with
-    | Proto.Workload name -> Pipeline.of_workload_name name
-    | Proto.Inline { name; text } -> Pipeline.of_text ~name text
+  let digest = ref None and relabel = ref None in
+  let out =
+    try
+      let src =
+        match it.it_src with
+        | Proto.Workload name -> Pipeline.of_workload_name name
+        | Proto.Inline { name; text } -> Pipeline.of_text ~name text
+      in
+      let b = Pipeline.build ~ctl ~passes:(Config.passes cfg) src in
+      let d = Muir_core.Graph.digest b.p_circuit in
+      digest := Some d;
+      let stack = Config.label cfg and knobs = Config.knobs cfg in
+      match Hashtbl.find_opt known d with
+      | Some payload ->
+        let t0 = now () in
+        let p = Muir_trace.Report.relabel ~stack ~knobs payload in
+        relabel := Some (now () -. t0);
+        Payload p
+      | None ->
+        let m = Pipeline.model ~ctl b in
+        let r = Pipeline.simulate ~ctl b in
+        Payload
+          (Muir_trace.Report.to_json (Pipeline.report ~stack ~knobs b m r))
+    with
+    | Pipeline.Deadline st ->
+      Failed
+        ( "deadline", Some (Pipeline.stage_name st),
+          Fmt.str "deadline expired before the %s stage"
+            (Pipeline.stage_name st) )
+    | Muir_sim.Sim.Deadlock m -> Failed ("deadlock", Some "simulate", m)
+    | Muir_sim.Sim.Cycle_limit n ->
+      Failed
+        ("cycle_limit", Some "simulate", Fmt.str "no progress by cycle %d" n)
+    | Invalid_argument m -> Failed ("bad_request", None, m)
+    | e -> (
+      match Muir_frontend.Frontend.describe_error e with
+      | Some m -> Failed ("compile_error", Some "compile", m)
+      | None -> Failed ("internal", None, Printexc.to_string e))
   in
-  { f_ctl = ctl;
-    f_built =
-      (match Pipeline.build ~ctl ~passes:(Config.passes cfg) (src ()) with
-      | b -> Ok (b, Muir_core.Graph.digest b.p_circuit)
-      | exception e -> Error (failed e)) }
-
-(** The second pool pass, for one key of each new digest: lower, model,
-    simulate, and report under that key's label and knobs. *)
-let simulate_item ~(ctl : Pipeline.ctl) (cfg : Config.t)
-    (b : Pipeline.built) : outcome =
-  match
-    let m = Pipeline.model ~ctl b in
-    let r = Pipeline.simulate ~ctl b in
-    Pipeline.report ~stack:(Config.label cfg) ~knobs:(Config.knobs cfg) b m r
-  with
-  | run -> Payload (Muir_trace.Report.to_json run)
-  | exception e -> failed e
-
-(** Another key's report of the same circuit, under [cfg]'s label and
-    knobs. *)
-let relabel (cfg : Config.t) (payload : string) : outcome =
-  match
-    Muir_trace.Report.relabel ~stack:(Config.label cfg)
-      ~knobs:(Config.knobs cfg) payload
-  with
-  | p -> Payload p
-  | exception e -> failed e
+  { w_out = out; w_digest = !digest; w_relabel = !relabel;
+    w_secs = ctl.stage_seconds; w_counts = ctl.stage_counts }
 
 (* ------------------------------------------------------------------ *)
 (* Batch processing (coordinator side)                                 *)
@@ -373,34 +368,10 @@ let remember (t : t) (key : string) (payload : string) : unit =
     Olog.event t.sv_obs.Ob.o_log ~level:Olog.Warn "cache_write_error"
       [ ("path", J.Str path); ("reason", J.Str reason) ]
 
-(** The representative of each group: its least deadline-constrained
-    item, the first on ties.  The group's other items share the
-    representative's outcome, so an aggressive deadline on one of them
-    must not fail the unconstrained ones. *)
-let representatives (members : (string * Proto.item) list) :
-    (string, Proto.item) Hashtbl.t =
-  let looser a b =
-    match (a, b) with
-    | None, _ -> true
-    | _, None -> false
-    | Some x, Some y -> x > y
-  in
-  let reps = Hashtbl.create 16 in
-  List.iter
-    (fun (group, (it : Proto.item)) ->
-      match Hashtbl.find_opt reps group with
-      | Some (prev : Proto.item)
-        when not (looser it.it_deadline_ms prev.it_deadline_ms) ->
-        ()
-      | _ -> Hashtbl.replace reps group it)
-    members;
-  reps
-
 (** Process one admitted [run] request: dedupe by key, answer from the
-    cache, optimize the remaining unique keys on the pool, simulate one
-    key per new circuit digest and relabel its report for the others,
-    fold fresh results (and stage timings) back, and assemble per-item
-    results in request order. *)
+    cache, evaluate the remaining unique keys on the pool, fold fresh
+    results (and stage timings) and new circuit digests back, and
+    assemble per-item results in request order. *)
 let run_items ~(now : float) (t : t) (items : Proto.item list) :
     Proto.response =
   let clock () = Ob.now t.sv_obs in
@@ -427,13 +398,28 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
       resolved
   in
   (* Each uncached key gets exactly one evaluation; the other items with
-     that key answer from its result. *)
-  let reps =
-    representatives
-      (List.filter_map
-         (function it, `Miss (key, _), _ -> Some (key, it) | _ -> None)
-         probed)
+     that key answer from its result. The representative must be the
+     least deadline-constrained item of the group — a dup replays the
+     representative's outcome, so an aggressive deadline on one copy
+     must not fail the unconstrained copies. *)
+  let reps : (string, Proto.item) Hashtbl.t = Hashtbl.create 16 in
+  let looser a b =
+    match (a, b) with
+    | None, _ -> true
+    | _, None -> false
+    | Some x, Some y -> x > y
   in
+  List.iter
+    (fun ((it : Proto.item), what, _) ->
+      match what with
+      | `Miss (key, _) -> (
+        match Hashtbl.find_opt reps key with
+        | Some (prev : Proto.item)
+          when not (looser it.it_deadline_ms prev.it_deadline_ms) ->
+          ()
+        | _ -> Hashtbl.replace reps key it)
+      | _ -> ())
+    probed;
   let plan =
     List.map
       (fun ((it : Proto.item), what, dt) ->
@@ -458,84 +444,25 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
       plan
   in
   let eval_started = clock () in
-  let fronts =
+  let results =
     Muir_dse.Pool.map ~jobs:t.sv_jobs
-      (fun (_, it, cfg, deadline) -> optimize_item ~now:clock ~deadline it cfg)
+      (fun (_, it, cfg, deadline) ->
+        eval_item ~now:clock ~known:t.sv_digests ~deadline it cfg)
       fresh
   in
-  (* Each digest the table does not know is simulated once, for one of
-     its keys; the other keys share that outcome. *)
-  let sim_reps =
-    representatives
-      (List.concat
-         (List.map2
-            (fun (_, it, _, _) f ->
-              match f.f_built with
-              | Ok (_, d) when not (Hashtbl.mem t.sv_digests d) -> [ (d, it) ]
-              | _ -> [])
-            fresh fronts))
-  in
-  let staged =
-    List.map2
-      (fun (key, it, cfg, _) f ->
-        let step =
-          match f.f_built with
-          | Error o -> `Failed o
-          | Ok (b, d) -> (
-            match Hashtbl.find_opt t.sv_digests d with
-            | Some p -> `Known p
-            | None ->
-              if Hashtbl.find sim_reps d == it then `Simulate (d, b)
-              else `Share d)
-        in
-        (key, it, cfg, f.f_ctl, step))
-      fresh fronts
-  in
-  let sims =
-    List.filter_map
-      (function
-        | _, _, cfg, ctl, `Simulate (d, b) -> Some (d, cfg, ctl, b)
-        | _ -> None)
-      staged
-  in
-  let sim_outs =
-    Muir_dse.Pool.map ~jobs:t.sv_jobs
-      (fun (_, cfg, ctl, b) -> simulate_item ~ctl cfg b)
-      sims
-  in
-  let by_digest = Hashtbl.create 16 in
-  List.iter2
-    (fun (d, _, _, _) out ->
-      Hashtbl.replace by_digest d out;
-      match out with
-      | Payload p -> Hashtbl.replace t.sv_digests d p
-      | Failed _ -> ())
-    sims sim_outs;
-  (* Fold fresh results into the cache, the stage histograms and the
-     span ring — coordinator only, same discipline as the explorer's
-     memo table. *)
+  (* Fold fresh results into the cache, the digest table, the stage
+     histograms and the span ring — coordinator only, same discipline
+     as the explorer's memo table. *)
   let by_key = Hashtbl.create 16 in
-  List.iter
-    (fun (key, it, cfg, (ctl : Pipeline.ctl), step) ->
-      let t0 = clock () in
-      let out, reused =
-        match step with
-        | `Failed o -> (o, false)
-        | `Simulate (d, _) -> (Hashtbl.find by_digest d, false)
-        | `Known p -> (relabel cfg p, true)
-        | `Share d -> (
-          match Hashtbl.find by_digest d with
-          | Payload p -> (relabel cfg p, true)
-          | Failed _ as o -> (o, true))
-      in
-      let relabel_secs = clock () -. t0 in
+  List.iter2
+    (fun (key, it, _, _) (w : wres) ->
       let stages =
         List.filter_map
           (fun st ->
             let i = Pipeline.stage_index st in
-            if ctl.stage_counts.(i) > 0 then begin
-              M.observe t.sv_mx.x_stage.(i) ctl.stage_seconds.(i);
-              Some (Pipeline.stage_name st, ctl.stage_seconds.(i))
+            if w.w_counts.(i) > 0 then begin
+              M.observe t.sv_mx.x_stage.(i) w.w_secs.(i);
+              Some (Pipeline.stage_name st, w.w_secs.(i))
             end
             else None)
           Pipeline.stages
@@ -545,9 +472,19 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
         { Span.sp_id = Ob.span_id t.sv_obs; sp_name = item_label it;
           sp_cat = "serve.item"; sp_start = eval_started; sp_dur = dur;
           sp_segs = segs };
-      (match out with Payload p -> remember t key p | Failed _ -> ());
-      Hashtbl.replace by_key key (out, dur +. relabel_secs, reused))
-    staged;
+      (match w.w_out with
+      | Payload p ->
+        remember t key p;
+        Option.iter
+          (fun d ->
+            if not (Hashtbl.mem t.sv_digests d) then
+              Hashtbl.add t.sv_digests d p)
+          w.w_digest
+      | Failed _ -> ());
+      let relabel_secs = Option.value w.w_relabel ~default:0.0 in
+      Hashtbl.replace by_key key
+        (w.w_out, dur +. relabel_secs, Option.is_some w.w_relabel))
+    fresh results;
   (* Second pass: per-item results in request order; ok results splice
      the report payload verbatim (see the module header). *)
   let fresh_n = ref 0 and cached_n = ref 0 and err_n = ref 0 in
@@ -589,9 +526,9 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
             let out, dur, reused = Hashtbl.find by_key key in
             let secs = probe_dt +. dur in
             observe_item t ~cached:false secs;
-            if reused then M.inc t.sv_mx.x_reused;
             match out with
             | Payload p ->
+              if reused then M.inc t.sv_mx.x_reused;
               log_item it ~status:"ok" ~cached:false ~reused ~secs [];
               ok ~cached:false p
             | Failed (code, stage, msg) ->

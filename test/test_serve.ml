@@ -758,10 +758,10 @@ let own_reports : (string, string * string) Hashtbl.t Lazy.t =
        reuse_items;
      tbl)
 
-(* Every reply, whether simulated or relabelled from another key's
-   report, is the report of that key's own simulation, byte for byte;
-   the daemon simulates once per distinct circuit and reuses for every
-   other key, whether the keys arrive one per request or in one batch. *)
+(* Sent one item per request, every reply, whether simulated or
+   relabelled from another key's report, is the report of that key's
+   own simulation, byte for byte; the daemon simulates once per
+   distinct circuit and reuses for every other key. *)
 let test_reuse_exact () =
   let own = Lazy.force own_reports in
   let keys = Hashtbl.length own in
@@ -770,38 +770,26 @@ let test_reuse_exact () =
     |> List.sort_uniq compare |> List.length
   in
   Alcotest.(check bool) "some keys share a circuit" true (digests < keys);
-  let check mode t (replies : (Proto.item * Proto.outcome) list) =
-    List.iter
-      (fun ((it : Proto.item), o) ->
-        Alcotest.(check string)
-          (Fmt.str "%s: item %d (%s)" mode it.it_id (item_label it))
-          (snd (Hashtbl.find own (reuse_key it)))
-          (report_string o))
-      replies;
-    match Server.handle t Proto.Stats with
-    | Proto.Stats_r s ->
-      Alcotest.(check int) (mode ^ ": reused = keys - digests") (keys - digests)
-        s.st_reused;
-      Alcotest.(check int) (mode ^ ": fresh = keys") keys s.st_fresh;
-      Alcotest.(check (list int)) (mode ^ ": one simulation per circuit")
-        [ digests ]
-        (List.filter_map
-           (fun (g : Proto.stage_stat) ->
-             if g.tg_stage = "simulate" then Some g.tg_count else None)
-           s.st_stages)
-    | _ -> Alcotest.fail "expected stats"
-  in
   let t = Server.create () in
-  check "single-item requests" t
-    (List.map
-       (fun (it : Proto.item) ->
-         let rs, _, _, _ = results_of (Server.handle t (Proto.Run [ it ])) in
-         (it, outcome rs it.it_id))
-       reuse_items);
-  let t = Server.create () in
-  let rs, _, _, _ = results_of (Server.handle t (Proto.Run reuse_items)) in
-  check "one batch" t
-    (List.map (fun (it : Proto.item) -> (it, outcome rs it.it_id)) reuse_items)
+  List.iter
+    (fun (it : Proto.item) ->
+      let rs, _, _, _ = results_of (Server.handle t (Proto.Run [ it ])) in
+      Alcotest.(check string)
+        (Fmt.str "item %d (%s)" it.it_id (item_label it))
+        (snd (Hashtbl.find own (reuse_key it)))
+        (report_string (outcome rs it.it_id)))
+    reuse_items;
+  match Server.handle t Proto.Stats with
+  | Proto.Stats_r s ->
+    Alcotest.(check int) "reused = keys - digests" (keys - digests)
+      s.st_reused;
+    Alcotest.(check int) "fresh = keys" keys s.st_fresh;
+    Alcotest.(check (list int)) "one simulation per circuit" [ digests ]
+      (List.filter_map
+         (fun (g : Proto.stage_stat) ->
+           if g.tg_stage = "simulate" then Some g.tg_count else None)
+         s.st_stages)
+  | _ -> Alcotest.fail "expected stats"
 
 (* --- pipeline equivalence -------------------------------------------- *)
 
