@@ -28,20 +28,13 @@ type run = {
 }
 
 let check_outputs (w : W.t) (p : Program.t) (r : Muir_sim.Sim.result) =
-  let _, gold, _ = Interp.run p in
-  List.iter
-    (fun g ->
-      let a = Memory.dump_global gold p g in
-      let b = Memory.dump_global r.memory p g in
-      Array.iteri
-        (fun i x ->
-          if not (Types.value_close x b.(i)) then
-            failwith
-              (Fmt.str "%s: output %s[%d] mismatch (golden %s, sim %s)"
-                 w.wname g i (Types.value_to_string x)
-                 (Types.value_to_string b.(i))))
-        a)
-    w.outputs
+  let _, golden, _ = Interp.run p in
+  match Memory.first_mismatch p w.outputs ~golden r.memory with
+  | None -> ()
+  | Some (g, i, x, y) ->
+    failwith
+      (Fmt.str "%s: output %s[%d] mismatch (golden %s, sim %s)" w.wname g i
+         (Types.value_to_string x) (Types.value_to_string y))
 
 (** Build, optimize, simulate, functionally check and model one
     workload through the staged pipeline. *)

@@ -10,11 +10,13 @@
     We summarise what each spawn may touch with a small affine address
     analysis: every address is [global + Σ cᵢ·leafᵢ + k] where leaves
     are registers the analysis cannot see through (parameters, phis,
-    load results).  Spawn arguments are substituted into the callee's
-    summary, so a [parallel_for] body indexed by the loop variable
-    shows up in the caller as an affine function of the loop's header
-    phi — the induction variable that distinguishes sibling
-    iterations.  Independence is then arithmetic:
+    load results).  The arithmetic is {!Muir_ir.Affine}'s, shared with
+    μIR construction; the expansion rules are this analysis's own.
+    Spawn arguments are substituted into the callee's summary, so a
+    [parallel_for] body indexed by the loop variable shows up in the
+    caller as an affine function of the loop's header phi — the
+    induction variable that distinguishes sibling iterations.
+    Independence is then arithmetic:
 
     - forms that differ by a nonzero constant never collide;
     - forms with one equal nonzero induction coefficient collide only
@@ -29,6 +31,7 @@ module I = Muir_ir.Instr
 module F = Muir_ir.Func
 module P = Muir_ir.Program
 module T = Muir_ir.Types
+module A = Muir_ir.Affine
 
 (* ------------------------------------------------------------------ *)
 (* Affine address forms                                                *)
@@ -38,107 +41,70 @@ module T = Muir_ir.Types
     the caller without colliding with the caller's numbering. *)
 type leaf = string * I.reg
 
-type aff = {
-  abase : string option;       (** global array the address points into *)
-  acoeffs : (leaf * int) list; (** sorted by leaf, coefficients ≠ 0 *)
-  akonst : int;
-}
+(** A form's base is the name of the global array it points into. *)
+type aff = (string, leaf) A.t
 
-let aff_leaf (fn : string) (r : I.reg) : aff =
-  { abase = None; acoeffs = [ ((fn, r), 1) ]; akonst = 0 }
-
-let aff_const (k : int) : aff = { abase = None; acoeffs = []; akonst = k }
-
-let norm_coeffs (cs : (leaf * int) list) =
-  List.filter (fun (_, c) -> c <> 0) (List.sort compare cs)
-
-(** [None] when the result is no longer a single-base affine form
-    (two array bases added, a base scaled, …). *)
-let aff_add (a : aff) (b : aff) : aff option =
-  match (a.abase, b.abase) with
-  | Some _, Some _ -> None
-  | _ ->
-    let merged =
-      List.fold_left
-        (fun acc (l, c) ->
-          match List.assoc_opt l acc with
-          | None -> (l, c) :: acc
-          | Some c0 -> (l, c0 + c) :: List.remove_assoc l acc)
-        a.acoeffs b.acoeffs
-    in
-    Some
-      {
-        abase = (match a.abase with Some _ -> a.abase | None -> b.abase);
-        acoeffs = norm_coeffs merged;
-        akonst = a.akonst + b.akonst;
-      }
-
-let aff_scale (k : int) (a : aff) : aff option =
-  if a.abase <> None && k <> 1 then None
-  else
-    Some
-      {
-        abase = (if k = 0 then None else a.abase);
-        acoeffs = norm_coeffs (List.map (fun (l, c) -> (l, c * k)) a.acoeffs);
-        akonst = a.akonst * k;
-      }
-
-let aff_is_const (a : aff) = a.abase = None && a.acoeffs = []
+(** The form of operand [op] of function [fn]: a register [env] has not
+    folded is a leaf, and a float has no form. *)
+let operand_form (env : (I.reg, aff) Hashtbl.t) (fn : string)
+    (op : I.operand) : aff option =
+  match op with
+  | I.Reg r -> (
+    match Hashtbl.find_opt env r with
+    | Some a -> Some a
+    | None -> Some (A.leaf (fn, r)))
+  | I.CInt i -> Some (A.const (Int64.to_int i))
+  | I.CBool b -> Some (A.const (if b then 1 else 0))
+  | I.GlobalAddr g -> Some (A.of_base g)
+  | I.CFloat _ -> None
 
 (** Per-function affine environment: every register folded to a form,
-    opaque results becoming their own leaf. *)
+    [shl] by a constant included, opaque results becoming their own
+    leaf. *)
 let affine_env (f : F.t) : (I.reg, aff) Hashtbl.t =
   let env = Hashtbl.create 64 in
-  let leaf r = aff_leaf f.name r in
-  List.iter (fun (p : F.param) -> Hashtbl.replace env p.preg (leaf p.preg))
+  List.iter
+    (fun (p : F.param) ->
+      Hashtbl.replace env p.preg (A.leaf (f.name, p.preg)))
     f.params;
-  let of_op (op : I.operand) : aff option =
-    match op with
-    | I.Reg r ->
-      Some
-        (match Hashtbl.find_opt env r with Some a -> a | None -> leaf r)
-    | I.CInt i -> Some (aff_const (Int64.to_int i))
-    | I.CBool b -> Some (aff_const (if b then 1 else 0))
-    | I.GlobalAddr g -> Some { abase = Some g; acoeffs = []; akonst = 0 }
-    | I.CFloat _ -> None
-  in
+  let of_op = operand_form env f.name in
   let ( let* ) = Option.bind in
   let eval (i : I.t) : aff option =
     match i.kind with
     | I.Bin (I.Add, a, b) ->
       let* a = of_op a in
       let* b = of_op b in
-      aff_add a b
+      A.add a b
     | I.Bin (I.Sub, a, b) ->
       let* a = of_op a in
       let* b = of_op b in
-      let* nb = aff_scale (-1) b in
-      aff_add a nb
+      let* nb = A.scale (-1) b in
+      A.add a nb
     | I.Bin (I.Mul, a, b) -> (
       let* a = of_op a in
       let* b = of_op b in
-      match (aff_is_const a, aff_is_const b) with
-      | true, _ -> aff_scale a.akonst b
-      | _, true -> aff_scale b.akonst a
+      match (A.is_const a, A.is_const b) with
+      | true, _ -> A.scale a.konst b
+      | _, true -> A.scale b.konst a
       | _ -> None)
     | I.Bin (I.Shl, a, b) -> (
       let* a = of_op a in
       let* b = of_op b in
-      if aff_is_const b && b.akonst >= 0 && b.akonst < 31 then
-        aff_scale (1 lsl b.akonst) a
+      if A.is_const b && b.konst >= 0 && b.konst < 31 then
+        A.scale (1 lsl b.konst) a
       else None)
     | I.Gep { base; index; scale } ->
       let* b = of_op base in
       let* i = of_op index in
-      let* si = aff_scale scale i in
-      aff_add b si
+      let* si = A.scale scale i in
+      A.add b si
     | _ -> None
   in
   F.iter_instrs
     (fun (i : I.t) ->
       if not (T.equal_ty i.ty T.TUnit) then
         Hashtbl.replace env i.id
-          (match eval i with Some a -> a | None -> leaf i.id))
+          (match eval i with Some a -> a | None -> A.leaf (f.name, i.id)))
     f;
   env
 
@@ -152,35 +118,20 @@ type access = {
 }
 
 let direct_accesses (env : (I.reg, aff) Hashtbl.t) (f : F.t) : access list =
-  let of_addr (op : I.operand) : string option * aff option =
-    let a =
-      match op with
-      | I.Reg r -> Hashtbl.find_opt env r
-      | I.GlobalAddr g -> Some { abase = Some g; acoeffs = []; akonst = 0 }
-      | I.CInt i -> Some (aff_const (Int64.to_int i))
-      | _ -> None
-    in
-    match a with
-    | Some ({ abase = Some g; _ } as a) -> (Some g, Some a)
-    | _ -> (None, None)
-  in
   F.fold_instrs
     (fun acc (i : I.t) ->
-      match i.kind with
-      | I.Load { addr } ->
-        let sp, fm = of_addr addr in
-        { aspace = sp; awrite = false; aform = fm } :: acc
-      | I.Store { addr; _ } ->
-        let sp, fm = of_addr addr in
-        { aspace = sp; awrite = true; aform = fm } :: acc
-      | I.Tload { addr; _ } ->
-        (* tile ops sweep a rectangle; keep the array, drop the form *)
-        let sp, _ = of_addr addr in
-        { aspace = sp; awrite = false; aform = None } :: acc
-      | I.Tstore { addr; _ } ->
-        let sp, _ = of_addr addr in
-        { aspace = sp; awrite = true; aform = None } :: acc
-      | _ -> acc)
+      match I.mem_access i with
+      | None -> acc
+      | Some (addr, awrite) ->
+        let aspace, aform =
+          match (operand_form env f.name addr, i.kind) with
+          | Some { base = Some g; _ }, (I.Tload _ | I.Tstore _) ->
+            (* tile ops sweep a rectangle; keep the array, drop the form *)
+            (Some g, None)
+          | Some ({ base = Some g; _ } as a), _ -> (Some g, Some a)
+          | _ -> (None, None)
+        in
+        { aspace; awrite; aform } :: acc)
     [] f
 
 (** Transitive may-touch sets [(array, writes?)], fixpoint over the
@@ -243,38 +194,21 @@ let spawn_summary (p : P.t) ~(touch : (string, (string option * bool) list) Hash
              match List.nth_opt args i with
              | None -> []
              | Some op ->
-               let a =
-                 match op with
-                 | I.Reg r -> (
-                   match Hashtbl.find_opt caller_env r with
-                   | Some a -> Some a
-                   | None -> Some (aff_leaf caller.name r))
-                 | I.CInt k -> Some (aff_const (Int64.to_int k))
-                 | I.CBool b -> Some (aff_const (if b then 1 else 0))
-                 | I.GlobalAddr gn ->
-                   Some { abase = Some gn; acoeffs = []; akonst = 0 }
-                 | I.CFloat _ -> None
-               in
-               match a with
+               match operand_form caller_env caller.name op with
                | Some a -> [ (((g.name, prm.preg) : leaf), a) ]
                | None -> [])
            g.params)
     in
     let subst_form (a : aff) : aff option =
+      let ( let* ) = Option.bind in
       List.fold_left
         (fun acc (l, c) ->
-          match acc with
-          | None -> None
-          | Some acc -> (
-            match List.assoc_opt l subst with
-            | None -> aff_add acc { abase = None; acoeffs = [ (l, c) ];
-                                    akonst = 0 }
-            | Some s -> (
-              match aff_scale c s with
-              | None -> None
-              | Some sc -> aff_add acc sc)))
-        (Some { abase = a.abase; acoeffs = []; akonst = a.akonst })
-        a.acoeffs
+          let* acc = acc in
+          let s = Option.value (List.assoc_opt l subst) ~default:(A.leaf l) in
+          let* sc = A.scale c s in
+          A.add acc sc)
+        (Some { a with coeffs = [] })
+        a.coeffs
     in
     let direct =
       List.map
@@ -287,7 +221,7 @@ let spawn_summary (p : P.t) ~(touch : (string, (string option * bool) list) Hash
             | Some fm' ->
               { a with
                 aspace =
-                  (match fm'.abase with Some g -> Some g | None -> a.aspace);
+                  (match fm'.base with Some g -> Some g | None -> a.aspace);
                 aform = Some fm' }))
         (direct_accesses genv g)
     in
@@ -417,15 +351,17 @@ let compare_pair (f : F.t) ~(ivs : leaf list)
         (fun (l, _) ->
           List.mem l ivs
           || shared_leaf f ~ivs ~varying_blocks def_block l)
-        a.acoeffs
+        a.coeffs
     in
     if not (solid f1 && solid f2) then Maybe
     else begin
       (* shared leaves must agree coefficient-wise to cancel *)
-      let coeff a l = Option.value ~default:0 (List.assoc_opt l a.acoeffs) in
+      let coeff (a : aff) l =
+        Option.value ~default:0 (List.assoc_opt l a.coeffs)
+      in
       let leaves =
         List.sort_uniq compare
-          (List.map fst f1.acoeffs @ List.map fst f2.acoeffs)
+          (List.map fst f1.coeffs @ List.map fst f2.coeffs)
       in
       let shared_mismatch =
         List.exists
@@ -443,7 +379,7 @@ let compare_pair (f : F.t) ~(ivs : leaf list)
               else None)
             leaves
         in
-        let delta = f1.akonst - f2.akonst in
+        let delta = f1.konst - f2.konst in
         match iv_terms with
         | [] ->
           (* no induction dependence: same address every pair of

@@ -38,8 +38,6 @@ let add (c : 'a t) (key : string) (v : 'a) : unit =
 let seed (c : 'a t) (key : string) (v : 'a) : unit =
   Hashtbl.replace c.tbl key v
 
-let mem (c : 'a t) (key : string) : bool = Hashtbl.mem c.tbl key
-
 let stats (c : 'a t) : stats =
   { c_hits = c.hits; c_misses = c.misses;
     c_entries = Hashtbl.length c.tbl }

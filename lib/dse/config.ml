@@ -66,8 +66,6 @@ let label (cfg : t) : string =
   | [] -> cfg.stack
   | ks -> Fmt.str "%s(%s)" cfg.stack (String.concat "," ks)
 
-let pp ppf cfg = Fmt.string ppf (label cfg)
-
 (** The registry stack [name] at its own default parameters — the
     configuration a user gets from [muirc -O name]. *)
 let predefined (name : string) : t =

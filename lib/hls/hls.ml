@@ -104,14 +104,8 @@ let rec index_uses_phi (f : F.t) (phis : I.reg list) (op : I.operand)
     direct affine function of the loop induction (global base + index
     expression over the phi). *)
 let streaming_access (f : F.t) (phis : I.reg list) (ins : I.t) : bool =
-  let addr_op =
-    match ins.kind with
-    | I.Load { addr } | I.Store { addr; _ } -> Some addr
-    | I.Tload { addr; _ } | I.Tstore { addr; _ } -> Some addr
-    | _ -> None
-  in
-  match addr_op with
-  | Some (I.Reg r) -> (
+  match I.mem_access ins with
+  | Some (I.Reg r, _) -> (
     match F.find_instr f r with
     | Some { kind = I.Gep { base = I.GlobalAddr _; index; _ }; _ } ->
       index_uses_phi f phis index ~fuel:8
@@ -121,38 +115,37 @@ let streaming_access (f : F.t) (phis : I.reg list) (ins : I.t) : bool =
 (** Carried memory dependence: a store and a load on the same global
     whose address computations are not the identical instruction. *)
 let carried_memory (f : F.t) (body_blocks : F.block list) : bool =
-  let base_of (ins : I.t) =
-    let addr =
-      match ins.kind with
-      | I.Load { addr } | I.Store { addr; _ } -> Some addr
-      | I.Tload { addr; _ } | I.Tstore { addr; _ } -> Some addr
-      | _ -> None
-    in
+  let base_of (addr : I.operand) =
     match addr with
-    | Some (I.Reg r) -> (
+    | I.Reg r -> (
       match F.find_instr f r with
       | Some { kind = I.Gep { base = I.GlobalAddr g; index; _ }; _ } ->
         Some (g, Some index)
       | _ -> Some ("?", None))
-    | Some (I.GlobalAddr g) -> Some (g, None)
+    | I.GlobalAddr g -> Some (g, None)
     | _ -> None
   in
-  let ops = List.concat_map mem_ops body_blocks in
-  let stores = List.filter (fun (i : I.t) -> I.has_side_effect i) ops in
+  let ops =
+    List.concat_map
+      (fun (b : F.block) -> List.filter_map I.mem_access b.instrs)
+      body_blocks
+  in
   List.exists
-    (fun (s : I.t) ->
+    (fun (s, writes) ->
+      writes
+      &&
       match base_of s with
       | Some (g, si) ->
         List.exists
-          (fun (l : I.t) ->
-            (not (I.has_side_effect l))
+          (fun (l, lw) ->
+            (not lw)
             &&
             match base_of l with
             | Some (g', li) -> g = g' && (si = None || li = None || si <> li)
             | None -> true)
           ops
       | None -> true)
-    stores
+    ops
 
 (** Loop-carried FP reduction: a float-typed header phi. *)
 let carried_fp (header : F.block) : bool =

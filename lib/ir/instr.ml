@@ -83,16 +83,74 @@ let operands (i : t) : operand list =
 
 let used_regs i = List.filter_map op_reg (operands i)
 
+(** [i] with [f] applied to each of its {!operands}.  The result
+    register, type, opcode, callee, phi labels, gep scale and tile
+    shape are kept.  This is the one operand rewrite: constant folding
+    and the unroller substitute through it. *)
+let map_operands (f : operand -> operand) (i : t) : t =
+  let kind =
+    match i.kind with
+    | Bin (o, a, b) -> Bin (o, f a, f b)
+    | Fbin (o, a, b) -> Fbin (o, f a, f b)
+    | Icmp (o, a, b) -> Icmp (o, f a, f b)
+    | Fcmp (o, a, b) -> Fcmp (o, f a, f b)
+    | Tbin (o, a, b) -> Tbin (o, f a, f b)
+    | Funary (o, a) -> Funary (o, f a)
+    | Cast (c, a) -> Cast (c, f a)
+    | Tunary (o, a) -> Tunary (o, f a)
+    | Select (c, a, b) -> Select (f c, f a, f b)
+    | Phi ins -> Phi (List.map (fun (l, o) -> (l, f o)) ins)
+    | Gep g -> Gep { g with base = f g.base; index = f g.index }
+    | Load { addr } -> Load { addr = f addr }
+    | Store { addr; value } -> Store { addr = f addr; value = f value }
+    | Call c -> Call { c with args = List.map f c.args }
+    | Spawn s -> Spawn { s with args = List.map f s.args }
+    | Sync -> Sync
+    | Tload t -> Tload { t with addr = f t.addr; row_stride = f t.row_stride }
+    | Tstore t ->
+      Tstore
+        { t with addr = f t.addr; row_stride = f t.row_stride;
+                 value = f t.value }
+  in
+  { i with kind }
+
+(** [op], or what [tbl] maps it to when it is a register [tbl] holds. *)
+let subst (tbl : (reg, operand) Hashtbl.t) (op : operand) : operand =
+  match op with
+  | Reg r -> Option.value (Hashtbl.find_opt tbl r) ~default:op
+  | _ -> op
+
+(** The address a memory instruction accesses and whether it writes
+    there; [None] for every other kind.  Tile accesses start at the
+    address and sweep a rectangle from it. *)
+let mem_access (i : t) : (operand * bool) option =
+  match i.kind with
+  | Load { addr } | Tload { addr; _ } -> Some (addr, false)
+  | Store { addr; _ } | Tstore { addr; _ } -> Some (addr, true)
+  | _ -> None
+
 let has_side_effect (i : t) =
   match i.kind with
   | Store _ | Call _ | Spawn _ | Sync | Tstore _ -> true
   | Load _ | Tload _ -> false (* reordered only by the may-alias rules *)
   | _ -> false
 
-let is_memory (i : t) =
-  match i.kind with
-  | Load _ | Store _ | Tload _ | Tstore _ -> true
-  | _ -> false
+let is_memory (i : t) = Option.is_some (mem_access i)
+
+(** Operands read by a terminator. *)
+let term_operands : terminator -> operand list = function
+  | Br _ -> []
+  | CondBr (c, _, _) -> [ c ]
+  | Ret v -> Option.to_list v
+
+let term_used_regs t = List.filter_map op_reg (term_operands t)
+
+(** [t] with [f] applied to each of its {!term_operands}; the targets
+    are kept. *)
+let map_term (f : operand -> operand) : terminator -> terminator = function
+  | Br _ as t -> t
+  | CondBr (c, t, e) -> CondBr (f c, t, e)
+  | Ret v -> Ret (Option.map f v)
 
 let ibin_to_string = function
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Sdiv -> "sdiv"

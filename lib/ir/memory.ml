@@ -127,3 +127,19 @@ let dump_global (m : t) (p : Program.t) (name : string) : value array =
   Array.init g.gsize (fun i ->
       let a = g.gbase + i in
       F.materialize m.tags.(a) m.nums.(a) m.flts.(a) m.objs.(a))
+
+(** The first word of [globals], in list then index order, where [got]
+    differs from [golden] beyond {!Types.value_close}: the global, the
+    index, the golden value and the value [got] holds. *)
+let first_mismatch (p : Program.t) (globals : string list) ~(golden : t)
+    (got : t) : (string * int * value * value) option =
+  List.find_map
+    (fun g ->
+      let a = dump_global golden p g and b = dump_global got p g in
+      let rec from i =
+        if i = Array.length a then None
+        else if value_close a.(i) b.(i) then from (i + 1)
+        else Some (g, i, a.(i), b.(i))
+      in
+      from 0)
+    globals

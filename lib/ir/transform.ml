@@ -29,38 +29,7 @@ let value_of_const = function
 let constant_fold_func (f : Func.t) : int =
   let folded = ref 0 in
   let substitution : (reg, operand) Hashtbl.t = Hashtbl.create 16 in
-  let subst op =
-    match op with
-    | Reg r -> ( match Hashtbl.find_opt substitution r with
-      | Some c -> c
-      | None -> op)
-    | _ -> op
-  in
-  let subst_kind (k : kind) : kind =
-    match k with
-    | Bin (o, a, b) -> Bin (o, subst a, subst b)
-    | Fbin (o, a, b) -> Fbin (o, subst a, subst b)
-    | Icmp (o, a, b) -> Icmp (o, subst a, subst b)
-    | Fcmp (o, a, b) -> Fcmp (o, subst a, subst b)
-    | Funary (o, a) -> Funary (o, subst a)
-    | Cast (c, a) -> Cast (c, subst a)
-    | Select (c, a, b) -> Select (subst c, subst a, subst b)
-    | Phi ins -> Phi (List.map (fun (l, o) -> (l, subst o)) ins)
-    | Gep { base; index; scale } ->
-      Gep { base = subst base; index = subst index; scale }
-    | Load { addr } -> Load { addr = subst addr }
-    | Store { addr; value } -> Store { addr = subst addr; value = subst value }
-    | Call { callee; args } -> Call { callee; args = List.map subst args }
-    | Spawn { callee; args } -> Spawn { callee; args = List.map subst args }
-    | Sync -> Sync
-    | Tload { addr; row_stride; shape } ->
-      Tload { addr = subst addr; row_stride = subst row_stride; shape }
-    | Tstore { addr; row_stride; value; shape } ->
-      Tstore { addr = subst addr; row_stride = subst row_stride;
-               value = subst value; shape }
-    | Tbin (o, a, b) -> Tbin (o, subst a, subst b)
-    | Tunary (o, a) -> Tunary (o, subst a)
-  in
+  let subst = subst substitution in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -69,7 +38,7 @@ let constant_fold_func (f : Func.t) : int =
         b.instrs <-
           List.filter_map
             (fun (i : Instr.t) ->
-              let i = { i with kind = subst_kind i.kind } in
+              let i = map_operands subst i in
               match i.kind with
               | (Bin _ | Fbin _ | Icmp _ | Fcmp _ | Funary _ | Cast _
                 | Select _ | Gep _)
@@ -84,14 +53,11 @@ let constant_fold_func (f : Func.t) : int =
                 | None -> Some i)
               | _ -> Some i)
             b.instrs;
-        (match b.term with
-        | CondBr (c, t, e) -> (
-          match subst c with
-          | CBool true -> b.term <- Br t; changed := true
-          | CBool false -> b.term <- Br e; changed := true
-          | c' -> b.term <- CondBr (c', t, e))
-        | Ret (Some v) -> b.term <- Ret (Some (subst v))
-        | _ -> ()))
+        match map_term subst b.term with
+        | CondBr (CBool c, t, e) ->
+          b.term <- Br (if c then t else e);
+          changed := true
+        | t -> b.term <- t)
       f.blocks
   done;
   !folded
@@ -109,10 +75,7 @@ let dead_code_elim_func (f : Func.t) : int =
       f;
     List.iter
       (fun (b : Func.block) ->
-        (match b.term with
-        | CondBr (Reg r, _, _) -> Hashtbl.replace used r ()
-        | Ret (Some (Reg r)) -> Hashtbl.replace used r ()
-        | _ -> ()))
+        List.iter (fun r -> Hashtbl.replace used r ()) (term_used_regs b.term))
       f.blocks;
     List.iter
       (fun (b : Func.block) ->

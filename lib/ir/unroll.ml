@@ -100,107 +100,26 @@ let unroll_loop (f : Func.t) (lp : Func.loop_info) ~(max_trip : int) : bool =
       List.iteri
         (fun k (r, _, _) -> Hashtbl.replace rename r cur.(k))
         carried;
-      let subst op =
-        match op with
-        | Reg r -> (
-          match Hashtbl.find_opt rename r with Some o -> o | None -> op)
-        | _ -> op
-      in
-      let subst_kind (k : kind) : kind =
-        match k with
-        | Bin (o, a, b) -> Bin (o, subst a, subst b)
-        | Fbin (o, a, b) -> Fbin (o, subst a, subst b)
-        | Icmp (o, a, b) -> Icmp (o, subst a, subst b)
-        | Fcmp (o, a, b) -> Fcmp (o, subst a, subst b)
-        | Funary (o, a) -> Funary (o, subst a)
-        | Cast (c, a) -> Cast (c, subst a)
-        | Select (c, a, b) -> Select (subst c, subst a, subst b)
-        | Gep { base; index; scale } ->
-          Gep { base = subst base; index = subst index; scale }
-        | Load { addr } -> Load { addr = subst addr }
-        | Store { addr; value } ->
-          Store { addr = subst addr; value = subst value }
-        | Tload { addr; row_stride; shape } ->
-          Tload { addr = subst addr; row_stride = subst row_stride; shape }
-        | Tstore { addr; row_stride; value; shape } ->
-          Tstore
-            { addr = subst addr; row_stride = subst row_stride;
-              value = subst value; shape }
-        | Tbin (o, a, b) -> Tbin (o, subst a, subst b)
-        | Tunary (o, a) -> Tunary (o, subst a)
-        | Phi _ | Call _ | Spawn _ | Sync -> assert false
-      in
       List.iter
         (fun (i : Instr.t) ->
           let id = fresh () in
           Hashtbl.replace rename i.id (Reg id);
-          out_instrs := { i with id; kind = subst_kind i.kind } :: !out_instrs)
+          let copy = map_operands (subst rename) i in
+          out_instrs := { copy with id } :: !out_instrs)
         iteration_instrs;
       (* carried values feeding the following copy *)
-      List.iteri
-        (fun k (_, _, next_op) ->
-          cur.(k) <-
-            (match next_op with
-            | Reg r -> (
-              match Hashtbl.find_opt rename r with
-              | Some o -> o
-              | None -> next_op)
-            | o -> o))
+      List.iteri (fun k (_, _, next_op) -> cur.(k) <- subst rename next_op)
         carried
     done;
     (* Uses of the header phis after the loop see the final carried
        values: rewrite them throughout the function. *)
     let final : (reg, operand) Hashtbl.t = Hashtbl.create 4 in
     List.iteri (fun k (r, _, _) -> Hashtbl.replace final r cur.(k)) carried;
-    let subst_final op =
-      match op with
-      | Reg r -> (
-        match Hashtbl.find_opt final r with Some o -> o | None -> op)
-      | _ -> op
-    in
-    let subst_kind_final (k : kind) : kind =
-      match k with
-      | Bin (o, a, b) -> Bin (o, subst_final a, subst_final b)
-      | Fbin (o, a, b) -> Fbin (o, subst_final a, subst_final b)
-      | Icmp (o, a, b) -> Icmp (o, subst_final a, subst_final b)
-      | Fcmp (o, a, b) -> Fcmp (o, subst_final a, subst_final b)
-      | Funary (o, a) -> Funary (o, subst_final a)
-      | Cast (c, a) -> Cast (c, subst_final a)
-      | Select (c, a, b) ->
-        Select (subst_final c, subst_final a, subst_final b)
-      | Phi ins -> Phi (List.map (fun (l, o) -> (l, subst_final o)) ins)
-      | Gep { base; index; scale } ->
-        Gep { base = subst_final base; index = subst_final index; scale }
-      | Load { addr } -> Load { addr = subst_final addr }
-      | Store { addr; value } ->
-        Store { addr = subst_final addr; value = subst_final value }
-      | Tload { addr; row_stride; shape } ->
-        Tload
-          { addr = subst_final addr; row_stride = subst_final row_stride;
-            shape }
-      | Tstore { addr; row_stride; value; shape } ->
-        Tstore
-          { addr = subst_final addr; row_stride = subst_final row_stride;
-            value = subst_final value; shape }
-      | Tbin (o, a, b) -> Tbin (o, subst_final a, subst_final b)
-      | Tunary (o, a) -> Tunary (o, subst_final a)
-      | Call { callee; args } ->
-        Call { callee; args = List.map subst_final args }
-      | Spawn { callee; args } ->
-        Spawn { callee; args = List.map subst_final args }
-      | Sync -> Sync
-    in
     List.iter
       (fun (b : Func.block) ->
         if not (List.mem b.label lp.body) then begin
-          b.instrs <-
-            List.map
-              (fun (i : Instr.t) -> { i with kind = subst_kind_final i.kind })
-              b.instrs;
-          (match b.term with
-          | CondBr (c, t, e) -> b.term <- CondBr (subst_final c, t, e)
-          | Ret (Some v) -> b.term <- Ret (Some (subst_final v))
-          | _ -> ())
+          b.instrs <- List.map (map_operands (subst final)) b.instrs;
+          b.term <- map_term (subst final) b.term
         end)
       f.blocks;
     (* Splice: the header block becomes the unrolled straight-line

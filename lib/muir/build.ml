@@ -23,6 +23,7 @@ module F = Muir_ir.Func
 module I = Muir_ir.Instr
 module T = Muir_ir.Types
 module P = Muir_ir.Program
+module A = Muir_ir.Affine
 
 type port = G.node_id * int
 
@@ -49,14 +50,6 @@ let reg_types (f : F.t) : (I.reg, T.ty) Hashtbl.t =
   F.iter_instrs (fun ins -> Hashtbl.replace h ins.I.id ins.I.ty) f;
   h
 
-let instr_uses (ins : I.t) = I.used_regs ins
-
-let term_uses (t : I.terminator) =
-  match t with
-  | CondBr (Reg r, _, _) -> [ r ]
-  | Ret (Some (Reg r)) -> [ r ]
-  | _ -> []
-
 (** Registers used within the given blocks (instruction operands and
     terminator conditions). *)
 let uses_in_blocks (f : F.t) (labels : I.label list) : I.reg list =
@@ -64,8 +57,8 @@ let uses_in_blocks (f : F.t) (labels : I.label list) : I.reg list =
   List.iter
     (fun l ->
       let b = F.block f l in
-      List.iter (fun ins -> acc := instr_uses ins @ !acc) b.instrs;
-      acc := term_uses b.term @ !acc)
+      List.iter (fun ins -> acc := I.used_regs ins @ !acc) b.instrs;
+      acc := I.term_used_regs b.term @ !acc)
     labels;
   List.sort_uniq compare !acc
 
@@ -131,8 +124,8 @@ let loop_liveouts (f : F.t) (lp : F.loop_info) : I.reg list =
   let used_outside r =
     List.exists
       (fun (b : F.block) ->
-        List.exists (fun ins -> List.mem r (instr_uses ins)) b.instrs
-        || List.mem r (term_uses b.term))
+        List.exists (fun ins -> List.mem r (I.used_regs ins)) b.instrs
+        || List.mem r (I.term_used_regs b.term))
       outside
   in
   List.filter used_outside phis
@@ -157,96 +150,53 @@ let global_base (st : st) (g : string) = (P.find_global st.prog g).gbase
 (* ------------------------------------------------------------------ *)
 (* Affine address analysis (the dependence side of Algorithm 2)         *)
 
-(** Address as an affine form: [abase + Σ coeff·reg + akonst], where
-    the leaf registers are values the expansion cannot see through
+(** Address as an affine form over the resolved global base address,
+    whose leaf registers are values the expansion cannot see through
     (phis and function parameters).  Used to prove that pipelined loop
     iterations touch distinct addresses and need no serializing
-    memory-order chain. *)
-type affine = {
-  abase : int option;          (** resolved global base address *)
-  acoeffs : (I.reg * int) list;  (** sorted by register *)
-  akonst : int;
-}
-
-let aff_const k = Some { abase = None; acoeffs = []; akonst = k }
-
-let aff_add (a : affine) (b : affine) ~(sign : int) : affine option =
-  match a.abase, b.abase with
-  | Some _, Some _ -> None  (* adding two pointers: give up *)
-  | _ ->
-    let merged =
-      List.fold_left
-        (fun acc (r, c) ->
-          let c = sign * c in
-          match List.assoc_opt r acc with
-          | Some c0 -> (r, c0 + c) :: List.remove_assoc r acc
-          | None -> (r, c) :: acc)
-        a.acoeffs b.acoeffs
-    in
-    Some
-      { abase = (if a.abase <> None then a.abase else b.abase);
-        acoeffs =
-          List.sort compare (List.filter (fun (_, c) -> c <> 0) merged);
-        akonst = a.akonst + (sign * b.akonst) }
-
-let aff_scale (a : affine) (k : int) : affine option =
-  if a.abase <> None && k <> 1 then None
-  else
-    Some
-      { a with
-        acoeffs = List.map (fun (r, c) -> (r, c * k)) a.acoeffs;
-        akonst = a.akonst * k }
+    memory-order chain.  [shl] is not expanded, and an operand outside
+    the rules below has no form. *)
+type affine = (int, I.reg) A.t
 
 let rec affine_of (st : st) (f : F.t) ?(depth = 12) (op : I.operand) :
     affine option =
+  let ( let* ) = Option.bind in
   if depth = 0 then None
   else
     let recurse o = affine_of st f ~depth:(depth - 1) o in
     match op with
-    | CInt c -> aff_const (Int64.to_int c)
+    | CInt c -> Some (A.const (Int64.to_int c))
     | CBool _ | CFloat _ -> None
-    | GlobalAddr g ->
-      Some { abase = Some (global_base st g); acoeffs = []; akonst = 0 }
+    | GlobalAddr g -> Some (A.of_base (global_base st g))
     | Reg r -> (
       match F.find_instr f r with
-      | None ->
-        (* function parameter: leaf *)
-        Some { abase = None; acoeffs = [ (r, 1) ]; akonst = 0 }
-      | Some { kind = Phi _; _ } ->
-        Some { abase = None; acoeffs = [ (r, 1) ]; akonst = 0 }
-      | Some { kind = Gep { base; index; scale }; _ } -> (
-        match recurse base, recurse index with
-        | Some b, Some i -> (
-          match aff_scale i scale with
-          | Some i' -> aff_add b i' ~sign:1
-          | None -> None)
-        | _ -> None)
-      | Some { kind = Bin (Add, a, b); _ } -> (
-        match recurse a, recurse b with
-        | Some x, Some y -> aff_add x y ~sign:1
-        | _ -> None)
-      | Some { kind = Bin (Sub, a, b); _ } -> (
-        match recurse a, recurse b with
-        | Some x, Some y -> aff_add x y ~sign:(-1)
-        | _ -> None)
-      | Some { kind = Bin (Mul, a, CInt k); _ } -> (
-        match recurse a with
-        | Some x -> aff_scale x (Int64.to_int k)
-        | None -> None)
-      | Some { kind = Bin (Mul, CInt k, b); _ } -> (
-        match recurse b with
-        | Some x -> aff_scale x (Int64.to_int k)
-        | None -> None)
+      | None | Some { kind = Phi _; _ } ->
+        (* function parameter or phi: leaf *)
+        Some (A.leaf r)
+      | Some { kind = Gep { base; index; scale }; _ } ->
+        let* b = recurse base in
+        let* i = recurse index in
+        let* i = A.scale scale i in
+        A.add b i
+      | Some { kind = Bin (Add, a, b); _ } ->
+        let* x = recurse a in
+        let* y = recurse b in
+        A.add x y
+      | Some { kind = Bin (Sub, a, b); _ } ->
+        let* x = recurse a in
+        let* y = recurse b in
+        let* y = A.scale (-1) y in
+        A.add x y
+      | Some { kind = Bin (Mul, a, CInt k) | Bin (Mul, CInt k, a); _ } ->
+        let* x = recurse a in
+        A.scale (Int64.to_int k) x
       | Some _ -> None)
-
-let affine_equal (a : affine) (b : affine) =
-  a.abase = b.abase && a.acoeffs = b.acoeffs && a.akonst = b.akonst
 
 (** Does the form advance with one of [vars] (a per-iteration or
     per-invocation variable)?  If every access in a space has the same
     advancing form, successive waves touch distinct addresses. *)
 let affine_advances (a : affine) (vars : I.reg list) =
-  List.exists (fun (r, c) -> c <> 0 && List.mem r vars) a.acoeffs
+  List.exists (fun (r, _) -> List.mem r vars) a.coeffs
 
 (* ------------------------------------------------------------------ *)
 (* Stage 1: enumerate tasks                                             *)
@@ -270,12 +220,9 @@ let direct_touch (st : st) (f : F.t) (labels : I.label list) :
       let b = F.block f l in
       List.iter
         (fun (ins : I.t) ->
-          match ins.kind with
-          | Load { addr } | Tload { addr; _ } ->
-            add (space_of_operand st f addr) false
-          | Store { addr; _ } | Tstore { addr; _ } ->
-            add (space_of_operand st f addr) true
-          | Call { callee; _ } ->
+          match (I.mem_access ins, ins.kind) with
+          | Some (addr, writes), _ -> add (space_of_operand st f addr) writes
+          | None, Call { callee; _ } ->
             if not (List.mem callee !callees) then
               callees := callee :: !callees
           | _ -> ())
@@ -771,7 +718,7 @@ let add_memory_chains (ctx : rctx) ~(own_vars : I.reg list) =
     | Some first :: rest ->
       affine_advances first own_vars
       && List.for_all
-           (function Some a -> affine_equal a first | None -> false)
+           (function Some a -> a = first | None -> false)
            rest
     | _ -> false
   in

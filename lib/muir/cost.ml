@@ -69,9 +69,12 @@ let tensor_cost (top : G.tensor_op) ~(dedicated : bool) : t =
     | Trelu2 -> { latency = 5; ii = 4 }
 
 (** Raw combinational delay of a scalar opcode, in "adder units"
-    (a 32-bit carry chain = 1.0).  Shared by the op-fusion pass (its
-    chain budget) and the synthesis model (stage delay = sum of raw
-    delays + one handshake overhead). *)
+    (a 32-bit carry chain = 1.0): the op-fusion pass's chain budget.
+    The synthesis model does not read this table.  Its own
+    string-keyed [Muir_model.Model.alu_raw] differs: a [gep] with a
+    scale other than 1 is 1.0 here and 0.8 there, a cast 1.8 here and
+    0.8 there, and only the model scales add, sub and icmp by operand
+    width. *)
 let fu_raw_delay : G.fu_op -> float = function
   | Fibin (I.Add | I.Sub) | Fgep _ -> 1.0
   | Fibin (I.And | I.Or | I.Xor) -> 0.35

@@ -44,7 +44,6 @@ type t = {
   rc_dir : string option;            (** [None] = memory-only *)
   rc_mem : string Muir_dse.Cache.t;  (** key → report-JSON payload *)
   mutable rc_corrupt : int;          (** entries discarded at load *)
-  mutable rc_bytes : int;            (** on-disk bytes of live entries *)
 }
 
 type stats = {
@@ -52,7 +51,8 @@ type stats = {
   misses : int;
   entries : int;
   corrupt : int;
-  disk_bytes : int;  (** 0 for memory-only caches *)
+  disk_bytes : int;
+      (** bytes of the entry files present; 0 for memory-only caches *)
 }
 
 let magic = "muir-rcache-v1"
@@ -146,9 +146,7 @@ let load_dir (t : t) (dir : string) : unit =
         match read_file path with
         | contents -> (
           match decode_entry ~path contents with
-          | Ok (key, payload) ->
-            Muir_dse.Cache.seed t.rc_mem key payload;
-            t.rc_bytes <- t.rc_bytes + String.length contents
+          | Ok (key, payload) -> Muir_dse.Cache.seed t.rc_mem key payload
           | Error _ ->
             (try Sys.remove path with Sys_error _ -> ());
             t.rc_corrupt <- t.rc_corrupt + 1)
@@ -160,8 +158,7 @@ let load_dir (t : t) (dir : string) : unit =
     created if missing.  [?dir:None] gives a memory-only cache with
     identical semantics minus persistence. *)
 let create ?dir () : t =
-  let t = { rc_dir = dir; rc_mem = Muir_dse.Cache.create ();
-            rc_corrupt = 0; rc_bytes = 0 } in
+  let t = { rc_dir = dir; rc_mem = Muir_dse.Cache.create (); rc_corrupt = 0 } in
   (match dir with
   | None -> ()
   | Some d ->
@@ -182,13 +179,28 @@ let add (t : t) (key : string) (payload : string) : unit =
   match t.rc_dir with
   | None -> ()
   | Some dir ->
-    let header = entry_header key payload in
-    write_atomic (entry_path dir key) [ header; key; payload ];
-    t.rc_bytes <-
-      t.rc_bytes + String.length header + String.length key
-      + String.length payload
+    write_atomic (entry_path dir key) [ entry_header key payload; key; payload ]
+
+(** Sum of the sizes of the entry files in the cache directory, measured
+    now: files removed behind the daemon's back, or the whole directory,
+    stop counting. *)
+let disk_bytes (t : t) : int =
+  match t.rc_dir with
+  | None -> 0
+  | Some dir -> (
+    match Sys.readdir dir with
+    | exception Sys_error _ -> 0
+    | names ->
+      Array.fold_left
+        (fun n name ->
+          if not (Filename.check_suffix name ".rc") then n
+          else
+            match Unix.stat (Filename.concat dir name) with
+            | st -> n + st.Unix.st_size
+            | exception Unix.Unix_error _ -> n)
+        0 names)
 
 let stats (t : t) : stats =
   let s = Muir_dse.Cache.stats t.rc_mem in
   { hits = s.c_hits; misses = s.c_misses; entries = s.c_entries;
-    corrupt = t.rc_corrupt; disk_bytes = t.rc_bytes }
+    corrupt = t.rc_corrupt; disk_bytes = disk_bytes t }

@@ -401,12 +401,13 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
      that key answer from its result. The representative must be the
      least deadline-constrained item of the group — a dup replays the
      representative's outcome, so an aggressive deadline on one copy
-     must not fail the unconstrained copies. *)
+     must not fail the unconstrained copies. Among equally constrained
+     copies the first stays the representative. *)
   let reps : (string, Proto.item) Hashtbl.t = Hashtbl.create 16 in
   let looser a b =
     match (a, b) with
-    | None, _ -> true
     | _, None -> false
+    | None, Some _ -> true
     | Some x, Some y -> x > y
   in
   List.iter

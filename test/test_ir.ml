@@ -143,6 +143,74 @@ let test_eval_tensor_mul () =
   Alcotest.check value_testable "2x2 matmul" (VTensor [| 19.; 22.; 43.; 50. |])
     (VTensor c)
 
+(* --- the operand rewrite --------------------------------------------- *)
+
+(* One instruction of every [Instr.kind] constructor, between them using
+   every operand constructor. *)
+let every_kind : kind list =
+  let s = { rows = 2; cols = 3 } in
+  [ Bin (Sub, Reg 1, CInt 2L); Fbin (Fdiv, Reg 1, CFloat 0.5);
+    Icmp (Sle, CInt 3L, Reg 2); Fcmp (Folt, Reg 1, Reg 2);
+    Funary (Fsqrt, Reg 1); Cast (Trunc 8, Reg 1);
+    Select (CBool true, Reg 2, Reg 3); Phi [ (4, Reg 1); (7, CInt 0L) ];
+    Gep { base = GlobalAddr "a"; index = Reg 1; scale = 3 };
+    Load { addr = Reg 1 }; Store { addr = GlobalAddr "b"; value = Reg 2 };
+    Call { callee = "f"; args = [ Reg 1; Reg 2 ] };
+    Spawn { callee = "g"; args = [ Reg 1; CInt 5L ] }; Sync;
+    Tload { addr = Reg 1; row_stride = CInt 4L; shape = s };
+    Tstore { addr = Reg 1; row_stride = Reg 2; value = Reg 3; shape = s };
+    Tbin (Tmul, Reg 1, Reg 2); Tunary (Trelu, Reg 1) ]
+
+(* A full match, so a new constructor cannot be left out of
+   [every_kind] unnoticed. *)
+let kind_tag : kind -> int = function
+  | Bin _ -> 0 | Fbin _ -> 1 | Icmp _ -> 2 | Fcmp _ -> 3 | Funary _ -> 4
+  | Cast _ -> 5 | Select _ -> 6 | Phi _ -> 7 | Gep _ -> 8 | Load _ -> 9
+  | Store _ -> 10 | Call _ -> 11 | Spawn _ -> 12 | Sync -> 13
+  | Tload _ -> 14 | Tstore _ -> 15 | Tbin _ -> 16 | Tunary _ -> 17
+
+let every_term = [ Br 3; CondBr (Reg 1, 4, 5); Ret None; Ret (Some (CInt 2L)) ]
+
+(* A rewrite that changes every operand, and its inverse. *)
+let bump = function
+  | Reg r -> Reg (r + 100)
+  | CInt k -> CInt (Int64.add k 100L)
+  | CFloat x -> CFloat (x +. 100.)
+  | CBool b -> CBool (not b)
+  | GlobalAddr g -> GlobalAddr ("bumped." ^ g)
+
+let unbump = function
+  | Reg r -> Reg (r - 100)
+  | CInt k -> CInt (Int64.sub k 100L)
+  | CFloat x -> CFloat (x -. 100.)
+  | CBool b -> CBool (not b)
+  | GlobalAddr g -> GlobalAddr (String.sub g 7 (String.length g - 7))
+
+let test_map_operands () =
+  Alcotest.(check (list int)) "one instruction of every kind"
+    (List.init 18 Fun.id) (List.map kind_tag every_kind);
+  List.iter
+    (fun kind ->
+      let i = { id = 9; ty = i64; kind } in
+      let name = Fmt.str "%a" pp i in
+      let j = map_operands bump i in
+      Alcotest.(check bool) (name ^ ": every operand rewritten in place") true
+        (operands j = List.map bump (operands i));
+      (* undoing the rewrite restores the instruction: nothing but the
+         operands changed *)
+      Alcotest.(check bool) (name ^ ": nothing else changed") true
+        (map_operands unbump j = i))
+    every_kind;
+  List.iter
+    (fun t ->
+      let name = Fmt.str "%a" pp_terminator t in
+      let u = map_term bump t in
+      Alcotest.(check bool) (name ^ ": every operand rewritten") true
+        (term_operands u = List.map bump (term_operands t));
+      Alcotest.(check bool) (name ^ ": targets kept") true
+        (map_term unbump u = t))
+    every_term
+
 (* QCheck properties on the evaluation core. *)
 let prop_ibin_add_assoc =
   QCheck.Test.make ~count:200 ~name:"eval add associative"
@@ -196,7 +264,8 @@ let () =
           Alcotest.test_case "natural loops" `Quick test_natural_loops ] );
       ( "transform",
         [ Alcotest.test_case "constant folding" `Quick test_const_fold;
-          Alcotest.test_case "dead code elim" `Quick test_dce ] );
+          Alcotest.test_case "dead code elim" `Quick test_dce;
+          Alcotest.test_case "operand rewrite" `Quick test_map_operands ] );
       ( "memory",
         [ Alcotest.test_case "layout" `Quick test_memory_layout;
           Alcotest.test_case "tiles" `Quick test_memory_tiles;

@@ -48,6 +48,16 @@ let err_code = function
   | Proto.Err { code; _ } -> code
   | Proto.Ok_ _ -> Alcotest.fail "expected an error outcome"
 
+(* The ids answered by an evaluation of their own, not from another
+   copy's result or the cache. *)
+let fresh_ids (rs : Proto.result_ list) : int list =
+  List.filter_map
+    (fun (r : Proto.result_) ->
+      match r.rs_outcome with
+      | Proto.Ok_ { cached = false; _ } -> Some r.rs_id
+      | _ -> None)
+    rs
+
 let fresh_dir =
   let n = ref 0 in
   fun () ->
@@ -271,6 +281,9 @@ let test_batch_dedup () =
   Alcotest.(check int) "one simulation" 1 fresh;
   Alcotest.(check int) "two dedup answers" 2 cached;
   Alcotest.(check int) "no errors" 0 errors;
+  (* Of equally constrained copies, the first is the one evaluated. *)
+  Alcotest.(check (list int)) "first unconstrained copy is fresh" [ 0 ]
+    (fresh_ids rs);
   (* jobs and deadline are not part of the key, so all three reports
      are the same bytes. *)
   let a = report_string (outcome rs 0) in
@@ -282,7 +295,7 @@ let test_batch_dedup () =
      copy of the same key: the least-constrained item is the
      representative, and the constrained dup answers from its result. *)
   let t2 = Server.create () in
-  let _, fresh, cached, errors =
+  let rs, fresh, cached, errors =
     results_of
       (Server.handle t2
          (Proto.Run
@@ -290,8 +303,19 @@ let test_batch_dedup () =
               item ~id:1 (Proto.Workload "gemm") ]))
   in
   Alcotest.(check int) "unconstrained copy evaluated" 1 fresh;
+  Alcotest.(check (list int)) "the unconstrained copy is fresh" [ 1 ]
+    (fresh_ids rs);
   Alcotest.(check int) "constrained copy answered" 1 cached;
   Alcotest.(check int) "nobody failed" 0 errors;
+  let rs, _, _, _ =
+    results_of
+      (Server.handle t2
+         (Proto.Run
+            [ item ~id:0 ~deadline_ms:60_000 (Proto.Workload "fib");
+              item ~id:1 ~deadline_ms:60_000 (Proto.Workload "fib") ]))
+  in
+  Alcotest.(check (list int)) "first of equal deadlines is fresh" [ 0 ]
+    (fresh_ids rs);
   (* When every copy is past its deadline, the error replays to dups. *)
   let rs, _, _, errors =
     results_of
@@ -617,16 +641,24 @@ let test_rcache_disk_bytes () =
   let dir = fresh_dir () in
   let t1 = Server.create ~cache_dir:dir () in
   let _ = Server.handle t1 (Proto.Run (suite_items ())) in
+  let files () = if Sys.file_exists dir then Sys.readdir dir else [||] in
   let on_disk () =
     Array.fold_left
       (fun acc f ->
         acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
-      0 (Sys.readdir dir)
+      0 (files ())
   in
   let disk_bytes t =
     match Server.handle t Proto.Stats with
     | Proto.Stats_r s -> s.Proto.st_cache_disk_bytes
     | _ -> Alcotest.fail "expected stats"
+  in
+  (* The stats reply and the gauge both read what is on disk now. *)
+  let check_measured label t =
+    Alcotest.(check int) (label ^ ": stats") (on_disk ()) (disk_bytes t);
+    Alcotest.(check (option (float 1e-9))) (label ^ ": gauge")
+      (Some (float_of_int (on_disk ())))
+      (Prom.find_sample (scrape t) ~name:"muir_serve_rcache_disk_bytes" ())
   in
   Alcotest.(check bool) "entries written" true (on_disk () > 0);
   Alcotest.(check int) "gauge matches the files" (on_disk ())
@@ -639,10 +671,16 @@ let test_rcache_disk_bytes () =
   Alcotest.(check int) "memory-only is zero" 0
     (disk_bytes (Server.create ()));
   (* ... and the metrics op exposes the same number. *)
-  let p = scrape t2 in
-  Alcotest.(check (option (float 1e-9))) "gauge in the exposition"
-    (Some (float_of_int (on_disk ())))
-    (Prom.find_sample p ~name:"muir_serve_rcache_disk_bytes" ())
+  check_measured "restart" t2;
+  (* Entry files removed behind the daemon's back stop counting: one
+     file, then the whole directory. *)
+  let before = on_disk () in
+  Sys.remove (Filename.concat dir (files ()).(0));
+  Alcotest.(check bool) "one entry fewer on disk" true (on_disk () < before);
+  check_measured "one entry deleted" t1;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
+  Sys.rmdir dir;
+  check_measured "directory removed" t1
 
 (* A removed cache directory makes every entry write fail: the item is
    still answered from its result, the failure is counted and logged

@@ -271,18 +271,11 @@ let test_kernel_equivalence (w : W.t) () =
        through the kernel and add (name, total_cycles, fires) to \
        seed_golden"
       w.wname);
-  List.iter
-    (fun g ->
-      let a = Muir_ir.Memory.dump_global gold p g in
-      let b = Muir_ir.Memory.dump_global r.memory p g in
-      Array.iteri
-        (fun i x ->
-          if not (Muir_ir.Types.value_close x b.(i)) then
-            Alcotest.failf "%s: %s[%d] golden=%s sim=%s" w.wname g i
-              (Muir_ir.Types.value_to_string x)
-              (Muir_ir.Types.value_to_string b.(i)))
-        a)
-    w.outputs;
+  (match Muir_ir.Memory.first_mismatch p w.outputs ~golden:gold r.memory with
+  | None -> ()
+  | Some (g, i, x, y) ->
+    Alcotest.failf "%s: %s[%d] golden=%s sim=%s" w.wname g i
+      (Muir_ir.Types.value_to_string x) (Muir_ir.Types.value_to_string y));
   (* Determinism and tracing-neutrality in one shot: a second run of
      the same circuit build — this time with the tracer attached —
      must land on exactly the same cycle and fire counts.  Tracing is

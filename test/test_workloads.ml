@@ -42,18 +42,11 @@ let sim_matches_golden ?(passes = []) (w : W.t) =
        (Muir_core.Validate.validate c));
   let _ = Muir_opt.Pass.run_all passes c in
   let r = Muir_sim.Sim.run c in
-  List.iter
-    (fun g ->
-      let a = Memory.dump_global gold p g in
-      let b = Memory.dump_global r.memory p g in
-      Array.iteri
-        (fun i x ->
-          if not (Types.value_close x b.(i)) then
-            Alcotest.failf "%s: %s[%d] golden=%s sim=%s" w.wname g i
-              (Types.value_to_string x)
-              (Types.value_to_string b.(i)))
-        a)
-    w.outputs
+  match Memory.first_mismatch p w.outputs ~golden:gold r.memory with
+  | None -> ()
+  | Some (g, i, x, y) ->
+    Alcotest.failf "%s: %s[%d] golden=%s sim=%s" w.wname g i
+      (Types.value_to_string x) (Types.value_to_string y)
 
 let baseline_cases =
   List.map

@@ -44,16 +44,9 @@ let check_against_golden ?(passes = []) ?(inits = []) ?entry ?args
   | Types.VUnit -> ()
   | _ ->
     Alcotest.check value_testable (name ^ ": return value") gv r.value);
-  List.iter
-    (fun g ->
-      let a = Memory.dump_global gold_mem p g in
-      let b = Memory.dump_global r.memory p g in
-      Array.iteri
-        (fun i x ->
-          if not (Types.value_close x b.(i)) then
-            Alcotest.failf "%s: %s[%d] golden=%s sim=%s" name g i
-              (Types.value_to_string x)
-              (Types.value_to_string b.(i)))
-        a)
-    globals;
+  (match Memory.first_mismatch p globals ~golden:gold_mem r.memory with
+  | None -> ()
+  | Some (g, i, x, y) ->
+    Alcotest.failf "%s: %s[%d] golden=%s sim=%s" name g i
+      (Types.value_to_string x) (Types.value_to_string y));
   r
