@@ -115,32 +115,7 @@ type token = T.value
 (* ------------------------------------------------------------------ *)
 (* Runtime structures                                                   *)
 
-(* Channels are flat ring buffers of token columns.  Three monotonic
-   cursors: [fhead] (next pop), [fmid] (end of committed tokens),
-   [ftail] (end of staged writes).  Writes land between [fmid] and
-   [ftail] and become visible at the end-of-cycle commit
-   ([fmid <- ftail]).  The endpoints drive the wake sets and the
-   consumer's readiness count: a commit into an empty channel wakes
-   the consumer ([f_di], [f_dn]) for fire, a pop from a full one wakes
-   the producer ([f_si], [f_sn]) for emission. *)
-type fifo = {
-  fcap : int;                          (** architectural capacity *)
-  fmask : int;                         (** physical ring size - 1 *)
-  ftags : int array;
-  fnums : int array;
-  fflts : float array;
-  fobjs : token array;
-  mutable fhead : int;
-  mutable fmid : int;
-  mutable ftail : int;
-  mutable f_dirty : bool;              (** queued on the commit list *)
-  mutable f_si : instance;             (** producer *)
-  mutable f_sn : node_rt;
-  mutable f_di : instance;             (** consumer *)
-  mutable f_dn : node_rt;
-}
-
-and sync_ctx = {
+type sync_ctx = {
   mutable live_children : int;
   mutable cx_owner : instance option;
       (** instance whose invocation owns this context: re-checked for
@@ -177,13 +152,6 @@ and node_rt = {
   nr_cost : Cost.t;
   nr_idx : int;                   (** position in [inodes] (drain order) *)
   nr_prof : Ctr.Prof.nprof;       (** this node's row of [i_prof] *)
-  nr_in : fifo option array;      (** [None] = immediate slot *)
-  im_tags : int array;            (** immediates, flat columns (the
-                                      layout's rows) *)
-  im_nums : int array;
-  im_flts : float array;
-  im_objs : token array;
-  nr_out : fifo array array;      (** per out port: fan-out channels *)
   nr_words : int;                 (** words per access (memory nodes) *)
   nr_space : int;                 (** address space (memory nodes) *)
   nr_mem : bool;                  (** load/store: emits through [nm_*] *)
@@ -236,9 +204,10 @@ and instance = {
   iid : int;
   i_lay : layout;                 (** the task's shared static rows *)
   mutable i_ord : int;            (** drain order within the task *)
-  mutable i_slot : int;           (** position in the task's [tinst] *)
+  i_slot : int;                   (** position in the task's [tinst]
+                                      and row of its layout's columns *)
   inodes : node_rt array;
-  ififos : fifo array;            (** one channel per layout channel *)
+  i_cb : int;                     (** [i_slot * y_nch]: channel row base *)
   (* inflight window: wave-indexed table, pow2, -1 = empty slot *)
   mutable iw_wave : int array;
   mutable iw_iv : invocation array;
@@ -283,14 +252,35 @@ and instance = {
    node holding its read-only rows, node inputs and outputs as channel
    indices (channel k carries the task's k-th edge), the tokens that
    prime each channel and the whole-run counter rows.  Building it on
-   demand keeps a task that never runs out of the counter bank. *)
+   demand keeps a task that never runs out of the counter bank.
+
+   The layout also owns its instances' channels, as columns indexed by
+   instance slot and grown by doubling.  Channel k of slot s is the
+   four-int row at [(s * y_nch + k) * 4] of [c_row]: head (next pop),
+   mid (end of committed tokens), tail (end of staged writes) and the
+   base of its ring in the four token columns, which holds token c at
+   [base + (c land y_cmask.(k))].  Writes land between mid and tail and
+   become visible at the end-of-cycle commit (mid <- tail), so a
+   channel holds staged writes exactly while it is queued for that
+   commit. *)
 and layout = {
   y_proto : node_rt array;        (** graph order = drain order *)
-  y_in : int array array;         (** node, input -> channel; -1 = none *)
+  y_inb : int array;              (** node -> first input row; one past
+                                      the last node = row count *)
+  y_ich : int array;              (** input row -> channel; -1 = immediate *)
+  (* immediates, by input row *)
+  y_imt : int array;
+  y_imn : int array;
+  y_imf : float array;
+  y_imo : token array;
   y_out : int array array array;  (** node, out port -> fan-out channels *)
+  y_nch : int;
   y_cap : int array;              (** channel -> capacity *)
+  y_cmask : int array;            (** channel -> ring size - 1 *)
+  y_cbase : int array;            (** channel -> ring base in a slot *)
   y_src : int array;              (** channel -> producer node index *)
   y_dst : int array;              (** channel -> consumer node index *)
+  y_tw : int;                     (** token-column width of one slot *)
   y_prime : int array;            (** channel -> resting token count *)
   (* initial tokens, one row per token, for allocation-free priming *)
   y_init_ch : int array;
@@ -301,6 +291,12 @@ and layout = {
   y_syncs : int array;            (** SyncWait node indices *)
   y_nctr : Ctr.node_ctr array;    (** whole-run counter rows, by node *)
   y_arity : int;                  (** widest node input, at least 1 *)
+  mutable y_slots : int;          (** slots the columns hold *)
+  mutable c_row : int array;
+  mutable c_tags : int array;
+  mutable c_nums : int array;
+  mutable c_flts : float array;
+  mutable c_objs : token array;
 }
 
 (* A task's instance worklist: instances queued in [l_v.(l_h .. l_n-1)],
@@ -424,7 +420,9 @@ type t = {
   max_outstanding : int;
   wheel : wslot array;            (** [wheel_size] slots *)
   mutable insts : instance array; (** every instance, by [iid] *)
-  mutable ld_v : fifo array;      (** channels with staged writes *)
+  (* channels with staged writes: instance id and channel index *)
+  mutable ld_i : int array;
+  mutable ld_k : int array;
   mutable ld_n : int;
   mutable woken : int;            (** total fire attempts, stats *)
   mutable live_nodes : int;       (** nodes across live instances *)
@@ -538,8 +536,7 @@ let dummy_ctx : sync_ctx =
 let dummy_node : node_rt =
   { nr = dummy_gnode; nr_cost = Cost.node_cost G.SyncWait; nr_idx = 0;
     nr_prof = (Ctr.Prof.make ~born:0 ~nnodes:1).nprofs.(0);
-    nr_in = [||]; im_tags = [||]; im_nums = [||]; im_flts = [||];
-    im_objs = [||]; nr_out = [||]; nr_words = 1; nr_space = 0;
+    nr_words = 1; nr_space = 0;
     nr_mem = false; nr_pipe = false; nr_miss = 0; nr_fired = 0;
     nr_busy_until = 0; nr_skip = -1; np_ready = [||]; np_port = [||];
     np_tags = [||]; np_nums = [||]; np_flts = [||]; np_objs = [||];
@@ -551,14 +548,18 @@ let dummy_node : node_rt =
     nr_wait_child = false }
 
 let dummy_layout : layout =
-  { y_proto = [||]; y_in = [||]; y_out = [||]; y_cap = [||]; y_src = [||];
-    y_dst = [||]; y_prime = [||]; y_init_ch = [||]; y_init_tags = [||];
-    y_init_nums = [||]; y_init_flts = [||]; y_init_objs = [||];
-    y_syncs = [||]; y_nctr = [||]; y_arity = 1 }
+  { y_proto = [||]; y_inb = [| 0 |]; y_ich = [||]; y_imt = [||];
+    y_imn = [||]; y_imf = [||]; y_imo = [||]; y_out = [||]; y_nch = 0;
+    y_cap = [||]; y_cmask = [||]; y_cbase = [||]; y_src = [||];
+    y_dst = [||]; y_tw = 0; y_prime = [||]; y_init_ch = [||];
+    y_init_tags = [||]; y_init_nums = [||]; y_init_flts = [||];
+    y_init_objs = [||]; y_syncs = [||]; y_nctr = [||]; y_arity = 1;
+    y_slots = 0; c_row = [||]; c_tags = [||]; c_nums = [||]; c_flts = [||];
+    c_objs = [||] }
 
 let dummy_inst : instance =
   { it = dummy_task; iid = -1; i_lay = dummy_layout; i_ord = 0; i_slot = 0;
-    inodes = [||]; ififos = [||]; iw_wave = [||]; iw_iv = [||]; i_lo = 0;
+    inodes = [||]; i_cb = 0; iw_wave = [||]; iw_iv = [||]; i_lo = 0;
     i_count = 0; i_full = 0; next_wave = 0; live = false; i_retired = -1;
     idynamic = false; ipipe_loop = false; ij_space = [||]; ij_sr = [||];
     ij_head = 0; ij_tail = 0; i_nw = 0; i_fset = [||]; i_fpar = 0;
@@ -677,72 +678,122 @@ let ctx_dec (sim : t) (c : sync_ctx) : unit =
    literal through the array-indexed push API without a fresh box. *)
 let f0 = [| 0.0 |]
 
-let fifo_space (f : fifo) = f.ftail - f.fhead < f.fcap
+(* Channel row fields (see [layout]). *)
+let ch_hd = 0
+let ch_md = 1
+let ch_tl = 2
+let ch_base = 3
 
-let fifo_push (sim : t) (f : fifo) (tag : int) (num : int)
-    (flts : float array) (fi : int)
-    (obj : token) : unit =
-  let i = f.ftail land f.fmask in
-  f.ftags.(i) <- tag;
-  f.fnums.(i) <- num;
-  f.fflts.(i) <- flts.(fi);
-  set_obj f.fobjs i obj;
-  f.ftail <- f.ftail + 1;
-  if not f.f_dirty then begin
-    f.f_dirty <- true;
+(* Offset of channel [k]'s row of [inst] in [c_row]. *)
+let[@inline] ch_row (inst : instance) (k : int) : int = (inst.i_cb + k) lsl 2
+
+let[@inline] ch_space (y : layout) (o : int) (k : int) : bool =
+  y.c_row.(o + ch_tl) - y.c_row.(o + ch_hd) < y.y_cap.(k)
+
+let ch_push (sim : t) (inst : instance) (k : int) (tag : int) (num : int)
+    (flts : float array) (fi : int) (obj : token) : unit =
+  let y = inst.i_lay in
+  let r = y.c_row and o = ch_row inst k in
+  let tl = r.(o + ch_tl) in
+  let i = r.(o + ch_base) + (tl land y.y_cmask.(k)) in
+  y.c_tags.(i) <- tag;
+  y.c_nums.(i) <- num;
+  y.c_flts.(i) <- flts.(fi);
+  set_obj y.c_objs i obj;
+  r.(o + ch_tl) <- tl + 1;
+  (* The first staged write queues the channel for commit. *)
+  if tl = r.(o + ch_md) then begin
     let n = sim.ld_n in
-    if n = Array.length sim.ld_v then sim.ld_v <- grow sim.ld_v f;
-    if sim.ld_v.(n) != f then sim.ld_v.(n) <- f;
+    if n = Array.length sim.ld_i then begin
+      sim.ld_i <- grow sim.ld_i 0;
+      sim.ld_k <- grow sim.ld_k 0
+    end;
+    sim.ld_i.(n) <- inst.iid;
+    sim.ld_k.(n) <- k;
     sim.ld_n <- n + 1
   end
 
-(** Stage input [i] only; false if empty. *)
-let stage_one (n : node_rt) (sc : Exec.sc) (i : int) : bool =
-  match n.nr_in.(i) with
-  | None ->
-    sc.Exec.stags.(i) <- n.im_tags.(i);
-    sc.Exec.snums.(i) <- n.im_nums.(i);
-    sc.Exec.sflts.(i) <- n.im_flts.(i);
-    set_obj sc.Exec.sobjs i n.im_objs.(i);
+let rec fans_space (inst : instance) (fs : int array) (j : int) : bool =
+  j >= Array.length fs
+  || (ch_space inst.i_lay (ch_row inst fs.(j)) fs.(j)
+      && fans_space inst fs (j + 1))
+
+(** Room on every channel of out port [p] of node [i]. *)
+let port_space (inst : instance) (i : int) (p : int) : bool =
+  fans_space inst inst.i_lay.y_out.(i).(p) 0
+
+(** Stage a token on every channel of out port [p] of node [i]. *)
+let emit_port (sim : t) (inst : instance) (i : int) (p : int) (tag : int)
+    (num : int) (flts : float array) (fi : int) (obj : token) : unit =
+  let fs = inst.i_lay.y_out.(i).(p) in
+  for j = 0 to Array.length fs - 1 do
+    ch_push sim inst fs.(j) tag num flts fi obj
+  done
+
+let[@inline] n_inputs (y : layout) (i : int) : int = y.y_inb.(i + 1) - y.y_inb.(i)
+
+(** Stage input [p] of [n] only; false if empty. *)
+let stage_one (inst : instance) (n : node_rt) (sc : Exec.sc) (p : int) : bool =
+  let y = inst.i_lay in
+  let q = y.y_inb.(n.nr_idx) + p in
+  let k = y.y_ich.(q) in
+  if k < 0 then begin
+    sc.Exec.stags.(p) <- y.y_imt.(q);
+    sc.Exec.snums.(p) <- y.y_imn.(q);
+    sc.Exec.sflts.(p) <- y.y_imf.(q);
+    set_obj sc.Exec.sobjs p y.y_imo.(q);
     true
-  | Some f ->
-    if f.fmid - f.fhead = 0 then false
+  end
+  else begin
+    let r = y.c_row and o = ch_row inst k in
+    let h = r.(o + ch_hd) in
+    if r.(o + ch_md) = h then false
     else begin
-      let j = f.fhead land f.fmask in
-      sc.Exec.stags.(i) <- f.ftags.(j);
-      sc.Exec.snums.(i) <- f.fnums.(j);
-      sc.Exec.sflts.(i) <- f.fflts.(j);
-      set_obj sc.Exec.sobjs i f.fobjs.(j);
+      let j = r.(o + ch_base) + (h land y.y_cmask.(k)) in
+      sc.Exec.stags.(p) <- y.c_tags.(j);
+      sc.Exec.snums.(p) <- y.c_nums.(j);
+      sc.Exec.sflts.(p) <- y.c_flts.(j);
+      set_obj sc.Exec.sobjs p y.c_objs.(j);
       true
     end
+  end
 
 (** Stage every input of [n] into rows [0 ..] of [sc]; a node fires
     only with every operand present ([nr_miss = 0]). *)
-let stage_inputs (n : node_rt) (sc : Exec.sc) : unit =
-  for i = 0 to Array.length n.nr_in - 1 do
-    ignore (stage_one n sc i)
+let stage_inputs (inst : instance) (n : node_rt) (sc : Exec.sc) : unit =
+  for p = 0 to n_inputs inst.i_lay n.nr_idx - 1 do
+    ignore (stage_one inst n sc p)
   done
 
-let input_ready (n : node_rt) (i : int) : bool =
-  match n.nr_in.(i) with None -> true | Some f -> f.fmid - f.fhead > 0
+let input_ready (inst : instance) (n : node_rt) (p : int) : bool =
+  let y = inst.i_lay in
+  let k = y.y_ich.(y.y_inb.(n.nr_idx) + p) in
+  k < 0
+  ||
+  let o = ch_row inst k in
+  y.c_row.(o + ch_md) > y.c_row.(o + ch_hd)
 
 (* A mu's data input picked by its control token (which must be
    present). *)
-let mu_sel (n : node_rt) : int =
-  let c = G.mu_ctl in
-  match n.nr_in.(c) with
-  | None ->
-    G.mu_select (Exec.truthy_flat n.im_tags.(c) n.im_nums.(c) n.im_objs.(c))
-  | Some f ->
-    let j = f.fhead land f.fmask in
-    G.mu_select (Exec.truthy_flat f.ftags.(j) f.fnums.(j) f.fobjs.(j))
+let mu_sel (inst : instance) (n : node_rt) : int =
+  let y = inst.i_lay in
+  let q = y.y_inb.(n.nr_idx) + G.mu_ctl in
+  let k = y.y_ich.(q) in
+  if k < 0 then
+    G.mu_select (Exec.truthy_flat y.y_imt.(q) y.y_imn.(q) y.y_imo.(q))
+  else begin
+    let r = y.c_row and o = ch_row inst k in
+    let j = r.(o + ch_base) + (r.(o + ch_hd) land y.y_cmask.(k)) in
+    G.mu_select (Exec.truthy_flat y.c_tags.(j) y.c_nums.(j) y.c_objs.(j))
+  end
 
 (** Does [n] hold every operand its next firing consumes?  A mu needs
     its control token and the data input that token selects; every
     other node needs all wired inputs. *)
-let can_start (n : node_rt) : bool =
+let can_start (inst : instance) (n : node_rt) : bool =
   match n.nr.kind with
-  | G.MergeLoop -> input_ready n G.mu_ctl && input_ready n (mu_sel n)
+  | G.MergeLoop ->
+    input_ready inst n G.mu_ctl && input_ready inst n (mu_sel inst n)
   | _ -> n.nr_miss = 0
 
 let operand_wait = Ctr.cause_index Ctr.Operand
@@ -752,31 +803,41 @@ let operand_wait = Ctr.cause_index Ctr.Operand
     and is already labelled operand-wait: the attempt would fail on
     the operand and relabel the node with the label it holds, which
     leaves every accounting sum the same and emits no tracer event. *)
-let futile (n : node_rt) (c : int) : bool =
+let futile (inst : instance) (n : node_rt) (c : int) : bool =
   n.nr_busy_until <= c
   && n.nr_prof.Ctr.Prof.st = operand_wait
-  && not (can_start n)
+  && not (can_start inst n)
 
-(* Wired inputs whose channel holds no committed token. *)
-let count_miss (ins : fifo option array) : int =
-  Array.fold_left
-    (fun k -> function Some f when f.fmid = f.fhead -> k + 1 | _ -> k)
-    0 ins
+(* Wired inputs of node [i] whose channel holds no committed token. *)
+let count_miss (inst : instance) (i : int) : int =
+  let y = inst.i_lay in
+  let m = ref 0 in
+  for q = y.y_inb.(i) to y.y_inb.(i + 1) - 1 do
+    let k = y.y_ich.(q) in
+    if k >= 0 then begin
+      let o = ch_row inst k in
+      if y.c_row.(o + ch_md) = y.c_row.(o + ch_hd) then incr m
+    end
+  done;
+  !m
 
-let pop_in (sim : t) (n : node_rt) (i : int) : unit =
-  match n.nr_in.(i) with
-  | None -> ()
-  | Some f ->
-    let full = not (fifo_space f) in
-    f.fhead <- f.fhead + 1;
-    if f.fhead = f.fmid then n.nr_miss <- n.nr_miss + 1;
+let pop_in (sim : t) (inst : instance) (n : node_rt) (p : int) : unit =
+  let y = inst.i_lay in
+  let k = y.y_ich.(y.y_inb.(n.nr_idx) + p) in
+  if k >= 0 then begin
+    let r = y.c_row and o = ch_row inst k in
+    let full = not (ch_space y o k) in
+    let h = r.(o + ch_hd) + 1 in
+    r.(o + ch_hd) <- h;
+    if h = r.(o + ch_md) then n.nr_miss <- n.nr_miss + 1;
     (* Space freed in a full channel: the producer's blocked emission
        may proceed.  A channel that had space blocked no port. *)
-    if full then wake_emit sim f.f_si f.f_sn
+    if full then wake_emit sim inst inst.inodes.(y.y_src.(k))
+  end
 
-let pop_all (sim : t) (n : node_rt) : unit =
-  for i = 0 to Array.length n.nr_in - 1 do
-    pop_in sim n i
+let pop_all (sim : t) (inst : instance) (n : node_rt) : unit =
+  for p = 0 to n_inputs inst.i_lay n.nr_idx - 1 do
+    pop_in sim inst n p
   done
 
 (* ------------------------------------------------------------------ *)
@@ -789,14 +850,6 @@ let imm_token = function
 let rec pow2_at_least (n : int) (p : int) = if p >= n then p else
   pow2_at_least n (p * 2)
 
-let new_fifo (cap : int) (ninit : int) : fifo =
-  let phys = pow2_at_least (max cap (max ninit 1)) 1 in
-  { fcap = cap; fmask = phys - 1; ftags = Array.make phys F.tabsent;
-    fnums = Array.make phys 0; fflts = Array.make phys 0.0;
-    fobjs = Array.make phys F.no_obj; fhead = 0; fmid = 0; ftail = 0;
-    f_dirty = false; f_si = dummy_inst; f_sn = dummy_node;
-    f_di = dummy_inst; f_dn = dummy_node }
-
 (* Resolve a task's layout: edges to channel indices by node index,
    and each node's read-only rows in its prototype. *)
 let build_layout (sim : t) (task : G.task) : layout =
@@ -804,9 +857,11 @@ let build_layout (sim : t) (task : G.task) : layout =
   let edges = Array.of_list task.edges in
   let idx = Array.make (max task.next_nid 1) (-1) in
   Array.iteri (fun i (n : G.node) -> idx.(n.nid) <- i) nodes;
-  let ins =
-    Array.map (fun (n : G.node) -> Array.map (fun _ -> -1) n.ins) nodes
-  in
+  let inb = Array.make (Array.length nodes + 1) 0 in
+  Array.iteri
+    (fun i (n : G.node) -> inb.(i + 1) <- inb.(i) + Array.length n.ins)
+    nodes;
+  let ich = Array.make inb.(Array.length nodes) (-1) in
   let outs =
     Array.map
       (fun (n : G.node) ->
@@ -818,11 +873,15 @@ let build_layout (sim : t) (task : G.task) : layout =
   Array.iteri
     (fun k (e : G.edge) ->
       let i = idx.(fst e.dst) and p = snd e.dst in
-      if p < Array.length ins.(i) && nodes.(i).ins.(p) = G.Swire then
-        ins.(i).(p) <- k;
+      if p < Array.length nodes.(i).ins && nodes.(i).ins.(p) = G.Swire then
+        ich.(inb.(i) + p) <- k;
       let o = outs.(idx.(fst e.src)) and q = snd e.src in
       if q < Array.length o then o.(q) <- k :: o.(q))
     edges;
+  let imms =
+    Array.concat (List.map (fun (n : G.node) -> Array.map imm_token n.ins)
+                    task.nodes)
+  in
   let inits =
     Array.of_list
       (List.concat
@@ -830,12 +889,21 @@ let build_layout (sim : t) (task : G.task) : layout =
             task.edges))
   in
   let init f = Array.map (fun (_, v) -> f v) inits in
+  (* Each ring holds its capacity and its resting tokens, rounded up to
+     a power of two. *)
+  let phys =
+    Array.map
+      (fun (e : G.edge) ->
+        pow2_at_least (max e.capacity (max (List.length e.initial) 1)) 1)
+      edges
+  in
+  let cbase = Array.make (Array.length edges) 0 in
+  for k = 1 to Array.length edges - 1 do
+    cbase.(k) <- cbase.(k - 1) + phys.(k - 1)
+  done;
   let proto i (n : G.node) : node_rt =
-    let imms = Array.map imm_token n.ins in
     { dummy_node with
       nr = n; nr_cost = Cost.node_cost n.kind; nr_idx = i;
-      im_tags = Array.map F.tag_of imms; im_nums = Array.map F.num_of imms;
-      im_flts = Array.map F.flt_of imms; im_objs = Array.map F.obj_of imms;
       nr_words =
         (match G.tile_shape n.kind with Some s -> T.shape_words s | None -> 1);
       nr_space = Option.value (G.node_space n) ~default:0;
@@ -851,11 +919,16 @@ let build_layout (sim : t) (task : G.task) : layout =
         | G.SpawnChild _ -> 1
         | _ -> 0) }
   in
-  { y_proto = Array.mapi proto nodes; y_in = ins;
+  { y_proto = Array.mapi proto nodes; y_inb = inb; y_ich = ich;
+    y_imt = Array.map F.tag_of imms; y_imn = Array.map F.num_of imms;
+    y_imf = Array.map F.flt_of imms; y_imo = Array.map F.obj_of imms;
     y_out = Array.map (Array.map Array.of_list) outs;
+    y_nch = Array.length edges;
     y_cap = Array.map (fun (e : G.edge) -> e.capacity) edges;
+    y_cmask = Array.map (fun p -> p - 1) phys; y_cbase = cbase;
     y_src = Array.map (fun (e : G.edge) -> idx.(fst e.src)) edges;
     y_dst = Array.map (fun (e : G.edge) -> idx.(fst e.dst)) edges;
+    y_tw = Array.fold_left ( + ) 0 phys;
     y_prime = Array.map (fun (e : G.edge) -> List.length e.initial) edges;
     y_init_ch = Array.map fst inits; y_init_tags = init F.tag_of;
     y_init_nums = init F.num_of; y_init_flts = init F.flt_of;
@@ -870,7 +943,11 @@ let build_layout (sim : t) (task : G.task) : layout =
       Array.map
         (fun (n : G.node) -> Ctr.node_ctr sim.ctrs ~task:task.tid ~node:n.nid)
         nodes;
-    y_arity = Array.fold_left (fun a i -> max a (Array.length i)) 1 ins }
+    y_arity =
+      Array.fold_left (fun a (n : G.node) -> max a (Array.length n.ins)) 1
+        nodes;
+    y_slots = 0; c_row = [||]; c_tags = [||]; c_nums = [||]; c_flts = [||];
+    c_objs = [||] }
 
 let layout (sim : t) (trt : task_rt) : layout =
   match trt.t_lay with
@@ -880,38 +957,69 @@ let layout (sim : t) (trt : task_rt) : layout =
     trt.t_lay <- Some y;
     y
 
+(* Make room for slot [s] in [y]'s columns, doubling them.  Rows never
+   move, so offsets held across a growth stay valid. *)
+let grow_slots (y : layout) (s : int) : unit =
+  if s >= y.y_slots then begin
+    let old = y.y_slots in
+    let cap = Int.max (s + 1) (2 * old) in
+    let ext a w x =
+      let na = Array.make (cap * w) x in
+      Array.blit a 0 na 0 (Array.length a);
+      na
+    in
+    let rows = ext y.c_row (y.y_nch * 4) 0 in
+    for s = old to cap - 1 do
+      for k = 0 to y.y_nch - 1 do
+        rows.((((s * y.y_nch) + k) lsl 2) + ch_base) <-
+          (s * y.y_tw) + y.y_cbase.(k)
+      done
+    done;
+    y.c_row <- rows;
+    y.c_tags <- ext y.c_tags y.y_tw F.tabsent;
+    y.c_nums <- ext y.c_nums y.y_tw 0;
+    y.c_flts <- ext y.c_flts y.y_tw 0.0;
+    y.c_objs <- ext y.c_objs y.y_tw F.no_obj;
+    y.y_slots <- cap
+  end
+
 (* Bring a fresh or retired instance to its first cycle: channels hold
    their initial tokens, readiness counts match them, and every node is
    woken — the first cycle behaves like a dense sweep, since initial
    loop-control tokens can enable nodes with no other wake source. *)
 let prime (sim : t) (inst : instance) : unit =
   let y = inst.i_lay in
-  for k = 0 to Array.length inst.ififos - 1 do
-    let f = inst.ififos.(k) in
-    f.fhead <- 0;
-    f.fmid <- 0;
-    f.ftail <- 0
+  let r = y.c_row in
+  for k = 0 to y.y_nch - 1 do
+    let o = ch_row inst k in
+    r.(o + ch_hd) <- 0;
+    r.(o + ch_md) <- 0;
+    r.(o + ch_tl) <- 0
   done;
   for k = 0 to Array.length y.y_init_ch - 1 do
-    let f = inst.ififos.(y.y_init_ch.(k)) in
-    let i = f.ftail land f.fmask in
-    f.ftags.(i) <- y.y_init_tags.(k);
-    f.fnums.(i) <- y.y_init_nums.(k);
-    f.fflts.(i) <- y.y_init_flts.(k);
-    f.fobjs.(i) <- y.y_init_objs.(k);
-    f.ftail <- f.ftail + 1;
-    f.fmid <- f.ftail
+    let o = ch_row inst y.y_init_ch.(k) in
+    let tl = r.(o + ch_tl) in
+    let i = r.(o + ch_base) + (tl land y.y_cmask.(y.y_init_ch.(k))) in
+    y.c_tags.(i) <- y.y_init_tags.(k);
+    y.c_nums.(i) <- y.y_init_nums.(k);
+    y.c_flts.(i) <- y.y_init_flts.(k);
+    y.c_objs.(i) <- y.y_init_objs.(k);
+    r.(o + ch_tl) <- tl + 1;
+    r.(o + ch_md) <- tl + 1
   done;
   sim.live_nodes <- sim.live_nodes + Array.length inst.inodes;
   for i = 0 to Array.length inst.inodes - 1 do
     let n = inst.inodes.(i) in
-    n.nr_miss <- count_miss n.nr_in;
+    n.nr_miss <- count_miss inst i;
     wake_fire sim inst n
   done
 
+(* A fresh instance takes the task's next slot and joins its roster,
+   which feeds the final counter fold and the deadlock dump. *)
 let new_instance (sim : t) (trt : task_rt) : instance =
   let y = layout sim trt in
-  let fifos = Array.mapi (fun k cap -> new_fifo cap y.y_prime.(k)) y.y_cap in
+  let slot = trt.tinst_n in
+  grow_slots y slot;
   let nnodes = Array.length y.y_proto in
   let prof = Ctr.Prof.make ~born:sim.now ~nnodes in
   let mo = sim.max_outstanding in
@@ -922,9 +1030,6 @@ let new_instance (sim : t) (trt : task_rt) : instance =
     let win x = if p.nr_mem then Array.make mo x else [||] in
     { p with
       nr_prof = prof.nprofs.(i);
-      nr_in =
-        Array.map (fun k -> if k < 0 then None else Some fifos.(k)) y.y_in.(i);
-      nr_out = Array.map (Array.map (fun k -> fifos.(k))) y.y_out.(i);
       np_ready = ring 0; np_port = ring 0; np_tags = ring F.tabsent;
       np_nums = ring 0; np_flts = ring 0.0; np_objs = ring F.no_obj;
       nm_live = win false; nm_store = win false; nm_hasiv = win false;
@@ -935,9 +1040,9 @@ let new_instance (sim : t) (trt : task_rt) : instance =
   sim.next_iid <- iid + 1;
   let nw = (nnodes + 31) lsr 5 in
   let inst =
-    { it = trt.tk; iid; i_lay = y; i_ord = 0; i_slot = 0; inodes = nodes;
-      ififos = fifos; iw_wave = [||]; iw_iv = [||]; i_lo = 0; i_count = 0;
-      i_full = 0; next_wave = 0; live = true; i_retired = -1;
+    { it = trt.tk; iid; i_lay = y; i_ord = 0; i_slot = slot; inodes = nodes;
+      i_cb = slot * y.y_nch; iw_wave = [||]; iw_iv = [||]; i_lo = 0;
+      i_count = 0; i_full = 0; next_wave = 0; live = true; i_retired = -1;
       idynamic = trt.tdynamic; ipipe_loop = Cost.pipelined trt.tk;
       ij_space = [||]; ij_sr = [||]; ij_head = 0; ij_tail = 0; i_nw = nw;
       i_fset = Array.make (2 * nw) 0; i_fpar = 0;
@@ -946,14 +1051,9 @@ let new_instance (sim : t) (trt : task_rt) : instance =
       ivp_n = 0; i_nres = trt.t_nres;
       i_sc = Exec.make_sc ~slots:((y.y_arity * 2) + 4); i_prof = prof }
   in
-  Array.iteri
-    (fun k f ->
-      f.f_di <- inst;
-      f.f_dn <- nodes.(y.y_dst.(k));
-      f.f_si <- inst;
-      f.f_sn <- nodes.(y.y_src.(k)))
-    fifos;
   sim.insts <- vpush sim.insts iid inst;
+  trt.tinst <- vpush trt.tinst slot inst;
+  trt.tinst_n <- slot + 1;
   prime sim inst;
   inst
 
@@ -1023,16 +1123,7 @@ let acquire_instance (sim : t) (trt : task_rt) : instance =
     reset_instance sim inst;
     inst
   end
-  else begin
-    (* Fresh instances register on the task's roster (reborn pooled
-       ones already sit there); the roster feeds the final counter
-       fold and the deadlock dump. *)
-    let inst = new_instance sim trt in
-    inst.i_slot <- trt.tinst_n;
-    trt.tinst <- vpush trt.tinst trt.tinst_n inst;
-    trt.tinst_n <- trt.tinst_n + 1;
-    inst
-  end
+  else new_instance sim trt
 
 let create ?tracer (c : G.circuit) : t =
   Muir_core.Validate.check_exn c;
@@ -1071,7 +1162,7 @@ let create ?tracer (c : G.circuit) : t =
       wheel =
         Array.init wheel_size (fun _ ->
             { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
-      insts = [||]; ld_v = [||]; ld_n = 0; woken = 0; live_nodes = 0;
+      insts = [||]; ld_i = [||]; ld_k = [||]; ld_n = 0; woken = 0; live_nodes = 0;
       node_cycles = 0; tr = tracer; ctrs;
       otasks = Array.init n (fun tid -> Ctr.occ_ref ctrs (Ctr.Ktask tid));
       act_j; act_f; act_e; act_c; act_q }
@@ -1079,14 +1170,12 @@ let create ?tracer (c : G.circuit) : t =
   (* Static instances for non-dynamic tasks: one per tile. *)
   Array.iter
     (fun trt ->
-      if not trt.tdynamic then
+      if not trt.tdynamic then begin
+        grow_slots (layout sim trt) (trt.tk.tiles - 1);
         for k = 0 to trt.tk.tiles - 1 do
-          let inst = new_instance sim trt in
-          inst.i_ord <- k;
-          inst.i_slot <- k;
-          trt.tinst <- vpush trt.tinst trt.tinst_n inst;
-          trt.tinst_n <- trt.tinst_n + 1
-        done)
+          (new_instance sim trt).i_ord <- k
+        done
+      end)
     tasks;
   sim
 
@@ -1186,16 +1275,14 @@ let attr_inv (inst : instance) (n : node_rt) : invocation =
               inst.it.tname))
 
 (** Can this instance accept another invocation right now? *)
-let rec ca_fans (fs : fifo array) (k : int) : bool =
-  k >= Array.length fs || (fifo_space fs.(k) && ca_fans fs (k + 1))
-
-let rec ca_ports (outs : fifo array array) (p : int) : bool =
-  p >= Array.length outs || (ca_fans outs.(p) 0 && ca_ports outs (p + 1))
+let rec ca_ports (inst : instance) (outs : int array array) (p : int) : bool =
+  p >= Array.length outs
+  || (fans_space inst outs.(p) 0 && ca_ports inst outs (p + 1))
 
 let rec ca_nodes (inst : instance) (i : int) : bool =
   i >= Array.length inst.inodes
   || ((match inst.inodes.(i).nr.kind with
-      | G.LiveIn _ -> ca_ports inst.inodes.(i).nr_out 0
+      | G.LiveIn _ -> ca_ports inst inst.i_lay.y_out.(i) 0
       | _ -> true)
      && ca_nodes inst (i + 1))
 
@@ -1466,18 +1553,10 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
     let n = inst.inodes.(j) in
     match n.nr.kind with
     | G.LiveIn i ->
-      let fs = n.nr_out.(0) in
       if i < trt.t_arity then
-        for k = 0 to Array.length fs - 1 do
-          fifo_push sim fs.(k) trt.tq_tags.(base + i)
-            trt.tq_nums.(base + i) trt.tq_flts
-            (base + i)
-            trt.tq_objs.(base + i)
-        done
-      else
-        for k = 0 to Array.length fs - 1 do
-          fifo_push sim fs.(k) F.tpoison 0 f0 0 F.no_obj
-        done
+        emit_port sim inst j 0 trt.tq_tags.(base + i) trt.tq_nums.(base + i)
+          trt.tq_flts (base + i) trt.tq_objs.(base + i)
+      else emit_port sim inst j 0 F.tpoison 0 f0 0 F.no_obj
     | _ -> ()
   done;
   wake_complete sim inst;
@@ -1562,10 +1641,12 @@ let rec lq_nodes_from (inst : instance) (i : int) : bool =
          | _ -> true)
       && lq_nodes_from inst (i + 1))
 
-let rec lq_fifos_from (inst : instance) (e : int) : bool =
-  e >= Array.length inst.ififos
-  || (let f = inst.ififos.(e) in
-      f.ftail - f.fhead = inst.i_lay.y_prime.(e) && lq_fifos_from inst (e + 1))
+let rec lq_fifos_from (inst : instance) (k : int) : bool =
+  let y = inst.i_lay in
+  k >= y.y_nch
+  || (let o = ch_row inst k in
+      y.c_row.(o + ch_tl) - y.c_row.(o + ch_hd) = y.y_prime.(k)
+      && lq_fifos_from inst (k + 1))
 
 let loop_quiescent (inst : instance) : bool =
   lq_nodes_from inst 0
@@ -1690,18 +1771,18 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
       (* Consume ctl, then the selected data input only. *)
       let sc = inst.i_sc in
       let c = G.mu_ctl in
-      if not (stage_one n sc c) then false
+      if not (stage_one inst n sc c) then false
       else begin
         let sel =
           G.mu_select
             (Exec.truthy_flat sc.Exec.stags.(c) sc.Exec.snums.(c)
                sc.Exec.sobjs.(c))
         in
-        if not (stage_one n sc sel) then false
+        if not (stage_one inst n sc sel) then false
         else if n.np_tail - n.np_head >= Cost.pipe_slots then false
         else begin
-          pop_in sim n c;
-          pop_in sim n sel;
+          pop_in sim inst n c;
+          pop_in sim inst n sel;
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.stags.(sel)
             sc.Exec.snums.(sel) sc.Exec.sflts sel sc.Exec.sobjs.(sel);
           n.nr_fired <- n.nr_fired + 1;
@@ -1716,9 +1797,9 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
         match n.nr.kind with
         | G.Compute op ->
           let sc = inst.i_sc in
-          stage_inputs n sc;
-          pop_all sim n;
-          Exec.compute_sc sc op 0 (Array.length n.nr_in);
+          stage_inputs inst n sc;
+          pop_all sim inst n;
+          Exec.compute_sc sc op 0 (n_inputs inst.i_lay n.nr_idx);
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
             sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
           n.nr_busy_until <- now + n.nr_cost.ii;
@@ -1726,9 +1807,9 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.Fused ops ->
           let sc = inst.i_sc in
-          stage_inputs n sc;
-          pop_all sim n;
-          Exec.fused_sc sc ops (Array.length n.nr_in);
+          stage_inputs inst n sc;
+          pop_all sim inst n;
+          Exec.fused_sc sc ops (n_inputs inst.i_lay n.nr_idx);
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
             sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
           n.nr_busy_until <- now + n.nr_cost.ii;
@@ -1736,17 +1817,17 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.Merge k ->
           let sc = inst.i_sc in
-          stage_inputs n sc;
-          pop_all sim n;
-          Exec.merge_sc sc k (Array.length n.nr_in);
+          stage_inputs inst n sc;
+          pop_all sim inst n;
+          Exec.merge_sc sc k (n_inputs inst.i_lay n.nr_idx);
           pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
             sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
           n.nr_fired <- n.nr_fired + 1;
           true
         | G.Steer ->
           let sc = inst.i_sc in
-          stage_inputs n sc;
-          pop_all sim n;
+          stage_inputs inst n sc;
+          pop_all sim inst n;
           let p = G.pred_port and d = G.steer_data in
           let port =
             G.steer_select
@@ -1759,8 +1840,8 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.FusedSteer ops ->
           let sc = inst.i_sc in
-          stage_inputs n sc;
-          pop_all sim n;
+          stage_inputs inst n sc;
+          pop_all sim inst n;
           let p = G.pred_port and d = G.steer_data in
           let port =
             G.steer_select
@@ -1769,7 +1850,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           in
           (* The chain's operands start at the data input: shift them
              down. *)
-          let nops = Array.length n.nr_in - d in
+          let nops = n_inputs inst.i_lay n.nr_idx - d in
           for i = 0 to nops - 1 do
             sc.Exec.stags.(i) <- sc.Exec.stags.(i + d);
             sc.Exec.snums.(i) <- sc.Exec.snums.(i + d);
@@ -1786,9 +1867,9 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           (* Tensor ops produce boxed tiles anyway; the slow path is
              fine here. *)
           let sc = inst.i_sc in
-          stage_inputs n sc;
-          pop_all sim n;
-          let v = Exec.tensor top (Exec.slot_values sc 0 (Array.length n.nr_in)) in
+          stage_inputs inst n sc;
+          pop_all sim inst n;
+          let v = Exec.tensor top (Exec.slot_values sc 0 (n_inputs inst.i_lay n.nr_idx)) in
           sc.Exec.rflt.(0) <- F.flt_of v;
           pipe_push n (now + n.nr_cost.latency - 1) 0 (F.tag_of v)
             (F.num_of v) sc.Exec.rflt 0 (F.obj_of v);
@@ -1809,7 +1890,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
             let iv = if is_store then attr_inv inst n else dummy_inv in
             if not is_store then ignore (oldest_wave inst);
             let sc = inst.i_sc in
-            stage_inputs n sc;
+            stage_inputs inst n sc;
             let p = G.pred_port and ad = G.mem_addr in
             let pred_ok =
               Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
@@ -1820,7 +1901,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
               Exec.to_int_flat sc.Exec.stags.(ad) sc.Exec.snums.(ad)
                 sc.Exec.sobjs.(ad)
             in
-            pop_all sim n;
+            pop_all sim inst n;
             let s = n.nm_tail land (Array.length n.nm_live - 1) in
             if pred_ok && addr_tag <> F.tpoison then begin
               let a =
@@ -1921,7 +2002,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           end
         | G.CallChild tid | G.SpawnChild tid ->
           let sc = inst.i_sc in
-          stage_inputs n sc;
+          stage_inputs inst n sc;
           let p = G.pred_port in
           let pred_ok =
             Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
@@ -1947,8 +2028,8 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           else begin
             let wave = n.nr_fired in
             let iv = attr_inv inst n in
-            let nin = Array.length n.nr_in in
-            pop_all sim n;
+            let nin = n_inputs inst.i_lay n.nr_idx in
+            pop_all sim inst n;
             if pred_ok then begin
               let eff = iv.iv_eff_ctx in
               let rkind =
@@ -2009,7 +2090,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           end
         | G.SyncWait ->
           let iv = attr_inv inst n in
-          pop_all sim n;
+          pop_all sim inst n;
           sync_push n iv n.nr_fired;
           (* Park on the join context: each child completion retries
              the sync's emission. *)
@@ -2018,13 +2099,13 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           true
         | G.LiveOut idx ->
           let sc = inst.i_sc in
-          ignore (stage_one n sc 0);
+          ignore (stage_one inst n sc 0);
           let iv =
             match inst.it.tkind with
             | G.Tfunc -> find_inv inst n.nr_fired
             | G.Tloop _ -> attr_inv inst n
           in
-          pop_all sim n;
+          pop_all sim inst n;
           let fresh = iv.iv_lo_tags.(idx) = F.tabsent in
           iv.iv_lo_tags.(idx) <- sc.Exec.stags.(0);
           iv.iv_lo_nums.(idx) <- sc.Exec.snums.(0);
@@ -2043,12 +2124,12 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
 (* Why did this woken node fail to fire?  Mirrors [try_fire]'s failure
    paths; a failed attempt has no side effects, so re-inspecting the
    state after the attempt is exact. *)
-let stall_cause (sim : t) (n : node_rt) : Ctr.cause =
+let stall_cause (sim : t) (inst : instance) (n : node_rt) : Ctr.cause =
   if n.nr_busy_until > sim.now then Ctr.Structural
   else
     match n.nr.kind with
     | G.LiveIn _ -> Ctr.Idle (* driven by injection, never stalled *)
-    | _ when not (can_start n) -> Ctr.Operand
+    | _ when not (can_start inst n) -> Ctr.Operand
     | G.MergeLoop -> Ctr.Backpressure
     | G.CallChild _ | G.SpawnChild _ -> Ctr.Structural
     | _ ->
@@ -2080,7 +2161,7 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
   (* Could the node fire again with the tokens already committed?  No
      other event will arrive for them, so a firing self-schedules its
      next attempt (live-ins never fire here). *)
-  let ra = fired && can_start n in
+  let ra = fired && can_start inst n in
   if fired then begin
     ignore (Ctr.Prof.transition np (Ctr.cause_index Ctr.Busy) sim.now);
     ignore
@@ -2096,7 +2177,7 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
     | None -> ()
   end
   else begin
-    let cause = stall_cause sim n in
+    let cause = stall_cause sim inst n in
     let changed = Ctr.Prof.transition np (Ctr.cause_index cause) sim.now in
     match sim.tr with
     | Some tr when changed && cause <> Ctr.Idle ->
@@ -2145,32 +2226,19 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
 (* ------------------------------------------------------------------ *)
 (* Emission (phase B)                                                   *)
 
-let rec port_space_from (fs : fifo array) (k : int) : bool =
-  k >= Array.length fs || (fifo_space fs.(k) && port_space_from fs (k + 1))
-
-let port_space (n : node_rt) (p : int) : bool =
-  port_space_from n.nr_out.(p) 0
-
-let emit_port (sim : t) (n : node_rt) (p : int) (tag : int) (num : int)
-    (flts : float array) (fi : int) (obj : token) : unit =
-  let fs = n.nr_out.(p) in
-  for k = 0 to Array.length fs - 1 do
-    fifo_push sim fs.(k) tag num flts fi obj
-  done
-
 (* The emission drains below are top-level and tail-recursive, each
    threading its progress flag as an argument: defined locally to
    [try_emit] they would allocate a closure per node per cycle. *)
 
 (* Pipeline outputs (in order). *)
-let rec drain_pipe (sim : t) (n : node_rt) (progressed : bool) : bool =
+let rec drain_pipe (sim : t) (inst : instance) (n : node_rt) (progressed : bool) : bool =
   if n.np_tail - n.np_head > 0 then begin
     let s = n.np_head land (Cost.pipe_slots - 1) in
-    if n.np_ready.(s) <= sim.now && port_space n n.np_port.(s) then begin
+    if n.np_ready.(s) <= sim.now && port_space inst n.nr_idx n.np_port.(s) then begin
       n.np_head <- n.np_head + 1;
-      emit_port sim n n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
+      emit_port sim inst n.nr_idx n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
         s n.np_objs.(s);
-      drain_pipe sim n true
+      drain_pipe sim inst n true
     end
     else progressed
   end
@@ -2179,7 +2247,7 @@ let rec drain_pipe (sim : t) (n : node_rt) (progressed : bool) : bool =
 (* Memory responses (FIFO per node).  [sc] is the owning instance's
    flat scratch — tile assembly parks its float there so nothing is
    boxed on the way to the ports. *)
-let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
+let rec drain_mem (sim : t) (inst : instance) (sc : Exec.sc) (n : node_rt)
     (progressed : bool) : bool =
   if n.nm_tail - n.nm_head > 0 then begin
     let mm = Array.length n.nm_live - 1 in
@@ -2193,8 +2261,8 @@ let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
       in
       let data = G.load_data and ack = G.mem_done n.nr in
       let space =
-        if is_load then port_space n data && port_space n ack
-        else port_space n ack
+        if is_load then port_space inst n.nr_idx data && port_space inst n.nr_idx ack
+        else port_space inst n.nr_idx ack
       in
       if space then begin
         let a = n.nm_acc.(s) in
@@ -2206,22 +2274,22 @@ let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
         (match n.nr.kind, live with
         | (G.Load _ | G.Tload _), false ->
           (* gated: poison data, ack false *)
-          emit_port sim n data F.tpoison 0 f0 0 F.no_obj;
-          emit_port sim n ack F.tfalse 0 f0 0 F.no_obj
+          emit_port sim inst n.nr_idx data F.tpoison 0 f0 0 F.no_obj;
+          emit_port sim inst n.nr_idx ack F.tfalse 0 f0 0 F.no_obj
         | G.Load _, true ->
-          emit_port sim n data a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
+          emit_port sim inst n.nr_idx data a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
             a.Memsys.a_flts 0 a.Memsys.a_objs.(0);
-          emit_port sim n ack F.ttrue 0 f0 0 F.no_obj
+          emit_port sim inst n.nr_idx ack F.ttrue 0 f0 0 F.no_obj
         | G.Tload _, true ->
           let v = Memsys.tile_value a in
           sc.Exec.rflt.(0) <- F.flt_of v;
-          emit_port sim n data (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
+          emit_port sim inst n.nr_idx data (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
             (F.obj_of v);
-          emit_port sim n ack F.ttrue 0 f0 0 F.no_obj
+          emit_port sim inst n.nr_idx ack F.ttrue 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), false ->
-          emit_port sim n ack F.tfalse 0 f0 0 F.no_obj
+          emit_port sim inst n.nr_idx ack F.tfalse 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), true ->
-          emit_port sim n ack F.ttrue 0 f0 0 F.no_obj
+          emit_port sim inst n.nr_idx ack F.ttrue 0 f0 0 F.no_obj
         | _ -> assert false);
         (* Recycle the access: banks still draining a write-buffered
            store keep it as an orphan and return it on completion. *)
@@ -2229,7 +2297,7 @@ let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
           if a.Memsys.a_pending <= 0 then pool_access n a
           else a.Memsys.a_orphan <- true
         end;
-        drain_mem sim sc n true
+        drain_mem sim inst sc n true
       end
       else progressed
     end
@@ -2237,28 +2305,28 @@ let rec drain_mem (sim : t) (sc : Exec.sc) (n : node_rt)
   end
   else progressed
 
-let rec ports_free (n : node_rt) (p : int) (k : int) : bool =
-  p >= k || (port_space n p && ports_free n (p + 1) k)
+let rec ports_free (inst : instance) (n : node_rt) (p : int) (k : int) : bool =
+  p >= k || (port_space inst n.nr_idx p && ports_free inst n (p + 1) k)
 
 (* Call/spawn responses in wave order. *)
-let rec drain_resp (sim : t) (n : node_rt) (progressed : bool) : bool =
+let rec drain_resp (sim : t) (inst : instance) (n : node_rt) (progressed : bool) : bool =
   if resp_ready n n.nr_next_resp then begin
     let cap = Array.length n.rs_wave in
     let s = n.nr_next_resp land (cap - 1) in
     let w = Int.max n.rs_w 1 in
-    let k = Int.min n.rs_w (Array.length n.nr_out) in
-    if ports_free n 0 k then begin
+    let k = Int.min n.rs_w (Array.length inst.i_lay.y_out.(n.nr_idx)) in
+    if ports_free inst n 0 k then begin
       n.rs_wave.(s) <- -1;
       n.nr_next_resp <- n.nr_next_resp + 1;
       for p = 0 to k - 1 do
-        emit_port sim n p
+        emit_port sim inst n.nr_idx p
           n.rs_tags.((s * w) + p)
           n.rs_nums.((s * w) + p)
           n.rs_flts
           ((s * w) + p)
           n.rs_objs.((s * w) + p)
       done;
-      drain_resp sim n true
+      drain_resp sim inst n true
     end
     else progressed
   end
@@ -2289,11 +2357,11 @@ let rec drain_sync (sim : t) (inst : instance) (n : node_rt)
     let children_ok =
       iv.iv_gen <> n.ns_gen.(s) || iv.iv_eff_ctx.live_children = 0
     in
-    if spawns_issued_from inst wave 0 && children_ok && port_space n 0
+    if spawns_issued_from inst wave 0 && children_ok && port_space inst n.nr_idx 0
     then begin
       n.ns_head <- n.ns_head + 1;
       sim.ctrs.Ctr.syncs <- sim.ctrs.Ctr.syncs + 1;
-      emit_port sim n 0 F.ttrue 0 f0 0 F.no_obj;
+      emit_port sim inst n.nr_idx 0 F.ttrue 0 f0 0 F.no_obj;
       drain_sync sim inst n true
     end
     else progressed
@@ -2302,7 +2370,7 @@ let rec drain_sync (sim : t) (inst : instance) (n : node_rt)
 
 let try_emit (sim : t) (inst : instance) (n : node_rt) : bool =
   if n.nr_pipe then begin
-    let progressed = drain_pipe sim n false in
+    let progressed = drain_pipe sim inst n false in
     (* A new ring head wakes the node on its due cycle; an unchanged
        head already has its wake. *)
     (if progressed && n.np_tail - n.np_head > 0 then
@@ -2311,8 +2379,8 @@ let try_emit (sim : t) (inst : instance) (n : node_rt) : bool =
     progressed
   end
   else
-    let progressed = drain_mem sim inst.i_sc n false in
-    let progressed = drain_resp sim n progressed in
+    let progressed = drain_mem sim inst inst.i_sc n false in
+    let progressed = drain_resp sim inst n progressed in
     drain_sync sim inst n progressed
 
 (* ------------------------------------------------------------------ *)
@@ -2456,7 +2524,7 @@ let rec emit_bits (sim : t) (inst : instance) (base : int) (w : int) : unit =
       (* Freed pipeline/memory slots may unblock the node's next
          firing, unless that attempt would change nothing; drained
          state feeds the completion check. *)
-      if futile n (sim.now + 1) then n.nr_skip <- sim.now
+      if futile inst n (sim.now + 1) then n.nr_skip <- sim.now
       else wake_fire sim inst n;
       wake_complete sim inst
     end;
@@ -2610,18 +2678,17 @@ let dispatch_task (sim : t) (trt : task_rt) : bool =
    transfer is independent, so their order does not matter). *)
 let commit (sim : t) : unit =
   for i = 0 to sim.ld_n - 1 do
-    let f = sim.ld_v.(i) in
-    f.f_dirty <- false;
-    if f.ftail - f.fmid > 0 then begin
-      let dn = f.f_dn in
-      if f.fmid = f.fhead then dn.nr_miss <- dn.nr_miss - 1;
-      f.fmid <- f.ftail;
-      (* Fresh tokens: the consumer may be able to fire.  Nothing
-         changes a label, an operand or a busy time between here and
-         the next fire phase, so the futility check is already final;
-         of several commits into one consumer, the last sees them all. *)
-      if not (futile dn (sim.now + 1)) then wake_fire sim f.f_di dn
-    end
+    let inst = sim.insts.(sim.ld_i.(i)) in
+    let k = sim.ld_k.(i) in
+    let r = inst.i_lay.c_row and o = ch_row inst k in
+    let dn = inst.inodes.(inst.i_lay.y_dst.(k)) in
+    if r.(o + ch_md) = r.(o + ch_hd) then dn.nr_miss <- dn.nr_miss - 1;
+    r.(o + ch_md) <- r.(o + ch_tl);
+    (* Fresh tokens: the consumer may be able to fire.  Nothing changes
+       a label, an operand or a busy time between here and the next
+       fire phase, so the futility check is already final; of several
+       commits into one consumer, the last sees them all. *)
+    if not (futile inst dn (sim.now + 1)) then wake_fire sim inst dn
   done;
   sim.ld_n <- 0
 
@@ -2698,15 +2765,18 @@ let diagnose (sim : t) : string =
           Buffer.add_string buf
             (Fmt.str "task %s#%d: %d inflight, lo=%d next=%d@." trt.tk.tname
                inst.iid inst.i_count inst.i_lo inst.next_wave);
+          let y = inst.i_lay in
+          let committed k =
+            let o = ch_row inst k in
+            y.c_row.(o + ch_md) - y.c_row.(o + ch_hd)
+          in
           Array.iter
             (fun (n : node_rt) ->
+              let i = n.nr_idx in
               let in_state =
-                Array.to_list
-                  (Array.map
-                     (function
-                       | None -> "imm"
-                       | Some (f : fifo) -> string_of_int (f.fmid - f.fhead))
-                     n.nr_in)
+                List.init (n_inputs y i) (fun p ->
+                    let k = y.y_ich.(y.y_inb.(i) + p) in
+                    if k < 0 then "imm" else string_of_int (committed k))
               in
               let out_state =
                 Array.to_list
@@ -2714,10 +2784,11 @@ let diagnose (sim : t) : string =
                      (fun fs ->
                        String.concat "/"
                          (List.map
-                            (fun (f : fifo) ->
-                              Fmt.str "%d(%d)" (f.fmid - f.fhead) f.fcap)
+                            (fun k ->
+                              Fmt.str "%d(%d)" (committed k)
+                                y.y_cap.(k))
                             (Array.to_list fs)))
-                     n.nr_out)
+                     y.y_out.(i))
               in
               Buffer.add_string buf
                 (Fmt.str
@@ -2736,6 +2807,22 @@ let diagnose (sim : t) : string =
       done)
     sim.tasks;
   Buffer.contents buf
+
+(* Readiness oracle accessors: node [i] of [inst], its readiness
+   count, and the committed tokens on each of its inputs ([None] for
+   an immediate). *)
+let node_count (inst : instance) : int = Array.length inst.inodes
+let node_nid (inst : instance) (i : int) : int = inst.inodes.(i).nr.nid
+let node_miss (inst : instance) (i : int) : int = inst.inodes.(i).nr_miss
+
+let input_tokens (inst : instance) (i : int) : int option array =
+  let y = inst.i_lay in
+  Array.init (n_inputs y i) (fun p ->
+      let k = y.y_ich.(y.y_inb.(i) + p) in
+      if k < 0 then None
+      else
+        let o = ch_row inst k in
+        Some (y.c_row.(o + ch_md) - y.c_row.(o + ch_hd)))
 
 (** Queue the root task's invocation, with [args] after the implicit
     true predicate, before cycle 0 (so occupancy counts it from cycle

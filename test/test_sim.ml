@@ -354,22 +354,25 @@ let oracle (check : Muir_sim.Sim.instance -> (string * int * int) option)
 (* Readiness: a node's [nr_miss] counts its wired inputs whose channel
    holds no committed token, kept up to date by the commits and pops
    that move those channels. *)
-let rec recount_miss (n : Muir_sim.Sim.node_rt) (i : int) (k : int) : int =
-  if i = Array.length n.nr_in then k
+let rec recount_miss (ins : int option array) (i : int) (k : int) : int =
+  if i = Array.length ins then k
   else
-    match n.nr_in.(i) with
-    | Some f when f.fmid - f.fhead = 0 -> recount_miss n (i + 1) (k + 1)
-    | _ -> recount_miss n (i + 1) k
+    match ins.(i) with
+    | Some 0 -> recount_miss ins (i + 1) (k + 1)
+    | _ -> recount_miss ins (i + 1) k
 
 let readiness (inst : Muir_sim.Sim.instance) =
-  Array.fold_left
-    (fun bad (n : Muir_sim.Sim.node_rt) ->
-      let want = recount_miss n 0 0 in
+  let module S = Muir_sim.Sim in
+  List.fold_left
+    (fun bad i ->
+      let want = recount_miss (S.input_tokens inst i) 0 0 in
+      let got = S.node_miss inst i in
       match bad with
-      | None when n.nr_miss <> want ->
-        Some (Fmt.str "node n%d nr_miss" n.nr.nid, n.nr_miss, want)
+      | None when got <> want ->
+        Some (Fmt.str "node n%d nr_miss" (S.node_nid inst i), got, want)
       | _ -> bad)
-    None inst.inodes
+    None
+    (List.init (S.node_count inst) Fun.id)
 
 (* Completion gate: [i_full] counts the inflight invocations whose
    live-out tuple is complete; completion is only attempted while it is
