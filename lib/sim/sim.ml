@@ -37,31 +37,39 @@
 
     {2 Data layout}
 
-    Everything on the steady-state path is preallocated
-    struct-of-arrays indexed by dense ids: channels are flat
-    ring-buffer columns in the {!Muir_ir.Flat} token encoding, node
-    pipeline/memory/reorder/sync state are fixed rings, invocations
-    and task-queue entries are pooled flat rows, wake sets are
-    double-buffered bitsets, the timing wheel holds plain ints, and
-    retired dynamic instances return to a per-task pool and are reborn
-    in place.  A task's static structure is its {e layout}, built with
-    its first instance and shared by all of them: a prototype of each
-    node with its read-only rows, channel wiring by node index, the
-    initial tokens that prime a (re)born instance, and the counter
-    rows.  An instance allocates only its mutable state.  The
-    steady-state fire path allocates {e zero} words on the OCaml minor
-    heap (asserted by the bench gate and by [test/test_sim.ml]) and
-    skips every pointer store that would not change the stored value,
-    since each one costs a write-barrier call.  Per-cycle work scales
-    with activity: each phase visits only tasks with queued work, idle
-    memory structures cost one depth check, and queue occupancy is
-    integrated when a depth moves rather than sampled.
+    Instance state lives in columns.  A task's {e layout}, built with
+    its first instance, holds the task's static rows (each node's kind,
+    cost, wiring by channel index and ring ordinals, the initial tokens
+    that prime an instance, the counter rows) and the columns that
+    every instance's state is a row of: channel cursors and token
+    rings in the {!Muir_ir.Flat} encoding, node rows (readiness,
+    firings, busy time, ring cursors, stall label), per-cause profile
+    rows, pipeline rings, memory windows and access pools, and the
+    reply rings of call, spawn and sync nodes.  An instance is a
+    {e slot}: its rows sit at the slot's offset in each column.  A
+    static instance is a slot allocated at creation; a dynamic context
+    takes a retired slot from its task's FIFO pool once the slot's
+    retirement cycle has passed, or the next slot, doubling the
+    columns when they are full, and is reset in place.  Rows never
+    move, so growth invalidates no offset.  The instance record keeps
+    what is per instance, not per node: the inflight window, the
+    junction queue, the double-buffered wake bitsets and the
+    invocation pool; one ALU scratch serves the simulator, since
+    staging never outlives a call.  Task-queue entries are pooled flat
+    rows and the timing wheel holds plain ints.  The steady-state fire
+    path allocates {e zero} words on the OCaml minor heap (asserted by
+    the bench gate and by [test/test_sim.ml]) and skips every pointer
+    store that would not change the stored value, since each one costs
+    a write-barrier call.  Per-cycle work scales with activity: each
+    phase visits only tasks with queued work, idle memory structures
+    cost one depth check, and queue occupancy is integrated when a
+    depth moves rather than sampled.
 
     The wake discipline is {e precise}: a wake is made only when the
     attempt it causes can fire the node, move a token, change its stall
     label, or complete an invocation.
     - Operand readiness is a per-node count of wired inputs with no
-      committed token ([nr_miss]), moved only by commits and pops.
+      committed token ([nd_miss]), moved only by commits and pops.
     - A commit into an empty channel wakes the consumer, and an
       emission its own node, unless at the next fire phase the node
       still misses an operand, is past its initiation interval and
@@ -87,7 +95,7 @@
     Between a commit or emission of cycle c and the fire phase of c+1,
     only the completion phase's idle relabel changes a label, operand
     or busy time, and it re-wakes the nodes an emission left unwoken
-    that cycle ([nr_skip]).  No invocation completes without a
+    that cycle ([nd_skip]).  No invocation completes without a
     complete tuple, and a child's join never completes its owner in
     the same phase (the child's response is emitted next cycle), so
     the skipped checks move no completion.  Under-waking never happens:
@@ -121,7 +129,7 @@ type sync_ctx = {
       (** instance whose invocation owns this context: re-checked for
           completion when a child joins *)
   mutable cx_w_inst : instance array;  (** parked SyncWait nodes *)
-  mutable cx_w_node : node_rt array;
+  mutable cx_w_node : int array;
   mutable cx_nw : int;
 }
 
@@ -134,7 +142,7 @@ and invocation = {
   mutable iv_wave : int;
   mutable iv_rkind : int;
   mutable iv_rinst : instance;
-  mutable iv_rnode : node_rt;
+  mutable iv_rnode : int;       (** node of [iv_rinst] awaiting the reply *)
   mutable iv_rwave : int;
   mutable iv_rctx : sync_ctx;   (** decremented when a spawn completes *)
   mutable iv_eff_ctx : sync_ctx; (** where this invocation's spawns join *)
@@ -147,67 +155,21 @@ and invocation = {
   mutable iv_stores : int;      (** outstanding stores attributed here *)
 }
 
-and node_rt = {
-  nr : G.node;
-  nr_cost : Cost.t;
-  nr_idx : int;                   (** position in [inodes] (drain order) *)
-  nr_prof : Ctr.Prof.nprof;       (** this node's row of [i_prof] *)
-  nr_words : int;                 (** words per access (memory nodes) *)
-  nr_space : int;                 (** address space (memory nodes) *)
-  nr_mem : bool;                  (** load/store: emits through [nm_*] *)
-  nr_pipe : bool;                 (** emits only through the [np_*] ring *)
-  mutable nr_miss : int;          (** wired inputs holding no committed
-                                      token: 0 = every operand present *)
-  mutable nr_fired : int;         (** firings so far (the wave counter) *)
-  mutable nr_busy_until : int;
-  mutable nr_skip : int;          (** last cycle an emission left the
-                                      node unwoken as {!futile} *)
-  (* pipeline ring: [Cost.pipe_slots] slots of (ready cycle, out port,
-     token); empty unless [nr_pipe] *)
-  np_ready : int array;
-  np_port : int array;
-  np_tags : int array;
-  np_nums : int array;
-  np_flts : float array;
-  np_objs : token array;
-  mutable np_head : int;
-  mutable np_tail : int;
-  (* outstanding-request window: ring of [max_outstanding] entries *)
-  nm_live : bool array;           (** entry carries an access *)
-  nm_store : bool array;
-  nm_hasiv : bool array;          (** store attribution attached *)
-  nm_acc : Memsys.access array;
-  nm_inv : invocation array;
-  mutable nm_head : int;
-  mutable nm_tail : int;
-  mutable na_pool : Memsys.access array;  (** reusable accesses *)
-  mutable na_n : int;
-  (* call/spawn reorder buffer: wave-indexed flat rows, width [rs_w] *)
-  rs_w : int;
-  mutable rs_wave : int array;    (** -1 = empty *)
-  mutable rs_tags : int array;
-  mutable rs_nums : int array;
-  mutable rs_flts : float array;
-  mutable rs_objs : token array;
-  mutable nr_next_resp : int;
-  (* pending sync waits: FIFO ring of (invocation, wave) *)
-  mutable ns_inv : invocation array;
-  mutable ns_wave : int array;
-  mutable ns_gen : int array;   (** [iv_gen] at push time *)
-  mutable ns_head : int;
-  mutable ns_tail : int;
-  mutable nr_wait_child : bool;   (** parked on a full child task queue *)
-}
-
+(* An instance is a slot of its task's layout: its node and channel
+   state are rows of the layout's columns.  The record keeps what is
+   per instance rather than per node: the inflight window, the
+   junction queue, the wake sets and the invocation pool. *)
 and instance = {
   it : G.task;
   iid : int;
-  i_lay : layout;                 (** the task's shared static rows *)
-  mutable i_ord : int;            (** drain order within the task *)
+  i_lay : layout;                 (** the task's rows and columns *)
   i_slot : int;                   (** position in the task's [tinst]
                                       and row of its layout's columns *)
-  inodes : node_rt array;
   i_cb : int;                     (** [i_slot * y_nch]: channel row base *)
+  i_nb : int;                     (** [i_slot * y_nn]: node row base *)
+  i_pb : int;                     (** first pipeline ring entry *)
+  mutable i_ord : int;            (** drain order within the task *)
+  mutable i_born : int;           (** cycle of (re)birth: profile start *)
   (* inflight window: wave-indexed table, pow2, -1 = empty slot *)
   mutable iw_wave : int array;
   mutable iw_iv : invocation array;
@@ -228,9 +190,9 @@ and instance = {
   mutable ij_sr : Memsys.subreq array;
   mutable ij_head : int;
   mutable ij_tail : int;
-  (* wake sets: bitsets over [nr_idx], 32 nodes per word, each double
-     buffered in one array — words [i_*par, i_*par + i_nw) collect
-     wakes, the other half is the set being drained *)
+  (* wake sets: bitsets over node indices, 32 nodes per word, each
+     double buffered in one array — words [i_*par, i_*par + i_nw)
+     collect wakes, the other half is the set being drained *)
   i_nw : int;
   i_fset : int array;
   mutable i_fpar : int;
@@ -243,28 +205,41 @@ and instance = {
   mutable ivp : invocation array; (** invocation pool *)
   mutable ivp_n : int;
   i_nres : int;
-  i_sc : Exec.sc;                 (** flat ALU scratch *)
-  i_prof : Ctr.Prof.iprof;         (** always-on stall accounting *)
 }
 
-(* A task's static structure, resolved once when its first instance is
-   built and shared by every instance of the task: a prototype of each
-   node holding its read-only rows, node inputs and outputs as channel
-   indices (channel k carries the task's k-th edge), the tokens that
-   prime each channel and the whole-run counter rows.  Building it on
-   demand keeps a task that never runs out of the counter bank.
-
-   The layout also owns its instances' channels, as columns indexed by
-   instance slot and grown by doubling.  Channel k of slot s is the
-   four-int row at [(s * y_nch + k) * 4] of [c_row]: head (next pop),
-   mid (end of committed tokens), tail (end of staged writes) and the
-   base of its ring in the four token columns, which holds token c at
-   [base + (c land y_cmask.(k))].  Writes land between mid and tail and
-   become visible at the end-of-cycle commit (mid <- tail), so a
-   channel holds staged writes exactly while it is queued for that
-   commit. *)
+(* A task's layout (see Data layout above).  Building it on demand
+   keeps a task that never runs out of the counter bank.  Static rows
+   are by node index, in graph order = drain order; channel k carries
+   the task's k-th edge.  In the columns:
+   - channel k of slot s is the eight-int row at [(s * y_nch + k) * 8]
+     of [c_row] (fields [ch_*]): head (next pop), mid (end of
+     committed tokens), tail (end of staged writes), the base of its
+     ring in the token columns, which hold token c at
+     [base + (c land mask)], then the mask, capacity, producer and
+     consumer, copied from [y_crow] so one row holds all a channel
+     operation reads.  Writes land between mid and tail and become
+     visible at the end-of-cycle commit (mid <- tail), so a channel
+     holds staged writes exactly while it is queued for that commit;
+   - node i of slot s is the row at [(s * y_nn + i) * nd_w] of [n_row]
+     (fields [nd_*]) and its per-cause cycles start at half that
+     offset in [n_acc];
+   - a node's pipeline ring, memory window, access pool and reply ring
+     sit at its ordinal among the slot's nodes that own one. *)
 and layout = {
-  y_proto : node_rt array;        (** graph order = drain order *)
+  y_g : G.node array;
+  y_cost : Cost.t array;
+  y_words : int array;            (** words per access (memory nodes) *)
+  y_space : int array;            (** address space (memory nodes) *)
+  y_pb : int array;               (** node -> pipeline ring offset in a
+                                      slot's rings *)
+  y_mb : int array;               (** node -> memory window ordinal *)
+  y_rb : int array;               (** node -> reply ring ordinal *)
+  y_rw : int array;               (** node -> reply tokens per row *)
+  y_nn : int;
+  y_np : int;                     (** nodes with a pipeline ring *)
+  y_nm : int;                     (** memory nodes *)
+  y_nr : int;                     (** call, spawn and sync nodes *)
+  y_rwid : int;                   (** reply tokens per entry, at least 1 *)
   y_inb : int array;              (** node -> first input row; one past
                                       the last node = row count *)
   y_ich : int array;              (** input row -> channel; -1 = immediate *)
@@ -274,12 +249,12 @@ and layout = {
   y_imf : float array;
   y_imo : token array;
   y_out : int array array array;  (** node, out port -> fan-out channels *)
+  y_liveins : int array;          (** LiveIn node indices *)
+  y_syncs : int array;            (** SyncWait node indices *)
+  y_spawns : int array;           (** SpawnChild node indices *)
+  y_miss0 : int array;            (** node -> readiness count when primed *)
   y_nch : int;
-  y_cap : int array;              (** channel -> capacity *)
-  y_cmask : int array;            (** channel -> ring size - 1 *)
-  y_cbase : int array;            (** channel -> ring base in a slot *)
-  y_src : int array;              (** channel -> producer node index *)
-  y_dst : int array;              (** channel -> consumer node index *)
+  y_crow : int array;             (** channel rows of slot 0, cursors 0 *)
   y_tw : int;                     (** token-column width of one slot *)
   y_prime : int array;            (** channel -> resting token count *)
   (* initial tokens, one row per token, for allocation-free priming *)
@@ -288,15 +263,29 @@ and layout = {
   y_init_nums : int array;
   y_init_flts : float array;
   y_init_objs : token array;
-  y_syncs : int array;            (** SyncWait node indices *)
   y_nctr : Ctr.node_ctr array;    (** whole-run counter rows, by node *)
-  y_arity : int;                  (** widest node input, at least 1 *)
   mutable y_slots : int;          (** slots the columns hold *)
   mutable c_row : int array;
   mutable c_tags : int array;
   mutable c_nums : int array;
   mutable c_flts : float array;
   mutable c_objs : token array;
+  mutable n_row : int array;
+  mutable n_acc : int array;
+  mutable p_int : int array;      (** ready, port, tag, num per entry *)
+  mutable p_flts : float array;
+  mutable p_objs : token array;
+  mutable m_acc : Memsys.access array;
+  mutable m_inv : invocation array;
+  mutable a_pool : Memsys.access array array;  (** reusable accesses *)
+  mutable r_cap : int;            (** entries per reply ring, pow2 *)
+  mutable r_wave : int array;     (** reply arrived for this wave; -1 = not *)
+  mutable r_inv : invocation array;  (** joined invocation (sync) *)
+  mutable r_gen : int array;      (** its [iv_gen] at the join *)
+  mutable r_tags : int array;     (** reply tokens (call, spawn) *)
+  mutable r_nums : int array;
+  mutable r_flts : float array;
+  mutable r_objs : token array;
 }
 
 (* A task's instance worklist: instances queued in [l_v.(l_h .. l_n-1)],
@@ -325,7 +314,7 @@ type task_rt = {
   mutable tq_ctx : sync_ctx array;
   mutable tq_rkind : int array;
   mutable tq_rinst : instance array;
-  mutable tq_rnode : node_rt array;
+  mutable tq_rnode : int array;
   mutable tq_rwave : int array;
   mutable tq_rctx : sync_ctx array;
   mutable tq_head : int;
@@ -344,7 +333,7 @@ type task_rt = {
   mutable tc2 : instance array;   (** completion-drain scratch *)
   tj : ilist;                     (** queued junction sub-requests *)
   mutable tw_inst : instance array;  (** callers parked on full queue *)
-  mutable tw_node : node_rt array;
+  mutable tw_node : int array;
   mutable tw_n : int;
   (* retired dynamic instances, FIFO (head reused only on a later
      cycle than its retirement, so staged state flushes first) *)
@@ -398,6 +387,22 @@ let deadlock_window = 50_000
    are ints: filling a slot takes no write barrier. *)
 let wheel_size = 512
 
+(** Outstanding accesses per memory node (its window's entries). *)
+let max_outstanding = 8
+
+(* Node row fields (see [layout]): readiness count (wired inputs
+   holding no committed token: 0 = every operand present), firings so
+   far (the wave counter), initiation-interval end, the last cycle an
+   emission left the node unwoken as {!futile}, pipeline ring, memory
+   window cursors, the next wave to reply or join (the reply ring's
+   head; its tail is the firing count),
+   whether the node is parked on a full child task queue, its stall
+   label and the cycle it took it, and its pooled accesses. *)
+let nd_miss, nd_fired, nd_busy, nd_skip = (0, 1, 2, 3)
+let nd_ph, nd_pt, nd_mh, nd_mt, nd_resp = (4, 5, 6, 7, 8)
+let nd_wait, nd_lab, nd_since, nd_apn = (9, 10, 11, 12)
+let nd_w = 16
+
 type wslot = {
   mutable wi : int array;
   mutable wn : int array;
@@ -417,7 +422,8 @@ type t = {
   mutable root_done : bool;
   mutable root_val : token;
   junction_width : int array;     (** per task *)
-  max_outstanding : int;
+  sc : Exec.sc;                   (** flat ALU scratch: staging never
+                                      outlives a call *)
   wheel : wslot array;            (** [wheel_size] slots *)
   mutable insts : instance array; (** every instance, by [iid] *)
   (* channels with staged writes: instance id and channel index *)
@@ -526,51 +532,39 @@ let dummy_task : G.task =
     next_nid = 0; next_eid = 0; arg_tys = []; res_tys = []; tiles = 1;
     queue_depth = 1; children = [] }
 
-let dummy_gnode : G.node =
-  { nid = -1; kind = G.SyncWait; ins = [||]; nty = T.TFloat; label = "" }
-
 let dummy_ctx : sync_ctx =
   { live_children = 0; cx_owner = None; cx_w_inst = [||]; cx_w_node = [||];
     cx_nw = 0 }
 
-let dummy_node : node_rt =
-  { nr = dummy_gnode; nr_cost = Cost.node_cost G.SyncWait; nr_idx = 0;
-    nr_prof = (Ctr.Prof.make ~born:0 ~nnodes:1).nprofs.(0);
-    nr_words = 1; nr_space = 0;
-    nr_mem = false; nr_pipe = false; nr_miss = 0; nr_fired = 0;
-    nr_busy_until = 0; nr_skip = -1; np_ready = [||]; np_port = [||];
-    np_tags = [||]; np_nums = [||]; np_flts = [||]; np_objs = [||];
-    np_head = 0; np_tail = 0; nm_live = [||]; nm_store = [||]; nm_hasiv = [||];
-    nm_acc = [||]; nm_inv = [||]; nm_head = 0; nm_tail = 0; na_pool = [||];
-    na_n = 0; rs_w = 0; rs_wave = [||]; rs_tags = [||]; rs_nums = [||];
-    rs_flts = [||]; rs_objs = [||]; nr_next_resp = 0; ns_inv = [||];
-    ns_wave = [||]; ns_gen = [||]; ns_head = 0; ns_tail = 0;
-    nr_wait_child = false }
-
 let dummy_layout : layout =
-  { y_proto = [||]; y_inb = [| 0 |]; y_ich = [||]; y_imt = [||];
-    y_imn = [||]; y_imf = [||]; y_imo = [||]; y_out = [||]; y_nch = 0;
-    y_cap = [||]; y_cmask = [||]; y_cbase = [||]; y_src = [||];
-    y_dst = [||]; y_tw = 0; y_prime = [||]; y_init_ch = [||];
+  { y_g = [||]; y_cost = [||]; y_words = [||]; y_space = [||]; y_pb = [||];
+    y_mb = [||]; y_rb = [||]; y_rw = [||]; y_nn = 0; y_np = 0;
+    y_nm = 0; y_nr = 0; y_rwid = 1; y_inb = [| 0 |]; y_ich = [||];
+    y_imt = [||]; y_imn = [||]; y_imf = [||]; y_imo = [||]; y_out = [||];
+    y_liveins = [||]; y_syncs = [||]; y_spawns = [||]; y_miss0 = [||];
+    y_nch = 0;
+    y_crow = [||]; y_tw = 0; y_prime = [||]; y_init_ch = [||];
     y_init_tags = [||]; y_init_nums = [||]; y_init_flts = [||];
-    y_init_objs = [||]; y_syncs = [||]; y_nctr = [||]; y_arity = 1;
-    y_slots = 0; c_row = [||]; c_tags = [||]; c_nums = [||]; c_flts = [||];
-    c_objs = [||] }
+    y_init_objs = [||]; y_nctr = [||]; y_slots = 0; c_row = [||];
+    c_tags = [||]; c_nums = [||]; c_flts = [||]; c_objs = [||];
+    n_row = [||]; n_acc = [||]; p_int = [||]; p_flts = [||]; p_objs = [||];
+    m_acc = [||]; m_inv = [||]; a_pool = [||]; r_cap = 4; r_wave = [||];
+    r_inv = [||]; r_gen = [||]; r_tags = [||]; r_nums = [||]; r_flts = [||];
+    r_objs = [||] }
 
 let dummy_inst : instance =
-  { it = dummy_task; iid = -1; i_lay = dummy_layout; i_ord = 0; i_slot = 0;
-    inodes = [||]; i_cb = 0; iw_wave = [||]; iw_iv = [||]; i_lo = 0;
-    i_count = 0; i_full = 0; next_wave = 0; live = false; i_retired = -1;
-    idynamic = false; ipipe_loop = false; ij_space = [||]; ij_sr = [||];
-    ij_head = 0; ij_tail = 0; i_nw = 0; i_fset = [||]; i_fpar = 0;
-    i_eset = [||]; i_epar = 0; i_qfire = false; i_qemit = false;
-    i_qcomplete = false; i_qjunction = false; ivp = [||]; ivp_n = 0;
-    i_nres = 0; i_sc = Exec.make_sc ~slots:1;
-    i_prof = Ctr.Prof.make ~born:0 ~nnodes:0 }
+  { it = dummy_task; iid = -1; i_lay = dummy_layout; i_slot = 0; i_cb = 0;
+    i_nb = 0; i_pb = 0; i_ord = 0; i_born = 0; iw_wave = [||]; iw_iv = [||];
+    i_lo = 0; i_count = 0; i_full = 0; next_wave = 0; live = false;
+    i_retired = -1; idynamic = false; ipipe_loop = false; ij_space = [||];
+    ij_sr = [||]; ij_head = 0; ij_tail = 0; i_nw = 0; i_fset = [||];
+    i_fpar = 0; i_eset = [||]; i_epar = 0; i_qfire = false;
+    i_qemit = false; i_qcomplete = false; i_qjunction = false; ivp = [||];
+    ivp_n = 0; i_nres = 0 }
 
 let dummy_inv : invocation =
   { iv_gen = 0; iv_wave = -1; iv_rkind = 0; iv_rinst = dummy_inst;
-    iv_rnode = dummy_node; iv_rwave = 0; iv_rctx = dummy_ctx;
+    iv_rnode = 0; iv_rwave = 0; iv_rctx = dummy_ctx;
     iv_eff_ctx = dummy_ctx; iv_own = None; iv_lo_tags = [||];
     iv_lo_nums = [||]; iv_lo_flts = [||]; iv_lo_objs = [||];
     iv_stores = 0 }
@@ -578,29 +572,100 @@ let dummy_inv : invocation =
 let dummy_access : Memsys.access = Memsys.make_access ~words:1 ~notify:ignore
 
 (* ------------------------------------------------------------------ *)
+(* Column access                                                        *)
+
+(* The int columns of a layout, and the input rows and ring ordinals
+   the hot paths look up, are read and written without a bounds check.
+   Every column offset is [(slot * count + ordinal) * stride + field]
+   with the slot below [y_slots], the ordinal below its count and the
+   field below its stride (a ring position is masked below its ring
+   size), so it lies inside the column's [y_slots * count * stride]
+   entries by construction; a node index is below [y_nn] and an input
+   row below the node's next. *)
+let[@inline] ( .%() ) (a : int array) (o : int) : int = Array.unsafe_get a o
+
+let[@inline] ( .%()<- ) (a : int array) (o : int) (v : int) : unit =
+  Array.unsafe_set a o v
+
+(* The same for the float and token columns of channels and pipeline
+   rings; a token store skips the value already there, as {!set_obj}
+   does. *)
+let[@inline] fset (a : float array) (o : int) (v : float) : unit =
+  Array.unsafe_set a o v
+
+let[@inline] oget (a : token array) (o : int) : token = Array.unsafe_get a o
+
+let[@inline] oset (a : token array) (o : int) (x : token) : unit =
+  if Array.unsafe_get a o != x then Array.unsafe_set a o x
+
+(* ------------------------------------------------------------------ *)
+(* Node rows                                                            *)
+
+(* Offset of node [i]'s row of [inst] in [n_row]; its per-cause row in
+   [n_acc] starts at half of it. *)
+let[@inline] nd_row (inst : instance) (i : int) : int =
+  (inst.i_nb + i) * nd_w
+
+let[@inline] kind_of (inst : instance) (i : int) : G.node_kind =
+  inst.i_lay.y_g.(i).kind
+
+(* Close node row [j]'s current interval at [now] and relabel it; true
+   if the label changed (callers use this to avoid flooding the event
+   ring with repeated stall events). *)
+let relabel (y : layout) (j : int) (st : int) (now : int) : bool =
+  let r = y.n_row in
+  let since = r.%(j + nd_since) and cur = r.%(j + nd_lab) in
+  if now > since then begin
+    let a = (j lsr 1) + cur in
+    y.n_acc.%(a) <- y.n_acc.%(a) + (now - since);
+    r.%(j + nd_since) <- now
+  end;
+  if cur = st then false
+  else begin
+    r.%(j + nd_lab) <- st;
+    true
+  end
+
+let busy_label = Ctr.cause_index Ctr.Busy
+
+(* A firing at [now]: node row [j] is busy for that cycle, then takes
+   label [st] — {!relabel} to busy at [now], then to [st] at
+   [now + 1]. *)
+let relabel_fired (y : layout) (j : int) (st : int) (now : int) : unit =
+  let r = y.n_row and a = j lsr 1 in
+  let since = r.%(j + nd_since) in
+  if now > since then begin
+    let c = a + r.%(j + nd_lab) in
+    y.n_acc.%(c) <- y.n_acc.%(c) + (now - since)
+  end;
+  y.n_acc.%(a + busy_label) <- y.n_acc.%(a + busy_label) + 1;
+  r.%(j + nd_since) <- now + 1;
+  r.%(j + nd_lab) <- st
+
+(* ------------------------------------------------------------------ *)
 (* Wake plumbing                                                        *)
 
-(* Add node [n] to the pending half of a wake set; true if it was not
+(* Add node [i] to the pending half of a wake set; true if it was not
    there yet. *)
-let[@inline] wake_bit (set : int array) (par : int) (n : node_rt) : bool =
-  let k = par + (n.nr_idx lsr 5) in
+let[@inline] wake_bit (set : int array) (par : int) (i : int) : bool =
+  let k = par + (i lsr 5) in
   let w = set.(k) in
-  let b = 1 lsl (n.nr_idx land 31) in
+  let b = 1 lsl (i land 31) in
   if w land b <> 0 then false
   else begin
     set.(k) <- w lor b;
     true
   end
 
-let wake_fire (sim : t) (inst : instance) (n : node_rt) : unit =
-  if inst.live && wake_bit inst.i_fset inst.i_fpar n && not inst.i_qfire
+let wake_fire (sim : t) (inst : instance) (i : int) : unit =
+  if inst.live && wake_bit inst.i_fset inst.i_fpar i && not inst.i_qfire
   then begin
     inst.i_qfire <- true;
     ipush sim.tasks.(inst.it.tid).tf inst
   end
 
-let wake_emit (sim : t) (inst : instance) (n : node_rt) : unit =
-  if inst.live && wake_bit inst.i_eset inst.i_epar n && not inst.i_qemit
+let wake_emit (sim : t) (inst : instance) (i : int) : unit =
+  if inst.live && wake_bit inst.i_eset inst.i_epar i && not inst.i_qemit
   then begin
     inst.i_qemit <- true;
     ipush sim.tasks.(inst.it.tid).te inst
@@ -620,10 +685,9 @@ let wake_junction (sim : t) (inst : instance) : unit =
     ipush sim.tasks.(inst.it.tid).tj inst
   end
 
-(** Schedule a wake at absolute cycle [c] (clamped to the future);
-    [kind] 0 = fire, 1 = emit. *)
-let at (sim : t) (c : int) (inst : instance) (n : node_rt) (kind : int) :
-    unit =
+(** Schedule a wake of node [i] at absolute cycle [c] (clamped to the
+    future); [kind] 0 = fire, 1 = emit. *)
+let at (sim : t) (c : int) (inst : instance) (i : int) (kind : int) : unit =
   let c = Int.max c (sim.now + 1) in
   let s = sim.wheel.(c land (wheel_size - 1)) in
   let m = s.w_n in
@@ -634,7 +698,7 @@ let at (sim : t) (c : int) (inst : instance) (n : node_rt) (kind : int) :
     s.wk <- grow s.wk 0
   end;
   s.wi.(m) <- inst.iid;
-  s.wn.(m) <- n.nr_idx;
+  s.wn.(m) <- i;
   s.wc.(m) <- c;
   s.wk.(m) <- kind;
   s.w_n <- m + 1
@@ -646,8 +710,8 @@ let rec drain_slot (sim : t) (s : wslot) (i : int) (n : int) (kept : int)
   if i >= n then kept
   else if s.wc.(i) = sim.now then begin
     let inst = sim.insts.(s.wi.(i)) in
-    let nd = inst.inodes.(s.wn.(i)) in
-    if s.wk.(i) = 0 then wake_fire sim inst nd else wake_emit sim inst nd;
+    if s.wk.(i) = 0 then wake_fire sim inst s.wn.(i)
+    else wake_emit sim inst s.wn.(i);
     drain_slot sim s (i + 1) n kept
   end
   else begin
@@ -679,30 +743,28 @@ let ctx_dec (sim : t) (c : sync_ctx) : unit =
 let f0 = [| 0.0 |]
 
 (* Channel row fields (see [layout]). *)
-let ch_hd = 0
-let ch_md = 1
-let ch_tl = 2
-let ch_base = 3
+let ch_hd, ch_md, ch_tl, ch_base = (0, 1, 2, 3)
+let ch_mask, ch_cap, ch_src, ch_dst = (4, 5, 6, 7)
 
 (* Offset of channel [k]'s row of [inst] in [c_row]. *)
-let[@inline] ch_row (inst : instance) (k : int) : int = (inst.i_cb + k) lsl 2
+let[@inline] ch_row (inst : instance) (k : int) : int = (inst.i_cb + k) lsl 3
 
-let[@inline] ch_space (y : layout) (o : int) (k : int) : bool =
-  y.c_row.(o + ch_tl) - y.c_row.(o + ch_hd) < y.y_cap.(k)
+let[@inline] ch_space (r : int array) (o : int) : bool =
+  r.%(o + ch_tl) - r.%(o + ch_hd) < r.%(o + ch_cap)
 
 let ch_push (sim : t) (inst : instance) (k : int) (tag : int) (num : int)
     (flts : float array) (fi : int) (obj : token) : unit =
   let y = inst.i_lay in
   let r = y.c_row and o = ch_row inst k in
-  let tl = r.(o + ch_tl) in
-  let i = r.(o + ch_base) + (tl land y.y_cmask.(k)) in
-  y.c_tags.(i) <- tag;
-  y.c_nums.(i) <- num;
-  y.c_flts.(i) <- flts.(fi);
-  set_obj y.c_objs i obj;
-  r.(o + ch_tl) <- tl + 1;
+  let tl = r.%(o + ch_tl) in
+  let i = r.%(o + ch_base) + (tl land r.%(o + ch_mask)) in
+  y.c_tags.%(i) <- tag;
+  y.c_nums.%(i) <- num;
+  fset y.c_flts i flts.(fi);
+  oset y.c_objs i obj;
+  r.%(o + ch_tl) <- tl + 1;
   (* The first staged write queues the channel for commit. *)
-  if tl = r.(o + ch_md) then begin
+  if tl = r.%(o + ch_md) then begin
     let n = sim.ld_n in
     if n = Array.length sim.ld_i then begin
       sim.ld_i <- grow sim.ld_i 0;
@@ -715,7 +777,7 @@ let ch_push (sim : t) (inst : instance) (k : int) (tag : int) (num : int)
 
 let rec fans_space (inst : instance) (fs : int array) (j : int) : bool =
   j >= Array.length fs
-  || (ch_space inst.i_lay (ch_row inst fs.(j)) fs.(j)
+  || (ch_space inst.i_lay.c_row (ch_row inst fs.(j))
       && fans_space inst fs (j + 1))
 
 (** Room on every channel of out port [p] of node [i]. *)
@@ -730,13 +792,13 @@ let emit_port (sim : t) (inst : instance) (i : int) (p : int) (tag : int)
     ch_push sim inst fs.(j) tag num flts fi obj
   done
 
-let[@inline] n_inputs (y : layout) (i : int) : int = y.y_inb.(i + 1) - y.y_inb.(i)
+let[@inline] n_inputs (y : layout) (i : int) : int = y.y_inb.%(i + 1) - y.y_inb.%(i)
 
-(** Stage input [p] of [n] only; false if empty. *)
-let stage_one (inst : instance) (n : node_rt) (sc : Exec.sc) (p : int) : bool =
+(** Stage input [p] of node [i] only; false if empty. *)
+let stage_one (inst : instance) (i : int) (sc : Exec.sc) (p : int) : bool =
   let y = inst.i_lay in
-  let q = y.y_inb.(n.nr_idx) + p in
-  let k = y.y_ich.(q) in
+  let q = y.y_inb.%(i) + p in
+  let k = y.y_ich.%(q) in
   if k < 0 then begin
     sc.Exec.stags.(p) <- y.y_imt.(q);
     sc.Exec.snums.(p) <- y.y_imn.(q);
@@ -746,98 +808,113 @@ let stage_one (inst : instance) (n : node_rt) (sc : Exec.sc) (p : int) : bool =
   end
   else begin
     let r = y.c_row and o = ch_row inst k in
-    let h = r.(o + ch_hd) in
-    if r.(o + ch_md) = h then false
+    let h = r.%(o + ch_hd) in
+    if r.%(o + ch_md) = h then false
     else begin
-      let j = r.(o + ch_base) + (h land y.y_cmask.(k)) in
-      sc.Exec.stags.(p) <- y.c_tags.(j);
-      sc.Exec.snums.(p) <- y.c_nums.(j);
-      sc.Exec.sflts.(p) <- y.c_flts.(j);
-      set_obj sc.Exec.sobjs p y.c_objs.(j);
+      let j = r.%(o + ch_base) + (h land r.%(o + ch_mask)) in
+      sc.Exec.stags.(p) <- y.c_tags.%(j);
+      sc.Exec.snums.(p) <- y.c_nums.%(j);
+      sc.Exec.sflts.(p) <- Array.unsafe_get y.c_flts j;
+      set_obj sc.Exec.sobjs p (oget y.c_objs j);
       true
     end
   end
 
-(** Stage every input of [n] into rows [0 ..] of [sc]; a node fires
-    only with every operand present ([nr_miss = 0]). *)
-let stage_inputs (inst : instance) (n : node_rt) (sc : Exec.sc) : unit =
-  for p = 0 to n_inputs inst.i_lay n.nr_idx - 1 do
-    ignore (stage_one inst n sc p)
-  done
-
-let input_ready (inst : instance) (n : node_rt) (p : int) : bool =
+let input_ready (inst : instance) (i : int) (p : int) : bool =
   let y = inst.i_lay in
-  let k = y.y_ich.(y.y_inb.(n.nr_idx) + p) in
+  let k = y.y_ich.%(y.y_inb.%(i) + p) in
   k < 0
   ||
   let o = ch_row inst k in
-  y.c_row.(o + ch_md) > y.c_row.(o + ch_hd)
+  y.c_row.%(o + ch_md) > y.c_row.%(o + ch_hd)
 
 (* A mu's data input picked by its control token (which must be
    present). *)
-let mu_sel (inst : instance) (n : node_rt) : int =
+let mu_sel (inst : instance) (i : int) : int =
   let y = inst.i_lay in
-  let q = y.y_inb.(n.nr_idx) + G.mu_ctl in
-  let k = y.y_ich.(q) in
+  let q = y.y_inb.%(i) + G.mu_ctl in
+  let k = y.y_ich.%(q) in
   if k < 0 then
     G.mu_select (Exec.truthy_flat y.y_imt.(q) y.y_imn.(q) y.y_imo.(q))
   else begin
     let r = y.c_row and o = ch_row inst k in
-    let j = r.(o + ch_base) + (r.(o + ch_hd) land y.y_cmask.(k)) in
-    G.mu_select (Exec.truthy_flat y.c_tags.(j) y.c_nums.(j) y.c_objs.(j))
+    let j = r.%(o + ch_base) + (r.%(o + ch_hd) land r.%(o + ch_mask)) in
+    G.mu_select (Exec.truthy_flat y.c_tags.%(j) y.c_nums.%(j) (oget y.c_objs j))
   end
 
-(** Does [n] hold every operand its next firing consumes?  A mu needs
-    its control token and the data input that token selects; every
-    other node needs all wired inputs. *)
-let can_start (inst : instance) (n : node_rt) : bool =
-  match n.nr.kind with
+(** Does node [i] hold every operand its next firing consumes?  A mu
+    needs its control token and the data input that token selects;
+    every other node needs all wired inputs. *)
+let can_start (inst : instance) (i : int) : bool =
+  match kind_of inst i with
   | G.MergeLoop ->
-    input_ready inst n G.mu_ctl && input_ready inst n (mu_sel inst n)
-  | _ -> n.nr_miss = 0
+    input_ready inst i G.mu_ctl && input_ready inst i (mu_sel inst i)
+  | _ -> inst.i_lay.n_row.%(nd_row inst i + nd_miss) = 0
 
 let operand_wait = Ctr.cause_index Ctr.Operand
 
-(** Would a fire attempt of [n] at cycle [c] change nothing?  True
-    when [n] is past its initiation interval, still misses an operand
+(** Would a fire attempt of node [i] at cycle [c] change nothing?  True
+    when it is past its initiation interval, still misses an operand
     and is already labelled operand-wait: the attempt would fail on
     the operand and relabel the node with the label it holds, which
     leaves every accounting sum the same and emits no tracer event. *)
-let futile (inst : instance) (n : node_rt) (c : int) : bool =
-  n.nr_busy_until <= c
-  && n.nr_prof.Ctr.Prof.st = operand_wait
-  && not (can_start inst n)
+let futile (inst : instance) (i : int) (c : int) : bool =
+  let r = inst.i_lay.n_row and j = nd_row inst i in
+  r.%(j + nd_busy) <= c
+  && r.%(j + nd_lab) = operand_wait
+  && not (can_start inst i)
 
-(* Wired inputs of node [i] whose channel holds no committed token. *)
-let count_miss (inst : instance) (i : int) : int =
+let pop_in (sim : t) (inst : instance) (i : int) (p : int) : unit =
   let y = inst.i_lay in
-  let m = ref 0 in
-  for q = y.y_inb.(i) to y.y_inb.(i + 1) - 1 do
-    let k = y.y_ich.(q) in
-    if k >= 0 then begin
-      let o = ch_row inst k in
-      if y.c_row.(o + ch_md) = y.c_row.(o + ch_hd) then incr m
-    end
-  done;
-  !m
-
-let pop_in (sim : t) (inst : instance) (n : node_rt) (p : int) : unit =
-  let y = inst.i_lay in
-  let k = y.y_ich.(y.y_inb.(n.nr_idx) + p) in
+  let k = y.y_ich.%(y.y_inb.%(i) + p) in
   if k >= 0 then begin
     let r = y.c_row and o = ch_row inst k in
-    let full = not (ch_space y o k) in
-    let h = r.(o + ch_hd) + 1 in
-    r.(o + ch_hd) <- h;
-    if h = r.(o + ch_md) then n.nr_miss <- n.nr_miss + 1;
+    let full = not (ch_space r o) in
+    let h = r.%(o + ch_hd) + 1 in
+    r.%(o + ch_hd) <- h;
+    if h = r.%(o + ch_md) then begin
+      let j = nd_row inst i + nd_miss in
+      y.n_row.%(j) <- y.n_row.%(j) + 1
+    end;
     (* Space freed in a full channel: the producer's blocked emission
        may proceed.  A channel that had space blocked no port. *)
-    if full then wake_emit sim inst inst.inodes.(y.y_src.(k))
+    if full then wake_emit sim inst r.%(o + ch_src)
   end
 
-let pop_all (sim : t) (inst : instance) (n : node_rt) : unit =
-  for p = 0 to n_inputs inst.i_lay n.nr_idx - 1 do
-    pop_in sim inst n p
+let pop_all (sim : t) (inst : instance) (i : int) : unit =
+  for p = 0 to n_inputs inst.i_lay i - 1 do
+    pop_in sim inst i p
+  done
+
+(** Stage every input of node [i], which holds every operand, into
+    rows [0 ..] of [sc] and pop it, resolving each channel once. *)
+let take_all (sim : t) (inst : instance) (i : int) (sc : Exec.sc) : unit =
+  let y = inst.i_lay in
+  let q0 = y.y_inb.%(i) in
+  for q = q0 to y.y_inb.%(i + 1) - 1 do
+    let p = q - q0 and k = y.y_ich.%(q) in
+    if k < 0 then begin
+      sc.Exec.stags.(p) <- y.y_imt.(q);
+      sc.Exec.snums.(p) <- y.y_imn.(q);
+      sc.Exec.sflts.(p) <- y.y_imf.(q);
+      set_obj sc.Exec.sobjs p y.y_imo.(q)
+    end
+    else begin
+      let r = y.c_row and o = ch_row inst k in
+      let h = r.%(o + ch_hd) in
+      let t = r.%(o + ch_base) + (h land r.%(o + ch_mask)) in
+      sc.Exec.stags.(p) <- y.c_tags.%(t);
+      sc.Exec.snums.(p) <- y.c_nums.%(t);
+      sc.Exec.sflts.(p) <- Array.unsafe_get y.c_flts t;
+      set_obj sc.Exec.sobjs p (oget y.c_objs t);
+      let full = not (ch_space r o) in
+      r.%(o + ch_hd) <- h + 1;
+      if h + 1 = r.%(o + ch_md) then begin
+        let j = nd_row inst i + nd_miss in
+        y.n_row.%(j) <- y.n_row.%(j) + 1
+      end;
+      if full then wake_emit sim inst r.%(o + ch_src)
+    end
   done
 
 (* ------------------------------------------------------------------ *)
@@ -851,17 +928,19 @@ let rec pow2_at_least (n : int) (p : int) = if p >= n then p else
   pow2_at_least n (p * 2)
 
 (* Resolve a task's layout: edges to channel indices by node index,
-   and each node's read-only rows in its prototype. *)
+   each node's read-only rows and its ordinals; the columns start
+   empty. *)
 let build_layout (sim : t) (task : G.task) : layout =
   let nodes = Array.of_list task.nodes in
   let edges = Array.of_list task.edges in
+  let nn = Array.length nodes in
   let idx = Array.make (max task.next_nid 1) (-1) in
   Array.iteri (fun i (n : G.node) -> idx.(n.nid) <- i) nodes;
-  let inb = Array.make (Array.length nodes + 1) 0 in
+  let inb = Array.make (nn + 1) 0 in
   Array.iteri
     (fun i (n : G.node) -> inb.(i + 1) <- inb.(i) + Array.length n.ins)
     nodes;
-  let ich = Array.make inb.(Array.length nodes) (-1) in
+  let ich = Array.make inb.(nn) (-1) in
   let outs =
     Array.map
       (fun (n : G.node) ->
@@ -879,8 +958,8 @@ let build_layout (sim : t) (task : G.task) : layout =
       if q < Array.length o then o.(q) <- k :: o.(q))
     edges;
   let imms =
-    Array.concat (List.map (fun (n : G.node) -> Array.map imm_token n.ins)
-                    task.nodes)
+    Array.concat
+      (List.map (fun (n : G.node) -> Array.map imm_token n.ins) task.nodes)
   in
   let inits =
     Array.of_list
@@ -897,57 +976,102 @@ let build_layout (sim : t) (task : G.task) : layout =
         pow2_at_least (max e.capacity (max (List.length e.initial) 1)) 1)
       edges
   in
-  let cbase = Array.make (Array.length edges) 0 in
-  for k = 1 to Array.length edges - 1 do
-    cbase.(k) <- cbase.(k - 1) + phys.(k - 1)
-  done;
-  let proto i (n : G.node) : node_rt =
-    { dummy_node with
-      nr = n; nr_cost = Cost.node_cost n.kind; nr_idx = i;
-      nr_words =
-        (match G.tile_shape n.kind with Some s -> T.shape_words s | None -> 1);
-      nr_space = Option.value (G.node_space n) ~default:0;
-      nr_mem = G.is_memory_node n;
-      nr_pipe =
-        (match n.kind with
+  let crow = Array.make (Array.length edges * 8) 0 in
+  Array.iteri
+    (fun k (e : G.edge) ->
+      let o = k lsl 3 in
+      if k > 0 then crow.(o + ch_base) <- crow.(o - 8 + ch_base) + phys.(k - 1);
+      crow.(o + ch_mask) <- phys.(k) - 1;
+      crow.(o + ch_cap) <- e.capacity;
+      crow.(o + ch_src) <- idx.(fst e.src);
+      crow.(o + ch_dst) <- idx.(fst e.dst))
+    edges;
+  (* Each node's ordinal among the nodes [f] holds for (-1 = none),
+     and their count. *)
+  let ordinal f =
+    let c = ref 0 in
+    let a =
+      Array.map
+        (fun n ->
+          if f n then begin
+            incr c;
+            !c - 1
+          end
+          else -1)
+        nodes
+    in
+    (a, !c)
+  in
+  let indices f =
+    Array.of_list (List.filter (fun i -> f nodes.(i)) (List.init nn Fun.id))
+  in
+  let pb, np =
+    ordinal (fun n ->
+        match n.kind with
         | G.Compute _ | G.Fused _ | G.Merge _ | G.Steer | G.FusedSteer _
         | G.MergeLoop | G.Tcompute _ -> true
-        | _ -> false);
-      rs_w =
-        (match n.kind with
+        | _ -> false)
+  in
+  let mb, nm = ordinal G.is_memory_node in
+  let rb, nr =
+    ordinal (fun n ->
+        match n.kind with
+        | G.CallChild _ | G.SpawnChild _ | G.SyncWait -> true
+        | _ -> false)
+  in
+  let rw =
+    Array.map
+      (fun (n : G.node) ->
+        match n.kind with
         | G.CallChild tid -> List.length sim.tasks.(tid).tk.res_tys
         | G.SpawnChild _ -> 1
-        | _ -> 0) }
+        | _ -> 0)
+      nodes
   in
-  { y_proto = Array.mapi proto nodes; y_inb = inb; y_ich = ich;
+  let prime = Array.map (fun (e : G.edge) -> List.length e.initial) edges in
+  { y_g = nodes;
+    y_cost = Array.map (fun (n : G.node) -> Cost.node_cost n.kind) nodes;
+    y_words =
+      Array.map
+        (fun (n : G.node) ->
+          match G.tile_shape n.kind with Some s -> T.shape_words s | None -> 1)
+        nodes;
+    y_space =
+      Array.map (fun n -> Option.value (G.node_space n) ~default:0) nodes;
+    y_pb = Array.map (fun o -> if o < 0 then o else o * Cost.pipe_slots) pb;
+    y_mb = mb; y_rb = rb; y_rw = rw; y_nn = nn; y_np = np; y_nm = nm;
+    y_nr = nr; y_rwid = Array.fold_left max 1 rw; y_inb = inb; y_ich = ich;
     y_imt = Array.map F.tag_of imms; y_imn = Array.map F.num_of imms;
     y_imf = Array.map F.flt_of imms; y_imo = Array.map F.obj_of imms;
     y_out = Array.map (Array.map Array.of_list) outs;
-    y_nch = Array.length edges;
-    y_cap = Array.map (fun (e : G.edge) -> e.capacity) edges;
-    y_cmask = Array.map (fun p -> p - 1) phys; y_cbase = cbase;
-    y_src = Array.map (fun (e : G.edge) -> idx.(fst e.src)) edges;
-    y_dst = Array.map (fun (e : G.edge) -> idx.(fst e.dst)) edges;
-    y_tw = Array.fold_left ( + ) 0 phys;
-    y_prime = Array.map (fun (e : G.edge) -> List.length e.initial) edges;
+    y_liveins =
+      indices (fun n -> match n.kind with G.LiveIn _ -> true | _ -> false);
+    y_syncs = indices (fun n -> n.kind = G.SyncWait);
+    y_spawns =
+      indices (fun n -> match n.kind with G.SpawnChild _ -> true | _ -> false);
+    (* A primed channel holds its resting tokens: an input misses its
+       operand exactly when its channel rests empty. *)
+    y_miss0 =
+      Array.init nn (fun i ->
+          let m = ref 0 in
+          for q = inb.(i) to inb.(i + 1) - 1 do
+            if ich.(q) >= 0 && prime.(ich.(q)) = 0 then incr m
+          done;
+          !m);
+    y_nch = Array.length edges; y_crow = crow;
+    y_tw = Array.fold_left ( + ) 0 phys; y_prime = prime;
     y_init_ch = Array.map fst inits; y_init_tags = init F.tag_of;
     y_init_nums = init F.num_of; y_init_flts = init F.flt_of;
     y_init_objs = init F.obj_of;
-    y_syncs =
-      Array.of_list
-        (List.filter
-           (fun i ->
-             match nodes.(i).kind with G.SyncWait -> true | _ -> false)
-           (List.init (Array.length nodes) Fun.id));
     y_nctr =
       Array.map
         (fun (n : G.node) -> Ctr.node_ctr sim.ctrs ~task:task.tid ~node:n.nid)
         nodes;
-    y_arity =
-      Array.fold_left (fun a (n : G.node) -> max a (Array.length n.ins)) 1
-        nodes;
     y_slots = 0; c_row = [||]; c_tags = [||]; c_nums = [||]; c_flts = [||];
-    c_objs = [||] }
+    c_objs = [||]; n_row = [||]; n_acc = [||]; p_int = [||]; p_flts = [||];
+    p_objs = [||]; m_acc = [||]; m_inv = [||]; a_pool = [||]; r_cap = 4;
+    r_wave = [||]; r_inv = [||]; r_gen = [||]; r_tags = [||]; r_nums = [||];
+    r_flts = [||]; r_objs = [||] }
 
 let layout (sim : t) (trt : task_rt) : layout =
   match trt.t_lay with
@@ -957,8 +1081,7 @@ let layout (sim : t) (trt : task_rt) : layout =
     trt.t_lay <- Some y;
     y
 
-(* Make room for slot [s] in [y]'s columns, doubling them.  Rows never
-   move, so offsets held across a growth stay valid. *)
+(* Make room for slot [s] in [y]'s columns, doubling them. *)
 let grow_slots (y : layout) (s : int) : unit =
   if s >= y.y_slots then begin
     let old = y.y_slots in
@@ -968,11 +1091,13 @@ let grow_slots (y : layout) (s : int) : unit =
       Array.blit a 0 na 0 (Array.length a);
       na
     in
-    let rows = ext y.c_row (y.y_nch * 4) 0 in
+    let w = y.y_nch * 8 in
+    let rows = ext y.c_row w 0 in
     for s = old to cap - 1 do
+      Array.blit y.y_crow 0 rows (s * w) w;
       for k = 0 to y.y_nch - 1 do
-        rows.((((s * y.y_nch) + k) lsl 2) + ch_base) <-
-          (s * y.y_tw) + y.y_cbase.(k)
+        let o = (s * w) + (k lsl 3) + ch_base in
+        rows.(o) <- rows.(o) + (s * y.y_tw)
       done
     done;
     y.c_row <- rows;
@@ -980,38 +1105,70 @@ let grow_slots (y : layout) (s : int) : unit =
     y.c_nums <- ext y.c_nums y.y_tw 0;
     y.c_flts <- ext y.c_flts y.y_tw 0.0;
     y.c_objs <- ext y.c_objs y.y_tw F.no_obj;
+    y.n_row <- ext y.n_row (y.y_nn * nd_w) 0;
+    y.n_acc <- ext y.n_acc (y.y_nn * 8) 0;
+    let pw = y.y_np * Cost.pipe_slots in
+    y.p_int <- ext y.p_int (pw * 4) 0;
+    y.p_flts <- ext y.p_flts pw 0.0;
+    y.p_objs <- ext y.p_objs pw F.no_obj;
+    y.m_acc <- ext y.m_acc (y.y_nm * max_outstanding) dummy_access;
+    y.m_inv <- ext y.m_inv (y.y_nm * max_outstanding) dummy_inv;
+    y.a_pool <- ext y.a_pool y.y_nm [||];
+    let rt = y.y_nr * y.r_cap in
+    y.r_wave <- ext y.r_wave rt (-1);
+    y.r_inv <- ext y.r_inv rt dummy_inv;
+    y.r_gen <- ext y.r_gen rt 0;
+    y.r_tags <- ext y.r_tags (rt * y.y_rwid) F.tabsent;
+    y.r_nums <- ext y.r_nums (rt * y.y_rwid) 0;
+    y.r_flts <- ext y.r_flts (rt * y.y_rwid) 0.0;
+    y.r_objs <- ext y.r_objs (rt * y.y_rwid) F.no_obj;
     y.y_slots <- cap
   end
 
-(* Bring a fresh or retired instance to its first cycle: channels hold
-   their initial tokens, readiness counts match them, and every node is
-   woken — the first cycle behaves like a dense sweep, since initial
-   loop-control tokens can enable nodes with no other wake source. *)
+(* Bring a fresh or retired slot to its first cycle: node rows clear,
+   every node idle since now, reorder tables empty, channels holding
+   their initial tokens and readiness counts matching them, and every
+   node woken — the first cycle behaves like a dense sweep, since
+   initial loop-control tokens can enable nodes with no other wake
+   source.  A node keeps its pooled accesses. *)
 let prime (sim : t) (inst : instance) : unit =
   let y = inst.i_lay in
+  let nr = y.n_row in
+  let idle = Ctr.cause_index Ctr.Idle in
+  for i = 0 to y.y_nn - 1 do
+    let j = nd_row inst i in
+    let apn = nr.%(j + nd_apn) in
+    Array.fill nr j nd_w 0;
+    nr.%(j + nd_skip) <- -1;
+    nr.%(j + nd_lab) <- idle;
+    nr.%(j + nd_since) <- sim.now;
+    nr.%(j + nd_apn) <- apn
+  done;
+  Array.fill y.n_acc (inst.i_nb * 8) (y.y_nn * 8) 0;
+  Array.fill y.r_wave (inst.i_slot * y.y_nr * y.r_cap) (y.y_nr * y.r_cap) (-1);
+  inst.i_born <- sim.now;
   let r = y.c_row in
   for k = 0 to y.y_nch - 1 do
     let o = ch_row inst k in
-    r.(o + ch_hd) <- 0;
-    r.(o + ch_md) <- 0;
-    r.(o + ch_tl) <- 0
+    r.%(o + ch_hd) <- 0;
+    r.%(o + ch_md) <- 0;
+    r.%(o + ch_tl) <- 0
   done;
   for k = 0 to Array.length y.y_init_ch - 1 do
     let o = ch_row inst y.y_init_ch.(k) in
-    let tl = r.(o + ch_tl) in
-    let i = r.(o + ch_base) + (tl land y.y_cmask.(y.y_init_ch.(k))) in
-    y.c_tags.(i) <- y.y_init_tags.(k);
-    y.c_nums.(i) <- y.y_init_nums.(k);
+    let tl = r.%(o + ch_tl) in
+    let i = r.%(o + ch_base) + (tl land r.%(o + ch_mask)) in
+    y.c_tags.%(i) <- y.y_init_tags.(k);
+    y.c_nums.%(i) <- y.y_init_nums.(k);
     y.c_flts.(i) <- y.y_init_flts.(k);
     y.c_objs.(i) <- y.y_init_objs.(k);
-    r.(o + ch_tl) <- tl + 1;
-    r.(o + ch_md) <- tl + 1
+    r.%(o + ch_tl) <- tl + 1;
+    r.%(o + ch_md) <- tl + 1
   done;
-  sim.live_nodes <- sim.live_nodes + Array.length inst.inodes;
-  for i = 0 to Array.length inst.inodes - 1 do
-    let n = inst.inodes.(i) in
-    n.nr_miss <- count_miss inst i;
-    wake_fire sim inst n
+  sim.live_nodes <- sim.live_nodes + y.y_nn;
+  for i = 0 to y.y_nn - 1 do
+    nr.%(nd_row inst i + nd_miss) <- y.y_miss0.(i);
+    wake_fire sim inst i
   done
 
 (* A fresh instance takes the task's next slot and joins its roster,
@@ -1020,36 +1177,19 @@ let new_instance (sim : t) (trt : task_rt) : instance =
   let y = layout sim trt in
   let slot = trt.tinst_n in
   grow_slots y slot;
-  let nnodes = Array.length y.y_proto in
-  let prof = Ctr.Prof.make ~born:sim.now ~nnodes in
-  let mo = sim.max_outstanding in
-  (* Every mutable array of the prototype is empty; the rings a node
-     uses are its own. *)
-  let node i (p : node_rt) : node_rt =
-    let ring x = if p.nr_pipe then Array.make Cost.pipe_slots x else [||] in
-    let win x = if p.nr_mem then Array.make mo x else [||] in
-    { p with
-      nr_prof = prof.nprofs.(i);
-      np_ready = ring 0; np_port = ring 0; np_tags = ring F.tabsent;
-      np_nums = ring 0; np_flts = ring 0.0; np_objs = ring F.no_obj;
-      nm_live = win false; nm_store = win false; nm_hasiv = win false;
-      nm_acc = win dummy_access; nm_inv = win dummy_inv }
-  in
-  let nodes = Array.mapi node y.y_proto in
   let iid = sim.next_iid in
   sim.next_iid <- iid + 1;
-  let nw = (nnodes + 31) lsr 5 in
+  let nw = (y.y_nn + 31) lsr 5 in
   let inst =
-    { it = trt.tk; iid; i_lay = y; i_ord = 0; i_slot = slot; inodes = nodes;
-      i_cb = slot * y.y_nch; iw_wave = [||]; iw_iv = [||]; i_lo = 0;
-      i_count = 0; i_full = 0; next_wave = 0; live = true; i_retired = -1;
-      idynamic = trt.tdynamic; ipipe_loop = Cost.pipelined trt.tk;
-      ij_space = [||]; ij_sr = [||]; ij_head = 0; ij_tail = 0; i_nw = nw;
-      i_fset = Array.make (2 * nw) 0; i_fpar = 0;
-      i_eset = Array.make (2 * nw) 0; i_epar = 0; i_qfire = false;
-      i_qemit = false; i_qcomplete = false; i_qjunction = false; ivp = [||];
-      ivp_n = 0; i_nres = trt.t_nres;
-      i_sc = Exec.make_sc ~slots:((y.y_arity * 2) + 4); i_prof = prof }
+    { it = trt.tk; iid; i_lay = y; i_slot = slot; i_cb = slot * y.y_nch;
+      i_nb = slot * y.y_nn; i_pb = slot * y.y_np * Cost.pipe_slots; i_ord = 0; i_born = 0; iw_wave = [||];
+      iw_iv = [||]; i_lo = 0; i_count = 0; i_full = 0; next_wave = 0;
+      live = true; i_retired = -1; idynamic = trt.tdynamic;
+      ipipe_loop = Cost.pipelined trt.tk; ij_space = [||]; ij_sr = [||];
+      ij_head = 0; ij_tail = 0; i_nw = nw; i_fset = Array.make (2 * nw) 0;
+      i_fpar = 0; i_eset = Array.make (2 * nw) 0; i_epar = 0;
+      i_qfire = false; i_qemit = false; i_qcomplete = false;
+      i_qjunction = false; ivp = [||]; ivp_n = 0; i_nres = trt.t_nres }
   in
   sim.insts <- vpush sim.insts iid inst;
   trt.tinst <- vpush trt.tinst slot inst;
@@ -1057,25 +1197,10 @@ let new_instance (sim : t) (trt : task_rt) : instance =
   prime sim inst;
   inst
 
-(* Rebirth a pooled dynamic instance in place: node state cleared,
-   profile reset, channels primed — no allocation on this path beyond
-   worklist growth. *)
+(* Rebirth a pooled dynamic instance in place: its own fields cleared,
+   its slot primed — no allocation on this path beyond worklist
+   growth. *)
 let reset_instance (sim : t) (inst : instance) : unit =
-  for i = 0 to Array.length inst.inodes - 1 do
-    let n = inst.inodes.(i) in
-    n.nr_fired <- 0;
-    n.nr_busy_until <- 0;
-    n.np_head <- 0;
-    n.np_tail <- 0;
-    n.nm_head <- 0;
-    n.nm_tail <- 0;
-    if Array.length n.rs_wave > 0 then
-      Array.fill n.rs_wave 0 (Array.length n.rs_wave) (-1);
-    n.nr_next_resp <- 0;
-    n.ns_head <- 0;
-    n.ns_tail <- 0;
-    n.nr_wait_child <- false
-  done;
   if Array.length inst.iw_wave > 0 then
     Array.fill inst.iw_wave 0 (Array.length inst.iw_wave) (-1);
   inst.i_lo <- 0;
@@ -1090,7 +1215,6 @@ let reset_instance (sim : t) (inst : instance) : unit =
   inst.i_qemit <- false;
   inst.i_qcomplete <- false;
   inst.i_qjunction <- false;
-  Ctr.Prof.reset inst.i_prof ~born:sim.now;
   inst.live <- true;
   prime sim inst
 
@@ -1158,7 +1282,17 @@ let create ?tracer (c : G.circuit) : t =
     { circ = c; ms; tasks; now = 0; fires = 0; last_activity = 0;
       next_iid = 0; root_done = false; root_val = T.VBool true;
       junction_width = Array.init n (fun tid -> G.junction_width c tid);
-      max_outstanding = 8;
+      sc =
+        Exec.make_sc
+          ~slots:
+            ((2
+              * List.fold_left
+                  (fun a (t : G.task) ->
+                    List.fold_left
+                      (fun a (nd : G.node) -> max a (Array.length nd.ins))
+                      a t.nodes)
+                  1 c.tasks)
+            + 4);
       wheel =
         Array.init wheel_size (fun _ ->
             { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
@@ -1259,12 +1393,12 @@ let oldest_wave (inst : instance) : int =
     w
   end
 
-(** The invocation a firing of node [n] belongs to.  In function tasks
+(** The invocation a firing of node [i] belongs to.  In function tasks
     every node fires exactly once per wave; in loop tasks only one
     invocation is in flight, so attribution is exact in both cases. *)
-let attr_inv (inst : instance) (n : node_rt) : invocation =
+let attr_inv (inst : instance) (i : int) : invocation =
   match inst.it.tkind with
-  | G.Tfunc -> find_inv inst n.nr_fired
+  | G.Tfunc -> find_inv inst inst.i_lay.n_row.%(nd_row inst i + nd_fired)
   | G.Tloop _ ->
     let w = oldest_wave inst in
     if w >= 0 then wv_get inst w
@@ -1279,18 +1413,16 @@ let rec ca_ports (inst : instance) (outs : int array array) (p : int) : bool =
   p >= Array.length outs
   || (fans_space inst outs.(p) 0 && ca_ports inst outs (p + 1))
 
-let rec ca_nodes (inst : instance) (i : int) : bool =
-  i >= Array.length inst.inodes
-  || ((match inst.inodes.(i).nr.kind with
-      | G.LiveIn _ -> ca_ports inst inst.i_lay.y_out.(i) 0
-      | _ -> true)
-     && ca_nodes inst (i + 1))
+let rec ca_liveins (inst : instance) (k : int) : bool =
+  let y = inst.i_lay in
+  k >= Array.length y.y_liveins
+  || (ca_ports inst y.y_out.(y.y_liveins.(k)) 0 && ca_liveins inst (k + 1))
 
 let can_accept (inst : instance) : bool =
   (match inst.it.tkind with
   | G.Tloop _ -> inst.ipipe_loop || inst.i_count = 0
   | G.Tfunc -> true)
-  && ca_nodes inst 0
+  && ca_liveins inst 0
 
 (* Invocation pool: records (and their own sync context, for function
    tasks) are built once per instance and recycled. *)
@@ -1305,9 +1437,8 @@ let new_invocation (inst : instance) : invocation =
   in
   let nres = inst.i_nres in
   { iv_gen = 0; iv_wave = 0; iv_rkind = 0; iv_rinst = dummy_inst;
-    iv_rnode = dummy_node;
-    iv_rwave = 0; iv_rctx = dummy_ctx; iv_eff_ctx = dummy_ctx; iv_own = own;
-    iv_lo_tags = Array.make nres F.tabsent;
+    iv_rnode = 0; iv_rwave = 0; iv_rctx = dummy_ctx; iv_eff_ctx = dummy_ctx;
+    iv_own = own; iv_lo_tags = Array.make nres F.tabsent;
     iv_lo_nums = Array.make nres 0; iv_lo_flts = Array.make nres 0.0;
     iv_lo_objs = Array.make nres F.no_obj; iv_stores = 0 }
 
@@ -1326,94 +1457,69 @@ let release_inv (inst : instance) (iv : invocation) : unit =
   if inst.ivp.(n) != iv then inst.ivp.(n) <- iv;
   inst.ivp_n <- n + 1
 
-(* Response reorder table: same open-addressing discipline as the wave
-   table, with [rs_w] token columns per row. *)
-let rec resp_grow (n : node_rt) (ncap : int) : unit =
-  let w = max n.rs_w 1 in
-  let nw = Array.make ncap (-1) in
-  let nt = Array.make (ncap * w) F.tabsent in
-  let nn = Array.make (ncap * w) 0 in
-  let nf = Array.make (ncap * w) 0.0 in
-  let no = Array.make (ncap * w) F.no_obj in
-  let ok = ref true in
-  Array.iteri
-    (fun k wv ->
-      if wv >= 0 && !ok then begin
-        let s = wv land (ncap - 1) in
-        if nw.(s) >= 0 then ok := false
-        else begin
-          nw.(s) <- wv;
-          Array.blit n.rs_tags (k * w) nt (s * w) w;
-          Array.blit n.rs_nums (k * w) nn (s * w) w;
-          Array.blit n.rs_flts (k * w) nf (s * w) w;
-          Array.blit n.rs_objs (k * w) no (s * w) w
-        end
-      end)
-    n.rs_wave;
-  if !ok then begin
-    n.rs_wave <- nw;
-    n.rs_tags <- nt;
-    n.rs_nums <- nn;
-    n.rs_flts <- nf;
-    n.rs_objs <- no
-  end
-  else resp_grow n (ncap * 2)
+(* Reply rings.  A call, spawn or sync node holds, per slot, a ring of
+   the waves between its next reply or join ([nd_resp]) and its firing
+   count: a call or spawn row takes the child's reply tokens, which may
+   arrive out of order, and its wave tag marks the arrival; a sync
+   entry holds the invocation it joins.  Wave c sits at
+   [c land (r_cap - 1)] of the ring, so a firing that would overflow
+   a ring doubles [r_cap] for every ring of the task, re-laying each
+   ring's live waves. *)
+let ring_grow (y : layout) : unit =
+  let cap = y.r_cap and w = y.y_rwid in
+  let n = y.y_slots * y.y_nr * cap * 2 in
+  let nw = Array.make n (-1) and ni = Array.make n dummy_inv in
+  let ng = Array.make n 0 and nt = Array.make (n * w) F.tabsent in
+  let nn = Array.make (n * w) 0 and nf = Array.make (n * w) 0.0 in
+  let no = Array.make (n * w) F.no_obj in
+  for s = 0 to y.y_slots - 1 do
+    for i = 0 to y.y_nn - 1 do
+      if y.y_rb.(i) >= 0 then begin
+        let j = ((s * y.y_nn) + i) * nd_w and g = (s * y.y_nr) + y.y_rb.(i) in
+        for c = y.n_row.%(j + nd_resp) to y.n_row.%(j + nd_fired) - 1 do
+          let a = (g * cap) + (c land (cap - 1)) in
+          let b = (g * 2 * cap) + (c land ((2 * cap) - 1)) in
+          nw.(b) <- y.r_wave.(a);
+          ni.(b) <- y.r_inv.(a);
+          ng.(b) <- y.r_gen.(a);
+          Array.blit y.r_tags (a * w) nt (b * w) w;
+          Array.blit y.r_nums (a * w) nn (b * w) w;
+          Array.blit y.r_flts (a * w) nf (b * w) w;
+          Array.blit y.r_objs (a * w) no (b * w) w
+        done
+      end
+    done
+  done;
+  y.r_cap <- cap * 2;
+  y.r_wave <- nw;
+  y.r_inv <- ni;
+  y.r_gen <- ng;
+  y.r_tags <- nt;
+  y.r_nums <- nn;
+  y.r_flts <- nf;
+  y.r_objs <- no
 
-(** Claim the row for [wave]; the caller fills the token columns at
-    [slot * max rs_w 1]. *)
-let rec resp_insert (n : node_rt) (wave : int) : int =
-  let cap = Array.length n.rs_wave in
-  if cap = 0 then begin
-    let w = max n.rs_w 1 in
-    n.rs_wave <- Array.make 4 (-1);
-    n.rs_tags <- Array.make (4 * w) F.tabsent;
-    n.rs_nums <- Array.make (4 * w) 0;
-    n.rs_flts <- Array.make (4 * w) 0.0;
-    n.rs_objs <- Array.make (4 * w) F.no_obj;
-    resp_insert n wave
-  end
-  else begin
-    let s = wave land (cap - 1) in
-    if n.rs_wave.(s) < 0 || n.rs_wave.(s) = wave then begin
-      n.rs_wave.(s) <- wave;
-      s
-    end
-    else begin
-      resp_grow n (cap * 2);
-      resp_insert n wave
-    end
-  end
+(* Position of wave [c] in node [i]'s ring; a row's tokens start at
+   [pos * y_rwid]. *)
+let[@inline] ring_pos (inst : instance) (i : int) (c : int) : int =
+  let y = inst.i_lay in
+  (((inst.i_slot * y.y_nr) + y.y_rb.%(i)) * y.r_cap) + (c land (y.r_cap - 1))
 
-let resp_ready (n : node_rt) (wave : int) : bool =
-  let cap = Array.length n.rs_wave in
-  cap > 0 && n.rs_wave.(wave land (cap - 1)) = wave
+(* Make room for node [i]'s next firing in its ring. *)
+let ring_room (inst : instance) (i : int) : unit =
+  let y = inst.i_lay in
+  let j = nd_row inst i in
+  if y.n_row.%(j + nd_fired) - y.n_row.%(j + nd_resp) >= y.r_cap then
+    ring_grow y
 
-(* Sync-completion ring of (invocation, wave) entries. *)
-let sync_push (n : node_rt) (iv : invocation) (wave : int) : unit =
-  let cap = Array.length n.ns_wave in
-  let m = n.ns_tail - n.ns_head in
-  if m = cap then begin
-    let ncap = max 4 (cap * 2) in
-    let ni = Array.make ncap dummy_inv in
-    let nv = Array.make ncap 0 in
-    let ng = Array.make ncap 0 in
-    for i = 0 to m - 1 do
-      let s = (n.ns_head + i) land (cap - 1) in
-      ni.(i) <- n.ns_inv.(s);
-      nv.(i) <- n.ns_wave.(s);
-      ng.(i) <- n.ns_gen.(s)
-    done;
-    n.ns_inv <- ni;
-    n.ns_wave <- nv;
-    n.ns_gen <- ng;
-    n.ns_head <- 0;
-    n.ns_tail <- m
-  end;
-  let s = n.ns_tail land (Array.length n.ns_wave - 1) in
-  if n.ns_inv.(s) != iv then n.ns_inv.(s) <- iv;
-  n.ns_wave.(s) <- wave;
-  n.ns_gen.(s) <- iv.iv_gen;
-  n.ns_tail <- n.ns_tail + 1
+(** Mark [wave]'s reply arrived; the caller fills its tokens. *)
+let resp_insert (inst : instance) (i : int) (wave : int) : int =
+  let s = ring_pos inst i wave in
+  inst.i_lay.r_wave.(s) <- wave;
+  s
+
+let resp_ready (inst : instance) (i : int) (wave : int) : bool =
+  inst.i_lay.r_wave.(ring_pos inst i wave) = wave
 
 (* Junction ring of (space, sub-request) entries awaiting arbitration. *)
 let dummy_sr : Memsys.subreq = dummy_access.Memsys.a_srs.(0)
@@ -1441,14 +1547,17 @@ let junction_push (inst : instance) (space : int) (sr : Memsys.subreq) : unit
   if inst.ij_sr.(s) != sr then inst.ij_sr.(s) <- sr;
   inst.ij_tail <- inst.ij_tail + 1
 
-(* Park a sync node on its join context (dedup by node identity). *)
-let rec cx_parked_from (c : sync_ctx) (n : node_rt) (i : int) : bool =
-  i < c.cx_nw && (c.cx_w_node.(i) == n || cx_parked_from c n (i + 1))
+(* Park sync node [i] of [inst] on its join context (once). *)
+let rec cx_parked_from (c : sync_ctx) (inst : instance) (i : int) (k : int)
+    : bool =
+  k < c.cx_nw
+  && ((c.cx_w_inst.(k) == inst && c.cx_w_node.(k) = i)
+     || cx_parked_from c inst i (k + 1))
 
-let cx_park (c : sync_ctx) (inst : instance) (n : node_rt) : unit =
-  if not (cx_parked_from c n 0) then begin
+let cx_park (c : sync_ctx) (inst : instance) (i : int) : unit =
+  if not (cx_parked_from c inst i 0) then begin
     c.cx_w_inst <- vpush c.cx_w_inst c.cx_nw inst;
-    c.cx_w_node <- vpush c.cx_w_node c.cx_nw n;
+    c.cx_w_node <- vpush c.cx_w_node c.cx_nw i;
     c.cx_nw <- c.cx_nw + 1
   end
 
@@ -1468,7 +1577,7 @@ let tq_grow (trt : task_rt) : unit =
   let nctx = Array.make ncap dummy_ctx in
   let nrk = Array.make ncap 0 in
   let nri = Array.make ncap dummy_inst in
-  let nrn = Array.make ncap dummy_node in
+  let nrn = Array.make ncap 0 in
   let nrw = Array.make ncap 0 in
   let nrc = Array.make ncap dummy_ctx in
   for i = 0 to n - 1 do
@@ -1501,14 +1610,14 @@ let tq_grow (trt : task_rt) : unit =
     sees at cycle [at]; the caller fills the argument columns at
     [slot * max t_arity 1]. *)
 let tq_push (sim : t) (trt : task_rt) ~(at : int) ~(ctx : sync_ctx)
-    ~(rkind : int) ~(rinst : instance) ~(rnode : node_rt) ~(rwave : int)
+    ~(rkind : int) ~(rinst : instance) ~(rnode : int) ~(rwave : int)
     ~(rctx : sync_ctx) : int =
   if trt.tq_tail - trt.tq_head = Array.length trt.tq_rkind then tq_grow trt;
   let s = trt.tq_tail land (Array.length trt.tq_rkind - 1) in
   if trt.tq_ctx.(s) != ctx then trt.tq_ctx.(s) <- ctx;
   trt.tq_rkind.(s) <- rkind;
   set_inst trt.tq_rinst s rinst;
-  if trt.tq_rnode.(s) != rnode then trt.tq_rnode.(s) <- rnode;
+  trt.tq_rnode.(s) <- rnode;
   trt.tq_rwave.(s) <- rwave;
   if trt.tq_rctx.(s) != rctx then trt.tq_rctx.(s) <- rctx;
   trt.tq_tail <- trt.tq_tail + 1;
@@ -1531,7 +1640,7 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
   iv.iv_wave <- wave;
   iv.iv_rkind <- trt.tq_rkind.(s);
   if iv.iv_rinst != trt.tq_rinst.(s) then iv.iv_rinst <- trt.tq_rinst.(s);
-  if iv.iv_rnode != trt.tq_rnode.(s) then iv.iv_rnode <- trt.tq_rnode.(s);
+  iv.iv_rnode <- trt.tq_rnode.(s);
   iv.iv_rwave <- trt.tq_rwave.(s);
   if iv.iv_rctx != trt.tq_rctx.(s) then iv.iv_rctx <- trt.tq_rctx.(s);
   let eff =
@@ -1549,9 +1658,10 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
   inst.i_count <- inst.i_count + 1;
   if inst.i_nres = 0 then inst.i_full <- inst.i_full + 1;
   let base = s * Int.max trt.t_arity 1 in
-  for j = 0 to Array.length inst.inodes - 1 do
-    let n = inst.inodes.(j) in
-    match n.nr.kind with
+  let lis = inst.i_lay.y_liveins in
+  for k = 0 to Array.length lis - 1 do
+    let j = lis.(k) in
+    match kind_of inst j with
     | G.LiveIn i ->
       if i < trt.t_arity then
         emit_port sim inst j 0 trt.tq_tags.(base + i) trt.tq_nums.(base + i)
@@ -1573,48 +1683,50 @@ let deliver (sim : t) (inst : instance) (iv : invocation) : unit =
            iv.iv_lo_objs.(1)
        else T.VBool true)
   | 1 ->
-    let n = iv.iv_rnode in
-    let w = Int.max n.rs_w 1 in
-    let s = resp_insert n iv.iv_rwave in
-    let k = Int.min n.rs_w inst.i_nres in
-    Array.blit iv.iv_lo_tags 0 n.rs_tags (s * w) k;
-    Array.blit iv.iv_lo_nums 0 n.rs_nums (s * w) k;
-    Array.blit iv.iv_lo_flts 0 n.rs_flts (s * w) k;
-    Array.blit iv.iv_lo_objs 0 n.rs_objs (s * w) k;
-    wake_emit sim iv.iv_rinst n
+    let ri = iv.iv_rinst and n = iv.iv_rnode in
+    let y = ri.i_lay in
+    let s = resp_insert ri n iv.iv_rwave * y.y_rwid in
+    let k = Int.min y.y_rw.(n) inst.i_nres in
+    Array.blit iv.iv_lo_tags 0 y.r_tags s k;
+    Array.blit iv.iv_lo_nums 0 y.r_nums s k;
+    Array.blit iv.iv_lo_flts 0 y.r_flts s k;
+    Array.blit iv.iv_lo_objs 0 y.r_objs s k;
+    wake_emit sim ri n
   | _ ->
     ctx_dec sim iv.iv_rctx;
-    let n = iv.iv_rnode in
-    let s = resp_insert n iv.iv_rwave in
+    let ri = iv.iv_rinst and n = iv.iv_rnode in
+    let y = ri.i_lay in
+    let s = resp_insert ri n iv.iv_rwave * y.y_rwid in
     if inst.i_nres > 1 then begin
-      n.rs_tags.(s) <- iv.iv_lo_tags.(1);
-      n.rs_nums.(s) <- iv.iv_lo_nums.(1);
-      n.rs_flts.(s) <- iv.iv_lo_flts.(1);
-      set_obj n.rs_objs s iv.iv_lo_objs.(1)
+      y.r_tags.(s) <- iv.iv_lo_tags.(1);
+      y.r_nums.(s) <- iv.iv_lo_nums.(1);
+      y.r_flts.(s) <- iv.iv_lo_flts.(1);
+      set_obj y.r_objs s iv.iv_lo_objs.(1)
     end
     else begin
-      n.rs_tags.(s) <- F.ttrue;
-      n.rs_nums.(s) <- 0;
-      n.rs_flts.(s) <- 0.0;
-      set_obj n.rs_objs s F.no_obj
+      y.r_tags.(s) <- F.ttrue;
+      y.r_nums.(s) <- 0;
+      y.r_flts.(s) <- 0.0;
+      set_obj y.r_objs s F.no_obj
     end;
-    wake_emit sim iv.iv_rinst n
+    wake_emit sim ri n
 
 (** A function-task wave is fully fired once every node (live-ins are
     driven by injection) has consumed it — this is exact because every
     node fires exactly once per wave in a predicated hyperblock. *)
 let rec wave_fully_fired_from (inst : instance) (wave : int) (i : int) :
     bool =
-  i >= Array.length inst.inodes
-  || (let n = inst.inodes.(i) in
-      (match n.nr.kind with
+  let y = inst.i_lay in
+  i >= y.y_nn
+  || (let j = nd_row inst i in
+      (match kind_of inst i with
       | G.LiveIn _ -> true
       | G.CallChild _ | G.SpawnChild _ ->
         (* The child invoked for this wave must itself have completed
            (its response emitted in order): a void call's side effects
            otherwise race ahead of the caller's completion. *)
-        n.nr_fired > wave && n.nr_next_resp > wave
-      | _ -> n.nr_fired > wave)
+        y.n_row.%(j + nd_fired) > wave && y.n_row.%(j + nd_resp) > wave
+      | _ -> y.n_row.%(j + nd_fired) > wave)
       && wave_fully_fired_from inst wave (i + 1))
 
 let wave_fully_fired (inst : instance) (wave : int) : bool =
@@ -1624,34 +1736,38 @@ let wave_fully_fired (inst : instance) (wave : int) : bool =
     primed edge (loop-control or ordering back edges) at its resting
     count and no node holds in-flight work.  Mid-invocation the
     carried values necessarily occupy other channels or pipelines, so
-    quiescence is equivalent to "the invocation has fully drained". *)
-let rec no_live_resp (n : node_rt) (k : int) : bool =
-  k >= Array.length n.rs_wave
-  || (n.rs_wave.(k) < 0 && no_live_resp n (k + 1))
-
+    quiescence is equivalent to "the invocation has fully drained".  A
+    reply ring whose head caught up with its firings holds no wave. *)
 let rec lq_nodes_from (inst : instance) (i : int) : bool =
-  i >= Array.length inst.inodes
-  || (let n = inst.inodes.(i) in
-      n.np_tail - n.np_head = 0
-      && n.nm_tail - n.nm_head = 0
-      && no_live_resp n 0
-      && n.ns_tail - n.ns_head = 0
-      && (match n.nr.kind with
-         | G.CallChild _ | G.SpawnChild _ -> n.nr_next_resp = n.nr_fired
-         | _ -> true)
+  let y = inst.i_lay in
+  i >= y.y_nn
+  || (let r = y.n_row and j = nd_row inst i in
+      r.%(j + nd_pt) - r.%(j + nd_ph) = 0
+      && r.%(j + nd_mt) - r.%(j + nd_mh) = 0
+      && (y.y_rb.(i) < 0 || r.%(j + nd_resp) = r.%(j + nd_fired))
       && lq_nodes_from inst (i + 1))
 
 let rec lq_fifos_from (inst : instance) (k : int) : bool =
   let y = inst.i_lay in
   k >= y.y_nch
   || (let o = ch_row inst k in
-      y.c_row.(o + ch_tl) - y.c_row.(o + ch_hd) = y.y_prime.(k)
+      y.c_row.%(o + ch_tl) - y.c_row.%(o + ch_hd) = y.y_prime.(k)
       && lq_fifos_from inst (k + 1))
 
 let loop_quiescent (inst : instance) : bool =
   lq_nodes_from inst 0
   && inst.ij_tail - inst.ij_head = 0
   && lq_fifos_from inst 0
+
+(* Fold node [i]'s accounting up to cycle [upto], one past the last
+   cycle of the instance's life so far, into its whole-run counter
+   row. *)
+let fold_node (inst : instance) (i : int) (upto : int) : unit =
+  let y = inst.i_lay in
+  let j = nd_row inst i in
+  ignore (relabel y j y.n_row.%(j + nd_lab) upto);
+  Ctr.fold_into y.y_nctr.(i) ~fires:y.n_row.%(j + nd_fired)
+    ~span:(upto - inst.i_born) y.n_acc (j lsr 1)
 
 let rec lo_ready_from (iv : invocation) (nres : int) (k : int) : bool =
   k >= nres
@@ -1703,23 +1819,20 @@ let try_complete (sim : t) (trt : task_rt) (inst : instance) : unit =
          A retiring dynamic instance also folds its accounting into
          the whole-run counter bank here, before it returns to the
          instance pool. *)
-      let nodes = inst.inodes in
-      for i = 0 to Array.length nodes - 1 do
-        let n = nodes.(i) in
-        ignore
-          (Ctr.Prof.transition n.nr_prof (Ctr.cause_index Ctr.Idle)
-             (sim.now + 1));
+      let y = inst.i_lay in
+      let idle = Ctr.cause_index Ctr.Idle in
+      for i = 0 to y.y_nn - 1 do
+        let j = nd_row inst i in
+        ignore (relabel y j idle (sim.now + 1));
         (* The idle label makes the attempt an emission skipped as
            futile this cycle matter again. *)
-        if n.nr_skip = sim.now then wake_fire sim inst n;
-        if inst.idynamic then
-          Ctr.fold_into inst.i_lay.y_nctr.(i) ~fires:n.nr_fired
-            ~born:inst.i_prof.born ~upto:(sim.now + 1) n.nr_prof
+        if y.n_row.%(j + nd_skip) = sim.now then wake_fire sim inst i;
+        if inst.idynamic then fold_node inst i (sim.now + 1)
       done;
       if inst.idynamic then begin
         inst.live <- false;
         inst.i_retired <- sim.now;
-        sim.live_nodes <- sim.live_nodes - Array.length nodes;
+        sim.live_nodes <- sim.live_nodes - y.y_nn;
         pool_put trt inst
       end
     end
@@ -1728,169 +1841,168 @@ let try_complete (sim : t) (trt : task_rt) (inst : instance) : unit =
 (* ------------------------------------------------------------------ *)
 (* Node firing (phase A)                                                *)
 
-(* Return an access to its node's pool once nothing references it. *)
-let pool_access (n : node_rt) (a : Memsys.access) : unit =
-  let k = n.na_n in
-  if k = Array.length n.na_pool then n.na_pool <- grow n.na_pool a;
-  if n.na_pool.(k) != a then n.na_pool.(k) <- a;
-  n.na_n <- k + 1
+(* Return an access to node [i]'s pool once nothing references it. *)
+let pool_access (inst : instance) (i : int) (a : Memsys.access) : unit =
+  let y = inst.i_lay in
+  let j = nd_row inst i + nd_apn in
+  let g = (inst.i_slot * y.y_nm) + y.y_mb.(i) in
+  let k = y.n_row.%(j) in
+  if k = Array.length y.a_pool.(g) then y.a_pool.(g) <- grow y.a_pool.(g) a;
+  let pool = y.a_pool.(g) in
+  if pool.(k) != a then pool.(k) <- a;
+  y.n_row.%(j) <- k + 1
 
-(* Push a result into the pipeline ring.  Callers check occupancy
-   first. *)
+(* Entry [c] of node [i]'s pipeline ring in [p_flts] and [p_objs]; its
+   ready cycle, out port, tag and num sit at four times that in
+   [p_int]. *)
+let[@inline] pipe_pos (inst : instance) (i : int) (c : int) : int =
+  inst.i_pb + inst.i_lay.y_pb.%(i) + (c land (Cost.pipe_slots - 1))
+
+(* Entry [c] of memory node [i]'s outstanding-request window. *)
+let[@inline] mem_pos (inst : instance) (i : int) (c : int) : int =
+  let y = inst.i_lay in
+  (((inst.i_slot * y.y_nm) + y.y_mb.%(i)) * max_outstanding)
+  + (c land (max_outstanding - 1))
+
+(* Push a result into node [i]'s pipeline ring.  Callers check
+   occupancy first. *)
 (* The float rides as [flts.(fi)] rather than a bare [float]: a float
    argument to a non-inlined call is boxed at the boundary (2-3 minor
    words per token), while an array-to-array move stays unboxed. *)
-let pipe_push (n : node_rt) (ready : int) (port : int) (tag : int)
-    (num : int) (flts : float array) (fi : int) (obj : token) : unit =
-  let s = n.np_tail land (Cost.pipe_slots - 1) in
-  n.np_ready.(s) <- ready;
-  n.np_port.(s) <- port;
-  n.np_tags.(s) <- tag;
-  n.np_nums.(s) <- num;
-  n.np_flts.(s) <- flts.(fi);
-  set_obj n.np_objs s obj;
-  n.np_tail <- n.np_tail + 1
+let pipe_push (inst : instance) (i : int) (ready : int) (port : int)
+    (tag : int) (num : int) (flts : float array) (fi : int) (obj : token) :
+    unit =
+  let y = inst.i_lay in
+  let j = nd_row inst i + nd_pt in
+  let tl = y.n_row.%(j) in
+  let s = pipe_pos inst i tl in
+  let q = s * 4 in
+  y.p_int.%(q) <- ready;
+  y.p_int.%(q + 1) <- port;
+  y.p_int.%(q + 2) <- tag;
+  y.p_int.%(q + 3) <- num;
+  fset y.p_flts s flts.(fi);
+  oset y.p_objs s obj;
+  y.n_row.%(j) <- tl + 1
 
 let zeros4 = Array.make 4 0.0
 
-(** Attempt to fire node [n] of [inst]; true if it fired.  A failed
+(* Evaluate a datapath node on the operands staged in [sc] into its
+   result row; returns the out port (a steer's pick, else 0). *)
+let alu (sc : Exec.sc) (kind : G.node_kind) (argc : int) : int =
+  match kind with
+  | G.Compute op ->
+    Exec.compute_sc sc op 0 argc;
+    0
+  | G.Fused ops ->
+    Exec.fused_sc sc ops argc;
+    0
+  | G.Merge k ->
+    Exec.merge_sc sc k argc;
+    0
+  | G.Steer | G.FusedSteer _ ->
+    let p = G.pred_port and d = G.steer_data in
+    let port =
+      G.steer_select
+        (Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p) sc.Exec.sobjs.(p))
+    in
+    (match kind with
+    | G.FusedSteer ops ->
+      (* The chain's operands start at the data input: shift them
+         down. *)
+      let nops = argc - d in
+      for k = 0 to nops - 1 do
+        sc.Exec.stags.(k) <- sc.Exec.stags.(k + d);
+        sc.Exec.snums.(k) <- sc.Exec.snums.(k + d);
+        sc.Exec.sflts.(k) <- sc.Exec.sflts.(k + d);
+        set_obj sc.Exec.sobjs k sc.Exec.sobjs.(k + d)
+      done;
+      Exec.fused_sc sc ops nops
+    | _ -> Exec.copy_to_result sc d);
+    port
+  | G.Tcompute { top; _ } ->
+    (* Tensor ops produce boxed tiles anyway; the slow path is fine
+       here. *)
+    Exec.set_result sc (Exec.tensor top (Exec.slot_values sc 0 argc));
+    0
+  | _ -> invalid_arg "Sim.alu: not a datapath node"
+
+(** Attempt to fire node [i] of [inst], of kind [kind]; true if it
+    fired.  A failed
     attempt has no side effects beyond (re)subscribing the node to the
     event that can unblock it.  All operand staging goes through the
-    instance's flat scratch [i_sc]; nothing here allocates. *)
-let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
+    simulator's flat scratch; nothing here allocates. *)
+let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
+    bool =
   let now = sim.now in
-  if n.nr_busy_until > now then begin
+  let y = inst.i_lay in
+  let r = y.n_row and j = nd_row inst i in
+  let busy = r.%(j + nd_busy) in
+  if busy > now then begin
     (* Sleeping on the initiation interval: retry when it expires. *)
-    at sim n.nr_busy_until inst n 0;
+    at sim busy inst i 0;
     false
   end
   else
-    match n.nr.kind with
+    match kind with
     | G.LiveIn _ -> false (* driven by injection *)
     | G.MergeLoop ->
       (* Consume ctl, then the selected data input only. *)
-      let sc = inst.i_sc in
+      let sc = sim.sc in
       let c = G.mu_ctl in
-      if not (stage_one inst n sc c) then false
+      if not (stage_one inst i sc c) then false
       else begin
         let sel =
           G.mu_select
             (Exec.truthy_flat sc.Exec.stags.(c) sc.Exec.snums.(c)
                sc.Exec.sobjs.(c))
         in
-        if not (stage_one inst n sc sel) then false
-        else if n.np_tail - n.np_head >= Cost.pipe_slots then false
+        if not (stage_one inst i sc sel) then false
+        else if r.%(j + nd_pt) - r.%(j + nd_ph) >= Cost.pipe_slots then false
         else begin
-          pop_in sim inst n c;
-          pop_in sim inst n sel;
-          pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.stags.(sel)
-            sc.Exec.snums.(sel) sc.Exec.sflts sel sc.Exec.sobjs.(sel);
-          n.nr_fired <- n.nr_fired + 1;
+          pop_in sim inst i c;
+          pop_in sim inst i sel;
+          pipe_push inst i (now + y.y_cost.(i).latency - 1) 0
+            sc.Exec.stags.(sel) sc.Exec.snums.(sel) sc.Exec.sflts sel
+            sc.Exec.sobjs.(sel);
+          r.%(j + nd_fired) <- r.%(j + nd_fired) + 1;
           true
         end
       end
     | _ ->
-      if n.nr_miss > 0 then false
-      else if n.np_tail - n.np_head >= Cost.pipe_slots && not n.nr_mem then
-        false
+      if r.%(j + nd_miss) > 0 then false
+      else if
+        r.%(j + nd_pt) - r.%(j + nd_ph) >= Cost.pipe_slots && y.y_mb.(i) < 0
+      then false
       else begin
-        match n.nr.kind with
-        | G.Compute op ->
-          let sc = inst.i_sc in
-          stage_inputs inst n sc;
-          pop_all sim inst n;
-          Exec.compute_sc sc op 0 (n_inputs inst.i_lay n.nr_idx);
-          pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
+        match kind with
+        | G.Compute _ | G.Fused _ | G.Merge _ | G.Steer | G.FusedSteer _
+        | G.Tcompute _ ->
+          let sc = sim.sc in
+          take_all sim inst i sc;
+          let port = alu sc kind (n_inputs y i) in
+          pipe_push inst i (now + y.y_cost.(i).latency - 1) port sc.Exec.rtag
             sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
-          n.nr_busy_until <- now + n.nr_cost.ii;
-          n.nr_fired <- n.nr_fired + 1;
-          true
-        | G.Fused ops ->
-          let sc = inst.i_sc in
-          stage_inputs inst n sc;
-          pop_all sim inst n;
-          Exec.fused_sc sc ops (n_inputs inst.i_lay n.nr_idx);
-          pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
-            sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
-          n.nr_busy_until <- now + n.nr_cost.ii;
-          n.nr_fired <- n.nr_fired + 1;
-          true
-        | G.Merge k ->
-          let sc = inst.i_sc in
-          stage_inputs inst n sc;
-          pop_all sim inst n;
-          Exec.merge_sc sc k (n_inputs inst.i_lay n.nr_idx);
-          pipe_push n (now + n.nr_cost.latency - 1) 0 sc.Exec.rtag
-            sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
-          n.nr_fired <- n.nr_fired + 1;
-          true
-        | G.Steer ->
-          let sc = inst.i_sc in
-          stage_inputs inst n sc;
-          pop_all sim inst n;
-          let p = G.pred_port and d = G.steer_data in
-          let port =
-            G.steer_select
-              (Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
-                 sc.Exec.sobjs.(p))
-          in
-          pipe_push n (now + n.nr_cost.latency - 1) port sc.Exec.stags.(d)
-            sc.Exec.snums.(d) sc.Exec.sflts d sc.Exec.sobjs.(d);
-          n.nr_fired <- n.nr_fired + 1;
-          true
-        | G.FusedSteer ops ->
-          let sc = inst.i_sc in
-          stage_inputs inst n sc;
-          pop_all sim inst n;
-          let p = G.pred_port and d = G.steer_data in
-          let port =
-            G.steer_select
-              (Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
-                 sc.Exec.sobjs.(p))
-          in
-          (* The chain's operands start at the data input: shift them
-             down. *)
-          let nops = n_inputs inst.i_lay n.nr_idx - d in
-          for i = 0 to nops - 1 do
-            sc.Exec.stags.(i) <- sc.Exec.stags.(i + d);
-            sc.Exec.snums.(i) <- sc.Exec.snums.(i + d);
-            sc.Exec.sflts.(i) <- sc.Exec.sflts.(i + d);
-            set_obj sc.Exec.sobjs i sc.Exec.sobjs.(i + d)
-          done;
-          Exec.fused_sc sc ops nops;
-          pipe_push n (now + n.nr_cost.latency - 1) port sc.Exec.rtag
-            sc.Exec.rnum sc.Exec.rflt 0 sc.Exec.robj;
-          n.nr_busy_until <- now + n.nr_cost.ii;
-          n.nr_fired <- n.nr_fired + 1;
-          true
-        | G.Tcompute { top; _ } ->
-          (* Tensor ops produce boxed tiles anyway; the slow path is
-             fine here. *)
-          let sc = inst.i_sc in
-          stage_inputs inst n sc;
-          pop_all sim inst n;
-          let v = Exec.tensor top (Exec.slot_values sc 0 (n_inputs inst.i_lay n.nr_idx)) in
-          sc.Exec.rflt.(0) <- F.flt_of v;
-          pipe_push n (now + n.nr_cost.latency - 1) 0 (F.tag_of v)
-            (F.num_of v) sc.Exec.rflt 0 (F.obj_of v);
-          n.nr_busy_until <- now + n.nr_cost.ii;
-          n.nr_fired <- n.nr_fired + 1;
+          (match kind with
+          | G.Merge _ | G.Steer -> ()
+          | _ -> r.%(j + nd_busy) <- now + y.y_cost.(i).ii);
+          r.%(j + nd_fired) <- r.%(j + nd_fired) + 1;
           true
         | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ ->
-          if n.nm_tail - n.nm_head >= sim.max_outstanding then false
+          if r.%(j + nd_mt) - r.%(j + nd_mh) >= max_outstanding then false
           else begin
             let is_store =
-              match n.nr.kind with
+              match kind with
               | G.Store _ | G.Tstore _ -> true
               | _ -> false
             in
             (* Attribution: stores pin their invocation; loads only
                advance the oldest-wave cursor (the original never read
                a load's attribution). *)
-            let iv = if is_store then attr_inv inst n else dummy_inv in
+            let iv = if is_store then attr_inv inst i else dummy_inv in
             if not is_store then ignore (oldest_wave inst);
-            let sc = inst.i_sc in
-            stage_inputs inst n sc;
+            let sc = sim.sc in
+            take_all sim inst i sc;
             let p = G.pred_port and ad = G.mem_addr in
             let pred_ok =
               Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
@@ -1901,16 +2013,18 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
               Exec.to_int_flat sc.Exec.stags.(ad) sc.Exec.snums.(ad)
                 sc.Exec.sobjs.(ad)
             in
-            pop_all sim inst n;
-            let s = n.nm_tail land (Array.length n.nm_live - 1) in
+            let s = mem_pos inst i r.%(j + nd_mt) in
             if pred_ok && addr_tag <> F.tpoison then begin
+              let k = r.%(j + nd_apn) in
               let a =
-                if n.na_n > 0 then begin
-                  n.na_n <- n.na_n - 1;
-                  n.na_pool.(n.na_n)
+                if k > 0 then begin
+                  r.%(j + nd_apn) <- k - 1;
+                  y.a_pool.((inst.i_slot * y.y_nm) + y.y_mb.(i)).(k - 1)
                 end
                 else begin
-                  let a = Memsys.make_access ~words:n.nr_words ~notify:ignore in
+                  let a =
+                    Memsys.make_access ~words:y.y_words.(i) ~notify:ignore
+                  in
                   (* The closure is created once per pooled access and
                      lives as long as it does.  Orphaned accesses
                      (write-buffered stores popped before their banks
@@ -1918,13 +2032,13 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
                      of waking the node. *)
                   a.Memsys.a_notify <-
                     (fun () ->
-                      if a.Memsys.a_orphan then pool_access n a
-                      else wake_emit sim inst n);
+                      if a.Memsys.a_orphan then pool_access inst i a
+                      else wake_emit sim inst i);
                   a
                 end
               in
               Memsys.reset_access a ~is_store ~now;
-              (match n.nr.kind with
+              (match kind with
               | G.Load _ ->
                 a.Memsys.a_n <- 1;
                 a.Memsys.a_addrs.(0) <- addr
@@ -1970,66 +2084,61 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
                   set_obj a.Memsys.a_objs i F.no_obj
                 done
               | _ -> assert false);
-              let rt = sim.ms.Memsys.space_of n.nr_space in
+              let rt = sim.ms.Memsys.space_of y.y_space.(i) in
               Memsys.split rt a;
               let buffered = is_store && Memsys.store_buffered rt in
               if is_store && not buffered then
                 iv.iv_stores <- iv.iv_stores + 1;
-              for j = 0 to a.Memsys.a_nsrs - 1 do
-                junction_push inst n.nr_space a.Memsys.a_srs.(j)
+              for k = 0 to a.Memsys.a_nsrs - 1 do
+                junction_push inst y.y_space.(i) a.Memsys.a_srs.(k)
               done;
               (* write-back buffer: the store is architecturally done
                  the moment the buffer accepts it; it drains to the
                  bank in FIFO order behind this point *)
               if buffered then a.Memsys.a_done <- true;
-              n.nm_live.(s) <- true;
-              if n.nm_acc.(s) != a then n.nm_acc.(s) <- a
+              if y.m_acc.(s) != a then y.m_acc.(s) <- a
             end
-            else begin
+            else if y.m_acc.(s) != dummy_access then
               (* Predicated off (or poison address): a gated entry
                  flows through the window without touching memory. *)
-              n.nm_live.(s) <- false;
-              if n.nm_acc.(s) != dummy_access then
-                n.nm_acc.(s) <- dummy_access
-            end;
-            n.nm_store.(s) <- is_store;
-            n.nm_hasiv.(s) <- is_store;
-            if n.nm_inv.(s) != iv then n.nm_inv.(s) <- iv;
-            n.nm_tail <- n.nm_tail + 1;
-            n.nr_busy_until <- now + n.nr_cost.ii;
-            n.nr_fired <- n.nr_fired + 1;
+              y.m_acc.(s) <- dummy_access;
+            if y.m_inv.(s) != iv then y.m_inv.(s) <- iv;
+            r.%(j + nd_mt) <- r.%(j + nd_mt) + 1;
+            r.%(j + nd_busy) <- now + y.y_cost.(i).ii;
+            r.%(j + nd_fired) <- r.%(j + nd_fired) + 1;
             true
           end
         | G.CallChild tid | G.SpawnChild tid ->
-          let sc = inst.i_sc in
-          stage_inputs inst n sc;
+          let sc = sim.sc in
           let p = G.pred_port in
+          ignore (stage_one inst i sc p);
           let pred_ok =
             Exec.truthy_flat sc.Exec.stags.(p) sc.Exec.snums.(p)
               sc.Exec.sobjs.(p)
           in
           let child = sim.tasks.(tid) in
           let is_spawn =
-            match n.nr.kind with G.SpawnChild _ -> true | _ -> false
+            match kind with G.SpawnChild _ -> true | _ -> false
           in
           let queue_cap = child.tk.queue_depth * Int.max child.tk.tiles 1 in
           if pred_ok && tq_len child >= queue_cap && not child.tdynamic
           then begin
             (* Park on the child's full queue; its dispatch pops us
                back onto the worklist. *)
-            if not n.nr_wait_child then begin
-              n.nr_wait_child <- true;
+            if r.%(j + nd_wait) = 0 then begin
+              r.%(j + nd_wait) <- 1;
               child.tw_inst <- vpush child.tw_inst child.tw_n inst;
-              child.tw_node <- vpush child.tw_node child.tw_n n;
+              child.tw_node <- vpush child.tw_node child.tw_n i;
               child.tw_n <- child.tw_n + 1
             end;
             false
           end
           else begin
-            let wave = n.nr_fired in
-            let iv = attr_inv inst n in
-            let nin = n_inputs inst.i_lay n.nr_idx in
-            pop_all sim inst n;
+            let wave = r.%(j + nd_fired) in
+            ring_room inst i;
+            let iv = attr_inv inst i in
+            let nin = n_inputs y i in
+            take_all sim inst i sc;
             if pred_ok then begin
               let eff = iv.iv_eff_ctx in
               let rkind =
@@ -2041,71 +2150,72 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
               in
               let s =
                 tq_push sim child ~at:(now + 1) ~ctx:eff ~rkind ~rinst:inst
-                  ~rnode:n ~rwave:wave ~rctx:eff
+                  ~rnode:i ~rwave:wave ~rctx:eff
               in
               let base = s * Int.max child.t_arity 1 in
-              for i = 0 to child.t_arity - 1 do
-                if i = 0 then begin
+              for k = 0 to child.t_arity - 1 do
+                if k = 0 then begin
                   child.tq_tags.(base) <- F.ttrue;
                   child.tq_nums.(base) <- 0;
                   child.tq_flts.(base) <- 0.0;
                   set_obj child.tq_objs base F.no_obj
                 end
-                else if i < nin then begin
-                  child.tq_tags.(base + i) <- sc.Exec.stags.(i);
-                  child.tq_nums.(base + i) <- sc.Exec.snums.(i);
-                  child.tq_flts.(base + i) <- sc.Exec.sflts.(i);
-                  set_obj child.tq_objs (base + i) sc.Exec.sobjs.(i)
+                else if k < nin then begin
+                  child.tq_tags.(base + k) <- sc.Exec.stags.(k);
+                  child.tq_nums.(base + k) <- sc.Exec.snums.(k);
+                  child.tq_flts.(base + k) <- sc.Exec.sflts.(k);
+                  set_obj child.tq_objs (base + k) sc.Exec.sobjs.(k)
                 end
                 else begin
-                  child.tq_tags.(base + i) <- F.tpoison;
-                  child.tq_nums.(base + i) <- 0;
-                  child.tq_flts.(base + i) <- 0.0;
-                  set_obj child.tq_objs (base + i) F.no_obj
+                  child.tq_tags.(base + k) <- F.tpoison;
+                  child.tq_nums.(base + k) <- 0;
+                  child.tq_flts.(base + k) <- 0.0;
+                  set_obj child.tq_objs (base + k) F.no_obj
                 end
               done
             end
             else begin
               (* Predicated off: synthesize an immediate response. *)
-              let s = resp_insert n wave in
-              let w = Int.max n.rs_w 1 in
+              let s = resp_insert inst i wave * y.y_rwid in
               if is_spawn then begin
-                n.rs_tags.(s * w) <- F.tpoison;
-                n.rs_nums.(s * w) <- 0;
-                n.rs_flts.(s * w) <- 0.0;
-                set_obj n.rs_objs (s * w) F.no_obj
+                y.r_tags.(s) <- F.tpoison;
+                y.r_nums.(s) <- 0;
+                y.r_flts.(s) <- 0.0;
+                set_obj y.r_objs s F.no_obj
               end
               else
-                for k = 0 to n.rs_w - 1 do
-                  n.rs_tags.((s * w) + k) <-
-                    (if k = 0 then F.tfalse else F.tpoison);
-                  n.rs_nums.((s * w) + k) <- 0;
-                  n.rs_flts.((s * w) + k) <- 0.0;
-                  set_obj n.rs_objs ((s * w) + k) F.no_obj
+                for k = 0 to y.y_rw.(i) - 1 do
+                  y.r_tags.(s + k) <- (if k = 0 then F.tfalse else F.tpoison);
+                  y.r_nums.(s + k) <- 0;
+                  y.r_flts.(s + k) <- 0.0;
+                  set_obj y.r_objs (s + k) F.no_obj
                 done
             end;
-            n.nr_busy_until <- now + n.nr_cost.ii;
-            n.nr_fired <- n.nr_fired + 1;
+            r.%(j + nd_busy) <- now + y.y_cost.(i).ii;
+            r.%(j + nd_fired) <- r.%(j + nd_fired) + 1;
             true
           end
         | G.SyncWait ->
-          let iv = attr_inv inst n in
-          pop_all sim inst n;
-          sync_push n iv n.nr_fired;
+          let iv = attr_inv inst i in
+          pop_all sim inst i;
+          ring_room inst i;
+          let s = ring_pos inst i r.%(j + nd_fired) in
+          if y.r_inv.(s) != iv then y.r_inv.(s) <- iv;
+          y.r_gen.(s) <- iv.iv_gen;
           (* Park on the join context: each child completion retries
              the sync's emission. *)
-          cx_park iv.iv_eff_ctx inst n;
-          n.nr_fired <- n.nr_fired + 1;
+          cx_park iv.iv_eff_ctx inst i;
+          r.%(j + nd_fired) <- r.%(j + nd_fired) + 1;
           true
         | G.LiveOut idx ->
-          let sc = inst.i_sc in
-          ignore (stage_one inst n sc 0);
+          let sc = sim.sc in
+          ignore (stage_one inst i sc 0);
           let iv =
             match inst.it.tkind with
-            | G.Tfunc -> find_inv inst n.nr_fired
-            | G.Tloop _ -> attr_inv inst n
+            | G.Tfunc -> find_inv inst r.%(j + nd_fired)
+            | G.Tloop _ -> attr_inv inst i
           in
-          pop_all sim inst n;
+          pop_all sim inst i;
           let fresh = iv.iv_lo_tags.(idx) = F.tabsent in
           iv.iv_lo_tags.(idx) <- sc.Exec.stags.(0);
           iv.iv_lo_nums.(idx) <- sc.Exec.snums.(0);
@@ -2113,7 +2223,7 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
           set_obj iv.iv_lo_objs idx sc.Exec.sobjs.(0);
           if fresh && lo_ready_from iv inst.i_nres 0 then
             inst.i_full <- inst.i_full + 1;
-          n.nr_fired <- n.nr_fired + 1;
+          r.%(j + nd_fired) <- r.%(j + nd_fired) + 1;
           true
         | G.LiveIn _ | G.MergeLoop -> assert false
       end
@@ -2124,67 +2234,73 @@ let try_fire (sim : t) (inst : instance) (n : node_rt) : bool =
 (* Why did this woken node fail to fire?  Mirrors [try_fire]'s failure
    paths; a failed attempt has no side effects, so re-inspecting the
    state after the attempt is exact. *)
-let stall_cause (sim : t) (inst : instance) (n : node_rt) : Ctr.cause =
-  if n.nr_busy_until > sim.now then Ctr.Structural
+let stall_cause (sim : t) (inst : instance) (i : int) : Ctr.cause =
+  let y = inst.i_lay in
+  let r = y.n_row and j = nd_row inst i in
+  if r.%(j + nd_busy) > sim.now then Ctr.Structural
   else
-    match n.nr.kind with
+    match kind_of inst i with
     | G.LiveIn _ -> Ctr.Idle (* driven by injection, never stalled *)
-    | _ when not (can_start inst n) -> Ctr.Operand
+    | _ when not (can_start inst i) -> Ctr.Operand
     | G.MergeLoop -> Ctr.Backpressure
     | G.CallChild _ | G.SpawnChild _ -> Ctr.Structural
     | _ ->
-      if n.nr_mem then Ctr.Memory
-      else if n.np_tail - n.np_head >= Cost.pipe_slots then Ctr.Backpressure
+      if y.y_mb.(i) >= 0 then Ctr.Memory
+      else if r.%(j + nd_pt) - r.%(j + nd_ph) >= Cost.pipe_slots then
+        Ctr.Backpressure
       else Ctr.Operand
 
 (* The label a node enters after firing at [sim.now], effective from
    [sim.now + 1].  Any event that changes the node's state relabels it,
    so this only has to be right for the state as left by the firing. *)
-let post_fire_cause (sim : t) (n : node_rt) (ra : bool) : Ctr.cause =
-  match n.nr.kind with
+let post_fire_cause (sim : t) (inst : instance) (i : int)
+    (kind : G.node_kind) (ra : bool) : Ctr.cause =
+  let y = inst.i_lay in
+  let r = y.n_row and j = nd_row inst i in
+  match kind with
   | G.SyncWait -> Ctr.Sync
   | _ ->
     if not ra then Ctr.Operand
-    else if n.nr_busy_until > sim.now + 1 then Ctr.Structural
-    else if n.nr_mem then
-      if n.nm_tail - n.nm_head >= sim.max_outstanding then Ctr.Memory
+    else if r.%(j + nd_busy) > sim.now + 1 then Ctr.Structural
+    else if y.y_mb.(i) >= 0 then
+      if r.%(j + nd_mt) - r.%(j + nd_mh) >= max_outstanding then Ctr.Memory
       else Ctr.Busy
-    else if n.np_tail - n.np_head >= Cost.pipe_slots then Ctr.Backpressure
+    else if r.%(j + nd_pt) - r.%(j + nd_ph) >= Cost.pipe_slots then
+      Ctr.Backpressure
     else Ctr.Busy
 
 (** Fire attempt plus the event subscriptions a success implies. *)
-let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
-  let fired = try_fire sim inst n in
+let fire_node (sim : t) (inst : instance) (i : int) : bool =
+  let kind = kind_of inst i in
+  let fired = try_fire sim inst i kind in
   (* Interval accounting is always-on (it feeds the counter bank); the
      ring only sees events when a tracer is attached. *)
-  let np = n.nr_prof in
+  let y = inst.i_lay in
+  let j = nd_row inst i in
   (* Could the node fire again with the tokens already committed?  No
      other event will arrive for them, so a firing self-schedules its
      next attempt (live-ins never fire here). *)
-  let ra = fired && can_start inst n in
+  let ra = fired && can_start inst i in
   if fired then begin
-    ignore (Ctr.Prof.transition np (Ctr.cause_index Ctr.Busy) sim.now);
-    ignore
-      (Ctr.Prof.transition np
-         (Ctr.cause_index (post_fire_cause sim n ra))
-         (sim.now + 1));
+    relabel_fired y j (Ctr.cause_index (post_fire_cause sim inst i kind ra))
+      sim.now;
     match sim.tr with
     | Some tr ->
       Tr.emit tr
         (Tr.Efire
            { c = sim.now; task = inst.it.tid; inst = inst.iid;
-             node = n.nr.nid; lat = n.nr_cost.latency })
+             node = y.y_g.(i).nid; lat = y.y_cost.(i).latency })
     | None -> ()
   end
   else begin
-    let cause = stall_cause sim inst n in
-    let changed = Ctr.Prof.transition np (Ctr.cause_index cause) sim.now in
+    let cause = stall_cause sim inst i in
+    let changed = relabel y j (Ctr.cause_index cause) sim.now in
     match sim.tr with
     | Some tr when changed && cause <> Ctr.Idle ->
       Tr.emit tr
         (Tr.Estall
            { c = sim.now; task = inst.it.tid; inst = inst.iid;
-             node = n.nr.nid; cause })
+             node = y.y_g.(i).nid; cause })
     | _ -> ()
   end;
   if fired then begin
@@ -2196,29 +2312,30 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
        now if it is due and on its due cycle otherwise; an entry behind
        it is reached when the head drains ([try_emit]).  A live-out
        emits nothing. *)
-    if n.nr_pipe then begin
-      if n.np_tail - n.np_head = 1 then begin
-        let ready = n.np_ready.(n.np_head land (Cost.pipe_slots - 1)) in
-        if ready <= sim.now then wake_emit sim inst n
-        else at sim ready inst n 1
+    let r = y.n_row in
+    if y.y_pb.(i) >= 0 then begin
+      if r.%(j + nd_pt) - r.%(j + nd_ph) = 1 then begin
+        let ready = y.p_int.%(pipe_pos inst i r.%(j + nd_ph) * 4) in
+        if ready <= sim.now then wake_emit sim inst i
+        else at sim ready inst i 1
       end
     end
-    else (match n.nr.kind with G.LiveOut _ -> () | _ -> wake_emit sim inst n);
+    else (match kind with G.LiveOut _ -> () | _ -> wake_emit sim inst i);
     wake_complete sim inst;
-    (match n.nr.kind with
+    (match kind with
     | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _ ->
       wake_junction sim inst
     | G.SpawnChild _ ->
       sim.ctrs.Ctr.spawns <- sim.ctrs.Ctr.spawns + 1;
       (* spawns_issued moved: parked syncs may now be able to pass *)
-      let syncs = inst.i_lay.y_syncs in
+      let syncs = y.y_syncs in
       for k = 0 to Array.length syncs - 1 do
-        wake_emit sim inst inst.inodes.(syncs.(k))
+        wake_emit sim inst syncs.(k)
       done
     | _ -> ());
     (* Tokens already committed can enable the next firing without any
        further event: self-schedule past the initiation interval. *)
-    if ra then at sim (Int.max n.nr_busy_until (sim.now + 1)) inst n 0;
+    if ra then at sim (Int.max r.%(j + nd_busy) (sim.now + 1)) inst i 0;
     true
   end
   else false
@@ -2231,73 +2348,80 @@ let fire_node (sim : t) (inst : instance) (n : node_rt) : bool =
    [try_emit] they would allocate a closure per node per cycle. *)
 
 (* Pipeline outputs (in order). *)
-let rec drain_pipe (sim : t) (inst : instance) (n : node_rt) (progressed : bool) : bool =
-  if n.np_tail - n.np_head > 0 then begin
-    let s = n.np_head land (Cost.pipe_slots - 1) in
-    if n.np_ready.(s) <= sim.now && port_space inst n.nr_idx n.np_port.(s) then begin
-      n.np_head <- n.np_head + 1;
-      emit_port sim inst n.nr_idx n.np_port.(s) n.np_tags.(s) n.np_nums.(s) n.np_flts
-        s n.np_objs.(s);
-      drain_pipe sim inst n true
+let rec drain_pipe (sim : t) (inst : instance) (i : int) (progressed : bool)
+    : bool =
+  let y = inst.i_lay in
+  let j = nd_row inst i in
+  let h = y.n_row.%(j + nd_ph) in
+  if y.n_row.%(j + nd_pt) - h > 0 then begin
+    let s = pipe_pos inst i h in
+    let q = s * 4 in
+    if y.p_int.%(q) <= sim.now && port_space inst i y.p_int.%(q + 1) then begin
+      y.n_row.%(j + nd_ph) <- h + 1;
+      emit_port sim inst i y.p_int.%(q + 1) y.p_int.%(q + 2) y.p_int.%(q + 3)
+        y.p_flts s (oget y.p_objs s);
+      drain_pipe sim inst i true
     end
     else progressed
   end
   else progressed
 
-(* Memory responses (FIFO per node).  [sc] is the owning instance's
-   flat scratch — tile assembly parks its float there so nothing is
-   boxed on the way to the ports. *)
-let rec drain_mem (sim : t) (inst : instance) (sc : Exec.sc) (n : node_rt)
-    (progressed : bool) : bool =
-  if n.nm_tail - n.nm_head > 0 then begin
-    let mm = Array.length n.nm_live - 1 in
-    let s = n.nm_head land mm in
-    let live = n.nm_live.(s) in
-    if (not live) || n.nm_acc.(s).Memsys.a_done then begin
+(* Memory responses (FIFO per node).  Tile assembly parks its float in
+   the simulator's flat scratch, so nothing is boxed on the way to the
+   ports. *)
+let rec drain_mem (sim : t) (inst : instance) (i : int) (progressed : bool)
+    : bool =
+  let y = inst.i_lay in
+  let j = nd_row inst i in
+  let h = y.n_row.%(j + nd_mh) in
+  if y.n_row.%(j + nd_mt) - h > 0 then begin
+    let s = mem_pos inst i h in
+    let a = y.m_acc.(s) in
+    let live = a != dummy_access in
+    if (not live) || a.Memsys.a_done then begin
+      let nd = y.y_g.(i) in
       let is_load =
-        match n.nr.kind with
-        | G.Load _ | G.Tload _ -> true
-        | _ -> false
+        match nd.kind with G.Load _ | G.Tload _ -> true | _ -> false
       in
-      let data = G.load_data and ack = G.mem_done n.nr in
+      let data = G.load_data and ack = G.mem_done nd in
       let space =
-        if is_load then port_space inst n.nr_idx data && port_space inst n.nr_idx ack
-        else port_space inst n.nr_idx ack
+        if is_load then port_space inst i data && port_space inst i ack
+        else port_space inst i ack
       in
       if space then begin
-        let a = n.nm_acc.(s) in
-        n.nm_head <- n.nm_head + 1;
-        if n.nm_store.(s) && live then begin
-          let iv = n.nm_inv.(s) in
+        y.n_row.%(j + nd_mh) <- h + 1;
+        if live && not is_load then begin
+          let iv = y.m_inv.(s) in
           if iv.iv_stores > 0 then iv.iv_stores <- iv.iv_stores - 1
         end;
-        (match n.nr.kind, live with
+        (match nd.kind, live with
         | (G.Load _ | G.Tload _), false ->
           (* gated: poison data, ack false *)
-          emit_port sim inst n.nr_idx data F.tpoison 0 f0 0 F.no_obj;
-          emit_port sim inst n.nr_idx ack F.tfalse 0 f0 0 F.no_obj
+          emit_port sim inst i data F.tpoison 0 f0 0 F.no_obj;
+          emit_port sim inst i ack F.tfalse 0 f0 0 F.no_obj
         | G.Load _, true ->
-          emit_port sim inst n.nr_idx data a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
+          emit_port sim inst i data a.Memsys.a_tags.(0) a.Memsys.a_nums.(0)
             a.Memsys.a_flts 0 a.Memsys.a_objs.(0);
-          emit_port sim inst n.nr_idx ack F.ttrue 0 f0 0 F.no_obj
+          emit_port sim inst i ack F.ttrue 0 f0 0 F.no_obj
         | G.Tload _, true ->
           let v = Memsys.tile_value a in
+          let sc = sim.sc in
           sc.Exec.rflt.(0) <- F.flt_of v;
-          emit_port sim inst n.nr_idx data (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
+          emit_port sim inst i data (F.tag_of v) (F.num_of v) sc.Exec.rflt 0
             (F.obj_of v);
-          emit_port sim inst n.nr_idx ack F.ttrue 0 f0 0 F.no_obj
+          emit_port sim inst i ack F.ttrue 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), false ->
-          emit_port sim inst n.nr_idx ack F.tfalse 0 f0 0 F.no_obj
+          emit_port sim inst i ack F.tfalse 0 f0 0 F.no_obj
         | (G.Store _ | G.Tstore _), true ->
-          emit_port sim inst n.nr_idx ack F.ttrue 0 f0 0 F.no_obj
+          emit_port sim inst i ack F.ttrue 0 f0 0 F.no_obj
         | _ -> assert false);
         (* Recycle the access: banks still draining a write-buffered
            store keep it as an orphan and return it on completion. *)
         if live then begin
-          if a.Memsys.a_pending <= 0 then pool_access n a
+          if a.Memsys.a_pending <= 0 then pool_access inst i a
           else a.Memsys.a_orphan <- true
         end;
-        drain_mem sim inst sc n true
+        drain_mem sim inst i true
       end
       else progressed
     end
@@ -2305,28 +2429,27 @@ let rec drain_mem (sim : t) (inst : instance) (sc : Exec.sc) (n : node_rt)
   end
   else progressed
 
-let rec ports_free (inst : instance) (n : node_rt) (p : int) (k : int) : bool =
-  p >= k || (port_space inst n.nr_idx p && ports_free inst n (p + 1) k)
+let rec ports_free (inst : instance) (i : int) (p : int) (k : int) : bool =
+  p >= k || (port_space inst i p && ports_free inst i (p + 1) k)
 
 (* Call/spawn responses in wave order. *)
-let rec drain_resp (sim : t) (inst : instance) (n : node_rt) (progressed : bool) : bool =
-  if resp_ready n n.nr_next_resp then begin
-    let cap = Array.length n.rs_wave in
-    let s = n.nr_next_resp land (cap - 1) in
-    let w = Int.max n.rs_w 1 in
-    let k = Int.min n.rs_w (Array.length inst.i_lay.y_out.(n.nr_idx)) in
-    if ports_free inst n 0 k then begin
-      n.rs_wave.(s) <- -1;
-      n.nr_next_resp <- n.nr_next_resp + 1;
+let rec drain_resp (sim : t) (inst : instance) (i : int) (progressed : bool)
+    : bool =
+  let y = inst.i_lay in
+  let j = nd_row inst i + nd_resp in
+  let wave = y.n_row.%(j) in
+  if resp_ready inst i wave then begin
+    let s = ring_pos inst i wave in
+    let w = s * y.y_rwid in
+    let k = Int.min y.y_rw.(i) (Array.length y.y_out.(i)) in
+    if ports_free inst i 0 k then begin
+      y.r_wave.(s) <- -1;
+      y.n_row.%(j) <- wave + 1;
       for p = 0 to k - 1 do
-        emit_port sim inst n.nr_idx p
-          n.rs_tags.((s * w) + p)
-          n.rs_nums.((s * w) + p)
-          n.rs_flts
-          ((s * w) + p)
-          n.rs_objs.((s * w) + p)
+        emit_port sim inst i p y.r_tags.(w + p) y.r_nums.(w + p) y.r_flts
+          (w + p) y.r_objs.(w + p)
       done;
-      drain_resp sim inst n true
+      drain_resp sim inst i true
     end
     else progressed
   end
@@ -2336,52 +2459,60 @@ let rec drain_resp (sim : t) (inst : instance) (n : node_rt) (progressed : bool)
    has issued wave [w]'s spawns — otherwise it could observe a
    transiently-zero child count before the children were even
    created. *)
-let rec spawns_issued_from (inst : instance) (wave : int) (i : int) : bool
-    =
-  i >= Array.length inst.inodes
-  || ((match inst.inodes.(i).nr.kind with
-      | G.SpawnChild _ -> inst.inodes.(i).nr_fired > wave
-      | _ -> true)
-     && spawns_issued_from inst wave (i + 1))
+let rec spawns_issued_from (inst : instance) (wave : int) (k : int) : bool =
+  let y = inst.i_lay in
+  k >= Array.length y.y_spawns
+  || (y.n_row.%(nd_row inst y.y_spawns.(k) + nd_fired) > wave
+     && spawns_issued_from inst wave (k + 1))
 
-(* Sync completions, in order. *)
-let rec drain_sync (sim : t) (inst : instance) (n : node_rt)
-    (progressed : bool) : bool =
-  if n.ns_tail - n.ns_head > 0 then begin
-    let s = n.ns_head land (Array.length n.ns_wave - 1) in
-    let iv = n.ns_inv.(s) in
-    let wave = n.ns_wave.(s) in
+(* Sync completions, in wave order. *)
+let rec drain_sync (sim : t) (inst : instance) (i : int) (progressed : bool)
+    : bool =
+  let y = inst.i_lay in
+  let j = nd_row inst i in
+  let wave = y.n_row.%(j + nd_resp) in
+  if y.n_row.%(j + nd_fired) - wave > 0 then begin
+    let s = ring_pos inst i wave in
+    let iv = y.r_inv.(s) in
     (* A stale entry (its invocation completed and was reused while
        the emission was backpressured) behaves like the completed
        invocation it referenced: zero live children. *)
     let children_ok =
-      iv.iv_gen <> n.ns_gen.(s) || iv.iv_eff_ctx.live_children = 0
+      iv.iv_gen <> y.r_gen.(s) || iv.iv_eff_ctx.live_children = 0
     in
-    if spawns_issued_from inst wave 0 && children_ok && port_space inst n.nr_idx 0
+    if spawns_issued_from inst wave 0 && children_ok && port_space inst i 0
     then begin
-      n.ns_head <- n.ns_head + 1;
+      y.n_row.%(j + nd_resp) <- wave + 1;
       sim.ctrs.Ctr.syncs <- sim.ctrs.Ctr.syncs + 1;
-      emit_port sim inst n.nr_idx 0 F.ttrue 0 f0 0 F.no_obj;
-      drain_sync sim inst n true
+      emit_port sim inst i 0 F.ttrue 0 f0 0 F.no_obj;
+      drain_sync sim inst i true
     end
     else progressed
   end
   else progressed
 
-let try_emit (sim : t) (inst : instance) (n : node_rt) : bool =
-  if n.nr_pipe then begin
-    let progressed = drain_pipe sim inst n false in
+(* A node emits through its pipeline ring, memory window or reply ring,
+   whichever it owns. *)
+let try_emit (sim : t) (inst : instance) (i : int) : bool =
+  let y = inst.i_lay in
+  if y.y_pb.(i) >= 0 then begin
+    let progressed = drain_pipe sim inst i false in
     (* A new ring head wakes the node on its due cycle; an unchanged
        head already has its wake. *)
-    (if progressed && n.np_tail - n.np_head > 0 then
-       let ready = n.np_ready.(n.np_head land (Cost.pipe_slots - 1)) in
-       if ready > sim.now then at sim ready inst n 1);
+    (if progressed then
+       let j = nd_row inst i in
+       let h = y.n_row.%(j + nd_ph) in
+       if y.n_row.%(j + nd_pt) - h > 0 then
+         let ready = y.p_int.%(pipe_pos inst i h * 4) in
+         if ready > sim.now then at sim ready inst i 1);
     progressed
   end
+  else if y.y_mb.(i) >= 0 then drain_mem sim inst i false
   else
-    let progressed = drain_mem sim inst inst.i_sc n false in
-    let progressed = drain_resp sim inst n progressed in
-    drain_sync sim inst n progressed
+    match kind_of inst i with
+    | G.CallChild _ | G.SpawnChild _ -> drain_resp sim inst i false
+    | G.SyncWait -> drain_sync sim inst i false
+    | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* The main loop                                                        *)
@@ -2426,9 +2557,8 @@ let rec fire_bits (sim : t) (inst : instance) (base : int) (w : int)
   if w = 0 then any
   else begin
     let b = w land -w in
-    let n = inst.inodes.(base + bit_index b) in
     sim.woken <- sim.woken + 1;
-    let f = fire_node sim inst n in
+    let f = fire_node sim inst (base + bit_index b) in
     fire_bits sim inst base (w lxor b) (any || f)
   end
 
@@ -2518,14 +2648,15 @@ let fire_task (sim : t) (trt : task_rt) : bool =
 let rec emit_bits (sim : t) (inst : instance) (base : int) (w : int) : unit =
   if w <> 0 then begin
     let b = w land -w in
-    let n = inst.inodes.(base + bit_index b) in
-    if try_emit sim inst n then begin
+    let i = base + bit_index b in
+    if try_emit sim inst i then begin
       sim.last_activity <- sim.now;
       (* Freed pipeline/memory slots may unblock the node's next
          firing, unless that attempt would change nothing; drained
          state feeds the completion check. *)
-      if futile inst n (sim.now + 1) then n.nr_skip <- sim.now
-      else wake_fire sim inst n;
+      if futile inst i (sim.now + 1) then
+        inst.i_lay.n_row.%(nd_row inst i + nd_skip) <- sim.now
+      else wake_fire sim inst i;
       wake_complete sim inst
     end;
     emit_bits sim inst base (w lxor b)
@@ -2666,9 +2797,9 @@ let dispatch_task (sim : t) (trt : task_rt) : bool =
       let nw = trt.tw_n in
       trt.tw_n <- 0;
       for i = 0 to nw - 1 do
-        let wn = trt.tw_node.(i) in
-        wn.nr_wait_child <- false;
-        wake_fire sim trt.tw_inst.(i) wn
+        let wi = trt.tw_inst.(i) and wn = trt.tw_node.(i) in
+        wi.i_lay.n_row.%(nd_row wi wn + nd_wait) <- 0;
+        wake_fire sim wi wn
       done
     end
   end;
@@ -2680,10 +2811,14 @@ let commit (sim : t) : unit =
   for i = 0 to sim.ld_n - 1 do
     let inst = sim.insts.(sim.ld_i.(i)) in
     let k = sim.ld_k.(i) in
-    let r = inst.i_lay.c_row and o = ch_row inst k in
-    let dn = inst.inodes.(inst.i_lay.y_dst.(k)) in
-    if r.(o + ch_md) = r.(o + ch_hd) then dn.nr_miss <- dn.nr_miss - 1;
-    r.(o + ch_md) <- r.(o + ch_tl);
+    let y = inst.i_lay in
+    let r = y.c_row and o = ch_row inst k in
+    let dn = r.%(o + ch_dst) in
+    if r.%(o + ch_md) = r.%(o + ch_hd) then begin
+      let j = nd_row inst dn + nd_miss in
+      y.n_row.%(j) <- y.n_row.%(j) - 1
+    end;
+    r.%(o + ch_md) <- r.%(o + ch_tl);
     (* Fresh tokens: the consumer may be able to fire.  Nothing changes
        a label, an operand or a busy time between here and the next
        fire phase, so the futility check is already final; of several
@@ -2752,6 +2887,25 @@ let dma_cycles (c : G.circuit) : int =
   in
   (scratch_words + 7) / 8
 
+(* Readiness oracle accessors: node [i] of [inst], its readiness
+   count, and the committed tokens on each of its inputs ([None] for
+   an immediate). *)
+let node_count (inst : instance) : int = inst.i_lay.y_nn
+let node_nid (inst : instance) (i : int) : int = inst.i_lay.y_g.(i).nid
+
+let node_miss (inst : instance) (i : int) : int =
+  inst.i_lay.n_row.%(nd_row inst i + nd_miss)
+
+let committed (inst : instance) (k : int) : int =
+  let o = ch_row inst k in
+  inst.i_lay.c_row.%(o + ch_md) - inst.i_lay.c_row.%(o + ch_hd)
+
+let input_tokens (inst : instance) (i : int) : int option array =
+  let y = inst.i_lay in
+  Array.init (n_inputs y i) (fun p ->
+      let k = y.y_ich.(y.y_inb.(i) + p) in
+      if k < 0 then None else Some (committed inst k))
+
 let diagnose (sim : t) : string =
   let buf = Buffer.create 256 in
   Array.iter
@@ -2766,63 +2920,42 @@ let diagnose (sim : t) : string =
             (Fmt.str "task %s#%d: %d inflight, lo=%d next=%d@." trt.tk.tname
                inst.iid inst.i_count inst.i_lo inst.next_wave);
           let y = inst.i_lay in
-          let committed k =
-            let o = ch_row inst k in
-            y.c_row.(o + ch_md) - y.c_row.(o + ch_hd)
-          in
-          Array.iter
-            (fun (n : node_rt) ->
-              let i = n.nr_idx in
-              let in_state =
-                List.init (n_inputs y i) (fun p ->
-                    let k = y.y_ich.(y.y_inb.(i) + p) in
-                    if k < 0 then "imm" else string_of_int (committed k))
-              in
-              let out_state =
-                Array.to_list
-                  (Array.map
-                     (fun fs ->
-                       String.concat "/"
-                         (List.map
-                            (fun k ->
-                              Fmt.str "%d(%d)" (committed k)
-                                y.y_cap.(k))
-                            (Array.to_list fs)))
-                     y.y_out.(i))
-              in
-              Buffer.add_string buf
-                (Fmt.str
-                   "  n%d %s fired=%d pipe=%d mem=%d next=%d sync=%d in=[%s] out=[%s]@."
-                   n.nr.nid
-                   (Muir_core.Graph.kind_to_string n.nr.kind)
-                   n.nr_fired
-                   (n.np_tail - n.np_head)
-                   (n.nm_tail - n.nm_head)
-                   n.nr_next_resp
-                   (n.ns_tail - n.ns_head)
-                   (String.concat ";" in_state)
-                   (String.concat ";" out_state)))
-            inst.inodes
+          for i = 0 to y.y_nn - 1 do
+            let r = y.n_row and j = nd_row inst i and nd = y.y_g.(i) in
+            let ins =
+              Array.map
+                (function None -> "imm" | Some n -> string_of_int n)
+                (input_tokens inst i)
+            in
+            let outs =
+              Array.map
+                (fun fs ->
+                  String.concat "/"
+                    (Array.to_list
+                       (Array.map
+                          (fun k ->
+                            Fmt.str "%d(%d)" (committed inst k)
+                              y.c_row.%(ch_row inst k + ch_cap))
+                          fs)))
+                y.y_out.(i)
+            in
+            let resp = r.%(j + nd_resp) and fired = r.%(j + nd_fired) in
+            let sync = nd.kind = G.SyncWait in
+            Buffer.add_string buf
+              (Fmt.str
+                 "  n%d %s fired=%d pipe=%d mem=%d next=%d sync=%d in=[%s] out=[%s]@."
+                 nd.nid (G.kind_to_string nd.kind) fired
+                 (r.%(j + nd_pt) - r.%(j + nd_ph))
+                 (r.%(j + nd_mt) - r.%(j + nd_mh))
+                 (if sync then 0 else resp)
+                 (if sync then fired - resp else 0)
+                 (String.concat ";" (Array.to_list ins))
+                 (String.concat ";" (Array.to_list outs)))
+          done
         end
       done)
     sim.tasks;
   Buffer.contents buf
-
-(* Readiness oracle accessors: node [i] of [inst], its readiness
-   count, and the committed tokens on each of its inputs ([None] for
-   an immediate). *)
-let node_count (inst : instance) : int = Array.length inst.inodes
-let node_nid (inst : instance) (i : int) : int = inst.inodes.(i).nr.nid
-let node_miss (inst : instance) (i : int) : int = inst.inodes.(i).nr_miss
-
-let input_tokens (inst : instance) (i : int) : int option array =
-  let y = inst.i_lay in
-  Array.init (n_inputs y i) (fun p ->
-      let k = y.y_ich.(y.y_inb.(i) + p) in
-      if k < 0 then None
-      else
-        let o = ch_row inst k in
-        Some (y.c_row.(o + ch_md) - y.c_row.(o + ch_hd)))
 
 (** Queue the root task's invocation, with [args] after the implicit
     true predicate, before cycle 0 (so occupancy counts it from cycle
@@ -2836,7 +2969,7 @@ let start (sim : t) (args : token list) : unit =
   in
   let s =
     tq_push sim root ~at:0 ~ctx:root_ctx ~rkind:0 ~rinst:dummy_inst
-      ~rnode:dummy_node ~rwave:0 ~rctx:root_ctx
+      ~rnode:0 ~rwave:0 ~rctx:root_ctx
   in
   let base = s * max root.t_arity 1 in
   for i = 0 to root.t_arity - 1 do
@@ -2908,11 +3041,9 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
       for k = 0 to trt.tinst_n - 1 do
         let inst = trt.tinst.(k) in
         if inst.live then
-          Array.iteri
-            (fun i n ->
-              Ctr.fold_into inst.i_lay.y_nctr.(i) ~fires:n.nr_fired
-                ~born:inst.i_prof.born ~upto:sim.now n.nr_prof)
-            inst.inodes
+          for i = 0 to inst.i_lay.y_nn - 1 do
+            fold_node inst i sim.now
+          done
       done)
     sim.tasks;
   let gc1 = Gc.quick_stat () in

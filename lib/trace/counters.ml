@@ -81,58 +81,6 @@ let key_name (c : Muir_core.Graph.circuit) : key -> string = function
   | Kstruct sid -> (Muir_core.Graph.structure c sid).sname
 
 (* ------------------------------------------------------------------ *)
-(* Per-instance interval accounting                                     *)
-
-module Prof = struct
-  (** One node's running attribution: the current cause label, the
-      cycle it was entered, and the per-cause accumulators. *)
-  type nprof = {
-    mutable st : int;      (** current cause (a [cause_index]) *)
-    mutable since : int;   (** cycle the current label started *)
-    acc : int array;       (** cycles per cause, [ncauses] wide *)
-  }
-
-  (** The per-instance profile: one [nprof] per node, indexed by the
-      node's drain-order index.  [born] is mutable so the simulator
-      can pool retired dynamic instances and rebirth their profiles in
-      place instead of reallocating the accumulator arrays. *)
-  type iprof = { mutable born : int; nprofs : nprof array }
-
-  let make ~(born : int) ~(nnodes : int) : iprof =
-    { born;
-      nprofs =
-        Array.init nnodes (fun _ ->
-            { st = cause_index Idle; since = born;
-              acc = Array.make ncauses 0 }) }
-
-  (** Rebirth a pooled profile at cycle [born]: all accumulators to
-      zero, every node back to [Idle].  Allocation-free. *)
-  let reset (ip : iprof) ~(born : int) : unit =
-    ip.born <- born;
-    let idle = cause_index Idle in
-    for i = 0 to Array.length ip.nprofs - 1 do
-      let np = ip.nprofs.(i) in
-      np.st <- idle;
-      np.since <- born;
-      Array.fill np.acc 0 ncauses 0
-    done
-
-  (** Close the current interval at [now] and relabel; true if the
-      label actually changed (callers use this to avoid flooding the
-      event ring with repeated stall events). *)
-  let transition (np : nprof) (st : int) (now : int) : bool =
-    if now > np.since then begin
-      np.acc.(np.st) <- np.acc.(np.st) + (now - np.since);
-      np.since <- now
-    end;
-    if np.st = st then false
-    else begin
-      np.st <- st;
-      true
-    end
-end
-
-(* ------------------------------------------------------------------ *)
 (* The counter bank                                                     *)
 
 (** Whole-run counters for one static (task, node) pair, across every
@@ -178,16 +126,17 @@ let node_ctr (c : t) ~(task : int) ~(node : int) : node_ctr =
     g
 
 (** Fold a finished instance's node accounting into its whole-run
-    counter row, resolved once with {!node_ctr}.  [upto] is one past
-    the last cycle the instance existed; closing the node's open
-    interval there is what makes the conservation invariant exact. *)
-let fold_into (g : node_ctr) ~(fires : int) ~(born : int) ~(upto : int)
-    (np : Prof.nprof) : unit =
-  ignore (Prof.transition np np.st upto);
+    counter row, resolved once with {!node_ctr}: [fires] firings over
+    a lifetime of [span] cycles, whose per-cause cycles are
+    [acc.(off .. off + ncauses - 1)].  The kernel closes the node's
+    open interval at the end of that lifetime first, which is what
+    makes the conservation invariant exact. *)
+let fold_into (g : node_ctr) ~(fires : int) ~(span : int) (acc : int array)
+    (off : int) : unit =
   g.n_fires <- g.n_fires + fires;
-  g.n_span <- g.n_span + (upto - born);
+  g.n_span <- g.n_span + span;
   for i = 0 to ncauses - 1 do
-    g.n_acc.(i) <- g.n_acc.(i) + np.acc.(i)
+    g.n_acc.(i) <- g.n_acc.(i) + acc.(off + i)
   done
 
 (** The occupancy integral for [key], created empty (depth 0 from cycle
