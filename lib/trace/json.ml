@@ -53,15 +53,28 @@ type t =
 (** Append [s] to [buf] as the body of a JSON string literal: quote and
     backslash get their two-character escapes, the named control
     characters their short forms, every other control character a
-    [\u00XX] escape.  Anything ≥ 0x20 passes through (JSON strings are
-    raw UTF-8).  Runs that need no escaping are copied in one piece. *)
+    [\u00XX] escape.  Other ASCII and well-formed UTF-8 pass through;
+    each malformed UTF-8 sequence prints as U+FFFD, so the text is
+    always UTF-8, as RFC 8259 requires and {!parse} checks.  Runs that
+    need no escaping are copied in one piece. *)
 let add_escaped (buf : Buffer.t) (s : string) : unit =
   let n = String.length s in
   let rec go start i =
     if i = n then Buffer.add_substring buf s start (i - start)
     else
       let c = String.unsafe_get s i in
-      if c <> '"' && c <> '\\' && Char.code c >= 0x20 then go start (i + 1)
+      if c <> '"' && c <> '\\' && Char.code c >= 0x20 && Char.code c < 0x80
+      then go start (i + 1)
+      else if Char.code c >= 0x80 then begin
+        let d = String.get_utf_8_uchar s i in
+        let k = i + Uchar.utf_decode_length d in
+        if Uchar.utf_decode_is_valid d then go start k
+        else begin
+          Buffer.add_substring buf s start (i - start);
+          Buffer.add_utf_8_uchar buf Uchar.rep;
+          go k k
+        end
+      end
       else begin
         Buffer.add_substring buf s start (i - start);
         (match c with
@@ -196,6 +209,15 @@ let parse (s : string) : t =
     end
     else fail "lone high surrogate"
   in
+  (* RFC 8259 text is UTF-8: the character whose lead byte (at or above
+     0x80) is under the cursor must be well formed — no stray
+     continuation byte, truncated or overlong sequence, surrogate or
+     code point past U+10FFFF.  The error quotes no byte of it. *)
+  let utf_8 () =
+    let d = String.get_utf_8_uchar s !pos in
+    if not (Uchar.utf_decode_is_valid d) then fail "invalid UTF-8 in string";
+    pos := !pos + Uchar.utf_decode_length d
+  in
   (* The rest of a string whose first escape is under the cursor. *)
   let escaped_string start =
     let buf = Buffer.create (!pos - start + 16) in
@@ -223,6 +245,9 @@ let parse (s : string) : t =
           | _ -> fail "bad escape");
           go !pos
         | c when Char.code c < 0x20 -> fail "raw control char in string"
+        | '\128' .. '\255' ->
+          utf_8 ();
+          go run
         | _ ->
           incr pos;
           go run
@@ -242,6 +267,9 @@ let parse (s : string) : t =
           String.sub s start (!pos - 1 - start)
         | '\\' -> escaped_string start
         | c when Char.code c < 0x20 -> fail "raw control char in string"
+        | '\128' .. '\255' ->
+          utf_8 ();
+          scan ()
         | _ ->
           incr pos;
           scan ()

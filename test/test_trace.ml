@@ -319,6 +319,47 @@ let test_json_rfc8259 () =
       {|"abc|}; "\"a\x01\""; {|"\x"|}; {|"\u12G4"|}; {|"\u12|}; "tru";
       "nul"; "1."; "-"; "1e"; "1e+"; ".5"; "+1"; "[1] x"; "{}}" ]
 
+(* RFC 8259 text is UTF-8: the parser rejects a malformed sequence with
+   an error that quotes none of its bytes, in plain and escaped strings
+   alike, and accepts well-formed 2-, 3- and 4-byte characters.  The
+   printer never emits malformed UTF-8: it prints U+FFFD in its place. *)
+let test_json_utf8 () =
+  let str s =
+    match J.parse s with
+    | J.Str v -> v
+    | _ -> Alcotest.failf "%S did not parse as a string" s
+  in
+  List.iter
+    (fun (label, bytes) ->
+      List.iter
+        (fun s ->
+          match J.parse s with
+          | _ -> Alcotest.failf "%s: accepted %S" label s
+          | exception J.Parse_error msg ->
+            Alcotest.(check bool)
+              (label ^ ": message is ASCII") true
+              (String.for_all (fun c -> Char.code c < 0x80) msg))
+        [ "\"" ^ bytes ^ "\""; "\"a\\n" ^ bytes ^ "b\"";
+          "{\"" ^ bytes ^ "\":1}" ])
+    [ ("lone continuation byte", "\x80");
+      ("truncated 2-byte sequence", "\xC3");
+      ("truncated 3-byte sequence", "\xE2\x9C");
+      ("overlong encoding of /", "\xC0\xAF");
+      ("overlong 3-byte encoding", "\xE0\x80\xAF");
+      ("encoded surrogate", "\xED\xA0\x80");
+      ("lead byte past U+10FFFF", "\xF5\x80\x80\x80");
+      ("lead byte 0xFF", "\xFF") ];
+  List.iter
+    (fun (label, bytes) ->
+      Alcotest.(check string) label bytes (str ("\"" ^ bytes ^ "\""));
+      Alcotest.(check string) (label ^ " after an escape") ("\n" ^ bytes)
+        (str ("\"\\n" ^ bytes ^ "\"")))
+    [ ("2-byte character", "\xC3\xA9"); ("3-byte character", "\xE2\x9C\x93");
+      ("4-byte character", "\xF0\x9F\x98\x80") ];
+  Alcotest.(check string) "malformed bytes print as U+FFFD"
+    "\"a\xEF\xBF\xBDb\xC3\xA9\""
+    (J.to_string (J.Str "a\xF2b\xC3\xA9"))
+
 (* [-0] prints as "-0"; it must read back as the float that prints it,
    or the re-print drops the sign. *)
 let test_json_negative_zero () =
@@ -530,4 +571,5 @@ let () =
           Alcotest.test_case "RFC 8259 strings and numbers" `Quick
             test_json_rfc8259;
           Alcotest.test_case "negative zero" `Quick test_json_negative_zero;
+          Alcotest.test_case "UTF-8" `Quick test_json_utf8;
           QCheck_alcotest.to_alcotest prop_json_reprint ] ) ]
