@@ -302,6 +302,35 @@ let test_report_roundtrip () =
   | exception Report.Bad_report _ -> ()
   | _ -> Alcotest.fail "accepted a newer schema"
 
+(* Random damage to a saxpy run report — 1–8 bytes overwritten at
+   random, or the file cut short — read the way [profile --diff] and
+   [bench compare] read a report: [Report.parse] returns a suite or
+   raises [Report.Bad_report], never another exception. *)
+let prop_report_mutation () =
+  let text = Report.to_json (report_of (W.find "saxpy") ~stack:"baseline" []) in
+  let n = String.length text in
+  let damage =
+    QCheck.Gen.(
+      oneof
+        [ map
+            (fun l -> `Overwrite l)
+            (list_size (int_range 1 8) (pair (int_bound (n - 1)) (int_bound 255)));
+          map (fun k -> `Cut k) (int_bound (n - 1)) ])
+  in
+  let mutate = function
+    | `Cut k -> String.sub text 0 k
+    | `Overwrite l ->
+      let b = Bytes.of_string text in
+      List.iter (fun (i, c) -> Bytes.set b i (Char.chr c)) l;
+      Bytes.to_string b
+  in
+  QCheck.Test.make ~count:150 ~name:"mutated report parses or is refused"
+    (QCheck.make ~print:(fun d -> String.escaped (mutate d)) damage)
+    (fun d ->
+      match Report.parse (mutate d) with
+      | _ -> true
+      | exception Report.Bad_report _ -> true)
+
 let test_regression_gate () =
   let base =
     suite
@@ -371,5 +400,7 @@ let () =
       );
       ( "reports",
         [ Alcotest.test_case "json round-trip" `Quick test_report_roundtrip;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 11 |])
+            (prop_report_mutation ());
           Alcotest.test_case "regression gate" `Quick test_regression_gate ]
       ) ]

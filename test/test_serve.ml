@@ -637,6 +637,62 @@ let prop_cache_mutation () =
       | None ->
         st.corrupt = 1 && st.entries = 0 && not (Sys.file_exists path))
 
+(* Random damage to a valid [run] (saxpy) or [stats] frame: 1–2 bytes
+   overwritten with any byte value (four cases in five), or the frame
+   cut short.  Each mutant goes the way the socket loop sends it —
+   [Proto.request_of_string], then [Server.handle] — and its reply
+   must be UTF-8 JSON without an [internal] error.  One memory-only
+   server answers every case, so a mutant that stays a valid request
+   is a cache hit. *)
+let prop_mutated_frames () =
+  let t = Server.create () in
+  let frames =
+    [| Proto.request_to_string (Proto.Run [ item (Proto.Workload "saxpy") ]);
+       Proto.request_to_string Proto.Stats |]
+  in
+  let damage =
+    QCheck.Gen.(
+      int_bound 1 >>= fun f ->
+      let n = String.length frames.(f) in
+      frequency
+        [ ( 4,
+            map
+              (fun l -> (f, `Overwrite l))
+              (list_size (int_range 1 2)
+                 (pair (int_bound (n - 1)) (int_bound 255))) );
+          (1, map (fun k -> (f, `Cut k)) (int_bound (n - 1))) ])
+  in
+  let mutate (f, d) =
+    let frame = frames.(f) in
+    match d with
+    | `Cut k -> String.sub frame 0 k
+    | `Overwrite l ->
+      let b = Bytes.of_string frame in
+      List.iter (fun (i, c) -> Bytes.set b i (Char.chr c)) l;
+      Bytes.to_string b
+  in
+  QCheck.Test.make ~count:400 ~name:"mutated frames get UTF-8 JSON replies"
+    (QCheck.make ~print:(fun d -> String.escaped (mutate d)) damage)
+    (fun d ->
+      let reply =
+        match Proto.request_of_string (mutate d) with
+        | exception Proto.Bad_request msg ->
+          Proto.Error_r { code = "bad_request"; msg }
+        | Proto.Shutdown -> Proto.Bye
+        | req -> Server.handle t req
+      in
+      let text = Proto.response_to_string reply in
+      String.is_valid_utf_8 text
+      && (match J.parse text with _ -> true | exception J.Parse_error _ -> false)
+      &&
+      let needle = {|"code":"internal"|} in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length text
+        && (String.sub text i n = needle || has (i + 1))
+      in
+      not (has 0))
+
 let test_rcache_disk_bytes () =
   let dir = fresh_dir () in
   let t1 = Server.create ~cache_dir:dir () in
@@ -1012,6 +1068,8 @@ let () =
       ( "server",
         [ Alcotest.test_case "malformed payload contained" `Quick
             test_handle_malformed;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |])
+            (prop_mutated_frames ());
           Alcotest.test_case "item errors contained" `Quick
             test_item_errors_contained;
           Alcotest.test_case "in-batch dedup" `Quick test_batch_dedup;
