@@ -1362,6 +1362,13 @@ let top_cmd =
   in
   Cmd.v
     (Cmd.info "top"
+       ~exits:
+         (Cmd.Exit.info 2
+            ~doc:
+              "with one line on standard error when the daemon is \
+               unreachable under $(b,--once), when its metrics exposition \
+               is malformed, or when it sends an unexpected reply."
+         :: Cmd.Exit.defaults)
        ~doc:
          "Live terminal view of a running $(b,muirc serve) daemon: \
           queue depth, cache hit rate, p50/p99 item latency (fresh vs \

@@ -143,6 +143,15 @@ let test_client_batch () =
   let f = missing_dir_path "batch.json" in
   expect_file_error [ "client"; "--batch"; f ] f
 
+(* [top --once] on a socket no daemon listens on exits 2 with one line
+   naming the socket. *)
+let test_top_unreachable () =
+  let s = missing_dir_path "s.sock" in
+  expect_file_error [ "top"; "--once"; s ] s;
+  let _, text = muirc_run [ "top"; "--once"; s ] in
+  Alcotest.(check int) "top --once: lines printed" 1
+    (List.length (String.split_on_char '\n' (String.trim text)))
+
 (* Every command that compiles a source file: a source the frontend
    rejects exits 1 with one line naming the file and the position, and
    the command's EXIT STATUS documents that code. *)
@@ -225,7 +234,12 @@ let () =
           Alcotest.test_case "serve: exit status documented" `Quick
             (test_file_exit_documented ("serve", "cannot be used"));
           Alcotest.test_case "client: exit status documented" `Quick
-            (test_file_exit_documented ("client", "cannot be read")) ] );
+            (test_file_exit_documented ("client", "cannot be read"));
+          Alcotest.test_case "top: unreachable socket" `Quick
+            test_top_unreachable;
+          Alcotest.test_case "top: exit status documented" `Quick
+            (test_file_exit_documented ("top", "daemon is unreachable"))
+        ] );
       ( "rejected source",
         List.map
           (fun cmd -> Alcotest.test_case cmd `Quick (test_rejected_source cmd))
