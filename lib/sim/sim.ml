@@ -216,8 +216,8 @@ and instance = {
      committed tokens), tail (end of staged writes), the base of its
      ring in the token columns, which hold token c at
      [base + (c land mask)], then the mask, capacity, producer and
-     consumer, copied from [y_crow] so one row holds all a channel
-     operation reads.  Writes land between mid and tail and become
+     consumer, copied from [y_crow] when the slot is primed so one row
+     holds all a channel operation reads.  Writes land between mid and tail and become
      visible at the end-of-cycle commit (mid <- tail), so a channel
      holds staged writes exactly while it is queued for that commit;
    - node i of slot s is the row at [(s * y_nn + i) * nd_w] of [n_row]
@@ -228,7 +228,6 @@ and instance = {
 and layout = {
   y_g : G.node array;
   y_cost : Cost.t array;
-  y_words : int array;            (** words per access (memory nodes) *)
   y_space : int array;            (** address space (memory nodes) *)
   y_pb : int array;               (** node -> pipeline ring offset in a
                                       slot's rings *)
@@ -251,23 +250,19 @@ and layout = {
   y_out : int array array array;  (** node, out port -> fan-out channels *)
   y_liveins : int array;          (** LiveIn node indices *)
   y_syncs : int array;            (** SyncWait node indices *)
-  y_spawns : int array;           (** SpawnChild node indices *)
   y_miss0 : int array;            (** node -> readiness count when primed *)
   y_nch : int;
-  y_crow : int array;             (** channel rows of slot 0, cursors 0 *)
+  (* a primed slot 0: channel rows holding the resting tokens, and
+     those tokens *)
+  y_crow : int array;
+  y_ttn : int array;
+  y_tflts : float array;
+  y_tobjs : token array;
   y_tw : int;                     (** token-column width of one slot *)
-  y_prime : int array;            (** channel -> resting token count *)
-  (* initial tokens, one row per token, for allocation-free priming *)
-  y_init_ch : int array;
-  y_init_tags : int array;
-  y_init_nums : int array;
-  y_init_flts : float array;
-  y_init_objs : token array;
   y_nctr : Ctr.node_ctr array;    (** whole-run counter rows, by node *)
   mutable y_slots : int;          (** slots the columns hold *)
   mutable c_row : int array;
-  mutable c_tags : int array;
-  mutable c_nums : int array;
+  mutable c_tn : int array;        (** tag and num of token c at 2c, 2c+1 *)
   mutable c_flts : float array;
   mutable c_objs : token array;
   mutable n_row : int array;
@@ -311,12 +306,9 @@ type task_rt = {
   mutable tq_nums : int array;
   mutable tq_flts : float array;
   mutable tq_objs : token array;
-  mutable tq_ctx : sync_ctx array;
-  mutable tq_rkind : int array;
+  mutable tq_ctx : sync_ctx array;  (** the caller's join context *)
+  mutable tq_route : int array;   (** reply kind, node and wave, by 3 *)
   mutable tq_rinst : instance array;
-  mutable tq_rnode : int array;
-  mutable tq_rwave : int array;
-  mutable tq_rctx : sync_ctx array;
   mutable tq_head : int;
   mutable tq_tail : int;
   mutable tinst : instance array;
@@ -537,16 +529,15 @@ let dummy_ctx : sync_ctx =
     cx_nw = 0 }
 
 let dummy_layout : layout =
-  { y_g = [||]; y_cost = [||]; y_words = [||]; y_space = [||]; y_pb = [||];
+  { y_g = [||]; y_cost = [||]; y_space = [||]; y_pb = [||];
     y_mb = [||]; y_rb = [||]; y_rw = [||]; y_nn = 0; y_np = 0;
     y_nm = 0; y_nr = 0; y_rwid = 1; y_inb = [| 0 |]; y_ich = [||];
     y_imt = [||]; y_imn = [||]; y_imf = [||]; y_imo = [||]; y_out = [||];
-    y_liveins = [||]; y_syncs = [||]; y_spawns = [||]; y_miss0 = [||];
+    y_liveins = [||]; y_syncs = [||]; y_miss0 = [||];
     y_nch = 0;
-    y_crow = [||]; y_tw = 0; y_prime = [||]; y_init_ch = [||];
-    y_init_tags = [||]; y_init_nums = [||]; y_init_flts = [||];
-    y_init_objs = [||]; y_nctr = [||]; y_slots = 0; c_row = [||];
-    c_tags = [||]; c_nums = [||]; c_flts = [||]; c_objs = [||];
+    y_crow = [||]; y_ttn = [||]; y_tflts = [||];
+    y_tobjs = [||]; y_tw = 0; y_nctr = [||]; y_slots = 0; c_row = [||];
+    c_tn = [||]; c_flts = [||]; c_objs = [||];
     n_row = [||]; n_acc = [||]; p_int = [||]; p_flts = [||]; p_objs = [||];
     m_acc = [||]; m_inv = [||]; a_pool = [||]; r_cap = 4; r_wave = [||];
     r_inv = [||]; r_gen = [||]; r_tags = [||]; r_nums = [||]; r_flts = [||];
@@ -758,8 +749,8 @@ let ch_push (sim : t) (inst : instance) (k : int) (tag : int) (num : int)
   let r = y.c_row and o = ch_row inst k in
   let tl = r.%(o + ch_tl) in
   let i = r.%(o + ch_base) + (tl land r.%(o + ch_mask)) in
-  y.c_tags.%(i) <- tag;
-  y.c_nums.%(i) <- num;
+  y.c_tn.%(2 * i) <- tag;
+  y.c_tn.%((2 * i) + 1) <- num;
   fset y.c_flts i flts.(fi);
   oset y.c_objs i obj;
   r.%(o + ch_tl) <- tl + 1;
@@ -812,8 +803,8 @@ let stage_one (inst : instance) (i : int) (sc : Exec.sc) (p : int) : bool =
     if r.%(o + ch_md) = h then false
     else begin
       let j = r.%(o + ch_base) + (h land r.%(o + ch_mask)) in
-      sc.Exec.stags.(p) <- y.c_tags.%(j);
-      sc.Exec.snums.(p) <- y.c_nums.%(j);
+      sc.Exec.stags.(p) <- y.c_tn.%(2 * j);
+      sc.Exec.snums.(p) <- y.c_tn.%((2 * j) + 1);
       sc.Exec.sflts.(p) <- Array.unsafe_get y.c_flts j;
       set_obj sc.Exec.sobjs p (oget y.c_objs j);
       true
@@ -839,7 +830,8 @@ let mu_sel (inst : instance) (i : int) : int =
   else begin
     let r = y.c_row and o = ch_row inst k in
     let j = r.%(o + ch_base) + (r.%(o + ch_hd) land r.%(o + ch_mask)) in
-    G.mu_select (Exec.truthy_flat y.c_tags.%(j) y.c_nums.%(j) (oget y.c_objs j))
+    G.mu_select
+      (Exec.truthy_flat y.c_tn.%(2 * j) y.c_tn.%((2 * j) + 1) (oget y.c_objs j))
   end
 
 (** Does node [i] hold every operand its next firing consumes?  A mu
@@ -881,11 +873,6 @@ let pop_in (sim : t) (inst : instance) (i : int) (p : int) : unit =
     if full then wake_emit sim inst r.%(o + ch_src)
   end
 
-let pop_all (sim : t) (inst : instance) (i : int) : unit =
-  for p = 0 to n_inputs inst.i_lay i - 1 do
-    pop_in sim inst i p
-  done
-
 (** Stage every input of node [i], which holds every operand, into
     rows [0 ..] of [sc] and pop it, resolving each channel once. *)
 let take_all (sim : t) (inst : instance) (i : int) (sc : Exec.sc) : unit =
@@ -903,8 +890,8 @@ let take_all (sim : t) (inst : instance) (i : int) (sc : Exec.sc) : unit =
       let r = y.c_row and o = ch_row inst k in
       let h = r.%(o + ch_hd) in
       let t = r.%(o + ch_base) + (h land r.%(o + ch_mask)) in
-      sc.Exec.stags.(p) <- y.c_tags.%(t);
-      sc.Exec.snums.(p) <- y.c_nums.%(t);
+      sc.Exec.stags.(p) <- y.c_tn.%(2 * t);
+      sc.Exec.snums.(p) <- y.c_tn.%((2 * t) + 1);
       sc.Exec.sflts.(p) <- Array.unsafe_get y.c_flts t;
       set_obj sc.Exec.sobjs p (oget y.c_objs t);
       let full = not (ch_space r o) in
@@ -961,13 +948,6 @@ let build_layout (sim : t) (task : G.task) : layout =
     Array.concat
       (List.map (fun (n : G.node) -> Array.map imm_token n.ins) task.nodes)
   in
-  let inits =
-    Array.of_list
-      (List.concat
-         (List.mapi (fun k (e : G.edge) -> List.map (fun v -> (k, v)) e.initial)
-            task.edges))
-  in
-  let init f = Array.map (fun (_, v) -> f v) inits in
   (* Each ring holds its capacity and its resting tokens, rounded up to
      a power of two. *)
   let phys =
@@ -976,11 +956,16 @@ let build_layout (sim : t) (task : G.task) : layout =
         pow2_at_least (max e.capacity (max (List.length e.initial) 1)) 1)
       edges
   in
+  let tw = Array.fold_left ( + ) 0 phys in
   let crow = Array.make (Array.length edges * 8) 0 in
+  let tok = Array.make tw T.VPoison in
   Array.iteri
     (fun k (e : G.edge) ->
       let o = k lsl 3 in
       if k > 0 then crow.(o + ch_base) <- crow.(o - 8 + ch_base) + phys.(k - 1);
+      List.iteri (fun j v -> tok.(crow.(o + ch_base) + j) <- v) e.initial;
+      crow.(o + ch_md) <- List.length e.initial;
+      crow.(o + ch_tl) <- List.length e.initial;
       crow.(o + ch_mask) <- phys.(k) - 1;
       crow.(o + ch_cap) <- e.capacity;
       crow.(o + ch_src) <- idx.(fst e.src);
@@ -989,18 +974,9 @@ let build_layout (sim : t) (task : G.task) : layout =
   (* Each node's ordinal among the nodes [f] holds for (-1 = none),
      and their count. *)
   let ordinal f =
-    let c = ref 0 in
-    let a =
-      Array.map
-        (fun n ->
-          if f n then begin
-            incr c;
-            !c - 1
-          end
-          else -1)
-        nodes
-    in
-    (a, !c)
+    let c = ref (-1) in
+    let a = Array.map (fun n -> if f n then (incr c; !c) else -1) nodes in
+    (a, !c + 1)
   in
   let indices f =
     Array.of_list (List.filter (fun i -> f nodes.(i)) (List.init nn Fun.id))
@@ -1028,14 +1004,10 @@ let build_layout (sim : t) (task : G.task) : layout =
         | _ -> 0)
       nodes
   in
-  let prime = Array.map (fun (e : G.edge) -> List.length e.initial) edges in
-  { y_g = nodes;
+  (* The columns start empty, as the dummy layout's. *)
+  { dummy_layout with
+    y_g = nodes;
     y_cost = Array.map (fun (n : G.node) -> Cost.node_cost n.kind) nodes;
-    y_words =
-      Array.map
-        (fun (n : G.node) ->
-          match G.tile_shape n.kind with Some s -> T.shape_words s | None -> 1)
-        nodes;
     y_space =
       Array.map (fun n -> Option.value (G.node_space n) ~default:0) nodes;
     y_pb = Array.map (fun o -> if o < 0 then o else o * Cost.pipe_slots) pb;
@@ -1047,31 +1019,25 @@ let build_layout (sim : t) (task : G.task) : layout =
     y_liveins =
       indices (fun n -> match n.kind with G.LiveIn _ -> true | _ -> false);
     y_syncs = indices (fun n -> n.kind = G.SyncWait);
-    y_spawns =
-      indices (fun n -> match n.kind with G.SpawnChild _ -> true | _ -> false);
     (* A primed channel holds its resting tokens: an input misses its
        operand exactly when its channel rests empty. *)
     y_miss0 =
       Array.init nn (fun i ->
           let m = ref 0 in
           for q = inb.(i) to inb.(i + 1) - 1 do
-            if ich.(q) >= 0 && prime.(ich.(q)) = 0 then incr m
+            if ich.(q) >= 0 && crow.((ich.(q) lsl 3) + ch_tl) = 0 then incr m
           done;
           !m);
     y_nch = Array.length edges; y_crow = crow;
-    y_tw = Array.fold_left ( + ) 0 phys; y_prime = prime;
-    y_init_ch = Array.map fst inits; y_init_tags = init F.tag_of;
-    y_init_nums = init F.num_of; y_init_flts = init F.flt_of;
-    y_init_objs = init F.obj_of;
+    y_ttn =
+      Array.init (2 * tw) (fun c ->
+          if c land 1 = 0 then F.tag_of tok.(c / 2) else F.num_of tok.(c / 2));
+    y_tflts = Array.map F.flt_of tok; y_tobjs = Array.map F.obj_of tok;
+    y_tw = tw;
     y_nctr =
       Array.map
         (fun (n : G.node) -> Ctr.node_ctr sim.ctrs ~task:task.tid ~node:n.nid)
-        nodes;
-    y_slots = 0; c_row = [||]; c_tags = [||]; c_nums = [||]; c_flts = [||];
-    c_objs = [||]; n_row = [||]; n_acc = [||]; p_int = [||]; p_flts = [||];
-    p_objs = [||]; m_acc = [||]; m_inv = [||]; a_pool = [||]; r_cap = 4;
-    r_wave = [||]; r_inv = [||]; r_gen = [||]; r_tags = [||]; r_nums = [||];
-    r_flts = [||]; r_objs = [||] }
+        nodes }
 
 let layout (sim : t) (trt : task_rt) : layout =
   match trt.t_lay with
@@ -1091,18 +1057,8 @@ let grow_slots (y : layout) (s : int) : unit =
       Array.blit a 0 na 0 (Array.length a);
       na
     in
-    let w = y.y_nch * 8 in
-    let rows = ext y.c_row w 0 in
-    for s = old to cap - 1 do
-      Array.blit y.y_crow 0 rows (s * w) w;
-      for k = 0 to y.y_nch - 1 do
-        let o = (s * w) + (k lsl 3) + ch_base in
-        rows.(o) <- rows.(o) + (s * y.y_tw)
-      done
-    done;
-    y.c_row <- rows;
-    y.c_tags <- ext y.c_tags y.y_tw F.tabsent;
-    y.c_nums <- ext y.c_nums y.y_tw 0;
+    y.c_row <- ext y.c_row (y.y_nch * 8) 0;
+    y.c_tn <- ext y.c_tn (2 * y.y_tw) 0;
     y.c_flts <- ext y.c_flts y.y_tw 0.0;
     y.c_objs <- ext y.c_objs y.y_tw F.no_obj;
     y.n_row <- ext y.n_row (y.y_nn * nd_w) 0;
@@ -1147,24 +1103,15 @@ let prime (sim : t) (inst : instance) : unit =
   Array.fill y.n_acc (inst.i_nb * 8) (y.y_nn * 8) 0;
   Array.fill y.r_wave (inst.i_slot * y.y_nr * y.r_cap) (y.y_nr * y.r_cap) (-1);
   inst.i_born <- sim.now;
-  let r = y.c_row in
+  let t = inst.i_slot * y.y_tw in
+  Array.blit y.y_crow 0 y.c_row (ch_row inst 0) (y.y_nch * 8);
   for k = 0 to y.y_nch - 1 do
-    let o = ch_row inst k in
-    r.%(o + ch_hd) <- 0;
-    r.%(o + ch_md) <- 0;
-    r.%(o + ch_tl) <- 0
+    let o = ch_row inst k + ch_base in
+    y.c_row.%(o) <- y.c_row.%(o) + t
   done;
-  for k = 0 to Array.length y.y_init_ch - 1 do
-    let o = ch_row inst y.y_init_ch.(k) in
-    let tl = r.%(o + ch_tl) in
-    let i = r.%(o + ch_base) + (tl land r.%(o + ch_mask)) in
-    y.c_tags.%(i) <- y.y_init_tags.(k);
-    y.c_nums.%(i) <- y.y_init_nums.(k);
-    y.c_flts.(i) <- y.y_init_flts.(k);
-    y.c_objs.(i) <- y.y_init_objs.(k);
-    r.%(o + ch_tl) <- tl + 1;
-    r.%(o + ch_md) <- tl + 1
-  done;
+  Array.blit y.y_ttn 0 y.c_tn (2 * t) (2 * y.y_tw);
+  Array.blit y.y_tflts 0 y.c_flts t y.y_tw;
+  Array.blit y.y_tobjs 0 y.c_objs t y.y_tw;
   sim.live_nodes <- sim.live_nodes + y.y_nn;
   for i = 0 to y.y_nn - 1 do
     nr.%(nd_row inst i + nd_miss) <- y.y_miss0.(i);
@@ -1181,15 +1128,13 @@ let new_instance (sim : t) (trt : task_rt) : instance =
   sim.next_iid <- iid + 1;
   let nw = (y.y_nn + 31) lsr 5 in
   let inst =
-    { it = trt.tk; iid; i_lay = y; i_slot = slot; i_cb = slot * y.y_nch;
-      i_nb = slot * y.y_nn; i_pb = slot * y.y_np * Cost.pipe_slots; i_ord = 0; i_born = 0; iw_wave = [||];
-      iw_iv = [||]; i_lo = 0; i_count = 0; i_full = 0; next_wave = 0;
-      live = true; i_retired = -1; idynamic = trt.tdynamic;
-      ipipe_loop = Cost.pipelined trt.tk; ij_space = [||]; ij_sr = [||];
-      ij_head = 0; ij_tail = 0; i_nw = nw; i_fset = Array.make (2 * nw) 0;
-      i_fpar = 0; i_eset = Array.make (2 * nw) 0; i_epar = 0;
-      i_qfire = false; i_qemit = false; i_qcomplete = false;
-      i_qjunction = false; ivp = [||]; ivp_n = 0; i_nres = trt.t_nres }
+    { dummy_inst with
+      it = trt.tk; iid; i_lay = y; i_slot = slot; i_cb = slot * y.y_nch;
+      i_nb = slot * y.y_nn; i_pb = slot * y.y_np * Cost.pipe_slots;
+      live = true; idynamic = trt.tdynamic;
+      ipipe_loop = Cost.pipelined trt.tk; i_nw = nw;
+      i_fset = Array.make (2 * nw) 0; i_eset = Array.make (2 * nw) 0;
+      i_nres = trt.t_nres }
   in
   sim.insts <- vpush sim.insts iid inst;
   trt.tinst <- vpush trt.tinst slot inst;
@@ -1256,6 +1201,12 @@ let create ?tracer (c : G.circuit) : t =
   let ms = Memsys.create ~ctrs c mem in
   let n = List.length c.tasks in
   let dyn = (Cost.instancing c).on_demand in
+  let arity =
+    List.concat_map
+      (fun (t : G.task) ->
+        List.map (fun (nd : G.node) -> Array.length nd.ins) t.nodes)
+      c.tasks
+  in
   let act () = Array.make ((n + 31) lsr 5) 0 in
   let act_j = act () and act_f = act () and act_e = act () in
   let act_c = act () and act_q = act () in
@@ -1268,9 +1219,8 @@ let create ?tracer (c : G.circuit) : t =
              t_nres = List.length t.res_tys; tdynamic = dyn.(t.tid);
              t_lay = None;
              tq_tags = [||]; tq_nums = [||]; tq_flts = [||];
-             tq_objs = [||]; tq_ctx = [||]; tq_rkind = [||];
-             tq_rinst = [||]; tq_rnode = [||]; tq_rwave = [||];
-             tq_rctx = [||]; tq_head = 0; tq_tail = 0; tinst = [||];
+             tq_objs = [||]; tq_ctx = [||]; tq_route = [||]; tq_rinst = [||];
+             tq_head = 0; tq_tail = 0; tinst = [||];
              tinst_n = 0; tinvocations = 0; tbusy = 0; trr = 0;
              t_next_ord = -1; tf = ilist t.tid act_f; te = ilist t.tid act_e;
              tc = ilist t.tid act_c; tc2 = [||]; tj = ilist t.tid act_j;
@@ -1282,17 +1232,8 @@ let create ?tracer (c : G.circuit) : t =
     { circ = c; ms; tasks; now = 0; fires = 0; last_activity = 0;
       next_iid = 0; root_done = false; root_val = T.VBool true;
       junction_width = Array.init n (fun tid -> G.junction_width c tid);
-      sc =
-        Exec.make_sc
-          ~slots:
-            ((2
-              * List.fold_left
-                  (fun a (t : G.task) ->
-                    List.fold_left
-                      (fun a (nd : G.node) -> max a (Array.length nd.ins))
-                      a t.nodes)
-                  1 c.tasks)
-            + 4);
+      (* rows for the widest node's operands and a fused chain's scratch *)
+      sc = Exec.make_sc ~slots:((2 * List.fold_left max 1 arity) + 4);
       wheel =
         Array.init wheel_size (fun _ ->
             { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
@@ -1316,48 +1257,27 @@ let create ?tracer (c : G.circuit) : t =
 (* ------------------------------------------------------------------ *)
 (* Invocation plumbing                                                  *)
 
-(* Wave table: open-addressed by [wave land (cap-1)] with the wave as
-   its own tag.  Live waves occupy a dense window, so a table at least
-   as large as the window never collides; grow (rarely) on collision. *)
-let rec wv_grow (inst : instance) (ncap : int) : unit =
-  let nw = Array.make ncap (-1) in
-  let ni = Array.make ncap dummy_inv in
-  let ok = ref true in
-  Array.iteri
-    (fun k w ->
-      if w >= 0 && !ok then begin
-        let s = w land (ncap - 1) in
-        if nw.(s) >= 0 then ok := false
-        else begin
-          nw.(s) <- w;
-          ni.(s) <- inst.iw_iv.(k)
-        end
-      end)
-    inst.iw_wave;
-  if !ok then begin
+(* Wave table: a ring indexed by wave, each wave its own tag (-1 =
+   none).  Inflight waves lie in [i_lo, next_wave), so a ring at least
+   that wide never collides; an injection that would overflow it
+   doubles it. *)
+let wv_insert (inst : instance) (wave : int) (iv : invocation) : unit =
+  let cap = Array.length inst.iw_wave in
+  if wave - inst.i_lo >= cap then begin
+    let ncap = max 8 (cap * 2) in
+    let nw = Array.make ncap (-1) and ni = Array.make ncap dummy_inv in
+    for w = inst.i_lo to wave - 1 do
+      if inst.iw_wave.(w land (cap - 1)) = w then begin
+        nw.(w land (ncap - 1)) <- w;
+        ni.(w land (ncap - 1)) <- inst.iw_iv.(w land (cap - 1))
+      end
+    done;
     inst.iw_wave <- nw;
     inst.iw_iv <- ni
-  end
-  else wv_grow inst (ncap * 2)
-
-let rec wv_insert (inst : instance) (wave : int) (iv : invocation) : unit =
-  let cap = Array.length inst.iw_wave in
-  if cap = 0 then begin
-    inst.iw_wave <- Array.make 8 (-1);
-    inst.iw_iv <- Array.make 8 dummy_inv;
-    wv_insert inst wave iv
-  end
-  else begin
-    let s = wave land (cap - 1) in
-    if inst.iw_wave.(s) < 0 then begin
-      inst.iw_wave.(s) <- wave;
-      inst.iw_iv.(s) <- iv
-    end
-    else begin
-      wv_grow inst (cap * 2);
-      wv_insert inst wave iv
-    end
-  end
+  end;
+  let s = wave land (Array.length inst.iw_wave - 1) in
+  inst.iw_wave.(s) <- wave;
+  inst.iw_iv.(s) <- iv
 
 let wv_mem (inst : instance) (wave : int) : bool =
   let cap = Array.length inst.iw_wave in
@@ -1566,7 +1486,7 @@ let cx_park (c : sync_ctx) (inst : instance) (i : int) : unit =
 let tq_len (trt : task_rt) : int = trt.tq_tail - trt.tq_head
 
 let tq_grow (trt : task_rt) : unit =
-  let cap = Array.length trt.tq_rkind in
+  let cap = Array.length trt.tq_rinst in
   let ncap = max 8 (cap * 2) in
   let ar = max trt.t_arity 1 in
   let n = trt.tq_tail - trt.tq_head in
@@ -1575,59 +1495,58 @@ let tq_grow (trt : task_rt) : unit =
   let nflts = Array.make (ncap * ar) 0.0 in
   let nobjs = Array.make (ncap * ar) F.no_obj in
   let nctx = Array.make ncap dummy_ctx in
-  let nrk = Array.make ncap 0 in
+  let nrt = Array.make (ncap * 3) 0 in
   let nri = Array.make ncap dummy_inst in
-  let nrn = Array.make ncap 0 in
-  let nrw = Array.make ncap 0 in
-  let nrc = Array.make ncap dummy_ctx in
   for i = 0 to n - 1 do
     let s = (trt.tq_head + i) land (cap - 1) in
     Array.blit trt.tq_tags (s * ar) ntags (i * ar) ar;
     Array.blit trt.tq_nums (s * ar) nnums (i * ar) ar;
     Array.blit trt.tq_flts (s * ar) nflts (i * ar) ar;
     Array.blit trt.tq_objs (s * ar) nobjs (i * ar) ar;
+    Array.blit trt.tq_route (s * 3) nrt (i * 3) 3;
     nctx.(i) <- trt.tq_ctx.(s);
-    nrk.(i) <- trt.tq_rkind.(s);
-    nri.(i) <- trt.tq_rinst.(s);
-    nrn.(i) <- trt.tq_rnode.(s);
-    nrw.(i) <- trt.tq_rwave.(s);
-    nrc.(i) <- trt.tq_rctx.(s)
+    nri.(i) <- trt.tq_rinst.(s)
   done;
   trt.tq_tags <- ntags;
   trt.tq_nums <- nnums;
   trt.tq_flts <- nflts;
   trt.tq_objs <- nobjs;
   trt.tq_ctx <- nctx;
-  trt.tq_rkind <- nrk;
+  trt.tq_route <- nrt;
   trt.tq_rinst <- nri;
-  trt.tq_rnode <- nrn;
-  trt.tq_rwave <- nrw;
-  trt.tq_rctx <- nrc;
   trt.tq_head <- 0;
   trt.tq_tail <- n
 
 (** Reserve the tail row, which the queue-occupancy integral first
-    sees at cycle [at]; the caller fills the argument columns at
-    [slot * max t_arity 1]. *)
+    sees at cycle [at]; the caller fills the argument columns with
+    {!tq_arg}. *)
 let tq_push (sim : t) (trt : task_rt) ~(at : int) ~(ctx : sync_ctx)
-    ~(rkind : int) ~(rinst : instance) ~(rnode : int) ~(rwave : int)
-    ~(rctx : sync_ctx) : int =
-  if trt.tq_tail - trt.tq_head = Array.length trt.tq_rkind then tq_grow trt;
-  let s = trt.tq_tail land (Array.length trt.tq_rkind - 1) in
+    ~(rkind : int) ~(rinst : instance) ~(rnode : int) ~(rwave : int) : int =
+  if trt.tq_tail - trt.tq_head = Array.length trt.tq_rinst then tq_grow trt;
+  let s = trt.tq_tail land (Array.length trt.tq_rinst - 1) in
   if trt.tq_ctx.(s) != ctx then trt.tq_ctx.(s) <- ctx;
-  trt.tq_rkind.(s) <- rkind;
+  trt.tq_route.(3 * s) <- rkind;
+  trt.tq_route.((3 * s) + 1) <- rnode;
+  trt.tq_route.((3 * s) + 2) <- rwave;
   set_inst trt.tq_rinst s rinst;
-  trt.tq_rnode.(s) <- rnode;
-  trt.tq_rwave.(s) <- rwave;
-  if trt.tq_rctx.(s) != rctx then trt.tq_rctx.(s) <- rctx;
   trt.tq_tail <- trt.tq_tail + 1;
   Ctr.occ_move sim.otasks.(trt.tk.tid) 1 ~at;
   bit_set sim.act_q trt.tk.tid;
   s
 
+(* Set argument [k] of queue row [s] to the token [tag, num, flts.(fi),
+   obj]. *)
+let tq_arg (trt : task_rt) (s : int) (k : int) (tag : int) (num : int)
+    (flts : float array) (fi : int) (obj : token) : unit =
+  let b = (s * Int.max trt.t_arity 1) + k in
+  trt.tq_tags.(b) <- tag;
+  trt.tq_nums.(b) <- num;
+  trt.tq_flts.(b) <- flts.(fi);
+  set_obj trt.tq_objs b obj
+
 (** Pop the head row during the current cycle. *)
 let tq_pop (sim : t) (trt : task_rt) : int =
-  let s = trt.tq_head land (Array.length trt.tq_rkind - 1) in
+  let s = trt.tq_head land (Array.length trt.tq_rinst - 1) in
   trt.tq_head <- trt.tq_head + 1;
   Ctr.occ_move sim.otasks.(trt.tk.tid) (-1) ~at:(sim.now + 1);
   s
@@ -1638,11 +1557,11 @@ let inject (sim : t) (trt : task_rt) (inst : instance) (s : int) : unit =
   trt.tinvocations <- trt.tinvocations + 1;
   let iv = acquire_inv inst in
   iv.iv_wave <- wave;
-  iv.iv_rkind <- trt.tq_rkind.(s);
+  iv.iv_rkind <- trt.tq_route.(3 * s);
   if iv.iv_rinst != trt.tq_rinst.(s) then iv.iv_rinst <- trt.tq_rinst.(s);
-  iv.iv_rnode <- trt.tq_rnode.(s);
-  iv.iv_rwave <- trt.tq_rwave.(s);
-  if iv.iv_rctx != trt.tq_rctx.(s) then iv.iv_rctx <- trt.tq_rctx.(s);
+  iv.iv_rnode <- trt.tq_route.((3 * s) + 1);
+  iv.iv_rwave <- trt.tq_route.((3 * s) + 2);
+  if iv.iv_rctx != trt.tq_ctx.(s) then iv.iv_rctx <- trt.tq_ctx.(s);
   let eff =
     match iv.iv_own with
     | Some c ->
@@ -1682,33 +1601,28 @@ let deliver (sim : t) (inst : instance) (iv : invocation) : unit =
          F.materialize iv.iv_lo_tags.(1) iv.iv_lo_nums.(1) iv.iv_lo_flts.(1)
            iv.iv_lo_objs.(1)
        else T.VBool true)
-  | 1 ->
+  | rk ->
+    (* A call replies with its live-outs; a spawn joins its context and
+       replies with its value, or true from a void child. *)
+    if rk = 2 then ctx_dec sim iv.iv_rctx;
     let ri = iv.iv_rinst and n = iv.iv_rnode in
     let y = ri.i_lay in
     let s = resp_insert ri n iv.iv_rwave * y.y_rwid in
-    let k = Int.min y.y_rw.(n) inst.i_nres in
-    Array.blit iv.iv_lo_tags 0 y.r_tags s k;
-    Array.blit iv.iv_lo_nums 0 y.r_nums s k;
-    Array.blit iv.iv_lo_flts 0 y.r_flts s k;
-    Array.blit iv.iv_lo_objs 0 y.r_objs s k;
-    wake_emit sim ri n
-  | _ ->
-    ctx_dec sim iv.iv_rctx;
-    let ri = iv.iv_rinst and n = iv.iv_rnode in
-    let y = ri.i_lay in
-    let s = resp_insert ri n iv.iv_rwave * y.y_rwid in
-    if inst.i_nres > 1 then begin
-      y.r_tags.(s) <- iv.iv_lo_tags.(1);
-      y.r_nums.(s) <- iv.iv_lo_nums.(1);
-      y.r_flts.(s) <- iv.iv_lo_flts.(1);
-      set_obj y.r_objs s iv.iv_lo_objs.(1)
-    end
-    else begin
-      y.r_tags.(s) <- F.ttrue;
-      y.r_nums.(s) <- 0;
-      y.r_flts.(s) <- 0.0;
-      set_obj y.r_objs s F.no_obj
-    end;
+    let src, k =
+      if rk = 1 then (0, Int.min y.y_rw.(n) inst.i_nres)
+      else if inst.i_nres > 1 then (1, 1)
+      else begin
+        y.r_tags.(s) <- F.ttrue;
+        y.r_nums.(s) <- 0;
+        y.r_flts.(s) <- 0.0;
+        set_obj y.r_objs s F.no_obj;
+        (0, 0)
+      end
+    in
+    Array.blit iv.iv_lo_tags src y.r_tags s k;
+    Array.blit iv.iv_lo_nums src y.r_nums s k;
+    Array.blit iv.iv_lo_flts src y.r_flts s k;
+    Array.blit iv.iv_lo_objs src y.r_objs s k;
     wake_emit sim ri n
 
 (** A function-task wave is fully fired once every node (live-ins are
@@ -1751,7 +1665,8 @@ let rec lq_fifos_from (inst : instance) (k : int) : bool =
   let y = inst.i_lay in
   k >= y.y_nch
   || (let o = ch_row inst k in
-      y.c_row.%(o + ch_tl) - y.c_row.%(o + ch_hd) = y.y_prime.(k)
+      y.c_row.%(o + ch_tl) - y.c_row.%(o + ch_hd)
+      = y.y_crow.((k lsl 3) + ch_tl)
       && lq_fifos_from inst (k + 1))
 
 let loop_quiescent (inst : instance) : bool =
@@ -2023,7 +1938,12 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
                 end
                 else begin
                   let a =
-                    Memsys.make_access ~words:y.y_words.(i) ~notify:ignore
+                    Memsys.make_access
+                      ~words:
+                        (match G.tile_shape kind with
+                        | Some sh -> T.shape_words sh
+                        | None -> 1)
+                      ~notify:ignore
                   in
                   (* The closure is created once per pooled access and
                      lives as long as it does.  Orphaned accesses
@@ -2050,19 +1970,7 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
                 a.Memsys.a_nums.(0) <- sc.Exec.snums.(v);
                 a.Memsys.a_flts.(0) <- sc.Exec.sflts.(v);
                 set_obj a.Memsys.a_objs 0 sc.Exec.sobjs.(v)
-              | G.Tload { shape; _ } ->
-                let r = G.tile_stride in
-                let stride =
-                  Exec.to_int_flat sc.Exec.stags.(r) sc.Exec.snums.(r)
-                    sc.Exec.sobjs.(r)
-                in
-                let w = T.shape_words shape in
-                a.Memsys.a_n <- w;
-                for i = 0 to w - 1 do
-                  let r = i / shape.cols and c = i mod shape.cols in
-                  a.Memsys.a_addrs.(i) <- addr + (r * stride) + c
-                done
-              | G.Tstore { shape; _ } ->
+              | G.Tload { shape; _ } | G.Tstore { shape; _ } ->
                 let r = G.tile_stride in
                 let stride =
                   Exec.to_int_flat sc.Exec.stags.(r) sc.Exec.snums.(r)
@@ -2070,7 +1978,7 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
                 in
                 let tile =
                   match sc.Exec.sobjs.(G.tstore_value) with
-                  | T.VTensor t -> t
+                  | T.VTensor t when is_store -> t
                   | _ -> zeros4
                 in
                 let w = T.shape_words shape in
@@ -2078,10 +1986,12 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
                 for i = 0 to w - 1 do
                   let r = i / shape.cols and c = i mod shape.cols in
                   a.Memsys.a_addrs.(i) <- addr + (r * stride) + c;
-                  a.Memsys.a_tags.(i) <- F.tfloat;
-                  a.Memsys.a_nums.(i) <- 0;
-                  a.Memsys.a_flts.(i) <- tile.(i);
-                  set_obj a.Memsys.a_objs i F.no_obj
+                  if is_store then begin
+                    a.Memsys.a_tags.(i) <- F.tfloat;
+                    a.Memsys.a_nums.(i) <- 0;
+                    a.Memsys.a_flts.(i) <- tile.(i);
+                    set_obj a.Memsys.a_objs i F.no_obj
+                  end
                 done
               | _ -> assert false);
               let rt = sim.ms.Memsys.space_of y.y_space.(i) in
@@ -2150,28 +2060,14 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
               in
               let s =
                 tq_push sim child ~at:(now + 1) ~ctx:eff ~rkind ~rinst:inst
-                  ~rnode:i ~rwave:wave ~rctx:eff
+                  ~rnode:i ~rwave:wave
               in
-              let base = s * Int.max child.t_arity 1 in
               for k = 0 to child.t_arity - 1 do
-                if k = 0 then begin
-                  child.tq_tags.(base) <- F.ttrue;
-                  child.tq_nums.(base) <- 0;
-                  child.tq_flts.(base) <- 0.0;
-                  set_obj child.tq_objs base F.no_obj
-                end
-                else if k < nin then begin
-                  child.tq_tags.(base + k) <- sc.Exec.stags.(k);
-                  child.tq_nums.(base + k) <- sc.Exec.snums.(k);
-                  child.tq_flts.(base + k) <- sc.Exec.sflts.(k);
-                  set_obj child.tq_objs (base + k) sc.Exec.sobjs.(k)
-                end
-                else begin
-                  child.tq_tags.(base + k) <- F.tpoison;
-                  child.tq_nums.(base + k) <- 0;
-                  child.tq_flts.(base + k) <- 0.0;
-                  set_obj child.tq_objs (base + k) F.no_obj
-                end
+                if k = 0 then tq_arg child s 0 F.ttrue 0 f0 0 F.no_obj
+                else if k < nin then
+                  tq_arg child s k sc.Exec.stags.(k) sc.Exec.snums.(k)
+                    sc.Exec.sflts k sc.Exec.sobjs.(k)
+                else tq_arg child s k F.tpoison 0 f0 0 F.no_obj
               done
             end
             else begin
@@ -2197,7 +2093,7 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
           end
         | G.SyncWait ->
           let iv = attr_inv inst i in
-          pop_all sim inst i;
+          take_all sim inst i sim.sc;
           ring_room inst i;
           let s = ring_pos inst i r.%(j + nd_fired) in
           if y.r_inv.(s) != iv then y.r_inv.(s) <- iv;
@@ -2209,13 +2105,12 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
           true
         | G.LiveOut idx ->
           let sc = sim.sc in
-          ignore (stage_one inst i sc 0);
           let iv =
             match inst.it.tkind with
             | G.Tfunc -> find_inv inst r.%(j + nd_fired)
             | G.Tloop _ -> attr_inv inst i
           in
-          pop_all sim inst i;
+          take_all sim inst i sc;
           let fresh = iv.iv_lo_tags.(idx) = F.tabsent in
           iv.iv_lo_tags.(idx) <- sc.Exec.stags.(0);
           iv.iv_lo_nums.(idx) <- sc.Exec.snums.(0);
@@ -2459,11 +2354,12 @@ let rec drain_resp (sim : t) (inst : instance) (i : int) (progressed : bool)
    has issued wave [w]'s spawns — otherwise it could observe a
    transiently-zero child count before the children were even
    created. *)
-let rec spawns_issued_from (inst : instance) (wave : int) (k : int) : bool =
-  let y = inst.i_lay in
-  k >= Array.length y.y_spawns
-  || (y.n_row.%(nd_row inst y.y_spawns.(k) + nd_fired) > wave
-     && spawns_issued_from inst wave (k + 1))
+let rec spawns_issued_from (inst : instance) (wave : int) (i : int) : bool =
+  i >= inst.i_lay.y_nn
+  || ((match kind_of inst i with
+      | G.SpawnChild _ -> inst.i_lay.n_row.%(nd_row inst i + nd_fired) > wave
+      | _ -> true)
+     && spawns_issued_from inst wave (i + 1))
 
 (* Sync completions, in wave order. *)
 let rec drain_sync (sim : t) (inst : instance) (i : int) (progressed : bool)
@@ -2969,24 +2865,14 @@ let start (sim : t) (args : token list) : unit =
   in
   let s =
     tq_push sim root ~at:0 ~ctx:root_ctx ~rkind:0 ~rinst:dummy_inst
-      ~rnode:0 ~rwave:0 ~rctx:root_ctx
+      ~rnode:0 ~rwave:0
   in
-  let base = s * max root.t_arity 1 in
   for i = 0 to root.t_arity - 1 do
-    root.tq_tags.(base + i) <- F.tpoison;
-    root.tq_nums.(base + i) <- 0;
-    root.tq_flts.(base + i) <- 0.0;
-    root.tq_objs.(base + i) <- F.no_obj
-  done;
-  List.iteri
-    (fun i v ->
-      if i < root.t_arity then begin
-        root.tq_tags.(base + i) <- F.tag_of v;
-        root.tq_nums.(base + i) <- F.num_of v;
-        root.tq_flts.(base + i) <- F.flt_of v;
-        root.tq_objs.(base + i) <- F.obj_of v
-      end)
-    (T.VBool true :: args)
+    match List.nth_opt (T.VBool true :: args) i with
+    | Some v ->
+      tq_arg root s i (F.tag_of v) (F.num_of v) [| F.flt_of v |] 0 (F.obj_of v)
+    | None -> tq_arg root s i F.tpoison 0 f0 0 F.no_obj
+  done
 
 (** Run the circuit's root task with [args] to completion.  Returns
     the root's return value, the final memory, statistics, and the

@@ -312,6 +312,51 @@ let test_zero_alloc name () =
       "%s steady state allocates %.4f minor words/cycle (limit 0.05)" name
       rate
 
+(* Construction allocation.  An instance is a slot of its task's
+   columns, not a graph of small blocks, so [Sim.create] + [start] over
+   the 48 suite pairs (registry workload x {baseline, per-category})
+   allocates at most 2.60 M minor words, half of what per-instance
+   blocks took (5.20 M), and a fresh fib or msort context at most half
+   of its 2 572 / 2 849 words.  A context's share is bounded from above
+   by the minor words of stepping its baseline run over the contexts
+   made fresh; column growth, which doubles past the minor heap's
+   block limit, allocates in the major heap and is not counted.
+   Minor-heap allocation is deterministic, so this does not flake. *)
+let test_construction_alloc () =
+  let module S = Muir_sim.Sim in
+  let build (w : W.t) passes =
+    let c = Muir_core.Build.circuit ~name:w.wname (W.program w) in
+    ignore (Muir_opt.Pass.run_all passes c);
+    c
+  in
+  let words = ref 0.0 in
+  List.iter
+    (fun (w : W.t) ->
+      List.iter
+        (fun passes ->
+          let c = build w passes in
+          let m0 = Gc.minor_words () in
+          S.start (S.create c) [];
+          words := !words +. (Gc.minor_words () -. m0))
+        [ []; Muir_pipeline.Pipeline.per_category w ])
+    W.all;
+  if !words > 2.60e6 then
+    Alcotest.failf "Sim.create + start over the suite: %.0f minor words \
+                    (limit 2.60 M)" !words;
+  List.iter
+    (fun (name, limit) ->
+      let sim = S.create (build (W.find name) []) in
+      S.start sim [];
+      let n0 = sim.next_iid and m0 = Gc.minor_words () in
+      while not sim.root_done do
+        S.step sim
+      done;
+      let per = (Gc.minor_words () -. m0) /. float_of_int (sim.next_iid - n0) in
+      if per > limit then
+        Alcotest.failf "a fresh %s context: %.0f minor words (limit %.0f)"
+          name per limit)
+    [ ("fib", 2572.0 /. 2.0); ("msort", 2849.0 /. 2.0) ]
+
 (* Oracles over the kernel's incremental counts: after every cycle of
    every registry workload under baseline and best, [check] compares
    each live instance's count with a recount from the state it
@@ -478,6 +523,9 @@ let () =
         List.map
           (fun name -> Alcotest.test_case name `Quick (test_zero_alloc name))
           [ "gemm"; "fib" ] );
+      ( "construction-allocation",
+        [ Alcotest.test_case "suite and contexts" `Quick
+            test_construction_alloc ] );
       ("readiness-oracle", oracle_cases readiness);
       ("completion-gate-oracle", oracle_cases completion_gate);
       ( "properties",
