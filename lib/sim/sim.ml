@@ -217,9 +217,10 @@ and instance = {
      ring in the token columns, which hold token c at
      [base + (c land mask)], then the mask, capacity, producer and
      consumer, copied from [y_crow] when the slot is primed so one row
-     holds all a channel operation reads.  Writes land between mid and tail and become
-     visible at the end-of-cycle commit (mid <- tail), so a channel
-     holds staged writes exactly while it is queued for that commit;
+     holds all a channel operation reads.  Writes land between mid and
+     tail and become visible at the end-of-cycle commit (mid <- tail),
+     so a channel holds staged writes exactly while it is queued for
+     that commit;
    - node i of slot s is the row at [(s * y_nn + i) * nd_w] of [n_row]
      (fields [nd_*]) and its per-cause cycles start at half that
      offset in [n_acc];
@@ -529,19 +530,16 @@ let dummy_ctx : sync_ctx =
     cx_nw = 0 }
 
 let dummy_layout : layout =
-  { y_g = [||]; y_cost = [||]; y_space = [||]; y_pb = [||];
-    y_mb = [||]; y_rb = [||]; y_rw = [||]; y_nn = 0; y_np = 0;
-    y_nm = 0; y_nr = 0; y_rwid = 1; y_inb = [| 0 |]; y_ich = [||];
-    y_imt = [||]; y_imn = [||]; y_imf = [||]; y_imo = [||]; y_out = [||];
-    y_liveins = [||]; y_syncs = [||]; y_miss0 = [||];
-    y_nch = 0;
-    y_crow = [||]; y_ttn = [||]; y_tflts = [||];
-    y_tobjs = [||]; y_tw = 0; y_nctr = [||]; y_slots = 0; c_row = [||];
-    c_tn = [||]; c_flts = [||]; c_objs = [||];
-    n_row = [||]; n_acc = [||]; p_int = [||]; p_flts = [||]; p_objs = [||];
-    m_acc = [||]; m_inv = [||]; a_pool = [||]; r_cap = 4; r_wave = [||];
-    r_inv = [||]; r_gen = [||]; r_tags = [||]; r_nums = [||]; r_flts = [||];
-    r_objs = [||] }
+  { y_g = [||]; y_cost = [||]; y_space = [||]; y_pb = [||]; y_mb = [||];
+    y_rb = [||]; y_rw = [||]; y_nn = 0; y_np = 0; y_nm = 0; y_nr = 0;
+    y_rwid = 1; y_inb = [| 0 |]; y_ich = [||]; y_imt = [||]; y_imn = [||];
+    y_imf = [||]; y_imo = [||]; y_out = [||]; y_liveins = [||];
+    y_syncs = [||]; y_miss0 = [||]; y_nch = 0; y_crow = [||]; y_ttn = [||];
+    y_tflts = [||]; y_tobjs = [||]; y_tw = 0; y_nctr = [||]; y_slots = 0;
+    c_row = [||]; c_tn = [||]; c_flts = [||]; c_objs = [||]; n_row = [||];
+    n_acc = [||]; p_int = [||]; p_flts = [||]; p_objs = [||]; m_acc = [||];
+    m_inv = [||]; a_pool = [||]; r_cap = 4; r_wave = [||]; r_inv = [||];
+    r_gen = [||]; r_tags = [||]; r_nums = [||]; r_flts = [||]; r_objs = [||] }
 
 let dummy_inst : instance =
   { it = dummy_task; iid = -1; i_lay = dummy_layout; i_slot = 0; i_cb = 0;
@@ -571,8 +569,10 @@ let dummy_access : Memsys.access = Memsys.make_access ~words:1 ~notify:ignore
    with the slot below [y_slots], the ordinal below its count and the
    field below its stride (a ring position is masked below its ring
    size), so it lies inside the column's [y_slots * count * stride]
-   entries by construction; a node index is below [y_nn] and an input
-   row below the node's next. *)
+   entries by construction; a node index is below [y_nn], and a loop
+   over a node's input rows stays below the next node's first.  A
+   lookup of one named input port keeps its check: a malformed node
+   may lack the port. *)
 let[@inline] ( .%() ) (a : int array) (o : int) : int = Array.unsafe_get a o
 
 let[@inline] ( .%()<- ) (a : int array) (o : int) (v : int) : unit =
@@ -783,13 +783,14 @@ let emit_port (sim : t) (inst : instance) (i : int) (p : int) (tag : int)
     ch_push sim inst fs.(j) tag num flts fi obj
   done
 
-let[@inline] n_inputs (y : layout) (i : int) : int = y.y_inb.%(i + 1) - y.y_inb.%(i)
+let[@inline] n_inputs (y : layout) (i : int) : int =
+  y.y_inb.%(i + 1) - y.y_inb.%(i)
 
 (** Stage input [p] of node [i] only; false if empty. *)
 let stage_one (inst : instance) (i : int) (sc : Exec.sc) (p : int) : bool =
   let y = inst.i_lay in
-  let q = y.y_inb.%(i) + p in
-  let k = y.y_ich.%(q) in
+  let q = y.y_inb.(i) + p in
+  let k = y.y_ich.(q) in
   if k < 0 then begin
     sc.Exec.stags.(p) <- y.y_imt.(q);
     sc.Exec.snums.(p) <- y.y_imn.(q);
@@ -813,7 +814,7 @@ let stage_one (inst : instance) (i : int) (sc : Exec.sc) (p : int) : bool =
 
 let input_ready (inst : instance) (i : int) (p : int) : bool =
   let y = inst.i_lay in
-  let k = y.y_ich.%(y.y_inb.%(i) + p) in
+  let k = y.y_ich.(y.y_inb.(i) + p) in
   k < 0
   ||
   let o = ch_row inst k in
@@ -823,8 +824,8 @@ let input_ready (inst : instance) (i : int) (p : int) : bool =
    present). *)
 let mu_sel (inst : instance) (i : int) : int =
   let y = inst.i_lay in
-  let q = y.y_inb.%(i) + G.mu_ctl in
-  let k = y.y_ich.%(q) in
+  let q = y.y_inb.(i) + G.mu_ctl in
+  let k = y.y_ich.(q) in
   if k < 0 then
     G.mu_select (Exec.truthy_flat y.y_imt.(q) y.y_imn.(q) y.y_imo.(q))
   else begin
@@ -858,7 +859,7 @@ let futile (inst : instance) (i : int) (c : int) : bool =
 
 let pop_in (sim : t) (inst : instance) (i : int) (p : int) : unit =
   let y = inst.i_lay in
-  let k = y.y_ich.%(y.y_inb.%(i) + p) in
+  let k = y.y_ich.(y.y_inb.(i) + p) in
   if k >= 0 then begin
     let r = y.c_row and o = ch_row inst k in
     let full = not (ch_space r o) in
@@ -1237,7 +1238,8 @@ let create ?tracer (c : G.circuit) : t =
       wheel =
         Array.init wheel_size (fun _ ->
             { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
-      insts = [||]; ld_i = [||]; ld_k = [||]; ld_n = 0; woken = 0; live_nodes = 0;
+      insts = [||]; ld_i = [||]; ld_k = [||]; ld_n = 0; woken = 0;
+      live_nodes = 0;
       node_cycles = 0; tr = tracer; ctrs;
       otasks = Array.init n (fun tid -> Ctr.occ_ref ctrs (Ctr.Ktask tid));
       act_j; act_f; act_e; act_c; act_q }

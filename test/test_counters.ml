@@ -314,7 +314,8 @@ let prop_report_mutation () =
       oneof
         [ map
             (fun l -> `Overwrite l)
-            (list_size (int_range 1 8) (pair (int_bound (n - 1)) (int_bound 255)));
+            (list_size (int_range 1 8)
+               (pair (int_bound (n - 1)) (int_bound 255)));
           map (fun k -> `Cut k) (int_bound (n - 1)) ])
   in
   let mutate = function

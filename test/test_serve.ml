@@ -683,7 +683,9 @@ let prop_mutated_frames () =
       in
       let text = Proto.response_to_string reply in
       String.is_valid_utf_8 text
-      && (match J.parse text with _ -> true | exception J.Parse_error _ -> false)
+      && (match J.parse text with
+         | _ -> true
+         | exception J.Parse_error _ -> false)
       &&
       let needle = {|"code":"internal"|} in
       let n = String.length needle in
