@@ -27,7 +27,7 @@
     keeps a fire and an emit wake set, a bitset over its nodes; a node
     is attempted only when something that could enable it changed:
     a token committed into an input channel, space freed in a
-    downstream channel, a pipeline/memory/reorder-buffer entry
+    downstream channel, a pipeline, memory or reply-ring entry
     matured, a child task's queue drained, a spawned child joined, or
     an invocation was injected.  Nodes sleeping on latency wake from a
     ring-buffer timing wheel keyed by absolute cycle.  Completion
@@ -1083,7 +1083,7 @@ let grow_slots (y : layout) (s : int) : unit =
   end
 
 (* Bring a fresh or retired slot to its first cycle: node rows clear,
-   every node idle since now, reorder tables empty, channels holding
+   every node idle since now, reply rings empty, channels holding
    their initial tokens and readiness counts matching them, and every
    node woken — the first cycle behaves like a dense sweep, since
    initial loop-control tokens can enable nodes with no other wake

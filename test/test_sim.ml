@@ -396,7 +396,7 @@ let oracle (check : Muir_sim.Sim.instance -> (string * int * int) option)
         sim.root_done)
     [ ("baseline", []); ("best", best) ]
 
-(* Readiness: a node's [nr_miss] counts its wired inputs whose channel
+(* Readiness: a node's [nd_miss] counts its wired inputs whose channel
    holds no committed token, kept up to date by the commits and pops
    that move those channels. *)
 let rec recount_miss (ins : int option array) (i : int) (k : int) : int =
@@ -414,7 +414,7 @@ let readiness (inst : Muir_sim.Sim.instance) =
       let got = S.node_miss inst i in
       match bad with
       | None when got <> want ->
-        Some (Fmt.str "node n%d nr_miss" (S.node_nid inst i), got, want)
+        Some (Fmt.str "node n%d nd_miss" (S.node_nid inst i), got, want)
       | _ -> bad)
     None
     (List.init (S.node_count inst) Fun.id)
