@@ -14,7 +14,10 @@
       reproduces the unpruned run's frontier and best byte-for-byte
       while simulating strictly less;
    5. one instancing rule — a task below a recursion is instanced on
-      demand by the kernel, and the analysis models it that way. *)
+      demand by the kernel, and the analysis models it that way;
+   6. a golden digest of the static half — Timing.report and every
+      Check.circuit diagnostic of each workload under each registry
+      stack, one MD5 per workload. *)
 
 module G = Muir_core.Graph
 module A = Muir_analysis
@@ -278,6 +281,68 @@ let test_msort_sets () =
     [ ("baseline", []);
       ("per-category", Muir_pipeline.Pipeline.per_category w) ]
 
+(* --- 6. golden digest of the static half ---------------------------- *)
+
+(* Timing.report and every Check.circuit diagnostic (through Diag.pp)
+   of one workload under each registry stack at its default knobs. *)
+let render_static_half (w : W.t) : string =
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  List.iter
+    (fun (s : Stacks.spec) ->
+      let c = Muir_core.Build.circuit ~name:w.wname (W.program w) in
+      ignore (Muir_opt.Pass.run_all (s.sp_build s.sp_defaults) c);
+      Fmt.pf ppf "== %s@.%a@." s.sp_name (A.Timing.report c)
+        (A.Timing.analyze c);
+      List.iter (fun d -> Fmt.pf ppf "%a@." A.Diag.pp d) (A.Check.circuit c))
+    Stacks.registry;
+  Format.pp_print_flush ppf ();
+  Buffer.contents b
+
+(* One MD5 of [render_static_half] per workload, so a failure names
+   the workload.  A change meant to move the static half's output
+   re-pins these on purpose. *)
+let static_half_digests =
+  [ ("gemm", "3a0a9ef4ca7e9c2c64f25e58573fdfca");
+    ("covar", "9c4e0c34e0aaec1d0d320902896b766f");
+    ("fft", "644e2bc5d7420e5b1a0c364e65b42938");
+    ("fft-buf", "f36263afb4293f9cfd884d3f59ad722b");
+    ("spmv", "ca4a0d40afd29bb40b50fe41ade3ace1");
+    ("2mm", "4827d553761a23d23ee63f7f4beedcf2");
+    ("3mm", "46aeb7b70909b8899fe340d5d16cbf9c");
+    ("fib", "60c2f3be6dd30f2c28ca4a8145518d25");
+    ("msort", "61766931606b786a5142dc301fa25472");
+    ("saxpy", "601c360b41ad55531a940d9a1265e5b5");
+    ("stencil", "e9186bd6af3e6d38ed301409c97d104b");
+    ("img-scale", "82776ccd5a8accb9df1fc91f08511fb6");
+    ("conv", "9bc6fe4e7d81cf3662e1f2de73e53588");
+    ("dense8", "4a5ce27fe4c3d29b61e14177bc356067");
+    ("dense16", "d19c5c93743884acf572222a52650f5c");
+    ("softm8", "2793d674a1f9748cd4008407ef53a5f0");
+    ("softm16", "c3f0a77456b9776e1d2ed3b00d509740");
+    ("relu[T]", "5a2e5452fac7fad9646412411c7a7d52");
+    ("2mm[T]", "87e7ce5efbb7ce8fe9aca4e0b365e7bb");
+    ("conv[T]", "c4dafb0fe6ee0025b36826e7f8c39009");
+    ("rgb2yuv", "7a353a89fb1dbf99dc4e298986793dbf");
+    ("conv1d", "e90abdedd273df4411b8d8ac4996d9f9");
+    ("mlp", "bdbcc6fa4e538e98f3633a680c927c96");
+    ("lenet", "7624923385eef3390f39aaa9ef62a31e") ]
+
+let test_static_half_digest () =
+  Alcotest.(check (list string))
+    "one digest per workload"
+    (List.map (fun (w : W.t) -> w.wname) W.all)
+    (List.map fst static_half_digests);
+  List.iter
+    (fun (w : W.t) ->
+      let got = Digest.to_hex (Digest.string (render_static_half w)) in
+      Alcotest.(check string)
+        (Fmt.str "%s: static-half digest over %d stacks" w.wname
+           (List.length Stacks.registry))
+        (List.assoc w.wname static_half_digests)
+        got)
+    W.all
+
 let () =
   Alcotest.run "timing"
     [ ( "soundness",
@@ -292,7 +357,9 @@ let () =
         [ Alcotest.test_case "fib.mc" `Quick test_golden_fib;
           Alcotest.test_case "histogram_racy.mc" `Quick
             test_golden_histogram_racy;
-          Alcotest.test_case "divring.mc" `Quick test_golden_divring ] );
+          Alcotest.test_case "divring.mc" `Quick test_golden_divring;
+          Alcotest.test_case "static half of workloads x stacks" `Quick
+            test_static_half_digest ] );
       ( "dse",
         [ Alcotest.test_case "timing prune is transparent" `Slow
             test_prune_transparent ] );
