@@ -99,50 +99,51 @@ let find_cycle (n : int) (edges : 'a edge list) (keep : 'a edge -> bool)
   done;
   !found
 
-(* Longest-path Bellman-Ford under cost [q*ew - p*em], all distances
-   seeded 0 (virtual source to every node).  If an edge still relaxes
-   after [n] passes a positive cycle exists; walk the predecessor
-   graph [n] steps back from it to land on the cycle, then collect
-   until a node repeats.  Any predecessor-graph cycle at that point is
-   positive (the longest-path mirror of the classical negative-cycle
-   argument). *)
-let positive_cycle (n : int) (edges : 'a edge array) ~(p : int) ~(q : int)
-    : 'a edge list option =
+(* Longest-path Bellman-Ford over flat arrays: edge [i] runs
+   [src.(i) -> dst.(i)] at cost [cost.(i)], all distances seeded 0
+   (virtual source to every node).  If an edge still relaxes after [n]
+   passes a positive cycle exists; the last edge relaxed in that pass
+   is the witness.  Walk the predecessor edges [n] steps back from it
+   to land on the cycle, then collect until a node repeats.  Any
+   predecessor-graph cycle at that point is positive (the longest-path
+   mirror of the classical negative-cycle argument).  Returns the
+   cycle's edge indices in traversal order. *)
+let positive_cycle (n : int) ~(src : int array) ~(dst : int array)
+    ~(cost : int array) : int list option =
   let dist = Array.make n 0 in
-  let pred = Array.make n None in
-  let cost (e : 'a edge) = (q * e.ew) - (p * e.em) in
-  let relax_pass record =
-    let changed = ref false in
-    Array.iter
-      (fun e ->
-        let d = dist.(e.esrc) + cost e in
-        if d > dist.(e.edst) then begin
-          dist.(e.edst) <- d;
-          pred.(e.edst) <- Some e;
-          changed := true;
-          match record with None -> () | Some r -> r := Some e
-        end)
-      edges;
-    !changed
+  let pred = Array.make n (-1) in
+  (* One pass in edge order; the index of the last edge it relaxed,
+     or -1 when nothing changed. *)
+  let relax_pass () =
+    let last = ref (-1) in
+    for i = 0 to Array.length src - 1 do
+      let d = dist.(src.(i)) + cost.(i) and v = dst.(i) in
+      if d > dist.(v) then begin
+        dist.(v) <- d;
+        pred.(v) <- i;
+        last := i
+      end
+    done;
+    !last
   in
   let pass = ref 0 in
-  while !pass < n && relax_pass None do incr pass done;
+  while !pass < n && relax_pass () >= 0 do incr pass done;
   if !pass < n then None (* converged: no positive cycle *)
   else begin
-    let witness = ref None in
-    if not (relax_pass (Some witness)) then None
+    let witness = relax_pass () in
+    if witness < 0 then None
     else begin
       (* Walk back n steps to guarantee we sit on the cycle itself. *)
-      let v = ref (Option.get !witness).edst in
+      let v = ref dst.(witness) in
       for _ = 1 to n do
-        match pred.(!v) with Some e -> v := e.esrc | None -> ()
+        if pred.(!v) >= 0 then v := src.(pred.(!v))
       done;
       let start = !v in
       let rec collect acc v =
-        match pred.(v) with
-        | None -> acc (* unreachable: every walked node has a pred *)
-        | Some e ->
-          if e.esrc = start then e :: acc else collect (e :: acc) e.esrc
+        let e = pred.(v) in
+        if e < 0 then acc (* unreachable: every walked node has a pred *)
+        else if src.(e) = start then e :: acc
+        else collect (e :: acc) src.(e)
       in
       Some (collect [] start)
     end
@@ -163,12 +164,18 @@ let max_cycle_ratio (n : int) (edges : 'a edge list) : 'a result =
     | None -> Acyclic
     | Some cyc0 ->
       let arr = Array.of_list edges in
+      let src = Array.map (fun e -> e.esrc) arr in
+      let dst = Array.map (fun e -> e.edst) arr in
+      let cost = Array.make (Array.length arr) 0 in
       let rec improve (best : 'a edge list) =
         let w, m = cycle_sums best in
-        (* m > 0: zero-token cycles were excluded above *)
-        match positive_cycle n arr ~p:w ~q:m with
+        (* m > 0: zero-token cycles were excluded above.  Search for a
+           cycle with [m*W - w*M > 0], i.e. a ratio above [w/m]. *)
+        Array.iteri (fun i e -> cost.(i) <- (m * e.ew) - (w * e.em)) arr;
+        match positive_cycle n ~src ~dst ~cost with
         | None -> best
-        | Some cyc ->
+        | Some idx ->
+          let cyc = List.map (fun i -> arr.(i)) idx in
           let w', m' = cycle_sums cyc in
           if m' > 0 && ratio_lt (w, m) (w', m') then improve cyc
           else best (* no strict progress: [best] stays sound *)
