@@ -39,39 +39,27 @@ module T = Muir_ir.Types
 let first_fire_reads (n : G.node) (port : int) : bool =
   match n.kind with G.MergeLoop -> port <> G.mu_back | _ -> true
 
-(** [blocking] edges must receive a freshly produced token before
-    their target's first firing: no initial tokens, and the target
-    port is read by that firing. *)
-let blocking_edge (node_of : int -> G.node) (e : G.edge) : bool =
-  e.initial = [] && first_fire_reads (node_of (fst e.dst)) (snd e.dst)
-
 (* ------------------------------------------------------------------ *)
 (* Per-task analysis                                                   *)
 
-type ctx = {
-  t : G.task;
-  node_of : int -> G.node;
-  ins_of : int -> G.edge list;  (** in-edges, by target node *)
-  outs_of : int -> G.edge list; (** out-edges, by source node *)
-}
+(** A task and its index: nodes, in-edges and out-edges by node id. *)
+type ctx = { t : G.task; ix : G.index }
 
-let make_ctx (t : G.task) : ctx =
-  let byid = Hashtbl.create 64 in
-  List.iter (fun (n : G.node) -> Hashtbl.replace byid n.nid n) t.nodes;
-  let ins = Hashtbl.create 64 and outs = Hashtbl.create 64 in
-  List.iter
-    (fun (e : G.edge) ->
-      Hashtbl.replace ins (fst e.dst)
-        (e :: (Option.value ~default:[] (Hashtbl.find_opt ins (fst e.dst))));
-      Hashtbl.replace outs (fst e.src)
-        (e :: (Option.value ~default:[] (Hashtbl.find_opt outs (fst e.src)))))
-    t.edges;
-  {
-    t;
-    node_of = Hashtbl.find byid;
-    ins_of = (fun nid -> Option.value ~default:[] (Hashtbl.find_opt ins nid));
-    outs_of = (fun nid -> Option.value ~default:[] (Hashtbl.find_opt outs nid));
-  }
+let make_ctx (t : G.task) : ctx = { t; ix = G.index t }
+
+let node_of (c : ctx) (nid : int) : G.node = c.ix.ix_node.(nid)
+
+(** In-edges by target node, last edge first. *)
+let ins_of (c : ctx) (nid : int) : G.edge list = c.ix.ix_ins.(nid)
+
+(** Out-edges by source node, last edge first. *)
+let outs_of (c : ctx) (nid : int) : G.edge list = c.ix.ix_outs.(nid)
+
+(** [blocking] edges must receive a freshly produced token before
+    their target's first firing: no initial tokens, and the target
+    port is read by that firing. *)
+let blocking_edge (c : ctx) (e : G.edge) : bool =
+  e.initial = [] && first_fire_reads (node_of c (fst e.dst)) (snd e.dst)
 
 (** Strongly connected components of the blocking-edge subgraph
     (Tarjan).  Components with a cycle — more than one node, or a
@@ -83,8 +71,8 @@ let deadlock_cycles (c : ctx) : int list list =
   let succs nid =
     List.filter_map
       (fun (e : G.edge) ->
-        if blocking_edge c.node_of e then Some (fst e.dst) else None)
-      (c.outs_of nid)
+        if blocking_edge c e then Some (fst e.dst) else None)
+      (outs_of c nid)
   in
   let rec strongconnect v =
     Hashtbl.replace index v !counter;
@@ -155,8 +143,8 @@ let can_fire_set (c : ctx) : (int, unit) Hashtbl.t =
         && (e.initial <> []
            ||
            (Hashtbl.mem fire (fst e.src)
-           && live_out (c.node_of (fst e.src)) (snd e.src))))
-      (c.ins_of n.nid)
+           && live_out (node_of c (fst e.src)) (snd e.src))))
+      (ins_of c n.nid)
   in
   let changed = ref true in
   while !changed do
@@ -181,7 +169,7 @@ let reachable_set (c : ctx) : (int, unit) Hashtbl.t =
   let rec visit nid =
     if not (Hashtbl.mem seen nid) then begin
       Hashtbl.replace seen nid ();
-      List.iter (fun (e : G.edge) -> visit (fst e.dst)) (c.outs_of nid)
+      List.iter (fun (e : G.edge) -> visit (fst e.dst)) (outs_of c nid)
     end
   in
   List.iter
@@ -201,7 +189,7 @@ let feeds_liveout_set (c : ctx) : (int, unit) Hashtbl.t =
   let rec visit nid =
     if not (Hashtbl.mem seen nid) then begin
       Hashtbl.replace seen nid ();
-      List.iter (fun (e : G.edge) -> visit (fst e.src)) (c.ins_of nid)
+      List.iter (fun (e : G.edge) -> visit (fst e.src)) (ins_of c nid)
     end
   in
   List.iter
@@ -262,8 +250,8 @@ let ancestor_maps (c : ctx) : int -> (int, path) Hashtbl.t =
         Hashtbl.replace m nid { dmin = 0; dmax = 0; slack = 0 };
         List.iter
           (fun (e : G.edge) ->
-            if blocking_edge c.node_of e then add_paths m e (anc (fst e.src)))
-          (c.ins_of nid);
+            if blocking_edge c e then add_paths m e (anc (fst e.src)))
+          (ins_of c nid);
         Hashtbl.remove on_stack nid;
         Hashtbl.replace memo nid m;
         m
@@ -278,9 +266,9 @@ let buffer_warnings (c : ctx) : Diag.t list =
     let m = Hashtbl.create 8 in
     List.iter
       (fun (e : G.edge) ->
-        if snd e.dst = p && blocking_edge c.node_of e then
+        if snd e.dst = p && blocking_edge c e then
           add_paths m e (anc (fst e.src)))
-      (c.ins_of nid);
+      (ins_of c nid);
     m
   in
   List.filter_map
@@ -382,9 +370,9 @@ let check_task (t : G.task) : Diag.t list =
           && Hashtbl.mem reach n.nid
           && List.for_all
                (fun (e : G.edge) ->
-                 (not (blocking_edge c.node_of e))
+                 (not (blocking_edge c e))
                  || Hashtbl.mem fire (fst e.src))
-               (c.ins_of n.nid)
+               (ins_of c n.nid)
         in
         if not is_frontier then None
         else if Hashtbl.mem to_liveout n.nid then

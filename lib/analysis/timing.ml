@@ -141,20 +141,15 @@ type tctx = {
   every_wave : (int, unit) Hashtbl.t;
       (** nodes firing once per wave, proven structurally *)
   pred_of : G.node -> pred_class;
-  idx_of : (int, int) Hashtbl.t;   (** node id -> dense index *)
-  nid_of : int array;              (** dense index -> node id *)
+  nid_of : int array;  (** dense index (position in [t.nodes]) -> node id *)
 }
 
 let make_tctx (t : G.task) : tctx =
   let ctx = Liveness.make_ctx t in
   let nodes = t.nodes in
   let n = List.length nodes in
-  let idx_of = Hashtbl.create n and nid_of = Array.make (max n 1) 0 in
-  List.iteri
-    (fun i (nd : G.node) ->
-      Hashtbl.replace idx_of nd.nid i;
-      nid_of.(i) <- nd.nid)
-    nodes;
+  let nid_of = Array.make (max n 1) 0 in
+  List.iteri (fun i (nd : G.node) -> nid_of.(i) <- nd.nid) nodes;
   (* The wave token's entry: LiveIn 0, and the token mu primed from
      it (build wires LiveIn 0 into the token mu's init port). *)
   let livein0 =
@@ -167,7 +162,7 @@ let make_tctx (t : G.task) : tctx =
     List.fold_left
       (fun acc (e : G.edge) ->
         if fst e.src = li0 && snd e.dst = G.mu_init
-           && (match (ctx.Liveness.node_of (fst e.dst)).kind with
+           && (match (Liveness.node_of ctx (fst e.dst)).kind with
               | G.MergeLoop -> true
               | _ -> false)
         then fst e.dst
@@ -182,7 +177,7 @@ let make_tctx (t : G.task) : tctx =
       match e.initial with
       | [ T.VBool false ]
         when snd e.dst = G.mu_ctl
-             && (match (ctx.Liveness.node_of (fst e.dst)).kind with
+             && (match (Liveness.node_of ctx (fst e.dst)).kind with
                 | G.MergeLoop -> true
                 | _ -> false) ->
         Hashtbl.replace ctl_srcs e.src ()
@@ -195,7 +190,7 @@ let make_tctx (t : G.task) : tctx =
       match
         List.find_opt
           (fun (e : G.edge) -> snd e.dst = G.pred_port)
-          (ctx.Liveness.ins_of nd.nid)
+          (Liveness.ins_of ctx nd.nid)
       with
       | None -> Other
       | Some e ->
@@ -232,10 +227,10 @@ let make_tctx (t : G.task) : tctx =
               (fun (e : G.edge) ->
                 Hashtbl.mem every_wave (fst e.src)
                 &&
-                match (ctx.Liveness.node_of (fst e.src)).kind with
+                match (Liveness.node_of ctx (fst e.src)).kind with
                 | G.Steer | G.FusedSteer _ -> false
                 | _ -> true)
-              (ctx.Liveness.ins_of nd.nid)
+              (Liveness.ins_of ctx nd.nid)
           in
           if ok then begin
             Hashtbl.replace every_wave nd.nid ();
@@ -244,7 +239,7 @@ let make_tctx (t : G.task) : tctx =
         | _ -> ())
       nodes
   done;
-  { ctx; every_wave; pred_of; idx_of; nid_of }
+  { ctx; every_wave; pred_of; nid_of }
 
 (* ------------------------------------------------------------------ *)
 (* Graph abstraction                                                   *)
@@ -263,20 +258,20 @@ let build_sdf (tc : tctx) ~(flavor : flavor) ~(restrict : bool)
     ~(out_lat : G.node -> int)
     ~(window : G.node -> (int * int * G.task_id) option) :
     prov Sdf.edge list =
-  let t = tc.ctx.Liveness.t in
+  let t = tc.ctx.t in
   let keep nid = (not restrict) || Hashtbl.mem tc.every_wave nid in
-  let idx nid = Hashtbl.find tc.idx_of nid in
+  let idx nid = tc.ctx.ix.ix_pos.(nid) in
   let acc = ref [] in
   List.iter
     (fun (e : G.edge) ->
-      let dn = tc.ctx.Liveness.node_of (fst e.dst) in
+      let dn = Liveness.node_of tc.ctx (fst e.dst) in
       let init_port =
         match dn.kind with G.MergeLoop -> snd e.dst = G.mu_init | _ -> false
       in
       (* A mu init edge is consumed only by the first firing: it
          constrains no steady-state wave, in either direction. *)
       if (not init_port) && keep (fst e.src) && keep (fst e.dst) then begin
-        let sn = tc.ctx.Liveness.node_of (fst e.src) in
+        let sn = Liveness.node_of tc.ctx (fst e.src) in
         let back = not (Liveness.first_fire_reads dn (snd e.dst)) in
         let m = List.length e.initial + if back then 1 else 0 in
         acc :=
@@ -347,7 +342,7 @@ let classify (c : G.circuit) (tc : tctx) (cyc : prov Sdf.edge list) :
       find (fun e ->
           match e.Sdf.etag with
           | Pedge ge -> (
-            match (tc.ctx.Liveness.node_of (fst ge.src)).kind with
+            match (Liveness.node_of tc.ctx (fst ge.src)).kind with
             | G.CallChild ct -> Some ct
             | _ -> None)
           | _ -> None)
@@ -359,7 +354,7 @@ let classify (c : G.circuit) (tc : tctx) (cyc : prov Sdf.edge list) :
       find (fun e ->
           match e.Sdf.etag with
           | Pedge ge ->
-            let dn = tc.ctx.Liveness.node_of (fst ge.dst) in
+            let dn = Liveness.node_of tc.ctx (fst ge.dst) in
             if G.is_order_port dn (snd ge.dst) then
               match G.node_space dn with
               | Some sp -> Some (G.structure_of_space c sp).G.sid
@@ -433,16 +428,16 @@ let analyze (c : G.circuit) : t =
             if Hashtbl.mem on_path nid then 0
             else begin
               Hashtbl.replace on_path nid ();
-              let nd = tc.ctx.Liveness.node_of nid in
+              let nd = Liveness.node_of tc.ctx nid in
               let contribs =
                 List.filter_map
                   (fun (e : G.edge) ->
-                    if Liveness.blocking_edge tc.ctx.Liveness.node_of e
+                    if Liveness.blocking_edge tc.ctx e
                     then
-                      let sn = tc.ctx.Liveness.node_of (fst e.src) in
+                      let sn = Liveness.node_of tc.ctx (fst e.src) in
                       Some (snd e.dst, f_of (fst e.src) + out_lat tc sn)
                     else None)
-                  (tc.ctx.Liveness.ins_of nid)
+                  (Liveness.ins_of tc.ctx nid)
               in
               let v =
                 match nd.kind with

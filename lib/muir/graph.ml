@@ -287,6 +287,43 @@ let digest (c : circuit) : string =
   Digest.to_hex (Digest.string (Marshal.to_string c [ Marshal.No_sharing ]))
 
 (* ------------------------------------------------------------------ *)
+(* Per-task index                                                      *)
+
+(** A task's nodes and channels by node id, for validation and the
+    analyses.  Ids are dense per task, so each table is an array of
+    [1 +] the largest id present: not [next_nid], which a hand-built
+    task may undercut.  A negative, out-of-range or unused id is absent
+    ({!ix_mem}); of duplicate ids, the first in [t.nodes] is indexed. *)
+type index = {
+  ix_node : node array;       (** by id; a placeholder where absent *)
+  ix_pos : int array;         (** position in [t.nodes]; [-1] where absent *)
+  ix_ins : edge list array;   (** in-edges by target id, last edge first *)
+  ix_outs : edge list array;  (** out-edges by source id, last edge first *)
+}
+
+let index (t : task) : index =
+  let n = 1 + List.fold_left (fun m nd -> max m nd.nid) (-1) t.nodes in
+  let none =
+    { nid = -1; kind = SyncWait; ins = [||]; nty = T.TBool; label = "" }
+  in
+  let ix = { ix_node = Array.make n none; ix_pos = Array.make n (-1);
+             ix_ins = Array.make n []; ix_outs = Array.make n [] } in
+  List.iteri
+    (fun i nd ->
+      if nd.nid >= 0 && ix.ix_pos.(nd.nid) < 0 then begin
+        ix.ix_node.(nd.nid) <- nd;
+        ix.ix_pos.(nd.nid) <- i
+      end)
+    t.nodes;
+  let add tbl id e = if id >= 0 && id < n then tbl.(id) <- e :: tbl.(id) in
+  List.iter (fun e -> add ix.ix_ins (fst e.dst) e; add ix.ix_outs (fst e.src) e)
+    t.edges;
+  ix
+
+let ix_mem (ix : index) (nid : node_id) : bool =
+  nid >= 0 && nid < Array.length ix.ix_pos && ix.ix_pos.(nid) >= 0
+
+(* ------------------------------------------------------------------ *)
 (* Queries used by μopt passes                                         *)
 
 let node_space (n : node) : space_id option =

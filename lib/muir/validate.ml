@@ -15,15 +15,13 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
   let err fmt =
     Fmt.kstr (fun m -> errs := { vwhere = t.tname; vwhat = m } :: !errs) fmt
   in
-  (* Unique node ids; index nodes by id while we're at it so the
-     per-edge endpoint checks below are O(1), not a list scan. *)
-  let by_id : (int, G.node) Hashtbl.t =
-    Hashtbl.create (List.length t.nodes)
-  in
-  List.iter
-    (fun (n : G.node) ->
-      if Hashtbl.mem by_id n.nid then err "duplicate node id n%d" n.nid
-      else Hashtbl.replace by_id n.nid n)
+  (* Unique, non-negative node ids: the index holds the first node of
+     each id, so a node found elsewhere is a later duplicate. *)
+  let ix = G.index t in
+  List.iteri
+    (fun i (n : G.node) ->
+      if n.nid < 0 then err "negative node id n%d" n.nid
+      else if ix.ix_pos.(n.nid) <> i then err "duplicate node id n%d" n.nid)
     t.nodes;
   (* Unique edge ids. *)
   let eids = Hashtbl.create (List.length t.edges) in
@@ -32,10 +30,17 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
       if Hashtbl.mem eids e.eid then err "duplicate edge id e%d" e.eid
       else Hashtbl.replace eids e.eid ())
     t.edges;
-  let find nid = Hashtbl.find_opt by_id nid in
-  (* Edges reference live endpoints and in-range wired ports; [drv]
-     maps each driven input port to its (first) driving edge. *)
-  let drv : (G.node_id * int, G.edge) Hashtbl.t = Hashtbl.create 64 in
+  let find nid = if G.ix_mem ix nid then Some ix.ix_node.(nid) else None in
+  (* Edges reference live endpoints and in-range wired ports; each
+     node's driver row holds its input ports' (first) driving edges. *)
+  let drv =
+    Array.map (fun (n : G.node) -> Array.make (Array.length n.ins) None)
+      ix.ix_node
+  in
+  let driver nid port =
+    if G.ix_mem ix nid && port < Array.length drv.(nid) then drv.(nid).(port)
+    else None
+  in
   List.iter
     (fun (e : G.edge) ->
       (match find (fst e.src) with
@@ -57,9 +62,10 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
           | G.Simm _ ->
             err "edge e%d: target port n%d.%d is an immediate" e.eid
               (fst e.dst) (snd e.dst));
-          if Hashtbl.mem drv e.dst then
+          match driver (fst e.dst) (snd e.dst) with
+          | Some _ ->
             err "input port n%d.%d driven twice" (fst e.dst) (snd e.dst)
-          else Hashtbl.add drv e.dst e
+          | None -> drv.(fst e.dst).(snd e.dst) <- Some e
         end);
       if e.capacity < 1 then err "edge e%d: capacity < 1" e.eid;
       if List.length e.initial > e.capacity then
@@ -70,12 +76,11 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
     (fun (n : G.node) ->
       Array.iteri
         (fun i slot ->
-          match slot with
-          | G.Simm _ -> ()
-          | G.Swire ->
-            if not (Hashtbl.mem drv (n.nid, i)) then
-              err "input port n%d.%d (%s) is undriven" n.nid i
-                (G.kind_to_string n.kind))
+          match (slot, driver n.nid i) with
+          | G.Simm _, _ | G.Swire, Some _ -> ()
+          | G.Swire, None ->
+            err "input port n%d.%d (%s) is undriven" n.nid i
+              (G.kind_to_string n.kind))
         n.ins)
     t.nodes;
   (* Node-kind specific rules; live-outs are counted per index. *)
@@ -84,7 +89,7 @@ let validate_task (c : G.circuit) (t : G.task) : error list =
     (fun (n : G.node) ->
       match n.kind with
       | G.MergeLoop -> (
-        match Hashtbl.find_opt drv (n.nid, G.mu_ctl) with
+        match driver n.nid G.mu_ctl with
         | Some e ->
           if e.initial <> [ Muir_ir.Types.VBool false ] then
             err "mu n%d: ctl edge must carry one initial false token" n.nid

@@ -181,6 +181,85 @@ let test_validate_messages () =
         loop.tname mu.nid;
       Fmt.str "%s: liveout 0 produced 0 times" loop.tname ]
 
+(* Validate on malformed ids and ports.  The checks read a per-task
+   index sized by the largest node id present, so ids outside it, ids
+   in a gap of it and nodes at or above [next_nid] each get a case.
+   [tiny] is livein0 -> ident -> liveout0 with edges e0 and e1.  A
+   task's messages list in reverse order of detection. *)
+let tiny () =
+  let t =
+    G.new_task ~tid:0 ~tname:"tiny" ~tkind:G.Tfunc
+      ~arg_tys:[ Muir_ir.Types.TBool ] ~res_tys:[ Muir_ir.Types.TBool ]
+  in
+  let node k nins = G.add_node t ~ty:Muir_ir.Types.TBool k ~nins in
+  let li = node (G.LiveIn 0) 0 in
+  let id = node (G.Compute G.Fident) 1 in
+  let lo = node (G.LiveOut 0) 1 in
+  ignore (G.connect t ~src:(li.nid, 0) ~dst:(id.nid, 0));
+  ignore (G.connect t ~src:(id.nid, 0) ~dst:(lo.nid, 0));
+  let c =
+    { G.cname = "tiny"; tasks = [ t ]; root = 0;
+      structures =
+        [ { G.sid = 0; sname = "mem";
+            shape =
+              G.Scratchpad
+                { banks = 1; ports_per_bank = 1; latency = 1;
+                  width_words = 1; wb_buffer = false } } ];
+      space_map = [ (0, 0) ]; junction_width = [];
+      prog = { Muir_ir.Program.globals = []; funcs = [] } }
+  in
+  (c, t)
+
+let test_validate_malformed_ids () =
+  let case name mutate want =
+    let c, t = tiny () in
+    mutate t;
+    Alcotest.(check (list string)) name want
+      (List.map (Fmt.str "%a" Validate.pp_error) (Validate.validate c))
+  in
+  let e1 (t : G.task) = List.nth t.edges 1 in
+  case "well formed" ignore [];
+  List.iter
+    (fun bad ->
+      case (Fmt.str "source id %d" bad)
+        (fun t -> (e1 t).src <- (bad, 0))
+        [ Fmt.str "tiny: edge e1: source n%d missing" bad ];
+      case (Fmt.str "target id %d" bad)
+        (fun t -> (e1 t).dst <- (bad, 0))
+        [ "tiny: input port n2.0 (liveout0) is undriven";
+          Fmt.str "tiny: edge e1: target n%d missing" bad ])
+    [ -1; 3; 4; 1000 ];
+  (* An unused id inside the index: drop the ident node, leaving a gap
+     between n0 and n2. *)
+  case "unused id"
+    (fun t -> t.nodes <- List.filter (fun (n : G.node) -> n.nid <> 1) t.nodes)
+    [ "tiny: edge e1: source n1 missing"; "tiny: edge e0: target n1 missing" ];
+  case "target port out of range"
+    (fun t -> (e1 t).dst <- (2, 1))
+    [ "tiny: input port n2.0 (liveout0) is undriven";
+      "tiny: edge e1: target port 1 out of range (arity 1)" ];
+  case "negative target port"
+    (fun t -> (e1 t).dst <- (2, -1))
+    [ "tiny: input port n2.0 (liveout0) is undriven";
+      "tiny: edge e1: target port -1 out of range (arity 1)" ];
+  case "port driven twice"
+    (fun t -> (e1 t).dst <- (1, 0))
+    [ "tiny: input port n2.0 (liveout0) is undriven";
+      "tiny: input port n1.0 driven twice" ];
+  case "undriven wired port"
+    (fun t -> t.edges <- [ List.hd t.edges ])
+    [ "tiny: input port n2.0 (liveout0) is undriven" ];
+  case "negative node id"
+    (fun t -> t.nodes <- t.nodes @ [ { (List.hd t.nodes) with G.nid = -1 } ])
+    [ "tiny: negative node id n-1" ];
+  (* Ids at and above [next_nid] index like any other. *)
+  case "node ids at or above next_nid" (fun t -> t.next_nid <- 1) [];
+  case "node ids at or above next_nid, then malformed"
+    (fun t ->
+      t.next_nid <- 0;
+      (e1 t).src <- (3, 0))
+    [ "tiny: edge e1: source n3 missing" ]
+
 let test_graph_size () =
   let c = Build.circuit (compile nested_src) in
   let n, e = G.graph_size c in
@@ -483,6 +562,8 @@ let () =
         [ Alcotest.test_case "catches broken graph" `Quick
             test_validate_catches_broken;
           Alcotest.test_case "messages" `Quick test_validate_messages;
+          Alcotest.test_case "malformed ids and ports" `Quick
+            test_validate_malformed_ids;
           Alcotest.test_case "graph size" `Quick test_graph_size;
           Alcotest.test_case "structure binding" `Quick
             test_structure_binding ] );
