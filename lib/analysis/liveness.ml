@@ -55,18 +55,26 @@ let ins_of (c : ctx) (nid : int) : G.edge list = c.ix.ix_ins.(nid)
 (** Out-edges by source node, last edge first. *)
 let outs_of (c : ctx) (nid : int) : G.edge list = c.ix.ix_outs.(nid)
 
+(** A table over the task's node ids, every entry [v]. *)
+let node_table (c : ctx) (v : 'a) : 'a array =
+  Array.make (Array.length c.ix.ix_pos) v
+
+(** Does [e] carry initial tokens? *)
+let primed (e : G.edge) : bool =
+  match e.initial with [] -> false | _ :: _ -> true
+
 (** [blocking] edges must receive a freshly produced token before
     their target's first firing: no initial tokens, and the target
     port is read by that firing. *)
 let blocking_edge (c : ctx) (e : G.edge) : bool =
-  e.initial = [] && first_fire_reads (node_of c (fst e.dst)) (snd e.dst)
+  (not (primed e)) && first_fire_reads (node_of c (fst e.dst)) (snd e.dst)
 
 (** Strongly connected components of the blocking-edge subgraph
     (Tarjan).  Components with a cycle — more than one node, or a
     blocking self-loop — can never fire. *)
 let deadlock_cycles (c : ctx) : int list list =
-  let index = Hashtbl.create 64 and low = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
+  let index = node_table c (-1) and low = node_table c 0 in
+  let on_stack = node_table c false in
   let stack = ref [] and counter = ref 0 and sccs = ref [] in
   let succs nid =
     List.filter_map
@@ -75,36 +83,33 @@ let deadlock_cycles (c : ctx) : int list list =
       (outs_of c nid)
   in
   let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace low v !counter;
+    index.(v) <- !counter;
+    low.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
+    on_stack.(v) <- true;
     List.iter
       (fun w ->
-        if not (Hashtbl.mem index w) then begin
+        if index.(w) < 0 then begin
           strongconnect w;
-          Hashtbl.replace low v (min (Hashtbl.find low v) (Hashtbl.find low w))
+          if low.(w) < low.(v) then low.(v) <- low.(w)
         end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace low v
-            (min (Hashtbl.find low v) (Hashtbl.find index w)))
+        else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w))
       (succs v);
-    if Hashtbl.find low v = Hashtbl.find index v then begin
+    if low.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
           stack := rest;
-          Hashtbl.remove on_stack w;
+          on_stack.(w) <- false;
           if w = v then w :: acc else pop (w :: acc)
       in
       sccs := pop [] :: !sccs
     end
   in
   List.iter
-    (fun (n : G.node) -> if not (Hashtbl.mem index n.nid) then
-        strongconnect n.nid)
+    (fun (n : G.node) -> if index.(n.nid) < 0 then strongconnect n.nid)
     c.t.nodes;
   List.filter
     (fun scc ->
@@ -118,8 +123,8 @@ let deadlock_cycles (c : ctx) : int list list =
     input port is satisfiable when some in-edge either carries initial
     tokens or comes from a firable node on a live output port.  Steers
     with an immediate predicate only make the taken side live. *)
-let can_fire_set (c : ctx) : (int, unit) Hashtbl.t =
-  let fire = Hashtbl.create 64 in
+let can_fire_set (c : ctx) : bool array =
+  let fire = node_table c false in
   let live_out (n : G.node) (port : int) : bool =
     match n.kind with
     | G.Steer | G.FusedSteer _ -> (
@@ -140,10 +145,8 @@ let can_fire_set (c : ctx) : (int, unit) Hashtbl.t =
     List.exists
       (fun (e : G.edge) ->
         snd e.dst = p
-        && (e.initial <> []
-           ||
-           (Hashtbl.mem fire (fst e.src)
-           && live_out (node_of c (fst e.src)) (snd e.src))))
+        && (primed e
+           || fire.(fst e.src) && live_out (node_of c (fst e.src)) (snd e.src)))
       (ins_of c n.nid)
   in
   let changed = ref true in
@@ -151,10 +154,9 @@ let can_fire_set (c : ctx) : (int, unit) Hashtbl.t =
     changed := false;
     List.iter
       (fun (n : G.node) ->
-        if not (Hashtbl.mem fire n.nid)
-           && List.for_all (port_ok n) (required_ports n)
+        if (not fire.(n.nid)) && List.for_all (port_ok n) (required_ports n)
         then begin
-          Hashtbl.replace fire n.nid ();
+          fire.(n.nid) <- true;
           changed := true
         end)
       c.t.nodes
@@ -164,31 +166,33 @@ let can_fire_set (c : ctx) : (int, unit) Hashtbl.t =
 (** Forward closure from nodes that emit without waiting on wired
     inputs (live-ins, immediate-only nodes) and from targets of primed
     edges — everything else can never see a token. *)
-let reachable_set (c : ctx) : (int, unit) Hashtbl.t =
-  let seen = Hashtbl.create 64 in
+let reachable_set (c : ctx) : bool array =
+  let seen = node_table c false in
   let rec visit nid =
-    if not (Hashtbl.mem seen nid) then begin
-      Hashtbl.replace seen nid ();
+    if not seen.(nid) then begin
+      seen.(nid) <- true;
       List.iter (fun (e : G.edge) -> visit (fst e.dst)) (outs_of c nid)
     end
   in
   List.iter
     (fun (n : G.node) ->
-      let has_wired = Array.exists (fun s -> s = G.Swire) n.ins in
+      let has_wired =
+        Array.exists (function G.Swire -> true | G.Simm _ -> false) n.ins
+      in
       if not has_wired then visit n.nid)
     c.t.nodes;
   List.iter
-    (fun (e : G.edge) -> if e.initial <> [] then visit (fst e.dst))
+    (fun (e : G.edge) -> if primed e then visit (fst e.dst))
     c.t.edges;
   seen
 
 (** Backward closure from live-out capture nodes: the nodes whose
     silence loses an observable result. *)
-let feeds_liveout_set (c : ctx) : (int, unit) Hashtbl.t =
-  let seen = Hashtbl.create 64 in
+let feeds_liveout_set (c : ctx) : bool array =
+  let seen = node_table c false in
   let rec visit nid =
-    if not (Hashtbl.mem seen nid) then begin
-      Hashtbl.replace seen nid ();
+    if not seen.(nid) then begin
+      seen.(nid) <- true;
       List.iter (fun (e : G.edge) -> visit (fst e.src)) (ins_of c nid)
     end
   in
@@ -237,23 +241,22 @@ let add_paths (m : (int, path) Hashtbl.t) (e : G.edge)
     residual zero-token cycles (already reported as deadlocks) are cut
     by the on-stack guard. *)
 let ancestor_maps (c : ctx) : int -> (int, path) Hashtbl.t =
-  let memo : (int, (int, path) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 16 in
+  let memo = node_table c None and on_stack = node_table c false in
   let rec anc nid : (int, path) Hashtbl.t =
-    match Hashtbl.find_opt memo nid with
+    match memo.(nid) with
     | Some m -> m
     | None ->
-      if Hashtbl.mem on_stack nid then Hashtbl.create 1
+      if on_stack.(nid) then Hashtbl.create 1
       else begin
-        Hashtbl.replace on_stack nid ();
+        on_stack.(nid) <- true;
         let m = Hashtbl.create 8 in
         Hashtbl.replace m nid { dmin = 0; dmax = 0; slack = 0 };
         List.iter
           (fun (e : G.edge) ->
             if blocking_edge c e then add_paths m e (anc (fst e.src)))
           (ins_of c nid);
-        Hashtbl.remove on_stack nid;
-        Hashtbl.replace memo nid m;
+        on_stack.(nid) <- false;
+        memo.(nid) <- Some m;
         m
       end
   in
@@ -277,7 +280,7 @@ let buffer_warnings (c : ctx) : Diag.t list =
         Array.to_list n.ins
         |> List.mapi (fun i s -> (i, s))
         |> List.filter_map (fun (i, s) ->
-               if s = G.Swire then Some i else None)
+               match s with G.Swire -> Some i | G.Simm _ -> None)
       in
       let skip = match n.kind with G.MergeLoop -> true | _ -> false in
       if skip || List.length wired < 2 then None
@@ -326,10 +329,8 @@ let buffer_warnings (c : ctx) : Diag.t list =
 let check_task (t : G.task) : Diag.t list =
   let c = make_ctx t in
   let cycles = deadlock_cycles c in
-  let in_cycle = Hashtbl.create 16 in
-  List.iter
-    (fun scc -> List.iter (fun v -> Hashtbl.replace in_cycle v ()) scc)
-    cycles;
+  let in_cycle = node_table c false in
+  List.iter (List.iter (fun v -> in_cycle.(v) <- true)) cycles;
   let cycle_diags =
     List.map
       (fun scc ->
@@ -349,7 +350,7 @@ let check_task (t : G.task) : Diag.t list =
   let unreachable_diags =
     List.filter_map
       (fun (n : G.node) ->
-        if Hashtbl.mem reach n.nid || Hashtbl.mem in_cycle n.nid then None
+        if reach.(n.nid) || in_cycle.(n.nid) then None
         else
           Some
             (Diag.warning ~node:n.nid ~code:"unreachable" ~where:t.tname
@@ -365,17 +366,16 @@ let check_task (t : G.task) : Diag.t list =
     List.filter_map
       (fun (n : G.node) ->
         let is_frontier =
-          (not (Hashtbl.mem fire n.nid))
-          && (not (Hashtbl.mem in_cycle n.nid))
-          && Hashtbl.mem reach n.nid
+          (not fire.(n.nid))
+          && (not in_cycle.(n.nid))
+          && reach.(n.nid)
           && List.for_all
                (fun (e : G.edge) ->
-                 (not (blocking_edge c e))
-                 || Hashtbl.mem fire (fst e.src))
+                 (not (blocking_edge c e)) || fire.(fst e.src))
                (ins_of c n.nid)
         in
         if not is_frontier then None
-        else if Hashtbl.mem to_liveout n.nid then
+        else if to_liveout.(n.nid) then
           Some
             (Diag.error ~node:n.nid ~code:"starved" ~where:t.tname
                "n%d (%s) can never fire — an upstream steer's immediate \

@@ -138,8 +138,8 @@ type pred_class = AlwaysTrue | LoopCond | Other
 
 type tctx = {
   ctx : Liveness.ctx;
-  every_wave : (int, unit) Hashtbl.t;
-      (** nodes firing once per wave, proven structurally *)
+  every_wave : bool array;
+      (** by node id: fires once per wave, proven structurally *)
   pred_of : G.node -> pred_class;
   nid_of : int array;  (** dense index (position in [t.nodes]) -> node id *)
 }
@@ -154,7 +154,8 @@ let make_tctx (t : G.task) : tctx =
      it (build wires LiveIn 0 into the token mu's init port). *)
   let livein0 =
     List.find_opt
-      (fun (nd : G.node) -> nd.kind = G.LiveIn 0)
+      (fun (nd : G.node) ->
+        match nd.kind with G.LiveIn 0 -> true | _ -> false)
       nodes
   in
   let li0 = match livein0 with Some nd -> nd.nid | None -> -1 in
@@ -169,20 +170,21 @@ let make_tctx (t : G.task) : tctx =
         else acc)
       (-1) t.edges
   in
-  (* The loop-condition port: source of the primed control edges into
-     the mu nodes' ctl inputs. *)
-  let ctl_srcs = Hashtbl.create 4 in
-  List.iter
-    (fun (e : G.edge) ->
-      match e.initial with
-      | [ T.VBool false ]
-        when snd e.dst = G.mu_ctl
-             && (match (Liveness.node_of ctx (fst e.dst)).kind with
-                | G.MergeLoop -> true
-                | _ -> false) ->
-        Hashtbl.replace ctl_srcs e.src ()
-      | _ -> ())
-    t.edges;
+  (* The loop-condition ports: sources of the primed control edges
+     into the mu nodes' ctl inputs. *)
+  let ctl_srcs =
+    List.filter_map
+      (fun (e : G.edge) ->
+        match e.initial with
+        | [ T.VBool false ]
+          when snd e.dst = G.mu_ctl
+               && (match (Liveness.node_of ctx (fst e.dst)).kind with
+                  | G.MergeLoop -> true
+                  | _ -> false) ->
+          Some e.src
+        | _ -> None)
+      t.edges
+  in
   let pred_of (nd : G.node) : pred_class =
     match nd.ins.(G.pred_port) with
     | G.Simm v -> if T.truthy v then AlwaysTrue else Other
@@ -195,7 +197,9 @@ let make_tctx (t : G.task) : tctx =
       | None -> Other
       | Some e ->
         if fst e.src = li0 || fst e.src = mu_tok then AlwaysTrue
-        else if Hashtbl.mem ctl_srcs e.src then LoopCond
+        else if
+          List.exists (fun (n, p) -> n = fst e.src && p = snd e.src) ctl_srcs
+        then LoopCond
         else Other)
   in
   (* Nodes that fire once per wave: control and memory plumbing
@@ -203,7 +207,7 @@ let make_tctx (t : G.task) : tctx =
      and forward their tokens); a compute does iff everything feeding
      it does, and nothing feeding it is a steer output (a steer emits
      on only one side). *)
-  let every_wave = Hashtbl.create n in
+  let every_wave = Liveness.node_table ctx false in
   List.iter
     (fun (nd : G.node) ->
       match nd.kind with
@@ -211,7 +215,7 @@ let make_tctx (t : G.task) : tctx =
       | G.LiveIn _ | G.LiveOut _
       | G.Load _ | G.Store _ | G.Tload _ | G.Tstore _
       | G.CallChild _ | G.SpawnChild _ | G.SyncWait ->
-        Hashtbl.replace every_wave nd.nid ()
+        every_wave.(nd.nid) <- true
       | G.Compute _ | G.Fused _ | G.Tcompute _ -> ())
     nodes;
   let changed = ref true in
@@ -221,11 +225,11 @@ let make_tctx (t : G.task) : tctx =
       (fun (nd : G.node) ->
         match nd.kind with
         | G.Compute _ | G.Fused _ | G.Tcompute _
-          when not (Hashtbl.mem every_wave nd.nid) ->
+          when not every_wave.(nd.nid) ->
           let ok =
             List.for_all
               (fun (e : G.edge) ->
-                Hashtbl.mem every_wave (fst e.src)
+                every_wave.(fst e.src)
                 &&
                 match (Liveness.node_of ctx (fst e.src)).kind with
                 | G.Steer | G.FusedSteer _ -> false
@@ -233,7 +237,7 @@ let make_tctx (t : G.task) : tctx =
               (Liveness.ins_of ctx nd.nid)
           in
           if ok then begin
-            Hashtbl.replace every_wave nd.nid ();
+            every_wave.(nd.nid) <- true;
             changed := true
           end
         | _ -> ())
@@ -259,7 +263,7 @@ let build_sdf (tc : tctx) ~(flavor : flavor) ~(restrict : bool)
     ~(window : G.node -> (int * int * G.task_id) option) :
     prov Sdf.edge list =
   let t = tc.ctx.t in
-  let keep nid = (not restrict) || Hashtbl.mem tc.every_wave nid in
+  let keep nid = (not restrict) || tc.every_wave.(nid) in
   let idx nid = tc.ctx.ix.ix_pos.(nid) in
   let acc = ref [] in
   List.iter
@@ -418,55 +422,48 @@ let analyze (c : G.circuit) : t =
         let t = task tid and tc = tctxs.(tid) in
         (* Longest path to the done live-out over blocking edges;
            merges take the min over their value arms (only the taken
-           arm ever feeds a firing). *)
-        let fmemo = Hashtbl.create 32 in
-        let on_path = Hashtbl.create 8 in
+           arm ever feeds a firing).  Paths are >= 0, so -1 marks an
+           unmemoized node. *)
+        let fmemo = Liveness.node_table tc.ctx (-1) in
+        let on_path = Liveness.node_table tc.ctx false in
         let rec f_of nid : int =
-          match Hashtbl.find_opt fmemo nid with
-          | Some v -> v
-          | None ->
-            if Hashtbl.mem on_path nid then 0
-            else begin
-              Hashtbl.replace on_path nid ();
-              let nd = Liveness.node_of tc.ctx nid in
-              let contribs =
-                List.filter_map
-                  (fun (e : G.edge) ->
-                    if Liveness.blocking_edge tc.ctx e
-                    then
-                      let sn = Liveness.node_of tc.ctx (fst e.src) in
-                      Some (snd e.dst, f_of (fst e.src) + out_lat tc sn)
-                    else None)
-                  (Liveness.ins_of tc.ctx nid)
-              in
-              let v =
-                match nd.kind with
-                | G.Merge k ->
-                  let preds, vals =
-                    List.partition (fun (p, _) -> p < k) contribs
-                  in
-                  let maxl l =
-                    List.fold_left (fun a (_, x) -> max a x) 0 l
-                  in
-                  let minl = function
-                    | [] -> 0
-                    | l ->
-                      List.fold_left
-                        (fun a (_, x) -> min a x)
-                        max_int l
-                  in
-                  max (maxl preds) (minl vals)
-                | _ ->
-                  List.fold_left (fun a (_, x) -> max a x) 0 contribs
-              in
-              Hashtbl.remove on_path nid;
-              Hashtbl.replace fmemo nid v;
-              v
-            end
+          if fmemo.(nid) >= 0 then fmemo.(nid)
+          else if on_path.(nid) then 0
+          else begin
+            on_path.(nid) <- true;
+            let nd = Liveness.node_of tc.ctx nid in
+            let contribs =
+              List.filter_map
+                (fun (e : G.edge) ->
+                  if Liveness.blocking_edge tc.ctx e then
+                    let sn = Liveness.node_of tc.ctx (fst e.src) in
+                    Some (snd e.dst, f_of (fst e.src) + out_lat tc sn)
+                  else None)
+                (Liveness.ins_of tc.ctx nid)
+            in
+            let v =
+              match nd.kind with
+              | G.Merge k ->
+                let preds, vals =
+                  List.partition (fun (p, _) -> p < k) contribs
+                in
+                let maxl l = List.fold_left (fun a (_, x) -> max a x) 0 l in
+                let minl = function
+                  | [] -> 0
+                  | l -> List.fold_left (fun a (_, x) -> min a x) max_int l
+                in
+                max (maxl preds) (minl vals)
+              | _ -> List.fold_left (fun a (_, x) -> max a x) 0 contribs
+            in
+            on_path.(nid) <- false;
+            fmemo.(nid) <- v;
+            v
+          end
         in
         let lo0 =
           List.find_opt
-            (fun (nd : G.node) -> nd.kind = G.LiveOut 0)
+            (fun (nd : G.node) ->
+              match nd.kind with G.LiveOut 0 -> true | _ -> false)
             t.nodes
         in
         let path = match lo0 with Some nd -> f_of nd.nid | None -> 1 in
