@@ -77,14 +77,14 @@ let find_cycle (n : int) (edges : 'a edge list) (keep : 'a edge -> bool)
         (match color.(e.edst) with
         | 1 ->
           (* back edge: the cycle is [e] plus the path suffix from
-             [e.edst] down to [v] *)
+             [e.edst] down to [v] — none of it when [e] is a self-loop *)
           let rec suffix acc = function
             | [] -> acc
             | p :: tl ->
               if p.esrc = e.edst then p :: acc
               else suffix (p :: acc) tl
           in
-          found := Some (suffix [ e ] path)
+          found := Some (if e.edst = v then [ e ] else suffix [ e ] path)
         | 0 -> visit (e :: path) e.edst
         | _ -> ());
         if !found = None then step rest
