@@ -42,22 +42,24 @@ let first_fire_reads (n : G.node) (port : int) : bool =
 (* ------------------------------------------------------------------ *)
 (* Per-task analysis                                                   *)
 
-(** A task and its index: nodes, in-edges and out-edges by node id. *)
+(** A task and its index: each node, its in-edges and its out-edges
+    (last edge first) by node id. *)
 type ctx = { t : G.task; ix : G.index }
 
 let make_ctx (t : G.task) : ctx = { t; ix = G.index t }
-
 let node_of (c : ctx) (nid : int) : G.node = c.ix.ix_node.(nid)
-
-(** In-edges by target node, last edge first. *)
 let ins_of (c : ctx) (nid : int) : G.edge list = c.ix.ix_ins.(nid)
-
-(** Out-edges by source node, last edge first. *)
 let outs_of (c : ctx) (nid : int) : G.edge list = c.ix.ix_outs.(nid)
 
 (** A table over the task's node ids, every entry [v]. *)
 let node_table (c : ctx) (v : 'a) : 'a array =
   Array.make (Array.length c.ix.ix_pos) v
+
+(** The wired (non-immediate) input ports of [n], in order. *)
+let wired_ports (n : G.node) : int list =
+  List.filter
+    (fun i -> match n.ins.(i) with G.Swire -> true | G.Simm _ -> false)
+    (List.init (Array.length n.ins) Fun.id)
 
 (** Does [e] carry initial tokens? *)
 let primed (e : G.edge) : bool =
@@ -112,11 +114,10 @@ let deadlock_cycles (c : ctx) : int list list =
     (fun (n : G.node) -> if index.(n.nid) < 0 then strongconnect n.nid)
     c.t.nodes;
   List.filter
-    (fun scc ->
-      match scc with
+    (function
+      | [] -> false
       | [ v ] -> List.exists (fun w -> w = v) (succs v) (* self-loop *)
-      | _ :: _ :: _ -> true
-      | [] -> false)
+      | _ :: _ :: _ -> true)
     !sccs
 
 (** Least fixpoint of "this node can fire at least once".  A wired
@@ -133,28 +134,23 @@ let can_fire_set (c : ctx) : bool array =
       | G.Swire -> true)
     | _ -> true
   in
-  let required_ports (n : G.node) : int list =
-    Array.to_list n.ins
-    |> List.mapi (fun i s -> (i, s))
-    |> List.filter_map (fun (i, s) ->
-           match s with
-           | G.Simm _ -> None
-           | G.Swire -> if first_fire_reads n i then Some i else None)
-  in
+  (* A wired port the first firing does not read needs no token. *)
   let port_ok (n : G.node) (p : int) : bool =
-    List.exists
-      (fun (e : G.edge) ->
-        snd e.dst = p
-        && (primed e
-           || fire.(fst e.src) && live_out (node_of c (fst e.src)) (snd e.src)))
-      (ins_of c n.nid)
+    (not (first_fire_reads n p))
+    || List.exists
+         (fun (e : G.edge) ->
+           snd e.dst = p
+           && (primed e
+              || fire.(fst e.src)
+                 && live_out (node_of c (fst e.src)) (snd e.src)))
+         (ins_of c n.nid)
   in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun (n : G.node) ->
-        if (not fire.(n.nid)) && List.for_all (port_ok n) (required_ports n)
+        if (not fire.(n.nid)) && List.for_all (port_ok n) (wired_ports n)
         then begin
           fire.(n.nid) <- true;
           changed := true
@@ -176,10 +172,7 @@ let reachable_set (c : ctx) : bool array =
   in
   List.iter
     (fun (n : G.node) ->
-      let has_wired =
-        Array.exists (function G.Swire -> true | G.Simm _ -> false) n.ins
-      in
-      if not has_wired then visit n.nid)
+      match wired_ports n with [] -> visit n.nid | _ :: _ -> ())
     c.t.nodes;
   List.iter
     (fun (e : G.edge) -> if primed e then visit (fst e.dst))
@@ -215,9 +208,9 @@ let merge_path (a : path) (b : path) : path =
   let dmin, slack =
     if a.dmin < b.dmin then (a.dmin, a.slack)
     else if b.dmin < a.dmin then (b.dmin, b.slack)
-    else (a.dmin, max a.slack b.slack)
+    else (a.dmin, Int.max a.slack b.slack)
   in
-  { dmin; dmax = max a.dmax b.dmax; slack }
+  { dmin; dmax = Int.max a.dmax b.dmax; slack }
 
 (** Fold into [m] the paths through edge [e] from its source's
     ancestor map [src]: one registered stage deeper, [e.capacity]
@@ -245,20 +238,18 @@ let ancestor_maps (c : ctx) : int -> (int, path) Hashtbl.t =
   let rec anc nid : (int, path) Hashtbl.t =
     match memo.(nid) with
     | Some m -> m
+    | None when on_stack.(nid) -> Hashtbl.create 1
     | None ->
-      if on_stack.(nid) then Hashtbl.create 1
-      else begin
-        on_stack.(nid) <- true;
-        let m = Hashtbl.create 8 in
-        Hashtbl.replace m nid { dmin = 0; dmax = 0; slack = 0 };
-        List.iter
-          (fun (e : G.edge) ->
-            if blocking_edge c e then add_paths m e (anc (fst e.src)))
-          (ins_of c nid);
-        on_stack.(nid) <- false;
-        memo.(nid) <- Some m;
-        m
-      end
+      on_stack.(nid) <- true;
+      let m = Hashtbl.create 8 in
+      Hashtbl.replace m nid { dmin = 0; dmax = 0; slack = 0 };
+      List.iter
+        (fun (e : G.edge) ->
+          if blocking_edge c e then add_paths m e (anc (fst e.src)))
+        (ins_of c nid);
+      on_stack.(nid) <- false;
+      memo.(nid) <- Some m;
+      m
   in
   anc
 
@@ -276,12 +267,7 @@ let buffer_warnings (c : ctx) : Diag.t list =
   in
   List.filter_map
     (fun (n : G.node) ->
-      let wired =
-        Array.to_list n.ins
-        |> List.mapi (fun i s -> (i, s))
-        |> List.filter_map (fun (i, s) ->
-               match s with G.Swire -> Some i | G.Simm _ -> None)
-      in
+      let wired = wired_ports n in
       let skip = match n.kind with G.MergeLoop -> true | _ -> false in
       if skip || List.length wired < 2 then None
       else begin

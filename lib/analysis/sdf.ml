@@ -110,10 +110,8 @@ let find_cycle (n : int) (edges : 'a edge list) (keep : 'a edge -> bool)
    cycle's edge indices in traversal order. *)
 let positive_cycle (n : int) ~(src : int array) ~(dst : int array)
     ~(cost : int array) : int list option =
-  let dist = Array.make n 0 in
-  let pred = Array.make n (-1) in
-  (* One pass in edge order; the index of the last edge it relaxed,
-     or -1 when nothing changed. *)
+  let dist = Array.make n 0 and pred = Array.make n (-1) in
+  (* One pass in edge order: the last edge it relaxed, or -1. *)
   let relax_pass () =
     let last = ref (-1) in
     for i = 0 to Array.length src - 1 do
@@ -129,7 +127,7 @@ let positive_cycle (n : int) ~(src : int array) ~(dst : int array)
   let pass = ref 0 in
   while !pass < n && relax_pass () >= 0 do incr pass done;
   if !pass < n then None (* converged: no positive cycle *)
-  else begin
+  else
     let witness = relax_pass () in
     if witness < 0 then None
     else begin
@@ -147,7 +145,6 @@ let positive_cycle (n : int) ~(src : int array) ~(dst : int array)
       in
       Some (collect [] start)
     end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

@@ -138,8 +138,7 @@ type pred_class = AlwaysTrue | LoopCond | Other
 
 type tctx = {
   ctx : Liveness.ctx;
-  every_wave : bool array;
-      (** by node id: fires once per wave, proven structurally *)
+  every_wave : bool array;  (** by node id: provably fires once per wave *)
   pred_of : G.node -> pred_class;
   nid_of : int array;  (** dense index (position in [t.nodes]) -> node id *)
 }
@@ -147,25 +146,22 @@ type tctx = {
 let make_tctx (t : G.task) : tctx =
   let ctx = Liveness.make_ctx t in
   let nodes = t.nodes in
-  let n = List.length nodes in
-  let nid_of = Array.make (max n 1) 0 in
-  List.iteri (fun i (nd : G.node) -> nid_of.(i) <- nd.nid) nodes;
+  let nid_of = Array.of_list (List.map (fun (nd : G.node) -> nd.nid) nodes) in
   (* The wave token's entry: LiveIn 0, and the token mu primed from
      it (build wires LiveIn 0 into the token mu's init port). *)
-  let livein0 =
-    List.find_opt
-      (fun (nd : G.node) ->
-        match nd.kind with G.LiveIn 0 -> true | _ -> false)
-      nodes
+  let li0 =
+    List.fold_left
+      (fun acc (nd : G.node) ->
+        match nd.kind with G.LiveIn 0 when acc < 0 -> nd.nid | _ -> acc)
+      (-1) nodes
   in
-  let li0 = match livein0 with Some nd -> nd.nid | None -> -1 in
+  let is_mu nid =
+    match (Liveness.node_of ctx nid).kind with G.MergeLoop -> true | _ -> false
+  in
   let mu_tok =
     List.fold_left
       (fun acc (e : G.edge) ->
-        if fst e.src = li0 && snd e.dst = G.mu_init
-           && (match (Liveness.node_of ctx (fst e.dst)).kind with
-              | G.MergeLoop -> true
-              | _ -> false)
+        if fst e.src = li0 && snd e.dst = G.mu_init && is_mu (fst e.dst)
         then fst e.dst
         else acc)
       (-1) t.edges
@@ -176,11 +172,7 @@ let make_tctx (t : G.task) : tctx =
     List.filter_map
       (fun (e : G.edge) ->
         match e.initial with
-        | [ T.VBool false ]
-          when snd e.dst = G.mu_ctl
-               && (match (Liveness.node_of ctx (fst e.dst)).kind with
-                  | G.MergeLoop -> true
-                  | _ -> false) ->
+        | [ T.VBool false ] when snd e.dst = G.mu_ctl && is_mu (fst e.dst) ->
           Some e.src
         | _ -> None)
       t.edges
@@ -441,19 +433,16 @@ let analyze (c : G.circuit) : t =
                   else None)
                 (Liveness.ins_of tc.ctx nid)
             in
+            let maxl l = List.fold_left (fun a (_, x) -> Int.max a x) 0 l in
             let v =
               match nd.kind with
-              | G.Merge k ->
-                let preds, vals =
-                  List.partition (fun (p, _) -> p < k) contribs
-                in
-                let maxl l = List.fold_left (fun a (_, x) -> max a x) 0 l in
-                let minl = function
-                  | [] -> 0
-                  | l -> List.fold_left (fun a (_, x) -> min a x) max_int l
-                in
-                max (maxl preds) (minl vals)
-              | _ -> List.fold_left (fun a (_, x) -> max a x) 0 contribs
+              | G.Merge k -> (
+                match List.partition (fun (p, _) -> p < k) contribs with
+                | preds, [] -> maxl preds
+                | preds, vals ->
+                  Int.max (maxl preds)
+                    (List.fold_left (fun a (_, x) -> Int.min a x) max_int vals))
+              | _ -> maxl contribs
             in
             on_path.(nid) <- false;
             fmemo.(nid) <- v;

@@ -290,10 +290,10 @@ let digest (c : circuit) : string =
 (* Per-task index                                                      *)
 
 (** A task's nodes and channels by node id, for validation and the
-    analyses.  Ids are dense per task, so each table is an array of
-    [1 +] the largest id present: not [next_nid], which a hand-built
-    task may undercut.  A negative, out-of-range or unused id is absent
-    ({!ix_mem}); of duplicate ids, the first in [t.nodes] is indexed. *)
+    analyses: arrays of [1 +] the largest id present, not [next_nid],
+    which a hand-built task may undercut.  A negative, out-of-range or
+    unused id is absent ({!ix_mem}); of duplicate ids, the first in
+    [t.nodes] is indexed. *)
 type index = {
   ix_node : node array;       (** by id; a placeholder where absent *)
   ix_pos : int array;         (** position in [t.nodes]; [-1] where absent *)
@@ -302,7 +302,7 @@ type index = {
 }
 
 let index (t : task) : index =
-  let n = 1 + List.fold_left (fun m nd -> max m nd.nid) (-1) t.nodes in
+  let n = 1 + List.fold_left (fun m nd -> Int.max m nd.nid) (-1) t.nodes in
   let none =
     { nid = -1; kind = SyncWait; ins = [||]; nty = T.TBool; label = "" }
   in

@@ -133,9 +133,8 @@ let validate (c : G.circuit) : error list =
     Fmt.kstr (fun m -> errs := { vwhere = c.cname; vwhat = m } :: !errs) fmt
   in
   (* Root exists. *)
-  (match List.find_opt (fun (t : G.task) -> t.tid = c.root) c.tasks with
-  | Some _ -> ()
-  | None -> err "root task %d missing" c.root);
+  if not (List.exists (fun (t : G.task) -> t.tid = c.root) c.tasks) then
+    err "root task %d missing" c.root;
   (* Space map targets exist, and every space used by a memory node is
      bound (or defaults to space 0's structure). *)
   List.iter
