@@ -305,9 +305,7 @@ let render_static_half (w : W.t) : string =
 
 (* One MD5 of [render_static_half] per workload, so a failure names
    the workload.  A change meant to move the static half's output
-   re-pins these on purpose.  saxpy, stencil and img-scale were
-   re-pinned when a self-loop reached along a DFS path stopped being
-   reported with that path as part of main's critical cycle. *)
+   re-pins these on purpose. *)
 let static_half_digests =
   [ ("gemm", "3a0a9ef4ca7e9c2c64f25e58573fdfca");
     ("covar", "9c4e0c34e0aaec1d0d320902896b766f");
@@ -354,8 +352,8 @@ let test_static_half_digest () =
 (* Every simple cycle of a small multigraph, as edge lists in
    traversal order: each is found once, from its least node.  Graphs
    with self-loops and parallel edges are drawn on purpose: a self-loop
-   met below the root of the cycle search once came back with the DFS
-   path attached, which is not a cycle. *)
+   met below the root of the cycle search must come back alone, not
+   with the DFS path down to it. *)
 let simple_cycles (n : int) (edges : unit Sdf.edge list) :
     unit Sdf.edge list list =
   let found = ref [] in
