@@ -286,6 +286,66 @@ let test_lexer_positions () =
     Alcotest.(check int) "col 3" 3 p2.col
   | _ -> Alcotest.fail "unexpected token stream"
 
+(* The token stream, pinned token by token: kind, text and line:col.
+   The main source holds every keyword and every punctuation,
+   identifiers that extend a keyword, the three number forms, a block
+   comment spanning lines and a line comment that ends the input
+   without a newline.  The short sources end on a two-character
+   operator, end on a lone '<', and run operators together. *)
+let show_token (t, (p : Muir_frontend.Ast.pos)) =
+  let module L = Muir_frontend.Lexer in
+  let kind, text =
+    match t with
+    | L.INT i -> ("int", Int64.to_string i)
+    | L.FLOAT f -> ("float", Printf.sprintf "%g" f)
+    | L.IDENT s -> ("ident", s)
+    | L.KW s -> ("kw", s)
+    | L.PUNCT s -> ("punct", s)
+    | L.EOF -> ("eof", "")
+  in
+  Printf.sprintf "%s %s %d:%d" kind text p.line p.col
+
+let lexer_cases =
+  [ ( "global func int float bool tile void true false\n\
+       if else for parallel_for while spawn sync return\n\
+       + - * / % & | ^ < > = ! ( ) { } [ ] ; , ? :\n\
+       == != <= >= && || << >>\n\
+       format iffy returned parallel_fork sync2 _x\n\
+       1 1.5 2e3 /* a comment\n\
+       spanning lines */ x\n\
+       // ends the input without a newline",
+      [ "kw global 1:1"; "kw func 1:8"; "kw int 1:13"; "kw float 1:17";
+        "kw bool 1:23"; "kw tile 1:28"; "kw void 1:33"; "kw true 1:38";
+        "kw false 1:43"; "kw if 2:1"; "kw else 2:4"; "kw for 2:9";
+        "kw parallel_for 2:13"; "kw while 2:26"; "kw spawn 2:32";
+        "kw sync 2:38"; "kw return 2:43"; "punct + 3:1"; "punct - 3:3";
+        "punct * 3:5"; "punct / 3:7"; "punct % 3:9"; "punct & 3:11";
+        "punct | 3:13"; "punct ^ 3:15"; "punct < 3:17"; "punct > 3:19";
+        "punct = 3:21"; "punct ! 3:23"; "punct ( 3:25"; "punct ) 3:27";
+        "punct { 3:29"; "punct } 3:31"; "punct [ 3:33"; "punct ] 3:35";
+        "punct ; 3:37"; "punct , 3:39"; "punct ? 3:41"; "punct : 3:43";
+        "punct == 4:1"; "punct != 4:4"; "punct <= 4:7"; "punct >= 4:10";
+        "punct && 4:13"; "punct || 4:16"; "punct << 4:19";
+        "punct >> 4:22"; "ident format 5:1"; "ident iffy 5:8";
+        "ident returned 5:13"; "ident parallel_fork 5:22";
+        "ident sync2 5:36"; "ident _x 5:42"; "int 1 6:1"; "float 1.5 6:3";
+        "float 2000 6:7"; "ident x 7:19"; "eof  8:36" ] );
+    ("a >=", [ "ident a 1:1"; "punct >= 1:3"; "eof  1:5" ]);
+    ("b <", [ "ident b 1:1"; "punct < 1:3"; "eof  1:4" ]);
+    ( "a<=b<<=c!=!d",
+      [ "ident a 1:1"; "punct <= 1:2"; "ident b 1:4"; "punct << 1:5";
+        "punct = 1:7"; "ident c 1:8"; "punct != 1:9"; "punct ! 1:11";
+        "ident d 1:12"; "eof  1:13" ] ) ]
+
+let test_lexer_token_stream () =
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check (list string))
+        (Fmt.str "tokens of %S" src)
+        want
+        (List.map show_token (Muir_frontend.Lexer.tokenize src)))
+    lexer_cases
+
 (* Structural checks on the lowered IR *)
 
 let test_loop_metadata () =
@@ -388,7 +448,9 @@ let () =
       ( "errors",
         [ Alcotest.test_case "type errors" `Quick test_type_errors;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
-          Alcotest.test_case "lexer positions" `Quick test_lexer_positions ] );
+          Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
+          Alcotest.test_case "lexer token stream" `Quick
+            test_lexer_token_stream ] );
       ( "structure",
         [ Alcotest.test_case "loop metadata" `Quick test_loop_metadata;
           Alcotest.test_case "nested loop depths" `Quick

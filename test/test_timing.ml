@@ -20,7 +20,10 @@
       stack, one MD5 per workload;
    7. exactness of the cycle-ratio search — Sdf.max_cycle_ratio agrees
       with a brute-force enumeration of simple cycles on random small
-      graphs. *)
+      graphs;
+   8. the counted bound's restricted graph — a hand-built ring through
+      a node that does not fire on every wave, which no registry
+      circuit has. *)
 
 module G = Muir_core.Graph
 module A = Muir_analysis
@@ -427,6 +430,51 @@ let prop_sdf_exact =
         && is_input_cycle edges cyc
         && cw * den = num * cm)
 
+(* --- 8. the restricted graph ------------------------------------------ *)
+
+(* The whole-run charge solves the task graph restricted to every-wave
+   nodes.  A compute fed by a steer output fires only on the steer's
+   side, so restriction drops it.  Here [%0]'s next-value steer feeds
+   the mu's back port through a hand-inserted pass-through (n11): the
+   reported II cycle runs through it (II 6), while the counted bound
+   charges the loop-condition ring instead (7 traversals x 3 = 21, not
+   7 x 6). *)
+let restricted_src =
+  {|
+global int A[8];
+func void main() {
+  for (int i = 0; i < 8; i = i + 1) {
+    A[i] = i;
+  }
+}|}
+
+let test_restricted_ring () =
+  let c =
+    Muir_core.Build.circuit (Muir_frontend.Frontend.compile restricted_src)
+  in
+  let t = G.task c 1 in
+  let next =
+    List.find (fun (n : G.node) -> n.label = "steer.next %0") t.nodes
+  in
+  let e = List.find (fun (e : G.edge) -> fst e.src = next.nid) t.edges in
+  let mu_back = e.dst in
+  let pass =
+    G.add_node t ~ty:next.nty (G.Compute G.Fident) ~nins:1 ~label:"hand"
+  in
+  e.dst <- (pass.nid, 0);
+  ignore (G.connect t ~src:(pass.nid, 0) ~dst:mu_back);
+  Alcotest.(check (list string)) "validates clean" []
+    (List.map (Fmt.str "%a" Muir_core.Validate.pp_error)
+       (Muir_core.Validate.validate c));
+  Alcotest.(check string) "Timing.report"
+    "static timing of accelerator:\n\
+    \  main             II>=28  binds queue:main.loop1  cycle n1 ninv=1  \
+     rmin=29 bound=0\n\
+    \  main.loop1       II>=6  binds dataflow ring  cycle n7 -> n10 -> n11 \
+     -> n2  trips=8 ninv=1  rmin=28 bound=21\n\
+    \  whole-run lower bound: 29 cycles"
+    (Fmt.str "%a" (A.Timing.report c) (A.Timing.analyze c))
+
 let () =
   Alcotest.run "timing"
     [ ( "soundness",
@@ -454,4 +502,7 @@ let () =
         [ Alcotest.test_case "a task below a recursion" `Quick
             test_below_recursion;
           Alcotest.test_case "msort's on-demand tasks" `Quick
-            test_msort_sets ] ) ]
+            test_msort_sets ] );
+      ( "restricted",
+        [ Alcotest.test_case "a ring through a steer-fed compute" `Quick
+            test_restricted_ring ] ) ]
