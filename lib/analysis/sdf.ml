@@ -87,13 +87,13 @@ let find_cycle (n : int) (edges : 'a edge list) (keep : 'a edge -> bool)
           found := Some (if e.edst = v then [ e ] else suffix [ e ] path)
         | 0 -> visit (e :: path) e.edst
         | _ -> ());
-        if !found = None then step rest
+        if Option.is_none !found then step rest
     in
     step outs.(v);
-    if !found = None then color.(v) <- 2
+    if Option.is_none !found then color.(v) <- 2
   in
   let v = ref 0 in
-  while !found = None && !v < n do
+  while Option.is_none !found && !v < n do
     if color.(!v) = 0 then visit [] !v;
     incr v
   done;
@@ -107,18 +107,30 @@ let find_cycle (n : int) (edges : 'a edge list) (keep : 'a edge -> bool)
    to land on the cycle, then collect until a node repeats.  Any
    predecessor-graph cycle at that point is positive (the longest-path
    mirror of the classical negative-cycle argument).  Returns the
-   cycle's edge indices in traversal order. *)
+   cycle's edge indices in traversal order.  The arrays' lengths and
+   endpoints are checked once on entry (raising Invalid_argument), so
+   the relaxation loop reads without bounds checks. *)
 let positive_cycle (n : int) ~(src : int array) ~(dst : int array)
     ~(cost : int array) : int list option =
+  let m = Array.length src in
+  if Array.length dst <> m || Array.length cost <> m then
+    invalid_arg "Sdf.positive_cycle: arrays of unequal length";
+  for i = 0 to m - 1 do
+    if src.(i) < 0 || src.(i) >= n || dst.(i) < 0 || dst.(i) >= n then
+      invalid_arg "Sdf.positive_cycle: endpoint out of range"
+  done;
   let dist = Array.make n 0 and pred = Array.make n (-1) in
   (* One pass in edge order: the last edge it relaxed, or -1. *)
   let relax_pass () =
     let last = ref (-1) in
-    for i = 0 to Array.length src - 1 do
-      let d = dist.(src.(i)) + cost.(i) and v = dst.(i) in
-      if d > dist.(v) then begin
-        dist.(v) <- d;
-        pred.(v) <- i;
+    for i = 0 to m - 1 do
+      let v = Array.unsafe_get dst i in
+      let d =
+        Array.unsafe_get dist (Array.unsafe_get src i) + Array.unsafe_get cost i
+      in
+      if d > Array.unsafe_get dist v then begin
+        Array.unsafe_set dist v d;
+        Array.unsafe_set pred v i;
         last := i
       end
     done;
@@ -152,8 +164,12 @@ let positive_cycle (n : int) ~(src : int array) ~(dst : int array)
 let cycle_sums (cyc : 'a edge list) : int * int =
   List.fold_left (fun (w, m) e -> (w + e.ew, m + e.em)) (0, 0) cyc
 
-(** Maximum cycle ratio of a graph on nodes [0 .. n-1]. *)
+(** Maximum cycle ratio of a graph on nodes [0 .. n-1].
+    @raise Invalid_argument if an edge endpoint lies outside it *)
 let max_cycle_ratio (n : int) (edges : 'a edge list) : 'a result =
+  let out v = v < 0 || v >= n in
+  if List.exists (fun e -> out e.esrc || out e.edst) edges then
+    invalid_arg "Sdf.max_cycle_ratio: edge endpoint out of range";
   match find_cycle n edges (fun e -> e.em = 0) with
   | Some cyc -> Unbounded cyc
   | None -> (

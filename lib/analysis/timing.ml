@@ -575,8 +575,9 @@ let analyze (c : G.circuit) : t =
         in
         (* Reported steady-state II: the full graph, no counting
            restriction — a per-wave description of the ring. *)
+        let all_ratio = Sdf.max_cycle_ratio nn (full ~restrict:false) in
         let tt_ii =
-          match Sdf.max_cycle_ratio nn (full ~restrict:false) with
+          match all_ratio with
           | Sdf.Acyclic -> Unconstrained
           | Sdf.Unbounded cyc ->
             Deadlocked
@@ -592,9 +593,16 @@ let analyze (c : G.circuit) : t =
         let tiles = max t.tiles 1 in
         let ninst = ceil_div nv tiles in
         (* Whole-run charge: counted firings of every-wave nodes
-           through the restricted graph's critical cycle. *)
+           through the restricted graph's critical cycle.  Restriction
+           keeps the every-wave nodes and only drops edges, so when
+           every node is one the restricted graph is the full one,
+           whose ratio is already solved. *)
         let counted_bound ~waves =
-          match Sdf.max_cycle_ratio nn (full ~restrict:true) with
+          let kept (nd : G.node) = tc.every_wave.(nd.nid) in
+          match
+            if List.for_all kept t.nodes then all_ratio
+            else Sdf.max_cycle_ratio nn (full ~restrict:true)
+          with
           | Sdf.Ratio { cyc; _ } ->
             let w, m = Sdf.cycle_sums cyc in
             counted_traversals ~waves ~w ~m

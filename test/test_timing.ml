@@ -23,7 +23,10 @@
       graphs;
    8. the counted bound's restricted graph — a hand-built ring through
       a node that does not fire on every wave, which no registry
-      circuit has. *)
+      circuit has;
+   9. malformed Sdf input is refused — an edge endpoint outside the
+      graph, or arrays of unequal length, raise Invalid_argument before
+      the unchecked relaxation loop reads them. *)
 
 module G = Muir_core.Graph
 module A = Muir_analysis
@@ -475,6 +478,36 @@ let test_restricted_ring () =
     \  whole-run lower bound: 29 cycles"
     (Fmt.str "%a" (A.Timing.report c) (A.Timing.analyze c))
 
+(* --- 9. malformed Sdf input ------------------------------------------- *)
+
+let raises_invalid name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" name
+  | exception Invalid_argument _ -> ()
+
+let test_sdf_bad_input () =
+  let e s d m = { Sdf.esrc = s; edst = d; ew = 1; em = m; etag = () } in
+  let ring = [ e 0 1 1; e 1 0 1 ] in
+  List.iter
+    (fun (name, edges) ->
+      raises_invalid name (fun () -> Sdf.max_cycle_ratio 2 edges))
+    [ ("source below 0", e (-1) 0 1 :: ring);
+      ("source at n", ring @ [ e 2 0 1 ]);
+      ("target below 0", ring @ [ e 1 (-1) 1 ]);
+      ("target at n", e 0 2 1 :: ring);
+      ("target far beyond n", ring @ [ e 0 1000 1 ]);
+      (* the zero-token search alone would never read this edge *)
+      ("behind a zero-token cycle", [ e 0 0 0; e 0 5 1 ]) ];
+  let pc name ~src ~dst ~cost =
+    raises_invalid name (fun () -> Sdf.positive_cycle 2 ~src ~dst ~cost)
+  in
+  pc "dst shorter" ~src:[| 0; 1 |] ~dst:[| 1 |] ~cost:[| 1; 1 |];
+  pc "cost shorter" ~src:[| 0; 1 |] ~dst:[| 1; 0 |] ~cost:[| 1 |];
+  pc "cost longer" ~src:[| 0; 1 |] ~dst:[| 1; 0 |] ~cost:[| 1; 1; 1 |];
+  pc "src shorter" ~src:[| 0 |] ~dst:[| 1; 0 |] ~cost:[| 1; 1 |];
+  pc "endpoint at n" ~src:[| 0; 2 |] ~dst:[| 1; 0 |] ~cost:[| 1; 1 |];
+  pc "endpoint below 0" ~src:[| 0; 1 |] ~dst:[| -1; 0 |] ~cost:[| 1; 1 |]
+
 let () =
   Alcotest.run "timing"
     [ ( "soundness",
@@ -494,7 +527,9 @@ let () =
             test_static_half_digest ] );
       ( "sdf",
         [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
-            prop_sdf_exact ] );
+            prop_sdf_exact;
+          Alcotest.test_case "malformed input is refused" `Quick
+            test_sdf_bad_input ] );
       ( "dse",
         [ Alcotest.test_case "timing prune is transparent" `Slow
             test_prune_transparent ] );
