@@ -18,10 +18,22 @@ let pp_token ppf = function
 
 exception Error of string * Ast.pos
 
-let keywords =
-  [ "global"; "func"; "int"; "float"; "bool"; "tile"; "void"; "true";
-    "false"; "if"; "else"; "for"; "parallel_for"; "while"; "spawn";
-    "sync"; "return" ]
+(* Keywords and two-character operators are matched on the text, so
+   an identifier or an operator costs no list walk and no polymorphic
+   compare. *)
+let is_keyword = function
+  | "global" | "func" | "int" | "float" | "bool" | "tile" | "void" | "true"
+  | "false" | "if" | "else" | "for" | "parallel_for" | "while" | "spawn"
+  | "sync" | "return" ->
+    true
+  | _ -> false
+
+let is_two_char_punct c d =
+  match (c, d) with
+  | ('=' | '!' | '<' | '>'), '=' | '&', '&' | '|', '|' | '<', '<' | '>', '>'
+    ->
+    true
+  | _ -> false
 
 type t = {
   src : string;
@@ -34,116 +46,110 @@ let create src = { src; pos = 0; line = 1; bol = 0 }
 
 let position (lx : t) : Ast.pos = { line = lx.line; col = lx.pos - lx.bol + 1 }
 
-let peek_char (lx : t) =
-  if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+(* The byte [k] past the current one, if the input has it: [at lx 0]
+   is the current byte.  The scanners test bytes with [at] and step
+   over them with [advance]; a byte that cannot be a newline is
+   stepped over with [lx.pos <- lx.pos + 1]. *)
+let at (lx : t) k c =
+  lx.pos + k < String.length lx.src && lx.src.[lx.pos + k] = c
+
+let at_end (lx : t) = lx.pos >= String.length lx.src
 
 let advance (lx : t) =
-  (match peek_char lx with
-  | Some '\n' ->
+  if at lx 0 '\n' then begin
     lx.line <- lx.line + 1;
     lx.bol <- lx.pos + 1
-  | _ -> ());
+  end;
   lx.pos <- lx.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
 
+(* Step over the bytes [p] holds for; none of them is a newline. *)
+let skip_while (lx : t) p =
+  while (not (at_end lx)) && p lx.src.[lx.pos] do
+    lx.pos <- lx.pos + 1
+  done
+
 let rec skip_ws (lx : t) =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance lx;
-    skip_ws lx
-  | Some '/' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '/'
-    ->
-    while peek_char lx <> None && peek_char lx <> Some '\n' do advance lx done;
-    skip_ws lx
-  | Some '/' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '*'
-    ->
-    advance lx; advance lx;
-    let rec close () =
-      match peek_char lx with
-      | None -> raise (Error ("unterminated comment", position lx))
-      | Some '*' when lx.pos + 1 < String.length lx.src
-                      && lx.src.[lx.pos + 1] = '/' ->
-        advance lx; advance lx
-      | Some _ -> advance lx; close ()
-    in
-    close ();
-    skip_ws lx
-  | _ -> ()
+  if not (at_end lx) then
+    match lx.src.[lx.pos] with
+    | ' ' | '\t' | '\r' | '\n' ->
+      advance lx;
+      skip_ws lx
+    | '/' when at lx 1 '/' ->
+      skip_while lx (fun c -> c <> '\n');
+      skip_ws lx
+    | '/' when at lx 1 '*' ->
+      advance lx; advance lx;
+      let rec close () =
+        if at_end lx then raise (Error ("unterminated comment", position lx))
+        else if at lx 0 '*' && at lx 1 '/' then begin
+          advance lx; advance lx
+        end
+        else begin
+          advance lx; close ()
+        end
+      in
+      close ();
+      skip_ws lx
+    | _ -> ()
 
 let lex_number (lx : t) : token =
   let start = lx.pos in
-  while (match peek_char lx with Some c -> is_digit c | None -> false) do
-    advance lx
-  done;
+  skip_while lx is_digit;
   let is_float =
-    match peek_char lx with
-    | Some '.' when lx.pos + 1 < String.length lx.src
-                    && is_digit lx.src.[lx.pos + 1] ->
-      advance lx;
-      while (match peek_char lx with Some c -> is_digit c | None -> false) do
-        advance lx
-      done;
-      true
-    | _ -> false
+    at lx 0 '.'
+    && lx.pos + 1 < String.length lx.src
+    && is_digit lx.src.[lx.pos + 1]
   in
+  if is_float then begin
+    lx.pos <- lx.pos + 1;
+    skip_while lx is_digit
+  end;
   let is_float =
-    match peek_char lx with
-    | Some ('e' | 'E') ->
-      advance lx;
-      (match peek_char lx with
-      | Some ('+' | '-') -> advance lx
-      | _ -> ());
-      while (match peek_char lx with Some c -> is_digit c | None -> false) do
-        advance lx
-      done;
+    if at lx 0 'e' || at lx 0 'E' then begin
+      lx.pos <- lx.pos + 1;
+      if at lx 0 '+' || at lx 0 '-' then lx.pos <- lx.pos + 1;
+      skip_while lx is_digit;
       true
-    | _ -> is_float
+    end
+    else is_float
   in
   let text = String.sub lx.src start (lx.pos - start) in
   if is_float then FLOAT (float_of_string text)
   else INT (Int64.of_string text)
 
-let two_char_puncts =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>" ]
-
 (** Next token together with its source position. *)
 let next (lx : t) : token * Ast.pos =
   skip_ws lx;
   let pos = position lx in
-  match peek_char lx with
-  | None -> (EOF, pos)
-  | Some c when is_digit c -> (lex_number lx, pos)
-  | Some c when is_ident_start c ->
-    let start = lx.pos in
-    while
-      (match peek_char lx with Some c -> is_ident_char c | None -> false)
-    do
-      advance lx
-    done;
-    let text = String.sub lx.src start (lx.pos - start) in
-    if List.mem text keywords then (KW text, pos) else (IDENT text, pos)
-  | Some c ->
-    let two =
-      if lx.pos + 1 < String.length lx.src then
-        String.sub lx.src lx.pos 2
-      else ""
-    in
-    if List.mem two two_char_puncts then begin
-      advance lx; advance lx;
-      (PUNCT two, pos)
+  if at_end lx then (EOF, pos)
+  else
+    let c = lx.src.[lx.pos] in
+    if is_digit c then (lex_number lx, pos)
+    else if is_ident_start c then begin
+      let start = lx.pos in
+      skip_while lx is_ident_char;
+      let text = String.sub lx.src start (lx.pos - start) in
+      ((if is_keyword text then KW text else IDENT text), pos)
     end
-    else begin
+    else if
+      lx.pos + 1 < String.length lx.src
+      && is_two_char_punct c lx.src.[lx.pos + 1]
+    then begin
+      lx.pos <- lx.pos + 2;
+      (PUNCT (String.sub lx.src (lx.pos - 2) 2), pos)
+    end
+    else
       match c with
       | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '<' | '>' | '='
       | '!' | '(' | ')' | '{' | '}' | '[' | ']' | ';' | ',' | '?' | ':' ->
-        advance lx;
+        lx.pos <- lx.pos + 1;
         (PUNCT (String.make 1 c), pos)
       | _ ->
         raise (Error (Fmt.str "unexpected character %C" c, pos))
-    end
 
 (** Tokenize the whole input (for tests). *)
 let tokenize (src : string) : (token * Ast.pos) list =

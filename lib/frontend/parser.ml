@@ -83,10 +83,13 @@ and binlevel p next ops =
   let epos = p.pos in
   let rec go lhs =
     match p.tok with
-    | PUNCT s when List.mem_assoc s ops ->
-      advance p;
-      let rhs = next p in
-      go { e = Ebin (List.assoc s ops, lhs, rhs); epos }
+    | PUNCT s -> (
+      match List.find_opt (fun (o, _) -> String.equal o s) ops with
+      | Some (_, op) ->
+        advance p;
+        let rhs = next p in
+        go { e = Ebin (op, lhs, rhs); epos }
+      | None -> lhs)
     | _ -> lhs
   in
   go (next p)
