@@ -27,6 +27,26 @@ module A = Muir_ir.Affine
 
 type port = G.node_id * int
 
+(* Membership in the int lists of labels, registers, task and space
+   ids, without the polymorphic compare of [List.mem]. *)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: l -> x = y || mem_int x l
+
+(* Stage 2 holds a task's nodes and edges newest first, so each new
+   one is consed on; [circuit] restores creation order, which
+   {!Graph.digest} reads, once the task is built.  {!Graph.node} finds
+   a node by id in either order. *)
+let add_node (t : G.task) ?label ~ty kind ~nins : G.node =
+  let n = G.new_node t ?label ~ty kind ~nins in
+  t.nodes <- n :: t.nodes;
+  n
+
+let connect ?capacity ?initial (t : G.task) ~src ~dst : G.edge =
+  let e = G.new_edge ?capacity ?initial t ~src ~dst in
+  t.edges <- e :: t.edges;
+  e
+
 type st = {
   prog : P.t;
   mutable tasks : G.task list;
@@ -60,7 +80,7 @@ let uses_in_blocks (f : F.t) (labels : I.label list) : I.reg list =
       List.iter (fun ins -> acc := I.used_regs ins @ !acc) b.instrs;
       acc := I.term_used_regs b.term @ !acc)
     labels;
-  List.sort_uniq compare !acc
+  List.sort_uniq Int.compare !acc
 
 let defs_in_blocks (f : F.t) (labels : I.label list) : I.reg list =
   let acc = ref [] in
@@ -69,7 +89,7 @@ let defs_in_blocks (f : F.t) (labels : I.label list) : I.reg list =
       let b = F.block f l in
       List.iter (fun (ins : I.t) -> acc := ins.id :: !acc) b.instrs)
     labels;
-  List.sort_uniq compare !acc
+  List.sort_uniq Int.compare !acc
 
 (** Loops directly nested inside [lp] (or at top level if [lp=None]). *)
 let direct_inner_loops (f : F.t) (lp : F.loop_info option) :
@@ -79,7 +99,7 @@ let direct_inner_loops (f : F.t) (lp : F.loop_info option) :
   | Some outer ->
     List.filter
       (fun (l : F.loop_info) ->
-        l.depth = outer.depth + 1 && List.mem l.header outer.body)
+        l.depth = outer.depth + 1 && mem_int l.header outer.body)
       f.loops
 
 (** Region blocks of a task: for a function, everything outside any
@@ -90,7 +110,7 @@ let region_blocks (f : F.t) (lp : F.loop_info option) : I.label list =
   | None ->
     List.filter_map
       (fun (b : F.block) ->
-        if List.exists (fun (l : F.loop_info) -> List.mem b.label l.body)
+        if List.exists (fun (l : F.loop_info) -> mem_int b.label l.body)
              f.loops
         then None
         else Some b.label)
@@ -100,14 +120,14 @@ let region_blocks (f : F.t) (lp : F.loop_info option) : I.label list =
     List.filter
       (fun l ->
         not
-          (List.exists (fun (il : F.loop_info) -> List.mem l il.body) inner))
+          (List.exists (fun (il : F.loop_info) -> mem_int l il.body) inner))
       outer.body
 
 (** Live-in registers of loop [lp]: used inside, defined outside. *)
 let loop_liveins (f : F.t) (lp : F.loop_info) : I.reg list =
   let uses = uses_in_blocks f lp.body in
   let defs = defs_in_blocks f lp.body in
-  List.filter (fun r -> not (List.mem r defs)) uses
+  List.filter (fun r -> not (mem_int r defs)) uses
 
 (** Live-out registers of loop [lp]: header phis used outside. *)
 let loop_liveouts (f : F.t) (lp : F.loop_info) : I.reg list =
@@ -119,13 +139,13 @@ let loop_liveouts (f : F.t) (lp : F.loop_info) : I.reg list =
       header.instrs
   in
   let outside =
-    List.filter (fun (b : F.block) -> not (List.mem b.label lp.body)) f.blocks
+    List.filter (fun (b : F.block) -> not (mem_int b.label lp.body)) f.blocks
   in
   let used_outside r =
     List.exists
       (fun (b : F.block) ->
-        List.exists (fun ins -> List.mem r (I.used_regs ins)) b.instrs
-        || List.mem r (I.term_used_regs b.term))
+        List.exists (fun ins -> mem_int r (I.used_regs ins)) b.instrs
+        || mem_int r (I.term_used_regs b.term))
       outside
   in
   List.filter used_outside phis
@@ -196,7 +216,7 @@ let rec affine_of (st : st) (f : F.t) ?(depth = 12) (op : I.operand) :
     per-invocation variable)?  If every access in a space has the same
     advancing form, successive waves touch distinct addresses. *)
 let affine_advances (a : affine) (vars : I.reg list) =
-  List.exists (fun (r, _) -> List.mem r vars) a.coeffs
+  List.exists (fun (r, _) -> mem_int r vars) a.coeffs
 
 (* ------------------------------------------------------------------ *)
 (* Stage 1: enumerate tasks                                             *)
@@ -356,20 +376,24 @@ let mk (ctx : rctx) ?(label = "") ~(ty : T.ty) (kind : G.node_kind)
     (inputs : inp list) ~(trigger : port) : G.node =
   let has_wire = List.exists (function `Port _ -> true | `Imm _ -> false) inputs in
   let inputs = if has_wire then inputs else inputs @ [ `Port trigger ] in
-  let n = G.add_node ctx.gt ~label ~ty kind ~nins:(List.length inputs) in
+  let n = add_node ctx.gt ~label ~ty kind ~nins:(List.length inputs) in
   List.iteri
     (fun i -> function
       | `Imm v -> G.set_imm n i v
-      | `Port p -> ignore (G.connect ctx.gt ~src:p ~dst:(n.nid, i)))
+      | `Port p -> ignore (connect ctx.gt ~src:p ~dst:(n.nid, i)))
     inputs;
   n
 
-let add_input (ctx : rctx) (n : G.node) (inp : inp) =
+(** Wire [p] into a new last input of [n]. *)
+let add_input ?initial (ctx : rctx) (n : G.node) (p : port) =
   let i = Array.length n.ins in
   n.ins <- Array.append n.ins [| G.Swire |];
-  match inp with
-  | `Imm v -> G.set_imm n i v
-  | `Port p -> ignore (G.connect ctx.gt ~src:p ~dst:(n.nid, i))
+  ignore (connect ?initial ctx.gt ~src:p ~dst:(n.nid, i))
+
+(** The pending sync-ordering input, which a memory node, call or
+    spawn takes after its own inputs. *)
+let after_sync (ctx : rctx) : inp list =
+  match ctx.sync_order with Some p -> [ `Port p ] | None -> []
 
 let slot_of (ctx : rctx) (op : I.operand) : inp =
   match op with
@@ -403,11 +427,12 @@ let ty_of_reg ctx r =
 let region_succ (ctx : rctx) ~(region : I.label list)
     ~(own_header : I.label option) (b : F.block) : I.label list =
   let adjust l =
-    if Some l = own_header then None (* back edge of this loop task *)
-    else
+    match own_header with
+    | Some h when h = l -> None (* back edge of this loop task *)
+    | _ -> (
       match Hashtbl.find_opt ctx.inner_exit l with
       | Some exit -> Some exit (* through the collapsed inner loop *)
-      | None -> if List.mem l region then Some l else None
+      | None -> if mem_int l region then Some l else None)
   in
   List.filter_map adjust (F.successors b)
 
@@ -447,7 +472,7 @@ let region_preds (ctx : rctx) ~(region : I.label list)
     ~(own_header : I.label option) (l : I.label) : I.label list =
   List.filter
     (fun p ->
-      List.mem l (region_succ ctx ~region ~own_header (F.block ctx.f p)))
+      mem_int l (region_succ ctx ~region ~own_header (F.block ctx.f p)))
     region
 
 (* --- instruction lowering ------------------------------------------- *)
@@ -467,27 +492,24 @@ let fu_of_kind (k : I.kind) : G.fu_op =
 (** Record a collapsed call in the ordering chains when its child
     subtree touches memory. *)
 let note_call (ctx : rctx) (n : G.node) (touches : (int * bool) list) =
-  if touches <> [] then begin
+  match touches with
+  | [] -> ()
+  | _ ->
     ctx.mem_order <- (touches, (n.nid, 0), None) :: ctx.mem_order;
     List.iter
       (fun (sp, w) ->
-        if w && not (List.mem sp ctx.has_store) then
+        if w && not (mem_int sp ctx.has_store) then
           ctx.has_store <- sp :: ctx.has_store)
       touches
-  end
 
-(** Record a memory node for the ordering chains and attach any
-    pending sync-ordering input. *)
+(** Record a memory node for the ordering chains. *)
 let note_memory (ctx : rctx) (space : int) (n : G.node) ~is_store
     ~(addr : I.operand) =
-  (match ctx.sync_order with
-  | Some p -> add_input ctx n (`Port p)
-  | None -> ());
   let aff = affine_of ctx.st ctx.f addr in
   ctx.mem_order <-
     ([ (space, is_store) ], (n.nid, G.mem_done n), aff)
     :: ctx.mem_order;
-  if is_store && not (List.mem space ctx.has_store) then
+  if is_store && not (mem_int space ctx.has_store) then
     ctx.has_store <- space :: ctx.has_store
 
 let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
@@ -500,7 +522,7 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
     let is_store = match kind with G.Store _ | Tstore _ -> true | _ -> false in
     let n =
       mk ctx ?label ~ty:(if is_store then T.TUnit else ins.ty) kind
-        (`Port pred :: List.map (slot_of ctx) (addr :: rest))
+        ((`Port pred :: List.map (slot_of ctx) (addr :: rest)) @ after_sync ctx)
         ~trigger:pred
     in
     note_memory ctx space n ~is_store ~addr;
@@ -548,28 +570,22 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
     let tid = Hashtbl.find ctx.st.func_task callee in
     let n =
       mk ctx ~ty:T.TBool (CallChild tid)
-        (`Port pred :: List.map (slot_of ctx) args)
+        ((`Port pred :: List.map (slot_of ctx) args) @ after_sync ctx)
         ~trigger:pred ~label:("call " ^ callee)
     in
-    (match ctx.sync_order with
-    | Some p -> add_input ctx n (`Port p)
-    | None -> ());
     note_call ctx n
       (try Hashtbl.find ctx.st.func_touch callee with Not_found -> []);
-    if not (List.mem tid ctx.gt.children) then
+    if not (mem_int tid ctx.gt.children) then
       ctx.gt.children <- ctx.gt.children @ [ tid ];
     if not (T.equal_ty ins.ty T.TUnit) then bind (n.nid, 1)
   | Spawn { callee; args } ->
     let tid = Hashtbl.find ctx.st.func_task callee in
     let n =
       mk ctx ~ty:ins.ty (SpawnChild tid)
-        (`Port pred :: List.map (slot_of ctx) args)
+        ((`Port pred :: List.map (slot_of ctx) args) @ after_sync ctx)
         ~trigger:pred ~label:("spawn " ^ callee)
     in
-    (match ctx.sync_order with
-    | Some p -> add_input ctx n (`Port p)
-    | None -> ());
-    if not (List.mem tid ctx.gt.children) then
+    if not (mem_int tid ctx.gt.children) then
       ctx.gt.children <- ctx.gt.children @ [ tid ];
     if not (T.equal_ty ins.ty T.TUnit) then bind (n.nid, 0)
   | Sync ->
@@ -586,17 +602,15 @@ let lower_inner_loop (ctx : rctx) ~(pred : port) (lp : F.loop_info)
   let liveouts = Hashtbl.find ctx.st.liveout_regs tid in
   let n =
     mk ctx ~ty:T.TBool (CallChild tid)
-      (`Port pred :: List.map (fun r -> slot_of ctx (I.Reg r)) liveins)
+      ((`Port pred :: List.map (fun r -> slot_of ctx (I.Reg r)) liveins)
+       @ after_sync ctx)
       ~trigger:pred
       ~label:(Fmt.str "loop bb%d" lp.header)
   in
-  (match ctx.sync_order with
-  | Some p -> add_input ctx n (`Port p)
-  | None -> ());
   note_call ctx n
     (try Hashtbl.find ctx.st.loop_touch (ctx.f.name, lp.header)
      with Not_found -> []);
-  if not (List.mem tid ctx.gt.children) then
+  if not (mem_int tid ctx.gt.children) then
     ctx.gt.children <- ctx.gt.children @ [ tid ];
   List.iteri (fun i r -> Hashtbl.replace ctx.def r (n.nid, i + 1)) liveouts;
   Hashtbl.replace ctx.edge_pred (b, lp.exit) (n.nid, 0)
@@ -644,7 +658,7 @@ let lower_block (ctx : rctx) ~(region : I.label list)
       match ins.kind with
       | Phi incoming ->
         let incoming =
-          List.filter (fun (src, _) -> List.mem src preds_in) incoming
+          List.filter (fun (src, _) -> mem_int src preds_in) incoming
         in
         let k = List.length incoming in
         if k = 1 then
@@ -681,9 +695,10 @@ let lower_block (ctx : rctx) ~(region : I.label list)
     with
     | Some lp when Hashtbl.mem ctx.inner_exit tgt ->
       lower_inner_loop ctx ~pred lp l
-    | _ ->
-      if Some tgt = own_header then () (* loop back edge: handled by steers *)
-      else Hashtbl.replace ctx.edge_pred (l, tgt) pred)
+    | _ -> (
+      match own_header with
+      | Some h when h = tgt -> () (* loop back edge: handled by steers *)
+      | _ -> Hashtbl.replace ctx.edge_pred (l, tgt) pred))
   | CondBr (c, t, e) ->
     let pc = slot_of ctx c in
     let p_t = p_and ctx (`Port pred) pc ~trigger:pred in
@@ -733,12 +748,8 @@ let add_memory_chains (ctx : rctx) ~(own_vars : I.reg list) =
        stages), so wave k+1's call waits for wave k's completion.  A
        plain single store needs nothing — per-bank FIFO order
        suffices. *)
-    let n = G.node ctx.gt (fst single) in
-    let i = Array.length n.ins in
-    n.ins <- Array.append n.ins [| G.Swire |];
-    ignore
-      (G.connect ctx.gt ~src:single ~dst:(n.nid, i)
-         ~initial:[ T.VBool true ] ~capacity:2)
+    add_input ctx (G.node ctx.gt (fst single)) single
+      ~initial:[ T.VBool true ]
   in
   let chain (dones : port list) =
     match dones with
@@ -747,23 +758,18 @@ let add_memory_chains (ctx : rctx) ~(own_vars : I.reg list) =
     | first :: _ ->
       let rec link = function
         | a :: (b :: _ as rest) ->
-          let nb = G.node ctx.gt (fst b) in
-          add_input ctx nb (`Port a);
+          add_input ctx (G.node ctx.gt (fst b)) a;
           link rest
         | [ last ] ->
           (* Cyclic: the first op of wave k+1 waits for the last op of
              wave k; an initial token lets wave 0 proceed. *)
-          let nf = G.node ctx.gt (fst first) in
-          let i = Array.length nf.ins in
-          nf.ins <- Array.append nf.ins [| G.Swire |];
-          ignore
-            (G.connect ctx.gt ~src:last ~dst:(nf.nid, i)
-               ~initial:[ T.VBool true ] ~capacity:2)
+          add_input ctx (G.node ctx.gt (fst first)) last
+            ~initial:[ T.VBool true ]
         | [] -> ()
       in
       link dones
   in
-  if List.mem 0 spaces_written then
+  if mem_int 0 spaces_written then
     (* A store through an unidentified pointer may alias anything:
        serialize every memory operation in the task. *)
     chain (List.map (fun (_, d, _) -> d) ops)
@@ -858,13 +864,13 @@ let build_func_task (st : st) (f : F.t) (gt : G.task) =
     f.loops;
   (* Live-ins: token + parameters. *)
   let token =
-    G.add_node gt ~ty:T.TBool (LiveIn 0) ~nins:0 ~label:"task.token"
+    add_node gt ~ty:T.TBool (LiveIn 0) ~nins:0 ~label:"task.token"
   in
   let entry_pred = (token.nid, 0) in
   List.iteri
     (fun i (p : F.param) ->
       let n =
-        G.add_node gt ~ty:p.pty (LiveIn (i + 1)) ~nins:0 ~label:p.pname
+        add_node gt ~ty:p.pty (LiveIn (i + 1)) ~nins:0 ~label:p.pname
       in
       Hashtbl.replace ctx.def p.preg (n.nid, 0))
     f.params;
@@ -887,20 +893,20 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
   in
   List.iter
     (fun (il : F.loop_info) ->
-      if il.depth = lp.depth + 1 && List.mem il.header lp.body then
+      if il.depth = lp.depth + 1 && mem_int il.header lp.body then
         Hashtbl.replace ctx.inner_exit il.header il.exit)
     f.loops;
   let liveins = Hashtbl.find st.livein_regs gt.tid in
   let liveouts = Hashtbl.find st.liveout_regs gt.tid in
   (* Live-in nodes. *)
   let token =
-    G.add_node gt ~ty:T.TBool (LiveIn 0) ~nins:0 ~label:"task.token"
+    add_node gt ~ty:T.TBool (LiveIn 0) ~nins:0 ~label:"task.token"
   in
   let livein_node =
     List.mapi
       (fun i r ->
         let n =
-          G.add_node gt ~ty:(ty_of_reg ctx r) (LiveIn (i + 1)) ~nins:0
+          add_node gt ~ty:(ty_of_reg ctx r) (LiveIn (i + 1)) ~nins:0
             ~label:(Fmt.str "%%%d" r)
         in
         (r, n))
@@ -929,30 +935,30 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
   in
   (* The token is carried variable 0. *)
   let mu_tok =
-    G.add_node gt ~ty:T.TBool MergeLoop ~nins:3 ~label:"mu.token"
+    add_node gt ~ty:T.TBool MergeLoop ~nins:3 ~label:"mu.token"
   in
-  ignore (G.connect gt ~src:(token.nid, 0) ~dst:(mu_tok.nid, G.mu_init));
+  ignore (connect gt ~src:(token.nid, 0) ~dst:(mu_tok.nid, G.mu_init));
   (* μ node per header phi.  A constant initial value must still be
      delivered exactly once per invocation, so it is materialized by a
      pass-through node triggered by the invocation token. *)
   let const_init (mu : G.node) (v : T.value) =
     let cn =
-      G.add_node gt ~ty:mu.nty (Compute Fident) ~nins:2 ~label:"init.const"
+      add_node gt ~ty:mu.nty (Compute Fident) ~nins:2 ~label:"init.const"
     in
     G.set_imm cn 0 v;
-    ignore (G.connect gt ~src:(token.nid, 0) ~dst:(cn.nid, 1));
-    ignore (G.connect gt ~src:(cn.nid, 0) ~dst:(mu.nid, G.mu_init))
+    ignore (connect gt ~src:(token.nid, 0) ~dst:(cn.nid, 1));
+    ignore (connect gt ~src:(cn.nid, 0) ~dst:(mu.nid, G.mu_init))
   in
   let mus =
     List.map
       (fun (r, ty, init, back) ->
         let mu =
-          G.add_node gt ~ty MergeLoop ~nins:3 ~label:(Fmt.str "mu %%%d" r)
+          add_node gt ~ty MergeLoop ~nins:3 ~label:(Fmt.str "mu %%%d" r)
         in
         (match init with
         | I.Reg ri ->
           let _, li = List.find (fun (x, _) -> x = ri) livein_node in
-          ignore (G.connect gt ~src:(li.nid, 0) ~dst:(mu.nid, G.mu_init))
+          ignore (connect gt ~src:(li.nid, 0) ~dst:(mu.nid, G.mu_init))
         | I.CInt i -> const_init mu (VInt i)
         | I.CBool b -> const_init mu (VBool b)
         | I.CFloat x -> const_init mu (VFloat x)
@@ -975,12 +981,12 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
           Hashtbl.find st.livein_regs tid @ acc)
         ctx.inner_exit []
     in
-    List.sort_uniq compare (base @ inner)
+    List.sort_uniq Int.compare (base @ inner)
   in
   let invariants =
     List.filter
       (fun r ->
-        List.mem r region_uses
+        mem_int r region_uses
         && not (List.exists (fun (pr, _, _, _) -> pr = r) phis))
       liveins
   in
@@ -989,10 +995,10 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
       (fun r ->
         let _, li = List.find (fun (x, _) -> x = r) livein_node in
         let mu =
-          G.add_node gt ~ty:(ty_of_reg ctx r) MergeLoop ~nins:3
+          add_node gt ~ty:(ty_of_reg ctx r) MergeLoop ~nins:3
             ~label:(Fmt.str "mu.inv %%%d" r)
         in
-        ignore (G.connect gt ~src:(li.nid, 0) ~dst:(mu.nid, G.mu_init));
+        ignore (connect gt ~src:(li.nid, 0) ~dst:(mu.nid, G.mu_init));
         Hashtbl.replace ctx.def r (mu.nid, 0);
         mu)
       invariants
@@ -1045,9 +1051,9 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
   let st_tok = steer ~label:"steer.token" (`Port (mu_tok.nid, 0)) in
   st_tok.nty <- T.TBool;
   ignore
-    (G.connect gt ~src:(st_tok.nid, around) ~dst:(mu_tok.nid, G.mu_back));
-  let lo0 = G.add_node gt ~ty:T.TBool (LiveOut 0) ~nins:1 ~label:"done" in
-  ignore (G.connect gt ~src:(st_tok.nid, out) ~dst:(lo0.nid, 0));
+    (connect gt ~src:(st_tok.nid, around) ~dst:(mu_tok.nid, G.mu_back));
+  let lo0 = add_node gt ~ty:T.TBool (LiveOut 0) ~nins:1 ~label:"done" in
+  ignore (connect gt ~src:(st_tok.nid, out) ~dst:(lo0.nid, 0));
   (* Carried values: next-value steers feeding the μ back inputs. *)
   List.iter
     (fun (r, mu, back) ->
@@ -1056,13 +1062,13 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
       in
       s.nty <- (G.node gt mu.G.nid).nty;
       ignore
-        (G.connect gt ~src:(s.nid, around) ~dst:(mu.G.nid, G.mu_back)))
+        (connect gt ~src:(s.nid, around) ~dst:(mu.G.nid, G.mu_back)))
     mus;
   List.iter
     (fun (mu : G.node) ->
       let s = steer ~label:"steer.inv" (`Port (mu.nid, 0)) in
       s.nty <- mu.nty;
-      ignore (G.connect gt ~src:(s.nid, around) ~dst:(mu.nid, G.mu_back)))
+      ignore (connect gt ~src:(s.nid, around) ~dst:(mu.nid, G.mu_back)))
     inv_mus;
   (* Live-outs: current values of carried variables at loop exit. *)
   List.iteri
@@ -1073,12 +1079,12 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
       in
       s.nty <- (G.node gt mu.G.nid).nty;
       let lo =
-        G.add_node gt
+        add_node gt
           ~ty:(List.nth gt.res_tys (i + 1))
           (LiveOut (i + 1)) ~nins:1
           ~label:(Fmt.str "%%%d" r)
       in
-      ignore (G.connect gt ~src:(s.nid, out) ~dst:(lo.nid, 0)))
+      ignore (connect gt ~src:(s.nid, out) ~dst:(lo.nid, 0)))
     liveouts;
   (* Control ring: the loop predicate drives every μ's ctl port, primed
      with an initial false so the first selection takes the inits. *)
@@ -1088,7 +1094,7 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
   List.iter
     (fun (mu : G.node) ->
       ignore
-        (G.connect gt ~src:p_port ~dst:(mu.nid, G.mu_ctl) ~capacity:2
+        (connect gt ~src:p_port ~dst:(mu.nid, G.mu_ctl) ~capacity:2
            ~initial:[ T.VBool false ]))
     all_mus
 
@@ -1099,22 +1105,21 @@ let prune_task (t : G.task) =
   let changed = ref true in
   while !changed do
     changed := false;
-    let has_out = Hashtbl.create 64 in
-    List.iter (fun (e : G.edge) -> Hashtbl.replace has_out (fst e.src) ()) t.edges;
-    let dead (n : G.node) =
-      match n.kind with
-      | Compute _ | Fused _ | Merge _ | Tcompute _ | LiveIn _ ->
-        not (Hashtbl.mem has_out n.nid)
-      | _ -> false
-    in
-    let dead_nodes = List.filter dead t.nodes in
-    if dead_nodes <> [] then begin
-      changed := true;
-      let dead_ids = List.map (fun (n : G.node) -> n.nid) dead_nodes in
-      t.nodes <-
-        List.filter (fun (n : G.node) -> not (List.mem n.nid dead_ids)) t.nodes;
-      t.edges <-
-        List.filter (fun (e : G.edge) -> not (List.mem (fst e.dst) dead_ids)) t.edges
+    let has_out = Array.make t.next_nid false in
+    List.iter (fun (e : G.edge) -> has_out.(fst e.src) <- true) t.edges;
+    let dead = Array.make t.next_nid false in
+    List.iter
+      (fun (n : G.node) ->
+        match n.kind with
+        | (Compute _ | Fused _ | Merge _ | Tcompute _ | LiveIn _)
+          when not has_out.(n.nid) ->
+          dead.(n.nid) <- true;
+          changed := true
+        | _ -> ())
+      t.nodes;
+    if !changed then begin
+      t.nodes <- List.filter (fun (n : G.node) -> not dead.(n.nid)) t.nodes;
+      t.edges <- List.filter (fun (e : G.edge) -> not dead.(fst e.dst)) t.edges
     end
   done
 
@@ -1156,7 +1161,12 @@ let circuit ?(entry = "main") ?(name = "accelerator") (prog : P.t) :
           build_loop_task st f lp (List.nth st.tasks tid))
         f.loops)
     prog.funcs;
-  List.iter prune_task st.tasks;
+  List.iter
+    (fun (t : G.task) ->
+      t.nodes <- List.rev t.nodes;
+      t.edges <- List.rev t.edges;
+      prune_task t)
+    st.tasks;
   let root = Hashtbl.find st.func_task entry in
   let c =
     { G.cname = name; tasks = st.tasks; root; structures = [];

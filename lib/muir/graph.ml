@@ -208,12 +208,17 @@ let new_task ~tid ~tname ~tkind ~arg_tys ~res_tys : task =
   { tid; tname; tkind; nodes = []; edges = []; next_nid = 0; next_eid = 0;
     arg_tys; res_tys; tiles = 1; queue_depth = 2; children = [] }
 
-let add_node (t : task) ?(label = "") ~(ty : T.ty) (kind : node_kind)
+(** A node with [t]'s next id, not yet in [t.nodes]. *)
+let new_node (t : task) ?(label = "") ~(ty : T.ty) (kind : node_kind)
     ~(nins : int) : node =
   let n =
     { nid = t.next_nid; kind; ins = Array.make nins Swire; nty = ty; label }
   in
   t.next_nid <- t.next_nid + 1;
+  n
+
+let add_node (t : task) ?label ~ty kind ~nins : node =
+  let n = new_node t ?label ~ty kind ~nins in
   t.nodes <- t.nodes @ [ n ];
   n
 
@@ -222,10 +227,15 @@ let node (t : task) (nid : node_id) : node =
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Graph.node: %d not in task %s" nid t.tname)
 
-let connect ?(capacity = 2) ?(initial = []) (t : task)
+(** An edge with [t]'s next id, not yet in [t.edges]. *)
+let new_edge ?(capacity = 2) ?(initial = []) (t : task)
     ~(src : node_id * int) ~(dst : node_id * int) : edge =
   let e = { eid = t.next_eid; src; dst; capacity = max capacity 1; initial } in
   t.next_eid <- t.next_eid + 1;
+  e
+
+let connect ?capacity ?initial (t : task) ~src ~dst : edge =
+  let e = new_edge ?capacity ?initial t ~src ~dst in
   t.edges <- t.edges @ [ e ];
   e
 
