@@ -241,9 +241,6 @@ let connect ?capacity ?initial (t : task) ~src ~dst : edge =
 
 let set_imm (n : node) (port : int) (v : T.value) = n.ins.(port) <- Simm v
 
-let out_edges (t : task) (nid : node_id) =
-  List.filter (fun e -> fst e.src = nid) t.edges
-
 let task (c : circuit) (tid : task_id) : task =
   match List.find_opt (fun t -> t.tid = tid) c.tasks with
   | Some t -> t

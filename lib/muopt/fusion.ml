@@ -62,20 +62,28 @@ let budget = 2.1
 (** Longest chain of operations fused into one stage. *)
 let max_chain = 4
 
-(** Fuse chains in one task; returns (nodes removed, edges removed). *)
+(** Fuse chains in one task; returns (nodes removed, edges removed).
+    Lookups read the task's {!Muir_core.Graph.index}, rebuilt after
+    each fusion rewrites the task. *)
 let fuse_task (t : G.task) : int * int =
   let removed_nodes = ref 0 and removed_edges = ref 0 in
-  let consumed = Hashtbl.create 16 in
+  let ix = ref (G.index t) in
+  (* By node id: a member of a chain fused so far.  Fused nodes take
+     ids past the table and are never members. *)
+  let consumed = Array.make (Array.length !ix.ix_pos) false in
+  let is_consumed nid =
+    nid >= 0 && nid < Array.length consumed && consumed.(nid)
+  in
   (* Grow a chain starting at [head_node] (which must be plain &
      fusable); [n] is the current tail. *)
   let rec grow ~(head_node : G.node) (chain : chain_elt list) (n : G.node) :
       chain_elt list =
     if List.length chain >= max_chain then chain
     else
-      match G.out_edges t n.nid with
+      match !ix.ix_outs.(n.nid) with
       | [ e ] when snd e.src = 0 -> (
-        let succ = G.node t (fst e.dst) in
-        if Hashtbl.mem consumed succ.nid then chain
+        let succ = !ix.ix_node.(fst e.dst) in
+        if is_consumed succ.nid then chain
         else
           match succ.kind with
           | G.Compute op when plain_arity succ -> (
@@ -98,67 +106,51 @@ let fuse_task (t : G.task) : int * int =
           | _ -> chain)
       | _ -> chain
   in
+  (* The edge driving input [port] of [n]: validation admits one. *)
+  let input_src (n : G.node) (port : int) =
+    List.find (fun (e : G.edge) -> snd e.dst = port) !ix.ix_ins.(n.nid)
+  in
   let try_fuse (head : G.node) : unit =
-    if (not (Hashtbl.mem consumed head.nid)) && plain_arity head then begin
+    if (not (is_consumed head.nid)) && plain_arity head then begin
       let chain = grow ~head_node:head [] head in
       (* If an absorbed steer's predicate is produced inside the chain
          itself, leave the steer out (its pred must stay external). *)
       let chain =
         match List.rev chain with
         | ({ ce_node = { kind = G.Steer; _ } as s; _ } as last) :: rest_rev ->
-          let member_ids =
-            head.nid :: List.map (fun c -> c.ce_node.G.nid) chain
+          let member nid =
+            nid = head.nid || List.exists (fun c -> c.ce_node.G.nid = nid) chain
           in
           let pred_internal =
             List.exists
               (fun (e : G.edge) ->
-                e.dst = (s.nid, G.pred_port)
-                && List.mem (fst e.src) member_ids)
-              t.edges
+                snd e.dst = G.pred_port && member (fst e.src))
+              !ix.ix_ins.(s.nid)
           in
-          if pred_internal then List.rev rest_rev else List.rev (last :: rest_rev)
+          if pred_internal then List.rev rest_rev
+          else List.rev (last :: rest_rev)
         | _ -> chain
       in
       (* Need at least one successor to be worth fusing. *)
       if chain <> [] then begin
         let members = head :: List.map (fun c -> c.ce_node) chain in
-        List.iter (fun (n : G.node) -> Hashtbl.replace consumed n.nid ()) members;
-        let member_ids = List.map (fun (n : G.node) -> n.nid) members in
-        let ends_in_steer =
-          match (List.nth chain (List.length chain - 1)).ce_node.kind with
-          | G.Steer -> true
-          | _ -> false
-        in
-        let compute_members =
-          if ends_in_steer then
-            head :: List.map (fun c -> c.ce_node)
-                      (List.filteri
-                         (fun i _ -> i < List.length chain - 1)
-                         chain)
-          else members
-        in
-        let ops = List.filter_map op_of compute_members in
+        List.iter (fun (n : G.node) -> consumed.(n.nid) <- true) members;
+        (* Only the last member can be a steer; [op_of] skips it. *)
+        let last = List.nth members (List.length members - 1) in
         let steer_node =
-          if ends_in_steer then
-            Some (List.nth chain (List.length chain - 1)).ce_node
-          else None
+          match last.kind with G.Steer -> Some last | _ -> None
         in
+        let ops = List.filter_map op_of members in
         (* Gather external inputs in Exec.fused_sc order: head's operands,
            then each later member's non-chained operands. *)
         let ext_inputs : (G.slot * (G.node_id * int) option) list ref =
           ref []
         in
-        let internal_edge (e : G.edge) =
-          List.mem (fst e.src) member_ids && List.mem (fst e.dst) member_ids
-        in
-        let input_src (n : G.node) (port : int) =
-          List.find_opt (fun (e : G.edge) -> e.dst = (n.nid, port)) t.edges
-        in
         let add_port (n : G.node) (port : int) =
           match n.ins.(port) with
           | G.Simm v -> ext_inputs := !ext_inputs @ [ (G.Simm v, None) ]
           | G.Swire ->
-            let e = Option.get (input_src n port) in
+            let e = input_src n port in
             ext_inputs := !ext_inputs @ [ (G.Swire, Some e.src) ]
         in
         (* Steer's predicate goes first if present. *)
@@ -177,9 +169,10 @@ let fuse_task (t : G.task) : int * int =
           chain;
         (* Create the fused node. *)
         let kind =
-          if ends_in_steer then G.FusedSteer ops else G.Fused ops
+          match steer_node with
+          | Some _ -> G.FusedSteer ops
+          | None -> G.Fused ops
         in
-        let last = List.nth members (List.length members - 1) in
         let fused =
           G.add_node t ~ty:last.nty kind ~nins:(List.length !ext_inputs)
             ~label:
@@ -194,34 +187,34 @@ let fuse_task (t : G.task) : int * int =
           (fun i (slot, src) ->
             match slot, src with
             | G.Simm v, _ -> G.set_imm fused i v
-            | G.Swire, Some src ->
-              (* Retarget the feeding edge to the fused node. *)
+            | G.Swire, Some (sn, sp) ->
+              (* Retarget the first feeding edge, in [t.edges] order,
+                 that still enters a member from outside the chain. *)
               let e =
                 List.find
                   (fun (e : G.edge) ->
-                    e.src = src && List.mem (fst e.dst) member_ids
-                    && not (internal_edge e))
-                  t.edges
+                    snd e.src = sp && is_consumed (fst e.dst)
+                    && not (is_consumed sn))
+                  (List.rev !ix.ix_outs.(sn))
               in
               e.dst <- (fused.nid, i)
             | G.Swire, None -> assert false)
           !ext_inputs;
         (* Outputs: re-source the last member's out edges. *)
         List.iter
-          (fun (e : G.edge) ->
-            if fst e.src = last.nid then e.src <- (fused.nid, snd e.src))
-          t.edges;
+          (fun (e : G.edge) -> e.src <- (fused.nid, snd e.src))
+          !ix.ix_outs.(last.nid);
         (* Drop internal edges and the old nodes. *)
         let is_dead (e : G.edge) =
-          (List.mem (fst e.src) member_ids || List.mem (fst e.dst) member_ids)
+          is_consumed (fst e.src) || is_consumed (fst e.dst)
         in
         removed_edges :=
           !removed_edges + List.length (List.filter is_dead t.edges);
         t.edges <- List.filter (fun e -> not (is_dead e)) t.edges;
         t.nodes <-
-          List.filter (fun (n : G.node) -> not (List.mem n.nid member_ids))
-            t.nodes;
-        removed_nodes := !removed_nodes + List.length members - 1
+          List.filter (fun (n : G.node) -> not (is_consumed n.nid)) t.nodes;
+        removed_nodes := !removed_nodes + List.length members - 1;
+        ix := G.index t
       end
     end
   in
@@ -246,42 +239,42 @@ let max_slots = 16
     [max_slots]. *)
 let balance_task (t : G.task) : int =
   let lat (n : G.node) = (Muir_core.Cost.node_cost n.kind).latency in
+  let ix = G.index t in
   (* Forward edges only: drop edges carrying initial tokens (primed
      back edges) and MergeLoop data-back/ctl inputs. *)
   let forward (e : G.edge) =
-    e.initial = []
-    &&
-    match (G.node t (fst e.dst)).kind with
-    | G.MergeLoop -> snd e.dst = G.mu_init (* init input is forward *)
-    | _ -> true
+    match e.initial, ix.ix_node.(fst e.dst).kind with
+    | _ :: _, _ -> false
+    | [], G.MergeLoop -> snd e.dst = G.mu_init (* init input is forward *)
+    | [], _ -> true
   in
-  let depth = Hashtbl.create 64 in
+  (* By node id: -2 unvisited, -1 on the current path, else the depth. *)
+  let depth = Array.make (Array.length ix.ix_pos) (-2) in
   let rec node_depth nid =
-    match Hashtbl.find_opt depth nid with
-    | Some (Some d) -> d
-    | Some None -> 0 (* cycle guard *)
-    | None ->
-      Hashtbl.replace depth nid None;
-      let ins =
-        List.filter (fun (e : G.edge) -> fst e.dst = nid && forward e) t.edges
-      in
+    if depth.(nid) = -1 then 0 (* cycle guard *)
+    else if depth.(nid) >= 0 then depth.(nid)
+    else begin
+      depth.(nid) <- -1;
+      (* in-edges in [t.edges] order *)
+      let ins = List.filter forward (List.rev ix.ix_ins.(nid)) in
       let d =
         List.fold_left
           (fun acc (e : G.edge) ->
-            let src = G.node t (fst e.src) in
-            max acc (node_depth src.nid + lat src))
+            let src = ix.ix_node.(fst e.src) in
+            Int.max acc (node_depth src.nid + lat src))
           0 ins
       in
-      Hashtbl.replace depth nid (Some d);
+      depth.(nid) <- d;
       d
+    end
   in
   let touched = ref 0 in
   List.iter
     (fun (e : G.edge) ->
       if forward e then begin
-        let src = G.node t (fst e.src) in
+        let src = ix.ix_node.(fst e.src) in
         let slack = node_depth (fst e.dst) - (node_depth src.nid + lat src) in
-        let want = min max_slots (max e.capacity (1 + slack)) in
+        let want = Int.min max_slots (Int.max e.capacity (1 + slack)) in
         if want > e.capacity then begin
           e.capacity <- want;
           incr touched

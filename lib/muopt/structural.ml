@@ -48,6 +48,17 @@ let queuing_pass () : Pass.t = { pname = "task-queuing"; prun = task_queuing }
     than a CPU (§6.6). *)
 let execution_tiling ?task ?(scope = `Spawned) (c : G.circuit)
     ~(tiles : int) : Pass.report =
+  (* By task id: spawned tasks are targets of SpawnChild nodes
+     anywhere; [visited] marks the tasks tiled so far. *)
+  let n = 1 + List.fold_left (fun m (t : G.task) -> max m t.tid) (-1) c.tasks in
+  let spawned = Array.make n false and visited = Array.make n false in
+  G.iter_tasks
+    (fun t ->
+      List.iter
+        (fun (n : G.node) ->
+          match n.kind with G.SpawnChild tid -> spawned.(tid) <- true | _ -> ())
+        t.nodes)
+    c;
   let eligible (t : G.task) =
     match task with
     | Some name -> t.tname = name
@@ -55,26 +66,15 @@ let execution_tiling ?task ?(scope = `Spawned) (c : G.circuit)
       match scope with
       | `All_loops -> (
         match t.tkind with G.Tloop _ -> true | G.Tfunc -> false)
-      | `Spawned ->
-        (* spawned tasks: targets of SpawnChild nodes anywhere *)
-        List.exists
-          (fun (p : G.task) ->
-            List.exists
-              (fun (n : G.node) ->
-                match n.kind with
-                | G.SpawnChild tid -> tid = t.tid
-                | _ -> false)
-              p.nodes)
-          c.tasks)
+      | `Spawned -> spawned.(t.tid))
   in
   let touched = ref 0 in
   (* Tiling a task replicates its whole execution subtree: the loops
      and helpers a tile runs must be replicated with it, or they would
      re-serialize the tiles. *)
-  let visited = Hashtbl.create 8 in
   let rec apply (t : G.task) =
-    if not (Hashtbl.mem visited t.tid) then begin
-      Hashtbl.add visited t.tid ();
+    if not visited.(t.tid) then begin
+      visited.(t.tid) <- true;
       if t.tiles < tiles then begin
         t.tiles <- tiles;
         incr touched
@@ -181,7 +181,7 @@ let scratchpad_banking ?(banks = 2) (c : G.circuit) : Pass.report =
   if !touched > 0 then
     G.iter_tasks
       (fun t ->
-        if G.memory_nodes t <> [] then
+        if List.exists G.is_memory_node t.nodes then
           G.set_junction_width c t.tid
             (max (G.junction_width c t.tid) banks))
       c;
@@ -231,7 +231,7 @@ let cache_banking ?(banks = 2) (c : G.circuit) : Pass.report =
   if !touched > 0 then
     G.iter_tasks
       (fun t ->
-        if G.memory_nodes t <> [] then
+        if List.exists G.is_memory_node t.nodes then
           G.set_junction_width c t.tid
             (max (G.junction_width c t.tid) banks))
       c;
