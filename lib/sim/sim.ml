@@ -922,8 +922,9 @@ let build_layout (sim : t) (task : G.task) : layout =
   let nodes = Array.of_list task.nodes in
   let edges = Array.of_list task.edges in
   let nn = Array.length nodes in
-  let idx = Array.make (max task.next_nid 1) (-1) in
-  Array.iteri (fun i (n : G.node) -> idx.(n.nid) <- i) nodes;
+  (* Positions by node id, from the index validation reads: sized by
+     the largest id present, which may reach past [task.next_nid]. *)
+  let idx = (G.index task).ix_pos in
   let inb = Array.make (nn + 1) 0 in
   Array.iteri
     (fun i (n : G.node) -> inb.(i + 1) <- inb.(i) + Array.length n.ins)

@@ -297,6 +297,36 @@ let equivalence_cases =
       Alcotest.test_case w.wname `Quick (test_kernel_equivalence w))
     W.all
 
+(* The kernel runs what validation admits.  Validation indexes node
+   ids by the largest present, so a node id at or above its task's
+   [next_nid] is clean; the kernel reads the same index.  Lowering one
+   saxpy task's [next_nid] below its largest id changes nothing a run
+   reads. *)
+let test_ids_above_next_nid () =
+  let w = W.find "saxpy" in
+  let build () = Muir_core.Build.circuit ~name:w.wname (W.program w) in
+  let summary (r : Muir_sim.Sim.result) =
+    (r.stats.total_cycles, r.stats.fires, Muir_ir.Types.value_to_string r.value)
+  in
+  let want = summary (Muir_sim.Sim.run (build ())) in
+  let c = build () in
+  let t =
+    List.find
+      (fun (t : Muir_core.Graph.task) ->
+        List.exists
+          (fun (n : Muir_core.Graph.node) -> n.nid = t.next_nid - 1)
+          t.nodes)
+      c.tasks
+  in
+  t.next_nid <- t.next_nid - 1;
+  Alcotest.(check (list string)) "validates clean" []
+    (List.map (Fmt.str "%a" Muir_core.Validate.pp_error)
+       (Muir_core.Validate.validate c));
+  Alcotest.(check (triple int int string))
+    (Fmt.str "%s: cycles, fires and return value" t.tname)
+    want
+    (summary (Muir_sim.Sim.run c))
+
 (* Zero-allocation guard: the steady-state fire path must not touch the
    minor heap.  [Sim.run] samples the minor-word counter every 4096
    cycles and reports the rate over the second half of the run, past
@@ -516,7 +546,9 @@ let () =
         [ Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "cycle limit" `Quick test_deadlock_detection;
           Alcotest.test_case "dma accounting" `Quick test_dma_accounting;
-          Alcotest.test_case "control-token truth" `Quick test_truthy_flat ]
+          Alcotest.test_case "control-token truth" `Quick test_truthy_flat;
+          Alcotest.test_case "node ids at or above next_nid" `Quick
+            test_ids_above_next_nid ]
       );
       ("kernel-equivalence", equivalence_cases);
       ( "zero-allocation",
