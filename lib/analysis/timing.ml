@@ -327,52 +327,28 @@ let build_sdf (tc : tctx) ~(flavor : flavor) ~(restrict : bool)
     itself. *)
 let classify (c : G.circuit) (tc : tctx) (cyc : prov Sdf.edge list) :
     binding =
-  let find f = List.find_map f cyc in
-  let window_child =
-    match
-      find (fun e ->
-          match e.Sdf.etag with Pwindow t -> Some t | _ -> None)
-    with
-    | Some tid -> Some tid
-    | None ->
-      find (fun e ->
-          match e.Sdf.etag with
-          | Pedge ge -> (
-            match (Liveness.node_of tc.ctx (fst ge.src)).kind with
-            | G.CallChild ct -> Some ct
-            | _ -> None)
+  let node nid = Liveness.node_of tc.ctx nid in
+  (* In priority order; each rule takes the first edge of the ring it
+     maps to a binding. *)
+  let rules =
+    [ (function Pwindow t -> Some (Bqueue t) | _ -> None);
+      (function
+        | Pedge ge -> (
+          match (node (fst ge.src)).kind with
+          | G.CallChild ct -> Some (Bqueue ct)
           | _ -> None)
+        | _ -> None);
+      (function
+        | Pedge ge when G.is_order_port (node (fst ge.dst)) (snd ge.dst) ->
+          Option.map
+            (fun sp -> Bmem (G.structure_of_space c sp).G.sid)
+            (G.node_space (node (fst ge.dst)))
+        | _ -> None);
+      (function Pcap ge -> Some (Bbuffer ge.eid) | _ -> None);
+      (function Pii nid -> Some (Bfu nid) | _ -> None) ]
   in
-  match window_child with
-  | Some tid -> Bqueue tid
-  | None -> (
-    let mem_chain =
-      find (fun e ->
-          match e.Sdf.etag with
-          | Pedge ge ->
-            let dn = Liveness.node_of tc.ctx (fst ge.dst) in
-            if G.is_order_port dn (snd ge.dst) then
-              match G.node_space dn with
-              | Some sp -> Some (G.structure_of_space c sp).G.sid
-              | None -> None
-            else None
-          | _ -> None)
-    in
-    match mem_chain with
-    | Some sid -> Bmem sid
-    | None -> (
-      match
-        find (fun e ->
-            match e.Sdf.etag with Pcap ge -> Some ge.eid | _ -> None)
-      with
-      | Some eid -> Bbuffer eid
-      | None -> (
-        match
-          find (fun e ->
-              match e.Sdf.etag with Pii nid -> Some nid | _ -> None)
-        with
-        | Some nid -> Bfu nid
-        | None -> Bring)))
+  List.find_map (fun rule -> List.find_map (fun e -> rule e.Sdf.etag) cyc) rules
+  |> Option.value ~default:Bring
 
 (* ------------------------------------------------------------------ *)
 (* The analysis                                                        *)

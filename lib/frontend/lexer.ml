@@ -24,8 +24,7 @@ exception Error of string * Ast.pos
 let is_keyword = function
   | "global" | "func" | "int" | "float" | "bool" | "tile" | "void" | "true"
   | "false" | "if" | "else" | "for" | "parallel_for" | "while" | "spawn"
-  | "sync" | "return" ->
-    true
+  | "sync" | "return" -> true
   | _ -> false
 
 let is_two_char_punct c d =
@@ -85,12 +84,8 @@ let rec skip_ws (lx : t) =
       advance lx; advance lx;
       let rec close () =
         if at_end lx then raise (Error ("unterminated comment", position lx))
-        else if at lx 0 '*' && at lx 1 '/' then begin
-          advance lx; advance lx
-        end
-        else begin
-          advance lx; close ()
-        end
+        else if at lx 0 '*' && at lx 1 '/' then (advance lx; advance lx)
+        else (advance lx; close ())
       in
       close ();
       skip_ws lx

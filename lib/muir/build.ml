@@ -528,6 +528,13 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
     note_memory ctx space n ~is_store ~addr;
     if not is_store then bind (n.nid, G.load_data)
   in
+  let tensor top args =
+    let n =
+      mk ctx ~ty:ins.ty (Tcompute { top; dedicated = false })
+        (List.map (slot_of ctx) args) ~trigger:pred
+    in
+    bind (n.nid, 0)
+  in
   match ins.kind with
   | Bin _ | Fbin _ | Icmp _ | Fcmp _ | Funary _ | Cast _ | Select _ | Gep _
     ->
@@ -550,22 +557,8 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
   | Tstore { addr; row_stride; value; shape } ->
     memory addr [ row_stride; value ] (fun space -> Tstore { space; shape })
   | Tbin (op, a, b) ->
-    let top = match op with I.Tmul -> G.Tmul2 | I.Tadd -> G.Tadd2 in
-    let n =
-      mk ctx ~ty:ins.ty
-        (Tcompute { top; dedicated = false })
-        [ slot_of ctx a; slot_of ctx b ]
-        ~trigger:pred
-    in
-    bind (n.nid, 0)
-  | Tunary (op, a) ->
-    let top = match op with I.Trelu -> G.Trelu2 in
-    let n =
-      mk ctx ~ty:ins.ty
-        (Tcompute { top; dedicated = false })
-        [ slot_of ctx a ] ~trigger:pred
-    in
-    bind (n.nid, 0)
+    tensor (match op with I.Tmul -> G.Tmul2 | I.Tadd -> G.Tadd2) [ a; b ]
+  | Tunary (I.Trelu, a) -> tensor G.Trelu2 [ a ]
   | Call { callee; args } ->
     let tid = Hashtbl.find ctx.st.func_task callee in
     let n =
@@ -850,18 +843,19 @@ let emit_func_liveouts (ctx : rctx) ~(entry_pred : port) =
          (LiveOut 1) [ v ] ~trigger:entry_pred)
   end
 
+(** A task's stage-2 context; [lp] is the loop the task runs, if any. *)
+let new_ctx (st : st) (f : F.t) (lp : F.loop_info option) (gt : G.task) =
+  let inner_exit = Hashtbl.create 8 in
+  List.iter
+    (fun (il : F.loop_info) -> Hashtbl.replace inner_exit il.header il.exit)
+    (direct_inner_loops f lp);
+  { st; f; gt; def = Hashtbl.create 64; blk_pred = Hashtbl.create 16;
+    edge_pred = Hashtbl.create 16; rty = reg_types f; rets = [];
+    mem_order = []; has_store = []; sync_order = None; inner_exit }
+
 (** Build the dataflow of a function task. *)
 let build_func_task (st : st) (f : F.t) (gt : G.task) =
-  let ctx =
-    { st; f; gt; def = Hashtbl.create 64; blk_pred = Hashtbl.create 16;
-      edge_pred = Hashtbl.create 16; rty = reg_types f; rets = [];
-      mem_order = []; has_store = []; sync_order = None;
-      inner_exit = Hashtbl.create 8 }
-  in
-  List.iter
-    (fun (lp : F.loop_info) ->
-      if lp.depth = 1 then Hashtbl.replace ctx.inner_exit lp.header lp.exit)
-    f.loops;
+  let ctx = new_ctx st f None gt in
   (* Live-ins: token + parameters. *)
   let token =
     add_node gt ~ty:T.TBool (LiveIn 0) ~nins:0 ~label:"task.token"
@@ -885,17 +879,7 @@ let build_func_task (st : st) (f : F.t) (gt : G.task) =
 
 (** Build the dataflow of a loop task using the μ/steer loop schema. *)
 let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
-  let ctx =
-    { st; f; gt; def = Hashtbl.create 64; blk_pred = Hashtbl.create 16;
-      edge_pred = Hashtbl.create 16; rty = reg_types f; rets = [];
-      mem_order = []; has_store = []; sync_order = None;
-      inner_exit = Hashtbl.create 8 }
-  in
-  List.iter
-    (fun (il : F.loop_info) ->
-      if il.depth = lp.depth + 1 && mem_int il.header lp.body then
-        Hashtbl.replace ctx.inner_exit il.header il.exit)
-    f.loops;
+  let ctx = new_ctx st f (Some lp) gt in
   let liveins = Hashtbl.find st.livein_regs gt.tid in
   let liveouts = Hashtbl.find st.liveout_regs gt.tid in
   (* Live-in nodes. *)
