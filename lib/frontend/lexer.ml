@@ -45,10 +45,9 @@ let create src = { src; pos = 0; line = 1; bol = 0 }
 
 let position (lx : t) : Ast.pos = { line = lx.line; col = lx.pos - lx.bol + 1 }
 
-(* The byte [k] past the current one, if the input has it: [at lx 0]
-   is the current byte.  The scanners test bytes with [at] and step
-   over them with [advance]; a byte that cannot be a newline is
-   stepped over with [lx.pos <- lx.pos + 1]. *)
+(* Is the byte [k] past the current one [c]?  False past the end of
+   the input.  The scanners step over a byte with [advance], or with
+   [lx.pos <- lx.pos + 1] where it cannot be a newline. *)
 let at (lx : t) k c =
   lx.pos + k < String.length lx.src && lx.src.[lx.pos + k] = c
 
