@@ -90,7 +90,10 @@ let rec skip_ws (lx : t) =
       skip_ws lx
     | _ -> ()
 
-let lex_number (lx : t) : token =
+(** A number literal starting at [pos].  A literal that does not
+    parse, or whose value does not fit an [int64], is a lex error at
+    [pos] naming the literal. *)
+let lex_number (lx : t) (pos : Ast.pos) : token =
   let start = lx.pos in
   skip_while lx is_digit;
   let is_float =
@@ -112,8 +115,13 @@ let lex_number (lx : t) : token =
     else is_float
   in
   let text = String.sub lx.src start (lx.pos - start) in
-  if is_float then FLOAT (float_of_string text)
-  else INT (Int64.of_string text)
+  let tok =
+    if is_float then Option.map (fun f -> FLOAT f) (float_of_string_opt text)
+    else Option.map (fun i -> INT i) (Int64.of_string_opt text)
+  in
+  match tok with
+  | Some t -> t
+  | None -> raise (Error (Fmt.str "malformed number literal %S" text, pos))
 
 (** Next token together with its source position. *)
 let next (lx : t) : token * Ast.pos =
@@ -122,7 +130,7 @@ let next (lx : t) : token * Ast.pos =
   if at_end lx then (EOF, pos)
   else
     let c = lx.src.[lx.pos] in
-    if is_digit c then (lex_number lx, pos)
+    if is_digit c then (lex_number lx pos, pos)
     else if is_ident_start c then begin
       let start = lx.pos in
       skip_while lx is_ident_char;

@@ -159,18 +159,31 @@ let frontend_commands =
   [ "ir"; "graph"; "dot"; "check"; "chisel"; "simulate"; "profile";
     "explore"; "synth" ]
 
+(* Rejected sources and the start of the error each must print: a
+   syntax error, a malformed float literal and an int literal that
+   does not fit 64 bits. *)
+let rejected_sources =
+  [ ("func int main() { return 1 + ; }\n", "parse error at 1:");
+    ("func void main() { float x = 1e; }\n", "lex error at 1:30");
+    ("func void main() { int x = 99999999999999999999; }\n",
+     "lex error at 1:28") ]
+
 let test_rejected_source cmd () =
-  let f = Filename.temp_file "muirc" ".mc" in
-  Out_channel.with_open_bin f (fun oc ->
-      output_string oc "func int main() { return 1 + ; }\n");
-  let code, text = muirc_run [ cmd; f ] in
-  Sys.remove f;
-  Alcotest.(check int) (cmd ^ " on a rejected source: exit code") 1 code;
-  if not (contains text (f ^ ": parse error at 1:")) then
-    Alcotest.failf "%s: error line does not name %s and the position:@.%s"
-      cmd f text;
-  if contains text "exception" then
-    Alcotest.failf "%s: uncaught exception:@.%s" cmd text;
+  List.iter
+    (fun (src, want) ->
+      let f = Filename.temp_file "muirc" ".mc" in
+      Out_channel.with_open_bin f (fun oc -> output_string oc src);
+      let code, text = muirc_run [ cmd; f ] in
+      Sys.remove f;
+      Alcotest.(check int) (cmd ^ " on a rejected source: exit code") 1 code;
+      if not (contains text (f ^ ": " ^ want)) then
+        Alcotest.failf "%s: error line does not name %s and %s:@.%s" cmd f
+          want text;
+      Alcotest.(check int) (cmd ^ ": lines printed") 1
+        (List.length (String.split_on_char '\n' (String.trim text)));
+      if contains text "exception" then
+        Alcotest.failf "%s: uncaught exception:@.%s" cmd text)
+    rejected_sources;
   let _, help = muirc_run [ cmd; "--help=plain" ] in
   let words = String.concat " " (String.split_on_char '\n' help) in
   let squashed =

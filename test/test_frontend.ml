@@ -283,15 +283,29 @@ let test_lexer_positions () =
     ->
     Alcotest.(check int) "line 1" 1 p1.line;
     Alcotest.(check int) "line 2" 2 p2.line;
-    Alcotest.(check int) "col 3" 3 p2.col
+    Alcotest.(check int) "col 3" 3 p2.col;
+    (* A number literal that does not parse, or does not fit an int64,
+       is a lex error at the literal that names it. *)
+    List.iter
+      (fun lit ->
+        match Muir_frontend.Lexer.tokenize ("x =\n  " ^ lit ^ ";") with
+        | exception Muir_frontend.Lexer.Error (m, p) ->
+          Alcotest.(check string) (lit ^ ": message")
+            (Fmt.str "malformed number literal %S" lit)
+            m;
+          Alcotest.(check (pair int int)) (lit ^ ": position") (2, 3)
+            (p.line, p.col)
+        | _ -> Alcotest.failf "%s lexed" lit)
+      [ "1e"; "1.5e-"; "9223372036854775808" ]
   | _ -> Alcotest.fail "unexpected token stream"
 
 (* The token stream, pinned token by token: kind, text and line:col.
    The main source holds every keyword and every punctuation,
    identifiers that extend a keyword, the three number forms, a block
    comment spanning lines and a line comment that ends the input
-   without a newline.  The short sources end on a two-character
-   operator, end on a lone '<', and run operators together. *)
+   without a newline.  The short sources hold the largest int64 and
+   floats at the edge of range, end on a two-character operator, end
+   on a lone '<', and run operators together. *)
 let show_token (t, (p : Muir_frontend.Ast.pos)) =
   let module L = Muir_frontend.Lexer in
   let kind, text =
@@ -330,6 +344,9 @@ let lexer_cases =
         "ident returned 5:13"; "ident parallel_fork 5:22";
         "ident sync2 5:36"; "ident _x 5:42"; "int 1 6:1"; "float 1.5 6:3";
         "float 2000 6:7"; "ident x 7:19"; "eof  8:36" ] );
+    ( "9223372036854775807 2e3 1e400",
+      [ "int 9223372036854775807 1:1"; "float 2000 1:21"; "float inf 1:25";
+        "eof  1:30" ] );
     ("a >=", [ "ident a 1:1"; "punct >= 1:3"; "eof  1:5" ]);
     ("b <", [ "ident b 1:1"; "punct < 1:3"; "eof  1:4" ]);
     ( "a<=b<<=c!=!d",

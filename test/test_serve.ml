@@ -239,9 +239,13 @@ let test_item_errors_contained () =
               item ~id:2
                 (Proto.Inline { name = "broken"; text = "func nope {" });
               item ~id:3 ~deadline_ms:0 (Proto.Workload "fib");
-              item ~id:4 (Proto.Workload "saxpy") ]))
+              item ~id:4 (Proto.Workload "saxpy");
+              item ~id:5
+                (Proto.Inline
+                   { name = "badnum";
+                     text = "func void main() { float x = 1e; }" }) ]))
   in
-  Alcotest.(check int) "four items failed" 4 errors;
+  Alcotest.(check int) "five items failed" 5 errors;
   Alcotest.(check int) "the good item ran" 1 fresh;
   Alcotest.(check string) "unknown workload" "bad_request"
     (err_code (outcome rs 0));
@@ -249,6 +253,8 @@ let test_item_errors_contained () =
     (err_code (outcome rs 1));
   Alcotest.(check string) "compile error" "compile_error"
     (err_code (outcome rs 2));
+  Alcotest.(check string) "malformed literal" "compile_error"
+    (err_code (outcome rs 5));
   (match outcome rs 3 with
   | Proto.Err { code; stage; _ } ->
     Alcotest.(check string) "deadline code" "deadline" code;
