@@ -668,16 +668,16 @@ let read_example name =
 let explore () =
   header
     "Design-space exploration: best-found configuration vs the best \
-     predefined stack (grid search, shared memo cache)";
+     predefined stack (grid search, shared evaluation memo)";
   let jobs = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
   List.iter
     (fun name ->
       let src = Pipeline.of_workload_name name in
-      let cache = Muir_dse.Cache.create () in
+      let memo = Muir_dse.Eval.memo () in
       (* Pass 1: just the predefined stacks, each at its own default
          parameters — the configurations a user could have hand-picked. *)
       let predef =
-        Muir_dse.Explore.run ~jobs ~cache
+        Muir_dse.Explore.run ~jobs ~memo
           ~grid:(List.map Muir_dse.Config.predefined (Opt.Stacks.names ()))
           src
       in
@@ -686,10 +686,10 @@ let explore () =
         | Some b -> b
         | None -> failwith (name ^ ": no feasible predefined stack")
       in
-      (* Pass 2: the full grid over the same cache — the predefined
-         points come back as cache hits, never re-simulated. *)
+      (* Pass 2: the full grid over the same memo — the predefined
+         points' circuits are reused, never re-simulated. *)
       let full =
-        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~cache src
+        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~memo src
       in
       Fmt.pr "@.== %s@." name;
       Muir_dse.Explore.pp_result Fmt.stdout full;
@@ -716,38 +716,35 @@ let explore () =
           name;
         exit 1
       end;
-      (* Pass 3: re-exploration must be answered entirely from the
-         memo cache — zero fresh simulations. *)
+      (* Pass 3: re-exploration must reuse every circuit from the
+         memo — zero fresh simulations. *)
       let again =
-        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~cache src
+        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~memo src
       in
-      if again.x_fresh_sims <> 0 || again.x_pruned <> 0 then begin
-        Fmt.epr "%s: re-exploration re-simulated %d configurations@." name
-          (again.x_fresh_sims + again.x_pruned);
+      if again.x_fresh_sims <> 0 || again.x_reused <> again.x_fresh_evals
+      then begin
+        Fmt.epr "%s: re-exploration simulated %d configurations@." name
+          again.x_fresh_sims;
         exit 1
       end;
-      Fmt.pr
-        "re-exploration    %d cache hits, 0 fresh simulations@."
-        again.x_cache_hits;
-      (* The shared memo cache across all three passes: the hit/miss/
-         entry counters the explorer reports in its JSON. *)
-      Fmt.pr "shared cache      %a@." Muir_dse.Cache.pp_stats
-        (Muir_dse.Cache.stats cache);
+      Fmt.pr "re-exploration    %d reused, 0 fresh simulations@."
+        again.x_reused;
+      Fmt.pr "shared memo       %d distinct circuits over %d configurations@."
+        (Hashtbl.length memo) (List.length full.x_evals);
       (* Pass 4: the timing admission filter must be transparent — a
-         pruned run from a cold cache reproduces the same frontier,
+         pruned run from a cold memo reproduces the same frontier,
          byte for byte, never simulating more. *)
       let pruned =
-        Muir_dse.Explore.run ~timing_prune:true ~jobs ~budget_evals:128
-          ~cache:(Muir_dse.Cache.create ()) src
+        Muir_dse.Explore.run ~timing_prune:true ~jobs ~budget_evals:128 src
       in
       if frontier_fingerprint pruned <> frontier_fingerprint full then begin
         Fmt.epr "%s: timing-pruned frontier diverged@." name;
         exit 1
       end;
       Fmt.pr
-        "timing-pruned     identical frontier, %d of %d simulations \
-         skipped@."
-        pruned.x_timing_pruned pruned.x_fresh_evals)
+        "timing-pruned     identical frontier, %d of %d configurations \
+         pruned, %d simulated@."
+        pruned.x_timing_pruned pruned.x_fresh_evals pruned.x_fresh_sims)
     [ "gemm"; "fib"; "2mm" ];
   (* The queue-bound workloads above have bounds far below any measured
      run, so their filter never fires (and must not).  divring — the
@@ -771,13 +768,8 @@ let explore () =
       Muir_dse.Config.v ~tiles:2 ~banks:4 ~off:[ "op-fusion" ] "cilk-stack" ]
   in
   let jobs = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
-  let plain =
-    Muir_dse.Explore.run ~jobs ~cache:(Muir_dse.Cache.create ()) ~grid src
-  in
-  let pruned =
-    Muir_dse.Explore.run ~timing_prune:true ~jobs
-      ~cache:(Muir_dse.Cache.create ()) ~grid src
-  in
+  let plain = Muir_dse.Explore.run ~jobs ~grid src in
+  let pruned = Muir_dse.Explore.run ~timing_prune:true ~jobs ~grid src in
   Fmt.pr "@.== divring (timing-pruned grid)@.";
   Muir_dse.Explore.pp_result Fmt.stdout pruned;
   if frontier_fingerprint pruned <> frontier_fingerprint plain then begin

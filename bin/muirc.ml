@@ -765,8 +765,8 @@ let explore_cmd =
       & opt (some string) None
       & info [ "metrics-file" ] ~docv:"OUT"
           ~doc:
-            "Write the run's telemetry (evals, sims, prunes, cache \
-             traffic, per-stage latency histograms — the \
+            "Write the run's telemetry (evals, sims, prunes, reused \
+             circuits, per-stage latency histograms — the \
              $(b,muir_dse_*) families) as Prometheus text.")
   in
   let run target budget area jobs json seed strategy tprune metrics_file =
@@ -804,8 +804,8 @@ let explore_cmd =
          "Design-space exploration: enumerate μopt stacks × tiling \
           width × banking (× per-pass on/off), evaluate each with the \
           cycle-accurate simulator and the synthesis models on a \
-          parallel domain pool with a content-keyed memo cache, and \
-          print the cycles-vs-area Pareto frontier.")
+          parallel domain pool, simulating each distinct optimized \
+          circuit once, and print the cycles-vs-area Pareto frontier.")
     Term.(
       const run $ target_arg $ budget_arg $ area_arg $ jobs_arg
       $ json_arg $ seed_arg $ strategy_arg $ tprune_flag $ metrics_arg)

@@ -4,10 +4,10 @@
 
     Two configurations that build the {e same} pass list — e.g.
     [loop-stack] at [tiles = 2] vs [tiles = 4], since that stack never
-    reads [tiles] — share a {!key}, so the explorer's memo cache
-    evaluates the pair once.  The key is content-derived: it serializes
-    the pass sequence the configuration actually builds, with each
-    pass's effective parameters inlined. *)
+    reads [tiles] — share a {!key}, so the explorer evaluates the pair
+    once.  The key is content-derived: it serializes the pass sequence
+    the configuration actually builds, with each pass's effective
+    parameters inlined. *)
 
 module Stacks = Muir_opt.Stacks
 module Pass = Muir_opt.Pass

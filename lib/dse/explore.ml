@@ -3,11 +3,12 @@
     (performance) and the synthesis models (cost), and report the
     cycles-vs-area Pareto frontier.
 
-    Evaluation is memoized through a content-keyed {!Cache} and fanned
-    out over a {!Pool} of domains; because the cache is consulted and
-    filled only by the coordinating domain and the pool merges results
-    by input index, the explorer's output is identical for every
-    [--jobs] value.
+    Each configuration goes through {!Eval}, the evaluation the serve
+    daemon also uses, on a {!Pool} of domains.  Configurations that
+    build the same optimized circuit share one simulation through the
+    {!Eval.memo}, which only the coordinating domain fills, and the
+    pool merges results by input index, so the output is identical for
+    every [--jobs] value.
 
     Two search strategies:
     - {e grid} — exhaustive sweep of a finite space (the default space
@@ -15,11 +16,10 @@
       and always contains each predefined stack at its own defaults);
     - {e greedy} — counter-guided hill climb: seeds every stack at
       minimal parameters and widens the parameter behind the dominant
-      stall ({!Muir_trace.Profile} attribution over the simulator's
-      always-on counter bank — no event ring involved: task-queue
-      stalls → more tiles, memory-structure stalls → more banks), with
-      a seeded-LCG diversification step that also expands one other
-      frontier point per round.
+      stall ({!Eval.hint}: task-queue stalls → more tiles,
+      memory-structure stalls → more banks), with a seeded-LCG
+      diversification step that also expands one other frontier point
+      per round.
 
     Either way, a configuration whose modeled FPGA area already
     exceeds [--area-budget] is pruned analytically — the model runs,
@@ -28,9 +28,8 @@
     What to explore is a {!Muir_pipeline.Pipeline.source}, and results
     carry its name.  Its thunk runs once per evaluation inside the
     worker domain, so nothing mutable (program memory included) is
-    ever shared across domains. *)
+    ever shared across domains while a pool map runs. *)
 
-module G = Muir_core.Graph
 module P = Muir_pipeline.Pipeline
 module Stacks = Muir_opt.Stacks
 
@@ -42,11 +41,15 @@ let source_name (src : P.source) : string =
 (* ------------------------------------------------------------------ *)
 (* Evaluations                                                          *)
 
-(** What the profiler blames, mapped onto the knob that widens it. *)
-type hint = Widen_tiles | Widen_banks
+(** How a fresh evaluation ended. *)
+type outcome =
+  | Simulated      (** its circuit was simulated for it *)
+  | Reused         (** an earlier configuration's circuit was the same *)
+  | Area_pruned    (** its modeled area exceeds the budget *)
+  | Timing_pruned  (** a simulated point dominates its static bound *)
 
 type eval = {
-  e_key : string;          (** {!Config.key} — the memo-cache key *)
+  e_key : string;          (** {!Config.key} *)
   e_cfg : Config.t;
   e_alms : int;            (** FPGA cost (Arria-10-class ALMs) *)
   e_brams : int;
@@ -55,8 +58,8 @@ type eval = {
   e_bound : int;           (** static cycle lower bound ({!Muir_analysis.Timing}) *)
   e_cycles : int option;   (** [None] — pruned before simulation *)
   e_us : float option;     (** cycles at the modeled FPGA clock *)
-  e_tpruned : bool;        (** pruned by the timing bound, not area *)
-  e_hint : hint option;    (** greedy guidance, from the counter bank *)
+  e_outcome : outcome;
+  e_hint : Eval.hint option;
   e_secs : float array;    (** per-stage seconds ({!Muir_pipeline.Pipeline.stage_index});
                                telemetry only — never serialized *)
   e_counts : int array;    (** per-stage invocations, same indexing *)
@@ -74,64 +77,6 @@ let pruned (e : eval) : bool = e.e_cycles = None
 let timing_dominates ~(bound : int) ~(alms : int) ((c0, a0) : int * int) :
     bool =
   (c0 <= bound && a0 < alms) || (c0 < bound && a0 <= alms)
-
-(** Evaluate one configuration from scratch: compile, build, optimize,
-    model — and, if neither the area budget nor an incumbent's timing
-    domination rules it out, simulate.  [dominators] are
-    already-simulated [(cycles, alms)] points (the coordinator passes
-    the current frontier).  Every simulated evaluation checks the
-    static bound against the measured cycles — the analysis's
-    soundness contract is enforced on every run, not only in tests. *)
-let evaluate ?now ~(src : P.source) ~(area_budget : int option)
-    ~(dominators : (int * int) list) (cfg : Config.t) : eval =
-  let ctl = P.ctl ?now () in
-  let key = Config.key cfg in
-  let b = P.build ~ctl ~passes:(Config.passes cfg) src in
-  let c = b.P.p_circuit in
-  let m = P.model ~ctl b in
-  let f = m.P.m_fpga in
-  let a = m.P.m_asic in
-  let bound = Muir_analysis.Timing.bound_cycles c in
-  let base =
-    { e_key = key; e_cfg = cfg; e_alms = f.fr_alms; e_brams = f.fr_brams;
-      e_mhz = f.fr_mhz; e_asic_area = a.ar_area; e_bound = bound;
-      e_cycles = None; e_us = None; e_tpruned = false; e_hint = None;
-      e_secs = ctl.P.stage_seconds; e_counts = ctl.P.stage_counts }
-  in
-  let over =
-    match area_budget with Some b -> f.fr_alms > b | None -> false
-  in
-  if over then base
-  else if
-    List.exists (timing_dominates ~bound ~alms:f.fr_alms) dominators
-  then { base with e_tpruned = true }
-  else begin
-    let r = P.simulate ~ctl b in
-    let cycles = r.Muir_sim.Sim.stats.total_cycles in
-    if bound > cycles then
-      invalid_arg
-        (Fmt.str
-           "timing unsound on %s (%s): static bound %d > measured %d \
-            cycles"
-           (source_name src) (Config.label cfg) bound cycles);
-    (* The hint comes from the always-on counter bank — every
-       simulated evaluation gets one, no event ring attached. *)
-    let prof = Muir_trace.Profile.of_run c r.Muir_sim.Sim.counters in
-    let hint =
-      match Muir_trace.Profile.dominant_struct prof with
-      | None -> None
-      | Some s -> (
-        match s.s_ref with
-        | G.Rqueue _ -> Some Widen_tiles
-        | G.Rstruct sid -> (
-          match (G.structure c sid).shape with
-          | G.Cache _ | G.Scratchpad _ -> Some Widen_banks))
-    in
-    { base with
-      e_cycles = Some cycles;
-      e_us = Some (float_of_int cycles /. f.fr_mhz);
-      e_hint = hint }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Frontier                                                             *)
@@ -201,52 +146,6 @@ let strategy_to_string = function Grid -> "grid" | Greedy -> "greedy"
 (* ------------------------------------------------------------------ *)
 (* The explorer                                                         *)
 
-(** The explorer's registered metric handles ([muir_dse_*] naming
-    convention); created against the [?obs] registry when one is
-    passed.  Updated by the coordinating domain only, and only for
-    {e fresh} evaluations — a cached replay is never re-observed, so
-    [muir_dse_evals_total] always equals [fresh_evals] in the JSON. *)
-type dse_mx = {
-  dx_evals : Muir_obs.Metrics.counter;
-  dx_sims : Muir_obs.Metrics.counter;
-  dx_pruned_area : Muir_obs.Metrics.counter;
-  dx_pruned_timing : Muir_obs.Metrics.counter;
-  dx_cache_hits : Muir_obs.Metrics.counter;
-  dx_eval_seconds : Muir_obs.Metrics.hist;
-  dx_stage : Muir_obs.Metrics.hist array;
-}
-
-let make_dse_mx (obs : Muir_obs.Obs.t) : dse_mx =
-  let module M = Muir_obs.Metrics in
-  let module P = Muir_pipeline.Pipeline in
-  let r = obs.Muir_obs.Obs.o_metrics in
-  { dx_evals =
-      M.counter r ~help:"Fresh configuration evaluations."
-        "muir_dse_evals_total";
-    dx_sims =
-      M.counter r ~help:"Fresh evaluations that reached the simulator."
-        "muir_dse_sims_total";
-    dx_pruned_area =
-      M.counter r ~help:"Fresh evaluations pruned before simulation."
-        ~labels:[ ("kind", "area") ] "muir_dse_pruned_total";
-    dx_pruned_timing =
-      M.counter r ~help:"Fresh evaluations pruned before simulation."
-        ~labels:[ ("kind", "timing") ] "muir_dse_pruned_total";
-    dx_cache_hits =
-      M.counter r ~help:"Evaluations answered from the memo cache."
-        "muir_dse_cache_hits_total";
-    dx_eval_seconds =
-      M.histogram r ~help:"Whole-evaluation seconds (fresh only)."
-        "muir_dse_eval_seconds";
-    dx_stage =
-      Array.of_list
-        (List.map
-           (fun st ->
-             M.histogram r ~help:"Per-stage seconds of fresh evaluations."
-               ~labels:[ ("stage", P.stage_name st) ]
-               "muir_dse_stage_seconds")
-           P.stages) }
-
 type t = {
   x_subject : string;
   x_strategy : strategy;
@@ -257,9 +156,57 @@ type t = {
   x_fresh_sims : int;      (** ... of which reached the simulator *)
   x_pruned : int;          (** ... of which the area model pruned *)
   x_timing_pruned : int;   (** ... of which the timing bound pruned *)
-  x_cache_hits : int;      (** evaluations answered from the cache *)
-  x_cache : Cache.stats;
+  x_reused : int;          (** ... of which reused an earlier circuit *)
 }
+
+(** Record a run's fresh evaluations, in order, under the
+    [muir_dse_*] names of [obs]'s registry: one count per evaluation
+    and per outcome, and its whole and per-stage seconds. *)
+let observe (obs : Muir_obs.Obs.t) (evs : eval list) : unit =
+  let module M = Muir_obs.Metrics in
+  let r = obs.Muir_obs.Obs.o_metrics in
+  let pruned kind =
+    M.counter r ~help:"Fresh evaluations pruned before simulation."
+      ~labels:[ ("kind", kind) ] "muir_dse_pruned_total"
+  in
+  let evals =
+    M.counter r ~help:"Fresh configuration evaluations."
+      "muir_dse_evals_total"
+  and sims =
+    M.counter r ~help:"Fresh evaluations that reached the simulator."
+      "muir_dse_sims_total"
+  and reused =
+    M.counter r
+      ~help:"Fresh evaluations that reused an earlier identical circuit."
+      "muir_dse_reused_total"
+  and area = pruned "area"
+  and timing = pruned "timing"
+  and secs =
+    M.histogram r ~help:"Whole-evaluation seconds (fresh only)."
+      "muir_dse_eval_seconds"
+  and stage =
+    Array.of_list
+      (List.map
+         (fun st ->
+           M.histogram r ~help:"Per-stage seconds of fresh evaluations."
+             ~labels:[ ("stage", P.stage_name st) ]
+             "muir_dse_stage_seconds")
+         P.stages)
+  in
+  List.iter
+    (fun e ->
+      M.inc evals;
+      M.inc
+        (match e.e_outcome with
+        | Simulated -> sims
+        | Reused -> reused
+        | Area_pruned -> area
+        | Timing_pruned -> timing);
+      M.observe secs (Array.fold_left ( +. ) 0.0 e.e_secs);
+      Array.iteri
+        (fun i n -> if n > 0 then M.observe stage.(i) e.e_secs.(i))
+        e.e_counts)
+    evs
 
 let rec split_at n = function
   | [] -> ([], [])
@@ -274,104 +221,116 @@ let lcg (s : int) : int =
   ((s * 0x2545F4914F6CDD1D) + 0x9E3779B9) land max_int
 
 let run ?(strategy = Grid) ?(jobs = 1) ?(budget_evals = 96) ?area_budget
-    ?(timing_prune = false) ?(seed = 0) ?(cache : eval Cache.t option)
-    ?grid ?obs (src : P.source) : t =
-  let cache = match cache with Some c -> c | None -> Cache.create () in
-  let mx = Option.map make_dse_mx obs in
-  let tick f = match mx with Some m -> f m | None -> () in
-  let now =
-    match obs with
-    | Some o -> Some (fun () -> Muir_obs.Obs.now o)
-    | None -> None
-  in
-  let fresh_evals = ref 0 and fresh_sims = ref 0 in
-  let prune_count = ref 0 and tprune_count = ref 0 and hits = ref 0 in
+    ?(timing_prune = false) ?(seed = 0) ?(memo = Eval.memo ()) ?grid ?obs
+    (src : P.source) : t =
+  let now = Option.map (fun o () -> Muir_obs.Obs.now o) obs in
   let seen = Hashtbl.create 64 in
   let order = ref [] in
-  let record ev =
-    if not (Hashtbl.mem seen ev.e_key) then begin
-      Hashtbl.add seen ev.e_key ();
-      order := ev :: !order
-    end
+  let remaining () = budget_evals - Hashtbl.length seen in
+  (* One chunk: prepare each configuration on the pool; prune in chunk
+     order from the model and the static bound alone; simulate the
+     first surviving configuration of each circuit the memo does not
+     hold; every other survivor reuses its circuit's entry. *)
+  let eval_chunk (chunk : Config.t list) : unit =
+    let dominators =
+      if not timing_prune then []
+      else
+        List.filter_map
+          (fun e -> Option.map (fun c -> (c, e.e_alms)) e.e_cycles)
+          (frontier (List.rev !order))
+    in
+    let chosen = Hashtbl.create 8 in
+    let judged =
+      List.map
+        (fun ((p : Eval.prepared), bound) ->
+          let alms = (fst (Eval.cost p)).fr_alms in
+          let outcome =
+            if match area_budget with Some b -> alms > b | None -> false
+            then Area_pruned
+            else if List.exists (timing_dominates ~bound ~alms) dominators
+            then Timing_pruned
+            else
+              match p.pr_step with
+              | Modeled _ when not (Hashtbl.mem chosen p.pr_digest) ->
+                Hashtbl.add chosen p.pr_digest ();
+                Simulated
+              | _ -> Reused
+          in
+          (p, bound, outcome))
+        (Pool.map ~jobs
+           (fun cfg ->
+             let p = Eval.prepare ~ctl:(P.ctl ?now ()) ~memo src cfg in
+             (p, Muir_analysis.Timing.bound_cycles p.pr_built.p_circuit))
+           chunk)
+    in
+    let reps =
+      List.filter_map
+        (fun (p, _, o) -> if o = Simulated then Some p else None)
+        judged
+    in
+    List.iter2
+      (fun (p : Eval.prepared) -> Eval.add memo p.pr_digest)
+      reps
+      (Pool.map ~jobs Eval.finish reps);
+    List.iter
+      (fun ((p : Eval.prepared), bound, outcome) ->
+        let f, a = Eval.cost p in
+        let cfg = p.pr_cfg in
+        let entry =
+          match outcome with
+          | Simulated | Reused -> Some (Hashtbl.find memo p.pr_digest)
+          | Area_pruned | Timing_pruned -> None
+        in
+        let cycles = Option.map (fun (e : Eval.entry) -> e.en_cycles) entry in
+        (* The analysis's soundness contract, enforced on every
+           evaluation that has cycles, not only in tests. *)
+        Option.iter
+          (fun c ->
+            if bound > c then
+              invalid_arg
+                (Fmt.str
+                   "timing unsound on %s (%s): static bound %d > measured \
+                    %d cycles"
+                   (source_name src) (Config.label cfg) bound c))
+          cycles;
+        let ev =
+          { e_key = Config.key cfg; e_cfg = cfg; e_alms = f.fr_alms;
+            e_brams = f.fr_brams; e_mhz = f.fr_mhz; e_asic_area = a.ar_area;
+            e_bound = bound; e_cycles = cycles;
+            e_us = Option.map (fun c -> float_of_int c /. f.fr_mhz) cycles;
+            e_outcome = outcome;
+            e_hint = Option.bind entry (fun e -> e.en_hint);
+            e_secs = p.pr_ctl.stage_seconds;
+            e_counts = p.pr_ctl.stage_counts }
+        in
+        Hashtbl.add seen ev.e_key ();
+        order := ev :: !order)
+      judged
   in
-  let remaining () = budget_evals - !fresh_evals in
-  (* Evaluate a batch of configurations: answer what the cache knows,
-     dispatch the rest to the pool (within budget), and fold fresh
-     results back into the cache.  Cache traffic stays in this domain. *)
+  (* Evaluate a batch: its unseen configurations, one per key, within
+     the budget, in fixed-size chunks, so the timing filter sees the
+     same incumbent frontier whatever [--jobs] is. *)
   let eval_batch (cfgs : Config.t list) : unit =
     let keys = Hashtbl.create 16 in
-    let uniq =
+    let fresh =
       List.filter
         (fun cfg ->
           let k = Config.key cfg in
-          if Hashtbl.mem keys k then false
+          if Hashtbl.mem keys k || Hashtbl.mem seen k then false
           else begin
             Hashtbl.add keys k ();
             true
           end)
         cfgs
     in
-    let cached, fresh =
-      List.partition_map
-        (fun cfg ->
-          let k = Config.key cfg in
-          match Cache.find_opt cache k with
-          | Some ev ->
-            incr hits;
-            tick (fun m -> Muir_obs.Metrics.inc m.dx_cache_hits);
-            Either.Left ev
-          | None -> Either.Right cfg)
-        uniq
-    in
-    List.iter record cached;
-    let fresh = List.filteri (fun i _ -> i < remaining ()) fresh in
-    (* Fixed-size chunks so the timing filter sees the same incumbent
-       frontier whatever [--jobs] is: dominators are recomputed in
-       this domain between chunks, never inside workers. *)
-    let rec by_chunk todo =
-      match todo with
+    let rec by_chunk = function
       | [] -> ()
-      | _ ->
+      | todo ->
         let chunk, rest = split_at 8 todo in
-        let dominators =
-          if not timing_prune then []
-          else
-            List.filter_map
-              (fun e ->
-                match e.e_cycles with
-                | Some c -> Some (c, e.e_alms)
-                | None -> None)
-              (frontier (List.rev !order))
-        in
-        let results =
-          Pool.map ~jobs (evaluate ?now ~src ~area_budget ~dominators)
-            chunk
-        in
-        List.iter
-          (fun ev ->
-            (* A timing-pruned result is relative to this run's
-               incumbents — never memoize it. *)
-            if not ev.e_tpruned then Cache.add cache ev.e_key ev;
-            incr fresh_evals;
-            if ev.e_tpruned then incr tprune_count
-            else if pruned ev then incr prune_count
-            else incr fresh_sims;
-            tick (fun m ->
-                let module M = Muir_obs.Metrics in
-                M.inc m.dx_evals;
-                if ev.e_tpruned then M.inc m.dx_pruned_timing
-                else if pruned ev then M.inc m.dx_pruned_area
-                else M.inc m.dx_sims;
-                M.observe m.dx_eval_seconds
-                  (Array.fold_left ( +. ) 0.0 ev.e_secs);
-                Array.iteri
-                  (fun i n -> if n > 0 then M.observe m.dx_stage.(i) ev.e_secs.(i))
-                  ev.e_counts);
-            record ev)
-          results;
+        eval_chunk chunk;
         by_chunk rest
     in
-    by_chunk fresh
+    by_chunk (List.filteri (fun i _ -> i < remaining ()) fresh)
   in
   (match (strategy, grid) with
   | Grid, g ->
@@ -430,17 +389,18 @@ let run ?(strategy = Grid) ?(jobs = 1) ?(budget_evals = 96) ?area_budget
       else eval_batch proposals
     done);
   let evs = List.rev !order in
+  Option.iter (fun o -> observe o evs) obs;
+  let count o = List.length (List.filter (fun e -> e.e_outcome = o) evs) in
   { x_subject = source_name src;
     x_strategy = strategy;
     x_evals = evs;
     x_frontier = frontier evs;
     x_best = best evs;
-    x_fresh_evals = !fresh_evals;
-    x_fresh_sims = !fresh_sims;
-    x_pruned = !prune_count;
-    x_timing_pruned = !tprune_count;
-    x_cache_hits = !hits;
-    x_cache = Cache.stats cache }
+    x_fresh_evals = List.length evs;
+    x_fresh_sims = count Simulated;
+    x_pruned = count Area_pruned;
+    x_timing_pruned = count Timing_pruned;
+    x_reused = count Reused }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -451,11 +411,11 @@ let run ?(strategy = Grid) ?(jobs = 1) ?(budget_evals = 96) ?area_budget
 let pp_result ppf (t : t) =
   Fmt.pf ppf
     "design space of %s (%s): %d configurations, %d simulated, %d \
-     pruned by the area model, %d by the timing bound, %d from cache@."
+     pruned by the area model, %d by the timing bound, %d reused@."
     t.x_subject
     (strategy_to_string t.x_strategy)
     (List.length t.x_evals) t.x_fresh_sims t.x_pruned t.x_timing_pruned
-    t.x_cache_hits;
+    t.x_reused;
   Fmt.pf ppf "@.  %10s %8s %8s %6s  %s@." "cycles" "ALMs" "kum2" "MHz"
     "config";
   List.iter
@@ -464,14 +424,13 @@ let pp_result ppf (t : t) =
         (Option.value ~default:0 e.e_cycles)
         e.e_alms e.e_asic_area e.e_mhz (Config.label e.e_cfg))
     t.x_frontier;
-  (match t.x_best with
+  match t.x_best with
   | None -> Fmt.pf ppf "@.no feasible configuration within the budget@."
   | Some b ->
     Fmt.pf ppf "@.best: %s  (%d cycles, %d ALMs, key %s)@."
       (Config.label b.e_cfg)
       (Option.value ~default:0 b.e_cycles)
-      b.e_alms b.e_key);
-  Fmt.pf ppf "cache: %a@." Cache.pp_stats t.x_cache
+      b.e_alms b.e_key
 
 (* --- JSON ----------------------------------------------------------- *)
 
@@ -484,7 +443,8 @@ let eval_to_json (e : eval) : J.t =
       ("stack", J.Str cfg.stack); ("tiles", J.Int cfg.tiles);
       ("banks", J.Int cfg.banks);
       ("off", J.Arr (List.map (fun o -> J.Str o) cfg.off));
-      ("pruned", J.Bool (pruned e)); ("timing_pruned", J.Bool e.e_tpruned);
+      ("pruned", J.Bool (pruned e));
+      ("timing_pruned", J.Bool (e.e_outcome = Timing_pruned));
       ("bound", J.Int e.e_bound);
       ("cycles", Option.fold ~none:J.Null ~some:(fun c -> J.Int c) e.e_cycles);
       ("alms", J.Int e.e_alms); ("brams", J.Int e.e_brams);
@@ -495,7 +455,7 @@ let to_json (t : t) : string =
   let list evs = J.Arr (List.map eval_to_json evs) in
   (* The same deterministic provenance block run reports carry: no
      wall-clock content, so identical explorations serialize
-     byte-identically (and remain cache-key-friendly). *)
+     byte-identically. *)
   J.to_string
     (J.Obj
        [ ( "provenance",
@@ -508,9 +468,4 @@ let to_json (t : t) : string =
          ("fresh_evals", J.Int t.x_fresh_evals);
          ("fresh_sims", J.Int t.x_fresh_sims); ("pruned", J.Int t.x_pruned);
          ("timing_pruned", J.Int t.x_timing_pruned);
-         ("cache_hits", J.Int t.x_cache_hits);
-         ( "cache",
-           J.Obj
-             [ ("hits", J.Int t.x_cache.c_hits);
-               ("misses", J.Int t.x_cache.c_misses);
-               ("entries", J.Int t.x_cache.c_entries) ] ) ])
+         ("reused", J.Int t.x_reused) ])

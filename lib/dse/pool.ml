@@ -11,7 +11,9 @@
 
     [f] must be safe to run in a fresh domain: the evaluators built on
     this compile their own program text and build their own circuit per
-    call, sharing nothing mutable with the coordinator. *)
+    call, and only read the evaluation memo.  A prepared circuit
+    crosses domains between two maps (every domain is joined before
+    [map] returns), but nothing mutable is shared while a map runs. *)
 
 let map ~(jobs : int) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let arr = Array.of_list xs in

@@ -184,9 +184,10 @@ let simulate ?ctl ?tracer (b : built) : Muir_sim.Sim.result =
     {!Report.run} is assembled.  A plain function, not a
     stage — it converts records and adds no timed work.  The caller
     picks the label: [muirc] the pass names, the daemon the config
-    label, [bench] [baseline] or [best]. *)
-let report ~(stack : string) ?knobs ?wall (b : built) (m : modeled)
-    (r : Muir_sim.Sim.result) : Report.run =
+    label, [bench] [baseline] or [best].  A caller that has profiled
+    the run passes that [profile], so the counters are read once. *)
+let report ~(stack : string) ?knobs ?wall ?profile (b : built)
+    (m : modeled) (r : Muir_sim.Sim.result) : Report.run =
   let mem =
     List.map
       (fun (s : Muir_sim.Memsys.struct_stats) ->
@@ -196,7 +197,7 @@ let report ~(stack : string) ?knobs ?wall (b : built) (m : modeled)
       r.stats.mem
   in
   let fp = m.m_fpga and ac = m.m_asic in
-  Report.make ~workload:b.p_circuit.cname ~stack ?knobs ?wall ~mem
+  Report.make ~workload:b.p_circuit.cname ~stack ?knobs ?wall ?profile ~mem
     ~fpga:
       { Report.f_mhz = fp.fr_mhz; f_alms = fp.fr_alms; f_regs = fp.fr_regs;
         f_dsps = fp.fr_dsps; f_brams = fp.fr_brams }

@@ -13,7 +13,7 @@
       scan (bucket counts are fixed at registration) and two adds; no
       allocation, no hashing;
     - {e coordinator-only} — nothing here is synchronized.  The rule,
-      inherited from the explorer's memo cache, is that only the
+      shared with the explorer's evaluation memo, is that only the
       coordinating domain touches a registry; workers return
       measurements and the coordinator folds them in.
 

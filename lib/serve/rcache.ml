@@ -1,8 +1,7 @@
-(** The daemon's persistent, content-addressed result cache.
-
-    This generalizes the explorer's in-memory memo table
-    ({!Muir_dse.Cache}) with an on-disk backing store, so a repeated
-    batch costs zero fresh simulations {e across daemon restarts}.
+(** The daemon's persistent, content-addressed result cache: an
+    in-memory table from item key to report payload with an on-disk
+    backing store, so a repeated batch costs zero fresh simulations
+    {e across daemon restarts}.
 
     {2 Layout}
 
@@ -31,19 +30,17 @@
     {!Write_error}; the entry stays in memory, so the caller can still
     answer from it and the process keeps serving.
 
-    The daemon's second table, from a circuit digest to the report it
-    produced ({!Server}), holds the same payload strings as this cache
-    and lives in memory only: this format does not record digests.
-
-    Hit/miss accounting is inherited from {!Muir_dse.Cache}: disk
-    entries are installed with [seed] (neither hit nor miss — they
-    were paid for by an earlier process), lookups count hits, fresh
-    results count misses. *)
+    The daemon's evaluation memo ({!Muir_dse.Eval.memo}) holds the
+    same payload strings as this cache and lives in memory only: this
+    format does not record digests.  Lookups count hits and fresh
+    results misses; entries loaded from disk count as neither. *)
 
 type t = {
-  rc_dir : string option;            (** [None] = memory-only *)
-  rc_mem : string Muir_dse.Cache.t;  (** key → report-JSON payload *)
-  mutable rc_corrupt : int;          (** entries discarded at load *)
+  rc_dir : string option;               (** [None] = memory-only *)
+  rc_mem : (string, string) Hashtbl.t;  (** key → report-JSON payload *)
+  mutable rc_hits : int;
+  mutable rc_misses : int;
+  mutable rc_corrupt : int;             (** entries discarded at load *)
 }
 
 type stats = {
@@ -146,7 +143,7 @@ let load_dir (t : t) (dir : string) : unit =
         match read_file path with
         | contents -> (
           match decode_entry ~path contents with
-          | Ok (key, payload) -> Muir_dse.Cache.seed t.rc_mem key payload
+          | Ok (key, payload) -> Hashtbl.replace t.rc_mem key payload
           | Error _ ->
             (try Sys.remove path with Sys_error _ -> ());
             t.rc_corrupt <- t.rc_corrupt + 1)
@@ -158,7 +155,10 @@ let load_dir (t : t) (dir : string) : unit =
     created if missing.  [?dir:None] gives a memory-only cache with
     identical semantics minus persistence. *)
 let create ?dir () : t =
-  let t = { rc_dir = dir; rc_mem = Muir_dse.Cache.create (); rc_corrupt = 0 } in
+  let t =
+    { rc_dir = dir; rc_mem = Hashtbl.create 64; rc_hits = 0; rc_misses = 0;
+      rc_corrupt = 0 }
+  in
   (match dir with
   | None -> ()
   | Some d ->
@@ -168,14 +168,17 @@ let create ?dir () : t =
 
 (** Lookup; counts a hit when present. *)
 let find (t : t) (key : string) : string option =
-  Muir_dse.Cache.find_opt t.rc_mem key
+  let hit = Hashtbl.find_opt t.rc_mem key in
+  if Option.is_some hit then t.rc_hits <- t.rc_hits + 1;
+  hit
 
 (** Record a freshly paid-for payload: counts a miss, persists the
     entry atomically when the cache is disk-backed.  The entry is in
     memory even when the write fails.
     @raise Write_error when the entry file cannot be written *)
 let add (t : t) (key : string) (payload : string) : unit =
-  Muir_dse.Cache.add t.rc_mem key payload;
+  t.rc_misses <- t.rc_misses + 1;
+  Hashtbl.replace t.rc_mem key payload;
   match t.rc_dir with
   | None -> ()
   | Some dir ->
@@ -201,6 +204,6 @@ let disk_bytes (t : t) : int =
         0 names)
 
 let stats (t : t) : stats =
-  let s = Muir_dse.Cache.stats t.rc_mem in
-  { hits = s.c_hits; misses = s.c_misses; entries = s.c_entries;
-    corrupt = t.rc_corrupt; disk_bytes = disk_bytes t }
+  { hits = t.rc_hits; misses = t.rc_misses;
+    entries = Hashtbl.length t.rc_mem; corrupt = t.rc_corrupt;
+    disk_bytes = disk_bytes t }

@@ -20,22 +20,23 @@
     ([muir-serve-v1|<source-digest>|<Config.key>] — see {!item_key}),
     deduplicated, answered from the cache where possible, and the
     remaining unique keys fanned out over the OCaml-5 domain pool
-    ({!Muir_dse.Pool}) through the staged {!Muir_pipeline.Pipeline}.
-    Each is compiled, built and optimized, and its optimized circuit
-    digested ({!Muir_core.Graph.digest}).  Configurations often build
-    the same circuit (a pass with nothing to transform leaves it as it
-    was), and every report field except the stack label and the knobs
-    is a function of the circuit, so a key whose digest the daemon's
-    digest table already holds is answered by
+    ({!Muir_dse.Pool}), one worker call each, through the explorer's
+    evaluation ({!Muir_dse.Eval}).  Each is compiled, built and
+    optimized, and its optimized circuit digested
+    ({!Muir_core.Graph.digest}).  Configurations often build the same
+    circuit (a pass with nothing to transform leaves it as it was),
+    and every report field except the stack label and the knobs is a
+    function of the circuit, so a key whose digest the daemon's
+    evaluation memo already holds is answered by
     {!Muir_trace.Report.relabel} of that circuit's report instead of
     being lowered, modeled and simulated: a fresh reply,
     byte-identical to the one its own simulation would give, counted
-    in [muir_serve_reused_total].  Only successful reports enter the
-    table, which lives in memory and shares the result cache's payload
-    strings.  Keys of one batch that build the same new circuit are
-    each simulated.  Workers only read the table; results are folded
-    into the cache and the table by the coordinating domain only, once
-    the pool has finished, so cache traffic is race-free by
+    in [muir_serve_reused_total].  Only successful simulations enter
+    the memo, which lives in memory and shares the result cache's
+    payload strings.  Keys of one batch that build the same new
+    circuit are each simulated.  Workers only read the memo; results
+    are folded into the cache and the memo by the coordinating domain
+    only, once the pool has finished, so cache traffic is race-free by
     construction (the same discipline as the explorer).  Because run
     reports are deterministic, a cached answer is byte-identical to
     the fresh one it replays.
@@ -114,8 +115,8 @@ type mx = {
 
 type t = {
   sv_rcache : Rcache.t;
-  sv_digests : (string, string) Hashtbl.t;
-      (** circuit digest -> the report payload that circuit produced,
+  sv_memo : Muir_dse.Eval.memo;
+      (** circuit digest -> what its simulation gave, the payload
           shared with [sv_rcache]; memory only *)
   sv_jobs : int;            (** evaluation domains per batch *)
   sv_queue_cap : int;       (** max queued items across requests *)
@@ -211,7 +212,7 @@ let reject_counter (t : t) (code : string) : M.counter =
 let create ?cache_dir ?(jobs = 1) ?(queue_cap = 256) ?obs () : t =
   let obs = match obs with Some o -> o | None -> Ob.create () in
   { sv_rcache = Rcache.create ?dir:cache_dir ();
-    sv_digests = Hashtbl.create 64;
+    sv_memo = Muir_dse.Eval.memo ();
     sv_jobs = max 1 jobs;
     sv_queue_cap = queue_cap;
     sv_started = Ob.now obs;
@@ -275,26 +276,24 @@ type outcome =
   | Payload of string                          (** report JSON *)
   | Failed of string * string option * string  (** code, stage, msg *)
 
-(** One worker-side evaluation, every failure mode folded into a
-    structured {!outcome}.  Compile, build and optimize, then digest
-    the optimized circuit: a digest in [known] is answered by
-    relabelling that circuit's report, any other runs lower, model,
-    simulate and report.  [known] is the daemon's digest table, which
-    only the coordinator writes, and only after the pool has finished.
-    The stage timing arrays ride back for the coordinator to merge. *)
+(** One worker-side evaluation ({!Muir_dse.Eval}), every failure mode
+    folded into a structured {!outcome}: a digest the daemon's [memo]
+    holds is answered by relabelling that circuit's report.  Only the
+    coordinator writes the memo, after the pool has finished; the stage
+    timing arrays ride back for it to merge. *)
 type wres = {
   w_out : outcome;
-  w_digest : string option;  (** of the optimized circuit, once built *)
+  w_fresh : (string * Muir_dse.Eval.entry) option;  (** simulated here *)
   w_relabel : float option;
       (** seconds spent relabelling another key's report, when reused *)
   w_secs : float array;
   w_counts : int array;
 }
 
-let eval_item ?(now = Unix.gettimeofday) ~(known : (string, string) Hashtbl.t)
+let eval_item ?(now = Unix.gettimeofday) ~(memo : Muir_dse.Eval.memo)
     ~(deadline : float option) (it : Proto.item) (cfg : Config.t) : wres =
   let ctl = Pipeline.ctl ?deadline ~now () in
-  let digest = ref None and relabel = ref None in
+  let fresh = ref None and relabel = ref None in
   let out =
     try
       let src =
@@ -302,21 +301,20 @@ let eval_item ?(now = Unix.gettimeofday) ~(known : (string, string) Hashtbl.t)
         | Proto.Workload name -> Pipeline.of_workload_name name
         | Proto.Inline { name; text } -> Pipeline.of_text ~name text
       in
-      let b = Pipeline.build ~ctl ~passes:(Config.passes cfg) src in
-      let d = Muir_core.Graph.digest b.p_circuit in
-      digest := Some d;
-      let stack = Config.label cfg and knobs = Config.knobs cfg in
-      match Hashtbl.find_opt known d with
-      | Some payload ->
+      let p = Muir_dse.Eval.prepare ~ctl ~memo src cfg in
+      match p.pr_step with
+      | Known e ->
         let t0 = now () in
-        let p = Muir_trace.Report.relabel ~stack ~knobs payload in
+        let r =
+          Muir_trace.Report.relabel ~stack:(Config.label cfg)
+            ~knobs:(Config.knobs cfg) e.en_payload
+        in
         relabel := Some (now () -. t0);
-        Payload p
-      | None ->
-        let m = Pipeline.model ~ctl b in
-        let r = Pipeline.simulate ~ctl b in
-        Payload
-          (Muir_trace.Report.to_json (Pipeline.report ~stack ~knobs b m r))
+        Payload r
+      | Modeled _ ->
+        let e = Muir_dse.Eval.finish p in
+        fresh := Some (p.pr_digest, e);
+        Payload e.en_payload
     with
     | Pipeline.Deadline st ->
       Failed
@@ -333,7 +331,7 @@ let eval_item ?(now = Unix.gettimeofday) ~(known : (string, string) Hashtbl.t)
       | Some m -> Failed ("compile_error", Some "compile", m)
       | None -> Failed ("internal", None, Printexc.to_string e))
   in
-  { w_out = out; w_digest = !digest; w_relabel = !relabel;
+  { w_out = out; w_fresh = !fresh; w_relabel = !relabel;
     w_secs = ctl.stage_seconds; w_counts = ctl.stage_counts }
 
 (* ------------------------------------------------------------------ *)
@@ -370,7 +368,7 @@ let remember (t : t) (key : string) (payload : string) : unit =
 
 (** Process one admitted [run] request: dedupe by key, answer from the
     cache, evaluate the remaining unique keys on the pool, fold fresh
-    results (and stage timings) and new circuit digests back, and
+    results (and stage timings) and newly simulated circuits back, and
     assemble per-item results in request order. *)
 let run_items ~(now : float) (t : t) (items : Proto.item list) :
     Proto.response =
@@ -448,12 +446,12 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
   let results =
     Muir_dse.Pool.map ~jobs:t.sv_jobs
       (fun (_, it, cfg, deadline) ->
-        eval_item ~now:clock ~known:t.sv_digests ~deadline it cfg)
+        eval_item ~now:clock ~memo:t.sv_memo ~deadline it cfg)
       fresh
   in
-  (* Fold fresh results into the cache, the digest table, the stage
+  (* Fold fresh results into the cache, the memo, the stage
      histograms and the span ring — coordinator only, same discipline
-     as the explorer's memo table. *)
+     as the explorer. *)
   let by_key = Hashtbl.create 16 in
   List.iter2
     (fun (key, it, _, _) (w : wres) ->
@@ -473,15 +471,8 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
         { Span.sp_id = Ob.span_id t.sv_obs; sp_name = item_label it;
           sp_cat = "serve.item"; sp_start = eval_started; sp_dur = dur;
           sp_segs = segs };
-      (match w.w_out with
-      | Payload p ->
-        remember t key p;
-        Option.iter
-          (fun d ->
-            if not (Hashtbl.mem t.sv_digests d) then
-              Hashtbl.add t.sv_digests d p)
-          w.w_digest
-      | Failed _ -> ());
+      (match w.w_out with Payload p -> remember t key p | Failed _ -> ());
+      Option.iter (fun (d, e) -> Muir_dse.Eval.add t.sv_memo d e) w.w_fresh;
       let relabel_secs = Option.value w.w_relabel ~default:0.0 in
       Hashtbl.replace by_key key
         (w.w_out, dur +. relabel_secs, Option.is_some w.w_relabel))

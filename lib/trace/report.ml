@@ -109,11 +109,14 @@ type suite = { su_provenance : provenance; su_runs : run list }
 
 (** Build a run record from a finished simulation's counter bank.
     [mem] comes from [Sim.stats.mem] (converted by the caller — this
-    library does not depend on the simulator). *)
+    library does not depend on the simulator).  [profile], when given,
+    is [Profile.of_run c ctrs], already computed by the caller. *)
 let make ~(workload : string) ~(stack : string) ?(knobs = []) ?wall
-    ?(mem = []) ?fpga ?asic ~(total_cycles : int) (c : G.circuit)
+    ?(mem = []) ?fpga ?asic ?profile ~(total_cycles : int) (c : G.circuit)
     (ctrs : Counters.t) : run =
-  let p = Profile.of_run c ctrs in
+  let p =
+    match profile with Some p -> p | None -> Profile.of_run c ctrs
+  in
   let nodes =
     List.map
       (fun (r : Profile.row) ->

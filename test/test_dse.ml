@@ -1,11 +1,11 @@
 (* Tests for the design-space explorer: content-keyed configuration
-   dedup, job-count-independent determinism, memo-cache reuse,
-   analytical pruning soundness, Pareto-frontier minimality, and the
-   profiler-guided greedy search. *)
+   dedup, job-count-independent determinism, circuit reuse through the
+   evaluation memo, analytical pruning soundness, Pareto-frontier
+   minimality, and the profiler-guided greedy search. *)
 
 module Dse = Muir_dse.Explore
 module Config = Muir_dse.Config
-module Cache = Muir_dse.Cache
+module Pipeline = Muir_pipeline.Pipeline
 module Stacks = Muir_opt.Stacks
 
 let saxpy_src =
@@ -94,21 +94,21 @@ let test_jobs_determinism () =
     (List.length a.x_evals)
     (List.length b.x_evals)
 
-(* --- memo cache ----------------------------------------------------- *)
+(* --- evaluation memo -------------------------------------------------- *)
 
-let test_cache_no_resimulation () =
-  let cache = Cache.create () in
-  let run () = Dse.run ~cache ~grid:(small_grid ()) (subject ()) in
+let test_memo_no_resimulation () =
+  let memo = Muir_dse.Eval.memo () in
+  let run () = Dse.run ~memo ~grid:(small_grid ()) (subject ()) in
   let first = run () in
   Alcotest.(check bool) "first run simulates" true (first.x_fresh_sims > 0);
   let second = run () in
+  let n = List.length (small_grid ()) in
   Alcotest.(check int) "second run: zero fresh simulations" 0
     second.x_fresh_sims;
-  Alcotest.(check int) "second run: zero fresh evaluations" 0
+  Alcotest.(check int) "second run: every configuration evaluated" n
     second.x_fresh_evals;
-  Alcotest.(check bool) "second run answered from cache" true
-    (second.x_cache_hits = List.length (small_grid ()));
-  (* the header line differs (simulated vs from-cache counts); the
+  Alcotest.(check int) "second run: every circuit reused" n second.x_reused;
+  (* the header line differs (simulated vs reused counts); the
      frontier itself must not *)
   let keys t = List.map (fun e -> e.Dse.e_key) t.Dse.x_frontier in
   Alcotest.(check (list string)) "same frontier either way" (keys first)
@@ -117,17 +117,88 @@ let test_cache_no_resimulation () =
     (Option.get first.x_best).e_key
     (Option.get second.x_best).e_key
 
-let test_cache_overlap_within_run () =
+let test_overlap_within_run () =
   (* two configs differing only in an unused knob cost one simulation *)
-  let cache = Cache.create () in
   let grid =
     [ Config.v ~tiles:2 ~banks:2 "loop-stack";
       Config.v ~tiles:8 ~banks:2 "loop-stack" ]
   in
-  let t = Dse.run ~cache ~grid (subject ()) in
+  let t = Dse.run ~grid (subject ()) in
   Alcotest.(check int) "one unique configuration" 1
     (List.length t.x_evals);
   Alcotest.(check int) "one simulation" 1 t.x_fresh_sims
+
+(* Resolve bundled examples whether we run from the repo root, from
+   test/, or from dune's sandbox (_build/default/test). *)
+let read_example name =
+  let candidates =
+    List.map
+      (fun d -> Filename.concat d name)
+      [ "examples"; "../examples"; "../../examples"; "../../../examples" ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> In_channel.with_open_bin p In_channel.input_all
+  | None -> Alcotest.fail ("cannot locate examples/" ^ name)
+
+(* The divring grid of test_timing's pruning case: its configurations
+   that build the same circuit share a chunk of 8. *)
+let divring_grid () =
+  [ Config.v "baseline"; Config.v "cilk-stack";
+    Config.v ~off:[ "op-fusion" ] "cilk-stack";
+    Config.v ~tiles:2 "cilk-stack"; Config.v ~banks:2 "cilk-stack";
+    Config.v ~banks:4 "cilk-stack"; Config.v ~tiles:2 ~banks:2 "cilk-stack";
+    Config.v ~tiles:2 ~banks:4 "cilk-stack";
+    Config.v ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
+    Config.v ~banks:4 ~off:[ "op-fusion" ] "cilk-stack";
+    Config.v ~tiles:2 ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
+    Config.v ~tiles:2 ~banks:4 ~off:[ "op-fusion" ] "cilk-stack" ]
+
+(* Each configuration evaluated on its own, sharing nothing with the
+   explorer: the optimized circuit's digest, ALMs, static bound and
+   simulated cycles. *)
+let own (src : Pipeline.source) (cfg : Config.t) =
+  let b = Pipeline.build ~passes:(Config.passes cfg) src in
+  let c = b.p_circuit in
+  ( Muir_core.Graph.digest c,
+    (Pipeline.model b).m_fpga.fr_alms,
+    Muir_analysis.Timing.bound_cycles c,
+    (Pipeline.simulate b).stats.total_cycles )
+
+(* The explorer simulates each distinct circuit once, and every
+   evaluation reads what its own simulation would give. *)
+let test_reuse_exact (src, grid, timing_prune) () =
+  let src = src () in
+  let t = Dse.run ~timing_prune ~grid src in
+  let own = List.map (fun cfg -> (Config.key cfg, own src cfg)) grid in
+  let digest (e : Dse.eval) =
+    let d, _, _, _ = List.assoc e.e_key own in
+    d
+  in
+  let simulated = List.filter (fun e -> not (Dse.pruned e)) t.x_evals in
+  Alcotest.(check int) "one simulation per distinct circuit"
+    (List.length (List.sort_uniq compare (List.map digest simulated)))
+    t.x_fresh_sims;
+  Alcotest.(check int) "fresh evals = sims + pruned + timing-pruned + reused"
+    t.x_fresh_evals
+    (t.x_fresh_sims + t.x_pruned + t.x_timing_pruned + t.x_reused);
+  List.iter
+    (fun (e : Dse.eval) ->
+      let _, alms, bound, cycles = List.assoc e.e_key own in
+      let label = Config.label e.e_cfg in
+      Alcotest.(check int) (label ^ ": ALMs") alms e.e_alms;
+      Alcotest.(check int) (label ^ ": bound") bound e.e_bound;
+      if not (Dse.pruned e) then
+        Alcotest.(check (option int)) (label ^ ": cycles") (Some cycles)
+          e.e_cycles)
+    t.x_evals
+
+let reuse_cases =
+  let divring () =
+    Pipeline.of_text ~name:"divring" (read_example "divring.mc")
+  in
+  [ ("small grid", (subject, small_grid (), false));
+    ("divring grid", (divring, divring_grid (), false));
+    ("divring grid, timing-pruned", (divring, divring_grid (), true)) ]
 
 (* --- analytical pruning --------------------------------------------- *)
 
@@ -150,9 +221,9 @@ let test_area_pruning_sound () =
       Alcotest.(check bool) "frontier within budget" true
         (e.e_alms <= budget))
     t.x_frontier;
-  Alcotest.(check int) "accounting: sims + pruned = fresh evals"
+  Alcotest.(check int) "accounting: sims + pruned + reused = fresh evals"
     t.x_fresh_evals
-    (t.x_fresh_sims + t.x_pruned)
+    (t.x_fresh_sims + t.x_pruned + t.x_reused)
 
 (* --- frontier ------------------------------------------------------- *)
 
@@ -244,11 +315,16 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "jobs=1 vs jobs=4" `Quick
             test_jobs_determinism ] );
-      ( "cache",
+      ( "memo",
         [ Alcotest.test_case "no re-simulation" `Quick
-            test_cache_no_resimulation;
+            test_memo_no_resimulation;
           Alcotest.test_case "overlap within a run" `Quick
-            test_cache_overlap_within_run ] );
+            test_overlap_within_run ]
+        @ List.map
+            (fun (name, case) ->
+              Alcotest.test_case ("reuse is exact: " ^ name) `Quick
+                (test_reuse_exact case))
+            reuse_cases );
       ( "pruning",
         [ Alcotest.test_case "area budget" `Quick test_area_pruning_sound ] );
       ( "frontier",

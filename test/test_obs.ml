@@ -15,7 +15,6 @@ module Obs = Muir_obs.Obs
 module J = Muir_trace.Json
 module Dse = Muir_dse.Explore
 module Config = Muir_dse.Config
-module Cache = Muir_dse.Cache
 
 let expect_invalid (label : string) (f : unit -> 'a) : unit =
   match f () with
@@ -345,7 +344,7 @@ let test_explore_exposition_jobs () =
   let run jobs =
     let obs = Obs.create ~clock:(fun () -> 100.0) () in
     let t =
-      Dse.run ~jobs ~grid ~cache:(Cache.create ()) ~obs
+      Dse.run ~jobs ~grid ~obs
         (Muir_pipeline.Pipeline.of_text ~name:"saxpy8" saxpy_src)
     in
     (t, Prom.render obs.Obs.o_metrics)

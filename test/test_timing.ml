@@ -205,15 +205,10 @@ let test_prune_transparent () =
       Muir_dse.Config.v ~tiles:2 ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
       Muir_dse.Config.v ~tiles:2 ~banks:4 ~off:[ "op-fusion" ] "cilk-stack" ]
   in
-  (* Fresh caches on both sides: a shared cache would answer the
-     second run entirely from memory and prove nothing. *)
-  let plain =
-    Muir_dse.Explore.run ~cache:(Muir_dse.Cache.create ()) ~grid subject
-  in
-  let pruned =
-    Muir_dse.Explore.run ~timing_prune:true
-      ~cache:(Muir_dse.Cache.create ()) ~grid subject
-  in
+  (* A fresh memo on each side: a shared one would answer the second
+     run's simulations from memory and prove nothing. *)
+  let plain = Muir_dse.Explore.run ~grid subject in
+  let pruned = Muir_dse.Explore.run ~timing_prune:true ~grid subject in
   Alcotest.(check string)
     "identical frontier and best"
     (frontier_fingerprint plain)
@@ -226,6 +221,7 @@ let test_prune_transparent () =
     (pruned.x_fresh_sims < plain.x_fresh_sims
     && pruned.x_timing_pruned >= 1
     && pruned.x_fresh_sims + pruned.x_timing_pruned + pruned.x_pruned
+       + pruned.x_reused
        = pruned.x_fresh_evals)
 
 (* --- 5. tasks below a recursion ------------------------------------ *)
