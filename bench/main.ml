@@ -426,107 +426,6 @@ let ablation () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Simulation-kernel observability: how fast the event-driven kernel    *)
-(* runs and how sparse its wake lists are                               *)
-
-let kernel () =
-  header
-    "Simulation kernel: wall-clock throughput, wake-list sparsity and GC \
-     pressure per workload";
-  Fmt.pr "%-10s %10s %8s %12s %10s %10s %8s %9s %6s@." "bench" "cycles"
-    "wall-s" "cycles/sec" "woken/cyc" "nodes/cyc" "sparsity" "minW/cyc"
-    "majGC";
-  let rows =
-    List.map
-      (fun (w : W.t) ->
-        let s =
-          (Pipeline.simulate (Pipeline.build (Pipeline.of_workload w))).stats
-        in
-        let sparsity =
-          if s.live_nodes_per_cycle > 0.0 then
-            s.woken_per_cycle /. s.live_nodes_per_cycle
-          else 0.0
-        in
-        Fmt.pr "%-10s %10d %8.3f %12.0f %10.1f %10.1f %7.1f%% %9.4f %6d@."
-          w.wname s.cycles s.wall_seconds s.cycles_per_sec s.woken_per_cycle
-          s.live_nodes_per_cycle (100.0 *. sparsity)
-          s.gc_minor_words_per_cycle s.gc_major_collections;
-        (w.wname, s))
-      W.all
-  in
-  (* Zero-allocation guard: the steady-state fire path must not touch
-     the minor heap.  The sampled rate excludes construction warm-up
-     (second half of the run); 0.05 words/cycle of slack covers the
-     periodic sampling itself. *)
-  List.iter
-    (fun name ->
-      let s = List.assoc name rows in
-      if s.Muir_sim.Sim.gc_minor_words_per_cycle >= 0.05 then begin
-        Fmt.epr
-          "zero-allocation guard failed: %s steady-state allocates %.4f \
-           minor words/cycle (limit 0.05)@."
-          name s.Muir_sim.Sim.gc_minor_words_per_cycle;
-        exit 1
-      end
-      else
-        Fmt.pr
-          "zero-allocation guard: %s steady-state %.4f minor words/cycle \
-           (< 0.05)@."
-          name s.Muir_sim.Sim.gc_minor_words_per_cycle)
-    [ "gemm"; "fib" ];
-  (* Tracing-disabled overhead guard: with no tracer attached the
-     instrumented kernel must be indistinguishable from noise.  Two
-     interleaved batches of untraced GEMM runs must land within 3% of
-     each other — if instrumentation cost real time, it would still
-     show in both batches equally, so what this bounds is the machine
-     noise floor against which any overhead claim is made; the traced
-     run is then reported against that floor. *)
-  let timed ?tracer () =
-    let b = Pipeline.build (Pipeline.of_workload_name "gemm") in
-    (Pipeline.simulate ?tracer b).stats.wall_seconds
-  in
-  let median l =
-    List.nth (List.sort compare l) (List.length l / 2)
-  in
-  let batches () =
-    let a = ref [] and b = ref [] in
-    for _ = 1 to 5 do
-      a := timed () :: !a;
-      b := timed () :: !b
-    done;
-    (median !a, median !b)
-  in
-  let rec guard attempt =
-    let ta, tb = batches () in
-    let delta = Float.abs (ta -. tb) /. Float.max ta tb in
-    Fmt.pr
-      "tracing-disabled overhead guard: batch A %.4fs, batch B %.4fs \
-       (%.1f%% apart, limit 3%%)@."
-      ta tb (100.0 *. delta);
-    if delta > 0.03 then
-      if attempt < 3 then begin
-        Fmt.pr "  ...above the noise limit, retrying (%d/3)@." attempt;
-        guard (attempt + 1)
-      end
-      else begin
-        Fmt.epr
-          "tracing-disabled kernel overhead guard failed: batches %.1f%% \
-           apart after 3 attempts@."
-          (100.0 *. delta);
-        exit 1
-      end
-  in
-  guard 1;
-  let t_off = median (List.init 5 (fun _ -> timed ())) in
-  let t_on =
-    median
-      (List.init 5 (fun _ -> timed ~tracer:(Muir_trace.Trace.create ()) ()))
-  in
-  Fmt.pr "tracing enabled: %.4fs vs %.4fs disabled (%+.1f%%, informational)@."
-    t_on t_off
-    (100.0 *. (t_on -. t_off) /. t_off)
-
-(* ------------------------------------------------------------------ *)
 (* Profiler: the bottleneck -> μopt pass loop (§7's methodology)        *)
 
 let profile () =
@@ -1032,7 +931,6 @@ let experiments : (string * (unit -> unit)) list =
     ("table4", table4);
     ("fig1", fig1);
     ("ablation", ablation);
-    ("kernel", kernel);
     ("nn", nn);
     ("profile", profile);
     ("timing", timing);
@@ -1046,7 +944,7 @@ let run_experiments args =
         ("fig17", fun () -> ignore (fig17 ()));
         ("fig18", fun () -> ignore (fig18 ()));
         ("table4", table4); ("nn", nn); ("ablation", ablation);
-        ("explore", explore); ("kernel", kernel) ]
+        ("explore", explore) ]
     else
       List.map
         (fun a ->
