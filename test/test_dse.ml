@@ -128,31 +128,6 @@ let test_overlap_within_run () =
     (List.length t.x_evals);
   Alcotest.(check int) "one simulation" 1 t.x_fresh_sims
 
-(* Resolve bundled examples whether we run from the repo root, from
-   test/, or from dune's sandbox (_build/default/test). *)
-let read_example name =
-  let candidates =
-    List.map
-      (fun d -> Filename.concat d name)
-      [ "examples"; "../examples"; "../../examples"; "../../../examples" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> In_channel.with_open_bin p In_channel.input_all
-  | None -> Alcotest.fail ("cannot locate examples/" ^ name)
-
-(* The divring grid of test_timing's pruning case: its configurations
-   that build the same circuit share a chunk of 8. *)
-let divring_grid () =
-  [ Config.v "baseline"; Config.v "cilk-stack";
-    Config.v ~off:[ "op-fusion" ] "cilk-stack";
-    Config.v ~tiles:2 "cilk-stack"; Config.v ~banks:2 "cilk-stack";
-    Config.v ~banks:4 "cilk-stack"; Config.v ~tiles:2 ~banks:2 "cilk-stack";
-    Config.v ~tiles:2 ~banks:4 "cilk-stack";
-    Config.v ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
-    Config.v ~banks:4 ~off:[ "op-fusion" ] "cilk-stack";
-    Config.v ~tiles:2 ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
-    Config.v ~tiles:2 ~banks:4 ~off:[ "op-fusion" ] "cilk-stack" ]
-
 (* Each configuration evaluated on its own, sharing nothing with the
    explorer: the optimized circuit's digest, ALMs, static bound and
    simulated cycles. *)
@@ -194,11 +169,12 @@ let test_reuse_exact (src, grid, timing_prune) () =
 
 let reuse_cases =
   let divring () =
-    Pipeline.of_text ~name:"divring" (read_example "divring.mc")
+    Pipeline.of_text ~name:"divring" (Sim_harness.read_example "divring.mc")
   in
   [ ("small grid", (subject, small_grid (), false));
-    ("divring grid", (divring, divring_grid (), false));
-    ("divring grid, timing-pruned", (divring, divring_grid (), true)) ]
+    ("divring grid", (divring, Sim_harness.divring_grid (), false));
+    ( "divring grid, timing-pruned",
+      (divring, Sim_harness.divring_grid (), true) ) ]
 
 (* --- analytical pruning --------------------------------------------- *)
 

@@ -34,28 +34,8 @@ module W = Muir_workloads.Workloads
 module Stacks = Muir_opt.Stacks
 module Sdf = Muir_analysis.Sdf
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* Resolve bundled examples whether we run from the repo root, from
-   test/, or from dune's sandbox (_build/default/test). *)
-let example_path name =
-  let candidates =
-    [ Filename.concat "examples" name;
-      Filename.concat "../examples" name;
-      Filename.concat "../../examples" name;
-      Filename.concat "../../../examples" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.fail ("cannot locate examples/" ^ name)
-
 let compile_example name =
-  Muir_frontend.Frontend.compile (read_file (example_path name))
+  Muir_frontend.Frontend.compile (Sim_harness.read_example name)
 
 (* --- 1. soundness sweep ------------------------------------------- *)
 
@@ -180,31 +160,9 @@ let frontier_fingerprint (t : Muir_dse.Explore.t) : string =
 let test_prune_transparent () =
   let subject =
     Muir_pipeline.Pipeline.of_text ~name:"divring"
-      (read_file (example_path "divring.mc"))
+      (Sim_harness.read_example "divring.mc")
   in
-  (* divring is the one subject with honest pruning geometry: op-fusion
-     re-times the divide ring from II 18 to 16, so a fused config's
-     *measured* 4112 cycles undercuts an un-fused config's *static
-     bound* of 4598 — and the un-fused configs that also pay for
-     banking are strictly bigger, hence provably off the frontier
-     without simulating.  The first batch (the explorer evaluates in
-     batches of 8) simulates the incumbents; the trailing un-fused
-     banked configs then fall to the timing filter. *)
-  let grid =
-    [ Muir_dse.Config.v "baseline";
-      Muir_dse.Config.v "cilk-stack";
-      Muir_dse.Config.v ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 "cilk-stack";
-      Muir_dse.Config.v ~banks:2 "cilk-stack";
-      Muir_dse.Config.v ~banks:4 "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:2 "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:4 "cilk-stack";
-      (* --- second batch: all four are timing-prunable ------------- *)
-      Muir_dse.Config.v ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~banks:4 ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:4 ~off:[ "op-fusion" ] "cilk-stack" ]
-  in
+  let grid = Sim_harness.divring_grid () in
   (* A fresh memo on each side: a shared one would answer the second
      run's simulations from memory and prove nothing. *)
   let plain = Muir_dse.Explore.run ~grid subject in

@@ -50,3 +50,38 @@ let check_against_golden ?(passes = []) ?(inits = []) ?entry ?args
     Alcotest.failf "%s: %s[%d] golden=%s sim=%s" name g i
       (Types.value_to_string x) (Types.value_to_string y));
   r
+
+(** The text of bundled example [name], found whether a test runs from
+    the repo root, from test/, or from dune's sandbox
+    (_build/default/test). *)
+let read_example name =
+  let candidates =
+    List.map
+      (fun d -> Filename.concat d name)
+      [ "examples"; "../examples"; "../../examples"; "../../../examples" ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> In_channel.with_open_bin p In_channel.input_all
+  | None -> Alcotest.fail ("cannot locate examples/" ^ name)
+
+(** The explorer grid over examples/divring.mc, the one subject with
+    honest pruning geometry: op-fusion re-times the divide ring from
+    II 18 to 16, so a fused config's {e measured} 4112 cycles undercut
+    an un-fused config's {e static bound} of 4598, and the un-fused
+    configs that also pay for banking are strictly bigger, hence
+    provably off the frontier without simulating.  The first chunk
+    (the explorer evaluates in chunks of 8) simulates the incumbents;
+    the trailing un-fused banked configs then fall to the timing
+    filter.  Configurations that build the same circuit share a
+    chunk. *)
+let divring_grid () =
+  let v = Muir_dse.Config.v in
+  [ v "baseline"; v "cilk-stack"; v ~off:[ "op-fusion" ] "cilk-stack";
+    v ~tiles:2 "cilk-stack"; v ~banks:2 "cilk-stack";
+    v ~banks:4 "cilk-stack"; v ~tiles:2 ~banks:2 "cilk-stack";
+    v ~tiles:2 ~banks:4 "cilk-stack";
+    (* second chunk: all four are timing-prunable *)
+    v ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
+    v ~banks:4 ~off:[ "op-fusion" ] "cilk-stack";
+    v ~tiles:2 ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
+    v ~tiles:2 ~banks:4 ~off:[ "op-fusion" ] "cilk-stack" ]
