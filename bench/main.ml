@@ -722,145 +722,6 @@ let nn () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The serve daemon: cold vs warm batch latency over the suite          *)
-
-let serve_experiment () =
-  let module S = Muir_serve.Server in
-  let module C = Muir_serve.Client in
-  let module P = Muir_serve.Proto in
-  let module J = Muir_trace.Json in
-  header
-    "Serve daemon: cold vs warm batch latency and requests/sec over the \
-     workload suite (persistent content-addressed cache)";
-  let socket = Filename.temp_file "muir-serve" ".sock" in
-  Sys.remove socket;
-  let cache_dir = Filename.temp_file "muir-rcache" ".d" in
-  Sys.remove cache_dir;
-  let jobs = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
-  let start () =
-    let t = S.create ~cache_dir ~jobs () in
-    let ln = S.listen socket in
-    Domain.spawn (fun () -> S.serve ln t)
-  in
-  (* Every workload at baseline and under the registry's "best" stack
-     (tiles=8, banks=4).  Its best rows are not the regression
-     baseline's: those use the per-category stack, and the two differ
-     in cycles on 8 of the 24 workloads, all Cilk or tensor ones. *)
-  let items =
-    List.concat (List.mapi
-      (fun i (w : W.t) ->
-        List.mapi
-          (fun j stack ->
-            { P.it_id = (2 * i) + j; it_src = P.Workload w.wname;
-              it_stack = stack; it_tiles = None; it_banks = None;
-              it_off = []; it_deadline_ms = None; it_jobs = 1 })
-          [ "baseline"; "best" ])
-      W.all)
-  in
-  let round label =
-    C.with_connection socket (fun fd ->
-        let t0 = Unix.gettimeofday () in
-        let resp = C.rpc fd (P.Run items) in
-        let wall = Unix.gettimeofday () -. t0 in
-        match resp with
-        | P.Results { results; fresh; cached; errors } ->
-          if errors > 0 then
-            failwith (Fmt.str "serve: %s round had %d error(s)" label errors);
-          Fmt.pr
-            "%-8s %3d items in %7.3fs  (%5.1f items/s, %d fresh, %d \
-             cached)@."
-            label (List.length results) wall
-            (float_of_int (List.length results) /. wall)
-            fresh cached;
-          (wall, results, fresh)
-        | P.Error_r { msg; _ } -> failwith ("serve: rejected: " ^ msg)
-        | _ -> failwith "serve: unexpected response")
-  in
-  let reports (r : P.result_ list) =
-    List.map
-      (fun (x : P.result_) ->
-        match x.rs_outcome with
-        | P.Ok_ { report; _ } -> J.to_string report
-        | P.Err _ -> failwith "serve: error outcome in checked round")
-      r
-  in
-  let d = start () in
-  let cold_wall, cold_results, _ = round "cold" in
-  let warm_wall, warm_results, warm_fresh = round "warm" in
-  if warm_fresh <> 0 then
-    failwith (Fmt.str "serve: warm round ran %d fresh simulations" warm_fresh);
-  if reports cold_results <> reports warm_results then
-    failwith "serve: warm reports diverge from cold reports";
-  (* Scrape the daemon's histograms: the cold round populated the
-     fresh item-latency series, the warm round the cached one. *)
-  let scrape () =
-    C.with_connection socket (fun fd ->
-        match C.rpc fd P.Metrics with
-        | P.Metrics_r text -> Muir_obs.Prom.parse text
-        | _ -> failwith "serve: unexpected response to metrics")
-  in
-  let item_hist p cached =
-    match
-      Muir_obs.Prom.find_histogram p ~name:"muir_serve_item_seconds"
-        ~labels:[ ("cached", cached) ] ()
-    with
-    | Some h -> h
-    | None ->
-      failwith
-        (Fmt.str "serve: no item-latency histogram for cached=%s" cached)
-  in
-  let scraped = scrape () in
-  let hf = item_hist scraped "false" and hc = item_hist scraped "true" in
-  let n = List.length items in
-  if hf.Muir_obs.Prom.hd_count <> n then
-    failwith
-      (Fmt.str "serve: fresh histogram counts %d observations, served %d"
-         hf.Muir_obs.Prom.hd_count n);
-  if hc.Muir_obs.Prom.hd_count <> n then
-    failwith
-      (Fmt.str "serve: cached histogram counts %d observations, served %d"
-         hc.Muir_obs.Prom.hd_count n);
-  let q h p = Muir_obs.Prom.quantile h p in
-  let cold_p50 = q hf 0.5 and cold_p99 = q hf 0.99 in
-  let warm_p50 = q hc 0.5 and warm_p99 = q hc 0.99 in
-  Fmt.pr
-    "item latency      cold p50 %.2fms p99 %.2fms   warm p50 %.3fms p99 \
-     %.3fms@."
-    (1000.0 *. cold_p50) (1000.0 *. cold_p99) (1000.0 *. warm_p50)
-    (1000.0 *. warm_p99);
-  (* The cache must not merely help on average: the slowest warm item
-     must beat the median cold item outright. *)
-  if warm_p99 >= cold_p50 then
-    failwith
-      (Fmt.str "serve: warm p99 (%.4fs) >= cold p50 (%.4fs)" warm_p99
-         cold_p50);
-  C.with_connection socket (fun fd -> ignore (C.rpc fd P.Shutdown));
-  ignore (Domain.join d : S.drain_summary);
-  (* Restart on the same cache directory: the disk store alone must
-     answer the whole batch — zero fresh simulations across restarts. *)
-  let d2 = start () in
-  let restart_wall, restart_results, restart_fresh = round "restart" in
-  if restart_fresh <> 0 then
-    failwith
-      (Fmt.str "serve: restarted daemon ran %d fresh simulations"
-         restart_fresh);
-  if reports cold_results <> reports restart_results then
-    failwith "serve: post-restart reports diverge from cold reports";
-  C.with_connection socket (fun fd -> ignore (C.rpc fd P.Shutdown));
-  ignore (Domain.join d2 : S.drain_summary);
-  Fmt.pr
-    "warm/cold speedup %.1fx; restart warms from disk at %.1fx (%d \
-     entries)@."
-    (cold_wall /. warm_wall)
-    (cold_wall /. restart_wall)
-    (List.length items);
-  (try Sys.remove socket with Sys_error _ -> ());
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat cache_dir f) with Sys_error _ -> ())
-    (try Sys.readdir cache_dir with Sys_error _ -> [||]);
-  try Unix.rmdir cache_dir with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable run reports and the benchmark regression gate      *)
 
 module Report = Muir_trace.Report
@@ -934,8 +795,7 @@ let experiments : (string * (unit -> unit)) list =
     ("nn", nn);
     ("profile", profile);
     ("timing", timing);
-    ("explore", explore);
-    ("serve", serve_experiment) ]
+    ("explore", explore) ]
 
 let run_experiments args =
   let selected =

@@ -82,6 +82,7 @@ let passes_conv : Muir_opt.Pass.t list Arg.conv =
     match parse_pass s with
     | Some p -> Ok p
     | None -> Error (`Msg (Fmt.str "unknown pass %S" s))
+    | exception Invalid_argument m -> Error (`Msg m)
   in
   Arg.conv (parse, fun ppf ps ->
       Fmt.(list ~sep:comma string) ppf
@@ -103,8 +104,9 @@ let passes_arg =
         ~doc:
           (Fmt.str
              "μopt pass to apply (repeatable): fusion, queuing, tiling=N, \
-              localize, spad-bank=N, cache-bank=N, tensor, or a named \
-              stack: %s."
+              localize, spad-bank=N, cache-bank=N (N from 1 to %d), \
+              tensor, or a named stack: %s."
+             Muir_opt.Structural.max_count
              (String.concat ", " (Muir_opt.Stacks.names ()))))
 
 let file_arg =
@@ -398,13 +400,6 @@ let check_json (c : Muir_core.Graph.circuit) ~(target : string)
          ("exit", J.Int exit_code) ])
 
 let check_cmd =
-  let target_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE|WORKLOAD"
-          ~doc:"A .mc source file, or the name of a bundled workload.")
-  in
   let timing_flag =
     Arg.(
       value & flag
@@ -566,13 +561,6 @@ let simulate_cmd =
     Term.(const run $ target_arg $ passes_arg $ unroll_arg)
 
 let profile_cmd =
-  let target_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE|WORKLOAD"
-          ~doc:"A .mc source file, or the name of a bundled workload.")
-  in
   let top_arg =
     Arg.(
       value & opt int 10
@@ -696,13 +684,6 @@ let profile_cmd =
       $ chrome_arg $ vcd_arg $ json_arg $ diff_flag $ second_arg)
 
 let explore_cmd =
-  let target_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE|WORKLOAD"
-          ~doc:"A .mc source file, or the name of a bundled workload.")
-  in
   let budget_arg =
     Arg.(
       value & opt int 96
@@ -1256,10 +1237,27 @@ let top_cmd =
       & info [] ~docv:"SOCKET"
           ~doc:"Unix-domain socket of the daemon to watch.")
   in
+  (* A period [Unix.sleepf] accepts: positive, finite, at most a day. *)
+  let max_interval = 86400.0 in
+  let interval_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some x when x > 0.0 && x <= max_interval -> Ok x
+      | _ ->
+        Error
+          (`Msg
+             (Fmt.str "%S is not a number of seconds in (0, %g]" s
+                max_interval))
+    in
+    Arg.conv (parse, Fmt.float)
+  in
   let interval_arg =
     Arg.(
-      value & opt float 2.0
-      & info [ "interval"; "n" ] ~docv:"SECONDS" ~doc:"Refresh period.")
+      value & opt interval_conv 2.0
+      & info [ "interval"; "n" ] ~docv:"SECONDS"
+          ~doc:
+            (Fmt.str "Refresh period: more than 0 and at most %g seconds."
+               max_interval))
   in
   let once_flag =
     Arg.(

@@ -15,22 +15,15 @@ open Instr
 (** One dynamically executed instruction, as seen by timing models. *)
 type trace_event = {
   ev_kind : kind;
-  ev_ty : ty;
   ev_addr : int option;  (** effective word address for memory ops *)
 }
 
 type stats = {
   mutable dyn_instrs : int;
-  mutable dyn_loads : int;
-  mutable dyn_stores : int;
   mutable dyn_branches : int;
-  mutable dyn_spawns : int;
-  mutable dyn_flops : int;
 }
 
-let new_stats () =
-  { dyn_instrs = 0; dyn_loads = 0; dyn_stores = 0; dyn_branches = 0;
-    dyn_spawns = 0; dyn_flops = 0 }
+let new_stats () = { dyn_instrs = 0; dyn_branches = 0 }
 
 exception Step_limit_exceeded
 
@@ -56,16 +49,9 @@ let resolve (env : value array) (op : operand) : value =
 
 let trace ctx (i : Instr.t) addr =
   ctx.stats.dyn_instrs <- ctx.stats.dyn_instrs + 1;
-  (match i.kind with
-  | Load _ | Tload _ -> ctx.stats.dyn_loads <- ctx.stats.dyn_loads + 1
-  | Store _ | Tstore _ -> ctx.stats.dyn_stores <- ctx.stats.dyn_stores + 1
-  | Spawn _ -> ctx.stats.dyn_spawns <- ctx.stats.dyn_spawns + 1
-  | Fbin _ | Funary _ | Fcmp _ ->
-    ctx.stats.dyn_flops <- ctx.stats.dyn_flops + 1
-  | _ -> ());
   match ctx.tracer with
   | None -> ()
-  | Some f -> f { ev_kind = i.kind; ev_ty = i.ty; ev_addr = addr }
+  | Some f -> f { ev_kind = i.kind; ev_addr = addr }
 
 let rec run_func (ctx : ctx) (f : Func.t) (args : value list) : value =
   let ctx_fname = f.Func.name in

@@ -9,7 +9,7 @@
     This module is that sequence extracted once, so the stages are no
     longer re-inlined at each call site.  The products are explicit
     ({!built} carries the program, circuit and pass reports;
-    {!modeled} the lowered design and both synthesis models;
+    {!modeled} both synthesis models of the lowered design;
     {!simulate} returns the simulator's result record unchanged), and
     every call site composes exactly the stages it needs: a static
     check stops after {!build}, the explorer adds {!model} before
@@ -157,7 +157,6 @@ let build ?ctl ?(unroll = false) ?(passes = []) (src : source) : built =
   { p_program = program; p_circuit = circuit; p_reports = reports }
 
 type modeled = {
-  m_design : Muir_rtl.Rtl.design;
   m_fpga : Muir_model.Model.fpga_report;
   m_asic : Muir_model.Model.asic_report;
 }
@@ -170,7 +169,7 @@ let model ?ctl (b : built) : modeled =
     staged ctl Model (fun () ->
         (Muir_model.Model.fpga design, Muir_model.Model.asic design))
   in
-  { m_design = design; m_fpga = fpga; m_asic = asic }
+  { m_fpga = fpga; m_asic = asic }
 
 (** Cycle-accurate simulation of the built circuit (the Simulate
     stage). *)

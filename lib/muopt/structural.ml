@@ -12,6 +12,22 @@
 module G = Muir_core.Graph
 module P = Muir_ir.Program
 
+(** The largest tile or bank count the tiling and banking passes
+    accept; the smallest is 1.  The greedy explorer widens up to 16
+    tiles and 8 banks, and every other caller asks for 8 or fewer.
+    The simulator builds one static instance per tile, so the bound
+    also caps what one request can make it allocate. *)
+let max_count = 16
+
+(* The pass constructors check their counts here, the one point that
+   [-O], the registry stacks and [Dse.Config.passes] all reach.
+   @raise Invalid_argument naming the pass when [n] is outside
+   [1, max_count] *)
+let check_count ~(pass : string) ~(what : string) (n : int) : unit =
+  if n < 1 || n > max_count then
+    invalid_arg
+      (Fmt.str "%s: %s=%d is outside [1, %d]" pass what n max_count)
+
 (* ------------------------------------------------------------------ *)
 (* Pass 1: task-block queuing                                           *)
 
@@ -90,6 +106,7 @@ let execution_tiling ?task ?(scope = `Spawned) (c : G.circuit)
     ~detail:(Fmt.str "%d tiles on %d tasks" tiles !touched)
 
 let tiling_pass ?task ?scope ~tiles () : Pass.t =
+  check_count ~pass:"execution-tiling" ~what:"tiles" tiles;
   { pname = "execution-tiling";
     prun = (fun c -> execution_tiling ?task ?scope c ~tiles) }
 
@@ -189,6 +206,7 @@ let scratchpad_banking ?(banks = 2) (c : G.circuit) : Pass.report =
     ~detail:(Fmt.str "%d banks on %d scratchpads" banks !touched)
 
 let scratchpad_banking_pass ?banks () : Pass.t =
+  Option.iter (check_count ~pass:"scratchpad-banking" ~what:"banks") banks;
   { pname = "scratchpad-banking";
     prun = (fun c -> scratchpad_banking ?banks c) }
 
@@ -239,4 +257,5 @@ let cache_banking ?(banks = 2) (c : G.circuit) : Pass.report =
     ~detail:(Fmt.str "%d banks on %d caches" banks !touched)
 
 let cache_banking_pass ?banks () : Pass.t =
+  Option.iter (check_count ~pass:"cache-banking" ~what:"banks") banks;
   { pname = "cache-banking"; prun = (fun c -> cache_banking ?banks c) }

@@ -22,7 +22,9 @@
     a family.  Registration is find-or-create: asking twice for the
     same name and label set returns the same instance, asking for the
     same name with a conflicting kind, help or bucket layout is a
-    programming error ([Invalid_argument]). *)
+    programming error ([Invalid_argument]).  A counter only grows
+    ({!inc}, {!add}): whatever it counts is counted here, not copied in
+    from another store. *)
 
 type labels = (string * string) list
 
@@ -194,11 +196,6 @@ let inc (c : counter) : unit = c.cv <- c.cv + 1
 let add (c : counter) (n : int) : unit =
   if n < 0 then invalid_arg "Metrics.add: counters are monotonic";
   c.cv <- c.cv + n
-
-(** Mirror an externally maintained monotonic total (the daemon's
-    cache hit/miss counts live in {!Muir_dse.Cache}); the counter
-    semantics still hold because the source is monotonic. *)
-let counter_set (c : counter) (n : int) : unit = c.cv <- n
 
 let set (g : gauge) (n : int) : unit = g.gv <- n
 let gauge_add (g : gauge) (n : int) : unit = g.gv <- g.gv + n

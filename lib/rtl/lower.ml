@@ -215,4 +215,4 @@ let design (c : G.circuit) : design =
   List.iter (lower_structure ctx) c.structures;
   (* AXI interface to DRAM/CPU *)
   ignore (add ctx ~origin:"top" (Pctrl { kind = "axi" }));
-  { dname = c.cname; comps = List.rev ctx.comps; nets = List.rev ctx.nets }
+  { comps = List.rev ctx.comps; nets = List.rev ctx.nets }

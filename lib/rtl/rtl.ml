@@ -37,7 +37,6 @@ type net = {
 }
 
 type design = {
-  dname : string;
   comps : component list;
   nets : net list;
 }

@@ -29,7 +29,9 @@
     sim parameters ([jobs], accepted for compatibility and ignored —
     the simulator runs on one lane, so it is not part of the cache
     key — and [deadline_ms], a per-request deadline measured from
-    admission).
+    admission).  A [tiles] or [banks] value the stack reads must lie
+    in [1, {!Muir_opt.Structural.max_count}] (16); any other value
+    fails its item with [bad_request].
 
     {2 Responses}
 

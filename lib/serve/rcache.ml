@@ -32,20 +32,17 @@
 
     The daemon's evaluation memo ({!Muir_dse.Eval.memo}) holds the
     same payload strings as this cache and lives in memory only: this
-    format does not record digests.  Lookups count hits and fresh
-    results misses; entries loaded from disk count as neither. *)
+    format does not record digests.  The cache counts nothing but the
+    entries it discarded at load: the daemon counts its hits and misses
+    in its metrics registry ({!Server}). *)
 
 type t = {
   rc_dir : string option;               (** [None] = memory-only *)
   rc_mem : (string, string) Hashtbl.t;  (** key → report-JSON payload *)
-  mutable rc_hits : int;
-  mutable rc_misses : int;
   mutable rc_corrupt : int;             (** entries discarded at load *)
 }
 
 type stats = {
-  hits : int;
-  misses : int;
   entries : int;
   corrupt : int;
   disk_bytes : int;
@@ -156,8 +153,7 @@ let load_dir (t : t) (dir : string) : unit =
     identical semantics minus persistence. *)
 let create ?dir () : t =
   let t =
-    { rc_dir = dir; rc_mem = Hashtbl.create 64; rc_hits = 0; rc_misses = 0;
-      rc_corrupt = 0 }
+    { rc_dir = dir; rc_mem = Hashtbl.create 64; rc_corrupt = 0 }
   in
   (match dir with
   | None -> ()
@@ -166,18 +162,14 @@ let create ?dir () : t =
     load_dir t d);
   t
 
-(** Lookup; counts a hit when present. *)
-let find (t : t) (key : string) : string option =
-  let hit = Hashtbl.find_opt t.rc_mem key in
-  if Option.is_some hit then t.rc_hits <- t.rc_hits + 1;
-  hit
+(** The payload stored under [key], if any. *)
+let find (t : t) (key : string) : string option = Hashtbl.find_opt t.rc_mem key
 
-(** Record a freshly paid-for payload: counts a miss, persists the
-    entry atomically when the cache is disk-backed.  The entry is in
-    memory even when the write fails.
+(** Record a freshly paid-for payload and persist the entry atomically
+    when the cache is disk-backed.  The entry is in memory even when
+    the write fails.
     @raise Write_error when the entry file cannot be written *)
 let add (t : t) (key : string) (payload : string) : unit =
-  t.rc_misses <- t.rc_misses + 1;
   Hashtbl.replace t.rc_mem key payload;
   match t.rc_dir with
   | None -> ()
@@ -204,6 +196,5 @@ let disk_bytes (t : t) : int =
         0 names)
 
 let stats (t : t) : stats =
-  { hits = t.rc_hits; misses = t.rc_misses;
-    entries = Hashtbl.length t.rc_mem; corrupt = t.rc_corrupt;
+  { entries = Hashtbl.length t.rc_mem; corrupt = t.rc_corrupt;
     disk_bytes = disk_bytes t }

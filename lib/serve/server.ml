@@ -63,11 +63,14 @@
     [muir_serve_item_seconds{cached="true"}] for cache hits and
     batch-local duplicates, [{cached="false"}] for fresh evaluations
     and failed items — so the two histograms' total count always
-    equals [ok + errors] from the [stats] op.  Each fresh evaluation
-    additionally records the seconds of each stage it ran into
-    [muir_serve_stage_seconds{stage=...}] and pushes a span of those
-    stages into the handle's ring for Chrome-trace export; a reused
-    key ran compile, build and optimize only.
+    equals [ok + errors] from the [stats] op.  Cache hits are counted
+    where a probe, or a batch-local duplicate's replay, finds a
+    payload; misses where a fresh payload is remembered; and the
+    entries {!Rcache} discarded at load once, at {!create}.  Each
+    fresh evaluation additionally records the seconds of each stage
+    it ran into [muir_serve_stage_seconds{stage=...}] and pushes a
+    span of those stages into the handle's ring for Chrome-trace
+    export; a reused key ran compile, build and optimize only.
 
     {2 Failure containment}
 
@@ -211,7 +214,10 @@ let reject_counter (t : t) (code : string) : M.counter =
 
 let create ?cache_dir ?(jobs = 1) ?(queue_cap = 256) ?obs () : t =
   let obs = match obs with Some o -> o | None -> Ob.create () in
-  { sv_rcache = Rcache.create ?dir:cache_dir ();
+  let rcache = Rcache.create ?dir:cache_dir () in
+  let mx = make_mx obs in
+  M.add mx.x_cache_corrupt rcache.Rcache.rc_corrupt;
+  { sv_rcache = rcache;
     sv_memo = Muir_dse.Eval.memo ();
     sv_jobs = max 1 jobs;
     sv_queue_cap = queue_cap;
@@ -219,7 +225,7 @@ let create ?cache_dir ?(jobs = 1) ?(queue_cap = 256) ?obs () : t =
     sv_queue = Queue.create ();
     sv_stop = Atomic.make false;
     sv_obs = obs;
-    sv_mx = make_mx obs;
+    sv_mx = mx;
     sv_reply = Proto.reply_frame () }
 
 (** Ask the serve loop to stop accepting work and drain what it has.
@@ -341,6 +347,8 @@ type resolved =
   | Ready of { rv_key : string; rv_cfg : Config.t }
   | Unresolvable of string  (** message; code is always bad_request *)
 
+(* [item_key] builds the item's passes, so an unknown stack and a tile
+   or bank count out of range both fail here. *)
 let resolve (it : Proto.item) : resolved =
   match
     let cfg = item_config it in
@@ -356,10 +364,12 @@ let observe_item (t : t) ~(cached : bool) (secs : float) : unit =
     (if cached then t.sv_mx.x_item_cached else t.sv_mx.x_item_fresh)
     secs
 
-(** Add a fresh payload to the result cache.  A disk write that fails
-    is counted and logged, not raised: the entry is in memory, so the
-    item and later requests for its key are still answered. *)
+(** Add a fresh payload to the result cache, counted as a cache miss.
+    A disk write that fails is counted and logged, not raised: the
+    entry is in memory, so the item and later requests for its key are
+    still answered. *)
 let remember (t : t) (key : string) (payload : string) : unit =
+  M.inc t.sv_mx.x_cache_misses;
   try Rcache.add t.sv_rcache key payload
   with Rcache.Write_error (path, reason) ->
     M.inc t.sv_mx.x_cache_write_errors;
@@ -379,7 +389,8 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
   Olog.event t.sv_obs.Ob.o_log "request"
     [ ("req", J.Int req_id); ("items", J.Int (List.length items)) ];
   let resolved = List.map (fun it -> (it, resolve it)) items in
-  (* First pass: probe the cache, timing each probe on the obs clock. *)
+  (* First pass: probe the cache, timing each probe on the obs clock;
+     a probe that finds a payload is a cache hit. *)
   let probed =
     List.map
       (fun (it, rv) ->
@@ -389,7 +400,9 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
           | Unresolvable m -> `Bad m
           | Ready { rv_key = key; rv_cfg = cfg } -> (
             match Rcache.find t.sv_rcache key with
-            | Some payload -> `Hit (key, payload)
+            | Some payload ->
+              M.inc t.sv_mx.x_cache_hits;
+              `Hit (key, payload)
             | None -> `Miss (key, cfg))
         in
         (it, what, clock () -. t0))
@@ -528,27 +541,19 @@ let run_items ~(now : float) (t : t) (items : Proto.item list) :
                 [ ("code", J.Str code) ];
               err code stage msg)
           | `Dup key -> (
-            (* The representative ran in this very batch; replay it
-               through the cache so the hit is counted. *)
-            let t0 = clock () in
-            let hit = Rcache.find t.sv_rcache key in
-            let secs = probe_dt +. (clock () -. t0) in
-            match hit with
-            | Some payload ->
-              observe_item t ~cached:true secs;
-              log_item it ~status:"ok" ~cached:true ~secs [];
-              ok ~cached:true payload
-            | None -> (
-              match Hashtbl.find by_key key with
-              | Failed (code, stage, msg), _, _ ->
-                observe_item t ~cached:true secs;
-                log_item it ~status:"error" ~cached:true ~secs
-                  [ ("code", J.Str code) ];
-                err code stage msg
-              | Payload p, _, _ ->
-                observe_item t ~cached:true secs;
-                log_item it ~status:"ok" ~cached:true ~secs [];
-                ok ~cached:true p))
+            (* The representative ran in this very batch: replay its
+               outcome; a payload counts as a cache hit. *)
+            let out, _, _ = Hashtbl.find by_key key in
+            observe_item t ~cached:true probe_dt;
+            match out with
+            | Payload p ->
+              M.inc t.sv_mx.x_cache_hits;
+              log_item it ~status:"ok" ~cached:true ~secs:probe_dt [];
+              ok ~cached:true p
+            | Failed (code, stage, msg) ->
+              log_item it ~status:"error" ~cached:true ~secs:probe_dt
+                [ ("code", J.Str code) ];
+              err code stage msg)
         in
         { Proto.rs_id = it.it_id; rs_outcome = outcome })
       plan
@@ -582,10 +587,10 @@ let stats_response ?now (t : t) : Proto.response =
       st_fresh = M.counter_value mx.x_fresh;
       st_cached = M.counter_value mx.x_cached;
       st_reused = M.counter_value mx.x_reused;
-      st_cache_hits = cs.hits;
-      st_cache_misses = cs.misses;
+      st_cache_hits = M.counter_value mx.x_cache_hits;
+      st_cache_misses = M.counter_value mx.x_cache_misses;
       st_cache_entries = cs.entries;
-      st_cache_corrupt = cs.corrupt;
+      st_cache_corrupt = M.counter_value mx.x_cache_corrupt;
       st_cache_disk_bytes = cs.disk_bytes;
       st_stages =
         List.map
@@ -604,9 +609,6 @@ let render_metrics ?now (t : t) : string =
   M.set t.sv_mx.x_uptime (int_of_float (now -. t.sv_started));
   M.set t.sv_mx.x_queue_depth (queue_depth t);
   M.set t.sv_mx.x_draining (if Atomic.get t.sv_stop then 1 else 0);
-  M.counter_set t.sv_mx.x_cache_hits cs.hits;
-  M.counter_set t.sv_mx.x_cache_misses cs.misses;
-  M.counter_set t.sv_mx.x_cache_corrupt cs.corrupt;
   M.set t.sv_mx.x_cache_entries cs.entries;
   M.set t.sv_mx.x_disk_bytes cs.disk_bytes;
   Muir_obs.Prom.render t.sv_obs.Ob.o_metrics

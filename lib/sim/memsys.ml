@@ -41,7 +41,6 @@ and access = {
   mutable a_n : int;            (** live words *)
   mutable a_pending : int;      (** sub-requests still in flight *)
   mutable a_done : bool;
-  mutable a_issued : int;       (** cycle of issue, for stats *)
   mutable a_notify : unit -> unit;
       (** called once when the access completes, so the issuing node
           is woken instead of polled every cycle *)
@@ -64,7 +63,7 @@ let make_access ~(words : int) ~(notify : unit -> unit) : access =
     { a_is_store = false; a_addrs = Array.make w 0;
       a_tags = Array.make w F.tabsent; a_nums = Array.make w 0;
       a_flts = Array.make w 0.0; a_objs = Array.make w F.no_obj;
-      a_n = 0; a_pending = 0; a_done = false; a_issued = 0;
+      a_n = 0; a_pending = 0; a_done = false;
       a_notify = notify; a_orphan = false; a_srs = [||]; a_nsrs = 0 }
   in
   a.a_srs <-
@@ -73,12 +72,11 @@ let make_access ~(words : int) ~(notify : unit -> unit) : access =
   a
 
 (** Reset [a] for reissue from its pool slot. *)
-let reset_access (a : access) ~(is_store : bool) ~(now : int) : unit =
+let reset_access (a : access) ~(is_store : bool) : unit =
   a.a_is_store <- is_store;
   a.a_n <- 0;
   a.a_pending <- 0;
   a.a_done <- false;
-  a.a_issued <- now;
   a.a_orphan <- false;
   a.a_nsrs <- 0
 

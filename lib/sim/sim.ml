@@ -346,13 +346,10 @@ type stats = {
   mem : Memsys.struct_stats list;
   mem_requests : int;
   wall_seconds : float;           (** kernel wall-clock time of [run] *)
-  cycles_per_sec : float;         (** simulated cycles per wall second *)
   woken_per_cycle : float;
       (** fire attempts per cycle: every node drained from a fire wake
           set is attempted (a wake whose attempt would change nothing
           is not made) *)
-  live_nodes_per_cycle : float;   (** instantiated nodes per cycle (the
-                                      dense sweep would attempt these) *)
   gc_minor_words_per_cycle : float;
       (** steady-state minor-heap allocation rate of the kernel *)
   gc_major_collections : int;     (** major GCs during [run] *)
@@ -424,8 +421,6 @@ type t = {
   mutable ld_k : int array;
   mutable ld_n : int;
   mutable woken : int;            (** total fire attempts, stats *)
-  mutable live_nodes : int;       (** nodes across live instances *)
-  mutable node_cycles : int;      (** Σ live_nodes per cycle, stats *)
   tr : Tr.t option;               (** event sink; [None] = tracing off *)
   ctrs : Ctr.t;                   (** always-on counter bank *)
   otasks : Ctr.occ_ctr array;     (** queue-occupancy integrals, by tid *)
@@ -1114,7 +1109,6 @@ let prime (sim : t) (inst : instance) : unit =
   Array.blit y.y_ttn 0 y.c_tn (2 * t) (2 * y.y_tw);
   Array.blit y.y_tflts 0 y.c_flts t y.y_tw;
   Array.blit y.y_tobjs 0 y.c_objs t y.y_tw;
-  sim.live_nodes <- sim.live_nodes + y.y_nn;
   for i = 0 to y.y_nn - 1 do
     nr.%(nd_row inst i + nd_miss) <- y.y_miss0.(i);
     wake_fire sim inst i
@@ -1240,8 +1234,7 @@ let create ?tracer (c : G.circuit) : t =
         Array.init wheel_size (fun _ ->
             { wi = [||]; wn = [||]; wc = [||]; wk = [||]; w_n = 0 });
       insts = [||]; ld_i = [||]; ld_k = [||]; ld_n = 0; woken = 0;
-      live_nodes = 0;
-      node_cycles = 0; tr = tracer; ctrs;
+      tr = tracer; ctrs;
       otasks = Array.init n (fun tid -> Ctr.occ_ref ctrs (Ctr.Ktask tid));
       act_j; act_f; act_e; act_c; act_q }
   in
@@ -1750,7 +1743,6 @@ let try_complete (sim : t) (trt : task_rt) (inst : instance) : unit =
       if inst.idynamic then begin
         inst.live <- false;
         inst.i_retired <- sim.now;
-        sim.live_nodes <- sim.live_nodes - y.y_nn;
         pool_put trt inst
       end
     end
@@ -1960,7 +1952,7 @@ let try_fire (sim : t) (inst : instance) (i : int) (kind : G.node_kind) :
                   a
                 end
               in
-              Memsys.reset_access a ~is_store ~now;
+              Memsys.reset_access a ~is_store;
               (match kind with
               | G.Load _ ->
                 a.Memsys.a_n <- 1;
@@ -2768,7 +2760,6 @@ let step (sim : t) : unit =
   sweep sim sim.act_q dispatch_task 0;
   (* 7. commit staged channel writes *)
   commit sim;
-  sim.node_cycles <- sim.node_cycles + sim.live_nodes;
   sim.now <- now + 1
 
 (** Pre-load cycles for DMA into scratchpads (8 words per cycle). *)
@@ -2951,8 +2942,8 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
   let dma = dma_cycles c in
   let wall = Unix.gettimeofday () -. t_start in
   (* Derived rates must stay printable on degenerate runs: a zero-cycle
-     program or a wall-clock too small to resolve would otherwise put
-     nan/inf into profiles and machine-read reports. *)
+     program would otherwise put nan/inf into profiles and machine-read
+     reports. *)
   let finite f = if Float.is_finite f then f else 0.0 in
   let per_cycle total =
     if sim.now = 0 then 0.0
@@ -2978,10 +2969,7 @@ let run ?tracer ?(args = []) ?(max_cycles = 20_000_000)
         mem = Memsys.stats sim.ms;
         mem_requests = sim.ms.Memsys.total_requests;
         wall_seconds = wall;
-        cycles_per_sec =
-          (if wall > 0.0 then finite (float_of_int sim.now /. wall) else 0.0);
         woken_per_cycle = per_cycle sim.woken;
-        live_nodes_per_cycle = per_cycle sim.node_cycles;
         gc_minor_words_per_cycle = finite gc_rate;
         gc_major_collections =
           gc1.Gc.major_collections - gc0.Gc.major_collections } }

@@ -20,7 +20,6 @@ type row = {
   r_tname : string;
   r_node : G.node_id;
   r_kind : string;
-  r_label : string;
   r_fires : int;
   r_span : int;        (** Σ instance lifetimes (cycles) *)
   r_acc : int array;   (** per-cause cycles; Σ = [r_span] *)
@@ -325,7 +324,7 @@ let of_run (c : G.circuit) ?tracer (ctrs : Counters.t) : t =
       | Some n ->
         acc :=
           { r_task = tid; r_tname = t.tname; r_node = nid;
-            r_kind = G.kind_to_string n.kind; r_label = n.label;
+            r_kind = G.kind_to_string n.kind;
             r_fires = g.n_fires; r_span = g.n_span;
             r_acc = Array.copy g.n_acc; r_sref = G.node_structure c n }
           :: !acc)

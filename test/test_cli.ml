@@ -7,8 +7,9 @@
    the file; an output path fails before the work that would fill it.
    A source the frontend rejects exits 1 with one line naming the file
    and the position.  A malformed option value is cmdliner's usage
-   error, 124.  Flags reach bundled workloads as they reach source
-   files. *)
+   error, 124: so are a tile or bank count out of range and a refresh
+   period that is not a positive number of seconds.  Flags reach
+   bundled workloads as they reach source files. *)
 
 let muirc = Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "muirc.exe"
@@ -102,6 +103,22 @@ let test_unknown_strategy () =
         Alcotest.failf "explore --strategy bogus: output lacks %S:@.%s" needle
           text)
     [ "bogus"; "grid"; "greedy" ]
+
+(* [args] fail with cmdliner's usage error, 124: one error line that
+   names [needle], then the usage hint, and no uncaught exception. *)
+let expect_usage_error (args : string list) (needle : string) () =
+  let code, text = muirc_run args in
+  let what = String.concat " " args in
+  Alcotest.(check int) (what ^ ": exit code") 124 code;
+  (match String.split_on_char '\n' text with
+  | first :: second :: _ ->
+    if not (contains first needle) then
+      Alcotest.failf "%s: error line does not name %s:@.%s" what needle text;
+    if not (contains second "Usage:") then
+      Alcotest.failf "%s: error is not one line:@.%s" what text
+  | _ -> Alcotest.failf "%s: no usage error:@.%s" what text);
+  if contains text "exception" then
+    Alcotest.failf "%s: uncaught exception:@.%s" what text
 
 (* [cmd]'s EXIT STATUS documents its file errors ([needle]). *)
 let test_file_exit_documented (cmd, needle) () =
@@ -235,7 +252,22 @@ let () =
             [ "explore"; "check"; "dot"; "chisel"; "graph" ] );
       ( "options",
         [ Alcotest.test_case "explore: unknown strategy" `Quick
-            test_unknown_strategy ] );
+            test_unknown_strategy;
+          Alcotest.test_case "-O cache-bank=0" `Quick
+            (expect_usage_error
+               [ "simulate"; "saxpy"; "-O"; "cache-bank=0" ]
+               "cache-banking");
+          Alcotest.test_case "-O tiling=0" `Quick
+            (expect_usage_error [ "simulate"; "saxpy"; "-O"; "tiling=0" ]
+               "execution-tiling") ]
+        @ List.map
+            (fun v ->
+              Alcotest.test_case ("top --interval=" ^ v) `Quick
+                (expect_usage_error
+                   [ "top"; missing_dir_path "s.sock"; "--once";
+                     "--interval=" ^ v ]
+                   "--interval"))
+            [ "nan"; "inf"; "0"; "-1" ] );
       ( "daemon paths",
         [ Alcotest.test_case "serve: log file" `Quick test_serve_log;
           Alcotest.test_case "serve: cache dir is a file" `Quick

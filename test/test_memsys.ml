@@ -37,7 +37,7 @@ let shell ~spad_width ~spad_banks ~cache_banks () =
 
 let access addrs =
   let a = M.make_access ~words:(List.length addrs) ~notify:ignore in
-  M.reset_access a ~is_store:false ~now:0;
+  M.reset_access a ~is_store:false;
   List.iter
     (fun w ->
       a.M.a_addrs.(a.M.a_n) <- w;

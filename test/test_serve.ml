@@ -243,9 +243,13 @@ let test_item_errors_contained () =
               item ~id:5
                 (Proto.Inline
                    { name = "badnum";
-                     text = "func void main() { float x = 1e; }" }) ]))
+                     text = "func void main() { float x = 1e; }" });
+              item ~id:6 ~stack:"loop-stack" ~banks:0
+                (Proto.Workload "saxpy");
+              item ~id:7 ~stack:"cilk-stack" ~tiles:0
+                (Proto.Workload "fib") ]))
   in
-  Alcotest.(check int) "five items failed" 5 errors;
+  Alcotest.(check int) "seven items failed" 7 errors;
   Alcotest.(check int) "the good item ran" 1 fresh;
   Alcotest.(check string) "unknown workload" "bad_request"
     (err_code (outcome rs 0));
@@ -255,6 +259,10 @@ let test_item_errors_contained () =
     (err_code (outcome rs 2));
   Alcotest.(check string) "malformed literal" "compile_error"
     (err_code (outcome rs 5));
+  Alcotest.(check string) "zero banks" "bad_request"
+    (err_code (outcome rs 6));
+  Alcotest.(check string) "zero tiles" "bad_request"
+    (err_code (outcome rs 7));
   (match outcome rs 3 with
   | Proto.Err { code; stage; _ } ->
     Alcotest.(check string) "deadline code" "deadline" code;
@@ -443,6 +451,16 @@ let test_restart_byte_identity () =
         (report_string (outcome rs2 i)))
     [ 0; 1; 2; 3 ]
 
+module Prom = Muir_obs.Prom
+module Obs = Muir_obs.Obs
+
+let scrape (t : Server.t) : Prom.parsed =
+  match Server.handle t Proto.Metrics with
+  | Proto.Metrics_r text -> Prom.parse text
+  | _ -> Alcotest.fail "expected a metrics response"
+
+let sample p name = Prom.find_sample p ~name ()
+
 let test_cache_corruption_recovery () =
   let dir = fresh_dir () in
   let t1 = Server.create ~cache_dir:dir () in
@@ -466,6 +484,8 @@ let test_cache_corruption_recovery () =
     Alcotest.(check int) "corrupt entries counted" 2 s.st_cache_corrupt;
     Alcotest.(check int) "survivors loaded" 2 s.st_cache_entries
   | _ -> Alcotest.fail "expected stats");
+  Alcotest.(check (option (float 1e-9))) "corrupt entries exposed" (Some 2.0)
+    (sample (scrape t2) "muir_serve_cache_corrupt_total");
   Alcotest.(check bool) "corrupt files removed" true
     (Array.length (Sys.readdir dir) = 2);
   let _, fresh, cached, errors =
@@ -482,16 +502,6 @@ let test_cache_corruption_recovery () =
   Alcotest.(check int) "rebuilt store answers everything" 0 fresh3
 
 (* --- telemetry: the metrics op and the observation invariant --------- *)
-
-module Prom = Muir_obs.Prom
-module Obs = Muir_obs.Obs
-
-let scrape (t : Server.t) : Prom.parsed =
-  match Server.handle t Proto.Metrics with
-  | Proto.Metrics_r text -> Prom.parse text
-  | _ -> Alcotest.fail "expected a metrics response"
-
-let sample p name = Prom.find_sample p ~name ()
 
 let item_hist p cached =
   match
@@ -577,7 +587,10 @@ let test_metrics_op () =
       ("items", st.st_items, "muir_serve_items_total");
       ("ok", st.st_ok, "muir_serve_ok_total");
       ("fresh", st.st_fresh, "muir_serve_fresh_total");
-      ("cached", st.st_cached, "muir_serve_cached_total") ];
+      ("cached", st.st_cached, "muir_serve_cached_total");
+      ("cache hits", st.st_cache_hits, "muir_serve_cache_hits_total");
+      ("cache misses", st.st_cache_misses, "muir_serve_cache_misses_total")
+    ];
   Alcotest.(check int) "stats errors" 2 st.st_errors;
   Alcotest.(check int) "stats errors = Σ errors_total"
     (List.fold_left
