@@ -270,10 +270,12 @@ let test_hostile_names () =
 
 module J = Muir_trace.Json
 
-let rejects (label : string) (s : string) =
+(* [s] is refused with exactly [msg], offset included: callers quote
+   these messages, so they are part of the parser's contract. *)
+let rejects (label : string) (s : string) (msg : string) =
   match J.parse s with
   | _ -> Alcotest.failf "%s: accepted %S" label s
-  | exception J.Parse_error _ -> ()
+  | exception J.Parse_error m -> Alcotest.(check string) label msg m
 
 let nested depth = String.make depth '[' ^ String.make depth ']'
 
@@ -281,14 +283,17 @@ let test_json_nesting_cap () =
   (match J.parse (nested J.max_depth) with
   | J.Arr [ _ ] -> ()
   | _ -> Alcotest.fail "the cap depth did not parse as an array");
-  rejects "one level past the cap" (nested (J.max_depth + 1));
+  rejects "one level past the cap" (nested (J.max_depth + 1))
+    "nesting too deep at offset 512";
   let objects d =
     String.concat "" (List.init d (fun _ -> {|{"k":|}))
     ^ "0" ^ String.make d '}'
   in
   ignore (J.parse (objects J.max_depth));
-  rejects "objects past the cap" (objects (J.max_depth + 1));
+  rejects "objects past the cap" (objects (J.max_depth + 1))
+    "nesting too deep at offset 2560";
   rejects "unclosed brackets" (String.make 100_000 '[')
+    "nesting too deep at offset 512"
 
 let test_json_rfc8259 () =
   let str s =
@@ -300,24 +305,64 @@ let test_json_rfc8259 () =
     (str {|"\ud83d\ude00"|});
   Alcotest.(check string) "BMP escape" "a\xC3\xA9\xE2\x9C\x93"
     (str {|"a\u00e9\u2713"|});
-  rejects "lone high surrogate" {|"\ud83d"|};
-  rejects "high surrogate then text" {|"\ud83dx"|};
-  rejects "high surrogate then a non-low escape" {|"\ud83d\u0041"|};
-  rejects "lone low surrogate" {|"\ude00"|};
-  rejects "leading zero" "01";
-  rejects "negative leading zero" "-01";
-  rejects "double zero" "[00]";
+  rejects "lone high surrogate" {|"\ud83d"|}
+    "lone high surrogate at offset 7";
+  rejects "high surrogate then text" {|"\ud83dx"|}
+    "lone high surrogate at offset 7";
+  rejects "high surrogate then a non-low escape" {|"\ud83d\u0041"|}
+    "lone high surrogate at offset 13";
+  rejects "lone low surrogate" {|"\ude00"|} "lone low surrogate at offset 7";
+  rejects "leading zero" "01" "leading zero at offset 1";
+  rejects "negative leading zero" "-01" "leading zero at offset 2";
+  rejects "double zero" "[00]" "leading zero at offset 2";
+  (* Numbers at the edges of the integer path: up to 18 digits are
+     accumulated, longer ones go through [int_of_string], and one past
+     [max_int] is a float.  Floats compare by bits, so [-0] is told
+     from [0]. *)
+  let same a b =
+    match (a, b) with
+    | J.Float x, J.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+    | _ -> a = b
+  in
   List.iter
     (fun (s, v) ->
-      Alcotest.(check bool) (s ^ " accepted") true (J.parse s = v))
+      Alcotest.(check bool) (s ^ " accepted") true (same (J.parse s) v))
     [ ("0", J.Int 0); ("10", J.Int 10); ("0.5", J.Float 0.5);
-      ("-0.5e1", J.Float (-5.0)); ("0e0", J.Float 0.0) ];
-  (* Today's errors stay errors. *)
+      ("-0.5e1", J.Float (-5.0)); ("0e0", J.Float 0.0);
+      ("123456789012345678", J.Int 123456789012345678);
+      ("-123456789012345678", J.Int (-123456789012345678));
+      ("1234567890123456789", J.Int 1234567890123456789);
+      ("-1234567890123456789", J.Int (-1234567890123456789));
+      (string_of_int max_int, J.Int max_int);
+      (string_of_int min_int, J.Int min_int);
+      ("4611686018427387904", J.Float 4611686018427387904.);
+      ("-0", J.Float (-0.)); ("-0.0", J.Float (-0.));
+      ("1E5", J.Float 100000.) ];
+  (* Today's errors stay errors, each with its message. *)
   List.iter
-    (fun s -> rejects "malformed" s)
-    [ ""; " "; "[1,]"; "[1 2]"; {|{"a" 1}|}; {|{"a":1,}|}; {|{1:2}|};
-      {|"abc|}; "\"a\x01\""; {|"\x"|}; {|"\u12G4"|}; {|"\u12|}; "tru";
-      "nul"; "1."; "-"; "1e"; "1e+"; ".5"; "+1"; "[1] x"; "{}}" ]
+    (fun (s, msg) -> rejects "malformed" s msg)
+    [ ("", "expected a value at offset 0");
+      (" ", "expected a value at offset 1");
+      ("[1,]", "expected a value at offset 3");
+      ("[1 2]", "expected , or ] at offset 3");
+      ({|{"a" 1}|}, "expected ':' at offset 5");
+      ({|{"a":1,}|}, "expected '\"' at offset 7");
+      ({|{1:2}|}, "expected '\"' at offset 1");
+      ({|"abc|}, "unterminated string at offset 4");
+      ("\"a\x01\"", "raw control char in string at offset 2");
+      ({|"\x"|}, "bad escape at offset 2");
+      ({|"\u12G4"|}, "bad \\u escape at offset 5");
+      ({|"\u12|}, "bad \\u escape at offset 5");
+      ("tru", "expected 'e' at offset 3");
+      ("nul", "expected 'l' at offset 3");
+      ("1.", "expected digit at offset 2");
+      ("-", "expected digit at offset 1");
+      ("1e", "expected digit at offset 2");
+      ("1e+", "expected digit at offset 3");
+      (".5", "expected a value at offset 0");
+      ("+1", "expected a value at offset 0");
+      ("[1] x", "trailing garbage at offset 4");
+      ("{}}", "trailing garbage at offset 2") ]
 
 (* RFC 8259 text is UTF-8: the parser rejects a malformed sequence with
    an error that quotes none of its bytes, in plain and escaped strings
