@@ -16,11 +16,14 @@
 
     {2 Scanner}
 
-    The parser reads the input by index: no value is allocated per
+    The parser is one function per grammar rule over one mutable
+    cursor, so a parse allocates the tree it returns and nothing per
     character.  A string without escapes is sliced out of the input
-    once, and only a string with escapes is assembled in a buffer; an
-    integer of at most 18 digits is accumulated as it is scanned, and
-    any other number is sliced once.
+    once, and a string repeated within one document (a key, a task
+    name) is usually one shared string; only a string with escapes is
+    assembled in a buffer.  An integer of at most 18 digits is
+    accumulated as it is scanned, any other number is sliced once, and
+    members and elements are consed in order.
 
     Input is checked as RFC 8259 asks: an escaped surrogate pair
     ([\ud83d\ude00]) decodes to its 4-byte UTF-8 sequence, a lone
@@ -155,246 +158,242 @@ exception Parse_error of string
     reply nests 9 levels, [bench/baseline.json] 7. *)
 let max_depth = 512
 
-let parse (s : string) : t =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg =
-    raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
-  in
-  (* The character at the cursor; NUL past the end, which every caller
-     either rejects or checks against [n]. *)
-  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect ch =
-    if !pos < n && String.unsafe_get s !pos = ch then incr pos
-    else fail (Printf.sprintf "expected %C" ch)
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let hex4 () =
-    let v = ref 0 in
-    for _ = 1 to 4 do
-      let d =
-        match peek () with
-        | '0' .. '9' as c -> Char.code c - Char.code '0'
-        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-        | _ -> fail "bad \\u escape"
-      in
-      v := (!v * 16) + d;
-      incr pos
-    done;
-    !v
-  in
-  (* The code point of a [\u] escape whose [u] is under the cursor; a
-     high surrogate must be followed by an escaped low one. *)
-  let code_point () =
-    incr pos;
-    let hi = hex4 () in
-    if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate"
-    else if hi < 0xD800 || hi > 0xDBFF then hi
-    else if peek () = '\\' && !pos + 1 < n && s.[!pos + 1] = 'u' then begin
-      pos := !pos + 2;
-      let lo = hex4 () in
-      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate"
-      else 0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
-    end
-    else fail "lone high surrogate"
-  in
-  (* RFC 8259 text is UTF-8: the character whose lead byte (at or above
-     0x80) is under the cursor must be well formed — no stray
-     continuation byte, truncated or overlong sequence, surrogate or
-     code point past U+10FFFF.  The error quotes no byte of it. *)
-  let utf_8 () =
-    let d = String.get_utf_8_uchar s !pos in
-    if not (Uchar.utf_decode_is_valid d) then fail "invalid UTF-8 in string";
-    pos := !pos + Uchar.utf_decode_length d
-  in
-  (* The rest of a string whose first escape is under the cursor. *)
-  let escaped_string start =
-    let buf = Buffer.create (!pos - start + 16) in
-    Buffer.add_substring buf s start (!pos - start);
-    let rec go run =
-      if !pos >= n then fail "unterminated string"
-      else
-        match String.unsafe_get s !pos with
-        | '"' ->
-          Buffer.add_substring buf s run (!pos - run);
-          incr pos
-        | '\\' ->
-          Buffer.add_substring buf s run (!pos - run);
-          incr pos;
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'; incr pos
-          | '\\' -> Buffer.add_char buf '\\'; incr pos
-          | '/' -> Buffer.add_char buf '/'; incr pos
-          | 'b' -> Buffer.add_char buf '\b'; incr pos
-          | 'f' -> Buffer.add_char buf '\012'; incr pos
-          | 'n' -> Buffer.add_char buf '\n'; incr pos
-          | 'r' -> Buffer.add_char buf '\r'; incr pos
-          | 't' -> Buffer.add_char buf '\t'; incr pos
-          | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point ()))
-          | _ -> fail "bad escape");
-          go !pos
-        | c when Char.code c < 0x20 -> fail "raw control char in string"
-        | '\128' .. '\255' ->
-          utf_8 ();
-          go run
-        | _ ->
-          incr pos;
-          go run
+(* The parser's one piece of state: the input, a cursor into it and
+   the string last sliced per hash slot.  Each grammar rule below reads
+   at [pos] and leaves it past what it read; none allocates beyond the
+   tree it returns. *)
+type cursor = { s : string; n : int; mutable pos : int; seen : string array }
+
+let fail (p : cursor) (msg : string) =
+  raise (Parse_error (Printf.sprintf "%s at offset %d" msg p.pos))
+
+(* The character at the cursor; NUL past the end, which every caller
+   either rejects or checks against [n]. *)
+let peek (p : cursor) : char =
+  if p.pos < p.n then String.unsafe_get p.s p.pos else '\000'
+
+let advance (p : cursor) : unit = p.pos <- p.pos + 1
+
+let rec skip_ws (p : cursor) : unit =
+  match peek p with
+  | ' ' | '\t' | '\n' | '\r' -> advance p; skip_ws p
+  | _ -> ()
+
+let expect (p : cursor) (ch : char) : unit =
+  if p.pos < p.n && String.unsafe_get p.s p.pos = ch then advance p
+  else fail p (Printf.sprintf "expected %C" ch)
+
+let literal (p : cursor) (word : string) (v : t) : t =
+  for i = 0 to String.length word - 1 do
+    expect p (String.unsafe_get word i)
+  done;
+  v
+
+let rec hex4 (p : cursor) (v : int) (k : int) : int =
+  if k = 0 then v
+  else
+    let d =
+      match peek p with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail p "bad \\u escape"
     in
-    go !pos;
+    advance p;
+    hex4 p ((v * 16) + d) (k - 1)
+
+(* The code point of a [\u] escape whose [u] is under the cursor; a
+   high surrogate must be followed by an escaped low one. *)
+let code_point (p : cursor) : int =
+  advance p;
+  let hi = hex4 p 0 4 in
+  if hi >= 0xDC00 && hi <= 0xDFFF then fail p "lone low surrogate"
+  else if hi < 0xD800 || hi > 0xDBFF then hi
+  else if peek p = '\\' && p.pos + 1 < p.n && p.s.[p.pos + 1] = 'u' then begin
+    p.pos <- p.pos + 2;
+    let lo = hex4 p 0 4 in
+    if lo < 0xDC00 || lo > 0xDFFF then fail p "lone high surrogate"
+    else 0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+  else fail p "lone high surrogate"
+
+(* Past a byte of a string body that is a control character (an error)
+   or at or above 0x80.  RFC 8259 text is UTF-8, so such a byte must
+   lead a well-formed sequence — no stray continuation byte, truncated
+   or overlong sequence, surrogate or code point past U+10FFFF.  The
+   error quotes no byte of it. *)
+let non_ascii (p : cursor) (c : char) : unit =
+  if Char.code c < 0x20 then fail p "raw control char in string";
+  let d = String.get_utf_8_uchar p.s p.pos in
+  if not (Uchar.utf_decode_is_valid d) then fail p "invalid UTF-8 in string";
+  p.pos <- p.pos + Uchar.utf_decode_length d
+
+(* The rest of a string from its first escape on, assembled in [buf];
+   [run] is the first byte not yet copied. *)
+let rec escaped (p : cursor) (buf : Buffer.t) (run : int) : string =
+  if p.pos >= p.n then fail p "unterminated string";
+  match String.unsafe_get p.s p.pos with
+  | '"' ->
+    Buffer.add_substring buf p.s run (p.pos - run);
+    advance p;
     Buffer.contents buf
+  | '\\' ->
+    Buffer.add_substring buf p.s run (p.pos - run);
+    advance p;
+    (match peek p with
+    | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point p))
+    | c ->
+      Buffer.add_char buf
+        (match c with
+        | '"' | '\\' | '/' -> c
+        | 'b' -> '\b'
+        | 'f' -> '\012'
+        | 'n' -> '\n'
+        | 'r' -> '\r'
+        | 't' -> '\t'
+        | _ -> fail p "bad escape");
+      advance p);
+    escaped p buf p.pos
+  | ' ' .. '\127' -> advance p; escaped p buf run
+  | c -> non_ascii p c; escaped p buf run
+
+let rec same_bytes (s : string) (start : int) (k : string) (i : int) : bool =
+  i = String.length k
+  || String.unsafe_get s (start + i) = String.unsafe_get k i
+     && same_bytes s start k (i + 1)
+
+(* The [len] bytes at [start], hashed to [h]: the string last sliced in
+   [h]'s slot when it holds these bytes, so a key or name repeated in
+   one document is one string, else a fresh slice that takes the slot. *)
+let slice (p : cursor) (start : int) (len : int) (h : int) : string =
+  let slot = h land (Array.length p.seen - 1) in
+  let k = Array.unsafe_get p.seen slot in
+  if String.length k = len && same_bytes p.s start k 0 then k
+  else begin
+    let k = String.sub p.s start len in
+    Array.unsafe_set p.seen slot k;
+    k
+  end
+
+(* The body of a string from [start] up to its closing quote, hashed
+   into [h] on the way: sliced out of the input once, or assembled in a
+   buffer from its first escape on. *)
+let rec string_body (p : cursor) (start : int) (h : int) : string =
+  if p.pos >= p.n then fail p "unterminated string";
+  match String.unsafe_get p.s p.pos with
+  | '"' ->
+    advance p;
+    slice p start (p.pos - 1 - start) h
+  | '\\' ->
+    let buf = Buffer.create (p.pos - start + 16) in
+    Buffer.add_substring buf p.s start (p.pos - start);
+    escaped p buf p.pos
+  | ' ' .. '\127' as c ->
+    advance p;
+    string_body p start ((h * 31) + Char.code c)
+  | c -> non_ascii p c; string_body p start h
+
+let string (p : cursor) : string =
+  expect p '"';
+  string_body p p.pos 0
+
+let rec int_digits (p : cursor) (acc : int) : int =
+  match peek p with
+  | '0' .. '9' as c ->
+    advance p;
+    int_digits p ((acc * 10) + Char.code c - Char.code '0')
+  | _ -> acc
+
+(* One or more digits of a fraction or exponent; their value is not
+   needed, so the accumulator may wrap. *)
+let digits (p : cursor) : unit =
+  match peek p with
+  | '0' .. '9' -> ignore (int_digits p 0)
+  | _ -> fail p "expected digit"
+
+(* The integer part is accumulated while it is scanned, so an integer
+   of at most 18 digits (below [max_int]) is never sliced; any other
+   number is sliced once. *)
+let number (p : cursor) : t =
+  let start = p.pos in
+  let neg = peek p = '-' in
+  if neg then advance p;
+  let int_start = p.pos in
+  let mag =
+    match peek p with
+    | '0' -> (
+      advance p;
+      match peek p with '0' .. '9' -> fail p "leading zero" | _ -> 0)
+    | '1' .. '9' -> int_digits p 0
+    | _ -> fail p "expected digit"
   in
-  let parse_string () =
-    expect '"';
-    let start = !pos in
-    let rec scan () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match String.unsafe_get s !pos with
-        | '"' ->
-          incr pos;
-          String.sub s start (!pos - 1 - start)
-        | '\\' -> escaped_string start
-        | c when Char.code c < 0x20 -> fail "raw control char in string"
-        | '\128' .. '\255' ->
-          utf_8 ();
-          scan ()
-        | _ ->
-          incr pos;
-          scan ()
-    in
-    scan ()
-  in
-  (* The integer part is accumulated while it is scanned, so an
-     integer of at most 18 digits (below [max_int]) is never sliced;
-     any other number is sliced once. *)
-  let parse_number () =
-    let start = !pos in
-    let neg = peek () = '-' in
-    if neg then incr pos;
-    let rec more_digits () =
-      match peek () with
-      | '0' .. '9' ->
-        incr pos;
-        more_digits ()
-      | _ -> ()
-    in
-    let digits () =
-      match peek () with
-      | '0' .. '9' -> more_digits ()
-      | _ -> fail "expected digit"
-    in
-    let int_start = !pos in
-    let rec int_digits acc =
-      match peek () with
-      | '0' .. '9' as c ->
-        incr pos;
-        int_digits ((acc * 10) + Char.code c - Char.code '0')
-      | _ -> acc
-    in
-    let mag =
-      match peek () with
-      | '0' -> (
-        incr pos;
-        match peek () with '0' .. '9' -> fail "leading zero" | _ -> 0)
-      | '1' .. '9' -> int_digits 0
-      | _ -> fail "expected digit"
-    in
-    match peek () with
-    | '.' | 'e' | 'E' ->
-      if peek () = '.' then begin
-        incr pos;
-        digits ()
-      end;
-      (match peek () with
-      | 'e' | 'E' ->
-        incr pos;
-        (match peek () with '+' | '-' -> incr pos | _ -> ());
-        digits ()
-      | _ -> ());
-      Float (float_of_string (String.sub s start (!pos - start)))
-    | _ when !pos - int_start <= 18 ->
-      if not neg then Int mag else if mag = 0 then Float (-0.) else Int (-mag)
-    | _ -> (
-      let lit = String.sub s start (!pos - start) in
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> Float (float_of_string lit))
-  in
-  let rec parse_value depth =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      if depth >= max_depth then fail "nesting too deep";
-      incr pos;
-      skip_ws ();
-      if peek () = '}' then begin
-        incr pos;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value (depth + 1) in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            incr pos;
-            members ((k, v) :: acc)
-          | '}' ->
-            incr pos;
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected , or }"
-        in
-        Obj (members [])
-      end
-    | '[' ->
-      if depth >= max_depth then fail "nesting too deep";
-      incr pos;
-      skip_ws ();
-      if peek () = ']' then begin
-        incr pos;
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value (depth + 1) in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            incr pos;
-            elements (v :: acc)
-          | ']' ->
-            incr pos;
-            List.rev (v :: acc)
-          | _ -> fail "expected , or ]"
-        in
-        Arr (elements [])
-      end
-    | '"' -> Str (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | '-' | '0' .. '9' -> parse_number ()
-    | _ -> fail "expected a value"
-  in
-  let v = parse_value 0 in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
+  match peek p with
+  | '.' | 'e' | 'E' ->
+    if peek p = '.' then (advance p; digits p);
+    if peek p = 'e' || peek p = 'E' then begin
+      advance p;
+      if peek p = '+' || peek p = '-' then advance p;
+      digits p
+    end;
+    Float (float_of_string (String.sub p.s start (p.pos - start)))
+  | _ when p.pos - int_start <= 18 ->
+    if not neg then Int mag else if mag = 0 then Float (-0.) else Int (-mag)
+  | _ -> (
+    let lit = String.sub p.s start (p.pos - start) in
+    match int_of_string_opt lit with
+    | Some i -> Int i
+    | None -> Float (float_of_string lit))
+
+(* The items of the array or object whose opening bracket is under the
+   cursor, at nesting [depth]; [close] ends it and [items] reads a
+   non-empty sequence one level deeper. *)
+let container (p : cursor) (depth : int) (close : char)
+    (items : cursor -> int -> 'a list) : 'a list =
+  if depth >= max_depth then fail p "nesting too deep";
+  advance p;
+  skip_ws p;
+  if peek p = close then (advance p; []) else items p (depth + 1)
+
+(* [members] and [elements] cons each item in front of the rest still
+   to be read ([@tail_mod_cons]), so a list is built in order in
+   constant stack. *)
+let rec value (p : cursor) (depth : int) : t =
+  skip_ws p;
+  match peek p with
+  | '{' -> Obj (container p depth '}' members)
+  | '[' -> Arr (container p depth ']' elements)
+  | '"' -> Str (string p)
+  | 't' -> literal p "true" (Bool true)
+  | 'f' -> literal p "false" (Bool false)
+  | 'n' -> literal p "null" Null
+  | '-' | '0' .. '9' -> number p
+  | _ -> fail p "expected a value"
+
+and[@tail_mod_cons] members (p : cursor) (depth : int) : (string * t) list =
+  skip_ws p;
+  let k = string p in
+  skip_ws p;
+  expect p ':';
+  let v = value p depth in
+  skip_ws p;
+  match peek p with
+  | ',' -> advance p; (k, v) :: members p depth
+  | '}' -> advance p; [ (k, v) ]
+  | _ -> (fail [@tailcall false]) p "expected , or }"
+
+and[@tail_mod_cons] elements (p : cursor) (depth : int) : t list =
+  let v = value p depth in
+  skip_ws p;
+  match peek p with
+  | ',' -> advance p; v :: elements p depth
+  | ']' -> advance p; [ v ]
+  | _ -> (fail [@tailcall false]) p "expected , or ]"
+
+let parse (s : string) : t =
+  let p = { s; n = String.length s; pos = 0; seen = Array.make 64 "" } in
+  let v = value p 0 in
+  skip_ws p;
+  if p.pos <> p.n then fail p "trailing garbage";
   v
 
 (* ------------------------------------------------------------------ *)
