@@ -364,16 +364,19 @@ let baseline_row (workload : string) (stack : string) : string =
    every registry workload at baseline and under the best stack, fresh
    and from the cache.  Each baseline report is bench/baseline.json's
    run for that workload, byte for byte. *)
+(* The 48 registry pairs: workload [i] at baseline is item [2i], under
+   the best stack item [2i + 1]. *)
+let registry_items () : Proto.item list =
+  List.concat
+    (List.mapi
+       (fun i (w : W.t) ->
+         [ item ~id:(2 * i) (Proto.Workload w.wname);
+           item ~id:((2 * i) + 1) ~stack:"best" (Proto.Workload w.wname) ])
+       W.all)
+
 let test_spliced_replies () =
   let t = Server.create () in
-  let items =
-    List.concat
-      (List.mapi
-         (fun i (w : W.t) ->
-           [ item ~id:(2 * i) (Proto.Workload w.wname);
-             item ~id:((2 * i) + 1) ~stack:"best" (Proto.Workload w.wname) ])
-         W.all)
-  in
+  let items = registry_items () in
   let reparse = function
     | Proto.Results r ->
       Proto.Results
@@ -408,6 +411,33 @@ let test_spliced_replies () =
             (report_string (outcome rs (2 * i))))
         W.all)
     [ "fresh"; "cached" ]
+
+(* Decode allocation guard: a client's decode of a reply allocates the
+   tree it returns and nothing per input byte.  Over the cached
+   single-item replies of the 48 registry pairs, [Proto.response_of_string]
+   allocates at most 1 minor word per input byte (about 0.7 measured).
+   Minor-heap allocation is deterministic, so this does not flake. *)
+let test_decode_allocation () =
+  let t = Server.create () in
+  let items = registry_items () in
+  ignore (Server.handle t (Proto.Run items));
+  let bytes = ref 0 and words = ref 0.0 in
+  List.iter
+    (fun it ->
+      let reply =
+        Proto.response_to_string (Server.handle t (Proto.Run [ it ]))
+      in
+      let m0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Proto.response_of_string reply));
+      words := !words +. (Gc.minor_words () -. m0);
+      bytes := !bytes + String.length reply)
+    items;
+  let per_byte = !words /. float_of_int !bytes in
+  if per_byte > 1.0 then
+    Alcotest.failf
+      "decoding %d cached replies (%d bytes) allocates %.2f minor words per \
+       byte (limit 1)"
+      (List.length items) !bytes per_byte
 
 (* --- persistence and byte-identity across restarts ------------------- *)
 
@@ -1095,6 +1125,8 @@ let () =
             test_item_errors_contained;
           Alcotest.test_case "in-batch dedup" `Quick test_batch_dedup;
           Alcotest.test_case "spliced replies" `Quick test_spliced_replies;
+          Alcotest.test_case "decode allocation" `Quick
+            test_decode_allocation;
           Alcotest.test_case "metrics op reconciles" `Quick
             test_metrics_op ] );
       ( "cache",
