@@ -408,10 +408,11 @@ let get (key : string) (v : t) : t =
   | Some x -> x
   | None -> raise (Parse_error ("missing field " ^ key))
 
+(** An integer field: the toolchain writes every one as an [Int], so a
+    float in its place is an error, not a value to truncate. *)
 let to_int_exn : t -> int = function
   | Int i -> i
-  | Float f -> int_of_float f
-  | _ -> raise (Parse_error "expected a number")
+  | _ -> raise (Parse_error "expected an integer")
 
 let to_float_exn : t -> float = function
   | Int i -> float_of_int i

@@ -235,6 +235,9 @@ let () =
             (test_diff_input (Some "{"));
           Alcotest.test_case "diff: no runs" `Quick
             (test_diff_input (Some {|{"x":1}|}));
+          Alcotest.test_case "diff: float in an integer field" `Quick
+            (test_diff_input
+               (Some {|{"run":{"workload":"w","stack":"s","cycles":1e300}}|}));
           Alcotest.test_case "json: unwritable path" `Quick
             test_json_unwritable;
           Alcotest.test_case "exit status documented" `Quick

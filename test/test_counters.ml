@@ -291,6 +291,24 @@ let test_report_roundtrip () =
   (* Determinism: emitting the same run twice is byte-identical. *)
   Alcotest.(check string)
     "byte-stable emission" (Report.to_json rep) (Report.to_json rep);
+  (* A float in an integer field is malformed, not truncated: the gate
+     must not read 46136.7 as 46136 or 1e300 as 0. *)
+  let run_with ~cycles ~fires =
+    Printf.sprintf
+      {|{"run":{"workload":"w","stack":"s","cycles":%s,"counters":{"nodes":[{"task":"t","node":0,"kind":"k","fires":%s,"span":1}]}}}|}
+      cycles fires
+  in
+  ignore (Report.parse (run_with ~cycles:"46136" ~fires:"272"));
+  List.iter
+    (fun v ->
+      List.iter
+        (fun (field, text) ->
+          match Report.parse text with
+          | exception Report.Bad_report _ -> ()
+          | _ -> Alcotest.failf "accepted %s %s" field v)
+        [ ("cycles", run_with ~cycles:v ~fires:"272");
+          ("a node's fires", run_with ~cycles:"46136" ~fires:v) ])
+    [ "46136.7"; "1e3"; "1e300" ];
   (* A report claiming a future schema must be refused. *)
   let future =
     Printf.sprintf
