@@ -13,10 +13,21 @@ let connect (socket : string) : Unix.file_descr =
     raise
       (Transport (Fmt.str "cannot connect to %s: %s" socket (Unix.error_message e)))
 
+(* Write [payload] as one frame.  A daemon that closed the connection
+   (it died or drained) makes the write raise SIGPIPE, whose default
+   action kills the client without a word; it is ignored for this write
+   alone, which then fails with [EPIPE], and the previous disposition
+   comes back, so [muirc client ... | head] still ends quietly. *)
+let write_request (fd : Unix.file_descr) (payload : string) : unit =
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () -> Proto.write_frame fd payload)
+
 (** One round trip: send [req], block for the response frame. *)
 let rpc ?max_frame (fd : Unix.file_descr) (req : Proto.request) :
     Proto.response =
-  (match Proto.write_frame fd (Proto.request_to_string req) with
+  (match write_request fd (Proto.request_to_string req) with
   | () -> ()
   | exception Unix.Unix_error (e, _, _) ->
     raise (Transport ("write: " ^ Unix.error_message e)));

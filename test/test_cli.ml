@@ -169,6 +169,51 @@ let test_top_unreachable () =
   Alcotest.(check int) "top --once: lines printed" 1
     (List.length (String.split_on_char '\n' (String.trim text)))
 
+(* A socket that accepts each connection and closes it at once, as a
+   daemon that died mid-session would; [f] gets its path.  The listener
+   is a child process, killed when [f] returns. *)
+let with_closing_listener (f : string -> unit) =
+  let path = missing_dir_path "s.sock" in
+  Unix.mkdir (Filename.dirname path) 0o700;
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock 8;
+  match Unix.fork () with
+  | 0 ->
+    (try
+       while true do
+         Unix.close (fst (Unix.accept sock))
+       done
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close sock;
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Sys.remove path;
+        Unix.rmdir (Filename.dirname path))
+      (fun () -> f path)
+
+(* A daemon that closes the connection gets exit 2 and one line, never
+   death by SIGPIPE.  Whether the close lands before the request's write
+   (SIGPIPE without the fix) or after it (a read error) is a race, so
+   each command runs a few times. *)
+let test_closed_connection () =
+  with_closing_listener (fun s ->
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          for _ = 1 to 4 do
+            let code, text = muirc_run args in
+            Alcotest.(check int) (what ^ ": exit code") 2 code;
+            Alcotest.(check int) (what ^ ": lines printed") 1
+              (List.length (String.split_on_char '\n' (String.trim text)))
+          done)
+        [ [ "client"; "--socket"; s; "--stats" ];
+          [ "client"; "--socket"; s; "gemm" ]; [ "top"; "--once"; s ] ])
+
 (* Every command that compiles a source file: a source the frontend
    rejects exits 1 with one line naming the file and the position, and
    the command's EXIT STATUS documents that code. *)
@@ -285,6 +330,8 @@ let () =
             (test_file_exit_documented ("client", "cannot be read"));
           Alcotest.test_case "top: unreachable socket" `Quick
             test_top_unreachable;
+          Alcotest.test_case "closed connection" `Quick
+            test_closed_connection;
           Alcotest.test_case "top: exit status documented" `Quick
             (test_file_exit_documented ("top", "daemon is unreachable"))
         ] );
