@@ -158,26 +158,29 @@ exception Parse_error of string
     reply nests 9 levels, [bench/baseline.json] 7. *)
 let max_depth = 512
 
-(* The parser's one piece of state: the input, a cursor into it and
-   the string last sliced per hash slot.  Each grammar rule below reads
-   at [pos] and leaves it past what it read; none allocates beyond the
-   tree it returns. *)
+(* The parser's one piece of state: the input, a cursor and the string
+   last sliced per hash slot.  Each grammar rule reads at [pos], leaves
+   it past what it read, and allocates nothing but the tree. *)
 type cursor = { s : string; n : int; mutable pos : int; seen : string array }
 
 let fail (p : cursor) (msg : string) =
   raise (Parse_error (Printf.sprintf "%s at offset %d" msg p.pos))
 
-(* The character at the cursor; NUL past the end, which every caller
-   either rejects or checks against [n]. *)
-let peek (p : cursor) : char =
-  if p.pos < p.n then String.unsafe_get p.s p.pos else '\000'
+(* The character at [i] (at the cursor for [peek]); NUL past the end,
+   which every caller either rejects or checks against [n]. *)
+let at (p : cursor) (i : int) : char =
+  if i < p.n then String.unsafe_get p.s i else '\000'
 
+let peek (p : cursor) : char = at p p.pos
 let advance (p : cursor) : unit = p.pos <- p.pos + 1
 
-let rec skip_ws (p : cursor) : unit =
+let rec skip_more_ws (p : cursor) : unit =
   match peek p with
-  | ' ' | '\t' | '\n' | '\r' -> advance p; skip_ws p
+  | ' ' | '\t' | '\n' | '\r' -> advance p; skip_more_ws p
   | _ -> ()
+
+(* Inlined, since most values and separators follow no whitespace. *)
+let[@inline] skip_ws (p : cursor) : unit = if peek p <= ' ' then skip_more_ws p
 
 let expect (p : cursor) (ch : char) : unit =
   if p.pos < p.n && String.unsafe_get p.s p.pos = ch then advance p
@@ -217,11 +220,10 @@ let code_point (p : cursor) : int =
   end
   else fail p "lone high surrogate"
 
-(* Past a byte of a string body that is a control character (an error)
-   or at or above 0x80.  RFC 8259 text is UTF-8, so such a byte must
-   lead a well-formed sequence — no stray continuation byte, truncated
-   or overlong sequence, surrogate or code point past U+10FFFF.  The
-   error quotes no byte of it. *)
+(* Past a string byte below 0x20 (an error) or at or above 0x80, which
+   must lead well-formed UTF-8 as RFC 8259 asks: no stray continuation
+   byte, truncated or overlong sequence, surrogate or code point past
+   U+10FFFF.  The error quotes no byte of it. *)
 let non_ascii (p : cursor) (c : char) : unit =
   if Char.code c < 0x20 then fail p "raw control char in string";
   let d = String.get_utf_8_uchar p.s p.pos in
@@ -266,7 +268,7 @@ let rec same_bytes (s : string) (start : int) (k : string) (i : int) : bool =
    [h]'s slot when it holds these bytes, so a key or name repeated in
    one document is one string, else a fresh slice that takes the slot. *)
 let slice (p : cursor) (start : int) (len : int) (h : int) : string =
-  let slot = h land (Array.length p.seen - 1) in
+  let slot = ((h * 0x9E3779B1) lsr 16) land (Array.length p.seen - 1) in
   let k = Array.unsafe_get p.seen slot in
   if String.length k = len && same_bytes p.s start k 0 then k
   else begin
@@ -275,40 +277,39 @@ let slice (p : cursor) (start : int) (len : int) (h : int) : string =
     k
   end
 
-(* The body of a string from [start] up to its closing quote, hashed
-   into [h] on the way: sliced out of the input once, or assembled in a
-   buffer from its first escape on. *)
-let rec string_body (p : cursor) (start : int) (h : int) : string =
-  if p.pos >= p.n then fail p "unterminated string";
-  match String.unsafe_get p.s p.pos with
+(* The body of a string from [start] to its closing quote, scanned at
+   [i] and hashed into [h]: sliced out of the input once, or assembled
+   in a buffer from its first escape on. *)
+let rec string_body (p : cursor) (start : int) (i : int) (h : int) : string =
+  if i >= p.n then (p.pos <- i; fail p "unterminated string");
+  match String.unsafe_get p.s i with
   | '"' ->
-    advance p;
-    slice p start (p.pos - 1 - start) h
+    p.pos <- i + 1;
+    slice p start (i - start) h
   | '\\' ->
-    let buf = Buffer.create (p.pos - start + 16) in
-    Buffer.add_substring buf p.s start (p.pos - start);
-    escaped p buf p.pos
-  | ' ' .. '\127' as c ->
-    advance p;
-    string_body p start ((h * 31) + Char.code c)
-  | c -> non_ascii p c; string_body p start h
+    p.pos <- i;
+    let buf = Buffer.create (i - start + 16) in
+    Buffer.add_substring buf p.s start (i - start);
+    escaped p buf i
+  | ' ' .. '\127' as c -> string_body p start (i + 1) ((h * 31) + Char.code c)
+  | c -> p.pos <- i; non_ascii p c; string_body p start p.pos h
 
 let string (p : cursor) : string =
   expect p '"';
-  string_body p p.pos 0
+  string_body p p.pos p.pos 0
 
-let rec int_digits (p : cursor) (acc : int) : int =
-  match peek p with
+(* The digits from [i] on, accumulated into [acc]; the cursor ends past. *)
+let rec int_digits (p : cursor) (i : int) (acc : int) : int =
+  match at p i with
   | '0' .. '9' as c ->
-    advance p;
-    int_digits p ((acc * 10) + Char.code c - Char.code '0')
-  | _ -> acc
+    int_digits p (i + 1) ((acc * 10) + Char.code c - Char.code '0')
+  | _ -> p.pos <- i; acc
 
 (* One or more digits of a fraction or exponent; their value is not
    needed, so the accumulator may wrap. *)
 let digits (p : cursor) : unit =
   match peek p with
-  | '0' .. '9' -> ignore (int_digits p 0)
+  | '0' .. '9' -> ignore (int_digits p p.pos 0)
   | _ -> fail p "expected digit"
 
 (* The integer part is accumulated while it is scanned, so an integer
@@ -324,7 +325,7 @@ let number (p : cursor) : t =
     | '0' -> (
       advance p;
       match peek p with '0' .. '9' -> fail p "leading zero" | _ -> 0)
-    | '1' .. '9' -> int_digits p 0
+    | '1' .. '9' -> int_digits p p.pos 0
     | _ -> fail p "expected digit"
   in
   match peek p with
@@ -344,9 +345,8 @@ let number (p : cursor) : t =
     | Some i -> Int i
     | None -> Float (float_of_string lit))
 
-(* The items of the array or object whose opening bracket is under the
-   cursor, at nesting [depth]; [close] ends it and [items] reads a
-   non-empty sequence one level deeper. *)
+(* The items of the array or object opened under the cursor at nesting
+   [depth]: none before [close], else [items] one level deeper. *)
 let container (p : cursor) (depth : int) (close : char)
     (items : cursor -> int -> 'a list) : 'a list =
   if depth >= max_depth then fail p "nesting too deep";
@@ -390,7 +390,7 @@ and[@tail_mod_cons] elements (p : cursor) (depth : int) : t list =
   | _ -> (fail [@tailcall false]) p "expected , or ]"
 
 let parse (s : string) : t =
-  let p = { s; n = String.length s; pos = 0; seen = Array.make 64 "" } in
+  let p = { s; n = String.length s; pos = 0; seen = Array.make 256 "" } in
   let v = value p 0 in
   skip_ws p;
   if p.pos <> p.n then fail p "trailing garbage";
