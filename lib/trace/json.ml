@@ -224,7 +224,7 @@ let code_point (p : cursor) : int =
    must lead well-formed UTF-8 as RFC 8259 asks: no stray continuation
    byte, truncated or overlong sequence, surrogate or code point past
    U+10FFFF.  The error quotes no byte of it. *)
-let non_ascii (p : cursor) (c : char) : unit =
+let control_or_utf_8 (p : cursor) (c : char) : unit =
   if Char.code c < 0x20 then fail p "raw control char in string";
   let d = String.get_utf_8_uchar p.s p.pos in
   if not (Uchar.utf_decode_is_valid d) then fail p "invalid UTF-8 in string";
@@ -257,7 +257,7 @@ let rec escaped (p : cursor) (buf : Buffer.t) (run : int) : string =
       advance p);
     escaped p buf p.pos
   | ' ' .. '\127' -> advance p; escaped p buf run
-  | c -> non_ascii p c; escaped p buf run
+  | c -> control_or_utf_8 p c; escaped p buf run
 
 let rec same_bytes (s : string) (start : int) (k : string) (i : int) : bool =
   i = String.length k
@@ -292,7 +292,7 @@ let rec string_body (p : cursor) (start : int) (i : int) (h : int) : string =
     Buffer.add_substring buf p.s start (i - start);
     escaped p buf i
   | ' ' .. '\127' as c -> string_body p start (i + 1) ((h * 31) + Char.code c)
-  | c -> p.pos <- i; non_ascii p c; string_body p start p.pos h
+  | c -> p.pos <- i; control_or_utf_8 p c; string_body p start p.pos h
 
 let string (p : cursor) : string =
   expect p '"';
