@@ -159,8 +159,8 @@ exception Parse_error of string
 let max_depth = 512
 
 (* The parser's one piece of state: the input, a cursor and the string
-   last sliced per hash slot.  Each grammar rule reads at [pos], leaves
-   it past what it read, and allocates nothing but the tree. *)
+   last sliced per hash slot.  Each grammar rule reads at [pos] and
+   leaves it past what it read; only the tree outlives a parse. *)
 type cursor = { s : string; n : int; mutable pos : int; seen : string array }
 
 let fail (p : cursor) (msg : string) =
