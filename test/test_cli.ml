@@ -198,8 +198,8 @@ let with_closing_listener (f : string -> unit) =
 
 (* A daemon that closes the connection gets exit 2 and one line, never
    death by SIGPIPE.  Whether the close lands before the request's write
-   (SIGPIPE without the fix) or after it (a read error) is a race, so
-   each command runs a few times. *)
+   (which then meets a closed pipe) or after it (a read error) is a
+   race, so each command runs a few times. *)
 let test_closed_connection () =
   with_closing_listener (fun s ->
       List.iter

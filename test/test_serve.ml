@@ -359,11 +359,6 @@ let baseline_row (workload : string) (stack : string) : string =
 
 (* --- spliced replies ---------------------------------------------------- *)
 
-(* Ok results splice the stored report text; the reply must be the bytes
-   the daemon printed when it parsed and re-printed each report, for
-   every registry workload at baseline and under the best stack, fresh
-   and from the cache.  Each baseline report is bench/baseline.json's
-   run for that workload, byte for byte. *)
 (* The 48 registry pairs: workload [i] at baseline is item [2i], under
    the best stack item [2i + 1]. *)
 let registry_items () : Proto.item list =
@@ -374,6 +369,11 @@ let registry_items () : Proto.item list =
            item ~id:((2 * i) + 1) ~stack:"best" (Proto.Workload w.wname) ])
        W.all)
 
+(* Ok results splice the stored report text; the reply must be the bytes
+   the daemon printed when it parsed and re-printed each report, for
+   every registry workload at baseline and under the best stack, fresh
+   and from the cache.  Each baseline report is bench/baseline.json's
+   run for that workload, byte for byte. *)
 let test_spliced_replies () =
   let t = Server.create () in
   let items = registry_items () in
@@ -415,7 +415,7 @@ let test_spliced_replies () =
 (* Decode allocation guard: a client's decode of a reply allocates the
    tree it returns and nothing per input byte.  Over the cached
    single-item replies of the 48 registry pairs, [Proto.response_of_string]
-   allocates at most 1 minor word per input byte (about 0.7 measured).
+   allocates at most 1 minor word per input byte (about 0.65 measured).
    Minor-heap allocation is deterministic, so this does not flake. *)
 let test_decode_allocation () =
   let t = Server.create () in
