@@ -6,7 +6,10 @@
 
    Absolute numbers come from this repository's simulator and synthesis
    models, not the authors' testbed; EXPERIMENTS.md records the
-   paper-vs-measured comparison of shapes. *)
+   paper-vs-measured comparison of shapes.  The experiments print
+   tables and assert nothing that a tier-1 test or CI asserts; each
+   simulated run's outputs are still checked against the golden
+   interpreter. *)
 
 open Muir_ir
 module W = Muir_workloads.Workloads
@@ -460,7 +463,7 @@ let profile () =
       ("2mm[T]", "tensor-stack", fun () -> Opt.Stacks.tensor_stack ()) ]
 
 (* ------------------------------------------------------------------ *)
-(* Static timing bounds cross-validated against the simulator          *)
+(* Static timing bounds next to the simulator's measured cycles         *)
 
 let timing () =
   header
@@ -480,13 +483,6 @@ let timing () =
           in
           let bound = Muir_analysis.Timing.bound_cycles b.p_circuit in
           let m = (Pipeline.simulate b).stats.total_cycles in
-          (* The soundness contract: the static bound may be loose but
-             must never exceed what the simulator measures. *)
-          if bound > m then begin
-            Fmt.epr "%s under %s: UNSOUND static bound %d > measured %d@."
-              w.wname s.sp_name bound m;
-            exit 1
-          end;
           let tight =
             if m = 0 then 1.0 else float_of_int bound /. float_of_int m
           in
@@ -498,71 +494,13 @@ let timing () =
             tight)
         Opt.Stacks.registry)
     W.all;
-  Fmt.pr "@.%d pairs, all sound; tightness min %.2f mean %.2f max %.2f@."
-    !rows !tight_min
+  Fmt.pr "@.%d pairs; tightness min %.2f mean %.2f max %.2f@." !rows
+    !tight_min
     (!tight_sum /. float_of_int (max 1 !rows))
-    !tight_max;
-  (* Cross-validation of the critical-cycle attribution: on gemm under
-     the queue-bound baseline stack, the structure the profiler blames
-     for the dominant stall must appear as some task's static binding. *)
-  let b = Pipeline.build (Pipeline.of_workload_name "gemm") in
-  let c = b.p_circuit in
-  let tracer = Muir_trace.Trace.create () in
-  let r = Pipeline.simulate ~tracer b in
-  let prof = Muir_trace.Profile.of_run c ~tracer r.counters in
-  (match Muir_trace.Profile.dominant_struct prof with
-  | None ->
-    Fmt.epr "gemm baseline: profiler reports no stalls@.";
-    exit 1
-  | Some s ->
-    let blamed =
-      List.exists
-        (fun (hit, _, _) -> hit)
-        (Muir_analysis.Timing.rank_bindings (Muir_analysis.Timing.analyze c)
-           (Some s.s_ref))
-    in
-    if not blamed then begin
-      Fmt.epr
-        "gemm baseline: profiler blames %s but no static critical cycle \
-         binds it@."
-        s.s_name;
-      exit 1
-    end;
-    Fmt.pr
-      "@.gemm baseline: profiler's dominant stall (%s, %d cycles) matches \
-       a static critical-cycle binding@."
-      s.s_name s.s_stalls)
+    !tight_max
 
 (* ------------------------------------------------------------------ *)
 (* Design-space exploration: the explorer vs the hand-picked stacks     *)
-
-let frontier_fingerprint (t : Muir_dse.Explore.t) : string =
-  let module J = Muir_trace.Json in
-  let ev = Muir_dse.Explore.eval_to_json in
-  J.to_string
-    (J.Obj
-       [ ("frontier", J.Arr (List.map ev t.x_frontier));
-         ("best", Option.fold ~none:J.Null ~some:ev t.x_best) ])
-
-(* Resolve bundled examples whether we run from the repo root or from
-   inside the build tree. *)
-let read_example name =
-  let candidates =
-    [ Filename.concat "examples" name;
-      Filename.concat "../examples" name;
-      Filename.concat "../../examples" name;
-      Filename.concat "../../../examples" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p ->
-    let ic = open_in_bin p in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  | None ->
-    Fmt.epr "cannot locate examples/%s@." name;
-    exit 1
 
 let explore () =
   header
@@ -580,18 +518,16 @@ let explore () =
           ~grid:(List.map Muir_dse.Config.predefined (Opt.Stacks.names ()))
           src
       in
-      let pbest =
-        match predef.x_best with
-        | Some b -> b
-        | None -> failwith (name ^ ": no feasible predefined stack")
-      in
       (* Pass 2: the full grid over the same memo — the predefined
-         points' circuits are reused, never re-simulated. *)
+         points' circuits are reused, never re-simulated.  The grid holds
+         every predefined point, so its frontier matches or beats the
+         best of them. *)
       let full =
         Muir_dse.Explore.run ~jobs ~budget_evals:128 ~memo src
       in
       Fmt.pr "@.== %s@." name;
       Muir_dse.Explore.pp_result Fmt.stdout full;
+      let pbest = Option.get predef.x_best in
       let fbest = Option.get full.x_best in
       let cyc e = Option.get e.Muir_dse.Explore.e_cycles in
       Fmt.pr "best predefined   %-28s %8d cycles %7d ALMs@."
@@ -600,94 +536,9 @@ let explore () =
       Fmt.pr "best found        %-28s %8d cycles %7d ALMs@."
         (Muir_dse.Config.label fbest.e_cfg)
         (cyc fbest) fbest.e_alms;
-      (* Acceptance: some explored point must match or beat the best
-         predefined stack on cycles at equal-or-lower modeled area. *)
-      let dominated =
-        List.exists
-          (fun e ->
-            cyc e <= cyc pbest && e.Muir_dse.Explore.e_alms <= pbest.e_alms)
-          full.x_frontier
-      in
-      if not dominated then begin
-        Fmt.epr
-          "%s: explorer found nothing at least as good as the best \
-           predefined stack@."
-          name;
-        exit 1
-      end;
-      (* Pass 3: re-exploration must reuse every circuit from the
-         memo — zero fresh simulations. *)
-      let again =
-        Muir_dse.Explore.run ~jobs ~budget_evals:128 ~memo src
-      in
-      if again.x_fresh_sims <> 0 || again.x_reused <> again.x_fresh_evals
-      then begin
-        Fmt.epr "%s: re-exploration simulated %d configurations@." name
-          again.x_fresh_sims;
-        exit 1
-      end;
-      Fmt.pr "re-exploration    %d reused, 0 fresh simulations@."
-        again.x_reused;
       Fmt.pr "shared memo       %d distinct circuits over %d configurations@."
-        (Hashtbl.length memo) (List.length full.x_evals);
-      (* Pass 4: the timing admission filter must be transparent — a
-         pruned run from a cold memo reproduces the same frontier,
-         byte for byte, never simulating more. *)
-      let pruned =
-        Muir_dse.Explore.run ~timing_prune:true ~jobs ~budget_evals:128 src
-      in
-      if frontier_fingerprint pruned <> frontier_fingerprint full then begin
-        Fmt.epr "%s: timing-pruned frontier diverged@." name;
-        exit 1
-      end;
-      Fmt.pr
-        "timing-pruned     identical frontier, %d of %d configurations \
-         pruned, %d simulated@."
-        pruned.x_timing_pruned pruned.x_fresh_evals pruned.x_fresh_sims)
-    [ "gemm"; "fib"; "2mm" ];
-  (* The queue-bound workloads above have bounds far below any measured
-     run, so their filter never fires (and must not).  divring — the
-     closed-form divide ring, where op-fusion re-times the recurrence —
-     is the subject with honest pruning geometry: an un-fused config's
-     static bound exceeds a fused config's measured cycles, so the
-     banked un-fused configs are rejected without simulating. *)
-  let src = Pipeline.of_text ~name:"divring" (read_example "divring.mc") in
-  let grid =
-    [ Muir_dse.Config.v "baseline";
-      Muir_dse.Config.v "cilk-stack";
-      Muir_dse.Config.v ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 "cilk-stack";
-      Muir_dse.Config.v ~banks:2 "cilk-stack";
-      Muir_dse.Config.v ~banks:4 "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:2 "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:4 "cilk-stack";
-      Muir_dse.Config.v ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~banks:4 ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:2 ~off:[ "op-fusion" ] "cilk-stack";
-      Muir_dse.Config.v ~tiles:2 ~banks:4 ~off:[ "op-fusion" ] "cilk-stack" ]
-  in
-  let jobs = max 1 (min 4 (Domain.recommended_domain_count () - 1)) in
-  let plain = Muir_dse.Explore.run ~jobs ~grid src in
-  let pruned = Muir_dse.Explore.run ~timing_prune:true ~jobs ~grid src in
-  Fmt.pr "@.== divring (timing-pruned grid)@.";
-  Muir_dse.Explore.pp_result Fmt.stdout pruned;
-  if frontier_fingerprint pruned <> frontier_fingerprint plain then begin
-    Fmt.epr "divring: timing-pruned frontier diverged@.";
-    exit 1
-  end;
-  if
-    pruned.x_timing_pruned < 1
-    || pruned.x_fresh_sims >= plain.x_fresh_sims
-  then begin
-    Fmt.epr
-      "divring: timing filter skipped nothing (%d -> %d sims, %d pruned)@."
-      plain.x_fresh_sims pruned.x_fresh_sims pruned.x_timing_pruned;
-    exit 1
-  end;
-  Fmt.pr
-    "timing filter: %d -> %d simulations (%d rejected on static bound), \
-     identical frontier@."
-    plain.x_fresh_sims pruned.x_fresh_sims pruned.x_timing_pruned
+        (Hashtbl.length memo) (List.length full.x_evals))
+    [ "gemm"; "fib"; "2mm" ]
 
 (* ------------------------------------------------------------------ *)
 (* Tensor-graph frontend: what graph-level op fusion pays               *)
@@ -699,7 +550,6 @@ let nn () =
      elides flatten)";
   Fmt.pr "%-8s %-9s %12s %12s %8s %9s@." "model" "stack" "unfused cyc"
     "fused cyc" "saved" "speedup";
-  let improved = ref false in
   List.iter
     (fun name ->
       let wf = W.nn_workload name in
@@ -708,18 +558,11 @@ let nn () =
         (fun (stack_name, passes_of) ->
           let u = run_workload ~passes:(passes_of wu) wu in
           let f = run_workload ~passes:(passes_of wf) wf in
-          if f.r_cycles < u.r_cycles then improved := true;
           Fmt.pr "%-8s %-9s %12d %12d %8d %8.2fx@." name stack_name
             u.r_cycles f.r_cycles (u.r_cycles - f.r_cycles)
             (float_of_int u.r_cycles /. float_of_int f.r_cycles))
         [ ("baseline", fun (_ : W.t) -> []); ("best", Pipeline.per_category) ])
-    (List.map fst Muir_nn.Models.all);
-  (* Acceptance: fusion must pay on at least one model/stack pair —
-     both lowerings are functionally checked by run_workload above. *)
-  if not !improved then begin
-    Fmt.epr "nn: graph-level fusion reduced cycles on no model/stack pair@.";
-    exit 1
-  end
+    (List.map fst Muir_nn.Models.all)
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable run reports and the benchmark regression gate      *)

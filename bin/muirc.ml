@@ -19,12 +19,7 @@
 open Cmdliner
 module Pipeline = Muir_pipeline.Pipeline
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let compile path = Muir_frontend.Frontend.compile (read_file path)
 
@@ -704,8 +699,9 @@ let explore_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Evaluate configurations on $(docv) parallel domains.  The \
-             frontier is identical for every value.")
+            "Evaluate configurations on $(docv) parallel domains, at \
+             most the host's recommended domain count.  The frontier is \
+             identical for every value; only wall time changes.")
   in
   let json_arg =
     Arg.(
@@ -811,18 +807,25 @@ let synth_cmd =
 
 let workload_cmd =
   let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME")
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"NAME"
+          ~doc:"A bundled workload; not needed with $(b,--list).")
   in
   let list_flag = Arg.(value & flag & info [ "list" ] ~doc:"List workloads.") in
   let run name passes listing =
-    if listing then
+    match (listing, name) with
+    | true, _ ->
       List.iter
         (fun (w : Muir_workloads.Workloads.t) ->
           Fmt.pr "%-10s %-22s %s@." w.wname
             (Muir_workloads.Workloads.category_to_string w.category)
             w.description)
-        Muir_workloads.Workloads.all
-    else begin
+        Muir_workloads.Workloads.all;
+      `Ok ()
+    | false, None -> `Error (true, "required argument NAME is missing")
+    | false, Some name ->
       let b =
         Pipeline.build ~passes:(List.concat passes)
           (Pipeline.of_workload (resolve_workload name))
@@ -831,13 +834,13 @@ let workload_cmd =
       let cpu = Muir_cpu.Arm.run b.p_program in
       let hls = Muir_hls.Hls.run b.p_program in
       Fmt.pr "ARM A9 model      %.0f cycles @ 1 GHz@." cpu.cpu_cycles;
-      Fmt.pr "HLS model         %.0f cycles@." hls.hls_cycles
-    end
+      Fmt.pr "HLS model         %.0f cycles@." hls.hls_cycles;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "workload" ~exits:workload_exits
-       ~doc:"Run a bundled benchmark (try --list with any name).")
-    Term.(const run $ name_arg $ passes_arg $ list_flag)
+       ~doc:"Run a bundled benchmark.")
+    Term.(ret (const run $ name_arg $ passes_arg $ list_flag))
 
 (* --- version: every schema/provenance fact in one place ------------ *)
 
@@ -890,7 +893,10 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Evaluate each batch's fresh items on $(docv) domains.")
+          ~doc:
+            "Evaluate each batch's fresh items on $(docv) domains, at most \
+             the host's recommended domain count.  Replies are identical \
+             for every value; only wall time changes.")
   in
   let queue_arg =
     Arg.(

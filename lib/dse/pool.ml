@@ -13,14 +13,19 @@
     this compile their own program text and build their own circuit per
     call, and only read the evaluation memo.  A prepared circuit
     crosses domains between two maps (every domain is joined before
-    [map] returns), but nothing mutable is shared while a map runs. *)
+    [map] returns), but nothing mutable is shared while a map runs.
+
+    At most {!max_jobs} domains run, whatever [jobs] asks for: the
+    runtime refuses to spawn past its own domain limit. *)
+
+let max_jobs = Domain.recommended_domain_count ()
 
 let map ~(jobs : int) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let arr = Array.of_list xs in
   let n = Array.length arr in
   if n = 0 then []
   else begin
-    let jobs = max 1 (min jobs n) in
+    let jobs = max 1 (min (min jobs max_jobs) n) in
     let out : 'b option array = Array.make n None in
     if jobs = 1 then
       Array.iteri (fun i x -> out.(i) <- Some (f x)) arr

@@ -459,9 +459,15 @@ and lower_parallel_for ctx env pos init cond step body =
   let param_tys =
     List.map (fun x -> (x, (Env.find x env).bty)) frees
   in
-  let k = !(ctx.gen_counter) in
-  incr ctx.gen_counter;
-  let gen_name = Fmt.str "%s_par%d" ctx.fname k in
+  (* The next [<f>_par<k>] that names no user function and no body
+     generated so far. *)
+  let rec fresh_name () =
+    let k = !(ctx.gen_counter) in
+    incr ctx.gen_counter;
+    let name = Fmt.str "%s_par%d" ctx.fname k in
+    if List.mem_assoc name ctx.fsigs then fresh_name () else name
+  in
+  let gen_name = fresh_name () in
   let gen_func =
     { fname = gen_name;
       fparams = (loop_var, var_ty) :: param_tys;

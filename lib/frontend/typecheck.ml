@@ -365,22 +365,17 @@ let check_func (g : genv) (f : func) : func =
 
 (** Check and elaborate a whole program. *)
 let check (p : program) : program =
-  (* Duplicate names. *)
-  let dup l =
-    let sorted = List.sort compare l in
-    let rec go = function
-      | a :: b :: _ when a = b -> Some a
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go sorted
+  (* Duplicate names, reported at the second definition. *)
+  let no_dups what defs =
+    ignore
+      (List.fold_left
+         (fun seen (n, pos) ->
+           if Env.mem n seen then fail pos "duplicate %s %s" what n;
+           Env.add n () seen)
+         Env.empty defs)
   in
-  (match dup (List.map (fun g -> g.gname) p.globals) with
-  | Some n -> fail { line = 0; col = 0 } "duplicate global %s" n
-  | None -> ());
-  (match dup (List.map (fun f -> f.fname) p.funcs) with
-  | Some n -> fail { line = 0; col = 0 } "duplicate function %s" n
-  | None -> ());
+  no_dups "global" (List.map (fun g -> (g.gname, g.gpos)) p.globals);
+  no_dups "function" (List.map (fun f -> (f.fname, f.fpos)) p.funcs);
   List.iter
     (fun g ->
       if g.gsize <= 0 then fail g.gpos "global %s has non-positive size" g.gname;

@@ -121,11 +121,8 @@ let of_file (path : string) : source =
   { src_name = None;
     src_load =
       (fun () ->
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        Muir_frontend.Frontend.compile s) }
+        Muir_frontend.Frontend.compile
+          (In_channel.with_open_bin path In_channel.input_all)) }
 
 let of_workload (w : W.t) : source =
   { src_name = Some w.wname; src_load = (fun () -> W.program w) }

@@ -94,12 +94,6 @@ let decode_entry ~(path : string) (s : string) :
       | _ -> Error "truncated or inconsistent lengths")
     | _ -> Error "bad magic or header shape")
 
-let read_file (path : string) : string =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 exception Write_error of string * string  (** path, reason *)
 
 (** Replace [path] with the concatenation of [parts] through a temp
@@ -137,7 +131,7 @@ let load_dir (t : t) (dir : string) : unit =
     (fun name ->
       if Filename.check_suffix name ".rc" then begin
         let path = Filename.concat dir name in
-        match read_file path with
+        match In_channel.with_open_bin path In_channel.input_all with
         | contents -> (
           match decode_entry ~path contents with
           | Ok (key, payload) -> Hashtbl.replace t.rc_mem key payload

@@ -356,11 +356,7 @@ let parse (s : string) : suite =
   with Json.Parse_error e -> raise (Bad_report ("malformed report: " ^ e))
 
 let load (path : string) : suite =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse s
+  parse (In_channel.with_open_bin path In_channel.input_all)
 
 (** The single-run report [payload] under another stack label and
     knobs, everything else (provenance included) kept: what {!to_json}

@@ -14,12 +14,6 @@
 let muirc = Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "muirc.exe"
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* Run muirc with [args]; returns the exit code and the combined
    standard output and error. *)
 let muirc_run (args : string list) : int * string =
@@ -27,7 +21,7 @@ let muirc_run (args : string list) : int * string =
   let code =
     Sys.command (Filename.quote_command muirc args ~stdout:out ~stderr:out)
   in
-  let text = read_file out in
+  let text = In_channel.with_open_bin out In_channel.input_all in
   Sys.remove out;
   (code, text)
 
@@ -222,13 +216,15 @@ let frontend_commands =
     "explore"; "synth" ]
 
 (* Rejected sources and the start of the error each must print: a
-   syntax error, a malformed float literal and an int literal that
-   does not fit 64 bits. *)
+   syntax error, a malformed float literal, an int literal that does
+   not fit 64 bits and a function defined twice. *)
 let rejected_sources =
   [ ("func int main() { return 1 + ; }\n", "parse error at 1:");
     ("func void main() { float x = 1e; }\n", "lex error at 1:30");
     ("func void main() { int x = 99999999999999999999; }\n",
-     "lex error at 1:28") ]
+     "lex error at 1:28");
+    ("func void f() { }\nfunc void f() { }\nfunc void main() { }\n",
+     "type error at 2:1") ]
 
 let test_rejected_source cmd () =
   List.iter
@@ -255,6 +251,13 @@ let test_rejected_source cmd () =
   if not (contains squashed "on a source the frontend rejects") then
     Alcotest.failf "%s --help: EXIT STATUS does not document code 1:@.%s" cmd
       help
+
+(* [workload --list] needs no NAME: one line per bundled workload. *)
+let test_workload_list () =
+  let code, text = muirc_run [ "workload"; "--list" ] in
+  Alcotest.(check int) "workload --list: exit code" 0 code;
+  Alcotest.(check int) "workload --list: lines printed" 24
+    (List.length (String.split_on_char '\n' (String.trim text)))
 
 let test_unroll_workload () =
   let code, text = muirc_run [ "simulate"; "gemm"; "-U" ] in
@@ -307,7 +310,10 @@ let () =
                "cache-banking");
           Alcotest.test_case "-O tiling=0" `Quick
             (expect_usage_error [ "simulate"; "saxpy"; "-O"; "tiling=0" ]
-               "execution-tiling") ]
+               "execution-tiling");
+          Alcotest.test_case "workload --list" `Quick test_workload_list;
+          Alcotest.test_case "workload without a NAME" `Quick
+            (expect_usage_error [ "workload" ] "NAME") ]
         @ List.map
             (fun v ->
               Alcotest.test_case ("top --interval=" ^ v) `Quick

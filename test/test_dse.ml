@@ -53,7 +53,16 @@ let test_registry () =
   check_same "loop-stack" (Stacks.loop_stack ());
   check_same "cilk-stack" (Stacks.cilk_stack ());
   check_same "tensor-stack" (Stacks.tensor_stack ());
-  check_same "best" (Stacks.best_loop_stack ())
+  check_same "best" (Stacks.best_loop_stack ());
+  (* the default grid holds every stack at its own defaults, so its
+     pareto-minimal frontier matches or beats the best of them *)
+  let grid = List.map Config.key (Dse.default_grid ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " at its defaults is in the default grid")
+        true
+        (List.mem (Config.key (Config.predefined name)) grid))
+    (Stacks.names ())
 
 (* --- content keys --------------------------------------------------- *)
 
@@ -93,6 +102,13 @@ let test_jobs_determinism () =
   Alcotest.(check int) "same number of evaluations"
     (List.length a.x_evals)
     (List.length b.x_evals)
+
+(* More jobs than the runtime runs domains: the pool caps its domains
+   and still returns every result in input order. *)
+let test_pool_cap () =
+  let xs = List.init 300 Fun.id in
+  Alcotest.(check (list int)) "results in input order" (List.map succ xs)
+    (Muir_dse.Pool.map ~jobs:max_int succ xs)
 
 (* --- evaluation memo -------------------------------------------------- *)
 
@@ -290,7 +306,9 @@ let () =
             test_keys_dedup_unused_knobs ] );
       ( "determinism",
         [ Alcotest.test_case "jobs=1 vs jobs=4" `Quick
-            test_jobs_determinism ] );
+            test_jobs_determinism;
+          Alcotest.test_case "jobs past the domain limit" `Quick
+            test_pool_cap ] );
       ( "memo",
         [ Alcotest.test_case "no re-simulation" `Quick
             test_memo_no_resimulation;

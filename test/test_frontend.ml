@@ -69,6 +69,26 @@ func void main() {
   Alcotest.(check bool) "outlined body exists" true
     (Program.has_func p "main_par0")
 
+(* A user function already named like the body a parallel_for
+   outlines: the body takes the next free name, and the program
+   simulates as the golden interpreter runs it. *)
+let test_outlined_name_taken () =
+  let src =
+    {|
+global int A[8];
+func void main_par0(int i) { A[i] = A[i] + 100; }
+func void main() {
+  parallel_for (int i = 0; i < 8; i = i + 1) { A[i] = i * 2; }
+  main_par0(3);
+}
+|}
+  in
+  let p = Muir_frontend.Frontend.compile src in
+  let names = List.map (fun (f : Func.t) -> f.name) p.funcs in
+  Alcotest.(check (list string)) "one function per name"
+    (List.sort_uniq compare names) (List.sort compare names);
+  ignore (Sim_harness.check_against_golden ~globals:[ "A" ] "taken" src)
+
 let test_gemm () =
   let n = 4 in
   let src =
@@ -266,6 +286,19 @@ let test_type_errors () =
   expect_type_error "func void main() { unknown_fn(3); }";
   expect_type_error "global float A[4]; func void main() { A[1.5] = 1.0; }"
 
+(* A duplicate global is reported at the second definition's keyword
+   (test_cli pins a duplicate function through every command). *)
+let test_duplicate_global_position () =
+  match
+    Muir_frontend.Frontend.compile
+      "global int A[4];\nfunc void main() { }\n  global float A[2];\n"
+  with
+  | exception Muir_frontend.Typecheck.Error (m, p) ->
+    Alcotest.(check (pair string (pair int int))) "message and position"
+      ("duplicate global A", (3, 3))
+      (m, (p.line, p.col))
+  | _ -> Alcotest.fail "expected a type error"
+
 let test_parse_errors () =
   let expect_parse_error src =
     match Muir_frontend.Frontend.compile src with
@@ -453,6 +486,8 @@ let () =
     [ ( "programs",
         [ Alcotest.test_case "saxpy" `Quick test_saxpy;
           Alcotest.test_case "parallel saxpy" `Quick test_parallel_saxpy;
+          Alcotest.test_case "outlined body's name taken" `Quick
+            test_outlined_name_taken;
           Alcotest.test_case "gemm" `Quick test_gemm;
           Alcotest.test_case "if/else phi" `Quick test_condition_phi;
           Alcotest.test_case "fib via spawn" `Quick test_fib_spawn;
@@ -464,6 +499,8 @@ let () =
             test_int_array_and_spmv_like ] );
       ( "errors",
         [ Alcotest.test_case "type errors" `Quick test_type_errors;
+          Alcotest.test_case "duplicate global" `Quick
+            test_duplicate_global_position;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
           Alcotest.test_case "lexer token stream" `Quick

@@ -499,13 +499,13 @@ let test_cache_corruption_recovery () =
   Alcotest.(check int) "four entries on disk" 4 (Array.length entries);
   (* Corrupt one entry (flip a payload byte) and truncate another. *)
   let path i = Filename.concat dir entries.(i) in
-  let s0 = Rcache.read_file (path 0) in
+  let s0 = In_channel.with_open_bin (path 0) In_channel.input_all in
   let flipped = Bytes.of_string s0 in
   let last = Bytes.length flipped - 1 in
   Bytes.set flipped last
     (Char.chr (Char.code (Bytes.get flipped last) lxor 0xff));
   write_file (path 0) (Bytes.to_string flipped);
-  let s1 = Rcache.read_file (path 1) in
+  let s1 = In_channel.with_open_bin (path 1) In_channel.input_all in
   write_file (path 1) (String.sub s1 0 (String.length s1 / 2));
   (* A fresh daemon detects both, discards them, and keeps serving. *)
   let t2 = Server.create ~cache_dir:dir () in
@@ -653,7 +653,7 @@ let prop_cache_mutation () =
   let key = "saxpy|baseline" and payload = {|{"cycles":1234,"ok":true}|} in
   Rcache.add (Rcache.create ~dir ()) key payload;
   let path = Rcache.entry_path dir key in
-  let entry = Rcache.read_file path in
+  let entry = In_channel.with_open_bin path In_channel.input_all in
   let n = String.length entry in
   let damage =
     QCheck.Gen.(
