@@ -1226,7 +1226,7 @@ let create ?tracer (c : G.circuit) : t =
   in
   let sim =
     { circ = c; ms; tasks; now = 0; fires = 0; last_activity = 0;
-      next_iid = 0; root_done = false; root_val = T.VBool true;
+      next_iid = 0; root_done = false; root_val = T.VUnit;
       junction_width = Array.init n (fun tid -> G.junction_width c tid);
       (* rows for the widest node's operands and a fused chain's scratch *)
       sc = Exec.make_sc ~slots:((2 * List.fold_left max 1 arity) + 4);
@@ -1596,7 +1596,7 @@ let deliver (sim : t) (inst : instance) (iv : invocation) : unit =
       (if inst.i_nres > 1 then
          F.materialize iv.iv_lo_tags.(1) iv.iv_lo_nums.(1) iv.iv_lo_flts.(1)
            iv.iv_lo_objs.(1)
-       else T.VBool true)
+       else T.VUnit)
   | rk ->
     (* A call replies with its live-outs; a spawn joins its context and
        replies with its value, or true from a void child. *)

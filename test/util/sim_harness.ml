@@ -30,7 +30,7 @@ let simulate ?(passes = []) ?entry ?args ?max_cycles (p : Program.t) :
   Muir_sim.Sim.run ?args ?max_cycles c
 
 (** Assert the simulator reproduces the golden memory for [globals]
-    and the golden return value (unless void). *)
+    and the golden return value. *)
 let check_against_golden ?(passes = []) ?(inits = []) ?entry ?args
     ~(globals : string list) (name : string) (src : string) :
     Muir_sim.Sim.result =
@@ -40,10 +40,7 @@ let check_against_golden ?(passes = []) ?(inits = []) ?entry ?args
     Option.map (List.map (fun v -> (v : Types.value))) args
   in
   let r = simulate ~passes ?entry ?args p in
-  (match gv with
-  | Types.VUnit -> ()
-  | _ ->
-    Alcotest.check value_testable (name ^ ": return value") gv r.value);
+  Alcotest.check value_testable (name ^ ": return value") gv r.value;
   (match Memory.first_mismatch p globals ~golden:gold_mem r.memory with
   | None -> ()
   | Some (g, i, x, y) ->
