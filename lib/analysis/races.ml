@@ -14,8 +14,9 @@
     μIR construction; the expansion rules are this analysis's own.
     Spawn arguments are substituted into the callee's summary, so a
     [parallel_for] body indexed by the loop variable shows up in the
-    caller as an affine function of the loop's header phi — the
-    induction variable that distinguishes sibling iterations.
+    caller as an affine function of the loop's induction
+    ({!Muir_ir.Loops.inductions}), the variable that distinguishes
+    sibling iterations.
     Independence is then arithmetic:
 
     - forms that differ by a nonzero constant never collide;
@@ -294,9 +295,11 @@ let sync_free_region (f : F.t) (s : site) :
     List.iter enter (F.successors b0);
   (sites_hit, term_free)
 
-(** Header phis of the loops that can re-dispatch [s] without an
+(** Inductions of the loops that can re-dispatch [s] without an
     intervening sync — the registers whose values distinguish two
-    concurrent instances of the same spawn site. *)
+    concurrent instances of the same spawn site.  Another header phi
+    may hold one value in two iterations, so it distinguishes
+    nothing. *)
 let varying_ivs (f : F.t) (s : site) (term_free : (I.label, unit) Hashtbl.t)
     : (leaf list * I.label list) =
   let lps =
@@ -308,12 +311,9 @@ let varying_ivs (f : F.t) (s : site) (term_free : (I.label, unit) Hashtbl.t)
   let ivs =
     List.concat_map
       (fun (lp : F.loop_info) ->
-        List.filter_map
-          (fun (i : I.t) ->
-            match i.kind with
-            | I.Phi _ -> Some ((f.name, i.id) : leaf)
-            | _ -> None)
-          (F.block f lp.header).instrs)
+        List.map
+          (fun (r, _) -> ((f.name, r) : leaf))
+          (Muir_ir.Loops.inductions f lp))
       lps
   in
   let bodies = List.concat_map (fun (lp : F.loop_info) -> lp.body) lps in

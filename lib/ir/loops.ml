@@ -51,7 +51,31 @@ let analyze (f : Func.t) : natural_loop list =
   |> List.sort (fun a b -> compare a.header b.header)
 
 (* ------------------------------------------------------------------ *)
-(* Trip counts                                                         *)
+(* Inductions and trip counts                                          *)
+
+(* [Some s] when register [r] of [f] is [x + s], [s + x] or [x - s]
+   for a constant [s]. *)
+let offset_from (f : Func.t) (x : Instr.reg) (r : Instr.reg) : int option =
+  match Func.find_instr f r with
+  | Some { kind = Bin (Add, Reg y, CInt s) | Bin (Add, CInt s, Reg y); _ }
+    when y = x -> Some (Int64.to_int s)
+  | Some { kind = Bin (Sub, Reg y, CInt s); _ } when y = x ->
+    Some (- Int64.to_int s)
+  | _ -> None
+
+let inductions (f : Func.t) (lp : Func.loop_info) : (Instr.reg * int) list =
+  List.filter_map
+    (fun (i : Instr.t) ->
+      match i.kind with
+      | Phi ins -> (
+        match List.assoc_opt lp.latch ins with
+        | Some (Reg back) -> (
+          match offset_from f i.id back with
+          | Some s when s <> 0 -> Some (i.id, s)
+          | _ -> None)
+        | _ -> None)
+      | _ -> None)
+    (Func.block f lp.header).instrs
 
 (** Statically-known trip count of [lp]: the number of body
     executions, for the common counted shape
@@ -59,6 +83,8 @@ let analyze (f : Func.t) : natural_loop list =
     {v  header:  %i = phi [preheader: C_init] [latch: %i']
                  br (icmp op %iv, C_n), ...   ;; one arm exits
         ...      %i' = add/sub %i, C_step  v}
+
+    where [%i] is one of {!inductions}.
 
     The recurrence is {e iterated numerically} (Int64, budgeted) from
     the constant initial value rather than solved in closed form, so
@@ -111,53 +137,27 @@ let trip_count ?(budget = 1_000_000) (f : Func.t) (lp : Func.loop_info) :
     | CInt k, Reg r -> Some (r, k, false)
     | _ -> None
   in
-  (* Resolve the induction phi: the compared register is the phi, or a
-     header-resident add/sub of the phi (compared one step ahead). *)
-  let phi_of r =
-    let* i = Func.find_instr f r in
-    match i.kind with
-    | Phi _ when List.exists (fun j -> j.id = r) header.instrs -> Some r
-    | _ -> None
+  (* Resolve the induction: the compared register is one, or a
+     header-resident offset of one (compared one step ahead). *)
+  let ivs = inductions f lp in
+  let* phi_reg, step_cmp =
+    if List.mem_assoc iv_opnd ivs then Some (iv_opnd, 0)
+    else if List.exists (fun (j : t) -> j.id = iv_opnd) header.instrs then
+      List.find_map
+        (fun (phi, _) ->
+          Option.map (fun k -> (phi, k)) (offset_from f phi iv_opnd))
+        ivs
+    else None
   in
-  let step_of (phi : reg) (back : reg) : int64 option =
-    let* i = Func.find_instr f back in
-    match i.kind with
-    | Bin (Add, Reg r, CInt s) when r = phi -> Some s
-    | Bin (Add, CInt s, Reg r) when r = phi -> Some s
-    | Bin (Sub, Reg r, CInt s) when r = phi -> Some (Int64.neg s)
-    | _ -> None
-  in
-  let* phi_reg, shifted =
-    match phi_of iv_opnd with
-    | Some r -> Some (r, false)
-    | None -> (
-      (* compared register computed in the header from the phi *)
-      let* i = Func.find_instr f iv_opnd in
-      let* () =
-        if List.exists (fun j -> j.id = iv_opnd) header.instrs then Some ()
-        else None
-      in
-      match i.kind with
-      | Bin ((Add | Sub), Reg r, CInt _) | Bin (Add, CInt _, Reg r) -> (
-        match phi_of r with Some p -> Some (p, true) | None -> None)
-      | _ -> None)
-  in
-  let* phi = Func.find_instr f phi_reg in
-  let* incomings = match phi.kind with Phi ins -> Some ins | _ -> None in
+  let step = Int64.of_int (List.assoc phi_reg ivs)
+  and step_cmp = Int64.of_int step_cmp in
   let* init =
-    match List.assoc_opt lp.preheader incomings with
-    | Some (CInt v) -> Some v
+    match Func.find_instr f phi_reg with
+    | Some { kind = Phi ins; _ } -> (
+      match List.assoc_opt lp.preheader ins with
+      | Some (CInt v) -> Some v
+      | _ -> None)
     | _ -> None
-  in
-  let* back_reg =
-    match List.assoc_opt lp.latch incomings with
-    | Some (Reg r) -> Some r
-    | _ -> None
-  in
-  let* step = step_of phi_reg back_reg in
-  let* step_cmp =
-    if not shifted then Some 0L
-    else step_of phi_reg iv_opnd (* value at the compare, one step on *)
   in
   let eval op a b =
     let c = Int64.compare a b in

@@ -212,12 +212,6 @@ let rec affine_of (st : st) (f : F.t) ?(depth = 12) (op : I.operand) :
         A.scale (Int64.to_int k) x
       | Some _ -> None)
 
-(** Does the form advance with one of [vars] (a per-iteration or
-    per-invocation variable)?  If every access in a space has the same
-    advancing form, successive waves touch distinct addresses. *)
-let affine_advances (a : affine) (vars : I.reg list) =
-  List.exists (fun (r, _) -> mem_int r vars) a.coeffs
-
 (* ------------------------------------------------------------------ *)
 (* Stage 1: enumerate tasks                                             *)
 
@@ -502,10 +496,11 @@ let note_call (ctx : rctx) (n : G.node) (touches : (int * bool) list) =
           ctx.has_store <- sp :: ctx.has_store)
       touches
 
-(** Record a memory node for the ordering chains. *)
-let note_memory (ctx : rctx) (space : int) (n : G.node) ~is_store
+(** Record a memory node for the ordering chains.  A tile access
+    sweeps a rectangle, so it has no single address form. *)
+let note_memory (ctx : rctx) (space : int) (n : G.node) ~is_store ~tile
     ~(addr : I.operand) =
-  let aff = affine_of ctx.st ctx.f addr in
+  let aff = if tile then None else affine_of ctx.st ctx.f addr in
   ctx.mem_order <-
     ([ (space, is_store) ], (n.nid, G.mem_done n), aff)
     :: ctx.mem_order;
@@ -520,12 +515,13 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
     let space = space_of_operand ctx.st ctx.f addr in
     let kind = kind_of space in
     let is_store = match kind with G.Store _ | Tstore _ -> true | _ -> false in
+    let tile = match kind with G.Tload _ | Tstore _ -> true | _ -> false in
     let n =
       mk ctx ?label ~ty:(if is_store then T.TUnit else ins.ty) kind
         ((`Port pred :: List.map (slot_of ctx) (addr :: rest)) @ after_sync ctx)
         ~trigger:pred
     in
-    note_memory ctx space n ~is_store ~addr;
+    note_memory ctx space n ~is_store ~tile ~addr;
     if not is_store then bind (n.nid, G.load_data)
   in
   let tensor top args =
@@ -704,31 +700,23 @@ let lower_block (ctx : rctx) ~(region : I.label list)
   | Ret (Some op) -> ctx.rets <- (pred, Some (slot_of ctx op)) :: ctx.rets
 
 (** Add the per-space memory ordering chains.  A space needs no
-    serializing chain when every access to it shares one affine
-    address form that advances with the task's own per-wave variables:
-    successive waves then provably touch distinct addresses (and the
-    same-wave load-before-store order is a value dependence already
-    present in the dataflow). *)
-let add_memory_chains (ctx : rctx) ~(own_vars : I.reg list) =
+    serializing chain when its accesses pass {!Muir_ir.Access}'s
+    cross-wave test, with a leaf's per-wave [step] and whether it is
+    [invariant] in the task: successive waves then touch distinct
+    addresses (and the same-wave load-before-store order is a value
+    dependence already present in the dataflow). *)
+let add_memory_chains (ctx : rctx) ~step ~invariant =
   let ops = List.rev ctx.mem_order in
   let spaces_written = ctx.has_store in
   let touches_space touches s =
     List.exists (fun (sp, _) -> sp = s || sp = 0) touches
   in
   let space_independent s =
-    let forms =
-      List.filter_map
-        (fun (touches, _, aff) ->
-          if touches_space touches s then Some aff else None)
-        ops
-    in
-    match forms with
-    | Some first :: rest ->
-      affine_advances first own_vars
-      && List.for_all
-           (function Some a -> a = first | None -> false)
-           rest
-    | _ -> false
+    Muir_ir.Access.distinct_waves ~step ~invariant
+      (List.filter_map
+         (fun (touches, _, aff) ->
+           if touches_space touches s then Some aff else None)
+         ops)
   in
   let is_call (p : port) =
     match (G.node ctx.gt (fst p)).kind with
@@ -874,7 +862,15 @@ let build_func_task (st : st) (f : F.t) (gt : G.task) =
   List.iter
     (fun l -> lower_block ctx ~region ~own_header:None ~entry_pred ~entry l)
     order;
-  add_memory_chains ctx ~own_vars:(F.param_regs f);
+  (* A function task's waves are its invocations, which its callers
+     order: a call to a function that writes memory waits for the
+     previous one to finish, and Cilk's contract orders spawned
+     invocations by [sync].  The test takes the parameters as what
+     tells invocations apart, each with a unit step. *)
+  let params = F.param_regs f in
+  add_memory_chains ctx
+    ~step:(fun r -> if mem_int r params then Some 1 else None)
+    ~invariant:(fun _ -> false);
   emit_func_liveouts ctx ~entry_pred
 
 (** Build the dataflow of a loop task using the μ/steer loop schema. *)
@@ -1024,7 +1020,11 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
         lower_block ctx ~region ~own_header:(Some lp.header) ~entry_pred
           ~entry:lp.header l)
     order;
-  add_memory_chains ctx ~own_vars:(List.map (fun (r, _, _, _) -> r) phis);
+  let ivs = Muir_ir.Loops.inductions f lp in
+  let body_defs = defs_in_blocks f lp.body in
+  add_memory_chains ctx
+    ~step:(fun r -> List.assoc_opt r ivs)
+    ~invariant:(fun r -> not (mem_int r body_defs));
   (* Steers: route carried values around the back edge (the loop
      predicate holds) or out (it does not). *)
   let steer ?(label = "") data : G.node =
