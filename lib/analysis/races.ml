@@ -7,12 +7,11 @@
     a pair of accesses to the same location with at least one write is
     a race.
 
-    We summarise what each spawn may touch with a small affine address
-    analysis: every address is [global + Σ cᵢ·leafᵢ + k] where leaves
-    are registers the analysis cannot see through (parameters, phis,
-    load results).  The arithmetic is {!Muir_ir.Affine}'s, shared with
-    μIR construction; the expansion rules are this analysis's own.
-    Spawn arguments are substituted into the callee's summary, so a
+    We summarise what each spawn may touch with {!Muir_ir.Access}, the
+    access analysis μIR construction shares: every address is
+    [global + Σ cᵢ·leafᵢ + k] where leaves are registers the expansion
+    cannot see through (parameters, phis, load results).  Spawn
+    arguments are substituted into the callee's summary, so a
     [parallel_for] body indexed by the loop variable shows up in the
     caller as an affine function of the loop's induction
     ({!Muir_ir.Loops.inductions}), the variable that distinguishes
@@ -31,163 +30,25 @@
 module I = Muir_ir.Instr
 module F = Muir_ir.Func
 module P = Muir_ir.Program
-module T = Muir_ir.Types
 module A = Muir_ir.Affine
+module Access = Muir_ir.Access
 
-(* ------------------------------------------------------------------ *)
-(* Affine address forms                                                *)
-
-(** A leaf is a register the analysis treats as opaque, tagged with
-    its function so callee-internal leaves survive substitution into
-    the caller without colliding with the caller's numbering. *)
-type leaf = string * I.reg
-
-(** A form's base is the name of the global array it points into. *)
-type aff = (string, leaf) A.t
-
-(** The form of operand [op] of function [fn]: a register [env] has not
-    folded is a leaf, and a float has no form. *)
-let operand_form (env : (I.reg, aff) Hashtbl.t) (fn : string)
-    (op : I.operand) : aff option =
-  match op with
-  | I.Reg r -> (
-    match Hashtbl.find_opt env r with
-    | Some a -> Some a
-    | None -> Some (A.leaf (fn, r)))
-  | I.CInt i -> Some (A.const (Int64.to_int i))
-  | I.CBool b -> Some (A.const (if b then 1 else 0))
-  | I.GlobalAddr g -> Some (A.of_base g)
-  | I.CFloat _ -> None
-
-(** Per-function affine environment: every register folded to a form,
-    [shl] by a constant included, opaque results becoming their own
-    leaf. *)
-let affine_env (f : F.t) : (I.reg, aff) Hashtbl.t =
-  let env = Hashtbl.create 64 in
-  List.iter
-    (fun (p : F.param) ->
-      Hashtbl.replace env p.preg (A.leaf (f.name, p.preg)))
-    f.params;
-  let of_op = operand_form env f.name in
-  let ( let* ) = Option.bind in
-  let eval (i : I.t) : aff option =
-    match i.kind with
-    | I.Bin (I.Add, a, b) ->
-      let* a = of_op a in
-      let* b = of_op b in
-      A.add a b
-    | I.Bin (I.Sub, a, b) ->
-      let* a = of_op a in
-      let* b = of_op b in
-      let* nb = A.scale (-1) b in
-      A.add a nb
-    | I.Bin (I.Mul, a, b) -> (
-      let* a = of_op a in
-      let* b = of_op b in
-      match (A.is_const a, A.is_const b) with
-      | true, _ -> A.scale a.konst b
-      | _, true -> A.scale b.konst a
-      | _ -> None)
-    | I.Bin (I.Shl, a, b) -> (
-      let* a = of_op a in
-      let* b = of_op b in
-      if A.is_const b && b.konst >= 0 && b.konst < 31 then
-        A.scale (1 lsl b.konst) a
-      else None)
-    | I.Gep { base; index; scale } ->
-      let* b = of_op base in
-      let* i = of_op index in
-      let* si = A.scale scale i in
-      A.add b si
-    | _ -> None
-  in
-  F.iter_instrs
-    (fun (i : I.t) ->
-      if not (T.equal_ty i.ty T.TUnit) then
-        Hashtbl.replace env i.id
-          (match eval i with Some a -> a | None -> A.leaf (f.name, i.id)))
-    f;
-  env
+type leaf = Access.leaf
+type aff = Access.form
+type access = Access.access
 
 (* ------------------------------------------------------------------ *)
 (* Access summaries                                                    *)
-
-type access = {
-  aspace : string option;  (** global array, [None] = could be anywhere *)
-  awrite : bool;
-  aform : aff option;      (** address form, [None] = whole space *)
-}
-
-let direct_accesses (env : (I.reg, aff) Hashtbl.t) (f : F.t) : access list =
-  F.fold_instrs
-    (fun acc (i : I.t) ->
-      match I.mem_access i with
-      | None -> acc
-      | Some (addr, awrite) ->
-        let aspace, aform =
-          match (operand_form env f.name addr, i.kind) with
-          | Some { base = Some g; _ }, (I.Tload _ | I.Tstore _) ->
-            (* tile ops sweep a rectangle; keep the array, drop the form *)
-            (Some g, None)
-          | Some ({ base = Some g; _ } as a), _ -> (Some g, Some a)
-          | _ -> (None, None)
-        in
-        { aspace; awrite; aform } :: acc)
-    [] f
-
-(** Transitive may-touch sets [(array, writes?)], fixpoint over the
-    call graph including spawn targets. *)
-let touch_sets (p : P.t) : (string, (string option * bool) list) Hashtbl.t =
-  let touch : (string, (string option * bool) list) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let envs = Hashtbl.create 16 in
-  List.iter
-    (fun (f : F.t) ->
-      Hashtbl.replace envs f.name (affine_env f);
-      Hashtbl.replace touch f.name
-        (List.sort_uniq compare
-           (List.map
-              (fun a -> (a.aspace, a.awrite))
-              (direct_accesses (Hashtbl.find envs f.name) f))))
-    p.funcs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (f : F.t) ->
-        let cur = Hashtbl.find touch f.name in
-        let extra =
-          F.fold_instrs
-            (fun acc (i : I.t) ->
-              match i.kind with
-              | I.Call { callee; _ } | I.Spawn { callee; _ } ->
-                (match Hashtbl.find_opt touch callee with
-                | Some ts -> ts @ acc
-                | None -> acc)
-              | _ -> acc)
-            [] f
-        in
-        let merged = List.sort_uniq compare (extra @ cur) in
-        if merged <> cur then begin
-          Hashtbl.replace touch f.name merged;
-          changed := true
-        end)
-      p.funcs
-  done;
-  touch
 
 (** What one spawn site may touch, phrased in the caller's leaf space:
     the callee's direct accesses with parameters substituted by the
     actual arguments' forms, plus whole-space entries for everything
     deeper calls may reach. *)
-let spawn_summary (p : P.t) ~(touch : (string, (string option * bool) list) Hashtbl.t)
-    ~(caller_env : (I.reg, aff) Hashtbl.t) (caller : F.t)
+let spawn_summary (p : P.t) (an : Access.t) (caller : F.t)
     (callee_name : string) (args : I.operand list) : access list =
   if not (P.has_func p callee_name) then []
   else begin
     let g = P.find_func p callee_name in
-    let genv = affine_env g in
     let subst : (leaf * aff) list =
       List.concat
         (List.mapi
@@ -195,7 +56,7 @@ let spawn_summary (p : P.t) ~(touch : (string, (string option * bool) list) Hash
              match List.nth_opt args i with
              | None -> []
              | Some op ->
-               match operand_form caller_env caller.name op with
+               match Access.form an caller.name op with
                | Some a -> [ (((g.name, prm.preg) : leaf), a) ]
                | None -> [])
            g.params)
@@ -214,30 +75,27 @@ let spawn_summary (p : P.t) ~(touch : (string, (string option * bool) list) Hash
     let direct =
       List.map
         (fun (a : access) ->
-          match a.aform with
+          match a.form with
           | None -> a
           | Some fm -> (
             match subst_form fm with
-            | None -> { a with aform = None }
+            | None -> { a with form = None }
             | Some fm' ->
               { a with
-                aspace =
-                  (match fm'.base with Some g -> Some g | None -> a.aspace);
-                aform = Some fm' }))
-        (direct_accesses genv g)
+                space =
+                  (match fm'.base with Some g -> Some g | None -> a.space);
+                form = Some fm' }))
+        (Access.accesses an g)
     in
     let deeper =
       F.fold_instrs
         (fun acc (i : I.t) ->
           match i.kind with
           | I.Call { callee; _ } | I.Spawn { callee; _ } ->
-            (match Hashtbl.find_opt touch callee with
-            | Some ts ->
-              List.map
-                (fun (sp, w) -> { aspace = sp; awrite = w; aform = None })
-                ts
-              @ acc
-            | None -> acc)
+            List.map
+              (fun (space, write) -> { Access.space; write; form = None })
+              (Access.footprint an ~spawns:true callee)
+            @ acc
           | _ -> acc)
         [] g
     in
@@ -343,7 +201,7 @@ let compare_pair (f : F.t) ~(ivs : leaf list)
     ~(varying_blocks : I.label list)
     (def_block : (I.reg, I.label) Hashtbl.t) (a1 : access) (a2 : access) :
     verdict =
-  match (a1.aform, a2.aform) with
+  match (a1.form, a2.form) with
   | None, _ | _, None -> Maybe
   | Some f1, Some f2 ->
     let solid (a : aff) =
@@ -397,14 +255,13 @@ let compare_pair (f : F.t) ~(ivs : leaf list)
 (* Driver                                                              *)
 
 let spaces_may_overlap (a : access) (b : access) =
-  match (a.aspace, b.aspace) with
+  match (a.space, b.space) with
   | Some g1, Some g2 -> g1 = g2
   | _ -> true
 
 let space_name = function Some g -> "@" ^ g | None -> "memory"
 
-let check_func (p : P.t) ~touch (f : F.t) : Diag.t list =
-  let caller_env = affine_env f in
+let check_func (p : P.t) (an : Access.t) (f : F.t) : Diag.t list =
   let def_block : (I.reg, I.label) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (b : F.block) ->
@@ -430,19 +287,19 @@ let check_func (p : P.t) ~touch (f : F.t) : Diag.t list =
     let summaries =
       List.map
         (fun s ->
-          (s, spawn_summary p ~touch ~caller_env f s.scallee s.sargs))
+          (s, spawn_summary p an f s.scallee s.sargs))
         sites
     in
     let regions = List.map (fun s -> (s, sync_free_region f s)) sites in
     let diags = ref [] in
     let report s1 s2 verdict (a1 : access) (a2 : access) =
       let sp =
-        match (a1.aspace, a2.aspace) with
+        match (a1.space, a2.space) with
         | Some g, _ | _, Some g -> Some g
         | _ -> None
       in
       let what =
-        if a1.awrite && a2.awrite then "write" else "read and write"
+        if a1.write && a2.write then "write" else "read and write"
       in
       match verdict with
       | Safe -> ()
@@ -469,10 +326,10 @@ let check_func (p : P.t) ~touch (f : F.t) : Diag.t list =
     in
     let compare_sites (s1, sum1) (s2, sum2) ~ivs ~varying_blocks =
       List.iter
-        (fun a1 ->
+        (fun (a1 : access) ->
           List.iter
-            (fun a2 ->
-              if (a1.awrite || a2.awrite) && spaces_may_overlap a1 a2 then
+            (fun (a2 : access) ->
+              if (a1.write || a2.write) && spaces_may_overlap a1 a2 then
                 report s1 s2
                   (compare_pair f ~ivs ~varying_blocks def_block a1 a2)
                   a1 a2)
@@ -518,5 +375,5 @@ let check_func (p : P.t) ~touch (f : F.t) : Diag.t list =
   end
 
 let check (p : P.t) : Diag.t list =
-  let touch = touch_sets p in
-  Diag.dedup (List.concat_map (check_func p ~touch) p.funcs)
+  let an = Access.of_program p in
+  Diag.dedup (List.concat_map (check_func p an) p.funcs)

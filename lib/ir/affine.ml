@@ -1,11 +1,8 @@
 (** Affine address forms: [base + Σ coeff·leaf + konst].
 
-    The base is an array address and each leaf a value an analysis
-    cannot see through; both are type parameters, because μIR
-    construction resolves bases to word addresses and keys leaves by
-    register, while the race analysis names bases by global and keys
-    leaves by function and register.  What an operand expands to is
-    each analysis's own rule; this module is the arithmetic they share.
+    The base is an array and each leaf a value an analysis cannot see
+    through; both are type parameters.  {!Access} expands addresses
+    into these forms for μIR construction and race detection alike.
 
     Forms are kept normalised — leaves sorted, no zero coefficient —
     so two forms denote the same function exactly when they are

@@ -23,7 +23,7 @@ module F = Muir_ir.Func
 module I = Muir_ir.Instr
 module T = Muir_ir.Types
 module P = Muir_ir.Program
-module A = Muir_ir.Affine
+module Access = Muir_ir.Access
 
 type port = G.node_id * int
 
@@ -55,10 +55,7 @@ type st = {
   loop_task : (string * I.label, G.task_id) Hashtbl.t;
   livein_regs : (G.task_id, I.reg list) Hashtbl.t;
   liveout_regs : (G.task_id, I.reg list) Hashtbl.t;
-  func_touch : (string, (int * bool) list) Hashtbl.t;
-      (** memory-space footprint (space, writes?) of a function,
-          transitively through its calls *)
-  loop_touch : (string * I.label, (int * bool) list) Hashtbl.t;
+  mem : Access.t;  (** the access analysis: address forms, footprints *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -150,150 +147,25 @@ let loop_liveouts (f : F.t) (lp : F.loop_info) : I.reg list =
   in
   List.filter used_outside phis
 
-(** Allocation-site points-to: trace an address operand back to the
-    global array it indexes.  Returns 0 (the unified global space)
-    when the base cannot be identified. *)
-let rec space_of_operand (st : st) (f : F.t) (op : I.operand) : int =
-  match op with
-  | GlobalAddr g -> (P.find_global st.prog g).gspace
-  | Reg r -> (
-    match F.find_instr f r with
-    | Some { kind = Gep { base; _ }; _ } -> space_of_operand st f base
-    | Some { kind = Bin ((Add | Sub), a, b); _ } ->
-      let sa = space_of_operand st f a and sb = space_of_operand st f b in
-      if sa <> 0 then sa else sb
-    | _ -> 0)
-  | _ -> 0
-
 let global_base (st : st) (g : string) = (P.find_global st.prog g).gbase
 
-(* ------------------------------------------------------------------ *)
-(* Affine address analysis (the dependence side of Algorithm 2)         *)
+(** The space of a global array; 0, the unified global space, when the
+    array is unknown. *)
+let space_id (st : st) : string option -> int = function
+  | Some g -> (P.find_global st.prog g).gspace
+  | None -> 0
 
-(** Address as an affine form over the resolved global base address,
-    whose leaf registers are values the expansion cannot see through
-    (phis and function parameters).  Used to prove that pipelined loop
-    iterations touch distinct addresses and need no serializing
-    memory-order chain.  [shl] is not expanded, and an operand outside
-    the rules below has no form. *)
-type affine = (int, I.reg) A.t
-
-let rec affine_of (st : st) (f : F.t) ?(depth = 12) (op : I.operand) :
-    affine option =
-  let ( let* ) = Option.bind in
-  if depth = 0 then None
-  else
-    let recurse o = affine_of st f ~depth:(depth - 1) o in
-    match op with
-    | CInt c -> Some (A.const (Int64.to_int c))
-    | CBool _ | CFloat _ -> None
-    | GlobalAddr g -> Some (A.of_base (global_base st g))
-    | Reg r -> (
-      match F.find_instr f r with
-      | None | Some { kind = Phi _; _ } ->
-        (* function parameter or phi: leaf *)
-        Some (A.leaf r)
-      | Some { kind = Gep { base; index; scale }; _ } ->
-        let* b = recurse base in
-        let* i = recurse index in
-        let* i = A.scale scale i in
-        A.add b i
-      | Some { kind = Bin (Add, a, b); _ } ->
-        let* x = recurse a in
-        let* y = recurse b in
-        A.add x y
-      | Some { kind = Bin (Sub, a, b); _ } ->
-        let* x = recurse a in
-        let* y = recurse b in
-        let* y = A.scale (-1) y in
-        A.add x y
-      | Some { kind = Bin (Mul, a, CInt k) | Bin (Mul, CInt k, a); _ } ->
-        let* x = recurse a in
-        A.scale (Int64.to_int k) x
-      | Some _ -> None)
+(** The (space, writes?) pairs of a footprint that follows calls only:
+    Cilk's race-freedom contract means spawned effects are ordered by
+    [sync], not by the memory-order chains. *)
+let footprint_ids (st : st) (touch : Access.touch) : (int * bool) list =
+  List.map (fun (g, w) -> (space_id st g, w)) touch
 
 (* ------------------------------------------------------------------ *)
 (* Stage 1: enumerate tasks                                             *)
 
 let task_of_loop_name (f : F.t) (lp : F.loop_info) =
   Fmt.str "%s.loop%d" f.name lp.header
-
-(** Memory-space footprints.  [compute_touch] runs a fixpoint over the
-    call graph so that a task's footprint includes everything its
-    callees touch — the collapsed-call ordering chains below depend on
-    it.  Spawned children are excluded: Cilk's race-freedom contract
-    means their effects are ordered by [sync], not by the chains. *)
-let direct_touch (st : st) (f : F.t) (labels : I.label list) :
-    (int * bool) list * string list =
-  let touches = ref [] and callees = ref [] in
-  let add sp w =
-    if not (List.mem (sp, w) !touches) then touches := (sp, w) :: !touches
-  in
-  List.iter
-    (fun l ->
-      let b = F.block f l in
-      List.iter
-        (fun (ins : I.t) ->
-          match (I.mem_access ins, ins.kind) with
-          | Some (addr, writes), _ -> add (space_of_operand st f addr) writes
-          | None, Call { callee; _ } ->
-            if not (List.mem callee !callees) then
-              callees := callee :: !callees
-          | _ -> ())
-        b.instrs)
-    labels;
-  (!touches, !callees)
-
-let compute_touch (st : st) : unit =
-  let func_callees = Hashtbl.create 8 in
-  List.iter
-    (fun (f : F.t) ->
-      let labels = List.map (fun (b : F.block) -> b.label) f.blocks in
-      let t, cs = direct_touch st f labels in
-      Hashtbl.replace st.func_touch f.name t;
-      Hashtbl.replace func_callees f.name cs)
-    st.prog.funcs;
-  (* fixpoint over calls *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (f : F.t) ->
-        let cur = Hashtbl.find st.func_touch f.name in
-        let extra =
-          List.concat_map
-            (fun c -> try Hashtbl.find st.func_touch c with Not_found -> [])
-            (Hashtbl.find func_callees f.name)
-        in
-        let merged =
-          List.fold_left
-            (fun acc t -> if List.mem t acc then acc else t :: acc)
-            cur extra
-        in
-        if List.length merged <> List.length cur then begin
-          Hashtbl.replace st.func_touch f.name merged;
-          changed := true
-        end)
-      st.prog.funcs
-  done;
-  (* per-loop footprints: body blocks + callees inside the body *)
-  List.iter
-    (fun (f : F.t) ->
-      List.iter
-        (fun (lp : F.loop_info) ->
-          let t, cs = direct_touch st f lp.body in
-          let full =
-            List.fold_left
-              (fun acc c ->
-                List.fold_left
-                  (fun acc t -> if List.mem t acc then acc else t :: acc)
-                  acc
-                  (try Hashtbl.find st.func_touch c with Not_found -> []))
-              t cs
-          in
-          Hashtbl.replace st.loop_touch (f.name, lp.header) full)
-        f.loops)
-    st.prog.funcs
 
 let stage1 (st : st) =
   List.iter
@@ -352,7 +224,7 @@ type rctx = {
   edge_pred : (I.label * I.label, port) Hashtbl.t;
   rty : (I.reg, T.ty) Hashtbl.t;
   mutable rets : (port * [ `Port of port | `Imm of T.value ] option) list;
-  mutable mem_order : ((int * bool) list * port * affine option) list;
+  mutable mem_order : ((int * bool) list * port * Access.form option) list;
       (** (touched (space, writes?) list, done port, address form),
           program order (reversed).  Entries are plain memory ops or
           collapsed calls whose children touch memory. *)
@@ -496,14 +368,11 @@ let note_call (ctx : rctx) (n : G.node) (touches : (int * bool) list) =
           ctx.has_store <- sp :: ctx.has_store)
       touches
 
-(** Record a memory node for the ordering chains.  A tile access
-    sweeps a rectangle, so it has no single address form. *)
-let note_memory (ctx : rctx) (space : int) (n : G.node) ~is_store ~tile
-    ~(addr : I.operand) =
-  let aff = if tile then None else affine_of ctx.st ctx.f addr in
+(** Record a memory node for the ordering chains. *)
+let note_memory (ctx : rctx) (space : int) (n : G.node) ~is_store
+    ~(form : Access.form option) =
   ctx.mem_order <-
-    ([ (space, is_store) ], (n.nid, G.mem_done n), aff)
-    :: ctx.mem_order;
+    ([ (space, is_store) ], (n.nid, G.mem_done n), form) :: ctx.mem_order;
   if is_store && not (mem_int space ctx.has_store) then
     ctx.has_store <- space :: ctx.has_store
 
@@ -512,16 +381,14 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
   (* A memory node takes [pred; addr; rest..], in the order of
      {!G.mem_addr} and the roles after it. *)
   let memory ?label addr rest kind_of =
-    let space = space_of_operand ctx.st ctx.f addr in
-    let kind = kind_of space in
-    let is_store = match kind with G.Store _ | Tstore _ -> true | _ -> false in
-    let tile = match kind with G.Tload _ | Tstore _ -> true | _ -> false in
+    let a = Option.get (Access.access ctx.st.mem ctx.f ins) in
+    let space = space_id ctx.st a.space and is_store = a.write in
     let n =
-      mk ctx ?label ~ty:(if is_store then T.TUnit else ins.ty) kind
+      mk ctx ?label ~ty:(if is_store then T.TUnit else ins.ty) (kind_of space)
         ((`Port pred :: List.map (slot_of ctx) (addr :: rest)) @ after_sync ctx)
         ~trigger:pred
     in
-    note_memory ctx space n ~is_store ~tile ~addr;
+    note_memory ctx space n ~is_store ~form:a.form;
     if not is_store then bind (n.nid, G.load_data)
   in
   let tensor top args =
@@ -563,7 +430,8 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
         ~trigger:pred ~label:("call " ^ callee)
     in
     note_call ctx n
-      (try Hashtbl.find ctx.st.func_touch callee with Not_found -> []);
+      (footprint_ids ctx.st
+         (Access.footprint ctx.st.mem ~spawns:false callee));
     if not (mem_int tid ctx.gt.children) then
       ctx.gt.children <- ctx.gt.children @ [ tid ];
     if not (T.equal_ty ins.ty T.TUnit) then bind (n.nid, 1)
@@ -597,8 +465,8 @@ let lower_inner_loop (ctx : rctx) ~(pred : port) (lp : F.loop_info)
       ~label:(Fmt.str "loop bb%d" lp.header)
   in
   note_call ctx n
-    (try Hashtbl.find ctx.st.loop_touch (ctx.f.name, lp.header)
-     with Not_found -> []);
+    (footprint_ids ctx.st
+       (Access.touch ctx.st.mem ~spawns:false ctx.f lp.body));
   if not (mem_int tid ctx.gt.children) then
     ctx.gt.children <- ctx.gt.children @ [ tid ];
   List.iteri (fun i r -> Hashtbl.replace ctx.def r (n.nid, i + 1)) liveouts;
@@ -700,7 +568,7 @@ let lower_block (ctx : rctx) ~(region : I.label list)
   | Ret (Some op) -> ctx.rets <- (pred, Some (slot_of ctx op)) :: ctx.rets
 
 (** Add the per-space memory ordering chains.  A space needs no
-    serializing chain when its accesses pass {!Muir_ir.Access}'s
+    serializing chain when its accesses pass {!Access}'s
     cross-wave test, with a leaf's per-wave [step] and whether it is
     [invariant] in the task: successive waves then touch distinct
     addresses (and the same-wave load-before-store order is a value
@@ -712,7 +580,7 @@ let add_memory_chains (ctx : rctx) ~step ~invariant =
     List.exists (fun (sp, _) -> sp = s || sp = 0) touches
   in
   let space_independent s =
-    Muir_ir.Access.distinct_waves ~step ~invariant
+    Access.distinct_waves ~step ~invariant
       (List.filter_map
          (fun (touches, _, aff) ->
            if touches_space touches s then Some aff else None)
@@ -869,7 +737,7 @@ let build_func_task (st : st) (f : F.t) (gt : G.task) =
      tells invocations apart, each with a unit step. *)
   let params = F.param_regs f in
   add_memory_chains ctx
-    ~step:(fun r -> if mem_int r params then Some 1 else None)
+    ~step:(fun (_, r) -> if mem_int r params then Some 1 else None)
     ~invariant:(fun _ -> false);
   emit_func_liveouts ctx ~entry_pred
 
@@ -1023,8 +891,8 @@ let build_loop_task (st : st) (f : F.t) (lp : F.loop_info) (gt : G.task) =
   let ivs = Muir_ir.Loops.inductions f lp in
   let body_defs = defs_in_blocks f lp.body in
   add_memory_chains ctx
-    ~step:(fun r -> List.assoc_opt r ivs)
-    ~invariant:(fun r -> not (mem_int r body_defs));
+    ~step:(fun (_, r) -> List.assoc_opt r ivs)
+    ~invariant:(fun (_, r) -> not (mem_int r body_defs));
   (* Steers: route carried values around the back edge (the loop
      predicate holds) or out (it does not). *)
   let steer ?(label = "") data : G.node =
@@ -1130,10 +998,8 @@ let circuit ?(entry = "main") ?(name = "accelerator") (prog : P.t) :
   let st =
     { prog; tasks = []; next_tid = 0; func_task = Hashtbl.create 8;
       loop_task = Hashtbl.create 8; livein_regs = Hashtbl.create 8;
-      liveout_regs = Hashtbl.create 8; func_touch = Hashtbl.create 8;
-      loop_touch = Hashtbl.create 8 }
+      liveout_regs = Hashtbl.create 8; mem = Access.of_program prog }
   in
-  compute_touch st;
   stage1 st;
   List.iter
     (fun (f : F.t) ->

@@ -26,7 +26,8 @@ let configs : Config.t list =
   List.concat_map
     (fun stack ->
       List.concat_map
-        (fun tiles -> List.map (fun banks -> Config.v ~tiles ~banks stack) [ 1; 2 ])
+        (fun tiles ->
+          List.map (fun banks -> Config.v ~tiles ~banks stack) [ 1; 2 ])
         [ 1; 2; 4 ])
     (Muir_opt.Stacks.names ())
   |> List.filter (fun cfg ->
@@ -41,7 +42,9 @@ let test_replay () =
       (fun (file, src) ->
         let p = Muir_frontend.Frontend.compile src in
         let gv, gold, _ = Interp.run p in
-        let globals = List.map (fun (g : Program.global) -> g.gname) p.globals in
+        let globals =
+          List.map (fun (g : Program.global) -> g.gname) p.globals
+        in
         List.filter_map
           (fun cfg ->
             let p = Muir_frontend.Frontend.compile src in
@@ -74,7 +77,8 @@ let test_races () =
           (fun (d : Muir_analysis.Diag.t) -> d.code = "race")
           (Muir_analysis.Check.program (Muir_frontend.Frontend.compile src))
       in
-      Alcotest.(check bool) (file ^ " reports a race") (is_race f) (races <> []))
+      Alcotest.(check bool)
+        (file ^ " reports a race") (is_race f) (races <> []))
     (Lazy.force corpus)
 
 let () =

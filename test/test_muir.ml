@@ -385,10 +385,10 @@ let circuit_golden =
     ("dense8", "per-category", "95fd759d14ac5dca8e1e78a65bc5f53b");
     ("dense16", "baseline", "4b10727d07bda785d1ff2a1bbcf38493");
     ("dense16", "per-category", "30c630a60430837b8938d816b3fbf971");
-    ("softm8", "baseline", "e79ebf100bd353ffa0f53ab5fff77e96");
-    ("softm8", "per-category", "659991d9ec71555ad16842b83ebf1db1");
-    ("softm16", "baseline", "c13543faecc2acbf614486901e0c5826");
-    ("softm16", "per-category", "6961faf99edb465015dff675fa697f76");
+    ("softm8", "baseline", "0683cb612065add7d57d3e1153703c19");
+    ("softm8", "per-category", "31223f599d838e754b7c545bf39ea68a");
+    ("softm16", "baseline", "5d9f7e1c2c978f22d30c0e5bb78e8335");
+    ("softm16", "per-category", "2d79c5e65aec7b1198bb77d0add609fe");
     ("relu[T]", "baseline", "e682c7a04b8591770ba11b92ed9f1ed8");
     ("relu[T]", "per-category", "810aa1bc70e949d3d8881660baacb294");
     ("2mm[T]", "baseline", "485556e53ef31afcdab27206ec32215b");
@@ -399,8 +399,8 @@ let circuit_golden =
     ("rgb2yuv", "per-category", "bea19efa10d3ee204305939fd1ad570e");
     ("conv1d", "baseline", "a2dd2b1f0d6cb24099e0ddc386c9d0d9");
     ("conv1d", "per-category", "5680b9f06ee208b3f29b70b8b31c2003");
-    ("mlp", "baseline", "3b4b38ad4f69425ae4cb6f77383af83d");
-    ("mlp", "per-category", "4ae61c2548653efc4b2677728238b27d");
+    ("mlp", "baseline", "7379cf5ad533309fff6fd872a4ed4bba");
+    ("mlp", "per-category", "983d27decd29f63979d5b526aa1ca379");
     ("lenet", "baseline", "cd9ceb9753d0aad7494bdb5830208aa0");
     ("lenet", "per-category", "4426844c8aba770343121cd235737296") ]
 

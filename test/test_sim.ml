@@ -241,14 +241,14 @@ let seed_golden =
     ("conv", 36756, 84599);
     ("dense8", 12815, 28699);
     ("dense16", 24583, 57179);
-    ("softm8", 6328, 8976);
-    ("softm16", 11558, 16912);
+    ("softm8", 4949, 8976);
+    ("softm16", 8764, 16912);
     ("relu[T]", 2105, 1451);
     ("2mm[T]", 3906, 4485);
     ("conv[T]", 4064, 4875);
     ("rgb2yuv", 3300, 4390);
     ("conv1d", 11498, 21013);
-    ("mlp", 8904, 10366);
+    ("mlp", 7620, 10366);
     ("lenet", 219204, 640108) ]
 
 let test_kernel_equivalence (w : W.t) () =

@@ -577,10 +577,10 @@ let export_golden =
       "9a9157b562d9e40a57b729e35e5b5339");
     ("conv[T]", "per-category", "324016b115e4147a4800bf3383add67c",
       "f796e9b73d846c04760f1e7f7b81e3c3");
-    ("mlp", "baseline", "363566d2b6c45ae3b544364da23b68b0",
-      "17053bb3d5d8f9ca04ff6f2e1677b098");
-    ("mlp", "per-category", "6c2bbae16f544d24565658e3b3eb4ad9",
-      "56f233cf550f55bfe9655a48680ce0f7") ]
+    ("mlp", "baseline", "b36f95a3aced6b52faeac8b818f52323",
+      "829190d02067acf2d5bb3e4511db80ed");
+    ("mlp", "per-category", "a471a05ca1b05ff26e670f3830874d1d",
+      "f2e8c5ed1f1ca7605aef3a411e3ec700") ]
 
 let test_export_golden () =
   let md5 s = Digest.to_hex (Digest.string s) in
