@@ -23,11 +23,22 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let compile path = Muir_frontend.Frontend.compile (read_file path)
 
+(* A source, report file or daemon path that cannot be read, or an
+   output path that cannot be written, is a usage error: one line naming
+   the file and the reason, then exit 2 (as `bench compare` does). *)
+let file_error path reason =
+  Fmt.epr "%s@."
+    (if String.starts_with ~prefix:path reason then reason
+     else path ^ ": " ^ reason);
+  exit 2
+
 (* Run [f], which compiles the source at [path]: a source the frontend
    rejects prints one line naming the file, the position and the
-   reason, then exits 1. *)
+   reason, then exits 1; a source that cannot be read, such as a
+   directory, is a file error. *)
 let handle_frontend path f =
   try f () with
+  | Sys_error e -> file_error path e
   | e -> (
     match Muir_frontend.Frontend.describe_error e with
     | Some msg ->
@@ -35,12 +46,19 @@ let handle_frontend path f =
       exit 1
     | None -> raise e)
 
-(* EXIT STATUS row of every command that compiles a source file. *)
-let frontend_exit =
-  Cmd.Exit.info 1
+(* EXIT STATUS rows of every command that compiles a source file. *)
+let source_exit =
+  Cmd.Exit.info 2
     ~doc:
-      "on a source the frontend rejects; one line on standard error names \
-       the file, the position and the reason."
+      "on a source that cannot be read, such as a directory; one line on \
+       standard error names the path and the reason."
+
+let frontend_exits =
+  [ Cmd.Exit.info 1
+      ~doc:
+        "on a source the frontend rejects; one line on standard error \
+         names the file, the position and the reason.";
+    source_exit ]
 
 (* -O pass parsing *)
 let parse_pass (s : string) : Muir_opt.Pass.t list option =
@@ -167,18 +185,9 @@ let ir_cmd =
         Fmt.pr "%a@." Muir_ir.Program.pp (compile path))
   in
   Cmd.v
-    (Cmd.info "ir" ~exits:(frontend_exit :: Cmd.Exit.defaults)
+    (Cmd.info "ir" ~exits:(frontend_exits @ Cmd.Exit.defaults)
        ~doc:"Print the compiler IR of a program.")
     Term.(const run $ file_arg)
-
-(* A report file that cannot be read or parsed, or an output path that
-   cannot be written, is a usage error: one line naming the file and the
-   reason, then exit 2 (as `bench compare` does). *)
-let file_error path reason =
-  Fmt.epr "%s@."
-    (if String.starts_with ~prefix:path reason then reason
-     else path ^ ": " ^ reason);
-  exit 2
 
 let write_file f s =
   (try
@@ -285,7 +294,7 @@ let graph_cmd =
             ~doc:
               "on an unknown target (neither a file nor a tensor-graph \
                model); the valid models are listed on standard error."
-         :: frontend_exit :: output_exit :: Cmd.Exit.defaults)
+         :: frontend_exits @ output_exit :: Cmd.Exit.defaults)
        ~doc:
          "Print the μIR circuit of a source file, or the operator \
           graph of a tensor-graph model.")
@@ -325,7 +334,7 @@ let dot_cmd =
         | Some f -> write_file f dot)
   in
   Cmd.v
-    (Cmd.info "dot" ~exits:(frontend_exit :: output_exit :: workload_exits)
+    (Cmd.info "dot" ~exits:(frontend_exits @ output_exit :: workload_exits)
        ~doc:"Render the μIR circuit as a Graphviz digraph.")
     Term.(const run $ target_arg $ passes_arg $ unroll_arg $ out $ prof_flag)
 
@@ -489,7 +498,7 @@ let check_cmd =
                file, the position and the reason)."
          :: Cmd.Exit.info 3
               ~doc:"with $(b,--strict), on warnings but no errors."
-         :: output_exit :: workload_exits)
+         :: source_exit :: output_exit :: workload_exits)
        ~doc:
          "Run the static analyses on a program's circuit: deadlock and \
           starvation on the dataflow graph, buffer-sizing imbalance, \
@@ -516,7 +525,7 @@ let chisel_cmd =
   in
   Cmd.v
     (Cmd.info "chisel"
-       ~exits:(frontend_exit :: output_exit :: Cmd.Exit.defaults)
+       ~exits:(frontend_exits @ output_exit :: Cmd.Exit.defaults)
        ~doc:"Emit Chisel for the accelerator.")
     Term.(const run $ file_arg $ passes_arg $ out)
 
@@ -551,7 +560,7 @@ let simulate_cmd =
           (Muir_ir.Types.value_to_string r.value))
   in
   Cmd.v
-    (Cmd.info "simulate" ~exits:(frontend_exit :: workload_exits)
+    (Cmd.info "simulate" ~exits:(frontend_exits @ workload_exits)
        ~doc:"Cycle-accurate simulation of the accelerator.")
     Term.(const run $ target_arg $ passes_arg $ unroll_arg)
 
@@ -664,7 +673,7 @@ let profile_cmd =
               "on a report file (with $(b,--diff)) that cannot be read or \
                parsed, or an output path that cannot be written; one line \
                on standard error names the file and the reason."
-         :: frontend_exit :: workload_exits)
+         :: frontend_exits @ workload_exits)
        ~doc:
          "Simulate with cycle-level tracing and print the bottleneck \
           report: top stalled nodes with their dominant cause, stall \
@@ -776,7 +785,7 @@ let explore_cmd =
   in
   Cmd.v
     (Cmd.info "explore"
-       ~exits:(frontend_exit :: output_exit :: workload_exits)
+       ~exits:(frontend_exits @ output_exit :: workload_exits)
        ~doc:
          "Design-space exploration: enumerate μopt stacks × tiling \
           width × banking (× per-pass on/off), evaluate each with the \
@@ -801,7 +810,7 @@ let synth_cmd =
           (Muir_model.Model.asic d))
   in
   Cmd.v
-    (Cmd.info "synth" ~exits:(frontend_exit :: Cmd.Exit.defaults)
+    (Cmd.info "synth" ~exits:(frontend_exits @ Cmd.Exit.defaults)
        ~doc:"FPGA/ASIC synthesis estimates.")
     Term.(const run $ file_arg $ passes_arg)
 
@@ -1157,7 +1166,9 @@ let client_cmd =
                       { name =
                           Filename.remove_extension
                             (Filename.basename target);
-                        text = read_file target }
+                        text =
+                          (try read_file target
+                           with Sys_error e -> file_error target e) }
                   else P.Workload target
                 in
                 { P.it_id = i; it_src = src; it_stack = stack;
@@ -1217,10 +1228,11 @@ let client_cmd =
        ~exits:
          (Cmd.Exit.info 2
             ~doc:
-              "on a $(b,--batch) file that cannot be read or parsed, an \
-               output path that cannot be written, a daemon that cannot \
-               be reached or a malformed metrics exposition; one line on \
-               standard error names the file or the reason."
+              "on a source or $(b,--batch) file that cannot be read, a \
+               batch that cannot be parsed, an output path that cannot \
+               be written, a daemon that cannot be reached or a \
+               malformed metrics exposition; one line on standard error \
+               names the file or the reason."
          :: Cmd.Exit.defaults)
        ~doc:
          "Send a batch to a running $(b,muirc serve) daemon and print \

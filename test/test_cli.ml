@@ -1,10 +1,11 @@
 (* The command-line surface fails with a structured error, never an
    uncaught exception: every subcommand that resolves a workload name
    rejects an unknown one with exit code 2, lists the valid names on
-   standard error, and documents that code in its EXIT STATUS.  Report
-   files that cannot be read, output paths that cannot be written and
-   daemon paths that cannot be opened also exit 2, with one line naming
-   the file; an output path fails before the work that would fill it.
+   standard error, and documents that code in its EXIT STATUS.  Sources
+   and report files that cannot be read, output paths that cannot be
+   written and daemon paths that cannot be opened also exit 2, with one
+   line naming the file; an output path fails before the work that would
+   fill it.
    A source the frontend rejects exits 1 with one line naming the file
    and the position.  A malformed option value is cmdliner's usage
    error, 124: so are a tile or bank count out of range and a refresh
@@ -226,6 +227,12 @@ let rejected_sources =
     ("func void f() { }\nfunc void f() { }\nfunc void main() { }\n",
      "type error at 2:1") ]
 
+(* [s] with its line breaks and runs of spaces made single spaces. *)
+let squash s =
+  String.split_on_char ' ' (String.concat " " (String.split_on_char '\n' s))
+  |> List.filter (( <> ) "")
+  |> String.concat " "
+
 let test_rejected_source cmd () =
   List.iter
     (fun (src, want) ->
@@ -243,14 +250,28 @@ let test_rejected_source cmd () =
         Alcotest.failf "%s: uncaught exception:@.%s" cmd text)
     rejected_sources;
   let _, help = muirc_run [ cmd; "--help=plain" ] in
-  let words = String.concat " " (String.split_on_char '\n' help) in
-  let squashed =
-    String.concat " "
-      (List.filter (( <> ) "") (String.split_on_char ' ' words))
-  in
-  if not (contains squashed "on a source the frontend rejects") then
+  if not (contains (squash help) "on a source the frontend rejects") then
     Alcotest.failf "%s --help: EXIT STATUS does not document code 1:@.%s" cmd
       help
+
+(* A directory given as the source ([args] then the directory): exit 2
+   with one line naming it, and the EXIT STATUS documents that code
+   ([doc]). *)
+let test_directory_source ?(doc = "on a source that cannot be read") args
+    () =
+  let d = Filename.temp_dir "muirc" ".mc" in
+  let code, text = muirc_run (args @ [ d ]) in
+  Sys.rmdir d;
+  let what = String.concat " " args ^ " DIR" in
+  Alcotest.(check int) (what ^ ": exit code") 2 code;
+  Alcotest.(check int) (what ^ ": lines printed") 1
+    (List.length (String.split_on_char '\n' (String.trim text)));
+  if not (contains text d) || contains text "exception" then
+    Alcotest.failf "%s: not one line naming %s:@.%s" what d text;
+  let _, help = muirc_run [ List.hd args; "--help=plain" ] in
+  if not (contains (squash help) doc) then
+    Alcotest.failf "%s --help: EXIT STATUS does not document code 2:@.%s"
+      what help
 
 (* [workload --list] needs no NAME: one line per bundled workload. *)
 let test_workload_list () =
@@ -345,6 +366,15 @@ let () =
         List.map
           (fun cmd -> Alcotest.test_case cmd `Quick (test_rejected_source cmd))
           frontend_commands );
+      ( "directory source",
+        List.map
+          (fun cmd ->
+            Alcotest.test_case cmd `Quick (test_directory_source [ cmd ]))
+          frontend_commands
+        @ [ Alcotest.test_case "client" `Quick
+              (test_directory_source
+                 ~doc:"on a source or --batch file that cannot be read"
+                 [ "client"; "--socket"; missing_dir_path "s.sock" ]) ] );
       ( "workload flags",
         [ Alcotest.test_case "simulate gemm -U" `Quick test_unroll_workload ]
       ) ]
