@@ -20,23 +20,18 @@ let level_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-
 type t = {
   lg_sink : (string -> unit) option;
-  lg_min : level;
   lg_clock : unit -> float;
   mutable lg_seq : int;  (** next sequence number; counts emitted records *)
 }
 
 (** A logger that drops everything; the default everywhere so telemetry
     never changes behaviour unless asked for. *)
-let null () : t =
-  { lg_sink = None; lg_min = Error; lg_clock = (fun () -> 0.0); lg_seq = 0 }
+let null () : t = { lg_sink = None; lg_clock = (fun () -> 0.0); lg_seq = 0 }
 
-let create ?(min_level = Debug) ?(clock = Unix.gettimeofday)
-    (sink : string -> unit) : t =
-  { lg_sink = Some sink; lg_min = min_level; lg_clock = clock; lg_seq = 0 }
+let create ?(clock = Unix.gettimeofday) (sink : string -> unit) : t =
+  { lg_sink = Some sink; lg_clock = clock; lg_seq = 0 }
 
 (** Sink writing one line per record, flushed so a [tail -f] or a
     crashed daemon never hides records. *)
@@ -46,18 +41,13 @@ let to_channel (oc : out_channel) : string -> unit =
   output_char oc '\n';
   flush oc
 
-let enabled (t : t) (lvl : level) : bool =
-  match t.lg_sink with
-  | None -> false
-  | Some _ -> level_rank lvl >= level_rank t.lg_min
-
 (** Emit one record.  [fields] follow the fixed header fields; the
     sequence number only advances on records that are actually
     written, so a file of N lines always carries seq 0..N-1. *)
 let event (t : t) ?(level = Info) (name : string)
     (fields : (string * J.t) list) : unit =
   match t.lg_sink with
-  | Some sink when level_rank level >= level_rank t.lg_min ->
+  | Some sink ->
     let record =
       J.Obj
         ([ ("seq", J.Int t.lg_seq);

@@ -198,7 +198,6 @@ let add (c : counter) (n : int) : unit =
   c.cv <- c.cv + n
 
 let set (g : gauge) (n : int) : unit = g.gv <- n
-let gauge_add (g : gauge) (n : int) : unit = g.gv <- g.gv + n
 
 (** One observation: one bounded scan for the bucket (bounds are
     inclusive upper limits, [v <= hb.(i)]), three field updates. *)

@@ -87,7 +87,7 @@ let test_registry_identity () =
   (* gauges are not *)
   let g = M.gauge r "t_depth" in
   M.set g 5;
-  M.gauge_add g (-8);
+  M.set g (-3);
   Alcotest.(check int) "gauge goes negative" (-3) (M.gauge_value g)
 
 (* --- quantile interpolation ------------------------------------------ *)
@@ -227,13 +227,11 @@ let test_log_golden () =
   in
   let buf = Buffer.create 256 in
   let log =
-    Log.create ~min_level:Log.Info ~clock (fun line ->
+    Log.create ~clock (fun line ->
         Buffer.add_string buf line;
         Buffer.add_char buf '\n')
   in
   Log.event log "accept" [ ("client", J.Int 0) ];
-  (* Below the threshold: not written, no seq consumed, clock untouched. *)
-  Log.event log ~level:Log.Debug "probe" [ ("k", J.Str "x") ];
   Log.event log ~level:Log.Warn "reject"
     [ ("code", J.Str "overloaded"); ("queue_depth", J.Int 7) ];
   Log.event log ~level:Log.Error "boom" [ ("msg", J.Str "a\"b") ];
@@ -262,11 +260,8 @@ let test_log_golden () =
           (J.member "level" v <> None && J.member "event" v <> None)
       end)
     (String.split_on_char '\n' (Buffer.contents buf));
-  (* The null logger writes nothing and reports itself disabled. *)
-  let nl = Log.null () in
-  Alcotest.(check bool) "null logger disabled" false
-    (Log.enabled nl Log.Error);
-  Log.event nl "ignored" []
+  (* The null logger has nowhere to write and takes records anyway. *)
+  Log.event (Log.null ()) "ignored" []
 
 (* --- spans and Chrome trace export ----------------------------------- *)
 
