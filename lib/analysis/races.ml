@@ -19,9 +19,10 @@
     Independence is then arithmetic:
 
     - forms that differ by a nonzero constant never collide;
-    - forms with one equal nonzero induction coefficient collide only
-      when the iteration distance hits [-δ/c], impossible when [δ = 0]
-      or [c ∤ δ];
+    - forms with one equal nonzero coefficient [c] on the induction
+      of the only loop that re-dispatches the spawn, its only one,
+      collide only when the iteration distance hits [-δ/c], impossible
+      when [δ = 0] or [c ∤ δ];
     - equal forms with no induction dependence collide on every pair
       of iterations — a provable race, reported as an error;
     - anything the analysis cannot see through (distinct arrays
@@ -155,27 +156,34 @@ let sync_free_region (f : F.t) (s : site) :
 
 (** Inductions of the loops that can re-dispatch [s] without an
     intervening sync — the registers whose values distinguish two
-    concurrent instances of the same spawn site.  Another header phi
-    may hold one value in two iterations, so it distinguishes
-    nothing. *)
+    concurrent instances of the same spawn site — and those loops'
+    blocks.  Another header phi may hold one value in two iterations,
+    so it distinguishes nothing.  The third result is the one
+    variable that alone tells every pair of instances apart: the
+    induction of the only such loop, when it has exactly one.  With
+    two loops, instances from two iterations of one can share the
+    other's value. *)
 let varying_ivs (f : F.t) (s : site) (term_free : (I.label, unit) Hashtbl.t)
-    : (leaf list * I.label list) =
+    : leaf list * I.label list * leaf option =
   let lps =
     List.filter
       (fun (lp : F.loop_info) ->
         List.mem s.sblock lp.body && Hashtbl.mem term_free lp.latch)
       f.loops
   in
-  let ivs =
-    List.concat_map
-      (fun (lp : F.loop_info) ->
-        List.map
-          (fun (r, _) -> ((f.name, r) : leaf))
-          (Muir_ir.Loops.inductions f lp))
-      lps
+  let ivs_of (lp : F.loop_info) =
+    List.map
+      (fun (r, _) -> ((f.name, r) : leaf))
+      (Muir_ir.Loops.inductions f lp)
   in
+  let ivs = List.concat_map ivs_of lps in
   let bodies = List.concat_map (fun (lp : F.loop_info) -> lp.body) lps in
-  (List.sort_uniq compare ivs, List.sort_uniq compare bodies)
+  let key =
+    match lps with
+    | [ lp ] -> (match ivs_of lp with [ v ] -> Some v | _ -> None)
+    | _ -> None
+  in
+  (List.sort_uniq compare ivs, List.sort_uniq compare bodies, key)
 
 (* ------------------------------------------------------------------ *)
 (* Independence arithmetic                                             *)
@@ -197,7 +205,7 @@ let shared_leaf (f : F.t) ~(ivs : leaf list) ~(varying_blocks : I.label list)
     | Some b -> not (List.mem b varying_blocks)
     | None -> false
 
-let compare_pair (f : F.t) ~(ivs : leaf list)
+let compare_pair (f : F.t) ~(ivs : leaf list) ~(key : leaf option)
     ~(varying_blocks : I.label list)
     (def_block : (I.reg, I.label) Hashtbl.t) (a1 : access) (a2 : access) :
     verdict =
@@ -243,9 +251,9 @@ let compare_pair (f : F.t) ~(ivs : leaf list)
           (* no induction dependence: same address every pair of
              iterations, or a constant separation *)
           if delta = 0 then Definite else Safe
-        | [ (_, c1, c2) ] when c1 = c2 && List.length ivs = 1 ->
-          (* one distinguishing iv: collision needs c·Δ = -δ with
-             Δ ≠ 0 *)
+        | [ (l, c1, c2) ] when c1 = c2 && key = Some l ->
+          (* the one distinguishing iv: collision needs c·Δ = -δ
+             with Δ ≠ 0 *)
           if delta = 0 || delta mod c1 <> 0 then Safe else Maybe
         | _ -> Maybe
       end
@@ -324,14 +332,14 @@ let check_func (p : P.t) (an : Access.t) (f : F.t) : Diag.t list =
             what (space_name sp)
           :: !diags
     in
-    let compare_sites (s1, sum1) (s2, sum2) ~ivs ~varying_blocks =
+    let compare_sites (s1, sum1) (s2, sum2) ~ivs ~key ~varying_blocks =
       List.iter
         (fun (a1 : access) ->
           List.iter
             (fun (a2 : access) ->
               if (a1.write || a2.write) && spaces_may_overlap a1 a2 then
                 report s1 s2
-                  (compare_pair f ~ivs ~varying_blocks def_block a1 a2)
+                  (compare_pair f ~ivs ~key ~varying_blocks def_block a1 a2)
                   a1 a2)
             sum2)
         sum1
@@ -340,9 +348,9 @@ let check_func (p : P.t) (an : Access.t) (f : F.t) : Diag.t list =
     List.iter
       (fun ((s : site), (hits, term_free)) ->
         if Hashtbl.mem hits s.sinstr.id then begin
-          let ivs, varying_blocks = varying_ivs f s term_free in
+          let ivs, varying_blocks, key = varying_ivs f s term_free in
           let sum = List.assq s summaries in
-          compare_sites (s, sum) (s, sum) ~ivs ~varying_blocks
+          compare_sites (s, sum) (s, sum) ~ivs ~key ~varying_blocks
         end)
       regions;
     (* cross pairs: two distinct sites, either order sync-free *)
@@ -367,7 +375,8 @@ let check_func (p : P.t) (an : Access.t) (f : F.t) : Diag.t list =
                     else [])
                   f.loops
               in
-              compare_sites (s1, sum1) (s2, sum2) ~ivs:[] ~varying_blocks
+              compare_sites (s1, sum1) (s2, sum2) ~ivs:[] ~key:None
+                ~varying_blocks
             end)
           regions)
       regions;
