@@ -155,12 +155,6 @@ let space_id (st : st) : string option -> int = function
   | Some g -> (P.find_global st.prog g).gspace
   | None -> 0
 
-(** The (space, writes?) pairs of a footprint that follows calls only:
-    Cilk's race-freedom contract means spawned effects are ordered by
-    [sync], not by the memory-order chains. *)
-let footprint_ids (st : st) (touch : Access.touch) : (int * bool) list =
-  List.map (fun (g, w) -> (space_id st g, w)) touch
-
 (* ------------------------------------------------------------------ *)
 (* Stage 1: enumerate tasks                                             *)
 
@@ -355,12 +349,20 @@ let fu_of_kind (k : I.kind) : G.fu_op =
   | Gep { scale; _ } -> Fgep scale
   | _ -> invalid_arg "fu_of_kind: not a pure op"
 
-(** Record a collapsed call in the ordering chains when its child
-    subtree touches memory. *)
-let note_call (ctx : rctx) (n : G.node) (touches : (int * bool) list) =
-  match touches with
+(** Record a collapsed call — of function [`Func callee], or of the
+    loop whose body is [`Body labels] — in the ordering chains when its
+    child subtree touches memory.  Its footprint follows calls only:
+    Cilk's race-freedom contract means spawned effects are ordered by
+    [sync], not by the memory-order chains. *)
+let note_call (ctx : rctx) (n : G.node) target =
+  let touch =
+    match target with
+    | `Func callee -> Access.footprint ctx.st.mem ~spawns:false callee
+    | `Body labels -> Access.touch ctx.st.mem ~spawns:false ctx.f labels
+  in
+  match List.map (fun (g, w) -> (space_id ctx.st g, w)) touch with
   | [] -> ()
-  | _ ->
+  | touches ->
     ctx.mem_order <- (touches, (n.nid, 0), None) :: ctx.mem_order;
     List.iter
       (fun (sp, w) ->
@@ -429,9 +431,7 @@ let lower_instr (ctx : rctx) ~(pred : port) (ins : I.t) : unit =
         ((`Port pred :: List.map (slot_of ctx) args) @ after_sync ctx)
         ~trigger:pred ~label:("call " ^ callee)
     in
-    note_call ctx n
-      (footprint_ids ctx.st
-         (Access.footprint ctx.st.mem ~spawns:false callee));
+    note_call ctx n (`Func callee);
     if not (mem_int tid ctx.gt.children) then
       ctx.gt.children <- ctx.gt.children @ [ tid ];
     if not (T.equal_ty ins.ty T.TUnit) then bind (n.nid, 1)
@@ -464,9 +464,7 @@ let lower_inner_loop (ctx : rctx) ~(pred : port) (lp : F.loop_info)
       ~trigger:pred
       ~label:(Fmt.str "loop bb%d" lp.header)
   in
-  note_call ctx n
-    (footprint_ids ctx.st
-       (Access.touch ctx.st.mem ~spawns:false ctx.f lp.body));
+  note_call ctx n (`Body lp.body);
   if not (mem_int tid ctx.gt.children) then
     ctx.gt.children <- ctx.gt.children @ [ tid ];
   List.iteri (fun i r -> Hashtbl.replace ctx.def r (n.nid, i + 1)) liveouts;
@@ -731,10 +729,13 @@ let build_func_task (st : st) (f : F.t) (gt : G.task) =
     (fun l -> lower_block ctx ~region ~own_header:None ~entry_pred ~entry l)
     order;
   (* A function task's waves are its invocations, which its callers
-     order: a call to a function that writes memory waits for the
-     previous one to finish, and Cilk's contract orders spawned
-     invocations by [sync].  The test takes the parameters as what
-     tells invocations apart, each with a unit step. *)
+     already order: a call to a function that writes memory waits for
+     the previous one to finish, and Cilk's contract orders spawned
+     invocations by [sync].  That ordering, not this chain, keeps
+     invocations apart.  The test still runs, with a unit step per
+     parameter and nothing invariant: the earlier rule (drop the chain
+     when the one form advances with a parameter) narrowed to forms
+     over parameters alone, kept so that no circuit moves. *)
   let params = F.param_regs f in
   add_memory_chains ctx
     ~step:(fun (_, r) -> if mem_int r params then Some 1 else None)
