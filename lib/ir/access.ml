@@ -79,11 +79,11 @@ let expand (f : Func.t) : (Instr.reg, form) Hashtbl.t =
       Affine.add b si
     | _ -> None
   in
+  (* A result the rules do not fold stays out of [env]: [operand]
+     makes it its own leaf. *)
   Func.iter_instrs
     (fun (i : Instr.t) ->
-      if not (Types.equal_ty i.ty TUnit) then
-        Hashtbl.replace env i.id
-          (Option.value (eval i) ~default:(Affine.leaf (f.name, i.id))))
+      Option.iter (Hashtbl.replace env i.id) (eval i))
     f;
   env
 
