@@ -19,10 +19,10 @@
     Independence is then arithmetic:
 
     - forms that differ by a nonzero constant never collide;
-    - forms with one equal nonzero coefficient [c] on the induction
-      of the only loop that re-dispatches the spawn, its only one,
-      collide only when the iteration distance hits [-δ/c], impossible
-      when [δ = 0] or [c ∤ δ];
+    - when exactly one loop re-dispatches the spawn and it has
+      exactly one induction, forms with one equal nonzero coefficient
+      [c] on that induction collide only when the iteration distance
+      hits [-δ/c], impossible when [δ = 0] or [c ∤ δ];
     - equal forms with no induction dependence collide on every pair
       of iterations — a provable race, reported as an error;
     - anything the analysis cannot see through (distinct arrays

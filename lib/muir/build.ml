@@ -732,10 +732,11 @@ let build_func_task (st : st) (f : F.t) (gt : G.task) =
      already order: a call to a function that writes memory waits for
      the previous one to finish, and Cilk's contract orders spawned
      invocations by [sync].  That ordering, not this chain, keeps
-     invocations apart.  The test still runs, with a unit step per
-     parameter and nothing invariant: the earlier rule (drop the chain
-     when the one form advances with a parameter) narrowed to forms
-     over parameters alone, kept so that no circuit moves. *)
+     invocations apart, so the test here only decides where a chain
+     stays: with a unit step per parameter and nothing invariant, a
+     space keeps its chain unless one form over the parameters alone
+     has a nonzero net stride, a rule kept because it leaves the
+     pinned registry circuits unchanged. *)
   let params = F.param_regs f in
   add_memory_chains ctx
     ~step:(fun (_, r) -> if mem_int r params then Some 1 else None)
