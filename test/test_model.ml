@@ -181,6 +181,78 @@ let test_reports_non_negative () =
       ck "ASIC area >= 0" (a.M.ar_area >= 0.0))
     Muir_opt.Stacks.registry
 
+(* --- golden digest of synthesis ---------------------------------------
+   Rtl.size, Rtl.histogram and both models' reports of one workload
+   under each registry stack at its default knobs, floats printed
+   exactly (%h), so a model change that moves one bit names the
+   workload. *)
+
+module W = Muir_workloads.Workloads
+
+let render_synthesis (w : W.t) : string =
+  let b = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer b in
+  List.iter
+    (fun (s : Muir_opt.Stacks.spec) ->
+      let c = Muir_core.Build.circuit ~name:w.wname (W.program w) in
+      ignore (Muir_opt.Pass.run_all (s.sp_build s.sp_defaults) c);
+      let d = Muir_rtl.Lower.design c in
+      let comps, nets = Muir_rtl.Rtl.size d in
+      let f = M.fpga d and a = M.asic d in
+      Fmt.pf ppf "== %s %d %d@." s.sp_name comps nets;
+      List.iter
+        (fun (k, v) -> Fmt.pf ppf "%s %d@." k v)
+        (Muir_rtl.Rtl.histogram d);
+      Fmt.pf ppf "fpga %h %h %d %d %d %d@." f.fr_mhz f.fr_mw f.fr_alms
+        f.fr_regs f.fr_dsps f.fr_brams;
+      Fmt.pf ppf "asic %h %h %h@." a.ar_ghz a.ar_mw a.ar_area)
+    Muir_opt.Stacks.registry;
+  Format.pp_print_flush ppf ();
+  Buffer.contents b
+
+(* One MD5 of [render_synthesis] per workload.  A change meant to move
+   the model's output re-pins these on purpose. *)
+let synthesis_digests =
+  [ ("gemm", "3dcafbb19e53270b3d809c4a9e09838a");
+    ("covar", "2ca4d63d8224c9ad982ba88c9a15ff0c");
+    ("fft", "abaffc1dc1cbb2060b9322eaf314ba8c");
+    ("fft-buf", "ec825a02292862e3910d4962b2f25be1");
+    ("spmv", "1431fbd68e260d4b0adcf290b636277b");
+    ("2mm", "9a00569406f9bf9d96bcf3b57f59d6b2");
+    ("3mm", "c19b844501b3e0721bdf4635f887bdf8");
+    ("fib", "a9e8bda7ecdd374f6760a93ecddba895");
+    ("msort", "486eb5af5f5943b6af1e01fc21899f53");
+    ("saxpy", "ed6d872c6e01e21ca295fb35df13a13e");
+    ("stencil", "c2bd9e424f13781a29f104d9c4c6ee0a");
+    ("img-scale", "1851174f55c684d6327cd80b590d223e");
+    ("conv", "38c2ad25a2878a57a4fd4da6a9e1f0e8");
+    ("dense8", "0b08593493ad6b131f8c52f4531b1ddb");
+    ("dense16", "0b08593493ad6b131f8c52f4531b1ddb");
+    ("softm8", "635f5dae2be5af7c34f160ba9d19fbd7");
+    ("softm16", "635f5dae2be5af7c34f160ba9d19fbd7");
+    ("relu[T]", "c8d8319349bc4ff22b4ac06b55a051b1");
+    ("2mm[T]", "afc57521891c00e4f515846255f3cc87");
+    ("conv[T]", "e8c277795bd1412922592650ebb6b94f");
+    ("rgb2yuv", "dade8c631771b93ad212324d330da261");
+    ("conv1d", "0ea7f3630854b49496ade2a4d0f9053a");
+    ("mlp", "9ad9f5bfdae9c4141a794209c65d5833");
+    ("lenet", "b7a4e236b58e2a7ace1191cb1d310066") ]
+
+let test_synthesis_digest () =
+  Alcotest.(check (list string))
+    "one digest per workload"
+    (List.map (fun (w : W.t) -> w.wname) W.all)
+    (List.map fst synthesis_digests);
+  List.iter
+    (fun (w : W.t) ->
+      let got = Digest.to_hex (Digest.string (render_synthesis w)) in
+      Alcotest.(check string)
+        (Fmt.str "%s: synthesis digest over %d stacks" w.wname
+           (List.length Muir_opt.Stacks.registry))
+        (List.assoc w.wname synthesis_digests)
+        got)
+    W.all
+
 let prop_area_monotone_in_tiles =
   QCheck.Test.make ~count:6 ~name:"ALMs grow monotonically with tiles"
     QCheck.(int_range 1 3)
@@ -224,5 +296,8 @@ let () =
             test_tiles_monotone;
           Alcotest.test_case "report fields non-negative" `Quick
             test_reports_non_negative ] );
+      ( "golden",
+        [ Alcotest.test_case "synthesis of workloads x stacks" `Quick
+            test_synthesis_digest ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_area_monotone_in_tiles ] ) ]

@@ -57,6 +57,33 @@ let test_uir_delta_much_smaller () =
   Alcotest.(check bool) "rtl delta is much larger" true
     (dn + de >= 5 * (rep.delta_nodes + rep.delta_edges))
 
+(* The circuit-IR deltas `bench table4` prints: (components, nets)
+   touched by tiling 1 -> 2, adding one SRAM and op fusion. *)
+let table4_deltas =
+  [ ("saxpy", [ (139, 105); (4, 0); (22, 44) ]);
+    ("stencil", [ (1024, 930); (6, 0); (104, 201) ]);
+    ("img-scale", [ (995, 882); (4, 0); (126, 239) ]) ]
+
+let test_table4_deltas () =
+  List.iter
+    (fun (name, want) ->
+      let w = Muir_workloads.Workloads.find name in
+      let p = Muir_workloads.Workloads.program w in
+      let delta (pass : Muir_opt.Pass.t) =
+        let c = Build.circuit ~name p in
+        let d0 = Muir_rtl.Lower.design c in
+        ignore (pass.prun c);
+        R.diff d0 (Muir_rtl.Lower.design c)
+      in
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": tile, SRAM, fusion")
+        want
+        (List.map delta
+           [ Muir_opt.Structural.tiling_pass ~tiles:2 ();
+             Muir_opt.Structural.localization_pass ();
+             Muir_opt.Fusion.pass ]))
+    table4_deltas
+
 let test_fusion_saves_registers () =
   let c0 = circuit () and c1 = circuit () in
   ignore (Muir_opt.Fusion.run c1);
@@ -117,7 +144,8 @@ let () =
           Alcotest.test_case "detects change" `Quick
             test_diff_detects_change;
           Alcotest.test_case "uIR much smaller (Table 4)" `Quick
-            test_uir_delta_much_smaller ] );
+            test_uir_delta_much_smaller;
+          Alcotest.test_case "Table 4 deltas" `Quick test_table4_deltas ] );
       ( "chisel",
         [ Alcotest.test_case "emission" `Quick test_chisel_emission;
           Alcotest.test_case "tracks passes" `Quick
