@@ -12,6 +12,7 @@
     path (which is why op fusion is delay-bounded). *)
 
 open Muir_rtl.Rtl
+module Cost = Muir_core.Cost
 
 (** Per-component FPGA costs. *)
 type fpga_cost = {
@@ -22,27 +23,12 @@ type fpga_cost = {
   delay_ns : float;  (** per-stage combinational delay *)
 }
 
-(* Raw combinational delay per op (ns at our FPGA node); one adder
-   unit = 1.55 ns.  A component's stage delay adds the per-stage
-   handshake/routing overhead once — which is exactly what fusing a
-   chain into one stage group saves. *)
+(* A LUT stage's delay is its op's {!Muir_core.Cost.fu_raw_delay} in
+   adder units, one adder unit = 1.55 ns at our FPGA node, plus the
+   per-stage handshake/routing overhead once — which is exactly what
+   fusing a chain into one stage group saves. *)
 let stage_overhead = 0.65
-
-let alu_raw (op : string) ~(bits : int) : float =
-  let scale = float_of_int bits /. 32.0 in
-  let adder = 1.55 in
-  if String.length op >= 4 && String.sub op 0 4 = "icmp" then
-    0.9 *. adder *. scale
-  else
-    match op with
-    | "add" | "sub" | "gep*1" -> adder *. scale
-    | "and" | "or" | "xor" -> 0.35 *. adder
-    | "shl" | "lshr" | "ashr" -> 0.5 *. adder
-    | "select" | "ident" -> 0.4 *. adder
-    | _ -> 0.8 *. adder
-
-let alu_delay (op : string) ~(bits : int) : float =
-  alu_raw op ~bits +. stage_overhead
+let adder_ns = 1.55
 
 let fpga_cost (p : prim) : fpga_cost =
   let z = { alms = 0; regs = 0; dsps = 0; brams = 0; delay_ns = 0.5 } in
@@ -55,35 +41,31 @@ let fpga_cost (p : prim) : fpga_cost =
   | Palu { op; bits } ->
     let alms =
       match op with
-      | "and" | "or" | "xor" -> bits / 3
-      | "shl" | "lshr" | "ashr" -> bits / 2
-      | "select" | "ident" -> bits / 4
+      | Fibin (And | Or | Xor) -> bits / 3
+      | Fibin (Shl | Lshr | Ashr) -> bits / 2
+      | Fselect | Fident -> bits / 4
       | _ -> bits / 2 + 6
     in
-    { z with alms; delay_ns = alu_delay op ~bits }
+    { z with alms;
+      delay_ns = stage_overhead +. (adder_ns *. Cost.fu_raw_delay op) }
   | Pchain { ops; bits } ->
-    let alms =
-      List.fold_left (fun a _op -> a + (bits / 2) + 4) 0 ops
-    in
     (* The technology mapper packs a chained ALU group into shared
        LUT/carry structures, so the group's delay is sub-additive. *)
-    let delay =
-      stage_overhead
-      +. (0.72
-          *. List.fold_left (fun d op -> d +. alu_raw op ~bits) 0.0 ops)
-    in
-    { z with alms; delay_ns = delay }
+    { z with
+      alms = List.length ops * ((bits / 2) + 4);
+      delay_ns =
+        stage_overhead +. (0.72 *. adder_ns *. Cost.chain_delay ops) }
   | Pmul { bits } -> { z with dsps = (bits + 17) / 18; alms = 30; delay_ns = 2.6 }
   | Pdiv { bits } -> { z with alms = bits * 14; delay_ns = 2.9 }
-  | Pfpu { op } -> (
-    match op with
-    | "fexp" | "fsqrt" -> { z with alms = 900; dsps = 2; regs = 700; delay_ns = 2.4 }
-    | "fmul" -> { z with alms = 220; dsps = 1; regs = 260; delay_ns = 2.2 }
-    | _ -> { z with alms = 420; regs = 320; delay_ns = 2.2 })
-  | Ptensor { shape_words; op } ->
-    if op = "tensor.mul" then
-      { z with dsps = 3 * shape_words; alms = 340; regs = 420; delay_ns = 1.9 }
-    else { z with alms = 90 * shape_words; regs = 200; delay_ns = 1.6 }
+  | Pfpu { op = Ffunary (Fexp | Fsqrt) } ->
+    { z with alms = 900; dsps = 2; regs = 700; delay_ns = 2.4 }
+  | Pfpu { op = Ffbin Fmul } ->
+    { z with alms = 220; dsps = 1; regs = 260; delay_ns = 2.2 }
+  | Pfpu _ -> { z with alms = 420; regs = 320; delay_ns = 2.2 }
+  | Ptensor { shape_words; op = Tmul2 } ->
+    { z with dsps = 3 * shape_words; alms = 340; regs = 420; delay_ns = 1.9 }
+  | Ptensor { shape_words; _ } ->
+    { z with alms = 90 * shape_words; regs = 200; delay_ns = 1.6 }
   | Pmux { ways; bits } ->
     let lg = int_of_float (Float.ceil (Float.log2 (float_of_int (max 2 ways)))) in
     { z with alms = bits * lg / 3;

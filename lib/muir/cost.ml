@@ -10,8 +10,9 @@
     add(2) + steer(2)), and what the op-fusion pass removes by
     collapsing a chain into one stage group.
 
-    The synthesis model in [Muir_model] independently derives clock
-    frequency from the same primitives' combinational delays.
+    [fu_raw_delay] is the one per-op combinational delay table: the
+    op-fusion pass budgets a chain with it, and the synthesis model in
+    [Muir_model] prices every LUT stage and fused stage group from it.
 
     The last section states how the simulation kernel runs a circuit
     — output-ring depth, wave-pipelined loops, dynamically-instanced
@@ -41,16 +42,6 @@ let fu_cost : G.fu_op -> t = function
   | Fselect | Fgep _ -> alu
   | Fident -> one
 
-(** Does a fused chain contain a long-delay primitive (forcing an
-    extra stage so frequency is not robbed)? *)
-let heavy_chain (ops : G.fu_op list) : bool =
-  List.exists
-    (function
-      | G.Fibin I.Mul | G.Fibin (I.Sdiv | I.Srem)
-      | G.Ffbin _ | G.Ffunary (I.Fexp | I.Fsqrt) | G.Fcast _ -> true
-      | _ -> false)
-    ops
-
 (** Tile ops: the baseline (shared FU) implementation serializes the
     scalar operations of the tile through one multiplier and one adder
     (Fig. 14 left); the dedicated reduction-tree unit installed by the
@@ -69,28 +60,31 @@ let tensor_cost (top : G.tensor_op) ~(dedicated : bool) : t =
     | Trelu2 -> { latency = 5; ii = 4 }
 
 (** Raw combinational delay of a scalar opcode, in "adder units"
-    (a 32-bit carry chain = 1.0): the op-fusion pass's chain budget.
-    The synthesis model does not read this table.  Its own
-    string-keyed [Muir_model.Model.alu_raw] differs: a [gep] with a
-    scale other than 1 is 1.0 here and 0.8 there, a cast 1.8 here and
-    0.8 there, and only the model scales add, sub and icmp by operand
-    width. *)
+    (a 32-bit carry chain = 1.0).  The op-fusion pass reads the
+    fusable ops; the synthesis model reads every op that lowers to LUT
+    logic (the fusable ops and casts).  Mul, div and FP ops lower to
+    macros the model prices with its own delays, so neither consumer
+    reads their entries. *)
 let fu_raw_delay : G.fu_op -> float = function
   | Fibin (I.Add | I.Sub) | Fgep _ -> 1.0
   | Fibin (I.And | I.Or | I.Xor) -> 0.35
   | Fibin (I.Shl | I.Lshr | I.Ashr) -> 0.5
   | Ficmp _ -> 0.9
   | Fselect | Fident -> 0.4
+  | Fcast _ -> 0.8
   | Fibin I.Mul -> 2.2
   | Fibin (I.Sdiv | I.Srem) -> 2.6
-  | Ffbin _ | Ffcmp _ | Ffunary _ | Fcast _ -> 1.8
+  | Ffbin _ | Ffcmp _ | Ffunary _ -> 1.8
+
+(** Total raw delay of a fused chain, in adder units. *)
+let chain_delay (ops : G.fu_op list) : float =
+  List.fold_left (fun d op -> d +. fu_raw_delay op) 0.0 ops
 
 let node_cost (k : G.node_kind) : t =
   match k with
   | Compute op -> fu_cost op
-  | Fused ops | FusedSteer ops ->
-    (* One stage group: a single handshake for the whole chain. *)
-    { latency = (if heavy_chain ops then 3 else 2); ii = 1 }
+  | Fused _ | FusedSteer _ ->
+    alu (* one stage group: a single handshake for the whole chain *)
   | Merge _ -> alu
   | MergeLoop -> one
   | Steer -> alu

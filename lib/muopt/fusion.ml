@@ -11,7 +11,8 @@
 
     Fusion is bounded ([max_chain] operations, [budget] of delay) so
     the resulting stage does not rob frequency — the synthesis model
-    charges the summed combinational delay of the fused group. *)
+    charges the fused group's {!Muir_core.Cost.chain_delay}, the same
+    sum this pass budgets. *)
 
 module G = Muir_core.Graph
 module I = Muir_ir.Instr
@@ -49,10 +50,6 @@ type chain_elt = {
   ce_node : G.node;
   ce_entry_port : int;  (** where the running value enters (chain tail) *)
 }
-
-(** Total raw delay of a chain, in adder units. *)
-let chain_delay (ops : G.fu_op list) : float =
-  List.fold_left (fun d op -> d +. Muir_core.Cost.fu_raw_delay op) 0.0 ops
 
 (** Delay budget for one fused stage (≈ two chained adders): fusing
     beyond this would rob frequency, which the paper's pass explicitly
@@ -94,7 +91,7 @@ let fuse_task (t : G.task) : int * int =
             in
             if
               (port = 0 || (port = 1 && commutative op))
-              && chain_delay (op :: cur_ops) <= budget
+              && Muir_core.Cost.chain_delay (op :: cur_ops) <= budget
             then
               grow ~head_node
                 (chain @ [ { ce_node = succ; ce_entry_port = port } ])

@@ -39,20 +39,13 @@ let bits_of_ty (ty : T.ty) =
   | T.TPtr -> 32 (* address-bus width of the local memory map *)
   | ty -> max 1 (T.ty_bits ty)
 
-let fu_op_name (op : G.fu_op) = G.fu_op_to_string op
-
-let is_fp (op : G.fu_op) =
-  match op with
-  | G.Ffbin _ | G.Ffcmp _ | G.Ffunary _ -> true
-  | _ -> false
-
 (** Function-unit component(s) of a compute opcode. *)
 let fu_prim (op : G.fu_op) ~(bits : int) : prim =
   match op with
   | G.Fibin Muir_ir.Instr.Mul -> Pmul { bits }
   | G.Fibin (Muir_ir.Instr.Sdiv | Muir_ir.Instr.Srem) -> Pdiv { bits }
-  | op when is_fp op -> Pfpu { op = fu_op_name op }
-  | op -> Palu { op = fu_op_name op; bits }
+  | G.Ffbin _ | G.Ffcmp _ | G.Ffunary _ -> Pfpu { op }
+  | op -> Palu { op; bits }
 
 (** Lower one task (one tile's worth); [origin] distinguishes tiles. *)
 let lower_task (ctx : ctx) (c : G.circuit) (t : G.task) ~(origin : string) :
@@ -71,8 +64,7 @@ let lower_task (ctx : ctx) (c : G.circuit) (t : G.task) ~(origin : string) :
           ignore (add ctx ~origin (Pctrl { kind = "hs" }));
           fu
         | G.Fused ops | G.FusedSteer ops ->
-          let names = List.map fu_op_name ops in
-          let fu = add ctx ~origin (Pchain { ops = names; bits }) in
+          let fu = add ctx ~origin (Pchain { ops; bits }) in
           let org = add ctx ~origin (Preg { bits }) in
           wire ctx ~bits fu org;
           ignore (add ctx ~origin (Pctrl { kind = "hs" }));
@@ -108,12 +100,11 @@ let lower_task (ctx : ctx) (c : G.circuit) (t : G.task) ~(origin : string) :
           d
         | G.Tcompute { top; dedicated } ->
           if dedicated then
-            add ctx ~origin
-              (Ptensor { shape_words = 4; op = G.tensor_op_to_string top })
+            add ctx ~origin (Ptensor { shape_words = 4; op = top })
           else begin
             (* shared scalar FUs + sequencing control *)
-            let m = add ctx ~origin (Pfpu { op = "fmul" }) in
-            ignore (add ctx ~origin (Pfpu { op = "fadd" }));
+            let m = add ctx ~origin (Pfpu { op = G.Ffbin Fmul }) in
+            ignore (add ctx ~origin (Pfpu { op = G.Ffbin Fadd }));
             ignore (add ctx ~origin (Pctrl { kind = "tensor.seq" }));
             ignore (add ctx ~origin (Preg { bits = 128 }));
             m

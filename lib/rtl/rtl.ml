@@ -4,17 +4,25 @@
     arbiters, queues...) and nets between them.  The synthesis model
     walks this representation to estimate area, frequency and power,
     and Table 4's "FIRRTL Δ" is a structural diff of two lowered
-    designs. *)
+    designs.
+
+    Function units keep μIR's own typed opcodes ([Graph.fu_op],
+    [Graph.tensor_op]), so the model prices them from the same
+    [Muir_core.Cost] table the μopt passes read, and no layer below
+    [Graph] spells or parses an op name. *)
+
+module G = Muir_core.Graph
 
 type prim =
   | Preg of { bits : int }            (** pipeline/handshake register *)
   | Pfifo of { bits : int; depth : int }
-  | Palu of { op : string; bits : int }  (** single-stage logic/arith *)
-  | Pchain of { ops : string list; bits : int }  (** fused stage group *)
+  | Palu of { op : G.fu_op; bits : int }  (** single-stage logic/arith *)
+  | Pchain of { ops : G.fu_op list; bits : int }  (** fused stage group *)
   | Pmul of { bits : int }
   | Pdiv of { bits : int }
-  | Pfpu of { op : string }           (** FP macro (add, mul, exp, ...) *)
-  | Ptensor of { shape_words : int; op : string }  (** Fig. 14 tree unit *)
+  | Pfpu of { op : G.fu_op }          (** FP macro (add, mul, exp, ...) *)
+  | Ptensor of { shape_words : int; op : G.tensor_op }
+      (** Fig. 14 tree unit *)
   | Pmux of { ways : int; bits : int }
   | Pdemux of { ways : int; bits : int }
   | Parbiter of { ways : int }
@@ -40,26 +48,6 @@ type design = {
   comps : component list;
   nets : net list;
 }
-
-let prim_key (p : prim) : string =
-  match p with
-  | Preg { bits } -> Fmt.str "reg%d" bits
-  | Pfifo { bits; depth } -> Fmt.str "fifo%dx%d" bits depth
-  | Palu { op; bits } -> Fmt.str "alu.%s.%d" op bits
-  | Pchain { ops; bits } -> Fmt.str "chain.%s.%d" (String.concat "+" ops) bits
-  | Pmul { bits } -> Fmt.str "mul%d" bits
-  | Pdiv { bits } -> Fmt.str "div%d" bits
-  | Pfpu { op } -> "fpu." ^ op
-  | Ptensor { shape_words; op } -> Fmt.str "tensor%d.%s" shape_words op
-  | Pmux { ways; bits } -> Fmt.str "mux%dx%d" ways bits
-  | Pdemux { ways; bits } -> Fmt.str "demux%dx%d" ways bits
-  | Parbiter { ways } -> Fmt.str "arb%d" ways
-  | Psram { words; width_bits; ports } ->
-    Fmt.str "sram%dx%dp%d" words width_bits ports
-  | Ptag { entries } -> Fmt.str "tag%d" entries
-  | Pqueue { bits; depth } -> Fmt.str "queue%dx%d" bits depth
-  | Pcrossbar { ins; outs; bits } -> Fmt.str "xbar%dx%dx%d" ins outs bits
-  | Pctrl { kind } -> "ctrl." ^ kind
 
 let size (d : design) = (List.length d.comps, List.length d.nets)
 
@@ -88,14 +76,12 @@ let diff (a : design) (b : design) : int * int =
         acc + abs (ca - cb))
       keys 0
   in
-  let comp_key (c : component) = (c.corigin, prim_key c.prim) in
+  let comp_key (c : component) = (c.corigin, c.prim) in
   (* Nets are keyed by origin-pair of their endpoints' component prims;
      endpoint resolution uses each design's own table. *)
   let net_key (d : design) (n : net) =
     let find cid =
-      match List.find_opt (fun c -> c.cid = cid) d.comps with
-      | Some c -> (c.corigin, prim_key c.prim)
-      | None -> ("?", "?")
+      Option.map comp_key (List.find_opt (fun c -> c.cid = cid) d.comps)
     in
     (find n.nsrc, find n.ndst, n.nbits)
   in
