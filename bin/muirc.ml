@@ -11,6 +11,9 @@
      muirc workload name [-O pass]     same, for a bundled benchmark
      muirc explore  name [--jobs N]    design-space exploration (Pareto)
 
+   Every command shown with prog.mc, graph aside, also takes the name
+   of a bundled workload in its place.
+
    Passes (-O, repeatable, applied in order): the individual passes
      fusion | queuing | tiling=N | localize | spad-bank=N | cache-bank=N
      | tensor, plus every named stack of Muir_opt.Stacks.registry —
@@ -122,9 +125,6 @@ let passes_arg =
              Muir_opt.Structural.max_count
              (String.concat ", " (Muir_opt.Stacks.names ()))))
 
-let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-
 let target_arg =
   Arg.(
     required
@@ -143,10 +143,6 @@ let build_file ?(unroll = false) path passes : Pipeline.built =
   in
   List.iter (fun r -> Fmt.epr "%a@." Muir_opt.Pass.pp_report r) b.p_reports;
   b
-
-let optimized_circuit ?unroll path passes =
-  let b = build_file ?unroll path passes in
-  (b.Pipeline.p_program, b.Pipeline.p_circuit)
 
 (* A target that is not a file must name a bundled workload; any
    other name is a usage error (exit 2) that lists the valid ones. *)
@@ -168,9 +164,9 @@ let workload_exits =
           workload); the valid names are listed on standard error."
   :: Cmd.Exit.defaults
 
-(* check/profile accept either a source file or a bundled workload
-   name; workload targets are built under their bundled name and do
-   not echo pass reports. *)
+(* Every command on [target_arg] accepts either a source file or a
+   bundled workload name; workload targets are built under their
+   bundled name and do not echo pass reports. *)
 let target_built ?unroll target passes : Pipeline.built =
   if Sys.file_exists target then build_file ?unroll target passes
   else
@@ -180,14 +176,18 @@ let target_built ?unroll target passes : Pipeline.built =
 (* --- commands ------------------------------------------------------ *)
 
 let ir_cmd =
-  let run path =
-    handle_frontend path (fun () ->
-        Fmt.pr "%a@." Muir_ir.Program.pp (compile path))
+  let run target =
+    handle_frontend target (fun () ->
+        let p =
+          if Sys.file_exists target then compile target
+          else Muir_workloads.Workloads.program (resolve_workload target)
+        in
+        Fmt.pr "%a@." Muir_ir.Program.pp p)
   in
   Cmd.v
-    (Cmd.info "ir" ~exits:(frontend_exits @ Cmd.Exit.defaults)
+    (Cmd.info "ir" ~exits:(frontend_exits @ workload_exits)
        ~doc:"Print the compiler IR of a program.")
-    Term.(const run $ file_arg)
+    Term.(const run $ target_arg)
 
 let write_file f s =
   (try
@@ -268,8 +268,8 @@ let graph_cmd =
     check_outputs [ dot ];
     handle_frontend target (fun () ->
         if Sys.file_exists target then begin
-          let _, c = optimized_circuit ~unroll target passes in
-          Fmt.pr "%a@." Muir_core.Graph.pp_circuit c
+          let b = build_file ~unroll target passes in
+          Fmt.pr "%a@." Muir_core.Graph.pp_circuit b.p_circuit
         end
         else
           match Muir_nn.Models.find target with
@@ -514,20 +514,20 @@ let chisel_cmd =
   let out =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT")
   in
-  let run path passes out =
+  let run target passes out =
     check_outputs [ out ];
-    handle_frontend path (fun () ->
-        let _, c = optimized_circuit path passes in
-        let src = Muir_rtl.Chisel.emit c in
+    handle_frontend target (fun () ->
+        let b = target_built target passes in
+        let src = Muir_rtl.Chisel.emit b.p_circuit in
         match out with
         | None -> print_string src
         | Some f -> write_file f src)
   in
   Cmd.v
     (Cmd.info "chisel"
-       ~exits:(frontend_exits @ output_exit :: Cmd.Exit.defaults)
+       ~exits:(frontend_exits @ output_exit :: workload_exits)
        ~doc:"Emit Chisel for the accelerator.")
-    Term.(const run $ file_arg $ passes_arg $ out)
+    Term.(const run $ target_arg $ passes_arg $ out)
 
 let report_simulation (r : Muir_sim.Sim.result) =
   Fmt.pr "cycles            %d (+%d DMA) = %d@." r.stats.cycles
@@ -797,10 +797,10 @@ let explore_cmd =
       $ json_arg $ seed_arg $ strategy_arg $ tprune_flag $ metrics_arg)
 
 let synth_cmd =
-  let run path passes =
-    handle_frontend path (fun () ->
-        let _, c = optimized_circuit path passes in
-        let d = Muir_rtl.Lower.design c in
+  let run target passes =
+    handle_frontend target (fun () ->
+        let b = target_built target passes in
+        let d = Muir_rtl.Lower.design b.p_circuit in
         let comps, nets = Muir_rtl.Rtl.size d in
         Fmt.pr "design: %d components, %d nets@." comps nets;
         Fmt.pr "@[<v2>histogram:@,%a@]@." Muir_rtl.Rtl.pp_histogram d;
@@ -810,9 +810,9 @@ let synth_cmd =
           (Muir_model.Model.asic d))
   in
   Cmd.v
-    (Cmd.info "synth" ~exits:(frontend_exits @ Cmd.Exit.defaults)
+    (Cmd.info "synth" ~exits:(frontend_exits @ workload_exits)
        ~doc:"FPGA/ASIC synthesis estimates.")
-    Term.(const run $ file_arg $ passes_arg)
+    Term.(const run $ target_arg $ passes_arg)
 
 let workload_cmd =
   let name_arg =

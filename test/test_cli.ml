@@ -31,7 +31,9 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let commands = [ "workload"; "simulate"; "check"; "profile"; "explore"; "dot" ]
+let commands =
+  [ "workload"; "ir"; "simulate"; "check"; "profile"; "explore"; "dot";
+    "chisel"; "synth" ]
 
 let test_unknown_workload cmd () =
   let code, text = muirc_run [ cmd; "nosuch" ] in
