@@ -104,6 +104,16 @@ let passes_conv : Muir_opt.Pass.t list Arg.conv =
       Fmt.(list ~sep:comma string) ppf
         (List.map (fun (p : Muir_opt.Pass.t) -> p.pname) ps))
 
+(* A count option (domains, queue slots): an integer of at least 1.
+   Anything else is cmdliner's usage error, exit 124. *)
+let count_conv : int Arg.conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "%S is not an integer of at least 1" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let unroll_arg =
   Arg.(
     value & flag
@@ -705,12 +715,13 @@ let explore_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt count_conv 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Evaluate configurations on $(docv) parallel domains, at \
-             most the host's recommended domain count.  The frontier is \
-             identical for every value; only wall time changes.")
+            "Evaluate configurations on $(docv) parallel domains: at \
+             least 1, and at most the host's recommended domain count \
+             run.  The frontier is identical for every value; only wall \
+             time changes.")
   in
   let json_arg =
     Arg.(
@@ -900,21 +911,22 @@ let serve_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt count_conv 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Evaluate each batch's fresh items on $(docv) domains, at most \
-             the host's recommended domain count.  Replies are identical \
-             for every value; only wall time changes.")
+            "Evaluate each batch's fresh items on $(docv) domains: at \
+             least 1, and at most the host's recommended domain count \
+             run.  Replies are identical for every value; only wall time \
+             changes.")
   in
   let queue_arg =
     Arg.(
-      value & opt int 256
+      value & opt count_conv 256
       & info [ "queue" ] ~docv:"N"
           ~doc:
-            "Admission bound: reject a run request (with a structured \
-             $(b,overloaded) error) when accepting it would put more \
-             than $(docv) items in the queue.")
+            "Admission bound, at least 1: reject a run request (with a \
+             structured $(b,overloaded) error) when accepting it would \
+             put more than $(docv) items in the queue.")
   in
   let log_json_arg =
     Arg.(

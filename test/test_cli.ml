@@ -8,9 +8,10 @@
    fill it.
    A source the frontend rejects exits 1 with one line naming the file
    and the position.  A malformed option value is cmdliner's usage
-   error, 124: so are a tile or bank count out of range and a refresh
-   period that is not a positive number of seconds.  Flags reach
-   bundled workloads as they reach source files. *)
+   error, 124: so are a tile or bank count out of range, a domain or
+   queue count below 1 and a refresh period that is not a positive
+   number of seconds.  Flags reach bundled workloads as they reach
+   source files. *)
 
 let muirc = Filename.concat (Filename.concat Filename.parent_dir_name "bin")
     "muirc.exe"
@@ -336,7 +337,21 @@ let () =
                "execution-tiling");
           Alcotest.test_case "workload --list" `Quick test_workload_list;
           Alcotest.test_case "workload without a NAME" `Quick
-            (expect_usage_error [ "workload" ] "NAME") ]
+            (expect_usage_error [ "workload" ] "NAME");
+          Alcotest.test_case "explore --jobs 0" `Quick
+            (expect_usage_error
+               [ "explore"; "saxpy"; "--jobs"; "0"; "--budget-evals"; "1" ]
+               "--jobs") ]
+        (* The socket is unbindable too: a daemon that got past the
+           count would fail on the socket instead of listening. *)
+        @ List.map
+            (fun (flag, v) ->
+              Alcotest.test_case ("serve " ^ flag ^ "=" ^ v) `Quick
+                (expect_usage_error
+                   [ "serve"; "--socket"; missing_dir_path "s.sock";
+                     flag ^ "=" ^ v ]
+                   flag))
+            [ ("--queue", "0"); ("--queue", "-1"); ("--jobs", "0") ]
         @ List.map
             (fun v ->
               Alcotest.test_case ("top --interval=" ^ v) `Quick
