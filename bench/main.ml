@@ -640,14 +640,10 @@ let experiments : (string * (unit -> unit)) list =
     ("timing", timing);
     ("explore", explore) ]
 
+(* No arguments runs every experiment, in the order listed above. *)
 let run_experiments args =
   let selected =
-    if args = [] then
-      [ ("table2", table2); ("fig9", fig9); ("fig1", fig1);
-        ("fig17", fun () -> ignore (fig17 ()));
-        ("fig18", fun () -> ignore (fig18 ()));
-        ("table4", table4); ("nn", nn); ("ablation", ablation);
-        ("explore", explore) ]
+    if args = [] then experiments
     else
       List.map
         (fun a ->
