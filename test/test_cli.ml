@@ -33,7 +33,7 @@ let contains hay needle =
   go 0
 
 let commands =
-  [ "workload"; "ir"; "simulate"; "check"; "profile"; "explore"; "dot";
+  [ "workload"; "simulate"; "check"; "profile"; "explore"; "dot"; "ir";
     "chisel"; "synth" ]
 
 let test_unknown_workload cmd () =
