@@ -640,7 +640,6 @@ let experiments : (string * (unit -> unit)) list =
     ("timing", timing);
     ("explore", explore) ]
 
-(* No arguments runs every experiment, in the order listed above. *)
 let run_experiments args =
   let selected =
     if args = [] then experiments
